@@ -385,6 +385,10 @@ pub enum ObsEvent {
         wheel_cascades: u64,
         /// Host wall-clock duration of the shard's event loop, µs.
         wall_us: u64,
+        /// Of `wall_us`, time blocked waiting for the driver's next
+        /// hand-off, µs (0 before the field existed).
+        #[serde(default)]
+        idle_us: u64,
     },
     /// A service daemon accepted a new peer. Control-plane: `wall_us`
     /// is host wall-clock time since daemon start, not simulation

@@ -511,6 +511,7 @@ impl ObsSink for MetricsSink {
                 events,
                 candidate_visits,
                 peak_live,
+                idle_us,
                 ..
             } => {
                 self.registry.inc("sim_shards", 1);
@@ -519,6 +520,7 @@ impl ObsSink for MetricsSink {
                 self.registry
                     .inc("sim_shard_candidate_visits", candidate_visits);
                 self.registry.inc("sim_shard_peak_live", peak_live);
+                self.registry.inc("sim_shard_idle_us", idle_us);
             }
             _ => {}
         }

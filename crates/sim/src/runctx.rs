@@ -35,7 +35,6 @@ use lora_phy::channel::{overlap_ratio, Channel};
 use lora_phy::interference::{leakage_gain_db, DETECTION_OVERLAP_THRESHOLD};
 use lora_phy::snr::noise_floor_dbm;
 use lora_phy::types::{Bandwidth, TxPowerDbm};
-use std::collections::HashMap;
 
 /// Spectral relationship of an ordered (victim, interferer) channel
 /// pair, precomputed once per run from the interned channel set.
@@ -60,6 +59,12 @@ pub(crate) enum PairClass {
     },
 }
 
+/// A channel's identity as one sortable integer (center frequency,
+/// then bandwidth).
+fn chan_key(ch: &Channel) -> u64 {
+    (ch.center_hz as u64) << 2 | ch.bw as u64
+}
+
 /// Everything the event loop reads but never writes during a run. See
 /// the module docs for the full inventory.
 #[derive(Debug, Default)]
@@ -71,8 +76,11 @@ pub(crate) struct RunContext {
     /// `snr[node * n_gws + gw]`, dB (RSSI minus the 125 kHz noise floor,
     /// exactly `Topology::snr_db`).
     pub(crate) snr: Vec<f64>,
-    /// Channel → interned id. Kept across runs for its capacity only.
-    chan_ids: HashMap<Channel, u32>,
+    /// `(channel key, interned id)`, sorted by [`chan_key`]: the
+    /// channel → id lookup. A channel universe is a few dozen entries,
+    /// so a binary search beats hashing the channel per transmission.
+    /// Kept across runs for its capacity only.
+    chan_ids: Vec<(u64, u32)>,
     /// Interned channels, by id (order of first appearance in the plan).
     pub(crate) channels: Vec<Channel>,
     /// Per channel id: gateways (ascending) that listen on it.
@@ -100,6 +108,20 @@ impl RunContext {
         self.channels.len()
     }
 
+    /// Interned id of `ch`, adding it to the universe on first sight.
+    fn intern(&mut self, ch: Channel) -> u32 {
+        let key = chan_key(&ch);
+        match self.chan_ids.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.chan_ids[i].1,
+            Err(i) => {
+                let id = self.channels.len() as u32;
+                self.chan_ids.insert(i, (key, id));
+                self.channels.push(ch);
+                id
+            }
+        }
+    }
+
     /// Intern every distinct channel in `txs`; fills `ch_of_tx` (one id
     /// per transmission) and the per-channel transmission counts.
     pub(crate) fn intern_channels(&mut self, txs: &[Transmission], ch_of_tx: &mut Vec<u32>) {
@@ -108,11 +130,7 @@ impl RunContext {
         ch_of_tx.clear();
         ch_of_tx.reserve(txs.len());
         for t in txs {
-            let next = self.channels.len() as u32;
-            let id = *self.chan_ids.entry(t.channel).or_insert(next);
-            if id == next {
-                self.channels.push(t.channel);
-            }
+            let id = self.intern(t.channel);
             ch_of_tx.push(id);
         }
         self.ch_tx_count.clear();
@@ -131,11 +149,7 @@ impl RunContext {
         self.chan_ids.clear();
         self.channels.clear();
         for &ch in universe {
-            let next = self.channels.len() as u32;
-            let id = *self.chan_ids.entry(ch).or_insert(next);
-            if id == next {
-                self.channels.push(ch);
-            }
+            self.intern(ch);
         }
         self.ch_tx_count.clear();
         self.ch_tx_count.resize(self.channels.len(), 0);
@@ -143,7 +157,11 @@ impl RunContext {
 
     /// Interned id of `ch`, if it is part of the current universe.
     pub(crate) fn channel_id(&self, ch: &Channel) -> Option<u32> {
-        self.chan_ids.get(ch).copied()
+        let key = chan_key(ch);
+        self.chan_ids
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .ok()
+            .map(|i| self.chan_ids[i].1)
     }
 
     /// Rebuild the link tables, candidate index and pair classes for

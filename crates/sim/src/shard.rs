@@ -18,17 +18,21 @@
 //!   results identical to the monolithic run. Each gateway's candidate
 //!   channels all land in one component, so a gateway belongs to
 //!   exactly one shard.
-//! * **Chunked feeding.** A [`ChunkSource`] emits plans in bounded
-//!   chunks together with a *frontier*: a lower bound on every future
-//!   start time. The driver (main thread) routes each chunk's plans to
-//!   shards by channel and assigns global transmission ids in emission
-//!   order; each shard heaps its events and drains strictly below the
-//!   frontier ([`crate::engine::EventQueue::pop_before`]), so the full
+//! * **Chunked feeding.** A [`ChunkSource`] emits plans in chunks of
+//!   its caller's choosing together with a *frontier*: a lower bound on
+//!   every future start time. The driver (main thread) assigns global
+//!   transmission ids in emission order, routes plans to shards by
+//!   channel, and re-batches each chunk into **hand-offs** of at most
+//!   `HANDOFF_TXS` plans whose frontier is the exact minimum start of
+//!   the chunk's remainder capped by the source's frontier. Each shard
+//!   files its events on a time wheel and drains strictly below the
+//!   frontier ([`crate::engine::TimeWheel::pop_before`]), so the full
 //!   timeline never materializes.
 //! * **Slot recycling.** Per-transmission state lives in reference-
 //!   counted slots, freed once the transmission has ended *and* no
 //!   live transmission still holds it as an interferer. Peak memory is
-//!   bounded by the on-air set plus one chunk, not by the run length.
+//!   bounded by the on-air set plus one hand-off — not by the run
+//!   length, and not by the caller's chunk size.
 //! * **Compact link tables.** Each shard stores RSSI rows only for the
 //!   nodes it has seen, with a stride of *its own* gateway count —
 //!   at 100k nodes × 64 gateways the global table is ~50 MB while a
@@ -66,7 +70,7 @@ use obs::{ObsEvent, ObsSink};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Same-timestamp event priorities, mirroring
 /// [`crate::engine::Event`]'s ordering (TxEnd < TxStart < LockOn).
@@ -156,8 +160,9 @@ pub struct ShardRunStats {
     /// (transmission, gateway) admission pairs visited at lock-on.
     pub candidate_visits: u64,
     /// Peak simultaneously-live transmission slots — the streaming
-    /// loop's working-set bound (on-air + pending chunk + interference
-    /// holds), independent of total run length.
+    /// loop's working-set bound (on-air + pending hand-off +
+    /// interference holds), independent of total run length and of the
+    /// source's chunk size.
     pub peak_live: u64,
     /// Accumulator-mode incremental contributions added at TxStart;
     /// 0 for scan-mode runs.
@@ -173,8 +178,14 @@ pub struct ShardRunStats {
     /// Time-wheel level cascades in this shard's event scheduler.
     #[serde(default)]
     pub wheel_cascades: u64,
-    /// Host wall-clock duration of the shard's event loop, µs.
+    /// Host wall-clock duration of the shard's event loop, µs
+    /// (includes `idle_us`).
     pub wall_us: u64,
+    /// Of `wall_us`, the time spent blocked waiting for the driver's
+    /// next hand-off, µs: a shard with `idle_us` near `wall_us` was
+    /// starved by the feed, not busy.
+    #[serde(default)]
+    pub idle_us: u64,
 }
 
 impl ShardRunStats {
@@ -192,6 +203,7 @@ impl ShardRunStats {
             accum_evictions: self.accum_evictions,
             wheel_cascades: self.wheel_cascades,
             wall_us: self.wall_us,
+            idle_us: self.idle_us,
         }
     }
 }
@@ -211,11 +223,18 @@ pub struct StreamedRun {
     pub shard_stats: Vec<ShardRunStats>,
 }
 
+/// Most plans the driver hands the shards at once. A source chunk is
+/// as large as its caller made it (`chunk_us`, `chunk_txs`); cutting it
+/// into hand-offs with exact intermediate frontiers keeps a shard's
+/// live slots, wheel entries and message buffers at the on-air set
+/// plus one hand-off, whatever the caller chose.
+const HANDOFF_TXS: usize = 4096;
+
 /// One routed plan entry: `(global tx id, interned channel id, plan)`.
 type RoutedPlan = (u64, u32, TxPlan);
 
-/// One producer→shard message: the shard's slice of a chunk plus the
-/// chunk's frontier (a lower bound on all future start times).
+/// One producer→shard message: the shard's slice of a hand-off plus
+/// the hand-off's frontier (a lower bound on all future start times).
 type ChunkMsg = (Vec<RoutedPlan>, u64);
 
 /// How channels and gateways are split into independent shards.
@@ -1389,8 +1408,14 @@ impl<'e> ShardMachine<'e> {
     /// results back.
     fn run(mut self, rx: mpsc::Receiver<ChunkMsg>) -> ShardOutput {
         let wall = Instant::now();
+        let mut idle = Duration::ZERO;
         let mut last_frontier = 0u64;
-        for (chunk, frontier) in rx.iter() {
+        loop {
+            let waiting = Instant::now();
+            let Ok((chunk, frontier)) = rx.recv() else {
+                break;
+            };
+            idle += waiting.elapsed();
             {
                 let _sp = obs::span::enter(obs::span::SpanId::ShardIngest);
                 self.ingest(&chunk);
@@ -1439,6 +1464,7 @@ impl<'e> ShardMachine<'e> {
             accum_evictions,
             wheel_cascades: self.q.cascades(),
             wall_us: wall.elapsed().as_micros() as u64,
+            idle_us: idle.as_micros() as u64,
         };
         ShardOutput {
             gw_global: self.gw_global,
@@ -1558,7 +1584,7 @@ fn run_chunked(
         let ever_locked_ref = &ever_locked[..];
         let hb_ref = hb.as_ref();
         let accum_on = opts.accum;
-        let chunk_hint = opts.chunk_txs;
+        let chunk_hint = opts.chunk_txs.min(HANDOFF_TXS);
         std::thread::scope(|scope| {
             let mut senders = Vec::with_capacity(n_shards);
             let mut handles = Vec::with_capacity(n_shards);
@@ -1612,25 +1638,46 @@ fn run_chunked(
             }
 
             // Producer: route plans to shards by channel, assigning
-            // global ids in emission order; every shard gets every
-            // frontier so it can drain eagerly.
+            // global ids in emission order. Each source chunk goes out
+            // as hand-offs of at most `HANDOFF_TXS` plans; every shard
+            // gets every hand-off's frontier so it can drain eagerly.
             let mut buf: Vec<TxPlan> = Vec::new();
             let mut per_shard: Vec<Vec<RoutedPlan>> = (0..n_shards).map(|_| Vec::new()).collect();
+            let mut frontiers: Vec<u64> = Vec::new();
             while let Some(frontier) = source.next_chunk(&mut buf) {
-                for p in &buf {
-                    let cid = ctx_ref
-                        .channel_id(&p.channel)
-                        .expect("plan channel outside the declared universe")
-                        as usize;
-                    ch_tx_count[cid] += 1;
-                    let shard = part_ref.shard_of_channel[cid] as usize;
-                    per_shard[shard].push((total_txs, cid as u32, *p));
-                    total_txs += 1;
+                // The frontier after a hand-off is the earliest start
+                // still to come: the minimum over the rest of the chunk
+                // (plans within a chunk may be in any order), capped by
+                // the source's bound on all later chunks.
+                let n_handoffs = buf.len().div_ceil(HANDOFF_TXS).max(1);
+                frontiers.clear();
+                frontiers.resize(n_handoffs, frontier);
+                for (h, rest) in buf.chunks(HANDOFF_TXS).enumerate().skip(1).rev() {
+                    frontiers[h - 1] = rest.iter().fold(frontiers[h], |m, p| m.min(p.start_us));
                 }
-                for (shard, sender) in senders.iter().enumerate() {
-                    sender
-                        .send((std::mem::take(&mut per_shard[shard]), frontier))
-                        .expect("shard thread alive");
+                // An empty chunk still carries its frontier to the
+                // shards, as one empty hand-off.
+                let mut handoffs = buf.chunks(HANDOFF_TXS);
+                for &handoff_frontier in &frontiers {
+                    for p in handoffs.next().unwrap_or_default() {
+                        let cid = ctx_ref
+                            .channel_id(&p.channel)
+                            .expect("plan channel outside the declared universe")
+                            as usize;
+                        ch_tx_count[cid] += 1;
+                        let shard = part_ref.shard_of_channel[cid] as usize;
+                        per_shard[shard].push((total_txs, cid as u32, *p));
+                        total_txs += 1;
+                    }
+                    for (routed, sender) in per_shard.iter_mut().zip(&senders) {
+                        // The next hand-off routes about as much, so
+                        // the replacement starts at this one's size
+                        // instead of regrowing from empty.
+                        let next = Vec::with_capacity(routed.len());
+                        sender
+                            .send((std::mem::replace(routed, next), handoff_frontier))
+                            .expect("shard thread alive");
+                    }
                 }
             }
             drop(senders);
@@ -1988,6 +2035,54 @@ mod tests {
             .summary
             .statistically_equivalent(&expect, 0.0, 0.0)
             .is_ok());
+    }
+
+    #[test]
+    fn live_set_is_independent_of_caller_chunking() {
+        use crate::traffic::{collect_chunks, DutyCycleStream};
+        let assigns = two_subband_assignments(400);
+        let horizon_us = 2_000_000_000;
+        let stream = |chunk_us| DutyCycleStream::new(&assigns, 12, 0.01, horizon_us, 21, chunk_us);
+        let plans = collect_chunks(&mut stream(horizon_us));
+        assert!(
+            plans.len() > 4 * HANDOFF_TXS,
+            "{} plans do not span several hand-offs",
+            plans.len()
+        );
+        let opts = ShardOpts {
+            max_shards: 2,
+            chunk_txs: 3 * HANDOFF_TXS + 17,
+            accum: false,
+        };
+        let peak = |run: &StreamedRun| run.shard_stats.iter().map(|s| s.peak_live).max().unwrap();
+
+        // One second per chunk: a handful of plans each, so the live
+        // set is the on-air set.
+        let fine = two_subband_world(400).run_streamed(&mut stream(1_000_000), &opts);
+        // The whole run as one chunk.
+        let giant = two_subband_world(400).run_streamed(&mut stream(horizon_us), &opts);
+        assert_eq!(giant.summary, fine.summary);
+        assert_eq!(giant.stats.txs, plans.len() as u64);
+
+        // Locally unsorted (every block of 64 reversed), in chunks of
+        // several hand-offs: the intermediate frontiers must follow
+        // the suffix minimum, not the next plan's start.
+        let mut unsorted = plans.clone();
+        for block in unsorted.chunks_mut(64) {
+            block.reverse();
+        }
+        let mut w = two_subband_world(400);
+        let recs = w.run_sharded(&unsorted, &opts);
+        let sliced = w.last_shard_stats().unwrap().to_vec();
+        assert_eq!(recs, two_subband_world(400).run(&unsorted));
+        assert_eq!(RunSummary::from_records(&recs), fine.summary);
+
+        // On-air set plus one hand-off (plus the disorder window),
+        // however the caller chunked.
+        let bound = peak(&fine) + HANDOFF_TXS as u64;
+        assert!(peak(&giant) <= bound, "{} > {bound}", peak(&giant));
+        let sliced_peak = sliced.iter().map(|s| s.peak_live).max().unwrap();
+        assert!(sliced_peak <= bound + 64, "{sliced_peak} > {bound} + 64");
     }
 
     #[test]

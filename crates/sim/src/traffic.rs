@@ -5,7 +5,12 @@
 //!   Scheme (b): final preamble symbols — i.e. lock-on instants — in
 //!   node order), also used by every §5 capacity probe;
 //! * [`duty_cycled`] — 1%-duty random traffic for the at-scale
-//!   experiments (§5.2.1, Fig. 4, Fig. 13, Appendix D).
+//!   experiments (§5.2.1, Fig. 4, Fig. 13, Appendix D);
+//! * [`ChunkSource`] — workloads delivered in start-ordered chunks for
+//!   the sharded engine: [`DutyCycleStream`] draws the duty-cycled
+//!   model straight from a calendar queue of per-node arrival clocks
+//!   (the 1M–10M-node path, never materialized), [`SliceChunks`]
+//!   adapts a plan slice.
 
 use lora_phy::airtime::PacketParams;
 use lora_phy::channel::Channel;
@@ -255,36 +260,67 @@ fn unit_open(state: &mut u64) -> f64 {
     (((splitmix64(state) >> 11) + 1) as f64) * (1.0 / 9007199254740992.0)
 }
 
+/// Window buckets in [`DutyCycleStream`]'s calendar ring. A node whose
+/// next arrival lies further ahead than this many chunk windows waits
+/// in the overflow list and is re-filed each time the ring wraps, so
+/// the ring's size trades 24 B per slot against one overflow scan per
+/// `CALENDAR_SLOTS` windows.
+const CALENDAR_SLOTS: u64 = 1024;
+
+/// One node's arrival process in [`DutyCycleStream`].
+struct NodeClock {
+    /// Exact next arrival time (µs, f64 to avoid accumulating rounding
+    /// across arrivals).
+    next_t: f64,
+    /// SplitMix64 state.
+    rng: u64,
+    /// Mean inter-arrival gap (airtime / duty).
+    mean_gap: f64,
+}
+
 /// Streaming variant of [`duty_cycled`]: the same Poisson-per-node
 /// traffic model, generated chunk by chunk in `O(nodes + chunk)`
 /// memory instead of materializing (and sorting) every plan.
 ///
 /// Each node owns an independent SplitMix64 stream seeded from
-/// `(seed, node index)`, and a binary heap of per-node next-arrival
-/// times yields plans in global start order. Deterministic for a fixed
-/// seed and **independent of chunking** — only how many plans each
-/// `next_chunk` call returns changes, never their content or order.
-/// (Not sample-identical to [`duty_cycled`], which consumes one shared
-/// `StdRng` sequentially per node; this is a different generator with
-/// the same distribution, usable at scales where the materialized one
-/// cannot run.)
+/// `(seed, node index)`. Nodes are kept in a **calendar queue** keyed
+/// by the chunk window (`t / chunk_us`) of their next arrival: a ring
+/// of `CALENDAR_SLOTS` (1024) window buckets plus one overflow list for
+/// arrivals further ahead. [`ChunkSource::next_chunk`] drains exactly
+/// one bucket, draws every arrival of those nodes inside the window,
+/// re-files each node under its next window, and sorts the window's
+/// `(t_us, assignment index)` keys once — O(1) queue work per
+/// transmission plus one sort per chunk, at 4 B of queue per node,
+/// where a binary heap of next arrivals pays an `O(log nodes)` pop and
+/// push per transmission.
+///
+/// Plans come out in global `(start_us, assignment index)` order.
+/// Deterministic for a fixed seed and **independent of chunking** —
+/// only how many plans each `next_chunk` call returns changes, never
+/// their content or order. (Not sample-identical to [`duty_cycled`],
+/// which consumes one shared `StdRng` sequentially per node; this is a
+/// different generator with the same distribution, usable at scales
+/// where the materialized one cannot run.)
 pub struct DutyCycleStream {
     assignments: Vec<(usize, Channel, DataRate)>,
     channels: Vec<Channel>,
     payload_len: usize,
     horizon_us: u64,
     chunk_us: u64,
-    cursor_us: u64,
-    /// Per assignment: mean inter-arrival gap (airtime / duty).
-    mean_gap: Vec<f64>,
-    /// Per assignment: PRNG state.
-    rng: Vec<u64>,
-    /// Per assignment: exact next arrival time (µs, f64 to avoid
-    /// accumulating rounding across arrivals).
-    next_t: Vec<f64>,
-    /// Min-heap of (next arrival µs, assignment index); arrival ties
-    /// break by assignment index for determinism.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    /// Index of the next window to emit: arrivals in
+    /// `[window · chunk_us, (window + 1) · chunk_us)`.
+    window: u64,
+    /// Per assignment: its arrival process.
+    clocks: Vec<NodeClock>,
+    /// `ring[w % CALENDAR_SLOTS]`: assignments whose next arrival falls
+    /// in window `w`, for the `CALENDAR_SLOTS` windows from `window`
+    /// on. Order within a bucket is irrelevant (keys are sorted).
+    ring: Vec<Vec<u32>>,
+    /// Assignments whose next arrival is past the ring's span.
+    overflow: Vec<u32>,
+    /// The current window's `(arrival µs, assignment index)` keys;
+    /// arrival ties break by assignment index for determinism.
+    keys: Vec<(u64, u32)>,
     done: bool,
 }
 
@@ -307,47 +343,59 @@ impl DutyCycleStream {
                 channels.push(ch);
             }
         }
-        let mut mean_gap = Vec::with_capacity(assignments.len());
-        let mut rng = Vec::with_capacity(assignments.len());
-        let mut next_t = Vec::with_capacity(assignments.len());
-        let mut heap = std::collections::BinaryHeap::with_capacity(assignments.len());
-        for (i, &(_, _, dr)) in assignments.iter().enumerate() {
-            let airtime =
-                PacketParams::lorawan_uplink(dr.spreading_factor(), Bandwidth::Khz125, payload_len)
-                    .airtime()
-                    .total_us();
-            let gap = airtime as f64 / duty;
-            // Independent stream per node: mix the node index into the
-            // seed (SplitMix64 of `seed ^ mix(i)` decorrelates nodes).
-            let mut state = seed ^ (i as u64).wrapping_mul(0xA24BAED4963EE407);
-            splitmix64(&mut state);
-            // Random initial phase in (0, gap], as in `duty_cycled`.
-            let t0 = unit_open(&mut state) * gap;
-            mean_gap.push(gap);
-            rng.push(state);
-            next_t.push(t0);
-            if (t0 as u64) < horizon_us {
-                heap.push(std::cmp::Reverse((t0 as u64, i as u32)));
-            }
-        }
-        DutyCycleStream {
+        let mut stream = DutyCycleStream {
             assignments: assignments.to_vec(),
             channels,
             payload_len,
             horizon_us,
             chunk_us,
-            cursor_us: 0,
-            mean_gap,
-            rng,
-            next_t,
-            heap,
+            window: 0,
+            clocks: Vec::with_capacity(assignments.len()),
+            ring: (0..CALENDAR_SLOTS).map(|_| Vec::new()).collect(),
+            overflow: Vec::new(),
+            keys: Vec::new(),
             done: false,
+        };
+        for (i, &(_, _, dr)) in assignments.iter().enumerate() {
+            let airtime =
+                PacketParams::lorawan_uplink(dr.spreading_factor(), Bandwidth::Khz125, payload_len)
+                    .airtime()
+                    .total_us();
+            let mean_gap = airtime as f64 / duty;
+            // Independent stream per node: mix the node index into the
+            // seed (SplitMix64 of `seed ^ mix(i)` decorrelates nodes).
+            let mut rng = seed ^ (i as u64).wrapping_mul(0xA24BAED4963EE407);
+            splitmix64(&mut rng);
+            // Random initial phase in (0, gap], as in `duty_cycled`.
+            let next_t = unit_open(&mut rng) * mean_gap;
+            stream.clocks.push(NodeClock {
+                next_t,
+                rng,
+                mean_gap,
+            });
+            stream.file(i as u32, next_t as u64);
         }
+        stream
     }
 
     /// Total nodes with an assignment.
     pub fn n_assignments(&self) -> usize {
         self.assignments.len()
+    }
+
+    /// File assignment `idx` under the window of its next arrival
+    /// `t_us` (at or past the current window); an arrival at or past
+    /// the horizon retires the node.
+    fn file(&mut self, idx: u32, t_us: u64) {
+        if t_us >= self.horizon_us {
+            return;
+        }
+        let w = t_us / self.chunk_us;
+        if w - self.window < CALENDAR_SLOTS {
+            self.ring[(w % CALENDAR_SLOTS) as usize].push(idx);
+        } else {
+            self.overflow.push(idx);
+        }
     }
 }
 
@@ -361,14 +409,41 @@ impl ChunkSource for DutyCycleStream {
         if self.done {
             return None;
         }
-        let window_end = self.cursor_us.saturating_add(self.chunk_us);
-        while let Some(&std::cmp::Reverse((t, idx))) = self.heap.peek() {
-            if t >= window_end {
-                break;
+        let slot = (self.window % CALENDAR_SLOTS) as usize;
+        if slot == 0 && self.window > 0 {
+            // The ring wrapped: every overflow entry the new rotation
+            // can address moves in. An entry is always re-filed before
+            // its window comes up, because it was at least a full
+            // rotation ahead when it overflowed.
+            for idx in std::mem::take(&mut self.overflow) {
+                self.file(idx, self.clocks[idx as usize].next_t as u64);
             }
-            self.heap.pop();
-            let i = idx as usize;
-            let (node, channel, dr) = self.assignments[i];
+        }
+        let window_end = (self.window + 1).saturating_mul(self.chunk_us);
+        let limit = window_end.min(self.horizon_us);
+
+        // Nodes drained here re-file strictly later windows, so the
+        // bucket is not pushed to while it is out.
+        let mut bucket = std::mem::take(&mut self.ring[slot]);
+        self.keys.clear();
+        for &idx in &bucket {
+            let c = &mut self.clocks[idx as usize];
+            let mut t = c.next_t as u64;
+            while t < limit {
+                self.keys.push((t, idx));
+                // Exponential inter-arrival, mean `mean_gap`.
+                c.next_t -= unit_open(&mut c.rng).ln() * c.mean_gap;
+                t = c.next_t as u64;
+            }
+            self.file(idx, t);
+        }
+        bucket.clear();
+        self.ring[slot] = bucket;
+
+        self.keys.sort_unstable();
+        out.reserve(self.keys.len());
+        for &(t, idx) in &self.keys {
+            let (node, channel, dr) = self.assignments[idx as usize];
             out.push(TxPlan {
                 node,
                 channel,
@@ -376,15 +451,12 @@ impl ChunkSource for DutyCycleStream {
                 start_us: t,
                 payload_len: self.payload_len,
             });
-            // Exponential inter-arrival, mean `mean_gap`.
-            let next = self.next_t[i] - unit_open(&mut self.rng[i]).ln() * self.mean_gap[i];
-            self.next_t[i] = next;
-            if (next as u64) < self.horizon_us {
-                self.heap.push(std::cmp::Reverse((next as u64, idx)));
-            }
         }
-        self.cursor_us = window_end;
-        if self.heap.is_empty() && window_end >= self.horizon_us {
+
+        self.window += 1;
+        // Every filed arrival is below the horizon, so nothing is left
+        // once a window reaches it.
+        if window_end >= self.horizon_us {
             self.done = true;
             Some(u64::MAX)
         } else {
@@ -528,6 +600,243 @@ mod tests {
                 plans.iter().any(|p| p.node == node),
                 "node {node} never transmits in an hour"
             );
+        }
+    }
+
+    /// The binary-heap generator [`DutyCycleStream`] replaced, kept
+    /// verbatim as the oracle for the calendar queue: a min-heap of
+    /// per-node next-arrival times popped in global start order.
+    struct HeapDutyCycleStream {
+        assignments: Vec<(usize, Channel, DataRate)>,
+        payload_len: usize,
+        horizon_us: u64,
+        chunk_us: u64,
+        cursor_us: u64,
+        /// Per assignment: mean inter-arrival gap (airtime / duty).
+        mean_gap: Vec<f64>,
+        /// Per assignment: PRNG state.
+        rng: Vec<u64>,
+        /// Per assignment: exact next arrival time (µs, f64 to avoid
+        /// accumulating rounding across arrivals).
+        next_t: Vec<f64>,
+        /// Min-heap of (next arrival µs, assignment index); arrival
+        /// ties break by assignment index for determinism.
+        heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+        done: bool,
+    }
+
+    impl HeapDutyCycleStream {
+        fn new(
+            assignments: &[(usize, Channel, DataRate)],
+            payload_len: usize,
+            duty: f64,
+            horizon_us: u64,
+            seed: u64,
+            chunk_us: u64,
+        ) -> HeapDutyCycleStream {
+            assert!(duty > 0.0 && duty <= 1.0);
+            assert!(chunk_us > 0);
+            let mut mean_gap = Vec::with_capacity(assignments.len());
+            let mut rng = Vec::with_capacity(assignments.len());
+            let mut next_t = Vec::with_capacity(assignments.len());
+            let mut heap = std::collections::BinaryHeap::with_capacity(assignments.len());
+            for (i, &(_, _, dr)) in assignments.iter().enumerate() {
+                let airtime =
+                    PacketParams::lorawan_uplink(dr.spreading_factor(), Khz125, payload_len)
+                        .airtime()
+                        .total_us();
+                let gap = airtime as f64 / duty;
+                // Independent stream per node: mix the node index into the
+                // seed (SplitMix64 of `seed ^ mix(i)` decorrelates nodes).
+                let mut state = seed ^ (i as u64).wrapping_mul(0xA24BAED4963EE407);
+                splitmix64(&mut state);
+                // Random initial phase in (0, gap], as in `duty_cycled`.
+                let t0 = unit_open(&mut state) * gap;
+                mean_gap.push(gap);
+                rng.push(state);
+                next_t.push(t0);
+                if (t0 as u64) < horizon_us {
+                    heap.push(std::cmp::Reverse((t0 as u64, i as u32)));
+                }
+            }
+            HeapDutyCycleStream {
+                assignments: assignments.to_vec(),
+                payload_len,
+                horizon_us,
+                chunk_us,
+                cursor_us: 0,
+                mean_gap,
+                rng,
+                next_t,
+                heap,
+                done: false,
+            }
+        }
+
+        fn next_chunk(&mut self, out: &mut Vec<TxPlan>) -> Option<u64> {
+            out.clear();
+            if self.done {
+                return None;
+            }
+            let window_end = self.cursor_us.saturating_add(self.chunk_us);
+            while let Some(&std::cmp::Reverse((t, idx))) = self.heap.peek() {
+                if t >= window_end {
+                    break;
+                }
+                self.heap.pop();
+                let i = idx as usize;
+                let (node, channel, dr) = self.assignments[i];
+                out.push(TxPlan {
+                    node,
+                    channel,
+                    dr,
+                    start_us: t,
+                    payload_len: self.payload_len,
+                });
+                // Exponential inter-arrival, mean `mean_gap`.
+                let next = self.next_t[i] - unit_open(&mut self.rng[i]).ln() * self.mean_gap[i];
+                self.next_t[i] = next;
+                if (next as u64) < self.horizon_us {
+                    self.heap.push(std::cmp::Reverse((next as u64, idx)));
+                }
+            }
+            self.cursor_us = window_end;
+            if self.heap.is_empty() && window_end >= self.horizon_us {
+                self.done = true;
+                Some(u64::MAX)
+            } else {
+                Some(window_end)
+            }
+        }
+    }
+
+    fn stream_assignments(n: usize) -> Vec<(usize, Channel, DataRate)> {
+        (0..n)
+            .map(|i| {
+                (
+                    i,
+                    Channel::khz125(920_000_000 + (i as u32 % 8) * 200_000),
+                    DataRate::from_index(i / 8 % 6).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// Drive the calendar and the heap oracle side by side: every
+    /// chunk's plans and frontier must be equal, both must end on the
+    /// same call, and nothing may start at or past the horizon.
+    /// Returns `(chunks, plans)` emitted.
+    fn assert_matches_heap(
+        n: usize,
+        duty: f64,
+        horizon_us: u64,
+        seed: u64,
+        chunk_us: u64,
+    ) -> (usize, usize) {
+        let assigns = stream_assignments(n);
+        let mut calendar = DutyCycleStream::new(&assigns, 12, duty, horizon_us, seed, chunk_us);
+        let mut heap = HeapDutyCycleStream::new(&assigns, 12, duty, horizon_us, seed, chunk_us);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let (mut chunks, mut plans) = (0, 0);
+        loop {
+            let f_got = calendar.next_chunk(&mut got);
+            let f_want = heap.next_chunk(&mut want);
+            assert_eq!(
+                f_got, f_want,
+                "frontier of chunk {chunks} (n={n} duty={duty} horizon={horizon_us} \
+                 seed={seed} chunk_us={chunk_us})"
+            );
+            assert_eq!(
+                got, want,
+                "plans of chunk {chunks} (n={n} duty={duty} horizon={horizon_us} \
+                 seed={seed} chunk_us={chunk_us})"
+            );
+            assert!(got.iter().all(|p| p.start_us < horizon_us));
+            if f_got.is_none() {
+                return (chunks, plans);
+            }
+            chunks += 1;
+            plans += got.len();
+        }
+    }
+
+    #[test]
+    fn calendar_matches_heap_past_the_ring_span() {
+        // The `sim_streaming_mem` shape: 3000 windows over a
+        // 1024-slot ring, so buckets are reused and overflow entries
+        // re-filed on every wrap.
+        let (chunks, plans) = assert_matches_heap(200, 0.01, 600_000_000, 33, 200_000);
+        assert_eq!(chunks, 3000);
+        assert!(chunks as u64 > 2 * CALENDAR_SLOTS && plans > 5_000);
+    }
+
+    #[test]
+    fn calendar_matches_heap_on_a_last_window_past_the_horizon() {
+        // 2.5 windows: the third ends 5 s past the horizon and must
+        // still emit only arrivals below it.
+        let (chunks, plans) = assert_matches_heap(64, 0.05, 25_000_000, 7, 10_000_000);
+        assert_eq!(chunks, 3);
+        assert!(plans > 0);
+    }
+
+    #[test]
+    fn calendar_matches_heap_at_one_microsecond_chunks() {
+        // Full duty so that initial phases land inside a 5 ms horizon;
+        // 5000 windows of 1 µs each.
+        let (chunks, plans) = assert_matches_heap(400, 1.0, 5_000, 3, 1);
+        assert_eq!(chunks, 5_000);
+        assert!(plans > 0);
+    }
+
+    #[test]
+    fn calendar_matches_heap_without_assignments() {
+        assert_eq!(assert_matches_heap(0, 0.01, 1_000_000, 1, 300_000), (4, 0));
+        assert_eq!(assert_matches_heap(0, 0.01, 0, 1, 300_000), (1, 0));
+    }
+
+    #[test]
+    fn stream_is_independent_of_chunking() {
+        let assigns = stream_assignments(96);
+        let collect = |chunk_us| {
+            collect_chunks(&mut DutyCycleStream::new(
+                &assigns,
+                12,
+                0.02,
+                300_000_000,
+                5,
+                chunk_us,
+            ))
+        };
+        let whole = collect(300_000_000);
+        assert!(whole.len() > 1_000);
+        assert!(whole
+            .windows(2)
+            .all(|w| (w[0].start_us, w[0].node) <= (w[1].start_us, w[1].node)));
+        assert_eq!(collect(7_000_000), whole);
+        assert_eq!(collect(100_000), whole);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The calendar emits the heap's plans, chunk boundaries
+            /// and frontiers over node counts, duties, seeds, horizons
+            /// and window widths — from one window for the whole run
+            /// to thousands of windows per mean gap (overflow-heavy).
+            fn calendar_matches_heap(
+                n in 0usize..80,
+                duty_i in 0usize..4,
+                seed in any::<u64>(),
+                horizon_us in 0u64..400_000_000,
+                chunk_i in 0usize..6,
+            ) {
+                let duty = [0.001, 0.01, 0.2, 1.0][duty_i];
+                let chunk_us =
+                    [50_000u64, 333_333, 1_000_000, 60_000_000, 400_000_000, u64::MAX][chunk_i];
+                assert_matches_heap(n, duty, horizon_us, seed, chunk_us);
+            }
         }
     }
 }

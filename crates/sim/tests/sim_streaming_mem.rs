@@ -112,7 +112,8 @@ fn streamed_run_peak_heap_stays_below_timeline_cost() {
     );
 
     // Slot recycling keeps the live transmission ceiling far below the
-    // run length (on-air set + one producer chunk, not 3n events).
+    // run length: the on-air set plus at most one driver hand-off
+    // (here a 200 ms window's few plans), not 3n events.
     let peak_live: u64 = run
         .shard_stats
         .iter()

@@ -10,7 +10,6 @@ use alphawan_system::gateway::config::GatewayConfig;
 use alphawan_system::gateway::profile::GatewayProfile;
 use alphawan_system::gateway::radio::Gateway;
 use alphawan_system::lora_phy::region::StandardChannelPlan;
-use std::time::Duration;
 
 fn region() -> RegionSpec {
     RegionSpec {
@@ -56,8 +55,12 @@ fn master_plan_lands_on_a_gateway_via_the_agent() {
 #[test]
 fn expired_lease_recycles_the_plan_slot() {
     let server = MasterServer::start(region()).unwrap();
-    // Tighten the TTL on the live node so the test runs fast.
-    server.node().lock().set_lease_ttl_ms(150);
+    // Lease ages are driven through `MasterNode::tick`, not by
+    // sleeping: the server only ever ticks the node forward to its own
+    // wall-clock age, which stays far below this TTL, so the leases
+    // expire exactly when the test says and a slow host cannot expire
+    // the wrong one.
+    server.node().lock().set_lease_ttl_ms(60_000);
 
     let mut c1 = MasterClient::connect(server.addr()).unwrap();
     let a = c1.register("op-a").unwrap();
@@ -71,11 +74,11 @@ fn expired_lease_recycles_the_plan_slot() {
     let c = c3.register("op-c").unwrap();
     assert!(c3.request_channels(c).is_err(), "region must be full");
 
-    // op-b keeps heartbeating; op-a goes silent past the TTL.
-    for _ in 0..4 {
-        std::thread::sleep(Duration::from_millis(60));
-        c2.request_channels(b).unwrap();
-    }
+    // op-b heartbeats 40 s in; op-a stays silent. At 70 s op-a's lease
+    // is past the TTL and op-b's is 30 s old.
+    server.node().lock().tick(40_000);
+    c2.request_channels(b).unwrap();
+    server.node().lock().tick(70_000);
     // op-c retries and inherits op-a's freed slot (the same plan).
     let plan_c = c3.request_channels(c).expect("freed slot reassigned");
     assert_eq!(plan_c, plan_a);
