@@ -21,17 +21,8 @@
 //! summaries must agree exactly, because shard count is proven not to
 //! change results at small scale (see `docs/SCALING.md`).
 //!
-//! Every point additionally times **accumulator mode**
-//! (`ShardOpts::accum`): the incremental per-gateway interference
-//! accumulators replace the per-TxEnd interferer rescan, so verdicts
-//! cost O(Δ) per event instead of O(on-air × gateways). Accum results
-//! are not bit-exact (the leaked-interference sum folds in
-//! order-canonical fixed point, not the scan's left-to-right f64
-//! order), so each accum run is held to the documented statistical
-//! gate against the scan run of the same workload.
-//!
 //! Writes the machine-readable `BENCH_sim.json` artifact
-//! (`schema_version: 3`) through the obs session writer, falling back
+//! (`schema_version: 4`) through the obs session writer, falling back
 //! to `results/out/` when no `--obs-out` session is active.
 //!
 //! Pass `--quick` (or set `ALPHAWAN_BENCH_QUICK=1`) for the CI
@@ -46,10 +37,9 @@ use lora_phy::pathloss::PathLossModel;
 use lora_phy::types::DataRate;
 use serde::{Deserialize, Serialize};
 use sim::faults::NoFaults;
-use sim::metrics::RunSummary;
 use sim::shard::ShardOpts;
 use sim::topology::Topology;
-use sim::traffic::{duty_cycled, DutyCycleStream, SliceChunks, TxPlan};
+use sim::traffic::{duty_cycled, DutyCycleStream, TxPlan};
 use sim::world::SimWorld;
 use std::time::Instant;
 
@@ -147,7 +137,7 @@ fn peak_rss_mb() -> f64 {
 }
 
 /// One (nodes, gateways) measurement point of `BENCH_sim.json`
-/// (schema v3; see `docs/SCALING.md` for the field-by-field contract).
+/// (schema v4; see `docs/SCALING.md` for the field-by-field contract).
 #[derive(Debug, Serialize, Deserialize)]
 struct ScalePoint {
     nodes: usize,
@@ -156,8 +146,8 @@ struct ScalePoint {
     /// `"streamed"`: aggregate-only, gated statistically.
     mode: String,
     /// Offered duty cycle of this point's workload (airtime / period
-    /// per node); schema v3 makes it per-point so the 10M-node point
-    /// can run at a realistic sparse duty.
+    /// per node); per-point so the 10M-node point can run at a
+    /// realistic sparse duty.
     duty: f64,
     txs: u64,
     /// Events processed (3 × txs).
@@ -204,24 +194,13 @@ struct ScalePoint {
     /// (each drains one upper-level bucket back into the wheel).
     #[serde(default)]
     wheel_cascades: u64,
-    /// Accumulator-mode wall time over the same workload (streamed
-    /// engine, `ShardOpts::accum`, same shard ceiling).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    accum_secs: Option<f64>,
-    /// Accumulator-mode event throughput — the headline number the
-    /// baseline bands gate on.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    accum_events_per_sec: Option<f64>,
-    /// Total accumulator fold operations in the accum run: register
-    /// folds at TxStart plus exact-undo folds at TxEnd. The per-event
-    /// cost model in `docs/SCALING.md` predicts `accum_folds / events`
-    /// stays O(candidate gateways), independent of on-air population.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    accum_folds: Option<u64>,
-    /// Accum run passed `statistically_equivalent` against the scan
-    /// run of the identical workload at the documented (2%, 2%) gate.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    accum_gate_ok: Option<bool>,
+    /// Interference-state fold operations in the primary sharded run:
+    /// list pushes, index inserts and leak folds at TxStart plus leak
+    /// undos at TxEnd. The cost model in `docs/SCALING.md` predicts
+    /// `accum_folds / events` stays O(candidate gateways), independent
+    /// of the on-air population.
+    #[serde(default)]
+    accum_folds: u64,
 }
 
 /// The `BENCH_sim.json` schema.
@@ -246,9 +225,7 @@ struct BenchReport {
 const REPS: usize = 5;
 
 /// An exact point: reference, indexed and sharded paths over the same
-/// materialized plan list, asserted identical, then timed. The same
-/// plan list then runs through the streamed engine in accumulator mode
-/// and is gated statistically against the exact records.
+/// materialized plan list, asserted identical, then timed.
 fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScalePoint {
     let seed = 550_000 + nodes as u64;
     let plans = workload(nodes, gws, duty, horizon_us, seed);
@@ -304,47 +281,11 @@ fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScaleP
         .expect("sharded run recorded per-shard stats")
         .to_vec();
 
-    // Accumulator mode over the identical plan list: capture and
-    // cross-SF decisions are bit-exact, the leak sum is fold-order
-    // canonical, so the aggregate summary is gated statistically
-    // against the exact records rather than asserted identical.
-    let expect = RunSummary::from_records(&recs_ref);
-    let accum_opts = ShardOpts {
-        max_shards: MAX_SHARDS,
-        accum: true,
-        ..ShardOpts::default()
-    };
-    let mut w_accum = build_world(nodes, gws, seed);
-    let mut accum_secs = f64::INFINITY;
-    let mut accum_run = None;
-    for _ in 0..REPS {
-        w_accum.reset();
-        let mut source = SliceChunks::new(&plans, accum_opts.chunk_txs);
-        let t0 = Instant::now();
-        let run = w_accum.run_streamed(&mut source, &accum_opts);
-        accum_secs = accum_secs.min(t0.elapsed().as_secs_f64());
-        accum_run = Some(run);
-    }
-    let accum_run = accum_run.expect("REPS >= 1");
-    let accum_gate = accum_run
-        .summary
-        .statistically_equivalent(&expect, 0.02, 0.02);
-    assert!(
-        accum_gate.is_ok(),
-        "{nodes}-node accum statistical gate failed: {}",
-        accum_gate.as_ref().err().cloned().unwrap_or_default()
-    );
-    assert!(
-        accum_run.stats.accum_updates > 0,
-        "accum mode must actually fold accumulators"
-    );
-
     if bench::obs_session::active() {
         bench::obs_session::record_event(&stats.to_event(0));
         for s in &shard_stats {
             bench::obs_session::record_event(&s.to_event(0));
         }
-        bench::obs_session::record_event(&accum_run.stats.to_event(0));
     }
     let workers = (shard_stats.len())
         .min(
@@ -377,15 +318,12 @@ fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScaleP
         stat_pdr_gap: None,
         stat_tv_distance: None,
         wheel_cascades: stats.wheel_cascades,
-        accum_secs: Some(accum_secs),
-        accum_events_per_sec: Some(accum_run.stats.events as f64 / accum_secs.max(1e-12)),
-        accum_folds: Some(accum_run.stats.accum_updates + accum_run.stats.accum_undos),
-        accum_gate_ok: Some(true),
+        accum_folds: stats.accum_updates + stats.accum_undos,
     };
     println!(
-        "bench simworld/{nodes}n_{gws}gw   reference {:>8.3}s  fast {:>8.3}s  sharded {:>8.3}s ({} shards)  accum {:>8.3}s ({:>10.0} ev/s)  speedup {:>6.1}x  cull {:>5.3}",
-        reference_secs, fast_secs, sharded_secs, point.shards, accum_secs,
-        point.accum_events_per_sec.unwrap(), point.speedup.unwrap(), point.candidate_cull_ratio
+        "bench simworld/{nodes}n_{gws}gw   reference {:>8.3}s  fast {:>8.3}s  sharded {:>8.3}s ({} shards, {:>10.0} ev/s)  speedup {:>6.1}x  cull {:>5.3}",
+        reference_secs, fast_secs, sharded_secs, point.shards,
+        point.sharded_events_per_sec, point.speedup.unwrap(), point.candidate_cull_ratio
     );
     point
 }
@@ -472,16 +410,14 @@ fn measure_span_overhead(nodes: usize, gws: usize, horizon_us: u64) -> f64 {
 
 /// The streamed points: the workload is generated chunk by chunk and
 /// never materialized, per-packet records are never kept, and N-shard
-/// vs 1-shard aggregate summaries pass the statistical gate. A third
-/// pass of the identical workload runs in accumulator mode and is
-/// gated statistically against the scan run.
+/// vs 1-shard aggregate summaries pass the statistical gate.
 fn measure_streamed(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScalePoint {
     let seed = 770_000 + nodes as u64;
     let assigns = assignments(nodes, gws);
     let chunk_us = 500_000;
     let mut world = build_world(nodes, gws, seed);
 
-    let run_once = |world: &mut SimWorld, max_shards: usize, accum: bool| {
+    let run_once = |world: &mut SimWorld, max_shards: usize| {
         let mut stream = DutyCycleStream::new(
             &assigns,
             PAYLOAD_LEN,
@@ -492,7 +428,6 @@ fn measure_streamed(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> Sca
         );
         let opts = ShardOpts {
             max_shards,
-            accum,
             ..ShardOpts::default()
         };
         let t0 = Instant::now();
@@ -500,11 +435,9 @@ fn measure_streamed(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> Sca
         (run, t0.elapsed().as_secs_f64())
     };
 
-    let (run_n, sharded_secs) = run_once(&mut world, MAX_SHARDS, false);
+    let (run_n, sharded_secs) = run_once(&mut world, MAX_SHARDS);
     world.reset();
-    let (run_1, _) = run_once(&mut world, 1, false);
-    world.reset();
-    let (run_accum, accum_secs) = run_once(&mut world, MAX_SHARDS, true);
+    let (run_1, _) = run_once(&mut world, 1);
 
     // The statistical-equivalence gate. Shard count provably does not
     // change results (exact points + the workspace proptest), so the
@@ -521,28 +454,12 @@ fn measure_streamed(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> Sca
         gate.as_ref().err().cloned().unwrap_or_default()
     );
 
-    // Accum vs scan over the same workload: held to the documented
-    // non-zero gate, since the leak sum's fold order differs.
-    let accum_gate = run_accum
-        .summary
-        .statistically_equivalent(&run_n.summary, 0.02, 0.02);
-    assert!(
-        accum_gate.is_ok(),
-        "{nodes}-node accum statistical gate failed: {}",
-        accum_gate.as_ref().err().cloned().unwrap_or_default()
-    );
-    assert!(
-        run_accum.stats.accum_updates > 0,
-        "accum mode must actually fold accumulators"
-    );
-
     let stats = run_n.stats;
     if bench::obs_session::active() {
         bench::obs_session::record_event(&stats.to_event(0));
         for s in &run_n.shard_stats {
             bench::obs_session::record_event(&s.to_event(0));
         }
-        bench::obs_session::record_event(&run_accum.stats.to_event(0));
     }
     let workers = (run_n.shard_stats.len())
         .min(
@@ -580,19 +497,14 @@ fn measure_streamed(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> Sca
         stat_pdr_gap: Some(pdr_gap),
         stat_tv_distance: Some(tv),
         wheel_cascades: stats.wheel_cascades,
-        accum_secs: Some(accum_secs),
-        accum_events_per_sec: Some(run_accum.stats.events as f64 / accum_secs.max(1e-12)),
-        accum_folds: Some(run_accum.stats.accum_updates + run_accum.stats.accum_undos),
-        accum_gate_ok: Some(true),
+        accum_folds: stats.accum_updates + stats.accum_undos,
     };
     println!(
-        "bench simworld/{nodes}n_{gws}gw   streamed {:>8.3}s ({} shards, {} txs)  {:>10.0} ev/s  accum {:>8.3}s ({:>10.0} ev/s)  peak_live {}  rss {:.0} MB  gate ok (pdr gap {:.2e}, tv {:.2e})",
+        "bench simworld/{nodes}n_{gws}gw   streamed {:>8.3}s ({} shards, {} txs)  {:>10.0} ev/s  peak_live {}  rss {:.0} MB  gate ok (pdr gap {:.2e}, tv {:.2e})",
         sharded_secs,
         point.shards,
         point.txs,
         point.sharded_events_per_sec,
-        accum_secs,
-        point.accum_events_per_sec.unwrap(),
         point.peak_live,
         point.peak_rss_mb,
         pdr_gap,
@@ -649,7 +561,7 @@ fn main() {
 
     let report = BenchReport {
         bench: "sim".to_string(),
-        schema_version: 3,
+        schema_version: 4,
         quick,
         scales,
         span_overhead_frac,
@@ -663,7 +575,7 @@ fn main() {
     let back: BenchReport =
         serde_json::from_str(&std::fs::read_to_string(&path).expect("artifact readable"))
             .expect("BENCH_sim.json parses");
-    assert_eq!(back.schema_version, 3);
+    assert_eq!(back.schema_version, 4);
     assert_eq!(back.scales.len(), exact.len() + streamed.len());
     assert!(
         back.scales
@@ -672,12 +584,8 @@ fn main() {
         "sharded throughput and workload must be measured"
     );
     assert!(
-        back.scales.iter().all(|s| {
-            s.accum_gate_ok == Some(true)
-                && s.accum_events_per_sec.is_some_and(|e| e > 0.0)
-                && s.accum_folds.is_some_and(|f| f > 0)
-        }),
-        "every point must carry a gated accumulator-mode measurement"
+        back.scales.iter().all(|s| s.accum_folds > 0),
+        "every point must count its interference folds"
     );
     assert!(
         back.scales

@@ -332,15 +332,15 @@ pub enum ObsEvent {
         candidate_visits: u64,
         /// `txs × gateways`: the pairs an un-indexed loop would visit.
         candidate_ceiling: u64,
-        /// Accumulator-mode: incremental contributions added at TxStart
-        /// (0 in scan mode).
+        /// Sharded engine: interference contributions added at TxStart
+        /// (0 for a monolithic run).
         #[serde(default)]
         accum_updates: u64,
-        /// Accumulator-mode: contributions exactly undone at TxEnd.
+        /// Sharded engine: leak contributions exactly undone at TxEnd.
         #[serde(default)]
         accum_undos: u64,
-        /// Accumulator-mode: stale lazy-max index entries evicted
-        /// during verdict queries.
+        /// Sharded engine: dead collider-list and sorted-index entries
+        /// compacted out.
         #[serde(default)]
         accum_evictions: u64,
         /// Time-wheel level cascades across all shards (0 before the
@@ -369,17 +369,20 @@ pub enum ObsEvent {
         /// Peak simultaneously-live transmission slots (the streaming
         /// loop's working-set bound).
         peak_live: u64,
-        /// Accumulator-mode: incremental contributions added at TxStart
-        /// (0 in scan mode).
+        /// Interference contributions added at TxStart (collider-list
+        /// pushes, sorted-index inserts, leak folds).
         #[serde(default)]
         accum_updates: u64,
-        /// Accumulator-mode: contributions exactly undone at TxEnd.
+        /// Leak contributions exactly undone at TxEnd.
         #[serde(default)]
         accum_undos: u64,
-        /// Accumulator-mode: stale lazy-max index entries evicted
-        /// during verdict queries.
+        /// Dead collider-list and sorted-index entries compacted out.
         #[serde(default)]
         accum_evictions: u64,
+        /// Sorted collider indexes built (0 = flat lists served the
+        /// whole run; 0 before the field existed).
+        #[serde(default)]
+        index_builds: u64,
         /// Time-wheel level cascades in this shard's scheduler.
         #[serde(default)]
         wheel_cascades: u64,

@@ -493,9 +493,8 @@ impl ObsSink for MetricsSink {
                 self.registry.inc("sim_candidate_visits", candidate_visits);
                 self.registry
                     .inc("sim_candidate_ceiling", candidate_ceiling);
-                // Accumulator-path counters (see `sim::shard` accum
-                // mode); all 0 for scan-mode runs, so soak dashboards
-                // can tell which hot path a run exercised.
+                // Interference-state counters of the sharded engine
+                // (`sim::accum`); all 0 for a monolithic run.
                 self.registry.inc("sim_accum_updates", accum_updates);
                 self.registry.inc("sim_accum_undos", accum_undos);
                 self.registry.inc("sim_accum_evictions", accum_evictions);
@@ -511,6 +510,7 @@ impl ObsSink for MetricsSink {
                 events,
                 candidate_visits,
                 peak_live,
+                index_builds,
                 idle_us,
                 ..
             } => {
@@ -520,6 +520,7 @@ impl ObsSink for MetricsSink {
                 self.registry
                     .inc("sim_shard_candidate_visits", candidate_visits);
                 self.registry.inc("sim_shard_peak_live", peak_live);
+                self.registry.inc("sim_shard_index_builds", index_builds);
                 self.registry.inc("sim_shard_idle_us", idle_us);
             }
             _ => {}

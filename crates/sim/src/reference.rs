@@ -9,7 +9,10 @@
 //! and every run allocates its interferer/admission bookkeeping afresh.
 //! It even keeps the dead `snr_v` computation the optimized path
 //! removed, because the point is to measure and differentially test
-//! against the true prior code, not a cleaned-up strawman.
+//! against the true prior code, not a cleaned-up strawman. One
+//! deliberate departure: the leaked-interference sum is folded in the
+//! fixed point of [`crate::accum`] rather than in f64, so that every
+//! engine's sum is the same integer whatever order it was added in.
 //!
 //! Two consumers rely on it:
 //!
@@ -26,6 +29,7 @@
 
 #![allow(clippy::all)]
 
+use crate::accum::{from_fixed, leak_fx};
 use crate::engine::{Event, EventQueue};
 use crate::topology::Topology;
 use crate::traffic::TxPlan;
@@ -327,7 +331,9 @@ fn verdict(
     // SNR on every verdict; the replica keeps the wasted work.
     let snr_v = world.topo.snr_db(t.node, g_idx, world.node_power[t.node]);
     let sf_v = t.dr.spreading_factor();
-    let mut intf_lin = 0.0f64;
+    // Leaked power is folded in fixed point (an integer sum, so the
+    // engine's incremental fold and this loop agree bit for bit).
+    let mut intf_fx = 0u128;
     let mut strongest_collider: Option<(f64, u32)> = None;
     let mut interference_kill = false;
 
@@ -367,7 +373,7 @@ fn verdict(
         } else {
             let orth = o.dr.spreading_factor() != sf_v;
             if let Some(gain) = leakage_gain_db(&t.channel, &o.channel, orth) {
-                intf_lin += 10f64.powf((rssi_o + gain) / 10.0);
+                intf_fx = intf_fx.wrapping_add(leak_fx(rssi_o, gain));
             }
         }
     }
@@ -376,7 +382,7 @@ fn verdict(
         return Verdict::Collision { with_network: net };
     }
     let noise_lin = 10f64.powf(noise_floor_dbm(Bandwidth::Khz125) / 10.0);
-    let sinr = rssi_v - 10.0 * (noise_lin + intf_lin).log10();
+    let sinr = rssi_v - 10.0 * (noise_lin + from_fixed(intf_fx)).log10();
     let _ = snr_v;
     if interference_kill || !decodable(sinr, sf_v, 0.0) {
         return Verdict::Interference;

@@ -59,6 +59,28 @@ pub(crate) enum PairClass {
     },
 }
 
+impl PairClass {
+    /// The leak gain this pair applies to an interferer whose SF does
+    /// (`cross_sf`) or does not differ from the victim's; `None` for a
+    /// pair that does not leak.
+    #[inline]
+    pub(crate) fn leak_gain(self, cross_sf: bool) -> Option<f64> {
+        match self {
+            PairClass::Leak {
+                gain_same,
+                gain_orth,
+            } => {
+                if cross_sf {
+                    gain_orth
+                } else {
+                    gain_same
+                }
+            }
+            _ => None,
+        }
+    }
+}
+
 /// A channel's identity as one sortable integer (center frequency,
 /// then bandwidth).
 fn chan_key(ch: &Channel) -> u64 {

@@ -28,11 +28,16 @@
 //!   files its events on a time wheel and drains strictly below the
 //!   frontier ([`crate::engine::TimeWheel::pop_before`]), so the full
 //!   timeline never materializes.
-//! * **Slot recycling.** Per-transmission state lives in reference-
-//!   counted slots, freed once the transmission has ended *and* no
-//!   live transmission still holds it as an interferer. Peak memory is
-//!   bounded by the on-air set plus one hand-off — not by the run
-//!   length, and not by the caller's chunk size.
+//! * **Interference state.** What a verdict has to know about the
+//!   transmissions that overlapped the victim is kept incrementally by
+//!   [`crate::accum`] — one collider list per channel, walked while it
+//!   is short and indexed once it is long, plus exact fixed-point leak
+//!   sums — so no event rescans the on-air population.
+//! * **Slot recycling.** Per-transmission state lives in slots, freed
+//!   once the transmission has ended *and* no transmission still on air
+//!   on a channel it can collide with started before that end. Peak
+//!   memory is bounded by the on-air set plus one hand-off — not by the
+//!   run length, and not by the caller's chunk size.
 //! * **Compact link tables.** Each shard stores RSSI rows only for the
 //!   nodes it has seen, with a stride of *its own* gateway count —
 //!   at 100k nodes × 64 gateways the global table is ~50 MB while a
@@ -51,11 +56,11 @@
 //! Faults must be [`Sync`] here ([`InfraFaults`] is pure/read-only by
 //! contract; `chaos::FaultSchedule` is plain data and qualifies).
 
-use crate::accum::{to_fixed, AccumState, LeakSnap, SlotView, TxKey};
+use crate::accum::{AccumState, TxKey};
 use crate::engine::TimeWheel;
 use crate::faults::{InfraFaults, NoFaults};
 use crate::metrics::RunSummary;
-use crate::runctx::{PairClass, RunContext};
+use crate::runctx::RunContext;
 use crate::topology::Topology;
 use crate::traffic::{ChunkSource, SliceChunks, TxPlan};
 use crate::world::{
@@ -63,12 +68,11 @@ use crate::world::{
 };
 use gateway::radio::{Gateway, LockOnOutcome, PacketAtGateway, ReceptionOutcome};
 use lora_phy::airtime::PacketParams;
-use lora_phy::interference::{capture_outcome, CaptureOutcome, CROSS_SF_REJECTION_DB};
 use lora_phy::snr::{decodable, noise_floor_dbm};
 use lora_phy::types::{Bandwidth, TxPowerDbm};
 use obs::{ObsEvent, ObsSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -91,15 +95,6 @@ pub struct ShardOpts {
     /// is fed through the streaming machinery
     /// ([`SimWorld::run_sharded`]).
     pub chunk_txs: usize,
-    /// Use the incremental interference accumulators instead of the
-    /// per-TxEnd interferer scan. Same physics, O(Δ) per event instead
-    /// of O(on-air × gateways) per transmission — but the leaked-
-    /// interference sum is accumulated in order-canonical fixed point
-    /// rather than the scan's left-to-right f64 order, so results are
-    /// gated by [`RunSummary::statistically_equivalent`] against the
-    /// scan path instead of asserted bitwise identical (capture and
-    /// cross-SF decisions remain bit-exact). See `docs/SCALING.md`.
-    pub accum: bool,
 }
 
 impl Default for ShardOpts {
@@ -107,25 +102,19 @@ impl Default for ShardOpts {
         ShardOpts {
             max_shards: 0,
             chunk_txs: 65_536,
-            accum: false,
         }
     }
 }
 
 impl ShardOpts {
     /// Defaults overridden by the environment: `ALPHAWAN_SIM_SHARDS`
-    /// sets `max_shards` (0 or unset = auto); `ALPHAWAN_SIM_ACCUM=1`
-    /// turns on the incremental accumulator path.
+    /// sets `max_shards` (0 or unset = auto).
     pub fn from_env() -> ShardOpts {
         let mut opts = ShardOpts::default();
         if let Ok(v) = std::env::var("ALPHAWAN_SIM_SHARDS") {
             if let Ok(n) = v.trim().parse::<usize>() {
                 opts.max_shards = n;
             }
-        }
-        if let Ok(v) = std::env::var("ALPHAWAN_SIM_ACCUM") {
-            let v = v.trim();
-            opts.accum = v == "1" || v.eq_ignore_ascii_case("true");
         }
         opts
     }
@@ -160,21 +149,25 @@ pub struct ShardRunStats {
     /// (transmission, gateway) admission pairs visited at lock-on.
     pub candidate_visits: u64,
     /// Peak simultaneously-live transmission slots — the streaming
-    /// loop's working-set bound (on-air + pending hand-off +
-    /// interference holds), independent of total run length and of the
-    /// source's chunk size.
+    /// loop's working-set bound (on-air + pending hand-off + ended
+    /// transmissions an on-air one overlapped), independent of total
+    /// run length and of the source's chunk size.
     pub peak_live: u64,
-    /// Accumulator-mode incremental contributions added at TxStart;
-    /// 0 for scan-mode runs.
+    /// Interference contributions added at TxStart (collider-list
+    /// pushes, sorted-index inserts, leak folds).
     #[serde(default)]
     pub accum_updates: u64,
-    /// Accumulator-mode contributions exactly undone at TxEnd.
+    /// Leak contributions exactly undone at TxEnd.
     #[serde(default)]
     pub accum_undos: u64,
-    /// Stale lazy-max index entries evicted during accumulator-mode
-    /// verdict queries.
+    /// Dead collider-list and sorted-index entries compacted out.
     #[serde(default)]
     pub accum_evictions: u64,
+    /// Sorted collider indexes built: how often a channel's list grew
+    /// long enough to leave the flat representation (0 = the whole
+    /// run was served by flat lists).
+    #[serde(default)]
+    pub index_builds: u64,
     /// Time-wheel level cascades in this shard's event scheduler.
     #[serde(default)]
     pub wheel_cascades: u64,
@@ -201,6 +194,7 @@ impl ShardRunStats {
             accum_updates: self.accum_updates,
             accum_undos: self.accum_undos,
             accum_evictions: self.accum_evictions,
+            index_builds: self.index_builds,
             wheel_cascades: self.wheel_cascades,
             wall_us: self.wall_us,
             idle_us: self.idle_us,
@@ -376,33 +370,18 @@ impl ObsSink for KeyedSink {
     }
 }
 
-/// Live per-transmission state. Slots are recycled: freed once the
-/// transmission has ended and its reference count (live transmissions
-/// holding it as an interferer) reaches zero; the inner `Vec`s keep
-/// their capacity across reuses.
+/// Live per-transmission state. Slots are recycled once
+/// [`AccumState::retire`] reports them dead; `seen` keeps its capacity
+/// across reuses.
 struct Slot {
     tx: Transmission,
     /// Interned (global) channel id.
     ch: u32,
-    /// Row into the shard's compact link table.
-    row: u32,
-    /// Index within the channel's on-air bucket (scan mode only).
-    pos_in_bucket: u32,
-    /// Live transmissions whose interferer list names this slot (scan
-    /// mode only; accumulator mode has no holds).
-    rc: u32,
-    /// TxEnd processed.
-    ended: bool,
-    /// Overlapping-airtime transmissions, as slot ids, in registration
-    /// order (scan mode only). Only read at this transmission's TxEnd,
-    /// at which point every listed slot is still alive (it holds an
-    /// `rc` on us and we on it).
-    interferers: Vec<u32>,
+    /// The transmission as the interference state lists it (carries the
+    /// compact link-table row).
+    key: TxKey,
     /// (local gateway id, admission outcome), in candidate order.
     seen: Vec<(u32, Seen)>,
-    /// Accumulator mode: ended-sum snapshot per candidate gateway,
-    /// taken at TxStart, aligned with `cand_local[ch]`.
-    snap: Vec<LeakSnap>,
 }
 
 /// One shard's event loop: the [`crate::world`] hot path ported onto
@@ -420,7 +399,6 @@ struct ShardMachine<'e> {
     ever_locked: &'e [bool],
     /// Global gateway ids with `ever_down` set (usually empty).
     ever_down_list: Vec<u32>,
-    cic: bool,
     epoch: u64,
     collect_records: bool,
 
@@ -446,63 +424,14 @@ struct ShardMachine<'e> {
     slots: Vec<Slot>,
     free: Vec<u32>,
 
-    // SoA mirrors of the slot hot fields, indexed by slot id, so the
-    // verdict scan and the accumulator updates stream parallel arrays
-    // instead of chasing `Transmission` structs.
-    /// Interned channel id.
-    sa_ch: Vec<u32>,
-    /// Compact link-table row.
-    sa_row: Vec<u32>,
-    /// Sending node.
-    sa_node: Vec<u32>,
-    /// Sender's network id.
-    sa_network: Vec<u32>,
-    /// Spreading-factor index (SF7 = 0 … SF12 = 5).
-    sa_sf: Vec<u8>,
-    /// Lock-on instant, µs.
-    sa_lock_on: Vec<u64>,
-    /// Shard-local TxStart sequence number (restores chronological
-    /// order after buckets are permuted by swap-remove; also the
-    /// accumulator max-index tie-break).
-    sa_start_seq: Vec<u64>,
-    /// Recycling generation (bumped on free) — validates lazy-max
-    /// index entries.
-    sa_gen: Vec<u32>,
-    /// Event sequence of the slot's TxStart (accumulator-mode overlap
-    /// arbitration).
-    sa_start_evseq: Vec<u64>,
-    /// Event sequence of the slot's TxEnd; `u64::MAX` while on air.
-    sa_end_evseq: Vec<u64>,
-
-    // Accumulator mode (None = scan mode).
-    accum: Option<AccumState>,
-    /// Per node with live transmissions: their slot ids (the exact
-    /// same-node exclusion; almost always a single entry). Maintained
-    /// only when `has_leak` — the map exists solely to feed the
-    /// own-node leak corrections.
-    node_live: HashMap<u32, Vec<u32>>,
-    /// Whether any channel pair in the universe is `PairClass::Leak`.
-    /// When false, accumulator mode skips the own-correction
-    /// bookkeeping entirely (max queries exclude own entries by node
-    /// id, not through `node_live`).
-    has_leak: bool,
-    /// Live slots in TxStart order: `(start evseq, slot, gen)`. The
-    /// front is the oldest live start — the reclamation horizon.
-    live_q: VecDeque<(u64, u32, u32)>,
-    /// Ended slots in TxEnd order: `(end evseq, slot)`, freed once no
-    /// live transmission can have overlapped them.
-    pending_free: VecDeque<(u64, u32)>,
-
-    /// Per interned channel id: slots currently on air (scan mode
-    /// only; the accumulator replaces bucket gathering).
-    buckets: Vec<Vec<u32>>,
+    /// Collider lists, leak sums and the slot lifecycle.
+    accum: AccumState<'e>,
     /// Per global node: its row in `link` (`u32::MAX` = unseen).
     node_row: Vec<u32>,
     /// Next row to assign.
     next_row: u32,
     /// Compact RSSI table, `link[row * n_lg + local_gw]`, dBm.
     link: Vec<f64>,
-    gathered: Vec<u32>,
     /// Per local gateway: in-loop not-detected tally (candidate SNR
     /// misses at an up gateway).
     undetected: Vec<u64>,
@@ -517,7 +446,6 @@ struct ShardMachine<'e> {
     hb: Option<&'e obs::HeartbeatWriter>,
     records: Vec<(u64, PacketRecord)>,
     summary: RunSummary,
-    seq: u64,
     txs_n: u64,
     events: u64,
     candidate_visits: u64,
@@ -555,7 +483,6 @@ impl<'e> ShardMachine<'e> {
         gw_global: Vec<u32>,
         cand_local: Vec<Vec<u32>>,
         gateways: Vec<Gateway>,
-        accum: bool,
         chunk_hint: usize,
     ) -> ShardMachine<'e> {
         let n_lg = gw_global.len();
@@ -574,7 +501,6 @@ impl<'e> ShardMachine<'e> {
                 .filter(|&(_, &d)| d)
                 .map(|(g, _)| g as u32)
                 .collect(),
-            cic,
             epoch,
             collect_records,
             shard,
@@ -588,30 +514,10 @@ impl<'e> ShardMachine<'e> {
             q: TimeWheel::with_capacity(3 * chunk_hint),
             slots: Vec::new(),
             free: Vec::new(),
-            sa_ch: Vec::new(),
-            sa_row: Vec::new(),
-            sa_node: Vec::new(),
-            sa_network: Vec::new(),
-            sa_sf: Vec::new(),
-            sa_lock_on: Vec::new(),
-            sa_start_seq: Vec::new(),
-            sa_gen: Vec::new(),
-            sa_start_evseq: Vec::new(),
-            sa_end_evseq: Vec::new(),
-            accum: if accum {
-                Some(AccumState::new(ctx, n_lg))
-            } else {
-                None
-            },
-            node_live: HashMap::new(),
-            has_leak: ctx.pair.iter().any(|p| matches!(p, PairClass::Leak { .. })),
-            live_q: VecDeque::new(),
-            pending_free: VecDeque::new(),
-            buckets: vec![Vec::new(); ctx.n_channels()],
+            accum: AccumState::new(ctx, n_lg, cic),
             node_row: vec![u32::MAX; topo.nodes.len()],
             next_row: 0,
             link: Vec::new(),
-            gathered: Vec::new(),
             undetected: vec![0; n_lg],
             extra_undetected: vec![0; if any_down { ever_down.len() } else { 0 }],
             receiving: Vec::new(),
@@ -624,7 +530,6 @@ impl<'e> ShardMachine<'e> {
             hb,
             records: Vec::new(),
             summary: RunSummary::default(),
-            seq: 0,
             txs_n: 0,
             events: 0,
             candidate_visits: 0,
@@ -683,54 +588,31 @@ impl<'e> ShardMachine<'e> {
                 }
             }
 
-            let sf_i = (tx.dr.spreading_factor().value() - 7) as u8;
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    let sl = &mut self.slots[s as usize];
+            let slot = self.free.pop().unwrap_or(self.slots.len() as u32);
+            let key = TxKey {
+                slot,
+                node: tx.node as u32,
+                network: tx.network_id,
+                row,
+                lock_on: tx.lock_on_us,
+                // Set at TxStart.
+                start_evseq: 0,
+                sf: (tx.dr.spreading_factor().value() - 7) as u8,
+            };
+            match self.slots.get_mut(slot as usize) {
+                Some(sl) => {
+                    debug_assert!(sl.seen.is_empty());
                     sl.tx = tx;
                     sl.ch = ch;
-                    sl.row = row;
-                    sl.pos_in_bucket = 0;
-                    sl.rc = 0;
-                    sl.ended = false;
-                    debug_assert!(sl.interferers.is_empty() && sl.seen.is_empty());
-                    let si = s as usize;
-                    self.sa_ch[si] = ch;
-                    self.sa_row[si] = row;
-                    self.sa_node[si] = tx.node as u32;
-                    self.sa_network[si] = tx.network_id;
-                    self.sa_sf[si] = sf_i;
-                    self.sa_lock_on[si] = tx.lock_on_us;
-                    self.sa_start_seq[si] = 0;
-                    self.sa_start_evseq[si] = 0;
-                    self.sa_end_evseq[si] = u64::MAX;
-                    s
+                    sl.key = key;
                 }
-                None => {
-                    self.slots.push(Slot {
-                        tx,
-                        ch,
-                        row,
-                        pos_in_bucket: 0,
-                        rc: 0,
-                        ended: false,
-                        interferers: Vec::new(),
-                        seen: Vec::new(),
-                        snap: Vec::new(),
-                    });
-                    self.sa_ch.push(ch);
-                    self.sa_row.push(row);
-                    self.sa_node.push(tx.node as u32);
-                    self.sa_network.push(tx.network_id);
-                    self.sa_sf.push(sf_i);
-                    self.sa_lock_on.push(tx.lock_on_us);
-                    self.sa_start_seq.push(0);
-                    self.sa_gen.push(0);
-                    self.sa_start_evseq.push(0);
-                    self.sa_end_evseq.push(u64::MAX);
-                    (self.slots.len() - 1) as u32
-                }
-            };
+                None => self.slots.push(Slot {
+                    tx,
+                    ch,
+                    key,
+                    seen: Vec::new(),
+                }),
+            }
             self.peak_live = self.peak_live.max(self.slots.len() - self.free.len());
 
             self.q.push((tx.start_us, PRIO_TX_START, id, slot));
@@ -754,15 +636,6 @@ impl<'e> ShardMachine<'e> {
         }
     }
 
-    fn free_slot(&mut self, s: u32) {
-        let sl = &mut self.slots[s as usize];
-        sl.interferers.clear();
-        sl.seen.clear();
-        // Invalidate any lazy-max index entries naming this slot.
-        self.sa_gen[s as usize] = self.sa_gen[s as usize].wrapping_add(1);
-        self.free.push(s);
-    }
-
     fn on_tx_start(&mut self, s: u32) {
         let si = s as usize;
         let t = self.slots[si].tx;
@@ -776,125 +649,10 @@ impl<'e> ShardMachine<'e> {
                 network: t.network_id,
             });
         }
-        let c = self.slots[si].ch as usize;
-        self.sa_start_seq[si] = self.seq;
-        self.seq += 1;
-        if self.accum.is_some() {
-            self.on_tx_start_accum(s, c);
-            return;
-        }
-        {
-            let sa_node = &self.sa_node;
-            let sa_start_seq = &self.sa_start_seq;
-            let buckets = &self.buckets;
-            let gathered = &mut self.gathered;
-            gathered.clear();
-            for &oc in &self.ctx.overlapping[c] {
-                for &o in &buckets[oc as usize] {
-                    if sa_node[o as usize] != t.node as u32 {
-                        gathered.push(o);
-                    }
-                }
-            }
-            // Buckets are permuted by swap-remove; restore
-            // chronological (TxStart) order before registering —
-            // interferer-list order is part of the determinism
-            // contract with the monolithic loop.
-            gathered.sort_unstable_by_key(|&o| sa_start_seq[o as usize]);
-        }
-        let gathered = std::mem::take(&mut self.gathered);
-        for &o in &gathered {
-            // Symmetric registration and refcounts: each side names
-            // the other, each side keeps the other alive.
-            self.slots[si].interferers.push(o);
-            self.slots[si].rc += 1;
-            self.slots[o as usize].interferers.push(s);
-            self.slots[o as usize].rc += 1;
-        }
-        self.gathered = gathered;
-        self.slots[si].pos_in_bucket = self.buckets[c].len() as u32;
-        self.buckets[c].push(s);
-    }
-
-    /// Accumulator-mode TxStart: contribute this transmission's
-    /// leaked-RSSI row once (O(affected channels × candidate
-    /// gateways), independent of the on-air population), snapshot the
-    /// ended-sums for its own future verdict, and record the exact
-    /// same-node corrections. No bucket, no interferer list, no holds.
-    fn on_tx_start_accum(&mut self, s: u32, c: usize) {
-        let si = s as usize;
-        let evseq = self.events;
-        self.sa_start_evseq[si] = evseq;
-        let node = self.sa_node[si];
-        let sf_i = self.sa_sf[si] as usize;
-        let row_base = self.sa_row[si] as usize * self.n_lg;
-        let key = TxKey {
-            slot: s,
-            gen: self.sa_gen[si],
-            node,
-            network: self.sa_network[si],
-            start_seq: self.sa_start_seq[si],
-        };
-        let ac = self.accum.as_mut().expect("accum mode");
-        ac.register(
-            c,
-            sf_i,
-            &self.link[row_base..row_base + self.n_lg],
-            &self.cand_local,
-            key,
-        );
-        let mut snap = std::mem::take(&mut self.slots[si].snap);
-        ac.snapshot(c, sf_i, &self.cand_local[c], &mut snap);
-        self.slots[si].snap = snap;
-
-        // Exact same-node exclusion: the scan never arbitrates a node
-        // against its own transmissions, so for each of this node's
-        // live transmissions record the reciprocal leak contributions
-        // to subtract at verdict time (bit-identical to the sums the
-        // global registration added). Max-index queries exclude own
-        // entries by node id directly — so in a leak-free channel
-        // universe none of this bookkeeping is needed.
-        if !self.has_leak {
-            self.live_q.push_back((evseq, s, self.sa_gen[si]));
-            return;
-        }
-        let own: Vec<u32> = self.node_live.get(&node).cloned().unwrap_or_default();
-        let n_ch = self.ctx.n_channels();
-        for &o in &own {
-            let oi = o as usize;
-            let co = self.sa_ch[oi] as usize;
-            let sf_o = self.sa_sf[oi] as usize;
-            if let PairClass::Leak {
-                gain_same,
-                gain_orth,
-            } = self.ctx.pair[c * n_ch + co]
-            {
-                let gain = if sf_o != sf_i { gain_orth } else { gain_same };
-                if let Some(g) = gain {
-                    let orow = self.sa_row[oi] as usize * self.n_lg;
-                    for (k, &lg) in self.cand_local[c].iter().enumerate() {
-                        let fx = to_fixed(10f64.powf((self.link[orow + lg as usize] + g) / 10.0));
-                        self.slots[si].snap[k].add_own(fx);
-                    }
-                }
-            }
-            if let PairClass::Leak {
-                gain_same,
-                gain_orth,
-            } = self.ctx.pair[co * n_ch + c]
-            {
-                let gain = if sf_i != sf_o { gain_orth } else { gain_same };
-                if let Some(g) = gain {
-                    for (k, &lg) in self.cand_local[co].iter().enumerate() {
-                        let fx =
-                            to_fixed(10f64.powf((self.link[row_base + lg as usize] + g) / 10.0));
-                        self.slots[oi].snap[k].add_own(fx);
-                    }
-                }
-            }
-        }
-        self.node_live.entry(node).or_default().push(s);
-        self.live_q.push_back((evseq, s, self.sa_gen[si]));
+        let sl = &mut self.slots[si];
+        sl.key.start_evseq = self.events;
+        self.accum
+            .register(sl.ch as usize, sl.key, &self.link, &self.cand_local);
     }
 
     fn on_lock_on(&mut self, s: u32) {
@@ -912,7 +670,7 @@ impl<'e> ShardMachine<'e> {
             });
         }
         let c = self.slots[si].ch as usize;
-        let row_base = self.slots[si].row as usize * self.n_lg;
+        let row_base = self.slots[si].key.row as usize * self.n_lg;
         let sf = t.dr.spreading_factor();
         let mut seen = std::mem::take(&mut self.slots[si].seen);
         for k in 0..self.cand_local[c].len() {
@@ -972,119 +730,34 @@ impl<'e> ShardMachine<'e> {
         self.slots[si].seen = seen;
     }
 
+    /// TxEnd: resolve the verdicts, finish the transmission, then undo
+    /// its interference contributions and recycle whatever slots no
+    /// transmission on air can still see.
     fn on_tx_end(&mut self, s: u32) {
-        if self.accum.is_some() {
-            self.on_tx_end_accum(s);
-            return;
-        }
         let si = s as usize;
         let t = self.slots[si].tx;
-        let c = self.slots[si].ch as usize;
-        let pos = self.slots[si].pos_in_bucket as usize;
-        let moved = {
-            let b = &mut self.buckets[c];
-            b.swap_remove(pos);
-            b.get(pos).copied()
-        };
-        if let Some(m) = moved {
-            self.slots[m as usize].pos_in_bucket = pos as u32;
-        }
-
         self.sink.key = (t.end_us, PRIO_TX_END, t.id);
         self.batch_verdicts(s);
         self.finish_tx(s);
 
-        // Release the interference holds; free anything that was only
-        // waiting on us, then ourselves if nobody holds us.
-        let interferers = std::mem::take(&mut self.slots[si].interferers);
-        for &o in &interferers {
-            let oi = o as usize;
-            self.slots[oi].rc -= 1;
-            if self.slots[oi].rc == 0 && self.slots[oi].ended {
-                self.free_slot(o);
-            }
-        }
-        self.slots[si].interferers = interferers;
-        self.slots[si].ended = true;
-        if self.slots[si].rc == 0 {
-            self.free_slot(s);
-        }
-    }
-
-    /// Accumulator-mode TxEnd: resolve verdicts from the accumulators,
-    /// undo this transmission's contributions exactly, and recycle
-    /// slots whose entries no live transmission can still query.
-    fn on_tx_end_accum(&mut self, s: u32) {
-        let si = s as usize;
-        let t = self.slots[si].tx;
-        let evseq = self.events;
-        self.sa_end_evseq[si] = evseq;
-        self.sink.key = (t.end_us, PRIO_TX_END, t.id);
-        self.batch_verdicts_accum(s);
-        self.finish_tx(s);
-
-        let c = self.slots[si].ch as usize;
-        let sf_i = self.sa_sf[si] as usize;
-        let row_base = self.sa_row[si] as usize * self.n_lg;
-        let ac = self.accum.as_mut().expect("accum mode");
-        ac.retire(
-            c,
-            sf_i,
-            &self.link[row_base..row_base + self.n_lg],
-            &self.cand_local,
-        );
-
-        if self.has_leak {
-            let node = self.sa_node[si];
-            if let Some(live) = self.node_live.get_mut(&node) {
-                if let Some(p) = live.iter().position(|&x| x == s) {
-                    live.swap_remove(p);
-                }
-                if live.is_empty() {
-                    self.node_live.remove(&node);
-                }
-            }
-        }
-
-        // Reclamation: a slot's max-index entries are visible only to
-        // victims that started before it ended, so once the oldest
-        // live start is past a slot's end, the slot can be recycled.
-        // Both queues are naturally ordered (starts and ends are
-        // processed in event order).
-        self.slots[si].ended = true;
-        while let Some(&(_, sl, g)) = self.live_q.front() {
-            let sli = sl as usize;
-            if self.sa_gen[sli] != g || self.sa_end_evseq[sli] != u64::MAX {
-                self.live_q.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.pending_free.push_back((evseq, s));
-        let min_live_start = self
-            .live_q
-            .front()
-            .map(|&(se, _, _)| se)
-            .unwrap_or(u64::MAX);
-        while let Some(&(end_evseq, sl)) = self.pending_free.front() {
-            if end_evseq < min_live_start {
-                self.pending_free.pop_front();
-                self.free_slot(sl);
-            } else {
-                break;
-            }
-        }
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        let (c, key) = (slots[si].ch as usize, slots[si].key);
+        self.accum
+            .retire(c, &key, self.events, &self.link, &self.cand_local, |dead| {
+                slots[dead as usize].seen.clear();
+                free.push(dead);
+            });
     }
 
     /// Port of the monolithic `finish_tx`: decoder release, delivery
     /// classification, record/summary emission. The caller resolves
-    /// PHY verdicts into `self.vs.verdicts` first ([`Self::batch_verdicts`]
-    /// or [`Self::batch_verdicts_accum`]).
+    /// PHY verdicts into `self.vs.verdicts` first
+    /// ([`Self::batch_verdicts`]).
     fn finish_tx(&mut self, s: u32) {
         let si = s as usize;
         let t = self.slots[si].tx;
         let seen = std::mem::take(&mut self.slots[si].seen);
-        let row_base = self.sa_row[si] as usize * self.n_lg;
+        let row_base = self.slots[si].key.row as usize * self.n_lg;
         let sf = t.dr.spreading_factor();
 
         self.receiving.clear();
@@ -1213,195 +886,27 @@ impl<'e> ShardMachine<'e> {
         }
     }
 
-    /// Port of the monolithic `batch_verdicts` onto slot ids and the
-    /// compact link table. For any fixed gateway the interferers are
-    /// processed in registration order, so every surviving
-    /// floating-point operation matches the monolithic loop bit for
-    /// bit.
+    /// PHY verdicts for slot `s` at every seen gateway, into
+    /// `self.vs.verdicts`: colliders, cross-SF kills and leaked power
+    /// come from the interference state, the SINR arithmetic is the
+    /// monolithic loop's own ([`VerdictScratch::resolve`]).
     fn batch_verdicts(&mut self, s: u32) {
-        let si = s as usize;
+        let sl = &self.slots[s as usize];
         let link = &self.link;
-        let ctx = self.ctx;
-        let vs = &mut self.vs;
-        let n_lg = self.n_lg;
-        let n_ch = ctx.n_channels();
-
-        let v = &self.slots[si];
-        let sf_v = v.tx.dr.spreading_factor();
-        let sfv_i = self.sa_sf[si];
-        let cv = self.sa_ch[si] as usize;
-        let vrow = self.sa_row[si] as usize * n_lg;
-        let v_lock_on = self.sa_lock_on[si];
-        let seen = &v.seen;
-        vs.prepare(seen.len());
-
-        for &o_slot in &v.interferers {
-            let oi = o_slot as usize;
-            let co = self.sa_ch[oi] as usize;
-            match ctx.pair[cv * n_ch + co] {
-                PairClass::Disjoint => {}
-                PairClass::Detect => {
-                    let same_sf = self.sa_sf[oi] == sfv_i;
-                    if same_sf && self.cic {
-                        // CIC resolves the collision; both survive.
-                        continue;
-                    }
-                    let orow = self.sa_row[oi] as usize * n_lg;
-                    let t_first = v_lock_on <= self.sa_lock_on[oi];
-                    for (gi, &(lg, _)) in seen.iter().enumerate() {
-                        let lg = lg as usize;
-                        let rssi_o = link[orow + lg];
-                        if same_sf {
-                            // Same settings: the capture effect decides.
-                            let rssi_v = link[vrow + lg];
-                            let (first, second) = if t_first {
-                                (rssi_v, rssi_o)
-                            } else {
-                                (rssi_o, rssi_v)
-                            };
-                            let survives = match capture_outcome(first, second) {
-                                CaptureOutcome::FirstSurvives => t_first,
-                                CaptureOutcome::SecondSurvives => !t_first,
-                                CaptureOutcome::BothLost => false,
-                            };
-                            if !survives {
-                                vs.note_collider(gi, rssi_o, self.sa_network[oi]);
-                            }
-                        } else {
-                            // Cross-SF quasi-orthogonality.
-                            if link[vrow + lg] - rssi_o < CROSS_SF_REJECTION_DB {
-                                vs.set_kill(gi);
-                            }
-                        }
-                    }
-                }
-                PairClass::Leak {
-                    gain_same,
-                    gain_orth,
-                } => {
-                    let gain = if self.sa_sf[oi] != sfv_i {
-                        gain_orth
-                    } else {
-                        gain_same
-                    };
-                    if let Some(gain) = gain {
-                        let orow = self.sa_row[oi] as usize * n_lg;
-                        for (gi, &(lg, _)) in seen.iter().enumerate() {
-                            let rssi_o = link[orow + lg as usize];
-                            vs.add_intf(gi, 10f64.powf((rssi_o + gain) / 10.0));
-                        }
-                    }
-                }
-            }
-        }
-
-        for (gi, &(lg, _)) in seen.iter().enumerate() {
-            let (intf_lin, strongest, kill) = vs.state(gi);
-            vs.verdicts.push(if let Some((_, net)) = strongest {
-                Verdict::Collision { with_network: net }
-            } else {
-                let rssi_v = link[vrow + lg as usize];
-                let sinr = if intf_lin == 0.0 {
-                    rssi_v - ctx.noise_only_db
-                } else {
-                    rssi_v - 10.0 * (ctx.noise_lin + intf_lin).log10()
-                };
-                if kill || !decodable(sinr, sf_v, 0.0) {
-                    Verdict::Interference
-                } else {
-                    Verdict::Ok
-                }
-            });
-        }
-    }
-
-    /// Accumulator-mode verdicts: each (victim, gateway) pair resolves
-    /// in O(1) queries against the shard's accumulators — strongest
-    /// same-SF collider (capture, bit-exact with the scan), strongest
-    /// cross-SF interferer (kill threshold, bit-exact), and the
-    /// order-canonical fixed-point leak sum (scan-equivalent up to f64
-    /// summation order; see the module docs of [`crate::accum`]).
-    fn batch_verdicts_accum(&mut self, s: u32) {
-        let si = s as usize;
-        let mut ac = self.accum.take().expect("accum mode");
-        let link = &self.link;
-        let ctx = self.ctx;
-        let n_lg = self.n_lg;
-        let sf_v = self.slots[si].tx.dr.spreading_factor();
-        let sfv_i = self.sa_sf[si] as usize;
-        let cv = self.sa_ch[si] as usize;
-        let vrow = self.sa_row[si] as usize * n_lg;
-        let node = self.sa_node[si];
-        let v_start = self.sa_start_evseq[si];
-        let view = SlotView {
-            gen: &self.sa_gen,
-            end_evseq: &self.sa_end_evseq,
-        };
-        let cand = &self.cand_local[cv];
-        let seen = &self.slots[si].seen;
-        let snap = &self.slots[si].snap;
-        let vs = &mut self.vs;
-        vs.prepare(seen.len());
-
-        // `seen` holds the admitted subsequence of the candidate list;
-        // walk both with one cursor to pair each seen gateway with its
-        // snapshot (aligned with `cand`).
-        let mut ci = 0usize;
-        for &(lg, _) in seen.iter() {
-            while cand[ci] != lg {
-                ci += 1;
-            }
-            let sn = &snap[ci];
-            ci += 1;
-            let lg = lg as usize;
-            let rssi_v = link[vrow + lg];
-
-            let collision = if self.cic {
-                // CIC resolves same-SF collisions; both survive.
-                None
-            } else {
-                match ac.strongest_same_sf(cv, sfv_i, lg, node, v_start, &view) {
-                    Some((rssi_o, net)) => {
-                        // The scan's survival test reduces to
-                        // `rssi_v − rssi_o ≥ capture threshold`
-                        // whichever transmission locked on first, and
-                        // it is monotone in `rssi_o`: surviving the
-                        // strongest collider means surviving them all.
-                        let survives = matches!(
-                            capture_outcome(rssi_v, rssi_o),
-                            CaptureOutcome::FirstSurvives
-                        );
-                        if survives {
-                            None
-                        } else {
-                            Some(net)
-                        }
-                    }
-                    None => None,
-                }
-            };
-
-            vs.verdicts.push(if let Some(net) = collision {
-                Verdict::Collision { with_network: net }
-            } else {
-                let intf_lin = ac.leak_lin(cv, sfv_i, lg, sn);
-                let sinr = if intf_lin == 0.0 {
-                    rssi_v - ctx.noise_only_db
-                } else {
-                    rssi_v - 10.0 * (ctx.noise_lin + intf_lin).log10()
-                };
-                let kill = match ac.strongest_cross_sf(cv, sfv_i, lg, node, v_start, &view) {
-                    Some(rssi_o) => rssi_v - rssi_o < CROSS_SF_REJECTION_DB,
-                    None => false,
-                };
-                if kill || !decodable(sinr, sf_v, 0.0) {
-                    Verdict::Interference
-                } else {
-                    Verdict::Ok
-                }
-            });
-        }
-        self.accum = Some(ac);
+        let cv = sl.ch as usize;
+        self.accum.interference(
+            cv,
+            &sl.key,
+            &sl.seen,
+            link,
+            &self.cand_local[cv],
+            &mut self.vs,
+        );
+        let vrow = sl.key.row as usize * self.n_lg;
+        let sf_v = sl.tx.dr.spreading_factor();
+        self.vs.resolve(sl.seen.len(), self.ctx, sf_v, |gi| {
+            link[vrow + sl.seen[gi].0 as usize]
+        });
     }
 
     /// Run the shard to completion over its chunk stream and hand the
@@ -1447,11 +952,7 @@ impl<'e> ShardMachine<'e> {
             hb.flush();
         }
 
-        let (accum_updates, accum_undos, accum_evictions) = self
-            .accum
-            .as_ref()
-            .map(|a| (a.stats.updates, a.stats.undos, a.stats.evictions))
-            .unwrap_or((0, 0, 0));
+        let accum = self.accum.stats;
         let stats = ShardRunStats {
             shard: self.shard,
             txs: self.txs_n,
@@ -1459,9 +960,10 @@ impl<'e> ShardMachine<'e> {
             gateways: self.n_lg as u32,
             candidate_visits: self.candidate_visits,
             peak_live: self.peak_live as u64,
-            accum_updates,
-            accum_undos,
-            accum_evictions,
+            accum_updates: accum.updates,
+            accum_undos: accum.undos,
+            accum_evictions: accum.evictions,
+            index_builds: accum.index_builds,
             wheel_cascades: self.q.cascades(),
             wall_us: wall.elapsed().as_micros() as u64,
             idle_us: idle.as_micros() as u64,
@@ -1583,7 +1085,6 @@ fn run_chunked(
         let ever_down_ref = &ever_down[..];
         let ever_locked_ref = &ever_locked[..];
         let hb_ref = hb.as_ref();
-        let accum_on = opts.accum;
         let chunk_hint = opts.chunk_txs.min(HANDOFF_TXS);
         std::thread::scope(|scope| {
             let mut senders = Vec::with_capacity(n_shards);
@@ -1629,7 +1130,6 @@ fn run_chunked(
                         gw_global,
                         cand_local,
                         gateways,
-                        accum_on,
                         chunk_hint,
                     )
                     .run(rx)
@@ -1969,7 +1469,6 @@ mod tests {
             let opts = ShardOpts {
                 max_shards: shards,
                 chunk_txs: 7,
-                accum: false,
             };
             let recs = sharded.run_sharded(&plans, &opts);
             assert_eq!(recs, recs_mono, "shards={shards}");
@@ -1998,7 +1497,6 @@ mod tests {
         let opts = ShardOpts {
             max_shards: 2,
             chunk_txs: 3,
-            accum: false,
         };
         assert_eq!(sharded.run_sharded(&plans, &opts), recs_mono);
     }
@@ -2026,7 +1524,6 @@ mod tests {
         let opts = ShardOpts {
             max_shards: 2,
             chunk_txs: 64,
-            accum: false,
         };
         let run = streamed.run_streamed(&mut stream, &opts);
         assert_eq!(run.summary, expect);
@@ -2052,7 +1549,6 @@ mod tests {
         let opts = ShardOpts {
             max_shards: 2,
             chunk_txs: 3 * HANDOFF_TXS + 17,
-            accum: false,
         };
         let peak = |run: &StreamedRun| run.shard_stats.iter().map(|s| s.peak_live).max().unwrap();
 
@@ -2127,17 +1623,17 @@ mod tests {
         let opts = ShardOpts {
             max_shards: 4,
             chunk_txs: 3,
-            accum: false,
         };
         assert_eq!(sharded.run_sharded(&plans, &opts), recs_mono);
     }
 
     #[test]
-    fn accum_mode_statistically_matches_scan() {
+    fn leak_universe_matches_monolithic() {
         use lora_phy::channel::ChannelGrid;
         // Overlapping-channel world: gateway 1 listens on 50 kHz-
-        // shifted channels so partial-overlap leak accumulators are
-        // exercised end to end, not just the detect-class maxes.
+        // shifted channels so the partial-overlap leak sums (and their
+        // own-node corrections) are exercised end to end, not just the
+        // detect-class lists.
         let base = ChannelGrid::standard(916_800_000, 1_600_000).channels();
         let shifted: Vec<Channel> = base
             .iter()
@@ -2176,38 +1672,142 @@ mod tests {
         let plans = duty_cycled(&assigns, 16, 0.05, 120_000_000, 11);
         assert!(!plans.is_empty());
 
-        let mut scan_w = mk();
-        let scan_opts = ShardOpts {
-            max_shards: 1,
-            chunk_txs: 32,
-            accum: false,
-        };
-        let mut source = crate::traffic::SliceChunks::new(&plans, 32);
-        let scan = scan_w.run_streamed(&mut source, &scan_opts);
-        assert_eq!(scan.stats.accum_updates, 0, "scan mode must not count");
-
+        let mut mono = mk();
+        let recs_mono = mono.run(&plans);
         for shards in [1usize, 2, 3] {
             let mut w = mk();
             let opts = ShardOpts {
                 max_shards: shards,
                 chunk_txs: 32,
-                accum: true,
             };
-            let mut source = crate::traffic::SliceChunks::new(&plans, 32);
-            let run = w.run_streamed(&mut source, &opts);
-            assert_eq!(run.stats.txs, plans.len() as u64);
-            // Statistical gate: capture / cross-SF decisions are
-            // bit-exact, the leak sum differs only in summation
-            // representation, so the verdict distributions must agree
-            // within the documented gate tolerances.
-            let gate = run
-                .summary
-                .statistically_equivalent(&scan.summary, 0.02, 0.02);
-            assert!(gate.is_ok(), "shards={shards}: {}", gate.unwrap_err());
+            assert_eq!(w.run_sharded(&plans, &opts), recs_mono, "shards={shards}");
+            let stats = w.last_run_stats().unwrap();
             assert!(
-                run.stats.accum_updates > 0 && run.stats.accum_undos > 0,
-                "accumulator counters not recorded (shards={shards})"
+                stats.accum_updates > 0 && stats.accum_undos > 0,
+                "leak folds not counted (shards={shards})"
             );
+        }
+    }
+
+    /// Gateway 0 crashes twice while the hot channel of
+    /// [`density_ramp_matches_monolithic`] is in the sorted state: in
+    /// the middle of the first dense burst, and in the quiet phase
+    /// after it, before the index is dropped.
+    struct CrashGw0;
+
+    impl InfraFaults for CrashGw0 {
+        fn gateway_down(&self, gw: usize, t_us: u64) -> bool {
+            gw == 0
+                && [10_150_000..10_600_000, 20_000_000..20_600_000]
+                    .iter()
+                    .any(|w| w.contains(&t_us))
+        }
+
+        fn gateway_ever_down(&self, gw: usize) -> bool {
+            gw == 0
+        }
+
+        fn decoder_lockups_possible(&self, _gw: usize) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn density_ramp_matches_monolithic() {
+        // One channel goes sparse → dense → sparse → dense → sparse
+        // while the rest of the band stays sparse. The dense phases are
+        // synchronized slots (every node of a slot starts at the same
+        // microsecond, slots 100 ms apart): the worst case for list
+        // growth, since the first slot's SF12 packets pin the channel's
+        // horizon while four slots pile onto its list. A sorted
+        // channel is revisited when its list has doubled, hence the
+        // long quiet phase; only the hot channel ever gets long, so a
+        // second build proves the index was dropped in between.
+        let n_nodes = 150;
+        let sub = |k: usize| StandardChannelPlan::us915_subband(k).channels;
+        let mk = || {
+            let model = PathLossModel {
+                shadowing_sigma_db: 0.0,
+                ..Default::default()
+            };
+            let topo = Topology::new((1_000.0, 1_000.0), n_nodes, 4, model, 7);
+            let profile = GatewayProfile::rak7268cv2();
+            // Two gateways share sub-band 0 (two candidates on the
+            // ramped channel); sub-bands 2 and 4 make three components.
+            let gateways = [(1, 0), (2, 0), (1, 2), (2, 4)]
+                .iter()
+                .enumerate()
+                .map(|(g, &(net, k))| {
+                    let cfg = GatewayConfig::new(profile, sub(k)).unwrap();
+                    Gateway::new(g, net, profile, cfg)
+                })
+                .collect();
+            let networks = (0..n_nodes).map(|i| 1 + (i % 2) as u32).collect();
+            SimWorld::new(topo, networks, gateways)
+        };
+
+        let hot = sub(0)[0];
+        let dr = |i: usize| DataRate::from_index(i % 6).unwrap();
+        // Background: every fifth node, spread over the three
+        // sub-bands (the hot channel included), one packet each per
+        // second — also the sparse phases of the hot channel.
+        let background: Vec<(usize, Channel, DataRate)> = (0..n_nodes)
+            .step_by(5)
+            .map(|i| (i, sub(2 * (i % 3))[i / 15 % 2], dr(i / 15)))
+            .collect();
+        let mut plans = Vec::new();
+        for second in 0..60u64 {
+            plans.extend(concurrent_burst(
+                &background,
+                12,
+                second * 1_000_000,
+                29_000,
+                BurstScheme::LeadingPreambleOrdered,
+            ));
+        }
+        for burst_us in [10_000_000u64, 45_000_000] {
+            for slot in 0..4usize {
+                let nodes: Vec<(usize, Channel, DataRate)> = (0..n_nodes)
+                    .filter(|i| i % 5 != 0 && i % 4 == slot)
+                    .map(|i| (i, hot, dr(i / 4)))
+                    .collect();
+                plans.extend(concurrent_burst(
+                    &nodes,
+                    12,
+                    burst_us + slot as u64 * 100_000,
+                    0,
+                    BurstScheme::LeadingPreambleOrdered,
+                ));
+            }
+        }
+
+        let healthy: &(dyn InfraFaults + Sync) = &NoFaults;
+        for (faults, faulted) in [(healthy, false), (&CrashGw0, true)] {
+            let mut mono = mk();
+            let recs_mono = mono.run_with_faults(&plans, faults);
+            // The crashes must cost deliveries, not only abort
+            // receptions that were lost to collisions anyway.
+            let infra = recs_mono
+                .iter()
+                .filter(|r| r.cause == Some(LossCause::Infrastructure))
+                .count();
+            assert_eq!(infra > 0, faulted, "{infra} infrastructure losses");
+            for shards in [1usize, 2, 3] {
+                let mut w = mk();
+                let opts = ShardOpts {
+                    max_shards: shards,
+                    chunk_txs: 50,
+                };
+                let recs = w.run_sharded_with_faults(&plans, faults, &opts);
+                assert_eq!(recs, recs_mono, "shards={shards} faulted={faulted}");
+                for (a, b) in w.gateways.iter().zip(&mono.gateways) {
+                    assert_eq!(a.stats(), b.stats(), "shards={shards}");
+                }
+                let per_shard = w.last_shard_stats().unwrap();
+                assert_eq!(per_shard.len(), shards);
+                let builds: u64 = per_shard.iter().map(|s| s.index_builds).sum();
+                assert!(builds >= 2, "{builds} index builds (shards={shards})");
+            }
         }
     }
 

@@ -36,6 +36,7 @@
 //! in [`crate::reference`]; the workspace `sim_equivalence` proptest
 //! holds the two to record-for-record identity.
 
+use crate::accum::{from_fixed, leak_fx};
 use crate::engine::Event;
 use crate::runctx::{PairClass, RunContext, RunScratch};
 use crate::topology::Topology;
@@ -45,7 +46,7 @@ use lora_phy::airtime::PacketParams;
 use lora_phy::channel::Channel;
 use lora_phy::interference::{capture_outcome, CaptureOutcome, CROSS_SF_REJECTION_DB};
 use lora_phy::snr::decodable;
-use lora_phy::types::{Bandwidth, DataRate, TxPowerDbm};
+use lora_phy::types::{Bandwidth, DataRate, SpreadingFactor, TxPowerDbm};
 use obs::{NullSink, ObsEvent, ObsSink};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -172,14 +173,17 @@ pub(crate) enum Verdict {
 }
 
 /// Reusable buffers for the batched per-TxEnd verdict computation
-/// ([`batch_verdicts`]): one slot per seen gateway, aligned with the
+/// ([`batch_verdicts`] here, `ShardMachine::batch_verdicts` in
+/// [`crate::shard`]): one slot per seen gateway, aligned with the
 /// transmission's admission span. Slots are invalidated by a
 /// generation stamp instead of a `clear()+resize()` re-zero, so
 /// [`Self::prepare`] is O(1) over the retained capacity.
 #[derive(Debug, Default)]
 pub(crate) struct VerdictScratch {
-    /// Accumulated leaked interference, linear mW relative to dBm.
-    intf_lin: Vec<f64>,
+    /// Accumulated leaked interference, fixed-point linear power (see
+    /// [`crate::accum`]): an integer sum, so the order interferers are
+    /// folded in cannot change it.
+    intf_fx: Vec<u128>,
     /// Strongest same-settings collider so far (RSSI, network id).
     strongest: Vec<Option<(f64, u32)>>,
     /// Cross-SF interference kill flag.
@@ -201,7 +205,7 @@ impl VerdictScratch {
         self.gen += 1;
         if self.stamp.len() < k {
             self.stamp.resize(k, 0);
-            self.intf_lin.resize(k, 0.0);
+            self.intf_fx.resize(k, 0);
             self.strongest.resize(k, None);
             self.kill.resize(k, false);
         }
@@ -213,17 +217,17 @@ impl VerdictScratch {
     fn touch(&mut self, i: usize) {
         if self.stamp[i] != self.gen {
             self.stamp[i] = self.gen;
-            self.intf_lin[i] = 0.0;
+            self.intf_fx[i] = 0;
             self.strongest[i] = None;
             self.kill[i] = false;
         }
     }
 
-    /// Add leaked interference (linear power) at slot `i`.
+    /// Add leaked interference (fixed-point linear power) at slot `i`.
     #[inline]
-    pub(crate) fn add_intf(&mut self, i: usize, lin: f64) {
+    pub(crate) fn add_intf(&mut self, i: usize, fx: u128) {
         self.touch(i);
-        self.intf_lin[i] += lin;
+        self.intf_fx[i] = self.intf_fx[i].wrapping_add(fx);
     }
 
     /// Mark slot `i` killed by cross-SF interference.
@@ -244,13 +248,84 @@ impl VerdictScratch {
         }
     }
 
-    /// Read slot `i`: `(leaked linear power, strongest collider, kill)`.
+    /// Arbitrate the victim against one detect-class interferer at
+    /// every seen gateway. `rssi_v` / `rssi_o` are the two link-table
+    /// rows (indexed by the gateway ids in `seen`), `t_first` whether
+    /// the victim locked on no later than the interferer.
     #[inline]
-    pub(crate) fn state(&self, i: usize) -> (f64, Option<(f64, u32)>, bool) {
-        if self.stamp.get(i) == Some(&self.gen) {
-            (self.intf_lin[i], self.strongest[i], self.kill[i])
+    pub(crate) fn arbitrate(
+        &mut self,
+        seen: &[(u32, Seen)],
+        rssi_v: &[f64],
+        rssi_o: &[f64],
+        same_sf: bool,
+        t_first: bool,
+        network_o: u32,
+    ) {
+        for (gi, &(g, _)) in seen.iter().enumerate() {
+            let (rssi_v, rssi_o) = (rssi_v[g as usize], rssi_o[g as usize]);
+            if same_sf {
+                // Same settings: the capture effect decides.
+                let (first, second) = if t_first {
+                    (rssi_v, rssi_o)
+                } else {
+                    (rssi_o, rssi_v)
+                };
+                let survives = match capture_outcome(first, second) {
+                    CaptureOutcome::FirstSurvives => t_first,
+                    CaptureOutcome::SecondSurvives => !t_first,
+                    CaptureOutcome::BothLost => false,
+                };
+                if !survives {
+                    self.note_collider(gi, rssi_o, network_o);
+                }
+            } else if rssi_v - rssi_o < CROSS_SF_REJECTION_DB {
+                // Cross-SF quasi-orthogonality.
+                self.set_kill(gi);
+            }
+        }
+    }
+
+    /// Read slot `i`: `(leaked power, strongest collider, kill)`.
+    #[inline]
+    pub(crate) fn state(&self, i: usize) -> (u128, Option<(f64, u32)>, bool) {
+        if self.stamp[i] == self.gen {
+            (self.intf_fx[i], self.strongest[i], self.kill[i])
         } else {
-            (0.0, None, false)
+            (0, None, false)
+        }
+    }
+
+    /// Close the batch: one verdict per gateway slot `0..k` from what
+    /// was collected, into [`Self::verdicts`]. `rssi_v(i)` is the
+    /// victim's RSSI at slot `i`'s gateway, dBm.
+    pub(crate) fn resolve(
+        &mut self,
+        k: usize,
+        ctx: &RunContext,
+        sf_v: SpreadingFactor,
+        rssi_v: impl Fn(usize) -> f64,
+    ) {
+        for i in 0..k {
+            let (intf_fx, strongest, kill) = self.state(i);
+            self.verdicts.push(if let Some((_, net)) = strongest {
+                Verdict::Collision { with_network: net }
+            } else {
+                // SINR over thermal noise plus leaked foreign energy.
+                // With no leak the precomputed noise-only term is exact
+                // (`x + 0.0` is bitwise `x` for the positive noise
+                // power).
+                let sinr = if intf_fx == 0 {
+                    rssi_v(i) - ctx.noise_only_db
+                } else {
+                    rssi_v(i) - 10.0 * (ctx.noise_lin + from_fixed(intf_fx)).log10()
+                };
+                if kill || !decodable(sinr, sf_v, 0.0) {
+                    Verdict::Interference
+                } else {
+                    Verdict::Ok
+                }
+            });
         }
     }
 }
@@ -273,15 +348,16 @@ pub struct SimRunStats {
     pub candidate_visits: u64,
     /// `txs × gateways`: the pairs the un-indexed loop would visit.
     pub candidate_ceiling: u64,
-    /// Accumulator-mode incremental contributions added at TxStart
-    /// (leak-sum adds + max-index inserts); 0 for scan-mode runs.
+    /// Sharded engine: interference contributions added at TxStart
+    /// (collider-list pushes, sorted-index inserts, leak folds); 0 for
+    /// a monolithic run.
     #[serde(default)]
     pub accum_updates: u64,
-    /// Accumulator-mode contributions exactly undone at TxEnd.
+    /// Sharded engine: leak contributions exactly undone at TxEnd.
     #[serde(default)]
     pub accum_undos: u64,
-    /// Stale lazy-max index entries evicted during accumulator-mode
-    /// verdict queries.
+    /// Sharded engine: dead collider-list and sorted-index entries
+    /// compacted out.
     #[serde(default)]
     pub accum_evictions: u64,
     /// Time-wheel level cascades across all shards (0 for monolithic
@@ -924,76 +1000,30 @@ fn batch_verdicts(
                     // CIC resolves the collision; both survive.
                     continue;
                 }
-                let orow = o.node * n_gws;
-                let t_first = t.lock_on_us <= o.lock_on_us;
-                for (gi, &(gq, _)) in seen.iter().enumerate() {
-                    let g_idx = gq as usize;
-                    let rssi_o = ctx.rssi[orow + g_idx];
-                    if same_sf {
-                        // Same settings: the capture effect decides.
-                        let rssi_v = ctx.rssi[vrow + g_idx];
-                        let (first, second) = if t_first {
-                            (rssi_v, rssi_o)
-                        } else {
-                            (rssi_o, rssi_v)
-                        };
-                        let survives = match capture_outcome(first, second) {
-                            CaptureOutcome::FirstSurvives => t_first,
-                            CaptureOutcome::SecondSurvives => !t_first,
-                            CaptureOutcome::BothLost => false,
-                        };
-                        if !survives {
-                            vs.note_collider(gi, rssi_o, o.network_id);
-                        }
-                    } else {
-                        // Cross-SF quasi-orthogonality.
-                        if ctx.rssi[vrow + g_idx] - rssi_o < CROSS_SF_REJECTION_DB {
-                            vs.set_kill(gi);
-                        }
-                    }
-                }
+                vs.arbitrate(
+                    seen,
+                    &ctx.rssi[vrow..vrow + n_gws],
+                    &ctx.rssi[o.node * n_gws..(o.node + 1) * n_gws],
+                    same_sf,
+                    t.lock_on_us <= o.lock_on_us,
+                    o.network_id,
+                );
             }
-            PairClass::Leak {
-                gain_same,
-                gain_orth,
-            } => {
-                let gain = if o.dr.spreading_factor() != sf_v {
-                    gain_orth
-                } else {
-                    gain_same
-                };
-                if let Some(gain) = gain {
+            class @ PairClass::Leak { .. } => {
+                if let Some(gain) = class.leak_gain(o.dr.spreading_factor() != sf_v) {
                     let orow = o.node * n_gws;
                     for (gi, &(gq, _)) in seen.iter().enumerate() {
                         let rssi_o = ctx.rssi[orow + gq as usize];
-                        vs.add_intf(gi, 10f64.powf((rssi_o + gain) / 10.0));
+                        vs.add_intf(gi, leak_fx(rssi_o, gain));
                     }
                 }
             }
         }
     }
 
-    for (gi, &(gq, _)) in seen.iter().enumerate() {
-        let (intf_lin, strongest, kill) = vs.state(gi);
-        vs.verdicts.push(if let Some((_, net)) = strongest {
-            Verdict::Collision { with_network: net }
-        } else {
-            let rssi_v = ctx.rssi[vrow + gq as usize];
-            // SINR over thermal noise plus leaked foreign energy. With
-            // no leak the precomputed noise-only term is exact
-            // (`x + 0.0` is bitwise `x` for the positive noise power).
-            let sinr = if intf_lin == 0.0 {
-                rssi_v - ctx.noise_only_db
-            } else {
-                rssi_v - 10.0 * (ctx.noise_lin + intf_lin).log10()
-            };
-            if kill || !decodable(sinr, sf_v, 0.0) {
-                Verdict::Interference
-            } else {
-                Verdict::Ok
-            }
-        });
-    }
+    vs.resolve(seen.len(), ctx, sf_v, |gi| {
+        ctx.rssi[vrow + seen[gi].0 as usize]
+    });
 }
 
 #[cfg(test)]

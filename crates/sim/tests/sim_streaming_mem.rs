@@ -89,7 +89,6 @@ fn streamed_run_peak_heap_stays_below_timeline_cost() {
     let opts = ShardOpts {
         max_shards: 2,
         chunk_txs: 4096,
-        accum: false,
     };
 
     let before = CURRENT.load(Ordering::Relaxed);
