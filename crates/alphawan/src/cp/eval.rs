@@ -6,11 +6,12 @@
 //! allocations per call, which caps the evolutionary solver at a few
 //! hundred nodes. This module is the production evaluator:
 //!
-//! * [`EvalContext`] precomputes per-node gateway-reach bitmasks per
-//!   ring and fixed-point traffic weights once per problem; scoring a
-//!   candidate through a reusable [`Scratch`] then performs **zero
-//!   heap allocations** (enforced by the `eval_alloc` integration
-//!   test).
+//! * [`EvalContext`] precomputes gateway-reach bitmasks per ring —
+//!   interned, one row per *reach class* of nodes hearing the same
+//!   gateways — and fixed-point traffic weights once per problem;
+//!   scoring a candidate through a reusable [`Scratch`] then performs
+//!   **zero heap allocations** (enforced by the `eval_alloc`
+//!   integration test).
 //! * [`Genome`] is a flat solution encoding — one `u16` gene per node
 //!   (`channel * DISTANCE_RINGS + ring`) and one `u64` channel bitmask
 //!   per gateway — so cloning a candidate is two `memcpy`s instead of
@@ -20,11 +21,13 @@
 //!   re-mask recomputes one `k_j` column. Simulated annealing becomes
 //!   delta-scored (its natural form) and the GA's repair pass stops
 //!   allocating.
-//! * [`score_batch`] fans scoring out over `std::thread::scope`
-//!   workers. Each candidate is scored by the same pure function on a
-//!   private scratch, so results are **byte-identical for every worker
-//!   count** — the `ga_deterministic_per_seed` and `obs_determinism`
-//!   guarantees survive parallelism.
+//! * `fan_out` spreads per-item work over `std::thread::scope`
+//!   workers, each with private state: the GA's generation step
+//!   (breed + repair + score per slot) and [`score_batch`] both run on
+//!   it. Each item is produced by the same pure function whoever runs
+//!   it, so results are **byte-identical for every worker count** —
+//!   the `ga_deterministic_per_seed` and `obs_determinism` guarantees
+//!   survive parallelism.
 //!
 //! # Determinism and exactness rules
 //!
@@ -47,6 +50,8 @@
 
 use super::{CpProblem, CpSolution};
 use lora_phy::pathloss::DISTANCE_RINGS;
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Fixed-point quantum for traffic loads: one packet-per-window is
 /// `2²⁰` load units. Chosen so integer traffic up to `2⁴⁴` packets
@@ -128,6 +133,13 @@ impl Genome {
         }
     }
 
+    /// Overwrite `self` with `src` in place (same problem, so the same
+    /// lengths): two `memcpy`s, no heap use — unlike `clone`.
+    pub fn copy_from(&mut self, src: &Genome) {
+        self.gene.copy_from_slice(&src.gene);
+        self.gw_mask.copy_from_slice(&src.gw_mask);
+    }
+
     /// Expand back to the direct encoding (gateway channel lists come
     /// out sorted ascending).
     pub fn to_solution(&self) -> CpSolution {
@@ -158,6 +170,12 @@ impl Iterator for BitIter {
         self.0 &= self.0 - 1;
         Some(b)
     }
+
+    /// Exact, so collecting the bits allocates once, whatever they are.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
 }
 
 /// Precomputed, immutable evaluation tables for one [`CpProblem`].
@@ -165,19 +183,25 @@ impl Iterator for BitIter {
 /// lives in per-worker [`Scratch`] buffers.
 pub struct EvalContext<'p> {
     p: &'p CpProblem,
-    /// `reach[i * DISTANCE_RINGS + l]`: bitmask of gateways node `i`
-    /// reaches at ring `l`.
-    reach: Vec<u64>,
-    /// Per-node traffic in [`LOAD_SCALE`] fixed-point units.
-    traffic_q: Vec<u64>,
-    /// Per-gateway decoder budget in the same units.
-    dec_q: Vec<u64>,
-    /// `full_rings[i]` bit `l` ⇔ node `i` reaches *every* gateway at
+    /// Reach class of each node: nodes with the same reach row (the
+    /// same gateways at every ring) share one. A deployment has far
+    /// fewer rows than nodes (85 for 11 787 log-derived nodes).
+    class: Vec<u32>,
+    /// `class_reach[c * DISTANCE_RINGS + l]`: bitmask of gateways a
+    /// node of class `c` reaches at ring `l`.
+    class_reach: Vec<u64>,
+    /// Nodes per class.
+    class_nodes: Vec<u32>,
+    /// `class_full[c]` bit `l` ⇔ class `c` reaches *every* gateway at
     /// ring `l`. For such (node, ring) pairs the serve mask collapses
     /// to `listeners[ch]`, so scoring can aggregate per channel
     /// instead of walking per-node bitmasks — O(1) per node in dense
     /// deployments where most nodes hear all gateways.
-    full_rings: Vec<u8>,
+    class_full: Vec<u8>,
+    /// Per-node traffic in [`LOAD_SCALE`] fixed-point units.
+    traffic_q: Vec<u64>,
+    /// Per-gateway decoder budget in the same units.
+    dec_q: Vec<u64>,
     n_slots: usize,
 }
 
@@ -197,34 +221,45 @@ impl<'p> EvalContext<'p> {
             p.n_channels() <= 64,
             "EvalContext supports at most 64 grid channels"
         );
-        let n = p.n_nodes();
-        let mut reach = vec![0u64; n * DISTANCE_RINGS];
-        for i in 0..n {
-            for (j, rings) in p.reach[i].iter().enumerate() {
+        // Intern the reach rows, numbering classes by first occurrence
+        // (the map is only ever looked up, so ids are deterministic).
+        let mut ids: HashMap<[u64; DISTANCE_RINGS], u32> = HashMap::new();
+        let mut class = Vec::with_capacity(p.n_nodes());
+        let mut class_reach = Vec::new();
+        let mut class_nodes: Vec<u32> = Vec::new();
+        for row in &p.reach {
+            let mut masks = [0u64; DISTANCE_RINGS];
+            for (j, rings) in row.iter().enumerate() {
                 for (l, &ok) in rings.iter().enumerate() {
-                    if ok {
-                        reach[i * DISTANCE_RINGS + l] |= 1 << j;
-                    }
+                    masks[l] |= (ok as u64) << j;
                 }
             }
+            let fresh = class_nodes.len() as u32;
+            let c = *ids.entry(masks).or_insert(fresh);
+            if c == fresh {
+                class_reach.extend_from_slice(&masks);
+                class_nodes.push(0);
+            }
+            class_nodes[c as usize] += 1;
+            class.push(c);
         }
         let all_gw = if p.n_gateways() == 64 {
             u64::MAX
         } else {
             (1u64 << p.n_gateways()) - 1
         };
-        let mut full_rings = vec![0u8; n];
-        for (i, bits) in full_rings.iter_mut().enumerate() {
-            for l in 0..DISTANCE_RINGS {
-                if reach[i * DISTANCE_RINGS + l] == all_gw {
-                    *bits |= 1 << l;
-                }
-            }
-        }
+        let full_bits = |row: &[u64]| {
+            (0..row.len())
+                .map(|l| ((row[l] == all_gw) as u8) << l)
+                .sum()
+        };
+        let class_full = class_reach.chunks(DISTANCE_RINGS).map(full_bits).collect();
         EvalContext {
             p,
-            reach,
-            full_rings,
+            class,
+            class_reach,
+            class_nodes,
+            class_full,
             traffic_q: p.traffic.iter().map(|&t| quantize(t)).collect(),
             dec_q: p
                 .gw_limits
@@ -244,7 +279,30 @@ impl<'p> EvalContext<'p> {
     /// hears the node at that ring).
     #[inline]
     pub fn reach_mask(&self, i: usize, l: usize) -> u64 {
-        self.reach[i * DISTANCE_RINGS + l]
+        self.class_reach_mask(self.class[i] as usize, l)
+    }
+
+    /// Reach class of node `i` (see [`EvalContext::class_reach_mask`]).
+    #[inline]
+    pub fn class_of(&self, i: usize) -> usize {
+        self.class[i] as usize
+    }
+
+    /// Number of distinct reach rows among the nodes.
+    pub fn n_classes(&self) -> usize {
+        self.class_nodes.len()
+    }
+
+    /// Nodes sharing reach class `c`.
+    #[inline]
+    pub fn class_nodes(&self, c: usize) -> usize {
+        self.class_nodes[c] as usize
+    }
+
+    /// Reach bitmask of every node of class `c` at ring `l`.
+    #[inline]
+    pub fn class_reach_mask(&self, c: usize, l: usize) -> u64 {
+        self.class_reach[c * DISTANCE_RINGS + l]
     }
 
     /// Allocate a scratch buffer set sized for this problem. Done once
@@ -283,7 +341,7 @@ impl<'p> EvalContext<'p> {
         s.ch_load.fill(0);
         for (i, &gene) in g.gene.iter().enumerate() {
             let (ch, l) = (gene_channel(gene), gene_ring(gene));
-            if self.full_rings[i] >> l & 1 == 1 {
+            if self.class_full[self.class[i] as usize] >> l & 1 == 1 {
                 s.ch_load[ch] += self.traffic_q[i];
             } else {
                 let serve = self.reach_mask(i, l) & s.listeners[ch];
@@ -319,7 +377,7 @@ impl<'p> EvalContext<'p> {
         s.slot_count.fill(0);
         for (i, &gene) in g.gene.iter().enumerate() {
             let (ch, l) = (gene_channel(gene), gene_ring(gene));
-            if self.full_rings[i] >> l & 1 == 1 {
+            if self.class_full[self.class[i] as usize] >> l & 1 == 1 {
                 let best = s.ch_best[ch];
                 if best == u64::MAX {
                     disconnected += 1;
@@ -368,41 +426,56 @@ pub struct Scratch {
     ch_best: Vec<u64>,
 }
 
-/// Score `genomes` into `out`, fanning out over one `std::thread::scope`
-/// worker per scratch. Every candidate is scored by the same pure
-/// function on a private scratch, so `out` is byte-identical for every
-/// worker count (including 1, the serial reference).
+/// Run `job(k, &mut items[k], worker)` for every item, on up to one
+/// thread per worker state (the calling thread is one of them). Items
+/// are handed out one at a time from a shared cursor, so an expensive
+/// item never strands the rest of a pre-cut chunk behind it. Each item
+/// is written by exactly one worker and `job` may read only shared
+/// immutable state, so the outcome is independent of which worker ran
+/// which item — byte-identical for every worker count.
+pub(crate) fn fan_out<T: Send, W: Send>(
+    items: &mut [T],
+    workers: &mut [W],
+    job: impl Fn(usize, &mut T, &mut W) + Sync,
+) {
+    let _sp = obs::span::enter(obs::span::SpanId::SolverEval);
+    let threads = workers.len().min(items.len());
+    let cursor = Mutex::new(items.iter_mut().enumerate());
+    let run = |w: &mut W| loop {
+        // Take the lock only to draw the next item, not across `job`.
+        let next = cursor
+            .lock()
+            .expect("no worker can panic while drawing an item")
+            .next();
+        match next {
+            Some((k, item)) => job(k, item, w),
+            None => break,
+        }
+    };
+    let (own, spawned) = workers.split_first_mut().expect("at least one worker");
+    if threads <= 1 {
+        return run(own); // no scope: a serial step stays allocation-free
+    }
+    std::thread::scope(|scope| {
+        for w in &mut spawned[..threads - 1] {
+            scope.spawn(|| run(w));
+        }
+        run(own);
+    });
+}
+
+/// Score `genomes` into `out` through `fan_out`, one worker per
+/// scratch. Every candidate is scored by the same pure function on a
+/// private scratch, so `out` is byte-identical for every worker count
+/// (including 1, the serial reference).
 pub fn score_batch(
     ctx: &EvalContext,
     genomes: &[Genome],
     scratches: &mut [Scratch],
     out: &mut [f64],
 ) {
-    let _sp = obs::span::enter(obs::span::SpanId::SolverEval);
     assert_eq!(genomes.len(), out.len());
-    assert!(!scratches.is_empty(), "need at least one scratch");
-    let workers = scratches.len().min(genomes.len()).max(1);
-    if workers == 1 {
-        let s = &mut scratches[0];
-        for (g, o) in genomes.iter().zip(out.iter_mut()) {
-            *o = ctx.score(g, s);
-        }
-        return;
-    }
-    let chunk = genomes.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for ((gs, os), s) in genomes
-            .chunks(chunk)
-            .zip(out.chunks_mut(chunk))
-            .zip(scratches.iter_mut())
-        {
-            scope.spawn(move || {
-                for (g, o) in gs.iter().zip(os.iter_mut()) {
-                    *o = ctx.score(g, s);
-                }
-            });
-        }
-    });
+    fan_out(out, scratches, |k, o, s| *o = ctx.score(&genomes[k], s));
 }
 
 /// Delta-scored evaluator: owns a [`Genome`] plus the derived state

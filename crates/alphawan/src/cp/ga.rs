@@ -10,12 +10,14 @@
 //!
 //! * The **engine path** ([`GaSolver::solve`] and friends) runs on the
 //!   flat [`Genome`] encoding through the allocation-free
-//!   [`eval`](super::eval) engine. Children are bred *serially*, each
-//!   from its own deterministic RNG stream (`slot_rng`: a splitmix64
-//!   chain of seed, generation and population slot), then scored
-//!   *concurrently* by [`score_batch`] workers. Because breeding never
-//!   observes scoring order and every candidate is scored by a pure
-//!   function, the result is byte-identical for every worker count —
+//!   [`eval`](super::eval) engine. A generation is one fan-out over
+//!   its slots: each worker draws the next slot and does the whole of
+//!   it — tournament, crossover, mutation, repair *and* scoring — into
+//!   a pre-allocated genome of the double-buffered population. A slot
+//!   draws only from its own deterministic RNG stream (`slot_rng`: a
+//!   splitmix64 chain of seed, generation and population slot), reads
+//!   only the previous generation and is scored by a pure function, so
+//!   the result is byte-identical for every worker count —
 //!   determinism is per (problem, config), not per machine.
 //! * The **reference path** ([`GaSolver::solve_reference`]) is the
 //!   original direct-encoding loop over
@@ -28,8 +30,7 @@
 //! reproducible.
 
 use super::eval::{
-    gene_channel, gene_ring, pack_gene, score_batch, EvalContext, Genome, Scratch,
-    MAX_ENGINE_GATEWAYS,
+    fan_out, gene_channel, gene_ring, pack_gene, EvalContext, Genome, Scratch, MAX_ENGINE_GATEWAYS,
 };
 use super::greedy::greedy_plan;
 use super::{CpProblem, CpSolution};
@@ -58,7 +59,7 @@ pub struct GaConfig {
     /// solution (the "without cooperation from the node side" ablation,
     /// §5.1.3).
     pub optimize_node_assignments: bool,
-    /// Scoring worker threads for the parallel generation step
+    /// Worker threads breeding and scoring the generation step
     /// (0 = one per available CPU core). Results are bit-identical for
     /// every value — this knob only trades wall time.
     pub workers: usize,
@@ -89,7 +90,7 @@ pub struct SolverStats {
     pub evaluations: u64,
     /// Generations (GA) or iterations (annealing) executed.
     pub generations: u32,
-    /// Scoring worker threads used (1 = serial).
+    /// Generation-step worker threads used (1 = serial).
     pub workers: u32,
     /// Host wall-clock duration of the search.
     pub wall: Duration,
@@ -213,96 +214,85 @@ impl GaSolver {
         p: &CpProblem,
         seedling: CpSolution,
     ) -> (CpSolution, f64, u64, u32, u32) {
-        let cfg = &self.config;
+        // Degenerate sizes would leave nobody to select from or index
+        // past the population; clamp them once, here.
+        let population = self.config.population.max(1);
+        let cfg = GaConfig {
+            population,
+            tournament: self.config.tournament.max(1),
+            elites: self.config.elites.min(population),
+            ..self.config
+        };
         let ctx = EvalContext::new(p);
-        let workers = self.resolve_workers();
-        let mut scratches: Vec<Scratch> = (0..workers).map(|_| ctx.scratch()).collect();
+        let mut workers: Vec<(Scratch, RepairScratch)> = (0..self.resolve_workers())
+            .map(|_| (ctx.scratch(), RepairScratch::new(&ctx)))
+            .collect();
+        let gated = |on: bool, rate: f64| if on { rate } else { 0.0 };
 
-        let node_rate0 = if cfg.optimize_node_assignments {
-            0.3
-        } else {
-            0.0
-        };
-        let gw_rate0 = if cfg.optimize_gateway_channels {
-            0.5
-        } else {
-            0.0
-        };
-
-        // Generation 0: the seed plus mutated clones, each bred from
-        // its own slot stream.
-        let seed_genome = Genome::from_solution(&seedling);
-        let mut genomes: Vec<Genome> = Vec::with_capacity(cfg.population);
-        genomes.push(seed_genome.clone());
-        for slot in 1..cfg.population {
-            let mut rng = slot_rng(cfg.seed, 0, slot as u64);
-            let mut g = seed_genome.clone();
-            mutate_genome(p, &mut g, node_rate0, gw_rate0, &mut rng);
+        // One generation slot, bred and scored where it runs: `slot`
+        // draws only from its own RNG stream and reads only the
+        // immutable `parents`, so the child is the same whichever
+        // worker breeds it. Generation 0 mutates clones of the seed.
+        let breed = |gen: usize,
+                     parents: &[(f64, Genome)],
+                     slot: usize,
+                     (score, child): &mut (f64, Genome),
+                     (scratch, repair): &mut (Scratch, RepairScratch)| {
+            let mut rng = slot_rng(cfg.seed, gen as u64, slot as u64);
+            let (node_rate, gw_rate) = if gen == 0 {
+                child.copy_from(&parents[0].1);
+                (0.3, 0.5)
+            } else {
+                let a = tournament_genome(parents, cfg.tournament, &mut rng);
+                if rng.gen_bool(cfg.crossover_rate) {
+                    let b = tournament_genome(parents, cfg.tournament, &mut rng);
+                    crossover_genome(&parents[a].1, &parents[b].1, child, &mut rng);
+                } else {
+                    child.copy_from(&parents[a].1);
+                }
+                (cfg.node_mutation, cfg.gw_mutation)
+            };
+            mutate_genome(
+                p,
+                child,
+                gated(cfg.optimize_node_assignments, node_rate),
+                gated(cfg.optimize_gateway_channels, gw_rate),
+                &mut rng,
+            );
             if cfg.optimize_node_assignments {
-                repair_genome(&ctx, &mut g, &mut rng);
+                repair_genome(&ctx, child, repair, &mut rng);
             }
-            genomes.push(g);
-        }
-        let mut scores = vec![0.0; genomes.len()];
-        score_batch(&ctx, &genomes, &mut scratches, &mut scores);
-        let mut evaluations = genomes.len() as u64;
-        let mut scored: Vec<(f64, Genome)> = scores.drain(..).zip(genomes.drain(..)).collect();
+            *score = ctx.score(child, scratch);
+        };
+
+        // The population is double-buffered: `scored` holds the sorted
+        // parents, `spare` the genomes the next children are written
+        // into; after a step the two trade places slot for slot, so no
+        // generation allocates.
+        let seed = (0.0, Genome::from_solution(&seedling));
+        let mut scored = vec![seed.clone(); cfg.population];
+        let mut spare = vec![seed.clone(); cfg.population - cfg.elites];
+        scored[0].0 = ctx.score(&seed.1, &mut workers[0].0);
+        fan_out(&mut scored[1..], &mut workers, |k, child, w| {
+            breed(0, std::slice::from_ref(&seed), k + 1, child, w)
+        });
+        let mut evaluations = cfg.population as u64;
         sort_scored_genomes(&mut scored);
 
-        let node_rate = if cfg.optimize_node_assignments {
-            cfg.node_mutation
-        } else {
-            0.0
-        };
-        let gw_rate = if cfg.optimize_gateway_channels {
-            cfg.gw_mutation
-        } else {
-            0.0
-        };
-        let elites = cfg.elites.min(cfg.population);
         let mut generations_run = 0u32;
-        let mut children: Vec<Genome> = Vec::with_capacity(cfg.population - elites);
-        let mut child_scores = vec![0.0; cfg.population - elites];
         for gen in 1..=cfg.generations {
-            if scored[0].0 == 0.0 {
-                break; // contention-free plan found
+            if scored[0].0 == 0.0 || spare.is_empty() {
+                break; // contention-free plan found, or nobody to breed
             }
             generations_run = gen as u32;
-            // Breed serially: child `slot` consumes only its own RNG
-            // stream, so the bred set is independent of scoring order.
-            children.clear();
-            for slot in elites..cfg.population {
-                let mut rng = slot_rng(cfg.seed, gen as u64, slot as u64);
-                let a = tournament_genome(&scored, cfg.tournament, &mut rng);
-                let mut child = if rng.gen_bool(cfg.crossover_rate) {
-                    let b = tournament_genome(&scored, cfg.tournament, &mut rng);
-                    crossover_genome(&scored[a].1, &scored[b].1, &mut rng)
-                } else {
-                    scored[a].1.clone()
-                };
-                mutate_genome(p, &mut child, node_rate, gw_rate, &mut rng);
-                if cfg.optimize_node_assignments {
-                    repair_genome(&ctx, &mut child, &mut rng);
-                }
-                children.push(child);
-            }
-            // Score concurrently; then elites + children, stable-sorted
-            // on the objective (score-then-sort keeps ties in slot
-            // order regardless of the worker count).
-            score_batch(
-                &ctx,
-                &children,
-                &mut scratches,
-                &mut child_scores[..children.len()],
-            );
-            evaluations += children.len() as u64;
-            scored.truncate(elites);
-            scored.extend(
-                child_scores[..children.len()]
-                    .iter()
-                    .copied()
-                    .zip(children.drain(..)),
-            );
+            fan_out(&mut spare, &mut workers, |k, child, w| {
+                breed(gen, &scored, cfg.elites + k, child, w)
+            });
+            evaluations += spare.len() as u64;
+            // Elites + children, stable-sorted on the objective
+            // (score-then-sort keeps ties in slot order regardless of
+            // the worker count).
+            scored[cfg.elites..].swap_with_slice(&mut spare);
             sort_scored_genomes(&mut scored);
         }
 
@@ -312,7 +302,7 @@ impl GaSolver {
             best_score,
             evaluations,
             generations_run,
-            workers as u32,
+            workers.len() as u32,
         )
     }
 
@@ -417,8 +407,8 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// The deterministic RNG stream breeding child `slot` of generation
 /// `generation`: a splitmix64 chain of (seed, generation, slot). Each
-/// child draws only from its own stream, which is what lets scoring
-/// parallelize without perturbing the search trajectory.
+/// child draws only from its own stream, which is what lets breeding
+/// and scoring parallelize without perturbing the search trajectory.
 pub(crate) fn slot_rng(seed: u64, generation: u64, slot: u64) -> StdRng {
     let mixed =
         splitmix64(splitmix64(splitmix64(seed).wrapping_add(generation)).wrapping_add(slot));
@@ -468,36 +458,35 @@ fn bernoulli_hits<F: FnMut(usize, &mut StdRng)>(n: usize, rate: f64, rng: &mut S
     }
 }
 
-/// Uniform crossover on the flat encoding: one coin per node keeps its
-/// (channel, ring) gene paired, one coin per gateway picks a parent's
-/// whole channel mask. Coins come 64 at a time from single `u64`
-/// draws, so a 4 000-node crossover costs ~64 RNG calls, not 4 000.
-fn crossover_genome(a: &Genome, b: &Genome, rng: &mut StdRng) -> Genome {
-    let mut gene = a.gene.clone();
-    let mut gw_mask = a.gw_mask.clone();
+/// Uniform crossover on the flat encoding, written into `child`: one
+/// coin per node keeps its (channel, ring) gene paired, one coin per
+/// gateway picks a parent's whole channel mask. Coins come 64 at a
+/// time from single `u64` draws, low bit first, the gateways carrying
+/// on in the word the nodes left off in. A coin turns into a select
+/// mask, not a branch — a fair coin mispredicts every other gene.
+fn crossover_genome(a: &Genome, b: &Genome, child: &mut Genome, rng: &mut StdRng) {
     let mut bits = 0u64;
-    let mut left = 0u32;
-    let mut coin = |rng: &mut StdRng| {
+    let genes = a.gene.chunks(64).zip(b.gene.chunks(64));
+    for (out, (ga, gb)) in child.gene.chunks_mut(64).zip(genes) {
+        bits = rng.next_u64();
+        for (t, (slot, (&ga, &gb))) in out.iter_mut().zip(ga.iter().zip(gb)).enumerate() {
+            let take_b = ((bits >> t) as u16 & 1).wrapping_neg();
+            *slot = ga ^ ((ga ^ gb) & take_b);
+        }
+    }
+    let used = a.gene.len() % 64;
+    let mut left = (64 - used) % 64;
+    bits >>= used;
+    let masks = a.gw_mask.iter().zip(&b.gw_mask);
+    for (slot, (&ma, &mb)) in child.gw_mask.iter_mut().zip(masks) {
         if left == 0 {
             bits = rng.next_u64();
             left = 64;
         }
-        let take = bits & 1 == 1;
+        *slot = if bits & 1 == 1 { mb } else { ma };
         bits >>= 1;
         left -= 1;
-        take
-    };
-    for (slot, &gb) in gene.iter_mut().zip(&b.gene) {
-        if coin(rng) {
-            *slot = gb;
-        }
     }
-    for (slot, &mb) in gw_mask.iter_mut().zip(&b.gw_mask) {
-        if coin(rng) {
-            *slot = mb;
-        }
-    }
-    Genome { gene, gw_mask }
 }
 
 /// Mutate node genes and gateway masks in place — the flat-encoding
@@ -543,14 +532,61 @@ pub(crate) fn resample_gw_mask(p: &CpProblem, j: usize, rng: &mut StdRng) -> u64
     mask
 }
 
+/// A reach class this populous answers its repairs from a per-child
+/// option list; a smaller one walks the masks per repair. Measured on
+/// the 11.8 k-node log-derived problem, building a list (~50 options)
+/// costs about as much as three walks and about a third of a class is
+/// disconnected per child, so a list pays from ~9 nodes up.
+const LIST_MIN_NODES: usize = 16;
+
+/// Per-worker repair state: the (channel, ring) option lists of the
+/// child being repaired, one per populous reach class, built the first
+/// time the class needs a repair in that child.
+pub struct RepairScratch {
+    /// Every list of the current child, back to back.
+    options: Vec<u16>,
+    /// `(start, len)` of each class's list in `options`; `start ==
+    /// UNBUILT` until the class is first repaired in this child.
+    list: Vec<(u32, u32)>,
+    lists_built: u64,
+}
+
+const UNBUILT: u32 = u32::MAX;
+
+impl RepairScratch {
+    /// Allocate for `ctx`'s problem: room for the longest list every
+    /// populous class can have, so repairing never allocates.
+    pub fn new(ctx: &EvalContext) -> RepairScratch {
+        let n_ch = ctx.problem().n_channels();
+        let bound = |c: usize| -> usize {
+            (0..DISTANCE_RINGS)
+                .map(|l| ctx.class_reach_mask(c, l).count_ones() as usize * n_ch)
+                .sum()
+        };
+        let listed = (0..ctx.n_classes()).filter(|&c| ctx.class_nodes(c) >= LIST_MIN_NODES);
+        RepairScratch {
+            options: Vec::with_capacity(listed.map(bound).sum()),
+            list: vec![(UNBUILT, 0); ctx.n_classes()],
+            lists_built: 0,
+        }
+    }
+
+    /// Option lists built since construction.
+    pub fn lists_built(&self) -> u64 {
+        self.lists_built
+    }
+}
+
 /// Connectivity repair on the flat encoding. The listener masks and
 /// per-gateway channel counts are built once per pass; each
-/// disconnected node then draws uniformly from its feasible (gateway,
-/// channel, ring) option multiset — the same multiset the reference
-/// repair enumerates into its options buffer — with one RNG draw and
-/// O(set bits) mask walks instead of a full channels × rings scan.
-/// No heap use.
-fn repair_genome(ctx: &EvalContext, g: &mut Genome, rng: &mut StdRng) {
+/// disconnected node then draws uniformly, with one RNG draw, from its
+/// feasible (ring, gateway, channel) option multiset — the same
+/// multiset, in the same order, the reference repair enumerates into
+/// its options buffer. Nodes of one reach class share that multiset:
+/// a populous class enumerates it once per child and every repair is
+/// a load; a small class finds the drawn option by O(set bits) mask
+/// walks, never enumerating. No heap use either way.
+pub fn repair_genome(ctx: &EvalContext, g: &mut Genome, s: &mut RepairScratch, rng: &mut StdRng) {
     let _sp = obs::span::enter(obs::span::SpanId::SolverRepair);
     let mut listeners = [0u64; 64];
     let mut nch = [0u32; 64];
@@ -562,53 +598,94 @@ fn repair_genome(ctx: &EvalContext, g: &mut Genome, rng: &mut StdRng) {
             m &= m - 1;
         }
     }
-    'node: for i in 0..g.gene.len() {
+    s.options.clear();
+    s.list.fill((UNBUILT, 0));
+    for i in 0..g.gene.len() {
         let gene = g.gene[i];
-        if ctx.reach_mask(i, gene_ring(gene)) & listeners[gene_channel(gene)] != 0 {
+        let c = ctx.class_of(i);
+        if ctx.class_reach_mask(c, gene_ring(gene)) & listeners[gene_channel(gene)] != 0 {
             continue;
         }
-        // Every gateway hearing ring `l` contributes one option per
-        // channel it listens on, so per-ring totals are sums of
-        // channel counts over the ring's reach bits.
-        let mut ring_total = [0usize; DISTANCE_RINGS];
-        let mut total = 0usize;
-        for (l, slot) in ring_total.iter_mut().enumerate() {
-            let mut m = ctx.reach_mask(i, l);
-            let mut acc = 0usize;
-            while m != 0 {
-                acc += nch[m.trailing_zeros() as usize] as usize;
-                m &= m - 1;
+        if ctx.class_nodes(c) < LIST_MIN_NODES {
+            if let Some(option) = walk_to_option(ctx, c, &g.gw_mask, &nch, rng) {
+                g.gene[i] = option;
             }
-            *slot = acc;
-            total += acc;
-        }
-        if total == 0 {
             continue;
         }
-        let mut pick = rng.gen_range(0..total);
-        for (l, &ring_options) in ring_total.iter().enumerate() {
-            if pick >= ring_options {
-                pick -= ring_options;
-                continue;
-            }
-            let mut m = ctx.reach_mask(i, l);
-            while m != 0 {
-                let j = m.trailing_zeros() as usize;
-                let w = nch[j] as usize;
-                if pick < w {
-                    // The pick-th listened channel of gateway j.
-                    let mut gm = g.gw_mask[j];
-                    for _ in 0..pick {
+        if s.list[c].0 == UNBUILT {
+            let start = s.options.len();
+            for l in 0..DISTANCE_RINGS {
+                let mut m = ctx.class_reach_mask(c, l);
+                while m != 0 {
+                    let mut gm = g.gw_mask[m.trailing_zeros() as usize];
+                    while gm != 0 {
+                        s.options.push(pack_gene(gm.trailing_zeros() as usize, l));
                         gm &= gm - 1;
                     }
-                    g.gene[i] = pack_gene(gm.trailing_zeros() as usize, l);
-                    continue 'node;
+                    m &= m - 1;
                 }
-                pick -= w;
-                m &= m - 1;
             }
+            s.list[c] = (start as u32, (s.options.len() - start) as u32);
+            s.lists_built += 1;
+        }
+        let (start, len) = s.list[c];
+        if len > 0 {
+            g.gene[i] = s.options[start as usize + rng.gen_range(0..len as usize)];
         }
     }
+}
+
+/// Draw one option for a disconnected node of class `c` without
+/// enumerating the multiset: every gateway hearing ring `l` adds one
+/// option per channel it listens on (`nch`), so per-ring totals are
+/// sums of channel counts over the ring's reach bits and the drawn
+/// index walks down ring → gateway → channel. `None`, and no draw,
+/// when the class has no option at all.
+fn walk_to_option(
+    ctx: &EvalContext,
+    c: usize,
+    gw_mask: &[u64],
+    nch: &[u32; 64],
+    rng: &mut StdRng,
+) -> Option<u16> {
+    let mut ring_total = [0usize; DISTANCE_RINGS];
+    let mut total = 0usize;
+    for (l, slot) in ring_total.iter_mut().enumerate() {
+        let mut m = ctx.class_reach_mask(c, l);
+        let mut acc = 0usize;
+        while m != 0 {
+            acc += nch[m.trailing_zeros() as usize] as usize;
+            m &= m - 1;
+        }
+        *slot = acc;
+        total += acc;
+    }
+    if total == 0 {
+        return None;
+    }
+    let mut pick = rng.gen_range(0..total);
+    for (l, &ring_options) in ring_total.iter().enumerate() {
+        if pick >= ring_options {
+            pick -= ring_options;
+            continue;
+        }
+        let mut m = ctx.class_reach_mask(c, l);
+        while m != 0 {
+            let j = m.trailing_zeros() as usize;
+            let w = nch[j] as usize;
+            if pick < w {
+                // The pick-th listened channel of gateway j.
+                let mut gm = gw_mask[j];
+                for _ in 0..pick {
+                    gm &= gm - 1;
+                }
+                return Some(pack_gene(gm.trailing_zeros() as usize, l));
+            }
+            pick -= w;
+            m &= m - 1;
+        }
+    }
+    unreachable!("pick < total = the options the rings hold")
 }
 
 fn sort_scored(scored: &mut [(f64, CpSolution)]) {
@@ -829,28 +906,32 @@ mod tests {
     #[test]
     fn ga_bit_identical_across_worker_counts() {
         let channels = ChannelGrid::standard(920_000_000, 1_600_000).channels();
-        let p = CpProblem::new(
+        let full = CpProblem::new(
             channels,
             full_reach(24, 3),
             vec![1.0; 24],
             vec![GatewayLimits::sx1302(); 3],
         );
-        let runs: Vec<(CpSolution, f64)> = [1usize, 2, 8]
-            .iter()
-            .map(|&workers| {
-                GaSolver::new(GaConfig {
-                    population: 24,
-                    generations: 20,
-                    workers,
-                    ..GaConfig::default()
+        // Full reach never needs a repair; the clustered problem
+        // repairs through both the option lists and the mask walk.
+        for p in [full, clustered_problem()] {
+            let runs: Vec<(CpSolution, f64)> = [1usize, 2, 3, 8]
+                .iter()
+                .map(|&workers| {
+                    GaSolver::new(GaConfig {
+                        population: 24,
+                        generations: 20,
+                        workers,
+                        ..GaConfig::default()
+                    })
+                    .solve(&p)
                 })
-                .solve(&p)
-            })
-            .collect();
-        assert_eq!(runs[0].0, runs[1].0);
-        assert_eq!(runs[0].0, runs[2].0);
-        assert_eq!(runs[0].1.to_bits(), runs[1].1.to_bits());
-        assert_eq!(runs[0].1.to_bits(), runs[2].1.to_bits());
+                .collect();
+            for run in &runs[1..] {
+                assert_eq!(runs[0].0, run.0);
+                assert_eq!(runs[0].1.to_bits(), run.1.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -916,5 +997,153 @@ mod tests {
             _ => None,
         });
         assert_eq!(ev, Some((7, stats.evaluations, 12)));
+    }
+
+    /// Clustered reach over `gws` gateways of which the last is heard
+    /// by nobody: node `i` sits in cluster `i % (gws − 1)` and hears
+    /// gateway `j` from ring `2·((j − cluster) mod (gws − 1)) + i % 3`
+    /// upwards — `3·(gws − 1)` populous reach classes. The last ten
+    /// nodes are stragglers with a row each (non-monotone in the ring),
+    /// the very last one hearing no gateway at all.
+    fn clustered_reach(nodes: usize, gws: usize) -> Vec<Vec<[bool; DISTANCE_RINGS]>> {
+        let clusters = gws - 1;
+        let row = |i: usize, j: usize| -> [bool; DISTANCE_RINGS] {
+            let hops = (j + clusters - i % clusters) % clusters;
+            std::array::from_fn(|l| match (j == clusters, nodes - i) {
+                (true, _) | (_, 1) => false,
+                (_, 2..=10) => (i * 7 + j * 3 + l).is_multiple_of(4),
+                _ => l >= 2 * hops + i % 3,
+            })
+        };
+        (0..nodes)
+            .map(|i| (0..gws).map(|j| row(i, j)).collect())
+            .collect()
+    }
+
+    fn clustered_problem() -> CpProblem {
+        let channels = ChannelGrid::standard(916_800_000, 4_800_000).channels();
+        CpProblem::new(
+            channels,
+            clustered_reach(310, 6),
+            (0..310).map(|i| 1.0 + (i % 4) as f64).collect(),
+            vec![GatewayLimits::sx1302(); 6],
+        )
+    }
+
+    /// FNV-1a over every decision of a solution.
+    fn fingerprint(sol: &CpSolution) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |v: usize| {
+            h = (h ^ v as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        };
+        for chs in &sol.gw_channels {
+            eat(chs.len());
+            chs.iter().for_each(|&k| eat(k));
+        }
+        sol.node_channel.iter().for_each(|&k| eat(k));
+        sol.node_ring.iter().for_each(|&l| eat(l));
+        h
+    }
+
+    /// Everybody on channel 0 at the longest ring, every gateway
+    /// listening there only: a seed the GA improves on in every
+    /// generation, so its answer depends on the whole trajectory (from
+    /// the greedy seed these small problems return the seed itself).
+    fn crowded_seed(p: &CpProblem) -> CpSolution {
+        CpSolution {
+            gw_channels: vec![vec![0]; p.n_gateways()],
+            node_channel: vec![0; p.n_nodes()],
+            node_ring: vec![DISTANCE_RINGS - 1; p.n_nodes()],
+        }
+    }
+
+    /// The GA trajectory is pinned: fingerprints and objective bits
+    /// recorded from the serial-breeding solver (PR 13) must come back
+    /// at every worker count — 3 does not divide the 44 children.
+    #[test]
+    fn ga_trajectory_matches_golden_pins() {
+        let full = {
+            let channels = ChannelGrid::standard(916_800_000, 3_200_000).channels();
+            CpProblem::new(
+                channels,
+                full_reach(96, 7),
+                vec![3.0; 96],
+                vec![GatewayLimits::sx1302(); 7],
+            )
+        };
+        let pins = [
+            (
+                &full,
+                10usize,
+                0xFA77_E5E2_B885_050Au64,
+                0x40C8_9600_0000_0000u64,
+            ),
+            (
+                &clustered_problem(),
+                20,
+                0xEFB2_D5BD_A8C8_9DD1,
+                0x40FC_5BC0_0000_0000,
+            ),
+        ];
+        for (p, generations, want_fp, want_bits) in pins {
+            for workers in [1usize, 2, 3, 8] {
+                let (sol, obj) = GaSolver::new(GaConfig {
+                    generations,
+                    workers,
+                    ..GaConfig::default()
+                })
+                .solve_seeded(p, crowded_seed(p));
+                assert_eq!(
+                    (fingerprint(&sol), obj.to_bits()),
+                    (want_fp, want_bits),
+                    "workers {workers}: objective {obj}"
+                );
+            }
+        }
+    }
+
+    /// Degenerate sizes are clamped at solve entry instead of indexing
+    /// an empty population or selecting from nobody.
+    #[test]
+    fn degenerate_configs_return_a_plan_instead_of_panicking() {
+        let p = clustered_problem();
+        let seed = crowded_seed(&p);
+        let seed_obj = p.objective(&seed);
+        let solve = |cfg: GaConfig| GaSolver::new(cfg).solve_seeded_stats(&p, seed.clone());
+        let base = GaConfig {
+            generations: 3,
+            ..GaConfig::default()
+        };
+        // Nobody but the seed: it comes back untouched.
+        let (sol, obj, stats) = solve(GaConfig {
+            population: 0,
+            ..base
+        });
+        assert_eq!((sol, obj.to_bits()), (seed.clone(), seed_obj.to_bits()));
+        assert_eq!((stats.evaluations, stats.generations), (1, 0));
+        // Every slot an elite: generation 0 is all there is.
+        for elites in [8, 9, usize::MAX] {
+            let (sol, obj, stats) = solve(GaConfig {
+                population: 8,
+                elites,
+                ..base
+            });
+            assert!(obj <= seed_obj && obj.to_bits() == p.objective(&sol).to_bits());
+            assert_eq!((stats.evaluations, stats.generations), (8, 0));
+        }
+        // A tournament of nobody selects like a tournament of one.
+        let of_one = solve(GaConfig {
+            tournament: 1,
+            ..base
+        });
+        let of_none = solve(GaConfig {
+            tournament: 0,
+            ..base
+        });
+        assert_eq!(
+            (of_none.0, of_none.1.to_bits()),
+            (of_one.0, of_one.1.to_bits())
+        );
+        assert!(of_none.1 <= seed_obj);
     }
 }

@@ -64,7 +64,8 @@ pub enum SpanId {
     ShardDrain = 6,
     /// Sharded engine: k-way merge of per-shard event streams.
     ShardMerge = 7,
-    /// CP solver: one `score_batch` evaluation call.
+    /// CP solver: one generation step (breed + repair + score of
+    /// every child), or one `score_batch` call.
     SolverEval = 8,
     /// CP solver: one genome mutation.
     SolverMutate = 9,
