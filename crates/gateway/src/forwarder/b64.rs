@@ -66,9 +66,97 @@ pub fn decode(text: &str) -> Option<Vec<u8>> {
     try_decode(text).ok()
 }
 
+/// Marks a byte outside the alphabet in [`DECODE`] (`=` included: the
+/// padding rules live in [`decode_quad_cold`]). Alphabet values are
+/// < 64, so OR-ing a quad's four lookups keeps this bit iff any of the
+/// four bytes is not a plain alphabet character.
+const INVALID: u8 = 0x80;
+
+/// Byte → 6-bit value, or [`INVALID`].
+const DECODE: [u8; 256] = {
+    let mut t = [INVALID; 256];
+    let mut v = 0;
+    while v < 64 {
+        t[ALPHABET[v] as usize] = v as u8;
+        v += 1;
+    }
+    t
+};
+
 /// Decode padded Base64 into `out` (cleared first); the allocation-free
 /// hot-path variant used by the ingest daemon's fast parser.
 pub fn decode_into(text: &str, out: &mut Vec<u8>) -> Result<(), B64Error> {
+    decode_bytes_into(text.as_bytes(), out)
+}
+
+/// [`decode_into`] over raw bytes: anything outside ASCII is a
+/// [`B64Error::BadChar`] at its byte offset, as it is through `str`.
+pub(super) fn decode_bytes_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), B64Error> {
+    out.clear();
+    if !bytes.len().is_multiple_of(4) {
+        return Err(B64Error::BadLength(bytes.len()));
+    }
+    out.reserve(bytes.len() / 4 * 3);
+    for (i, quad) in bytes.chunks_exact(4).enumerate() {
+        let v = [
+            DECODE[quad[0] as usize],
+            DECODE[quad[1] as usize],
+            DECODE[quad[2] as usize],
+            DECODE[quad[3] as usize],
+        ];
+        if (v[0] | v[1] | v[2] | v[3]) & INVALID != 0 {
+            decode_quad_cold(quad, i * 4, (i + 1) * 4 == bytes.len(), out)?;
+            continue;
+        }
+        let n = ((v[0] as u32) << 18) | ((v[1] as u32) << 12) | ((v[2] as u32) << 6) | v[3] as u32;
+        out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
+    }
+    Ok(())
+}
+
+/// A quad holding `=` or a byte outside the alphabet, at byte offset
+/// `at`: either the padded tail of the input or the error to report.
+#[cold]
+fn decode_quad_cold(quad: &[u8], at: usize, last: bool, out: &mut Vec<u8>) -> Result<(), B64Error> {
+    let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
+    // Padding only in the last quad, at most two, only at its tail.
+    if pad > 2 || (pad > 0 && !last) || quad[..4 - pad].contains(&b'=') {
+        return Err(B64Error::BadPadding(at));
+    }
+    let mut n = 0u32;
+    for (j, &c) in quad[..4 - pad].iter().enumerate() {
+        let v = DECODE[c as usize];
+        if v == INVALID {
+            return Err(B64Error::BadChar(at + j));
+        }
+        n = (n << 6) | v as u32;
+    }
+    n <<= 6 * pad as u32;
+    // Canonical form only: the bits a padded chunk doesn't emit
+    // must be zero ("Zh==" is not a valid spelling of 0x66), so
+    // decode is the exact inverse of encode byte-for-byte.
+    if pad > 0 && n & ((1 << (8 * pad)) - 1) != 0 {
+        return Err(B64Error::BadPadding(at));
+    }
+    out.push((n >> 16) as u8);
+    if pad < 2 {
+        out.push((n >> 8) as u8);
+    }
+    Ok(())
+}
+
+/// Decode padded Base64, reporting the malformation on failure.
+pub fn try_decode(text: &str) -> Result<Vec<u8>, B64Error> {
+    let mut out = Vec::new();
+    decode_into(text, &mut out)?;
+    Ok(out)
+}
+
+/// The per-byte `match` decoder [`decode_into`] replaced, verbatim: the
+/// oracle of the table decoder's differential below and of the old
+/// scanner kept in `fast::oracle`.
+#[cfg(test)]
+pub(super) fn ladder_decode_into(text: &str, out: &mut Vec<u8>) -> Result<(), B64Error> {
     out.clear();
     let bytes = text.as_bytes();
     if !bytes.len().is_multiple_of(4) {
@@ -117,13 +205,6 @@ pub fn decode_into(text: &str, out: &mut Vec<u8>) -> Result<(), B64Error> {
     Ok(())
 }
 
-/// Decode padded Base64, reporting the malformation on failure.
-pub fn try_decode(text: &str) -> Result<Vec<u8>, B64Error> {
-    let mut out = Vec::new();
-    decode_into(text, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +236,70 @@ mod tests {
         assert_eq!(try_decode("Zm9vY===").unwrap_err(), B64Error::BadPadding(4));
         // The Option shim mirrors the Result path.
         assert!(decode("Zg=").is_none());
+    }
+
+    /// Both decoders on `text`: same verdict, and on success the same
+    /// bytes. Returns the verdict.
+    fn table_and_ladder(text: &str) -> Result<Vec<u8>, B64Error> {
+        let (mut table, mut ladder) = (vec![1u8; 3], vec![2u8; 5]);
+        let verdict = decode_into(text, &mut table);
+        assert_eq!(verdict, ladder_decode_into(text, &mut ladder), "{text:?}");
+        if verdict.is_ok() {
+            assert_eq!(table, ladder, "{text:?}");
+        }
+        verdict.map(|()| table)
+    }
+
+    #[test]
+    fn table_decoder_equals_the_ladder() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Every ASCII byte at every position of an unpadded, a
+        // one-padded and a two-padded text, and every truncation: each
+        // error variant at each offset it can name.
+        let mut seen = std::collections::BTreeSet::new();
+        for text in ["Zm9vYmFy", "Zm9vYmE=", "Zm9vYg=="] {
+            for at in 0..text.len() {
+                for c in 0..0x80u8 {
+                    let mut damaged = text.as_bytes().to_vec();
+                    damaged[at] = c;
+                    let damaged = String::from_utf8(damaged).expect("ascii");
+                    if let Err(e) = table_and_ladder(&damaged) {
+                        seen.insert(format!("{e:?}"));
+                    }
+                }
+                if let Err(e) = table_and_ladder(&text[..at]) {
+                    seen.insert(format!("{e:?}"));
+                }
+            }
+        }
+        let mut expected: Vec<String> = (0..8)
+            .map(|at| format!("{:?}", B64Error::BadChar(at)))
+            .chain([0, 4].map(|at| format!("{:?}", B64Error::BadPadding(at))))
+            .chain([1, 2, 3, 5, 6, 7].map(|n| format!("{:?}", B64Error::BadLength(n))))
+            .collect();
+        expected.sort();
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), expected);
+
+        // Soup of alphabet, padding and strays (one of them two bytes
+        // long), lengths around several quads.
+        const SOUP: [char; 12] = ['A', 'Z', 'a', 'z', '0', '9', '+', '/', '=', '=', '!', 'é'];
+        let mut rng = StdRng::seed_from_u64(0xB64);
+        let (mut oks, mut errs) = (0u32, 0u32);
+        for _ in 0..200_000 {
+            let text: String = (0..rng.gen_range(0..=16usize))
+                .map(|_| SOUP[rng.gen_range(0..SOUP.len())])
+                .collect();
+            match table_and_ladder(&text) {
+                Ok(_) => oks += 1,
+                Err(_) => errs += 1,
+            }
+        }
+        assert!(
+            oks > 1_000 && errs > 1_000,
+            "{oks} decoded, {errs} rejected"
+        );
     }
 
     #[test]

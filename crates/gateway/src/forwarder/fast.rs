@@ -2,14 +2,42 @@
 //!
 //! [`super::codec::Datagram::decode`] builds a full JSON value tree
 //! per datagram — correct, but far too slow for a daemon targeting
-//! hundreds of thousands of packets per second on one core. This
-//! module scans the JSON bytes directly, extracting only the fields
-//! the ingest/dedup path needs (`tmst`, `lsnr`, `trce`, and the
-//! DevAddr/FCnt peeked from the Base64 `data`), skipping everything
-//! else without allocating. The proptests at the bottom pin its
+//! millions of packets per second on one core. This module scans the
+//! JSON bytes directly, extracting only the fields the ingest/dedup
+//! path needs (`tmst`, `lsnr`, `trce`, and the DevAddr/FCnt peeked
+//! from the Base64 `data`), skipping everything else without
+//! allocating.
+//!
+//! What skipping costs is what sets the daemon's packet rate, so the
+//! scanner does the least that keeps its verdicts:
+//!
+//! * a string is walked eight bytes at a time to its closing `"` (or
+//!   the next `\`), and only `data` is looked into;
+//! * a number nobody reads — six of an rxpk's nine — is held to the
+//!   grammar of a number but never converted: a datagram with
+//!   `"rssi":-9-7` is still malformed as a whole, it just no longer
+//!   costs a decimal-to-float conversion to find out;
+//! * `lsnr`, spelled `[-]digits[.digits]` with at most 15 digits as
+//!   every forwarder spells it, is an integer divided by an exact
+//!   power of ten — one rounding, the bits `str::parse` returns — and
+//!   any other spelling goes to `str::parse`;
+//! * Base64 is four table lookups per quad ([`super::b64`]).
+//!
+//! Two pins keep it honest. The proptests at the bottom hold its
 //! results to `Datagram::decode` on arbitrary codec-generated wire
 //! bytes, so the fast path can never silently drift from the
-//! reference.
+//! reference. And the byte-at-a-time scanner this one replaced lives
+//! on, verbatim and test-only, as `oracle`: `differential` requires the
+//! identical `Result` — error variants and offsets included, `lsnr` by
+//! bits — on hundreds of thousands of codec wires mutated towards the
+//! bytes the scanners branch on. A change here that alters any verdict
+//! on any input fails there.
+//!
+//! Measuring it: a loop that re-parses one wire (the benchmark's
+//! `gateway.fast_parse_ns_per_pkt`, any microbench) teaches the branch
+//! predictor that wire and *understates* what a change saves in the
+//! daemon, where every datagram differs. Judge by
+//! `svc.syscall_us_per_datagram` and `work_per_s` on `svc-bulk`.
 
 use super::b64::{self, B64Error};
 use super::codec::PROTOCOL_VERSION;
@@ -81,6 +109,20 @@ pub fn parse_push_data(
     out: &mut Vec<FastRx>,
     scratch: &mut Vec<u8>,
 ) -> Result<FastPushData, FastError> {
+    let (token, eui, json) = push_data_header(datagram)?;
+    let before = out.len();
+    let mut s = Scanner { b: json, i: 0 };
+    s.parse_push_payload(out, scratch)?;
+    Ok(FastPushData {
+        token,
+        eui,
+        count: out.len() - before,
+    })
+}
+
+/// The 12-byte binary header: ACK token, gateway EUI, and the JSON
+/// payload that follows it.
+fn push_data_header(datagram: &[u8]) -> Result<(u16, u64, &[u8]), FastError> {
     if datagram.len() < 12 {
         return Err(FastError::TooShort);
     }
@@ -92,21 +134,35 @@ pub fn parse_push_data(
     }
     let token = u16::from_be_bytes([datagram[1], datagram[2]]);
     let eui = u64::from_be_bytes(datagram[4..12].try_into().expect("length checked"));
-    let json = &datagram[12..];
-    let before = out.len();
-    let mut s = Scanner { b: json, i: 0 };
-    s.parse_push_payload(out, scratch)?;
-    Ok(FastPushData {
-        token,
-        eui,
-        count: out.len() - before,
-    })
+    Ok((token, eui, &datagram[12..]))
 }
 
 struct Scanner<'a> {
     b: &'a [u8],
     i: usize,
 }
+
+/// The bytes a number may be spelled with. A number ends at the first
+/// byte outside this set, so one that leaves a member behind is
+/// malformed as a whole.
+fn is_number_byte(c: u8) -> bool {
+    matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// 0x80 in every byte of `w` that equals `c`, exact up to and including
+/// the lowest hit (a borrow can only raise a false flag above a true
+/// one), which is the only one the scanner uses.
+fn bytes_equal(w: u64, c: u8) -> u64 {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let x = w ^ (LO * c as u64);
+    x.wrapping_sub(LO) & !x & HI
+}
+
+/// `10^k` for `k ≤ 15`, each exact in an `f64`.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
 
 impl<'a> Scanner<'a> {
     fn err<T>(&self) -> Result<T, FastError> {
@@ -131,6 +187,15 @@ impl<'a> Scanner<'a> {
         } else {
             self.err()
         }
+    }
+
+    /// Advance over digits, returning how many.
+    fn skip_digits(&mut self) -> usize {
+        let start = self.i;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.i += 1;
+        }
+        self.i - start
     }
 
     /// `{"rxpk":[…]}` — tolerate extra top-level keys, as the codec's
@@ -214,9 +279,16 @@ impl<'a> Scanner<'a> {
                 b"lsnr" => rx.lsnr = self.parse_f64()?,
                 b"data" => {
                     let (ds, de) = self.string_span()?;
-                    let text =
-                        std::str::from_utf8(&self.b[ds..de]).map_err(|_| FastError::Json(ds))?;
-                    b64::decode_into(text, scratch).map_err(FastError::B64)?;
+                    let text = &self.b[ds..de];
+                    if let Err(e) = b64::decode_bytes_into(text, scratch) {
+                        // Text that decodes is ASCII, so only a rejected
+                        // span can be the non-UTF-8 one, which is a JSON
+                        // error before it is a Base64 one.
+                        return Err(match std::str::from_utf8(text) {
+                            Ok(_) => FastError::B64(e),
+                            Err(_) => FastError::Json(ds),
+                        });
+                    }
                     rx.dev_addr = PhyPayload::peek_dev_addr(scratch).map(|a| a.0);
                     rx.fcnt = PhyPayload::peek_fcnt(scratch);
                 }
@@ -242,12 +314,24 @@ impl<'a> Scanner<'a> {
         self.expect(b'"')?;
         let start = self.i;
         loop {
+            // Eight bytes at a time to the next `"` or `\`; the byte
+            // steps below take that byte, and the last < 8 of the input.
+            while let Some(word) = self.b.get(self.i..self.i + 8) {
+                let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+                let hits = bytes_equal(w, b'"') | bytes_equal(w, b'\\');
+                if hits != 0 {
+                    self.i += (hits.trailing_zeros() / 8) as usize;
+                    break;
+                }
+                self.i += 8;
+            }
             match self.peek() {
                 Some(b'"') => {
                     let end = self.i;
                     self.i += 1;
                     return Ok((start, end));
                 }
+                // May step past the end: the error offset says so.
                 Some(b'\\') => self.i += 2,
                 Some(_) => self.i += 1,
                 None => return self.err(),
@@ -272,22 +356,59 @@ impl<'a> Scanner<'a> {
         Ok(n)
     }
 
+    /// A number this parser reads (`lsnr`): everything `str::parse`
+    /// takes that is spelled in [`is_number_byte`]s, to the same bits.
     fn parse_f64(&mut self) -> Result<f64, FastError> {
         self.skip_ws();
         let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
+        if let Some(v) = self.exact_decimal() {
+            return Ok(v);
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        self.i = start;
+        while self.peek().is_some_and(is_number_byte) {
             self.i += 1;
         }
         std::str::from_utf8(&self.b[start..self.i])
             .ok()
             .and_then(|t| t.parse().ok())
             .ok_or(FastError::Json(start))
+    }
+
+    /// `[-]digits[.digits]` of at most 15 digits: the digits are an
+    /// integer below 2^53 and the scale a power of ten up to 10^15, both
+    /// exact in an `f64`, so their quotient is rounded once — to the
+    /// value `str::parse` rounds the same decimal to. `None` (position
+    /// unspecified) for any other spelling.
+    fn exact_decimal(&mut self) -> Option<f64> {
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.i += 1;
+        }
+        let digits_at = self.i;
+        let mut mantissa = 0u64;
+        let mut digits = 0usize;
+        let mut scale = 0usize;
+        loop {
+            match self.peek() {
+                Some(c @ b'0'..=b'9') if digits < 15 => {
+                    mantissa = mantissa * 10 + (c - b'0') as u64;
+                    digits += 1;
+                    self.i += 1;
+                }
+                Some(b'.') if scale == 0 && self.i > digits_at => {
+                    self.i += 1;
+                    scale = self.i;
+                }
+                Some(c) if is_number_byte(c) => return None,
+                _ => break,
+            }
+        }
+        let frac = if scale == 0 { 0 } else { self.i - scale };
+        if digits == 0 || (scale != 0 && frac == 0) {
+            return None;
+        }
+        let v = mantissa as f64 / POW10[frac];
+        Some(if negative { -v } else { v })
     }
 
     /// Skip any JSON value without materializing it.
@@ -303,11 +424,39 @@ impl<'a> Scanner<'a> {
             Some(b't') => self.skip_lit(b"true"),
             Some(b'f') => self.skip_lit(b"false"),
             Some(b'n') => self.skip_lit(b"null"),
-            Some(b'-' | b'0'..=b'9') => {
-                self.parse_f64()?;
-                Ok(())
-            }
+            Some(b'-' | b'0'..=b'9') => self.skip_number(),
             _ => self.err(),
+        }
+    }
+
+    /// A number nobody reads, starting at `-` or a digit: held to the
+    /// grammar [`Scanner::parse_f64`] accepts there — `[-]`, digits with
+    /// an optional `.` among them (at least one digit), an optional
+    /// exponent of at least one digit — but never converted. A
+    /// [`is_number_byte`] left behind means the whole run is not a
+    /// number, exactly as when the run was cut out first and parsed.
+    fn skip_number(&mut self) -> Result<(), FastError> {
+        let start = self.i;
+        if self.peek() == Some(b'-') {
+            self.i += 1;
+        }
+        let mut digits = self.skip_digits();
+        if self.peek() == Some(b'.') {
+            self.i += 1;
+            digits += self.skip_digits();
+        }
+        let mut ok = digits > 0;
+        if ok && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            ok = self.skip_digits() > 0;
+        }
+        if ok && !self.peek().is_some_and(is_number_byte) {
+            Ok(())
+        } else {
+            Err(FastError::Json(start))
         }
     }
 
@@ -337,6 +486,269 @@ impl<'a> Scanner<'a> {
             self.i += 1;
         }
         Ok(())
+    }
+}
+
+/// The byte-at-a-time scanner [`parse_push_data`] ran until the hot
+/// path was rebuilt, verbatim (over the `match`-ladder Base64 it ran
+/// on): the oracle `differential` holds the rebuilt parser to.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// [`super::parse_push_data`] with the old scanner behind the
+    /// (shared) binary header.
+    pub(super) fn parse_push_data(
+        datagram: &[u8],
+        out: &mut Vec<FastRx>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<FastPushData, FastError> {
+        let (token, eui, json) = push_data_header(datagram)?;
+        let before = out.len();
+        let mut s = Scanner { b: json, i: 0 };
+        s.parse_push_payload(out, scratch)?;
+        Ok(FastPushData {
+            token,
+            eui,
+            count: out.len() - before,
+        })
+    }
+
+    struct Scanner<'a> {
+        b: &'a [u8],
+        i: usize,
+    }
+
+    impl<'a> Scanner<'a> {
+        fn err<T>(&self) -> Result<T, FastError> {
+            Err(FastError::Json(self.i))
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.b.get(self.i).copied()
+        }
+
+        fn skip_ws(&mut self) {
+            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.i += 1;
+            }
+        }
+
+        fn expect(&mut self, c: u8) -> Result<(), FastError> {
+            self.skip_ws();
+            if self.peek() == Some(c) {
+                self.i += 1;
+                Ok(())
+            } else {
+                self.err()
+            }
+        }
+
+        /// `{"rxpk":[…]}` — tolerate extra top-level keys, as the codec's
+        /// slow path does.
+        fn parse_push_payload(
+            &mut self,
+            out: &mut Vec<FastRx>,
+            scratch: &mut Vec<u8>,
+        ) -> Result<(), FastError> {
+            self.expect(b'{')?;
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.i += 1;
+                return Ok(());
+            }
+            loop {
+                let (ks, ke) = self.string_span()?;
+                self.expect(b':')?;
+                if &self.b[ks..ke] == b"rxpk" {
+                    self.parse_rxpk_array(out, scratch)?;
+                } else {
+                    self.skip_value()?;
+                }
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(b'}') => {
+                        self.i += 1;
+                        return Ok(());
+                    }
+                    _ => return self.err(),
+                }
+            }
+        }
+
+        fn parse_rxpk_array(
+            &mut self,
+            out: &mut Vec<FastRx>,
+            scratch: &mut Vec<u8>,
+        ) -> Result<(), FastError> {
+            self.expect(b'[')?;
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.i += 1;
+                return Ok(());
+            }
+            loop {
+                out.push(self.parse_rxpk(scratch)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(b']') => {
+                        self.i += 1;
+                        return Ok(());
+                    }
+                    _ => return self.err(),
+                }
+            }
+        }
+
+        fn parse_rxpk(&mut self, scratch: &mut Vec<u8>) -> Result<FastRx, FastError> {
+            self.expect(b'{')?;
+            let mut rx = FastRx {
+                tmst: 0,
+                lsnr: 0.0,
+                trce: 0,
+                dev_addr: None,
+                fcnt: None,
+            };
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.i += 1;
+                return Ok(rx);
+            }
+            loop {
+                let (ks, ke) = self.string_span()?;
+                self.expect(b':')?;
+                match &self.b[ks..ke] {
+                    b"tmst" => rx.tmst = self.parse_u64()?,
+                    b"trce" => rx.trce = self.parse_u64()?,
+                    b"lsnr" => rx.lsnr = self.parse_f64()?,
+                    b"data" => {
+                        let (ds, de) = self.string_span()?;
+                        let text = std::str::from_utf8(&self.b[ds..de])
+                            .map_err(|_| FastError::Json(ds))?;
+                        b64::ladder_decode_into(text, scratch).map_err(FastError::B64)?;
+                        rx.dev_addr = PhyPayload::peek_dev_addr(scratch).map(|a| a.0);
+                        rx.fcnt = PhyPayload::peek_fcnt(scratch);
+                    }
+                    _ => self.skip_value()?,
+                }
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(b'}') => {
+                        self.i += 1;
+                        return Ok(rx);
+                    }
+                    _ => return self.err(),
+                }
+            }
+        }
+
+        /// Span of the *contents* of a JSON string (no surrounding quotes).
+        /// Escapes are tolerated in skipped strings; the fields this parser
+        /// reads (`rxpk` keys, Base64 `data`) never contain them, and a
+        /// `data` span with escapes simply fails Base64 decoding.
+        fn string_span(&mut self) -> Result<(usize, usize), FastError> {
+            self.expect(b'"')?;
+            let start = self.i;
+            loop {
+                match self.peek() {
+                    Some(b'"') => {
+                        let end = self.i;
+                        self.i += 1;
+                        return Ok((start, end));
+                    }
+                    Some(b'\\') => self.i += 2,
+                    Some(_) => self.i += 1,
+                    None => return self.err(),
+                }
+            }
+        }
+
+        fn parse_u64(&mut self) -> Result<u64, FastError> {
+            self.skip_ws();
+            let start = self.i;
+            let mut n: u64 = 0;
+            while let Some(c @ b'0'..=b'9') = self.peek() {
+                n = n
+                    .checked_mul(10)
+                    .and_then(|n| n.checked_add((c - b'0') as u64))
+                    .ok_or(FastError::Json(start))?;
+                self.i += 1;
+            }
+            if self.i == start {
+                return self.err();
+            }
+            Ok(n)
+        }
+
+        fn parse_f64(&mut self) -> Result<f64, FastError> {
+            self.skip_ws();
+            let start = self.i;
+            if self.peek() == Some(b'-') {
+                self.i += 1;
+            }
+            while matches!(
+                self.peek(),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            ) {
+                self.i += 1;
+            }
+            std::str::from_utf8(&self.b[start..self.i])
+                .ok()
+                .and_then(|t| t.parse().ok())
+                .ok_or(FastError::Json(start))
+        }
+
+        /// Skip any JSON value without materializing it.
+        fn skip_value(&mut self) -> Result<(), FastError> {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'"') => {
+                    self.string_span()?;
+                    Ok(())
+                }
+                Some(b'{') => self.skip_delimited(b'{', b'}'),
+                Some(b'[') => self.skip_delimited(b'[', b']'),
+                Some(b't') => self.skip_lit(b"true"),
+                Some(b'f') => self.skip_lit(b"false"),
+                Some(b'n') => self.skip_lit(b"null"),
+                Some(b'-' | b'0'..=b'9') => {
+                    self.parse_f64()?;
+                    Ok(())
+                }
+                _ => self.err(),
+            }
+        }
+
+        fn skip_lit(&mut self, lit: &[u8]) -> Result<(), FastError> {
+            if self.b[self.i..].starts_with(lit) {
+                self.i += lit.len();
+                Ok(())
+            } else {
+                self.err()
+            }
+        }
+
+        fn skip_delimited(&mut self, open: u8, close: u8) -> Result<(), FastError> {
+            self.expect(open)?;
+            let mut depth = 1usize;
+            while depth > 0 {
+                match self.peek() {
+                    Some(b'"') => {
+                        self.string_span()?;
+                        continue;
+                    }
+                    Some(c) if c == open => depth += 1,
+                    Some(c) if c == close => depth -= 1,
+                    Some(_) => {}
+                    None => return self.err(),
+                }
+                self.i += 1;
+            }
+            Ok(())
+        }
     }
 }
 
@@ -444,6 +856,208 @@ mod tests {
             parse_push_data(&wire, &mut out, &mut scratch),
             Err(FastError::Json(_))
         ));
+    }
+}
+
+/// The rebuilt parser against [`oracle`], and the exact-decimal path
+/// against `str::parse`. Full size in release (CI's `benchmark` job),
+/// scaled down under `debug_assertions` as `service_soak` is.
+#[cfg(test)]
+mod differential {
+    use super::super::codec::{Datagram, GatewayEui, RxPacket};
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const WIRES: usize = if cfg!(debug_assertions) {
+        8_000
+    } else {
+        200_000
+    };
+    const DECIMALS: usize = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        1_000_000
+    };
+
+    /// The bytes the scanners branch on; mutations draw from these
+    /// three times out of four, from all 256 otherwise.
+    const STRUCTURAL: &[u8] = b"\"\\=+-.eE09,:{}[] tfn";
+
+    fn rxpk(rng: &mut StdRng) -> RxPacket {
+        // Data frames, join-request-shaped frames, and frames too short
+        // to carry a DevAddr.
+        let len = match rng.gen_range(0..4u8) {
+            0 => 23,
+            1 => rng.gen_range(0..12usize),
+            _ => rng.gen_range(12..48usize),
+        };
+        let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+        RxPacket {
+            tmst: rng.gen_range(0..=u64::MAX) >> rng.gen_range(0..64u32),
+            freq: rng.gen_range(137.0..1020.0),
+            chan: rng.gen_range(0..64),
+            rfch: rng.gen_range(0..2),
+            stat: 1,
+            modu: "LORA".to_string(),
+            datr: "SF7BW125".to_string(),
+            codr: "4/5".to_string(),
+            rssi: rng.gen_range(-140..0),
+            lsnr: rng.gen_range(-300..=150i64) as f64 / 10.0,
+            size: len,
+            data: b64::encode(&payload),
+            trce: rng.gen_range(0..=u64::MAX) >> rng.gen_range(0..64u32),
+        }
+    }
+
+    fn mutation_byte(rng: &mut StdRng) -> u8 {
+        if rng.gen_bool(0.75) {
+            STRUCTURAL[rng.gen_range(0..STRUCTURAL.len())]
+        } else {
+            rng.gen_range(0..=255u8)
+        }
+    }
+
+    /// Respell one number of the JSON from number bytes, so the number
+    /// grammar is exercised far beyond what single-byte edits reach.
+    fn respell_a_number(wire: &mut Vec<u8>, rng: &mut StdRng) {
+        let starts: Vec<usize> = (13..wire.len())
+            .filter(|&i| wire[i - 1] == b':' && (wire[i] == b'-' || wire[i].is_ascii_digit()))
+            .collect();
+        if starts.is_empty() {
+            return;
+        }
+        let at = starts[rng.gen_range(0..starts.len())];
+        let end = (at..wire.len())
+            .find(|&i| !is_number_byte(wire[i]))
+            .unwrap_or(wire.len());
+        const SPELL: &[u8] = b"0123456789..eE+--";
+        let text: Vec<u8> = (0..rng.gen_range(0..8usize))
+            .map(|_| SPELL[rng.gen_range(0..SPELL.len())])
+            .collect();
+        wire.splice(at..end, text);
+    }
+
+    fn mutate(wire: &mut Vec<u8>, rng: &mut StdRng) {
+        for _ in 0..rng.gen_range(0..=3u8) {
+            let at = rng.gen_range(0..wire.len());
+            match rng.gen_range(0..4u8) {
+                0 => wire[at] = mutation_byte(rng),
+                1 => wire.insert(at, mutation_byte(rng)),
+                2 => {
+                    if wire.len() > 1 {
+                        wire.remove(at);
+                    }
+                }
+                _ => respell_a_number(wire, rng),
+            }
+        }
+    }
+
+    /// A [`FastRx`] with its SNR as bits, so equality is identity.
+    type RxBits = (u64, u64, u64, Option<u32>, Option<u16>);
+
+    fn bits(rxs: &[FastRx]) -> Vec<RxBits> {
+        rxs.iter()
+            .map(|r| (r.tmst, r.lsnr.to_bits(), r.trce, r.dev_addr, r.fcnt))
+            .collect()
+    }
+
+    #[test]
+    fn rebuilt_parser_equals_the_old_scanner_on_mutated_wires() {
+        let mut rng = StdRng::seed_from_u64(0x0F45_7A11);
+        let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+        let (mut new_scratch, mut old_scratch) = (Vec::new(), Vec::new());
+        let (mut oks, mut errs) = (0usize, 0usize);
+        for case in 0..WIRES {
+            let rxpk = (0..rng.gen_range(0..=3u8))
+                .map(|_| rxpk(&mut rng))
+                .collect();
+            let mut wire = Datagram::PushData {
+                token: rng.gen_range(0..=u16::MAX),
+                eui: GatewayEui(rng.gen_range(0..=u64::MAX)),
+                rxpk,
+            }
+            .encode();
+            mutate(&mut wire, &mut rng);
+            new_out.clear();
+            old_out.clear();
+            let new = parse_push_data(&wire, &mut new_out, &mut new_scratch);
+            let old = oracle::parse_push_data(&wire, &mut old_out, &mut old_scratch);
+            let shown = String::from_utf8_lossy(&wire);
+            assert_eq!(new, old, "case {case}: {shown}");
+            // Also what an `Err` leaves behind in the caller's vector.
+            assert_eq!(bits(&new_out), bits(&old_out), "case {case}: {shown}");
+            match new {
+                Ok(_) => oks += 1,
+                Err(_) => errs += 1,
+            }
+        }
+        assert!(oks * 10 >= WIRES, "only {oks} of {WIRES} wires parsed");
+        assert!(
+            errs * 10 >= WIRES,
+            "only {errs} of {WIRES} wires were rejected"
+        );
+    }
+
+    fn scanner(text: &str) -> Scanner<'_> {
+        Scanner {
+            b: text.as_bytes(),
+            i: 0,
+        }
+    }
+
+    fn lsnr_of(text: &str) -> Result<f64, FastError> {
+        scanner(text).parse_f64()
+    }
+
+    #[test]
+    fn exact_decimals_equal_str_parse_by_bits() {
+        let mut rng = StdRng::seed_from_u64(0xDEC1_3A15);
+        for _ in 0..DECIMALS {
+            let int_digits = rng.gen_range(1..=15usize);
+            let frac_digits = rng.gen_range(0..=15 - int_digits);
+            let mut text = String::new();
+            if rng.gen_bool(0.5) {
+                text.push('-');
+            }
+            for _ in 0..int_digits {
+                text.push((b'0' + rng.gen_range(0..10u8)) as char);
+            }
+            if frac_digits > 0 {
+                text.push('.');
+                for _ in 0..frac_digits {
+                    text.push((b'0' + rng.gen_range(0..10u8)) as char);
+                }
+            }
+            let mut s = scanner(&text);
+            let exact = s.exact_decimal().expect("within the exact path");
+            assert_eq!(s.i, text.len(), "{text}");
+            let reference: f64 = text.parse().expect("a decimal");
+            assert_eq!(exact.to_bits(), reference.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn spellings_outside_the_exact_path_fall_through_to_str_parse() {
+        for text in [
+            "1234567890123456",
+            "0.1234567890123456",
+            "1e3",
+            "-2.5E-3",
+            "+5",
+            ".5",
+            "5.",
+            "-.5",
+        ] {
+            assert_eq!(scanner(text).exact_decimal(), None, "{text}");
+            let reference: f64 = text.parse().expect("str::parse takes it");
+            assert_eq!(lsnr_of(text).map(f64::to_bits), Ok(reference.to_bits()));
+        }
+        for text in ["", "-", ".", "+", "1e", "1.2.3", "1-2", "--1", "e5"] {
+            assert_eq!(lsnr_of(text), Err(FastError::Json(0)), "{text:?}");
+        }
+        assert_eq!(lsnr_of("-0.0").map(f64::to_bits), Ok((-0.0f64).to_bits()));
     }
 }
 

@@ -165,9 +165,16 @@ impl Registry {
         Registry::default()
     }
 
-    /// Add `by` to counter `name` (creating it at zero).
+    /// Add `by` to counter `name` (creating it at zero). Like
+    /// [`Registry::observe`] and [`Registry::set_gauge`], allocates only
+    /// the first time a name is seen: daemons call these per datagram.
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Read counter `name` (0 if never incremented).
@@ -177,7 +184,12 @@ impl Registry {
 
     /// Set gauge `name` to `value`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        match self.gauges.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Read gauge `name`, if set.
@@ -188,10 +200,14 @@ impl Registry {
     /// Record `v` into histogram `name`, creating it with `bounds` on
     /// first use.
     pub fn observe(&mut self, name: &str, bounds: &[u64], v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::new(bounds);
+                h.observe(v);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// Read histogram `name`, if any sample was recorded.

@@ -77,6 +77,12 @@ impl Default for NetServerConfig {
     }
 }
 
+/// Distinct gateways served. The dense id is a `u16`, and both
+/// per-gateway tables are keyed by an EUI any sender can make up: past
+/// this many, a new EUI is refused instead of aliasing an old id or
+/// growing the tables without bound.
+const MAX_GATEWAYS: usize = u16::MAX as usize;
+
 struct ReceiverShared {
     registry: Arc<Mutex<Registry>>,
     /// Gateway EUI → dense id handed to the dedup layer.
@@ -88,10 +94,43 @@ struct ReceiverShared {
 }
 
 impl ReceiverShared {
-    fn gw_id(&self, eui: u64) -> u16 {
+    /// The dense id of gateway `eui`, handed out on first sight;
+    /// `None` once [`MAX_GATEWAYS`] others hold one.
+    fn gw_id(&self, eui: u64) -> Option<u16> {
         let mut ids = self.gw_ids.lock();
-        let next = ids.len() as u16;
-        *ids.entry(eui).or_insert(next)
+        if let Some(&id) = ids.get(&eui) {
+            return Some(id);
+        }
+        if ids.len() >= MAX_GATEWAYS {
+            drop(ids);
+            self.reject_gateway();
+            return None;
+        }
+        let id = ids.len() as u16;
+        ids.insert(eui, id);
+        Some(id)
+    }
+
+    /// Point gateway `eui`'s downlink route at `peer`: `Some(true)` for
+    /// a gateway's first route, `None` when [`MAX_GATEWAYS`] others
+    /// hold one.
+    fn set_pull_route(&self, eui: u64, peer: SocketAddr) -> Option<bool> {
+        let mut routes = self.pull_routes.lock();
+        if let Some(route) = routes.get_mut(&eui) {
+            *route = peer;
+            return Some(false);
+        }
+        if routes.len() >= MAX_GATEWAYS {
+            drop(routes);
+            self.reject_gateway();
+            return None;
+        }
+        routes.insert(eui, peer);
+        Some(true)
+    }
+
+    fn reject_gateway(&self) {
+        self.registry.lock().inc("svc_gateways_rejected_total", 1);
     }
 
     fn emit(&self, ev: ObsEvent) {
@@ -362,6 +401,8 @@ fn receiver_loop(
     let mut scratch: Vec<u8> = Vec::with_capacity(256);
     // Per-shard staging buffers, reused across datagrams.
     let mut staged: Vec<Vec<PacketIn>> = (0..router.shard_count()).map(|_| Vec::new()).collect();
+    // The ids this receiver has resolved, see `local_gw_id`.
+    let mut gw_ids: Vec<(u64, u16)> = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
         let (len, peer) = match socket.recv_from(&mut buf) {
             Ok(x) => x,
@@ -380,9 +421,13 @@ fn receiver_loop(
                 rxs.clear();
                 match parse_push_data(datagram, &mut rxs, &mut scratch) {
                     Ok(head) => {
+                        let Some(gw) = local_gw_id(&mut gw_ids, &shared, head.eui) else {
+                            // Not served: no ACK, nothing routed.
+                            shared.registry.lock().inc("svc_datagrams_total", 1);
+                            continue;
+                        };
                         let ack = [datagram[0], datagram[1], datagram[2], 0x01];
                         let _ = socket.send_to(&ack, peer);
-                        let gw = shared.gw_id(head.eui);
                         let mut keyed = 0u64;
                         let mut unkeyed = 0u64;
                         let mut trace0 = 0u64;
@@ -407,10 +452,12 @@ fn receiver_loop(
                         }
                         for (shard, pkts) in staged.iter_mut().enumerate() {
                             if !pkts.is_empty() {
+                                // The next datagram stages about as many.
+                                let next = Vec::with_capacity(pkts.len());
                                 router.send(
                                     shard,
                                     Batch {
-                                        pkts: std::mem::take(pkts),
+                                        pkts: std::mem::replace(pkts, next),
                                         recv,
                                     },
                                 );
@@ -432,15 +479,15 @@ fn receiver_loop(
                             pkts: rxs.len() as u32,
                         });
                     }
-                    Err(_) => {
-                        shared.registry.lock().inc("svc_malformed_total", 1);
-                    }
+                    Err(_) => count_malformed(&shared),
                 }
             }
             // PULL_DATA: ack and record the downlink route.
             Some(0x02) if len >= 12 => {
                 let eui = u64::from_be_bytes(buf[4..12].try_into().expect("len checked"));
-                let first = shared.pull_routes.lock().insert(eui, peer).is_none();
+                let Some(first) = shared.set_pull_route(eui, peer) else {
+                    continue;
+                };
                 let ack = [datagram[0], datagram[1], datagram[2], 0x04];
                 let _ = socket.send_to(&ack, peer);
                 let mut reg = shared.registry.lock();
@@ -459,9 +506,167 @@ fn receiver_loop(
             Some(0x05) => {
                 shared.registry.lock().inc("svc_tx_ack_total", 1);
             }
-            _ => {
-                shared.registry.lock().inc("svc_malformed_total", 1);
-            }
+            _ => count_malformed(&shared),
         }
+    }
+}
+
+/// Gateway `eui`'s dense id from a receiver's own list (sorted by EUI),
+/// which asks the shared table, and takes its lock, only for an EUI it
+/// has not resolved before.
+fn local_gw_id(known: &mut Vec<(u64, u16)>, shared: &ReceiverShared, eui: u64) -> Option<u16> {
+    match known.binary_search_by_key(&eui, |&(eui, _)| eui) {
+        Ok(at) => Some(known[at].1),
+        Err(at) => {
+            let id = shared.gw_id(eui)?;
+            known.insert(at, (eui, id));
+            Some(id)
+        }
+    }
+}
+
+/// A PUSH_DATA that does not parse, or a datagram of no known kind. It
+/// counts as a datagram too: `svc_datagrams_total` is the denominator
+/// of the `malformed-burn` SLO, which has to see a flood of nothing
+/// but these.
+fn count_malformed(shared: &ReceiverShared) {
+    let mut reg = shared.registry.lock();
+    reg.inc("svc_datagrams_total", 1);
+    reg.inc("svc_malformed_total", 1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gateway::forwarder::codec::{GatewayEui, RxPacket};
+    use lora_mac::device::{DevAddr, SessionKeys};
+    use lora_mac::frame::PhyPayload;
+    use lora_phy::channel::Channel;
+    use lora_phy::types::SpreadingFactor;
+
+    #[test]
+    fn gateway_tables_stop_at_the_cap() {
+        let shared = ReceiverShared {
+            registry: Arc::new(Mutex::new(Registry::new())),
+            gw_ids: Mutex::new(HashMap::new()),
+            pull_routes: Mutex::new(HashMap::new()),
+            sink: None,
+            started: Instant::now(),
+        };
+        let eui = |i: usize| 0xA000_0000_0000_0000 | i as u64;
+        let peer: SocketAddr = (Ipv4Addr::LOCALHOST, 1700).into();
+        const SPOOFED: usize = 70_000;
+        for i in 0..SPOOFED {
+            // Ids are dense in order of first sight, so distinct.
+            let served = (i < MAX_GATEWAYS).then_some(i as u16);
+            assert_eq!(shared.gw_id(eui(i)), served, "gateway {i}");
+            assert_eq!(shared.set_pull_route(eui(i), peer), served.map(|_| true));
+        }
+        assert_eq!(shared.gw_ids.lock().len(), MAX_GATEWAYS);
+        assert_eq!(shared.pull_routes.lock().len(), MAX_GATEWAYS);
+        let rejected = 2 * (SPOOFED - MAX_GATEWAYS) as u64;
+        assert_eq!(
+            shared
+                .registry
+                .lock()
+                .counter("svc_gateways_rejected_total"),
+            rejected
+        );
+        // A full table still serves the gateways in it, unchanged.
+        for i in (0..MAX_GATEWAYS).step_by(97) {
+            assert_eq!(shared.gw_id(eui(i)), Some(i as u16));
+            assert_eq!(shared.set_pull_route(eui(i), peer), Some(false));
+        }
+        assert_eq!(
+            shared
+                .registry
+                .lock()
+                .counter("svc_gateways_rejected_total"),
+            rejected
+        );
+    }
+
+    /// Send `wires` to a daemon with the default SLO rules on a 20 ms
+    /// sampler, a hundred at a time so the socket buffer never sheds,
+    /// and return the breaches fired by the time every one of them is
+    /// in a closed frame.
+    fn breaches_after(wires: &[Vec<u8>]) -> u64 {
+        let cfg = NetServerConfig {
+            series_interval_ms: 20,
+            ..NetServerConfig::default()
+        };
+        let daemon = NetServerDaemon::start(cfg, None).expect("daemon starts");
+        let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        let wait = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let mut sent = 0u64;
+        for burst in wires.chunks(100) {
+            for wire in burst {
+                socket.send_to(wire, daemon.addr()).expect("send");
+            }
+            sent += burst.len() as u64;
+            wait("daemon lost datagrams", &|| {
+                daemon.counter("svc_datagrams_total") == sent
+            });
+        }
+        wait("sampler never closed the frames", &|| {
+            let frames = daemon.series().frames;
+            let framed = frames.iter().map(|f| f.counter("svc_datagrams_total"));
+            framed.sum::<u64>() == sent
+        });
+        // The tick that closed the last frame evaluated the rules under
+        // the same lock; its breaches are counted a moment later.
+        let grace = Instant::now() + Duration::from_millis(200);
+        while daemon.slo_breaches() == 0 && Instant::now() < grace {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let breaches = daemon.slo_breaches();
+        daemon.shutdown();
+        breaches
+    }
+
+    #[test]
+    fn malformed_burn_sees_a_flood_of_nothing_but_malformed() {
+        let keys = SessionKeys {
+            nwk_s_key: [0x13; 16],
+            app_s_key: [0x57; 16],
+        };
+        let good: Vec<Vec<u8>> = (0..1_000u32)
+            .map(|i| {
+                let phy = PhyPayload::uplink(DevAddr(0x2601_0000 + i), 1, 1, &[0u8; 4])
+                    .encode(&keys)
+                    .expect("encodes");
+                let rx = RxPacket::new(
+                    1_000 * i as u64,
+                    Channel::khz125(916_800_000),
+                    SpreadingFactor::SF7,
+                    -95.0,
+                    6.5,
+                    &phy,
+                );
+                Datagram::PushData {
+                    token: i as u16,
+                    eui: GatewayEui(7),
+                    rxpk: vec![rx],
+                }
+                .encode()
+            })
+            .collect();
+        // Half unparseable PUSH_DATA, half datagrams of no known kind.
+        let malformed: Vec<Vec<u8>> = (0..1_000u32)
+            .map(|i| {
+                let mut wire = vec![2, 0, 0, if i % 2 == 0 { 0x00 } else { 0x7f }];
+                wire.extend_from_slice(&7u64.to_be_bytes());
+                wire.extend_from_slice(br#"{"rxpk":[{"tmst":}]}"#);
+                wire
+            })
+            .collect();
+        assert!(breaches_after(&malformed) >= 1, "all-malformed flood");
+        assert_eq!(breaches_after(&good), 0, "all-good traffic");
     }
 }

@@ -31,10 +31,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Ingest-latency histogram bounds (µs): socket receive → dedup
-/// decision recorded. Loopback ingest sits in the tens of µs; the tail
-/// buckets catch scheduling stalls under overload.
-pub const INGEST_LATENCY_BOUNDS_US: [u64; 10] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000,
+/// decision recorded. Loopback ingest takes 10–40 µs a datagram, so the
+/// head buckets resolve queue wait building up below saturation; the
+/// tail buckets catch scheduling stalls under overload.
+pub const INGEST_LATENCY_BOUNDS_US: [u64; 13] = [
+    5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000,
 ];
 
 /// Plan-serve latency histogram bounds (µs) for `masterd`.
@@ -275,6 +276,9 @@ fn shard_worker(
     while let Ok(batch) = receiver.recv() {
         let _sp = obs::span::enter(obs::span::SpanId::SvcBatch);
         let (mut new, mut dup, mut late) = (0u64, 0u64, 0u64);
+        // Sampled once per batch: a sink switched mid-batch is seen
+        // from the next one.
+        let traced = sink.as_ref().filter(|s| s.lock().enabled());
         for p in &batch.pkts {
             let copy = UplinkCopy {
                 dev_addr: DevAddr(p.dev),
@@ -284,9 +288,9 @@ fn shard_worker(
                 received_us: p.t_us,
                 trace: p.trace,
             };
-            let outcome = match &sink {
-                Some(s) if s.lock().enabled() => dedup.offer_obs(copy, &mut *s.lock()),
-                _ => dedup.offer(copy),
+            let outcome = match traced {
+                Some(s) => dedup.offer_obs(copy, &mut *s.lock()),
+                None => dedup.offer(copy),
             };
             match outcome {
                 DedupOutcome::New => new += 1,
