@@ -28,6 +28,7 @@
 pub mod endpoint;
 pub mod loadgen;
 pub mod masterd;
+mod mmsg;
 pub mod netserverd;
 pub mod report;
 pub mod runtime;

@@ -8,8 +8,21 @@
 //! `PULL_RESP` back; `TX_ACK` is counted. Receiver threads share one
 //! bound socket via `try_clone` (std has no `SO_REUSEPORT`), so the
 //! kernel's socket buffer is the single shared ingress queue.
+//!
+//! A receiver works a **drain** at a time: it blocks for one datagram
+//! and takes whatever else the socket already holds in the same call
+//! (`crate::mmsg`, up to 16), parses and counts each as it would alone,
+//! sends the drain's ACKs with one call, and only then hands every
+//! shard *one* [`Batch`] and takes the registry lock *once*. What a
+//! datagram costs beyond its parse is a thread wake-up per hand-off,
+//! not the system calls, so a drain of n datagrams costs about 1/n of
+//! n drains of one; and since a drain is whatever queued up while the
+//! last one was worked, an idle daemon drains one datagram at a time
+//! (nothing waits to fill a batch) and a loaded one batches by itself.
+//! `svc_drain_datagrams` is the histogram of n.
 
 use crate::endpoint::{HttpEndpoint, HttpHandler};
+use crate::mmsg::{Ring, RING};
 use crate::report::LatencyQuantiles;
 use crate::runtime::{render_decisions, Batch, PacketIn, ShardPool, ShardRouter, SharedObs};
 use crate::telemetry::{self, FlightTee, Sampler, SharedFlight};
@@ -83,6 +96,15 @@ impl Default for NetServerConfig {
 /// growing the tables without bound.
 const MAX_GATEWAYS: usize = u16::MAX as usize;
 
+/// Packets staged for one shard before they are handed over in the
+/// middle of a drain: the bound of a [`Batch`], which a drain of
+/// [`RING`] datagrams of any number of rxpk would otherwise not have.
+const HAND_OFF_PKTS: usize = 256;
+
+/// Bucket bounds of `svc_drain_datagrams`, the datagrams one receive
+/// call returned: up to the ring's length.
+const DRAIN_BOUNDS: [u64; 5] = [1, 2, 4, 8, RING as u64];
+
 struct ReceiverShared {
     registry: Arc<Mutex<Registry>>,
     /// Gateway EUI → dense id handed to the dedup layer.
@@ -133,11 +155,13 @@ impl ReceiverShared {
         self.registry.lock().inc("svc_gateways_rejected_total", 1);
     }
 
-    fn emit(&self, ev: ObsEvent) {
+    /// Record `ev()` if a sink is attached and enabled; the event is
+    /// not built (and the clock not read) otherwise.
+    fn emit(&self, ev: impl FnOnce() -> ObsEvent) {
         if let Some(s) = &self.sink {
             let mut s = s.lock();
             if s.enabled() {
-                s.record(&ev);
+                s.record(&ev());
             }
         }
     }
@@ -390,124 +414,187 @@ impl NetServerDaemon {
     }
 }
 
+/// Datagrams of one drain by kind, and the packets they carried: what
+/// the registry is told under one lock when the drain is done.
+#[derive(Default)]
+struct DrainCounts {
+    /// PUSH_DATA (parsed or not) and datagrams of no known kind.
+    datagrams: u64,
+    malformed: u64,
+    push_acks: u64,
+    pkts: u64,
+    unkeyed: u64,
+    pull_data: u64,
+    gateways_seen: u64,
+    tx_acks: u64,
+}
+
+impl DrainCounts {
+    /// A PUSH_DATA that does not parse, or a datagram of no known kind.
+    /// It counts as a datagram too: `svc_datagrams_total` is the
+    /// denominator of the `malformed-burn` SLO, which has to see a flood
+    /// of nothing but these.
+    fn malformed(&mut self) {
+        self.datagrams += 1;
+        self.malformed += 1;
+    }
+
+    /// Add a drain of `drained` datagrams to the registry.
+    fn publish(&self, drained: usize, registry: &Mutex<Registry>) {
+        let mut reg = registry.lock();
+        for (name, by) in [
+            ("svc_datagrams_total", self.datagrams),
+            ("svc_malformed_total", self.malformed),
+            ("svc_push_ack_total", self.push_acks),
+            ("svc_pkts_total", self.pkts),
+            ("svc_pkts_unkeyed_total", self.unkeyed),
+            ("svc_pull_data_total", self.pull_data),
+            ("svc_gateways_seen", self.gateways_seen),
+            ("svc_tx_ack_total", self.tx_acks),
+        ] {
+            if by > 0 {
+                reg.inc(name, by);
+            }
+        }
+        reg.observe("svc_drain_datagrams", &DRAIN_BOUNDS, drained as u64);
+    }
+}
+
+/// Hand `shard` the packets staged for it, as one batch.
+fn hand_off(shard: usize, pkts: &mut Vec<PacketIn>, router: &ShardRouter, recv: Instant) {
+    if pkts.is_empty() {
+        return;
+    }
+    // The next drain stages about as many.
+    let next = Vec::with_capacity(pkts.len());
+    let pkts = std::mem::replace(pkts, next);
+    router.send(shard, Batch { pkts, recv });
+}
+
+/// What a failed receive means. The read timeout is the shutdown poll;
+/// any other error (`EINTR`, `ENOBUFS`, ...) is counted in
+/// `svc_recv_errors_total` and waited out, so that one that persists
+/// does not spin. None ends the loop: a daemon that went deaf would
+/// give no other sign.
+fn pause_after_recv_error(e: &io::Error, registry: &Mutex<Registry>) -> Option<Duration> {
+    if matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    ) {
+        return None;
+    }
+    registry.lock().inc("svc_recv_errors_total", 1);
+    Some(Duration::from_millis(1))
+}
+
 fn receiver_loop(
     socket: UdpSocket,
     router: ShardRouter,
     shared: Arc<ReceiverShared>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let mut buf = [0u8; 65_536];
+    let mut ring = Ring::new();
     let mut rxs: Vec<FastRx> = Vec::with_capacity(128);
     let mut scratch: Vec<u8> = Vec::with_capacity(256);
-    // Per-shard staging buffers, reused across datagrams.
+    // Per-shard staging buffers, reused across drains.
     let mut staged: Vec<Vec<PacketIn>> = (0..router.shard_count()).map(|_| Vec::new()).collect();
     // The ids this receiver has resolved, see `local_gw_id`.
     let mut gw_ids: Vec<(u64, u16)> = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
-        let (len, peer) = match socket.recv_from(&mut buf) {
-            Ok(x) => x,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
+        let drained = match ring.recv(&socket) {
+            Ok(n) => n,
+            Err(e) => {
+                if let Some(pause) = pause_after_recv_error(&e, &shared.registry) {
+                    std::thread::sleep(pause);
+                }
+                continue;
             }
-            Err(_) => break,
         };
         let recv = Instant::now();
-        let datagram = &buf[..len];
-        match datagram.get(3) {
-            // PUSH_DATA: ack, parse, route.
-            Some(0x00) => {
-                rxs.clear();
-                match parse_push_data(datagram, &mut rxs, &mut scratch) {
-                    Ok(head) => {
-                        let Some(gw) = local_gw_id(&mut gw_ids, &shared, head.eui) else {
-                            // Not served: no ACK, nothing routed.
-                            shared.registry.lock().inc("svc_datagrams_total", 1);
+        let mut counts = DrainCounts::default();
+        for slot in 0..drained {
+            let datagram = ring.datagram(slot);
+            match datagram.get(3) {
+                // PUSH_DATA: ack, parse, stage.
+                Some(0x00) => {
+                    rxs.clear();
+                    let Ok(head) = parse_push_data(datagram, &mut rxs, &mut scratch) else {
+                        counts.malformed();
+                        continue;
+                    };
+                    counts.datagrams += 1;
+                    let Some(gw) = local_gw_id(&mut gw_ids, &shared, head.eui) else {
+                        // Not served: no ACK, nothing routed.
+                        continue;
+                    };
+                    let ack = [datagram[0], datagram[1], datagram[2], 0x01];
+                    ring.ack(slot, ack);
+                    counts.push_acks += 1;
+                    let mut trace0 = 0u64;
+                    for rx in &rxs {
+                        let (Some(dev), Some(fcnt)) = (rx.dev_addr, rx.fcnt) else {
+                            counts.unkeyed += 1;
                             continue;
                         };
-                        let ack = [datagram[0], datagram[1], datagram[2], 0x01];
-                        let _ = socket.send_to(&ack, peer);
-                        let mut keyed = 0u64;
-                        let mut unkeyed = 0u64;
-                        let mut trace0 = 0u64;
-                        for rx in &rxs {
-                            match (rx.dev_addr, rx.fcnt) {
-                                (Some(dev), Some(fcnt)) => {
-                                    keyed += 1;
-                                    if trace0 == 0 {
-                                        trace0 = rx.trce;
-                                    }
-                                    staged[router.shard_of(dev)].push(PacketIn {
-                                        dev,
-                                        fcnt,
-                                        gw,
-                                        t_us: rx.tmst,
-                                        snr_db: rx.lsnr as f32,
-                                        trace: rx.trce,
-                                    });
-                                }
-                                _ => unkeyed += 1,
-                            }
+                        counts.pkts += 1;
+                        if trace0 == 0 {
+                            trace0 = rx.trce;
                         }
-                        for (shard, pkts) in staged.iter_mut().enumerate() {
-                            if !pkts.is_empty() {
-                                // The next datagram stages about as many.
-                                let next = Vec::with_capacity(pkts.len());
-                                router.send(
-                                    shard,
-                                    Batch {
-                                        pkts: std::mem::replace(pkts, next),
-                                        recv,
-                                    },
-                                );
-                            }
-                        }
-                        {
-                            let mut reg = shared.registry.lock();
-                            reg.inc("svc_datagrams_total", 1);
-                            reg.inc("svc_pkts_total", keyed);
-                            if unkeyed > 0 {
-                                reg.inc("svc_pkts_unkeyed_total", unkeyed);
-                            }
-                            reg.inc("svc_push_ack_total", 1);
-                        }
-                        shared.emit(ObsEvent::SvcIngest {
-                            wall_us: shared.wall_us(),
-                            trace: trace0,
-                            gw: head.eui,
-                            pkts: rxs.len() as u32,
+                        let shard = router.shard_of(dev);
+                        let to = &mut staged[shard];
+                        to.push(PacketIn {
+                            dev,
+                            fcnt,
+                            gw,
+                            t_us: rx.tmst,
+                            snr_db: rx.lsnr as f32,
+                            trace: rx.trce,
                         });
+                        if to.len() >= HAND_OFF_PKTS {
+                            // No packet is routed before its datagram's
+                            // ACK has left.
+                            ring.flush_acks(&socket);
+                            hand_off(shard, to, &router, recv);
+                        }
                     }
-                    Err(_) => count_malformed(&shared),
-                }
-            }
-            // PULL_DATA: ack and record the downlink route.
-            Some(0x02) if len >= 12 => {
-                let eui = u64::from_be_bytes(buf[4..12].try_into().expect("len checked"));
-                let Some(first) = shared.set_pull_route(eui, peer) else {
-                    continue;
-                };
-                let ack = [datagram[0], datagram[1], datagram[2], 0x04];
-                let _ = socket.send_to(&ack, peer);
-                let mut reg = shared.registry.lock();
-                reg.inc("svc_pull_data_total", 1);
-                drop(reg);
-                if first {
-                    shared.registry.lock().inc("svc_gateways_seen", 1);
-                    shared.emit(ObsEvent::SvcAccept {
+                    shared.emit(|| ObsEvent::SvcIngest {
                         wall_us: shared.wall_us(),
-                        conn: SvcConn::Udp,
-                        peer: eui,
+                        trace: trace0,
+                        gw: head.eui,
+                        pkts: rxs.len() as u32,
                     });
                 }
+                // PULL_DATA: ack and record the downlink route.
+                Some(0x02) if datagram.len() >= 12 => {
+                    let eui = u64::from_be_bytes(datagram[4..12].try_into().expect("len checked"));
+                    let first = ring
+                        .peer(slot)
+                        .and_then(|peer| shared.set_pull_route(eui, peer));
+                    let Some(first) = first else {
+                        continue;
+                    };
+                    let ack = [datagram[0], datagram[1], datagram[2], 0x04];
+                    ring.ack(slot, ack);
+                    counts.pull_data += 1;
+                    if first {
+                        counts.gateways_seen += 1;
+                        shared.emit(|| ObsEvent::SvcAccept {
+                            wall_us: shared.wall_us(),
+                            conn: SvcConn::Udp,
+                            peer: eui,
+                        });
+                    }
+                }
+                // TX_ACK: downlink confirmed by the gateway.
+                Some(0x05) => counts.tx_acks += 1,
+                _ => counts.malformed(),
             }
-            // TX_ACK: downlink confirmed by the gateway.
-            Some(0x05) => {
-                shared.registry.lock().inc("svc_tx_ack_total", 1);
-            }
-            _ => count_malformed(&shared),
         }
+        ring.flush_acks(&socket);
+        for (shard, pkts) in staged.iter_mut().enumerate() {
+            hand_off(shard, pkts, &router, recv);
+        }
+        counts.publish(drained, &shared.registry);
     }
 }
 
@@ -523,16 +610,6 @@ fn local_gw_id(known: &mut Vec<(u64, u16)>, shared: &ReceiverShared, eui: u64) -
             Some(id)
         }
     }
-}
-
-/// A PUSH_DATA that does not parse, or a datagram of no known kind. It
-/// counts as a datagram too: `svc_datagrams_total` is the denominator
-/// of the `malformed-burn` SLO, which has to see a flood of nothing
-/// but these.
-fn count_malformed(shared: &ReceiverShared) {
-    let mut reg = shared.registry.lock();
-    reg.inc("svc_datagrams_total", 1);
-    reg.inc("svc_malformed_total", 1);
 }
 
 #[cfg(test)]
@@ -584,6 +661,25 @@ mod tests {
                 .counter("svc_gateways_rejected_total"),
             rejected
         );
+    }
+
+    #[test]
+    fn no_receive_error_ends_the_loop_and_only_timeouts_go_uncounted() {
+        let registry = Mutex::new(Registry::new());
+        let errors = || registry.lock().counter("svc_recv_errors_total");
+        // The 50 ms shutdown poll, in either spelling.
+        for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+            assert_eq!(pause_after_recv_error(&kind.into(), &registry), None);
+        }
+        assert_eq!(errors(), 0);
+        // EINTR, and one nobody thought of: counted, paused, survived.
+        let eintr = io::Error::from(io::ErrorKind::Interrupted);
+        let other = io::Error::other("ENOBUFS or worse");
+        for (seen, e) in [eintr, other].iter().enumerate() {
+            let pause = pause_after_recv_error(e, &registry).expect("counted");
+            assert!(!pause.is_zero(), "a persistent error must not spin");
+            assert_eq!(errors(), seen as u64 + 1);
+        }
     }
 
     /// Send `wires` to a daemon with the default SLO rules on a 20 ms

@@ -10,8 +10,10 @@
 //! full, which stalls the receiver; further datagrams then queue in the
 //! kernel socket buffer and are shed there once it overflows. The
 //! daemon's own memory stays bounded by `shards × capacity` in-flight
-//! batches plus the capped decision log — load shedding happens at the
-//! kernel boundary, never by unbounded buffering.
+//! batches (a batch is one receive drain's share, handed over early
+//! once 256 packets are staged, so never more) plus the capped
+//! decision log — load shedding happens at the kernel boundary, never
+//! by unbounded buffering.
 //!
 //! Correctness contract: because a shard processes its offers in a
 //! single thread, replaying any shard's decision log through a fresh
@@ -58,14 +60,15 @@ pub struct PacketIn {
     pub trace: u64,
 }
 
-/// A batch of copies routed to one shard (all copies of one datagram
-/// that hashed to that shard), stamped with the socket receive instant
-/// so the worker can measure ingest latency.
+/// A batch of copies routed to one shard (the copies of one receive
+/// drain that hashed to that shard, in arrival order; the receiver
+/// caps how many), stamped with the socket receive instant so the
+/// worker can measure ingest latency.
 #[derive(Debug)]
 pub struct Batch {
     /// The copies routed to this shard.
     pub pkts: Vec<PacketIn>,
-    /// Socket receive instant of the carrying datagram.
+    /// The instant the carrying drain's receive call returned.
     pub recv: Instant,
 }
 

@@ -8,9 +8,16 @@
 //! datagrams of every size, on a wire damaged at every byte, and
 //! through a live daemon whose decisions must be those of an
 //! in-process deduplicator fed by the reference decoder.
+//!
+//! The daemon takes its socket a *drain* at a time (every datagram the
+//! socket holds in one `recvmmsg`, ACKs by one `sendmmsg`, one hand-off
+//! per shard), so the same holds for bursts: what a burst of every kind
+//! of datagram is ACKed, decided and counted as must be what the
+//! datagrams give one by one, over IPv4 and IPv6, and under a flood the
+//! shards cannot keep up with no ACKed packet may go undecided.
 
 use alphawan_system::gateway::forwarder::b64;
-use alphawan_system::gateway::forwarder::codec::{Datagram, GatewayEui, RxPacket};
+use alphawan_system::gateway::forwarder::codec::{Datagram, GatewayEui, RxPacket, TxPacket};
 use alphawan_system::gateway::forwarder::fast::{parse_push_data, FastRx};
 use alphawan_system::lora_mac::device::DevAddr;
 use alphawan_system::lora_mac::frame::PhyPayload;
@@ -18,9 +25,10 @@ use alphawan_system::netserver::dedup::{shard_of, Deduplicator, UplinkCopy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::{Ipv4Addr, UdpSocket};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use svc::runtime::Decision;
-use svc::{replay_divergence, NetServerConfig, NetServerDaemon};
+use svc::{http_get, replay_divergence, NetServerConfig, NetServerDaemon};
 
 /// One rxpk in the codec's spelling. Payloads cover data frames,
 /// join-request-shaped frames (23 bytes, no DevAddr to key on) and
@@ -180,6 +188,15 @@ fn a_damaged_wire_never_panics_and_never_grows_packets() {
     }
 }
 
+/// Poll `done` every millisecond; panic with `what` after 20 s.
+fn wait_until(what: &str, done: &dyn Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// The decisions a daemon of `shards` shards must log for `wires`
 /// received in order, by the reference decoder and an in-process
 /// deduplicator per shard; and how many wires the reference rejects.
@@ -253,13 +270,6 @@ fn a_live_daemon_decides_what_the_reference_decoder_would() {
     // One receiver thread and one sender: the daemon sees the wires in
     // order. A few at a time, so its socket buffer never sheds.
     let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
-    let wait = |what: &str, done: &dyn Fn() -> bool| {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while !done() {
-            assert!(Instant::now() < deadline, "timed out: {what}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    };
     let mut sent = 0u64;
     for burst in wires.chunks(16) {
         for wire in burst {
@@ -267,12 +277,12 @@ fn a_live_daemon_decides_what_the_reference_decoder_would() {
             socket.send_to(wire, daemon.addr()).expect("send");
         }
         sent += burst.len() as u64;
-        wait("datagrams received", &|| {
+        wait_until("datagrams received", &|| {
             daemon.counter("svc_datagrams_total") == sent
         });
     }
     let decided = |logs: &[Vec<Decision>]| logs.iter().map(Vec::len).sum::<usize>();
-    wait("decisions logged", &|| {
+    wait_until("decisions logged", &|| {
         decided(&daemon.decisions()) == decided(&expected)
     });
 
@@ -282,4 +292,363 @@ fn a_live_daemon_decides_what_the_reference_decoder_would() {
     assert_eq!(daemon.counter("svc_malformed_total"), rejected);
     assert_eq!(daemon.decisions_dropped(), 0);
     daemon.shutdown();
+}
+
+/// A well-formed PUSH_DATA of exactly the largest UDP payload, 65 507
+/// bytes: a receive slot one byte short would cut its closing brace.
+fn largest_push_data(rng: &mut StdRng) -> Vec<u8> {
+    const LARGEST: usize = 65_507;
+    let encode = |rxs: &[RxPacket]| {
+        Datagram::PushData {
+            token: 0,
+            eui: GatewayEui(0xAA01),
+            rxpk: rxs.to_vec(),
+        }
+        .encode()
+    };
+    let mut rxs = Vec::new();
+    while encode(&rxs).len() < LARGEST - 1_000 {
+        rxs.push(rxpk(rng, -55));
+    }
+    // The last rxpk makes up the length: Base64 grows four characters
+    // per three payload bytes, the digits of `tmst` fill in between.
+    let mut last = rxpk(rng, -55);
+    for payload in 12..1_000usize {
+        let mut phy = vec![0x40, 0x09, 0x00, 0x01, 0x26, 0x00, 0x07, 0x00];
+        phy.resize(payload, 0x5A);
+        last.size = phy.len();
+        last.data = b64::encode(&phy);
+        for tmst in [1, 10, 100, 1_000] {
+            last.tmst = tmst;
+            rxs.push(last.clone());
+            let wire = encode(&rxs);
+            rxs.pop();
+            if wire.len() == LARGEST {
+                return wire;
+            }
+        }
+    }
+    panic!("no rxpk list encodes to {LARGEST} bytes");
+}
+
+/// An rxpk whose payload carries a DevAddr and an FCnt.
+fn keyed_rxpk(rng: &mut StdRng) -> RxPacket {
+    loop {
+        let rx = rxpk(rng, 50);
+        let payload = rx.phy_payload().expect("codec payload");
+        if PhyPayload::peek_dev_addr(&payload).is_some()
+            && PhyPayload::peek_fcnt(&payload).is_some()
+        {
+            return rx;
+        }
+    }
+}
+
+/// What the daemon's counters must read after `wires`, datagram by
+/// datagram, and the ACKs it must have sent, in order.
+#[derive(Debug, Default, PartialEq)]
+struct PerDatagram {
+    datagrams: u64,
+    pkts: u64,
+    unkeyed: u64,
+    push_acks: u64,
+    pull_data: u64,
+    tx_acks: u64,
+    malformed: u64,
+    acks: Vec<[u8; 4]>,
+}
+
+impl PerDatagram {
+    fn of(wires: &[Vec<u8>]) -> PerDatagram {
+        let mut c = PerDatagram::default();
+        for wire in wires {
+            let ack = |kind: u8| [wire[0], wire[1], wire[2], kind];
+            match wire.get(3) {
+                Some(0x00) => {
+                    c.datagrams += 1;
+                    match reference(wire) {
+                        Some((_, _, rxs)) => {
+                            let keyed = rxs.iter().filter(|r| r.dev_addr.is_some()).count();
+                            c.pkts += keyed as u64;
+                            c.unkeyed += (rxs.len() - keyed) as u64;
+                            c.push_acks += 1;
+                            c.acks.push(ack(0x01));
+                        }
+                        None => c.malformed += 1,
+                    }
+                }
+                Some(0x02) if wire.len() >= 12 => {
+                    c.pull_data += 1;
+                    c.acks.push(ack(0x04));
+                }
+                Some(0x05) => c.tx_acks += 1,
+                _ => {
+                    c.datagrams += 1;
+                    c.malformed += 1;
+                }
+            }
+        }
+        c
+    }
+
+    /// The datagrams counted under some name: in this file, all.
+    fn counted(&self) -> u64 {
+        self.datagrams + self.pull_data + self.tx_acks
+    }
+
+    fn read_from(daemon: &NetServerDaemon) -> PerDatagram {
+        PerDatagram {
+            datagrams: daemon.counter("svc_datagrams_total"),
+            pkts: daemon.counter("svc_pkts_total"),
+            unkeyed: daemon.counter("svc_pkts_unkeyed_total"),
+            push_acks: daemon.counter("svc_push_ack_total"),
+            pull_data: daemon.counter("svc_pull_data_total"),
+            tx_acks: daemon.counter("svc_tx_ack_total"),
+            malformed: daemon.counter("svc_malformed_total"),
+            acks: Vec::new(),
+        }
+    }
+}
+
+#[test]
+fn a_burst_is_acked_decided_and_counted_as_its_datagrams_one_by_one() {
+    /// `svc::mmsg::RING`: the datagrams one drain takes at most.
+    const RING: usize = 16;
+    let mut rng = StdRng::seed_from_u64(16);
+    // Every kind of datagram between the codec's PUSH_DATA of 0..=64
+    // rxpk: keepalives, downlink verdicts, wires cut short, a kind
+    // nobody speaks, a PULL_DATA too short to name its gateway.
+    let cuts = truncations(&three_rxpk_wire());
+    let mut wires = Vec::new();
+    for (i, wire) in codec_wires(&mut rng).into_iter().enumerate() {
+        let eui = GatewayEui(0xAA00 + (i as u64 % 4));
+        wires.push(wire);
+        wires.push(Datagram::PullData { token: 0, eui }.encode());
+        wires.push(cuts[(i * 7) % cuts.len()].clone());
+        wires.push(Datagram::TxAck { token: 0, eui }.encode());
+        wires.push(vec![2, 0, 0, 0x7f, 1, 2, 3]);
+        wires.push(vec![2, 0, 0, 0x02, 1, 2, 3]);
+    }
+    wires.push(largest_push_data(&mut rng));
+    // The token is the position in the stream, so every ACK names the
+    // one datagram it answers.
+    for (i, wire) in wires.iter_mut().enumerate() {
+        if let Some(token) = wire.get_mut(1..3) {
+            token.copy_from_slice(&(i as u16).to_be_bytes());
+        }
+    }
+    let expected = PerDatagram::of(&wires);
+    assert!(expected.push_acks == 66 && expected.pull_data == 65 && expected.tx_acks == 65);
+    assert!(expected.malformed > 130, "{expected:?}");
+    assert_eq!(expected.counted(), wires.len() as u64);
+
+    let cfg = NetServerConfig::default();
+    let shards = cfg.shards;
+    let daemon = NetServerDaemon::start(cfg, None).expect("daemon starts");
+    let (decisions, _) = reference_decisions(&wires, shards, daemon.window_us());
+
+    // Back to back and without reading an ACK, in bursts the daemon's
+    // socket buffer holds: up to 48 datagrams or 64 KiB, so the small
+    // wires at the head of the stream make bursts longer than the ring
+    // and the largest datagram is a burst of its own.
+    let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+    socket.connect(daemon.addr()).expect("connect");
+    let (mut sent, mut longest) = (0usize, 0usize);
+    while sent < wires.len() {
+        let mut bytes = 0;
+        let mut burst = 0;
+        while let Some(wire) = wires.get(sent + burst) {
+            if burst > 0 && (burst == 48 || bytes + wire.len() > 65_536) {
+                break;
+            }
+            socket.send(wire).expect("send");
+            bytes += wire.len();
+            burst += 1;
+        }
+        sent += burst;
+        longest = longest.max(burst);
+        wait_until("burst received", &|| {
+            PerDatagram::read_from(&daemon).counted() == sent as u64
+        });
+    }
+    assert!(longest > 2 * RING, "longest burst: {longest} datagrams");
+    let decided = |logs: &[Vec<Decision>]| logs.iter().map(Vec::len).sum::<usize>();
+    wait_until("decisions logged", &|| {
+        decided(&daemon.decisions()) == decided(&decisions)
+    });
+
+    assert_eq!(daemon.decisions(), decisions);
+    assert_eq!(daemon.decisions_dropped(), 0);
+    assert_eq!(daemon.counter("svc_recv_errors_total"), 0);
+    let mut counted = PerDatagram::read_from(&daemon);
+    // One ACK per well-formed PUSH_DATA and PULL_DATA, with its token
+    // and kind, in the order sent; nothing for the rest.
+    socket
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("timeout");
+    let mut buf = [0u8; 16];
+    while let Ok(len) = socket.recv(&mut buf) {
+        counted
+            .acks
+            .push(buf[..len].try_into().expect("four bytes"));
+    }
+    assert_eq!(counted, expected);
+
+    // Every datagram, of whatever kind, was part of exactly one drain.
+    let metrics = http_get(daemon.metrics_addr(), "/metrics").expect("scrape");
+    let drained = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("svc_drain_datagrams_sum "))
+        .expect("drain histogram rendered");
+    assert_eq!(drained.parse::<usize>().expect("a count"), wires.len());
+    assert!(metrics.contains("svc_drain_datagrams_bucket{le=\"16\"}"));
+    daemon.shutdown();
+}
+
+#[test]
+fn an_ipv6_gateway_gets_its_downlink_back() {
+    let v6 = "[::1]:0".parse().expect("address");
+    if UdpSocket::bind(v6).is_err() {
+        // No IPv6 loopback on this host: nothing to check.
+        return;
+    }
+    let cfg = NetServerConfig {
+        bind: v6,
+        ..NetServerConfig::default()
+    };
+    let daemon = NetServerDaemon::start(cfg, None).expect("daemon starts");
+    let gateway = UdpSocket::bind(v6).expect("bind");
+    gateway
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let eui = GatewayEui(0xAA06);
+    let pull = Datagram::PullData { token: 0x0601, eui }.encode();
+    gateway.send_to(&pull, daemon.addr()).expect("send");
+    let mut buf = [0u8; 1_024];
+    let (len, from) = gateway.recv_from(&mut buf).expect("PULL_ACK");
+    assert_eq!(
+        (&buf[..len], from),
+        (&[2, 0x06, 0x01, 0x04][..], daemon.addr())
+    );
+    // The route is the `sockaddr_in6` the kernel reported for the
+    // PULL_DATA: the downlink has to find the same socket.
+    let txpk = TxPacket {
+        tmst: 1_000_000,
+        freq: 923.2,
+        datr: "SF9BW125".into(),
+        powe: 14,
+        size: 3,
+        data: "AQID".into(),
+    };
+    assert!(daemon.send_downlink(eui.0, 77, txpk.clone()).expect("sent"));
+    let (len, _) = gateway.recv_from(&mut buf).expect("PULL_RESP");
+    match Datagram::decode(&buf[..len]) {
+        Some(Datagram::PullResp {
+            token: 77,
+            txpk: got,
+        }) => assert_eq!(got.data, txpk.data),
+        other => panic!("not the PULL_RESP sent: {other:?}"),
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn every_acked_packet_is_decided_when_the_shard_pushes_back() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: u64 = 20_000;
+    let started = Instant::now();
+    // One shard behind a queue of one batch: the receiver spends the
+    // flood blocked on the hand-off, the kernel sheds what does not fit
+    // the socket buffer meanwhile.
+    let cfg = NetServerConfig {
+        shards: 1,
+        channel_capacity: 1,
+        ..NetServerConfig::default()
+    };
+    let daemon = NetServerDaemon::start(cfg, None).expect("daemon starts");
+    let mut rng = StdRng::seed_from_u64(17);
+    let sending = AtomicBool::new(true);
+    let acks_read = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let senders: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                // One-rxpk datagrams of 64 devices, tokens counting up.
+                let mut wires: Vec<Vec<u8>> = (0..64)
+                    .map(|_| {
+                        Datagram::PushData {
+                            token: 0,
+                            eui: GatewayEui(0xBB00 + c as u64),
+                            rxpk: vec![keyed_rxpk(&mut rng)],
+                        }
+                        .encode()
+                    })
+                    .collect();
+                let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+                socket.connect(daemon.addr()).expect("connect");
+                let reader = socket.try_clone().expect("clone");
+                reader
+                    .set_read_timeout(Some(Duration::from_millis(100)))
+                    .expect("timeout");
+                let (sending, acks_read) = (&sending, &acks_read);
+                scope.spawn(move || {
+                    let mut buf = [0u8; 16];
+                    loop {
+                        match reader.recv(&mut buf) {
+                            Ok(4) if buf[3] == 0x01 => {
+                                acks_read.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Ok(_) => panic!("not a PUSH_ACK: {buf:?}"),
+                            // Quiet for 100 ms after the daemon came to
+                            // rest: no ACK is still on its way.
+                            Err(_) if !sending.load(Ordering::SeqCst) => break,
+                            Err(_) => {}
+                        }
+                    }
+                });
+                scope.spawn(move || {
+                    for i in 0..PER_CLIENT {
+                        let wire = &mut wires[i as usize % 64];
+                        wire[1..3].copy_from_slice(&(i as u16).to_be_bytes());
+                        socket.send(wire).expect("send");
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().expect("sender");
+        }
+        // At rest: nothing new received for 100 ms, and everything
+        // received is decided.
+        let mut last = (u64::MAX, Instant::now());
+        loop {
+            assert!(started.elapsed() < Duration::from_secs(10), "wedged");
+            let received = daemon.counter("svc_datagrams_total");
+            if received != last.0 {
+                last = (received, Instant::now());
+            } else if last.1.elapsed() > Duration::from_millis(100)
+                && daemon.dedup_stats().offered == daemon.counter("svc_pkts_total")
+            {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        sending.store(false, Ordering::SeqCst);
+    });
+
+    let received = daemon.counter("svc_datagrams_total");
+    let acked = daemon.counter("svc_push_ack_total");
+    assert!(received > 0 && received <= CLIENTS as u64 * PER_CLIENT);
+    // Every datagram is one keyed packet: each one ACKed is decided.
+    assert_eq!(acked, received);
+    assert_eq!(daemon.counter("svc_pkts_total"), acked);
+    assert_eq!(daemon.dedup_stats().offered, acked);
+    let read = acks_read.load(Ordering::Relaxed);
+    assert!(read > 0 && read <= acked, "{read} ACKs read, {acked} sent");
+    assert_eq!(daemon.counter("svc_malformed_total"), 0);
+    assert_eq!(daemon.decisions_dropped(), 0);
+    let logs = daemon.decisions();
+    assert_eq!(logs.iter().map(Vec::len).sum::<usize>() as u64, acked);
+    assert_eq!(replay_divergence(&logs, daemon.window_us()), 0);
+    daemon.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(10), "too slow");
 }
