@@ -79,11 +79,7 @@ fn build_world(nodes: usize, gws: usize, seed: u64) -> SimWorld {
         ..Default::default()
     };
     let mut topo = Topology::new((1_800.0, 1_400.0), nodes, gws, model, seed);
-    for row in &mut topo.loss_db {
-        for loss in row.iter_mut() {
-            *loss = loss.clamp(108.0, 126.0);
-        }
-    }
+    topo.clamp_loss(108.0, 126.0);
     let profile = GatewayProfile::rak7268cv2();
     let n_sub = covered_subbands(gws);
     let gateways = (0..gws)

@@ -392,7 +392,7 @@ fn problem(nodes: usize, gws: usize, reach: Reach) -> CpProblem {
         Reach::Topology => {
             let mut topo = Topology::testbed(nodes, gws, 17);
             for row in &mut topo.loss_db {
-                let mut by_loss = row.clone();
+                let mut by_loss = row.to_vec();
                 by_loss.sort_by(f64::total_cmp);
                 let weakest_kept = by_loss[HEARD_AT.min(gws) - 1];
                 for loss in row.iter_mut().filter(|l| **l > weakest_kept) {

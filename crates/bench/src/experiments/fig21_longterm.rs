@@ -69,11 +69,7 @@ pub fn run() {
         PathLossModel::default(),
         210_000,
     );
-    for row in &mut topo.loss_db {
-        for loss in row.iter_mut() {
-            *loss = loss.max(108.0);
-        }
-    }
+    topo.clamp_loss(108.0, f64::INFINITY);
 
     let mut t = Table::new(
         "Fig 21 — weekly PRR over one year of expansion",

@@ -109,11 +109,7 @@ impl WorldBuilder {
             ..Default::default()
         };
         let mut topo = Topology::new(self.area_m, n_nodes, n_gws, model, self.seed);
-        for row in &mut topo.loss_db {
-            for loss in row.iter_mut() {
-                *loss = loss.clamp(self.min_link_loss_db, self.max_link_loss_db);
-            }
-        }
+        topo.clamp_loss(self.min_link_loss_db, self.max_link_loss_db);
 
         let profile = GatewayProfile::rak7268cv2();
         let mut gateways = Vec::with_capacity(n_gws);
@@ -333,16 +329,7 @@ pub fn adr_data_rate(topo: &Topology, node: usize, tx: TxPowerDbm) -> DataRate {
 /// Extract a per-network sub-topology (that network's nodes and
 /// gateways only) so an operator can plan over its own deployment.
 pub fn subtopology(topo: &Topology, node_ids: &[usize], gw_ids: &[usize]) -> Topology {
-    Topology {
-        area_m: topo.area_m,
-        nodes: node_ids.iter().map(|&i| topo.nodes[i]).collect(),
-        gateways: gw_ids.iter().map(|&j| topo.gateways[j]).collect(),
-        model: topo.model,
-        loss_db: node_ids
-            .iter()
-            .map(|&i| gw_ids.iter().map(|&j| topo.loss_db[i][j]).collect())
-            .collect(),
-    }
+    topo.subset(node_ids, gw_ids)
 }
 
 /// Evenly spread `n` positions — re-exported convenience.

@@ -31,11 +31,7 @@ fn build_world(job: usize) -> SimWorld {
         ..Default::default()
     };
     let mut topo = Topology::new((600.0, 500.0), 24, 2, model, 1_000 + job as u64);
-    for row in &mut topo.loss_db {
-        for l in row.iter_mut() {
-            *l = l.max(108.0);
-        }
-    }
+    topo.clamp_loss(108.0, f64::INFINITY);
     let profile = GatewayProfile::rak7268cv2();
     let gateways = (0..2)
         .map(|j| {

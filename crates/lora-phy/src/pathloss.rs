@@ -66,6 +66,18 @@ impl PathLossModel {
         z * self.shadowing_sigma_db
     }
 
+    /// How many 64-bit words [`Self::shadowing_sample`] (and so
+    /// [`Self::loss_db`]) takes from its generator: a caller that hands
+    /// out work in blocks can step a generator past a block's samples
+    /// without computing them. Keep in step with the sampler above.
+    pub fn shadowing_draws(&self) -> usize {
+        if self.shadowing_sigma_db == 0.0 {
+            0
+        } else {
+            2
+        }
+    }
+
     /// Received power for a transmitter at `tx_dbm` over `d_m` meters
     /// (mean, no shadowing).
     pub fn mean_rssi_dbm(&self, tx: TxPowerDbm, d_m: f64) -> f64 {
@@ -180,6 +192,30 @@ mod tests {
             (0..10).map(|_| m.shadowing_sample(&mut rng)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn shadowing_draws_is_what_a_sample_takes() {
+        use rand::RngCore;
+        for sigma in [0.0, 2.0, 4.0] {
+            let m = PathLossModel {
+                shadowing_sigma_db: sigma,
+                ..Default::default()
+            };
+            let mut sampled = StdRng::seed_from_u64(9);
+            let mut stepped = sampled.clone();
+            for i in 0..1_000 {
+                m.loss_db(40.0 + i as f64, &mut sampled);
+                for _ in 0..m.shadowing_draws() {
+                    stepped.next_u64();
+                }
+            }
+            assert_eq!(
+                format!("{sampled:?}"),
+                format!("{stepped:?}"),
+                "sigma {sigma}"
+            );
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ mod tests {
         };
         let mut t = Topology::new((200.0, 200.0), 3, 2, model, 1);
         // Deterministic losses: node n ↔ gw g.
-        t.loss_db = vec![vec![110.0, 130.0], vec![125.0, 112.0], vec![140.0, 139.0]];
+        t.loss_db = vec![vec![110.0, 130.0], vec![125.0, 112.0], vec![140.0, 139.0]].into();
         t
     }
 

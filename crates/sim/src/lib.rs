@@ -44,7 +44,7 @@ pub use engine::{Event, EventQueue};
 pub use faults::{InfraFaults, NoFaults};
 pub use metrics::{LossBreakdown, NetSummary, RunMetrics, RunSummary};
 pub use shard::{ShardOpts, ShardRunStats, StreamedRun};
-pub use topology::{Pos, Topology};
+pub use topology::{LossMatrix, Pos, Topology};
 pub use trace::{TracePool, TraceRecord};
 pub use traffic::{
     collect_chunks, concurrent_burst, duty_cycled, end_aligned_burst, BurstScheme, ChunkSource,

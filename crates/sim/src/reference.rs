@@ -11,7 +11,7 @@
 //! removed, because the point is to measure and differentially test
 //! against the true prior code, not a cleaned-up strawman. One
 //! deliberate departure: the leaked-interference sum is folded in the
-//! fixed point of [`crate::accum`] rather than in f64, so that every
+//! fixed point of `crate::accum` rather than in f64, so that every
 //! engine's sum is the same integer whatever order it was added in.
 //!
 //! Two consumers rely on it:

@@ -213,10 +213,9 @@ impl RunContext {
         // as `topo.rssi_dbm` / `Topology::snr_db`, minus the per-entry
         // double indexing (the 100k-node table is tens of MB).
         debug_assert_eq!(node_power.len(), n_nodes);
-        if let Some(row) = topo.loss_db.first() {
-            self.rssi.reserve(n_nodes * row.len());
-            self.snr.reserve(n_nodes * row.len());
-        }
+        let links = topo.loss_db.len() * topo.loss_db.width();
+        self.rssi.reserve(links);
+        self.snr.reserve(links);
         for (power, row) in node_power.iter().zip(&topo.loss_db) {
             for &loss in row {
                 let rssi = power.0 - loss;

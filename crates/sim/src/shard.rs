@@ -30,7 +30,7 @@
 //!   timeline never materializes.
 //! * **Interference state.** What a verdict has to know about the
 //!   transmissions that overlapped the victim is kept incrementally by
-//!   [`crate::accum`] — one collider list per channel, walked while it
+//!   `crate::accum` — one collider list per channel, walked while it
 //!   is short and indexed once it is long, plus exact fixed-point leak
 //!   sums — so no event rescans the on-air population.
 //! * **Slot recycling.** Per-transmission state lives in slots, freed
@@ -570,9 +570,8 @@ impl<'e> ShardMachine<'e> {
                     self.node_row[tx.node] = row;
                     let power = self.node_power[tx.node].0;
                     let loss_row = &self.topo.loss_db[tx.node];
-                    for &g in &self.gw_global {
-                        self.link.push(power - loss_row[g as usize]);
-                    }
+                    self.link
+                        .extend(self.gw_global.iter().map(|&g| power - loss_row[g as usize]));
                 }
             }
 

@@ -4,12 +4,22 @@
 //! Shadowing is sampled once per (node, gateway) link and *frozen* —
 //! the standard block-fading assumption, and the reason simulation runs
 //! are exactly reproducible for a given seed.
+//!
+//! The losses live in one flat row-major [`LossMatrix`], filled by
+//! however many workers the host offers: the shadowing stream is one
+//! sequential generator, so blocks of nodes are handed out under a
+//! lock that clones the generator for the block and steps the shared
+//! one past the block's draws. Every link sees the words it would have
+//! seen from a single thread, whatever the worker count.
 
 use lora_phy::pathloss::{ring_radii_m, PathLossModel, DISTANCE_RINGS};
 use lora_phy::types::{DataRate, TxPowerDbm};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::{Index, IndexMut};
+use std::sync::Mutex;
 
 /// A position in meters within the deployment area.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -27,6 +37,267 @@ impl Pos {
     }
 }
 
+/// Per-link path loss, dB: one row per node, one column per gateway,
+/// row-major in a single allocation (8 · gateways bytes per node).
+///
+/// `m[node]` is that node's row as a slice, so `m[node][gw]` reads and
+/// writes a link, and iterating `&m` / `&mut m` yields the rows in
+/// node order. A matrix of zero-width rows (a world without gateways)
+/// still has one empty row per node.
+#[derive(Clone, PartialEq)]
+pub struct LossMatrix {
+    cells: Vec<f64>,
+    rows: usize,
+    width: usize,
+}
+
+impl LossMatrix {
+    fn zeroed(rows: usize, width: usize) -> LossMatrix {
+        LossMatrix {
+            cells: vec![0.0; rows * width],
+            rows,
+            width,
+        }
+    }
+
+    /// Number of rows (nodes).
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the matrix has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Length of every row (gateways).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The first node's row, if there is one.
+    pub fn first(&self) -> Option<&[f64]> {
+        self.iter().next()
+    }
+
+    /// The rows in node order.
+    pub fn iter(&self) -> Rows<'_> {
+        Rows {
+            rest: &self.cells,
+            width: self.width,
+            left: self.rows,
+        }
+    }
+
+    /// The rows in node order, mutably.
+    pub fn iter_mut(&mut self) -> RowsMut<'_> {
+        RowsMut {
+            rest: &mut self.cells,
+            width: self.width,
+            left: self.rows,
+        }
+    }
+
+    fn row_range(&self, node: usize) -> std::ops::Range<usize> {
+        assert!(
+            node < self.rows,
+            "node {node} out of range for {} rows",
+            self.rows
+        );
+        node * self.width..(node + 1) * self.width
+    }
+}
+
+impl Index<usize> for LossMatrix {
+    type Output = [f64];
+
+    fn index(&self, node: usize) -> &[f64] {
+        &self.cells[self.row_range(node)]
+    }
+}
+
+impl IndexMut<usize> for LossMatrix {
+    fn index_mut(&mut self, node: usize) -> &mut [f64] {
+        let range = self.row_range(node);
+        &mut self.cells[range]
+    }
+}
+
+impl fmt::Debug for LossMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Rows of equal length, in node order.
+///
+/// # Panics
+/// If two rows differ in length.
+impl FromIterator<Vec<f64>> for LossMatrix {
+    fn from_iter<I: IntoIterator<Item = Vec<f64>>>(rows: I) -> LossMatrix {
+        let mut m = LossMatrix::zeroed(0, 0);
+        for row in rows {
+            if m.rows == 0 {
+                m.width = row.len();
+            }
+            assert_eq!(row.len(), m.width, "loss rows must share one length");
+            m.cells.extend_from_slice(&row);
+            m.rows += 1;
+        }
+        m
+    }
+}
+
+impl From<Vec<Vec<f64>>> for LossMatrix {
+    fn from(rows: Vec<Vec<f64>>) -> LossMatrix {
+        rows.into_iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a LossMatrix {
+    type Item = &'a [f64];
+    type IntoIter = Rows<'a>;
+
+    fn into_iter(self) -> Rows<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut LossMatrix {
+    type Item = &'a mut [f64];
+    type IntoIter = RowsMut<'a>;
+
+    fn into_iter(self) -> RowsMut<'a> {
+        self.iter_mut()
+    }
+}
+
+/// The rows of a [`LossMatrix`] as shared slices, from
+/// [`LossMatrix::iter`]. Counts rows rather than chunking the cells,
+/// so zero-width rows are yielded too.
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    rest: &'a [f64],
+    width: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a [f64];
+
+    fn next(&mut self) -> Option<&'a [f64]> {
+        self.left = self.left.checked_sub(1)?;
+        let (row, rest) = self.rest.split_at(self.width);
+        self.rest = rest;
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+/// The rows of a [`LossMatrix`] as mutable slices, from
+/// [`LossMatrix::iter_mut`].
+#[derive(Debug)]
+pub struct RowsMut<'a> {
+    rest: &'a mut [f64],
+    width: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for RowsMut<'a> {
+    type Item = &'a mut [f64];
+
+    fn next(&mut self) -> Option<&'a mut [f64]> {
+        self.left = self.left.checked_sub(1)?;
+        let (row, rest) = std::mem::take(&mut self.rest).split_at_mut(self.width);
+        self.rest = rest;
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for RowsMut<'_> {}
+
+/// Nodes per block handed to a fill worker: ≈ 5 ms of path-loss math
+/// at 64 gateways against ≈ 0.15 ms of stepping under the lock.
+const FILL_BLOCK_NODES: usize = 1_024;
+
+/// Worlds with fewer links than this are filled on the calling thread:
+/// below ≈ 70 ms of work a spawn is not worth having.
+const PARALLEL_FILL_MIN_LINKS: usize = 1 << 20;
+
+/// Workers for a fill of `links` links: the processors this thread may
+/// run on (affinity and cgroup quota included) once the world is large
+/// enough to share out.
+fn fill_workers(links: usize) -> usize {
+    if links < PARALLEL_FILL_MIN_LINKS {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Sample every link of `cells` (row-major, one row of `gateways.len()`
+/// per node) from `model`, drawing from `rng` in row-major link order.
+///
+/// `workers` threads (the caller is one of them) take blocks of
+/// [`FILL_BLOCK_NODES`] nodes from a shared cursor. The cursor gives
+/// each block a clone of the generator and steps the shared one by
+/// `draws_per_node` words per node of the block — what
+/// [`PathLossModel::loss_db`] will take for one row — so the result
+/// does not depend on `workers`.
+fn fill_losses(
+    cells: &mut [f64],
+    nodes: &[Pos],
+    gateways: &[Pos],
+    model: &PathLossModel,
+    rng: StdRng,
+    draws_per_node: usize,
+    workers: usize,
+) {
+    let width = gateways.len();
+    debug_assert_eq!(cells.len(), nodes.len() * width);
+    if cells.is_empty() {
+        return;
+    }
+    let blocks = cells
+        .chunks_mut(FILL_BLOCK_NODES * width)
+        .zip(nodes.chunks(FILL_BLOCK_NODES));
+    let workers = workers.min(blocks.len());
+    let cursor = Mutex::new((blocks, rng));
+    let work = || loop {
+        let (rows, block_nodes, mut rng) = {
+            let mut guard = cursor.lock().expect("a fill worker panicked");
+            let (blocks, shared) = &mut *guard;
+            let Some((rows, block_nodes)) = blocks.next() else {
+                return;
+            };
+            let block_rng = shared.clone();
+            for _ in 0..block_nodes.len() * draws_per_node {
+                shared.next_u64();
+            }
+            (rows, block_nodes, block_rng)
+        };
+        for (row, node) in rows.chunks_exact_mut(width).zip(block_nodes) {
+            for (loss, gw) in row.iter_mut().zip(gateways) {
+                *loss = model.loss_db(node.dist_m(gw), &mut rng);
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
+    });
+}
+
 /// A deployment: node positions, gateway positions and the frozen
 /// per-link path loss.
 #[derive(Debug, Clone)]
@@ -40,7 +311,7 @@ pub struct Topology {
     /// The path-loss model links were sampled from.
     pub model: PathLossModel,
     /// `loss_db[node][gw]`, shadowing included.
-    pub loss_db: Vec<Vec<f64>>,
+    pub loss_db: LossMatrix,
 }
 
 impl Topology {
@@ -73,21 +344,56 @@ impl Topology {
             })
             .collect();
         let gateways = grid_positions(area_m, n_gateways);
-        let loss_db = nodes
-            .iter()
-            .map(|n| {
-                gateways
-                    .iter()
-                    .map(|g| model.loss_db(n.dist_m(g), &mut rng))
-                    .collect()
-            })
-            .collect();
+        let mut loss_db = LossMatrix::zeroed(n_nodes, gateways.len());
+        let workers = fill_workers(loss_db.cells.len());
+        fill_losses(
+            &mut loss_db.cells,
+            &nodes,
+            &gateways,
+            &model,
+            rng,
+            gateways.len() * model.shadowing_draws(),
+            workers,
+        );
         Topology {
             area_m,
             nodes,
             gateways,
             model,
             loss_db,
+        }
+    }
+
+    /// Clamp every link loss into `lo..=hi` dB (`hi` may be
+    /// `f64::INFINITY` for a floor only).
+    ///
+    /// # Panics
+    /// If `lo > hi` or either is NaN, as [`f64::clamp`] does.
+    pub fn clamp_loss(&mut self, lo: f64, hi: f64) {
+        for loss in &mut self.loss_db.cells {
+            *loss = loss.clamp(lo, hi);
+        }
+    }
+
+    /// The sub-deployment of the given nodes and gateways, in the given
+    /// order, with their links — e.g. one operator's own network for
+    /// its planner.
+    pub fn subset(&self, node_ids: &[usize], gw_ids: &[usize]) -> Topology {
+        let mut cells = Vec::with_capacity(node_ids.len() * gw_ids.len());
+        for &i in node_ids {
+            let row = &self.loss_db[i];
+            cells.extend(gw_ids.iter().map(|&j| row[j]));
+        }
+        Topology {
+            area_m: self.area_m,
+            nodes: node_ids.iter().map(|&i| self.nodes[i]).collect(),
+            gateways: gw_ids.iter().map(|&j| self.gateways[j]).collect(),
+            model: self.model,
+            loss_db: LossMatrix {
+                cells,
+                rows: node_ids.len(),
+                width: gw_ids.len(),
+            },
         }
     }
 
@@ -171,9 +477,102 @@ pub fn grid_positions(area_m: (f64, f64), n: usize) -> Vec<Pos> {
     out
 }
 
+/// The build `Topology::new` had before the flat matrix — one
+/// generator, one thread, one `Vec` per node — kept as the reference
+/// the parallel fill is compared against.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub(super) fn build(
+        area_m: (f64, f64),
+        n_nodes: usize,
+        n_gateways: usize,
+        model: PathLossModel,
+        seed: u64,
+    ) -> (Vec<Pos>, Vec<Vec<f64>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes: Vec<Pos> = (0..n_nodes)
+            .map(|_| Pos {
+                x_m: rng.gen_range(0.0..area_m.0),
+                y_m: rng.gen_range(0.0..area_m.1),
+            })
+            .collect();
+        let gateways = grid_positions(area_m, n_gateways);
+        let loss_db = nodes
+            .iter()
+            .map(|n| {
+                gateways
+                    .iter()
+                    .map(|g| model.loss_db(n.dist_m(g), &mut rng))
+                    .collect()
+            })
+            .collect();
+        (nodes, loss_db)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const AREA: (f64, f64) = (1_800.0, 1_400.0);
+
+    fn model(sigma: f64) -> PathLossModel {
+        PathLossModel {
+            shadowing_sigma_db: sigma,
+            ..Default::default()
+        }
+    }
+
+    fn bits(m: &LossMatrix) -> Vec<Vec<u64>> {
+        m.iter()
+            .map(|row| row.iter().map(|l| l.to_bits()).collect())
+            .collect()
+    }
+
+    fn oracle_bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        bits(&rows.iter().cloned().collect())
+    }
+
+    /// Every way of reading a topology, on a shape that may be empty
+    /// in either direction.
+    fn exercise(t: &mut Topology, n_nodes: usize, n_gws: usize) {
+        assert_eq!(t.loss_db.len(), n_nodes);
+        assert_eq!(t.loss_db.width(), n_gws);
+        assert_eq!(t.loss_db.is_empty(), n_nodes == 0);
+        assert_eq!(t.loss_db.iter().len(), n_nodes);
+        assert!(t.loss_db.iter().all(|row| row.len() == n_gws));
+        assert_eq!(
+            t.loss_db.first().map(<[f64]>::len),
+            t.nodes.first().map(|_| n_gws)
+        );
+        for row in &mut t.loss_db {
+            for loss in row.iter_mut() {
+                *loss += 0.0;
+            }
+        }
+        t.clamp_loss(108.0, f64::INFINITY);
+        t.clamp_loss(108.0, 126.0);
+        assert!(t
+            .loss_db
+            .iter()
+            .flatten()
+            .all(|l| (108.0..=126.0).contains(l)));
+        let none = t.subset(&[], &[]);
+        assert_eq!((none.loss_db.len(), none.loss_db.width()), (0, 0));
+        if n_nodes > 0 && n_gws > 0 {
+            let (i, j) = (n_nodes - 1, n_gws - 1);
+            let tx = TxPowerDbm(14.0);
+            assert_eq!(t.rssi_dbm(i, j, tx), 14.0 - t.loss_db[i][j]);
+            assert!(t.snr_db(i, j, tx).is_finite());
+            let last = t.subset(&[i], &[j]);
+            assert_eq!(last.loss_db[0][0], t.loss_db[i][j]);
+        }
+        assert_eq!(t.reach_matrix(TxPowerDbm(14.0)).len(), n_nodes);
+        assert!(format!("{:?}", t.loss_db).starts_with('['));
+        assert_eq!(t.clone().loss_db, t.loss_db);
+    }
 
     #[test]
     fn deterministic_per_seed() {
@@ -182,6 +581,169 @@ mod tests {
         assert_eq!(a.loss_db, b.loss_db);
         let c = Topology::testbed(20, 3, 43);
         assert_ne!(a.loss_db, c.loss_db);
+    }
+
+    #[test]
+    fn new_returns_the_oracle_bits() {
+        for (n, g, sigma, seed) in [
+            (300, 7, 4.0, 1),
+            (300, 7, 0.0, 2),
+            (2 * FILL_BLOCK_NODES + 1, 5, 2.0, 3),
+            // Over the inline threshold: filled by every processor
+            // this test may run on.
+            (PARALLEL_FILL_MIN_LINKS / 32 + 3, 32, 2.0, 4),
+        ] {
+            let t = Topology::new(AREA, n, g, model(sigma), seed);
+            let (nodes, rows) = oracle::build(AREA, n, g, model(sigma), seed);
+            assert_eq!(t.nodes, nodes, "{n} x {g}");
+            assert!(bits(&t.loss_db) == oracle_bits(&rows), "{n} x {g}");
+        }
+    }
+
+    #[test]
+    fn fill_does_not_depend_on_the_worker_count() {
+        // Five blocks, the last one short; more workers than blocks at
+        // w = 7.
+        let (n, g, seed) = (4 * FILL_BLOCK_NODES + 37, 6, 9);
+        for sigma in [2.0, 0.0] {
+            let m = model(sigma);
+            let (nodes, rows) = oracle::build(AREA, n, g, m, seed);
+            let want = oracle_bits(&rows);
+            let gateways = grid_positions(AREA, g);
+            // The generator as `Topology::new` leaves it after placing
+            // the nodes.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..2 * n {
+                rng.next_u64();
+            }
+            let fill = |draws_per_node: usize, workers: usize| {
+                let mut got = LossMatrix::zeroed(n, g);
+                fill_losses(
+                    &mut got.cells,
+                    &nodes,
+                    &gateways,
+                    &m,
+                    rng.clone(),
+                    draws_per_node,
+                    workers,
+                );
+                bits(&got)
+            };
+            let draws = g * m.shadowing_draws();
+            for workers in [1, 2, 3, 7] {
+                assert!(fill(draws, workers) == want, "sigma {sigma} w {workers}");
+            }
+            // The comparison has teeth: a cursor one draw short per
+            // node hands every later block the wrong generator.
+            if draws > 0 {
+                for workers in [1, 2] {
+                    let got = fill(draws - 1, workers);
+                    assert!(got[..FILL_BLOCK_NODES] == want[..FILL_BLOCK_NODES]);
+                    assert!(got[FILL_BLOCK_NODES..] != want[FILL_BLOCK_NODES..]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workers_follow_link_count_and_affinity() {
+        // CI runs this once plain and once under `taskset -c 0`: a
+        // count that ignored affinity would spawn on a one-CPU run.
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(fill_workers(0), 1);
+        assert_eq!(fill_workers(PARALLEL_FILL_MIN_LINKS - 1), 1);
+        assert_eq!(fill_workers(PARALLEL_FILL_MIN_LINKS), cpus);
+        assert_eq!(fill_workers(usize::MAX), cpus);
+        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
+            let allowed = status
+                .lines()
+                .find_map(|l| l.strip_prefix("Cpus_allowed:"))
+                .map(|mask| {
+                    mask.trim()
+                        .chars()
+                        .filter_map(|c| c.to_digit(16))
+                        .map(|d| d.count_ones() as usize)
+                        .sum::<usize>()
+                });
+            if let Some(allowed) = allowed {
+                assert!(cpus <= allowed, "{cpus} workers on {allowed} allowed CPUs");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_nodes() {
+        let mut t = Topology::new(AREA, 0, 4, model(2.0), 1);
+        exercise(&mut t, 0, 4);
+    }
+
+    #[test]
+    fn zero_gateways() {
+        let mut t = Topology::new(AREA, 5, 0, model(2.0), 1);
+        exercise(&mut t, 5, 0);
+        assert!(t.gateways_in_range(4, TxPowerDbm(14.0)).is_empty());
+        assert_eq!(t.subset(&[4, 0], &[]).loss_db.len(), 2);
+    }
+
+    #[test]
+    fn zero_gateway_world_streams() {
+        use crate::traffic::SliceChunks;
+        use crate::{ShardOpts, SimWorld};
+        let t = Topology::new(AREA, 5, 0, model(2.0), 1);
+        let mut w = SimWorld::new(t, vec![1; 5], Vec::new());
+        // No plans, so no channels and no shards.
+        let run = w.run_streamed(&mut SliceChunks::new(&[], 16), &ShardOpts::default());
+        assert_eq!(run.stats.txs, 0);
+        assert!(run.shard_stats.is_empty());
+    }
+
+    #[test]
+    fn one_by_one() {
+        let mut t = Topology::new(AREA, 1, 1, model(2.0), 1);
+        exercise(&mut t, 1, 1);
+    }
+
+    #[test]
+    fn sigma_zero_is_the_mean_loss() {
+        let mut t = Topology::new(AREA, 9, 3, model(0.0), 1);
+        for (node, row) in t.nodes.iter().zip(&t.loss_db) {
+            for (gw, &loss) in t.gateways.iter().zip(row) {
+                assert_eq!(loss, t.model.mean_loss_db(node.dist_m(gw)));
+            }
+        }
+        exercise(&mut t, 9, 3);
+    }
+
+    #[test]
+    fn one_past_a_block_boundary() {
+        let n = FILL_BLOCK_NODES + 1;
+        let mut t = Topology::new(AREA, n, 2, model(2.0), 1);
+        assert_ne!(t.loss_db[n - 1], [0.0, 0.0]);
+        exercise(&mut t, n, 2);
+    }
+
+    #[test]
+    fn matrix_from_rows() {
+        let m = LossMatrix::from(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        assert_eq!((m.len(), m.width()), (3, 2));
+        assert_eq!(m[2], [5.0, 6.0]);
+        assert_eq!(format!("{m:?}"), "[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]");
+        let empty_rows: LossMatrix = vec![Vec::new(); 3].into();
+        assert_eq!((empty_rows.len(), empty_rows.width()), (3, 0));
+        assert_eq!(empty_rows.iter().count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one length")]
+    fn ragged_rows_are_refused() {
+        let _ = LossMatrix::from(vec![vec![1.0, 2.0], vec![3.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_row_past_the_end_is_refused_even_at_zero_width() {
+        let t = Topology::new(AREA, 2, 0, model(2.0), 1);
+        let _ = &t.loss_db[2];
     }
 
     #[test]

@@ -43,11 +43,7 @@ fn main() {
             ..Default::default()
         };
         let mut topo = Topology::new((500.0, 400.0), users, gws, model, 3);
-        for row in &mut topo.loss_db {
-            for l in row.iter_mut() {
-                *l = l.max(108.0);
-            }
-        }
+        topo.clamp_loss(108.0, f64::INFINITY);
         let std_cap = probe_standard(&topo, &channels, users, gws);
         let alpha_cap = probe_alphawan(&topo, &channels, users, gws);
         println!("{gws:>9}  {std_cap:>8}  {alpha_cap:>8}  {users:>6}");

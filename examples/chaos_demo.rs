@@ -49,11 +49,7 @@ fn build_world() -> SimWorld {
         ..Default::default()
     };
     let mut topo = Topology::new((500.0, 400.0), NODES, 2, model, 7);
-    for row in &mut topo.loss_db {
-        for l in row.iter_mut() {
-            *l = l.max(108.0);
-        }
-    }
+    topo.clamp_loss(108.0, f64::INFINITY);
     let profile = GatewayProfile::rak7268cv2();
     let channels = ChannelGrid::standard(916_800_000, 1_600_000).channels();
     let gateways = (0..2)

@@ -73,16 +73,7 @@ fn main() {
         let node_ids: Vec<usize> = (op * NODES_PER_OP..(op + 1) * NODES_PER_OP).collect();
         let gw_ids: Vec<usize> = (op * GWS_PER_OP..(op + 1) * GWS_PER_OP).collect();
         // Sub-topology for this operator's own planning.
-        let sub = Topology {
-            area_m: topo.area_m,
-            nodes: node_ids.iter().map(|&i| topo.nodes[i]).collect(),
-            gateways: gw_ids.iter().map(|&j| topo.gateways[j]).collect(),
-            model: topo.model,
-            loss_db: node_ids
-                .iter()
-                .map(|&i| gw_ids.iter().map(|&j| topo.loss_db[i][j]).collect())
-                .collect(),
-        };
+        let sub = topo.subset(&node_ids, &gw_ids);
         let mut planner = IntraNetworkPlanner::new(cp_plan.clone(), GWS_PER_OP);
         planner.ga.generations = 40;
         let outcome = planner.plan(&sub, vec![1.0; NODES_PER_OP]);

@@ -40,11 +40,7 @@ fn main() {
     let mut topo = Topology::new((600.0, 450.0), users, gws, model, 7);
     // Urban clutter floor: bounds received-power spreads to realistic
     // levels (see DESIGN.md calibration notes).
-    for row in &mut topo.loss_db {
-        for l in row.iter_mut() {
-            *l = l.max(108.0);
-        }
-    }
+    topo.clamp_loss(108.0, f64::INFINITY);
     let profile = GatewayProfile::rak7268cv2();
 
     // --- Standard LoRaWAN: every gateway on the same channel plan.

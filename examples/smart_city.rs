@@ -37,11 +37,7 @@ fn main() {
         ..Default::default()
     };
     let mut topo = Topology::new((1_200.0, 900.0), USERS, GWS, model, 42);
-    for row in &mut topo.loss_db {
-        for l in row.iter_mut() {
-            *l = l.max(108.0);
-        }
-    }
+    topo.clamp_loss(108.0, f64::INFINITY);
     let profile = GatewayProfile::rak7268cv2();
 
     // Sanity: the duty governor shows what 1% duty means per device.

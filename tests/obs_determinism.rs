@@ -22,11 +22,7 @@ fn flat_topology(nodes: usize, gws: usize, seed: u64) -> Topology {
         ..Default::default()
     };
     let mut topo = Topology::new((500.0, 400.0), nodes, gws, model, seed);
-    for row in &mut topo.loss_db {
-        for l in row.iter_mut() {
-            *l = l.max(108.0);
-        }
-    }
+    topo.clamp_loss(108.0, f64::INFINITY);
     topo
 }
 
