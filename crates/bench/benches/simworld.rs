@@ -1,20 +1,18 @@
-//! End-to-end simulation-core scaling: reference loop vs indexed hot
-//! path vs the sharded/streamed engine.
+//! End-to-end simulation scaling: the spec loop vs the engine.
 //!
 //! Builds identical worlds (heterogeneous gateway listening sets over a
 //! US915-scale 64-channel band, duty-cycled traffic) and runs the same
-//! workload through up to three paths:
+//! workload through:
 //!
-//! * `sim::reference::run_with_faults_reference` — a verbatim replica
-//!   of the pre-indexing event loop (the PR-5 baseline);
-//! * `SimWorld::run_with_faults` — the indexed monolithic core;
-//! * `SimWorld::run_sharded` / `run_streamed` — the channel-sharded
-//!   engine (`sim::shard`) with compact per-shard link tables, slot
-//!   recycling and chunked workload feeding.
+//! * `sim::reference::run_with_faults_reference` — the executable
+//!   specification, a verbatim replica of the seed event loop;
+//! * `SimWorld::run_sharded` / `run_streamed` — the engine
+//!   (`sim::shard`): channel shards, compact per-shard link tables,
+//!   slot recycling and chunked workload feeding.
 //!
-//! **Exact points** (144 / 10k / 100k nodes) assert all paths produce
+//! **Exact points** (144 / 10k / 100k nodes) assert both produce
 //! record-for-record identical output and identical gateway stats
-//! before timing anything. The **streamed points** (1M and 10M nodes)
+//! before reporting anything. The **streamed points** (1M and 10M nodes)
 //! cannot afford per-packet records, so each runs the workload twice —
 //! N shards and 1 shard — and applies the statistical-equivalence gate
 //! (`RunSummary::statistically_equivalent`): the two aggregate
@@ -22,7 +20,7 @@
 //! change results at small scale (see `docs/SCALING.md`).
 //!
 //! Writes the machine-readable `BENCH_sim.json` artifact
-//! (`schema_version: 4`) through the obs session writer, falling back
+//! (`schema_version: 5`) through the obs session writer, falling back
 //! to `results/out/` when no `--obs-out` session is active.
 //!
 //! Pass `--quick` (or set `ALPHAWAN_BENCH_QUICK=1`) for the CI
@@ -133,12 +131,12 @@ fn peak_rss_mb() -> f64 {
 }
 
 /// One (nodes, gateways) measurement point of `BENCH_sim.json`
-/// (schema v4; see `docs/SCALING.md` for the field-by-field contract).
+/// (schema v5; see `docs/SCALING.md` for the field-by-field contract).
 #[derive(Debug, Serialize, Deserialize)]
 struct ScalePoint {
     nodes: usize,
     gateways: usize,
-    /// `"exact"`: all paths run and are asserted record-identical.
+    /// `"exact"`: spec and engine run and are asserted record-identical.
     /// `"streamed"`: aggregate-only, gated statistically.
     mode: String,
     /// Offered duty cycle of this point's workload (airtime / period
@@ -156,16 +154,12 @@ struct ScalePoint {
     candidate_cull_ratio: f64,
     /// Verbatim replica of the seed revision's event loop (exact mode).
     reference_secs: Option<f64>,
-    /// Indexed monolithic core (exact mode).
-    fast_secs: Option<f64>,
-    /// Sharded engine (exact mode: `run_sharded`; streamed mode:
+    /// The engine (exact mode: `run_sharded`; streamed mode:
     /// `run_streamed` over a `DutyCycleStream`).
     sharded_secs: f64,
-    /// Wall-clock speedup, reference / indexed (exact mode).
+    /// Wall-clock speedup, reference / engine (exact mode).
     speedup: Option<f64>,
-    /// Indexed-core event throughput (exact mode).
-    events_per_sec: Option<f64>,
-    /// Sharded-engine event throughput.
+    /// Engine event throughput.
     sharded_events_per_sec: f64,
     /// Sharded throughput normalized by `workers` — the scaling curve's
     /// y-axis, comparable across hosts.
@@ -176,8 +170,8 @@ struct ScalePoint {
     /// Process peak RSS after this point, MB (Linux VmHWM; cumulative
     /// across points, so read the first streamed point's value).
     peak_rss_mb: f64,
-    /// Exact mode: sharded records and gateway stats matched the
-    /// monolithic run bit for bit.
+    /// Exact mode: the engine's records and gateway stats matched the
+    /// reference run bit for bit.
     records_identical: Option<bool>,
     /// Streamed mode: the N-shard vs 1-shard statistical gate passed.
     stat_gate_ok: Option<bool>,
@@ -206,7 +200,7 @@ struct BenchReport {
     schema_version: u32,
     quick: bool,
     scales: Vec<ScalePoint>,
-    /// Span-profiler overhead on the 100k-node indexed core, attached
+    /// Span-profiler overhead on a 100k-node engine run, attached
     /// vs detached (fractional; full mode only — quick CI runs are too
     /// noisy to gate on a 2% wall-clock delta).
     #[serde(default)]
@@ -214,14 +208,13 @@ struct BenchReport {
 }
 
 /// Repetitions per path; each point reports the best run, which damps
-/// scheduler noise (shared CI boxes see heavy CPU steal) and lets the
-/// reusable arenas show their steady state. Reps of the paths are
-/// interleaved so a sustained load epoch inflates all of them rather
+/// scheduler noise (shared CI boxes see heavy CPU steal). Reps of the
+/// paths are interleaved so a sustained load epoch inflates all of them rather
 /// than whichever happened to run during it.
 const REPS: usize = 5;
 
-/// An exact point: reference, indexed and sharded paths over the same
-/// materialized plan list, asserted identical, then timed.
+/// An exact point: the reference and the engine over the same
+/// materialized plan list, timed and asserted identical.
 fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScalePoint {
     let seed = 550_000 + nodes as u64;
     let plans = workload(nodes, gws, duty, horizon_us, seed);
@@ -231,24 +224,16 @@ fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScaleP
     };
 
     let mut w_ref = build_world(nodes, gws, seed);
-    let mut w_fast = build_world(nodes, gws, seed);
     let mut w_shard = build_world(nodes, gws, seed);
     let mut reference_secs = f64::INFINITY;
-    let mut fast_secs = f64::INFINITY;
     let mut sharded_secs = f64::INFINITY;
     let mut recs_ref = Vec::new();
-    let mut recs_fast = Vec::new();
     let mut recs_shard = Vec::new();
     for _ in 0..REPS {
         w_ref.reset();
         let t0 = Instant::now();
         recs_ref = sim::reference::run_with_faults_reference(&mut w_ref, &plans, &NoFaults);
         reference_secs = reference_secs.min(t0.elapsed().as_secs_f64());
-
-        w_fast.reset();
-        let t0 = Instant::now();
-        recs_fast = w_fast.run_with_faults(&plans, &NoFaults);
-        fast_secs = fast_secs.min(t0.elapsed().as_secs_f64());
 
         w_shard.reset();
         let t0 = Instant::now();
@@ -257,18 +242,11 @@ fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScaleP
     }
 
     assert_eq!(
-        recs_fast, recs_ref,
-        "indexed core must be record-for-record identical to the reference"
-    );
-    assert_eq!(
         recs_shard, recs_ref,
-        "sharded engine must be record-for-record identical to the reference"
+        "the engine must be record-for-record identical to the reference"
     );
-    for (a, b) in w_fast.gateways.iter().zip(&w_ref.gateways) {
-        assert_eq!(a.stats(), b.stats(), "gateway stats must match");
-    }
     for (a, b) in w_shard.gateways.iter().zip(&w_ref.gateways) {
-        assert_eq!(a.stats(), b.stats(), "sharded gateway stats must match");
+        assert_eq!(a.stats(), b.stats(), "gateway stats must match");
     }
 
     let stats = w_shard.last_run_stats().expect("run recorded stats");
@@ -301,10 +279,8 @@ fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScaleP
         workers: workers as u32,
         candidate_cull_ratio: stats.cull_ratio(),
         reference_secs: Some(reference_secs),
-        fast_secs: Some(fast_secs),
         sharded_secs,
-        speedup: Some(reference_secs / fast_secs.max(1e-12)),
-        events_per_sec: Some(stats.events as f64 / fast_secs.max(1e-12)),
+        speedup: Some(reference_secs / sharded_secs.max(1e-12)),
         sharded_events_per_sec: stats.events as f64 / sharded_secs.max(1e-12),
         per_core_events_per_sec: stats.events as f64 / sharded_secs.max(1e-12) / workers as f64,
         peak_live: shard_stats.iter().map(|s| s.peak_live).max().unwrap_or(0),
@@ -317,15 +293,16 @@ fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScaleP
         accum_folds: stats.accum_updates + stats.accum_undos,
     };
     println!(
-        "bench simworld/{nodes}n_{gws}gw   reference {:>8.3}s  fast {:>8.3}s  sharded {:>8.3}s ({} shards, {:>10.0} ev/s)  speedup {:>6.1}x  cull {:>5.3}",
-        reference_secs, fast_secs, sharded_secs, point.shards,
+        "bench simworld/{nodes}n_{gws}gw   reference {:>8.3}s  engine {:>8.3}s ({} shards, {:>10.0} ev/s)  speedup {:>6.1}x  cull {:>5.3}",
+        reference_secs, sharded_secs, point.shards,
         point.sharded_events_per_sec, point.speedup.unwrap(), point.candidate_cull_ratio
     );
     point
 }
 
-/// Span-profiler overhead gate: the 100k-node indexed core run with
-/// the profiler detached and attached at the default stride. Records
+/// Span-profiler overhead gate: a 100k-node `SimWorld::run_with_faults`
+/// (the engine's `shard.*` spans, one pair per hand-off) with the
+/// profiler detached and attached at the default stride. Records
 /// must be bit-identical either way (instrumentation cannot perturb
 /// the simulation), and the *instrumentation cost* — the amortized
 /// attached cost per span call (measured over millions of calls, so
@@ -381,8 +358,8 @@ fn measure_span_overhead(nodes: usize, gws: usize, horizon_us: u64) -> f64 {
         "span profiler must not perturb simulation records"
     );
     assert!(
-        report.sites.iter().any(|s| s.site == "sim.event_loop"),
-        "attached run must have profiled the event loop"
+        report.sites.iter().any(|s| s.site == "shard.drain"),
+        "attached run must have profiled the engine's drains"
     );
     let calls: u64 = report.sites.iter().map(|s| s.calls).sum();
     let overhead = (amortized_ns * calls as f64) / (off_secs.max(1e-12) * 1e9);
@@ -475,10 +452,8 @@ fn measure_streamed(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> Sca
         workers: workers as u32,
         candidate_cull_ratio: stats.cull_ratio(),
         reference_secs: None,
-        fast_secs: None,
         sharded_secs,
         speedup: None,
-        events_per_sec: None,
         sharded_events_per_sec: stats.events as f64 / sharded_secs.max(1e-12),
         per_core_events_per_sec: stats.events as f64 / sharded_secs.max(1e-12) / workers as f64,
         peak_live: run_n
@@ -557,7 +532,7 @@ fn main() {
 
     let report = BenchReport {
         bench: "sim".to_string(),
-        schema_version: 4,
+        schema_version: 5,
         quick,
         scales,
         span_overhead_frac,
@@ -571,7 +546,7 @@ fn main() {
     let back: BenchReport =
         serde_json::from_str(&std::fs::read_to_string(&path).expect("artifact readable"))
             .expect("BENCH_sim.json parses");
-    assert_eq!(back.schema_version, 4);
+    assert_eq!(back.schema_version, 5);
     assert_eq!(back.scales.len(), exact.len() + streamed.len());
     assert!(
         back.scales

@@ -1,34 +1,71 @@
-//! Runs every table/figure experiment in sequence, writing CSVs under
-//! `results/`. Heavier experiments (Fig 13, Fig 21) run last.
+//! The experiment runner: `all_experiments [name…]` regenerates the
+//! named table/figure experiments (`fig13_scale`, `table04_gateways`, …;
+//! none named = all of them, in registry order, the heavier Fig 13 /
+//! Fig 21 last), writing CSVs under `results/out/`. `--obs-out <DIR>` is
+//! read by `bench::obs_session`.
 use std::time::Instant;
 
+/// `(name, run)` per experiment module of `bench::experiments`.
+macro_rules! registry {
+    ($($name:ident),* $(,)?) => {
+        &[$((stringify!($name), bench::experiments::$name::run as fn())),*]
+    };
+}
+
+const EXPERIMENTS: &[(&str, fn())] = registry![
+    table02_operators,
+    table03_strategies,
+    table04_gateways,
+    fig18_spectrum_regions,
+    fig02_capacity_gap,
+    fig03_lockon_fcfs,
+    fig05_strategies,
+    fig06_adr_cells,
+    fig07_directional,
+    fig08_overlap,
+    fig16_threshold,
+    fig12a_gateways,
+    fig12b_spectrum,
+    fig12c_contention,
+    fig12de_sharing,
+    fig14_partial_adoption,
+    fig15_fairness,
+    fig17_latency,
+    ablation_solvers,
+    fig04_loss_breakdown,
+    fig13_scale,
+    fig21_longterm,
+];
+
 fn main() {
-    let experiments: Vec<(&str, fn())> = vec![
-        ("table02", bench::experiments::table02_operators::run),
-        ("table03+01", bench::experiments::table03_strategies::run),
-        ("table04", bench::experiments::table04_gateways::run),
-        ("fig18", bench::experiments::fig18_spectrum_regions::run),
-        ("fig02", bench::experiments::fig02_capacity_gap::run),
-        ("fig03", bench::experiments::fig03_lockon_fcfs::run),
-        ("fig05", bench::experiments::fig05_strategies::run),
-        ("fig06", bench::experiments::fig06_adr_cells::run),
-        ("fig07", bench::experiments::fig07_directional::run),
-        ("fig08", bench::experiments::fig08_overlap::run),
-        ("fig16", bench::experiments::fig16_threshold::run),
-        ("fig12a", bench::experiments::fig12a_gateways::run),
-        ("fig12b", bench::experiments::fig12b_spectrum::run),
-        ("fig12c", bench::experiments::fig12c_contention::run),
-        ("fig12de", bench::experiments::fig12de_sharing::run),
-        ("fig14", bench::experiments::fig14_partial_adoption::run),
-        ("fig15", bench::experiments::fig15_fairness::run),
-        ("fig17", bench::experiments::fig17_latency::run),
-        ("ablation", bench::experiments::ablation_solvers::run),
-        ("fig04", bench::experiments::fig04_loss_breakdown::run),
-        ("fig13", bench::experiments::fig13_scale::run),
-        ("fig21", bench::experiments::fig21_longterm::run),
-    ];
+    // Positional arguments name experiments; `--obs-out <DIR>` (or
+    // `--obs-out=<DIR>`) belongs to the observability session.
+    let mut names: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--obs-out" {
+            args.next();
+        } else if !a.starts_with("--obs-out=") {
+            names.push(a);
+        }
+    }
+    let unknown: Vec<&String> = names
+        .iter()
+        .filter(|n| !EXPERIMENTS.iter().any(|(e, _)| e == n))
+        .collect();
+    if !unknown.is_empty() {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|&(e, _)| e).collect();
+        eprintln!("unknown experiment {unknown:?}; the registry:");
+        eprintln!("  {}", known.join(" "));
+        eprintln!("usage: all_experiments [--obs-out <DIR>] [name…]   (no name = all)");
+        std::process::exit(2);
+    }
+
     let total = Instant::now();
-    for (name, run) in experiments {
+    for &(name, run) in EXPERIMENTS {
+        if !names.is_empty() && !names.iter().any(|n| n == name) {
+            continue;
+        }
         let t = Instant::now();
         println!("\n######## {name} ########");
         run();

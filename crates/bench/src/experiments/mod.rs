@@ -1,6 +1,7 @@
 //! One module per paper table/figure. Each exposes `run()`, printing
 //! the same rows/series the paper reports and writing CSVs under
-//! `results/`. The `all_experiments` binary runs everything.
+//! `results/`. The `all_experiments [name…]` binary runs the named
+//! modules, or everything.
 
 pub mod ablation_solvers;
 pub mod fig02_capacity_gap;

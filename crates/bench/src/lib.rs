@@ -1,19 +1,20 @@
 //! # bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! Criterion performance benches (`benches/`). This library holds the
-//! shared scenario builders and the plain-text/CSV reporting helpers.
+//! One module per table/figure of the paper (see [`experiments`]), run
+//! by name through the `all_experiments` binary, plus Criterion
+//! performance benches (`benches/`). This library holds the shared
+//! scenario builders and the plain-text/CSV reporting helpers.
 //!
 //! Run a single experiment:
 //! ```text
-//! cargo run --release -p bench --bin fig12a_gateways
+//! cargo run --release -p bench --bin all_experiments -- fig12a_gateways
 //! ```
 //! or everything at once (writes CSVs and a summary under
 //! `results/out/`):
 //! ```text
 //! cargo run --release -p bench --bin all_experiments
 //! ```
-//! Add `--obs-out results/out` to any binary to also capture an event
+//! Add `--obs-out results/out` to also capture an event
 //! stream and per-experiment [`obs::RunReport`]s (see [`obs_session`]
 //! and `docs/OBSERVABILITY.md`).
 

@@ -1,6 +1,6 @@
 //! Opt-in observability session for experiment binaries.
 //!
-//! Pass `--obs-out <DIR>` to any experiment binary (or set the
+//! Pass `--obs-out <DIR>` to `all_experiments` or a bench (or set the
 //! `ALPHAWAN_OBS_OUT=<DIR>` environment variable) and the harness
 //! switches on event capture for the whole process:
 //!

@@ -229,12 +229,12 @@ fn obsctl_spans_renders_report_fixture() {
     let out = obsctl(&["spans", fx.join("spans.json").to_str().unwrap()]);
     let stdout = text(&out.stdout);
     assert!(out.status.success(), "{}", text(&out.stderr));
-    assert!(stdout.contains("sim.event_loop"), "got: {stdout}");
-    assert!(stdout.contains("sim.lock_on"));
-    let loop_line = stdout.lines().position(|l| l.contains("sim.event_loop"));
-    let lock_line = stdout.lines().position(|l| l.contains("sim.lock_on"));
+    assert!(stdout.contains("shard.drain"), "got: {stdout}");
+    assert!(stdout.contains("shard.ingest"));
+    let drain_line = stdout.lines().position(|l| l.contains("shard.drain"));
+    let ingest_line = stdout.lines().position(|l| l.contains("shard.ingest"));
     assert!(
-        loop_line < lock_line,
+        drain_line < ingest_line,
         "spans must sort by estimated total time, descending"
     );
 }

@@ -241,6 +241,9 @@ impl Gateway {
     /// [`ObsEvent::StealRefused`] when a contention drop happened while
     /// foreign-network packets held decoders (preemption would have
     /// saved the packet; FCFS dispatch never steals).
+    ///
+    /// Self-tracked: the gateway checks detection itself and keeps the
+    /// admitted packet in its active map until [`Self::on_tx_end_obs`].
     pub fn on_lock_on_obs(
         &mut self,
         pkt: PacketAtGateway,
@@ -250,56 +253,27 @@ impl Gateway {
             self.stats.not_detected += 1;
             return LockOnOutcome::NotDetected;
         }
-        self.admit_detected_obs(pkt, sink)
-    }
-
-    /// [`Gateway::on_lock_on_obs`] minus the [`Self::would_detect`]
-    /// re-check, for callers that already established detection —
-    /// the simulator's indexed hot path proves the channel half from
-    /// its candidate index and the SNR half from its link table before
-    /// constructing the packet. Never returns
-    /// [`LockOnOutcome::NotDetected`].
-    pub fn admit_detected_obs(
-        &mut self,
-        pkt: PacketAtGateway,
-        sink: &mut dyn ObsSink,
-    ) -> LockOnOutcome {
-        debug_assert!(self.would_detect(&pkt), "caller must verify detection");
-        if !self
-            .pool
-            .try_acquire_obs(pkt.lock_on_us, pkt.trace, self.id as u32, pkt.tx_id, sink)
-        {
-            self.stats.dropped_no_decoder += 1;
-            if sink.enabled() {
-                let foreign_held = self.foreign_held_decoders();
-                if foreign_held > 0 {
-                    sink.record(&ObsEvent::StealRefused {
-                        t_us: pkt.lock_on_us,
-                        trace: pkt.trace,
-                        gw: self.id as u32,
-                        tx: pkt.tx_id,
-                        foreign_held: foreign_held as u32,
-                    });
-                }
+        let outcome = self.admit_detected_tracked_obs(&pkt, sink);
+        if outcome == LockOnOutcome::Admitted {
+            // The map tracks this one, not the caller.
+            if pkt.network_id != self.network_id {
+                self.untracked_foreign -= 1;
             }
-            return LockOnOutcome::DroppedNoDecoder;
+            self.active.insert(pkt.tx_id, pkt);
         }
-        self.stats.admitted += 1;
-        if pkt.network_id != self.network_id {
-            self.foreign_active += 1;
-        }
-        self.active.insert(pkt.tx_id, pkt);
-        LockOnOutcome::Admitted
+        outcome
     }
 
-    /// [`Self::admit_detected_obs`] where the *caller* keeps the
-    /// packet and promises to hand it back at
-    /// [`Self::on_tx_end_tracked_obs`] — the gateway skips its
-    /// active-map bookkeeping. For drivers (the sharded simulator)
-    /// that already hold per-transmission state, this removes two
-    /// hash-map operations and a packet copy per (transmission,
-    /// gateway). Decoder-pool semantics, stats and foreign-held
-    /// accounting are identical to the self-tracked path.
+    /// FCFS admission of a packet the caller has already established
+    /// as detected — the simulator proves the channel half from its
+    /// candidate index and the SNR half from its link table before
+    /// constructing the packet — and that the *caller* keeps, promising
+    /// to hand it back at [`Self::on_tx_end_tracked_obs`]. The gateway
+    /// does no active-map bookkeeping, which for drivers that already
+    /// hold per-transmission state removes two hash-map operations and
+    /// a packet copy per (transmission, gateway). Never returns
+    /// [`LockOnOutcome::NotDetected`]. This is the one admission body;
+    /// [`Self::on_lock_on_obs`] wraps it.
     pub fn admit_detected_tracked_obs(
         &mut self,
         pkt: &PacketAtGateway,
@@ -335,9 +309,11 @@ impl Gateway {
 
     /// Transmission-end for a packet admitted with
     /// [`Self::admit_detected_tracked_obs`]: the caller supplies the
-    /// packet it retained. Must be called exactly once per tracked
+    /// packet it retained, and `phy_ok`, the medium's verdict on whether
+    /// the decode succeeded. Must be called exactly once per tracked
     /// admission — unlike [`Self::on_tx_end_obs`] there is no map to
-    /// detect a packet that was never admitted here.
+    /// detect a packet that was never admitted here. This is the one
+    /// end body; [`Self::on_tx_end_obs`] wraps it.
     pub fn on_tx_end_tracked_obs(
         &mut self,
         pkt: &PacketAtGateway,
@@ -354,6 +330,8 @@ impl Gateway {
             self.stats.decode_failed += 1;
             ReceptionOutcome::DecodeFailed
         } else if pkt.network_id != self.network_id {
+            // Post-decode sync-word filtering: the decoder was occupied
+            // for the whole packet, and only now is it discarded.
             self.stats.foreign_filtered += 1;
             ReceptionOutcome::ForeignFiltered
         } else {
@@ -381,24 +359,11 @@ impl Gateway {
         sink: &mut dyn ObsSink,
     ) -> Option<ReceptionOutcome> {
         let pkt = self.active.remove(&tx_id)?;
+        // Out of the map: the end body accounts it as caller-tracked.
         if pkt.network_id != self.network_id {
-            self.foreign_active -= 1;
+            self.untracked_foreign += 1;
         }
-        self.pool
-            .release_obs(pkt.end_us, pkt.trace, self.id as u32, tx_id, sink);
-        let outcome = if !phy_ok {
-            self.stats.decode_failed += 1;
-            ReceptionOutcome::DecodeFailed
-        } else if pkt.network_id != self.network_id {
-            // Post-decode sync-word filtering: the decoder was occupied
-            // for the whole packet, and only now is it discarded.
-            self.stats.foreign_filtered += 1;
-            ReceptionOutcome::ForeignFiltered
-        } else {
-            self.stats.received += 1;
-            ReceptionOutcome::Received
-        };
-        Some(outcome)
+        Some(self.on_tx_end_tracked_obs(&pkt, phy_ok, sink))
     }
 
     /// Number of decoders currently occupied.
@@ -653,6 +618,65 @@ mod tests {
         b.on_tx_end_obs(0, true, &mut null);
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.decoders_in_use(), b.decoders_in_use());
+    }
+
+    #[test]
+    fn tracked_and_self_tracked_admission_agree() {
+        // The same packet sequence — two networks, more lock-ons than
+        // decoders, ends interleaved with later lock-ons, failed
+        // decodes — through the self-tracked wrappers and through the
+        // caller-tracked bodies they wrap: identical stats, pool state
+        // and obs bytes after every step, with the foreign-held
+        // self-check (a debug assertion in `foreign_held_decoders`)
+        // exercised on both.
+        use obs::VecSink;
+        let pkts: Vec<PacketAtGateway> = (0..40u64)
+            .map(|i| pkt(i, 1 + i.is_multiple_of(3) as u32, (i % 8) as u32, 10 * i))
+            .collect();
+        let (mut own, mut caller) = (gw(1), gw(1));
+        let (mut own_sink, mut caller_sink) = (VecSink::new(), VecSink::new());
+        let mut held: Vec<PacketAtGateway> = Vec::new();
+        for (i, p) in pkts.iter().enumerate() {
+            // Every third step, the oldest admitted packet ends first.
+            if i % 3 == 2 && !held.is_empty() {
+                let done = held.remove(0);
+                let phy_ok = !done.tx_id.is_multiple_of(5);
+                assert_eq!(
+                    own.on_tx_end_obs(done.tx_id, phy_ok, &mut own_sink),
+                    Some(caller.on_tx_end_tracked_obs(&done, phy_ok, &mut caller_sink))
+                );
+            }
+            let outcome = own.on_lock_on_obs(*p, &mut own_sink);
+            assert_eq!(
+                outcome,
+                caller.admit_detected_tracked_obs(p, &mut caller_sink)
+            );
+            if outcome == LockOnOutcome::Admitted {
+                held.push(*p);
+            }
+            assert_eq!(own.stats(), caller.stats(), "step {i}");
+            let pool = |g: &Gateway| (g.pool().in_use(), g.pool().stats());
+            assert_eq!(pool(&own), pool(&caller), "step {i}");
+            assert_eq!(
+                own.foreign_held_decoders(),
+                caller.foreign_held_decoders(),
+                "step {i}"
+            );
+        }
+        assert!(own.stats().dropped_no_decoder > 0 && own.stats().foreign_filtered > 0);
+        for done in held.drain(..) {
+            own.on_tx_end_obs(done.tx_id, true, &mut own_sink);
+            caller.on_tx_end_tracked_obs(&done, true, &mut caller_sink);
+        }
+        assert_eq!(own.stats(), caller.stats());
+        assert_eq!((own.decoders_in_use(), own.foreign_held_decoders()), (0, 0));
+        assert_eq!(
+            (caller.decoders_in_use(), caller.foreign_held_decoders()),
+            (0, 0)
+        );
+        let bytes = |sink: &VecSink| serde_json::to_string(&sink.events()).unwrap();
+        assert!(!own_sink.is_empty());
+        assert_eq!(bytes(&own_sink), bytes(&caller_sink));
     }
 
     #[test]

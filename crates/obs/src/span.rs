@@ -20,8 +20,8 @@
 //!   reported timings can be corrected for instrumentation overhead.
 //!
 //! Spans are hierarchical: a per-thread depth counter tags each sampled
-//! record with its nesting depth (e.g. a `SimLockOn` span inside the
-//! `SimEventLoop` span records depth 1). State is process-global and
+//! record with its nesting depth (e.g. a `SolverRepair` span inside a
+//! `SolverEval` span records depth 1). State is process-global and
 //! merged across threads by construction (plain atomics per site), so
 //! shard workers and GA scoring threads need no explicit flush.
 
@@ -48,47 +48,32 @@ const RECENT_CAP: usize = 512;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SpanId {
-    /// Monolithic engine: per-run plan/context build before the loop.
-    SimPlanBuild = 0,
-    /// Monolithic engine: timeline schedule sort.
-    SimSortSchedule = 1,
-    /// Monolithic engine: the main event loop (whole-run envelope).
-    SimEventLoop = 2,
-    /// Monolithic engine: one LockOn dispatch decision.
-    SimLockOn = 3,
-    /// Monolithic engine: one TxEnd interference-verdict batch.
-    SimVerdicts = 4,
-    /// Sharded engine: one chunk ingest into a shard machine.
-    ShardIngest = 5,
-    /// Sharded engine: one bounded drain to the safe frontier.
-    ShardDrain = 6,
-    /// Sharded engine: k-way merge of per-shard event streams.
-    ShardMerge = 7,
+    /// Sim engine: one hand-off ingested into a shard machine.
+    ShardIngest = 0,
+    /// Sim engine: one bounded drain to the safe frontier.
+    ShardDrain = 1,
+    /// Sim engine: k-way merge of per-shard event streams.
+    ShardMerge = 2,
     /// CP solver: one generation step (breed + repair + score of
     /// every child), or one `score_batch` call.
-    SolverEval = 8,
+    SolverEval = 3,
     /// CP solver: one genome mutation.
-    SolverMutate = 9,
+    SolverMutate = 4,
     /// CP solver: one genome repair pass.
-    SolverRepair = 10,
+    SolverRepair = 5,
     /// svc shard worker: one drained batch of ingest packets.
-    SvcBatch = 11,
+    SvcBatch = 6,
     /// Internal: self-overhead calibration loop.
-    Calibrate = 12,
+    Calibrate = 7,
 }
 
 /// Number of [`SpanId`] variants (size of the site table).
-pub const SPAN_SITE_COUNT: usize = 13;
+pub const SPAN_SITE_COUNT: usize = 8;
 
 impl SpanId {
     /// Stable human-readable site name used in reports and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            SpanId::SimPlanBuild => "sim.plan_build",
-            SpanId::SimSortSchedule => "sim.sort_schedule",
-            SpanId::SimEventLoop => "sim.event_loop",
-            SpanId::SimLockOn => "sim.lock_on",
-            SpanId::SimVerdicts => "sim.verdicts",
             SpanId::ShardIngest => "shard.ingest",
             SpanId::ShardDrain => "shard.drain",
             SpanId::ShardMerge => "shard.merge",
@@ -102,18 +87,13 @@ impl SpanId {
 
     fn from_index(i: usize) -> SpanId {
         match i {
-            0 => SpanId::SimPlanBuild,
-            1 => SpanId::SimSortSchedule,
-            2 => SpanId::SimEventLoop,
-            3 => SpanId::SimLockOn,
-            4 => SpanId::SimVerdicts,
-            5 => SpanId::ShardIngest,
-            6 => SpanId::ShardDrain,
-            7 => SpanId::ShardMerge,
-            8 => SpanId::SolverEval,
-            9 => SpanId::SolverMutate,
-            10 => SpanId::SolverRepair,
-            11 => SpanId::SvcBatch,
+            0 => SpanId::ShardIngest,
+            1 => SpanId::ShardDrain,
+            2 => SpanId::ShardMerge,
+            3 => SpanId::SolverEval,
+            4 => SpanId::SolverMutate,
+            5 => SpanId::SolverRepair,
+            6 => SpanId::SvcBatch,
             _ => SpanId::Calibrate,
         }
     }
@@ -465,7 +445,7 @@ mod tests {
         detach();
         reset();
         {
-            let _g = enter(SpanId::SimLockOn);
+            let _g = enter(SpanId::ShardDrain);
         }
         let rep = report();
         assert!(rep.sites.is_empty());
@@ -497,21 +477,21 @@ mod tests {
         let _l = lock();
         attach_with_stride(0);
         {
-            let _outer = enter(SpanId::SimEventLoop);
-            let _inner = enter(SpanId::SimLockOn);
+            let _outer = enter(SpanId::SolverEval);
+            let _inner = enter(SpanId::SolverRepair);
         }
         let rep = report();
         detach();
         let inner = rep
             .recent
             .iter()
-            .find(|r| r.site == "sim.lock_on")
+            .find(|r| r.site == "solver.repair")
             .expect("inner record");
         assert_eq!(inner.depth, 1);
         let outer = rep
             .recent
             .iter()
-            .find(|r| r.site == "sim.event_loop")
+            .find(|r| r.site == "solver.eval")
             .expect("outer record");
         assert_eq!(outer.depth, 0);
     }

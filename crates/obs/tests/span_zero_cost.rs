@@ -37,12 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const SITES: [SpanId; 12] = [
-    SpanId::SimPlanBuild,
-    SpanId::SimSortSchedule,
-    SpanId::SimEventLoop,
-    SpanId::SimLockOn,
-    SpanId::SimVerdicts,
+const SITES: [SpanId; 7] = [
     SpanId::ShardIngest,
     SpanId::ShardDrain,
     SpanId::ShardMerge,

@@ -70,10 +70,10 @@
 //! # Determinism
 //!
 //! Both representations return the same `(RSSI, network)` maxima, and
-//! the fixed-point sum is summation-order independent; the monolithic
-//! loop and the reference fold their leak through the same
-//! [`leak_fx`], so sharded, monolithic and reference runs are
-//! record-identical at any shard count and any on-air density. See
+//! the fixed-point sum is summation-order independent; the reference
+//! folds its leak through the same [`leak_fx`], so engine and
+//! reference runs are record-identical at any shard count and any
+//! on-air density. See
 //! `docs/SCALING.md` for the cost model and `docs/ARCHITECTURE.md` for
 //! the determinism contract.
 
@@ -773,12 +773,8 @@ mod tests {
     /// between 0 and 1 (including a `None` orthogonal gain), channel 2
     /// disjoint from 0.
     fn test_ctx() -> RunContext {
-        let mut ctx = RunContext::default();
-        ctx.channels = ChannelGrid::standard(916_800_000, 1_600_000)
-            .channels()
-            .into_iter()
-            .take(N_CH)
-            .collect();
+        let channels = ChannelGrid::standard(916_800_000, 1_600_000).channels();
+        let mut ctx = RunContext::new(&channels[..N_CH], &[]);
         ctx.overlapping = vec![vec![0, 1], vec![0, 1, 2], vec![1, 2]];
         ctx.pair = vec![PairClass::Disjoint; N_CH * N_CH];
         for c in 0..N_CH {

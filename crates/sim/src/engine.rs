@@ -72,7 +72,9 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The event queue.
+/// The event queue: a plain binary heap. The spec loop
+/// ([`crate::reference`]) drains it; the engine's [`TimeWheel`] is held
+/// to its pop order.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,
@@ -84,20 +86,6 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// An empty queue whose heap can hold `n` events without
-    /// reallocating (a run schedules exactly three per transmission).
-    pub fn with_capacity(n: usize) -> EventQueue {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(n),
-        }
-    }
-
-    /// Reserve capacity for at least `n` additional events, so a burst
-    /// of pushes never reallocates mid-run.
-    pub fn reserve(&mut self, n: usize) {
-        self.heap.reserve(n);
-    }
-
     /// Schedule `event` at absolute time `at_us`.
     pub fn push(&mut self, at_us: u64, event: Event) {
         self.heap.push(Scheduled { at_us, event });
@@ -106,26 +94,6 @@ impl EventQueue {
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(u64, Event)> {
         self.heap.pop().map(|s| (s.at_us, s.event))
-    }
-
-    /// Pop the earliest event only if it is scheduled *strictly before*
-    /// `frontier_us`.
-    ///
-    /// This is the draining rule for chunk-fed schedules (the streaming
-    /// shard loop): after a producer promises that every future
-    /// transmission starts at or after `frontier_us`, all queued events
-    /// strictly below the frontier are safe to process — no future push
-    /// can precede them. Events *at* the frontier must wait: a future
-    /// TxEnd at the same instant would sort ahead of a queued TxStart
-    /// or LockOn (see [`Event`]'s same-timestamp priorities), so
-    /// popping them early could reorder equal-timestamp events versus
-    /// the full-knowledge [`sort_schedule`] order. The
-    /// `chunked_drain_matches_sort_schedule` proptest pins this.
-    pub fn pop_before(&mut self, frontier_us: u64) -> Option<(u64, Event)> {
-        match self.heap.peek() {
-            Some(s) if s.at_us < frontier_us => self.pop(),
-            _ => None,
-        }
     }
 
     /// Events still scheduled.
@@ -159,15 +127,17 @@ const WHEEL_LEVELS: usize = 3;
 
 /// A hierarchical timer wheel that reproduces [`EventQueue`]'s exact
 /// pop order — `(t_us, kind priority, tx id)` ascending — under the
-/// monotone frontier-drain discipline of [`EventQueue::pop_before`].
+/// monotone frontier-drain discipline of [`Self::pop_before`].
 ///
 /// Inserts are O(1): an entry lands in the finest wheel level whose
 /// current rotation can address its timestamp, or in the overflow
-/// list. Draining advances a cursor bucket by bucket, cascading
-/// coarser-level buckets down as their windows open, and sorts each
-/// level-0 bucket's handful of events on arrival — O(1) amortized per
-/// event versus the `O(log n)` sift of a binary heap, which is the
-/// entire point at million-event queue depths.
+/// list. Draining moves a cursor from occupied bucket to occupied
+/// bucket (a 256-bit occupancy word per level names the next one, so
+/// empty simulated time costs nothing), cascading coarser-level
+/// buckets down as their windows open, and sorts each level-0 bucket's
+/// handful of events on arrival — O(1) amortized per event versus the
+/// `O(log n)` sift of a binary heap, which is the entire point at
+/// million-event queue depths.
 ///
 /// Two contract differences from a general priority queue, both
 /// inherited from the chunk-fed shard loop that owns it:
@@ -185,6 +155,9 @@ pub struct TimeWheel {
     /// `levels[l][slot]`: entries with `t >> (BASE + 8l)` equal to the
     /// slot's current rotation tick.
     levels: Vec<Vec<Vec<WheelEntry>>>,
+    /// `occupied[l]` bit `slot`: whether `levels[l][slot]` holds
+    /// anything.
+    occupied: [[u64; WHEEL_SLOTS / 64]; WHEEL_LEVELS],
     /// Entries beyond the top level's span, unsorted.
     overflow: Vec<WheelEntry>,
     /// The sorted run currently being served (all entries `< cur`).
@@ -214,6 +187,7 @@ impl TimeWheel {
             levels: (0..WHEEL_LEVELS)
                 .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
                 .collect(),
+            occupied: [[0; WHEEL_SLOTS / 64]; WHEEL_LEVELS],
             overflow: Vec::new(),
             ready: Vec::new(),
             ready_idx: 0,
@@ -261,7 +235,9 @@ impl TimeWheel {
         for l in 0..WHEEL_LEVELS {
             let shift = WHEEL_BASE_SHIFT + WHEEL_BITS * l as u32;
             if (t >> shift) - (self.cur >> shift) < WHEEL_SLOTS as u64 {
-                self.levels[l][(t >> shift) as usize & (WHEEL_SLOTS - 1)].push(e);
+                let slot = (t >> shift) as usize & (WHEEL_SLOTS - 1);
+                self.levels[l][slot].push(e);
+                self.occupied[l][slot / 64] |= 1 << (slot % 64);
                 return;
             }
         }
@@ -293,6 +269,7 @@ impl TimeWheel {
             if l + 1 < WHEEL_LEVELS {
                 let slot = tick as usize & (WHEEL_SLOTS - 1);
                 let moved = std::mem::take(&mut self.levels[l + 1][slot]);
+                self.occupied[l + 1][slot / 64] &= !(1 << (slot % 64));
                 self.cascades += moved.len() as u64;
                 for e in moved {
                     self.place(e);
@@ -316,6 +293,34 @@ impl TimeWheel {
         }
     }
 
+    /// The earliest time after the cursor at which anything is filed:
+    /// the start of the next occupied level-0 bucket, the tick at which
+    /// the next occupied coarser slot cascades, or — with entries in
+    /// overflow — the next top-level tick. Call after
+    /// [`Self::cascade_at_cursor`], with the cursor's own level-0
+    /// bucket empty.
+    fn next_due(&self) -> u64 {
+        let mut due = u64::MAX;
+        for l in 0..WHEEL_LEVELS {
+            let shift = WHEEL_BASE_SHIFT + WHEEL_BITS * l as u32;
+            let tick = self.cur >> shift;
+            // The cursor's own slot is empty at every level (coarser
+            // ones were cascaded on entry), so the search starts one
+            // slot on.
+            let own = tick as usize & (WHEEL_SLOTS - 1);
+            debug_assert_eq!(self.occupied[l][own / 64] & (1 << (own % 64)), 0);
+            let from = (own + 1) & (WHEEL_SLOTS - 1);
+            if let Some(ahead) = next_set_bit(&self.occupied[l], from) {
+                due = due.min((tick + 1 + ahead as u64) << shift);
+            }
+        }
+        if !self.overflow.is_empty() {
+            let top_shift = WHEEL_BASE_SHIFT + WHEEL_BITS * WHEEL_LEVELS as u32;
+            due = due.min(((self.cur >> top_shift) + 1) << top_shift);
+        }
+        due
+    }
+
     /// Move every entry strictly before `frontier` toward `ready`,
     /// stopping as soon as the ready run is non-empty (later buckets
     /// hold strictly later times, so serving the current run first is
@@ -327,10 +332,17 @@ impl TimeWheel {
             self.cascade_at_cursor();
             let slot = (self.cur >> WHEEL_BASE_SHIFT) as usize & (WHEEL_SLOTS - 1);
             let bucket_end = ((self.cur >> WHEEL_BASE_SHIFT) + 1) << WHEEL_BASE_SHIFT;
+            let bucket = &mut self.levels[0][slot];
+            if bucket.is_empty() {
+                // Empty time: jump to where the next entry (or the next
+                // cascade that could produce one) is due. Cascades fire
+                // at the same ticks a bucket-by-bucket walk would reach.
+                self.cur = self.next_due().min(frontier);
+                continue;
+            }
             if bucket_end <= frontier {
                 // `append` empties the bucket but keeps its capacity
                 // for the next rotation.
-                let bucket = &mut self.levels[0][slot];
                 self.pending -= bucket.len();
                 self.ready.append(bucket);
                 self.cur = bucket_end;
@@ -338,7 +350,6 @@ impl TimeWheel {
                 // The frontier splits this bucket: serve what is due,
                 // keep the rest filed (the cursor stays inside the
                 // bucket, so the slot remains addressable).
-                let bucket = &mut self.levels[0][slot];
                 let mut i = 0;
                 while i < bucket.len() {
                     if bucket[i].0 < frontier {
@@ -349,6 +360,9 @@ impl TimeWheel {
                     }
                 }
                 self.cur = frontier;
+            }
+            if bucket.is_empty() {
+                self.occupied[0][slot / 64] &= !(1 << (slot % 64));
             }
             if !self.ready.is_empty() {
                 break;
@@ -365,10 +379,18 @@ impl TimeWheel {
         self.ready.sort_unstable_by_key(|e| (e.0, e.1, e.2));
     }
 
-    /// Pop the earliest entry scheduled strictly before `frontier_us` —
-    /// [`EventQueue::pop_before`]'s contract, including the "events at
-    /// the frontier must wait" rule. Frontiers must be nondecreasing
-    /// across calls.
+    /// Pop the earliest entry scheduled *strictly before*
+    /// `frontier_us`. Frontiers must be nondecreasing across calls.
+    ///
+    /// This is the draining rule for chunk-fed schedules: after a
+    /// producer promises that every future transmission starts at or
+    /// after `frontier_us`, all queued entries strictly below the
+    /// frontier are safe to process — no future push can precede them.
+    /// Entries *at* the frontier must wait: a future TxEnd at the same
+    /// instant would sort ahead of a queued TxStart or LockOn (see
+    /// [`Event`]'s same-timestamp priorities), so popping them early
+    /// could reorder equal-timestamp events versus the full-knowledge
+    /// [`EventQueue`] order.
     pub fn pop_before(&mut self, frontier_us: u64) -> Option<WheelEntry> {
         loop {
             if self.ready_idx < self.ready.len() {
@@ -390,23 +412,25 @@ impl TimeWheel {
     }
 }
 
-/// Sort a batch of `(at_us, event)` entries into exactly the order
-/// [`EventQueue`] would pop them: timestamp, then kind priority, then
-/// transmission id.
-///
-/// A scheduler that knows every event up front — the world's run loop
-/// schedules all three events per transmission before processing any —
-/// can sort once and iterate linearly, skipping the per-pop heap sift
-/// that dominates queue cost at scale. The ordering key is total (a
-/// transmission has at most one event of each kind), so the unstable
-/// sort is deterministic and the resulting sequence is identical to
-/// draining an [`EventQueue`] holding the same entries.
-pub fn sort_schedule(events: &mut [(u64, Event)]) {
-    events.sort_unstable_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| a.1.priority().cmp(&b.1.priority()))
-            .then_with(|| a.1.tx_id().cmp(&b.1.tx_id()))
-    });
+/// Circular distance from bit `from` to the next set bit of a 256-bit
+/// word (`0` when `from` itself is set), `None` when no bit is set.
+fn next_set_bit(word: &[u64; WHEEL_SLOTS / 64], from: usize) -> Option<usize> {
+    let (w0, b0) = (from / 64, from % 64);
+    for i in 0..=word.len() {
+        let w = (w0 + i) % word.len();
+        let mut bits = word[w];
+        if i == 0 {
+            bits &= !0 << b0;
+        } else if i == word.len() {
+            // Back in the first word: only the bits below `from`.
+            bits &= !(!0 << b0);
+        }
+        if bits != 0 {
+            let at = w * 64 + bits.trailing_zeros() as usize;
+            return Some((at + WHEEL_SLOTS - from) % WHEEL_SLOTS);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -464,7 +488,6 @@ mod proptests {
     proptest! {
         /// Pops come out in nondecreasing time order regardless of push
         /// order.
-        #[test]
         fn sorted_output(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
             let mut q = EventQueue::new();
             for (i, t) in times.iter().enumerate() {
@@ -477,97 +500,19 @@ mod proptests {
             }
         }
 
-        /// `sort_schedule` reproduces the queue's pop order exactly —
-        /// the guarantee the world's batch scheduler stands on. Times
-        /// are drawn from a narrow range so same-instant kind and id
-        /// tie-breaks are exercised constantly.
-        fn sort_schedule_matches_pop_order(
-            times in proptest::collection::vec(0u64..16, 1..200),
-        ) {
-            let mut batch: Vec<(u64, Event)> = Vec::new();
-            let mut q = EventQueue::with_capacity(3 * times.len());
-            for (i, &t) in times.iter().enumerate() {
-                let id = i as u64;
-                for ev in [
-                    Event::TxStart { tx_id: id },
-                    Event::LockOn { tx_id: id },
-                    Event::TxEnd { tx_id: id },
-                ] {
-                    batch.push((t, ev));
-                    q.push(t, ev);
-                }
-            }
-            sort_schedule(&mut batch);
-            for &entry in &batch {
-                prop_assert_eq!(q.pop(), Some(entry));
-            }
-            prop_assert!(q.is_empty());
-        }
-
-        /// Chunked feeding + frontier-gated draining reproduces the
-        /// full-knowledge `sort_schedule` order exactly: the streaming
-        /// shard loop ingests transmissions in start-time chunks and
-        /// drains with [`EventQueue::pop_before`], and no chunk
-        /// boundary may reorder equal-timestamp events versus pop
-        /// order. Start times are drawn from a narrow range so chunk
-        /// frontiers constantly land *on* queued event timestamps.
-        fn chunked_drain_matches_sort_schedule(
-            starts in proptest::collection::vec(0u64..24, 1..200),
-            chunk in 1usize..8,
-        ) {
-            // Transmission i: start, lock-on +0..2, end +0..4 (narrow
-            // offsets force heavy same-instant contention).
-            let mut txs: Vec<(u64, u64, u64)> = starts
-                .iter()
-                .map(|&s| (s, s + s % 3, s + s % 5))
-                .collect();
-            // Chunks are emitted in start order, ids in emission order
-            // (the contract of `ChunkSource`).
-            txs.sort_by_key(|&(s, _, _)| s);
-
-            let mut expected: Vec<(u64, Event)> = Vec::new();
-            for (i, &(s, l, e)) in txs.iter().enumerate() {
-                let id = i as u64;
-                expected.push((s, Event::TxStart { tx_id: id }));
-                expected.push((l, Event::LockOn { tx_id: id }));
-                expected.push((e, Event::TxEnd { tx_id: id }));
-            }
-            sort_schedule(&mut expected);
-
-            let mut q = EventQueue::new();
-            let mut drained: Vec<(u64, Event)> = Vec::new();
-            for (ci, group) in txs.chunks(chunk).enumerate() {
-                q.reserve(3 * group.len());
-                let base = (ci * chunk) as u64;
-                for (k, &(s, l, e)) in group.iter().enumerate() {
-                    let id = base + k as u64;
-                    q.push(s, Event::TxStart { tx_id: id });
-                    q.push(l, Event::LockOn { tx_id: id });
-                    q.push(e, Event::TxEnd { tx_id: id });
-                }
-                // All later transmissions start at or after the next
-                // chunk's first start time.
-                let frontier = txs
-                    .get((ci + 1) * chunk)
-                    .map(|&(s, _, _)| s)
-                    .unwrap_or(u64::MAX);
-                while let Some(entry) = q.pop_before(frontier) {
-                    drained.push(entry);
-                }
-            }
-            while let Some(entry) = q.pop() {
-                drained.push(entry);
-            }
-            prop_assert_eq!(drained, expected);
-        }
-
         /// The hierarchical [`TimeWheel`] reproduces the binary-heap
-        /// drain order exactly under the same chunked feeding and
-        /// frontier gating as `chunked_drain_matches_sort_schedule` —
-        /// same-instant priority and id tie-breaks included. Time
-        /// offsets are stretched across bucket and cascade boundaries
-        /// so level transitions are exercised, not just bucket 0.
-        #[test]
+        /// pop order exactly under chunked feeding and frontier gating
+        /// (the shard loop ingests transmissions in start-time chunks
+        /// and drains with [`TimeWheel::pop_before`]; no chunk boundary
+        /// may reorder equal-timestamp events) — same-instant priority
+        /// and id tie-breaks included. Starts are drawn from a narrow
+        /// range so chunk frontiers constantly land *on* queued event
+        /// timestamps, then stretched across bucket, cascade and
+        /// overflow boundaries so level transitions are exercised, not
+        /// just bucket 0. The sparse variants put minutes to hours of
+        /// empty time between events and let frontiers split otherwise
+        /// empty buckets, which is what the occupancy jump must get
+        /// right.
         fn wheel_matches_event_queue(
             starts in proptest::collection::vec(0u64..40, 1..200),
             // Index into a stretch table spanning bucket, cascade and
@@ -575,28 +520,38 @@ mod proptests {
             // level's span, so overflow entries cascade in).
             stretch_i in 0usize..5,
             chunk in 1usize..8,
+            // Sparse schedules: keep only every `thin`-th start, and
+            // move each chunk's frontier `early` µs before the next
+            // start, into the empty time ahead of it.
+            thin in 1usize..12,
+            early in 0u64..3_000,
         ) {
             let stretch = [1u64, 1_000, 300_000, 80_000_000, 600_000_000][stretch_i];
+            // Transmission i: start, lock-on +0..2, end +0..4 (narrow
+            // offsets force heavy same-instant contention).
             let mut txs: Vec<(u64, u64, u64)> = starts
                 .iter()
+                .step_by(thin)
                 .map(|&s| {
                     let s = s * stretch;
                     (s, s + s % 3, s + s % 5)
                 })
                 .collect();
+            // Chunks are emitted in start order, ids in emission order
+            // (the contract of `ChunkSource`).
             txs.sort_by_key(|&(s, _, _)| s);
 
-            let mut expected: Vec<(u64, Event)> = Vec::new();
+            let mut q = EventQueue::new();
             for (i, &(s, l, e)) in txs.iter().enumerate() {
                 let id = i as u64;
-                expected.push((s, Event::TxStart { tx_id: id }));
-                expected.push((l, Event::LockOn { tx_id: id }));
-                expected.push((e, Event::TxEnd { tx_id: id }));
+                q.push(s, Event::TxStart { tx_id: id });
+                q.push(l, Event::LockOn { tx_id: id });
+                q.push(e, Event::TxEnd { tx_id: id });
             }
-            sort_schedule(&mut expected);
 
             let mut w = TimeWheel::with_capacity(8);
-            let mut drained: Vec<(u64, u8, u64, u32)> = Vec::new();
+            let mut drained: Vec<WheelEntry> = Vec::new();
+            let mut last_frontier = 0;
             for (ci, group) in txs.chunks(chunk).enumerate() {
                 let base = (ci * chunk) as u64;
                 for (k, &(s, l, e)) in group.iter().enumerate() {
@@ -605,24 +560,24 @@ mod proptests {
                     w.push((l, 2, id, id as u32));
                     w.push((e, 0, id, id as u32));
                 }
+                // All later transmissions start at or after the next
+                // chunk's first start time.
                 let frontier = txs
                     .get((ci + 1) * chunk)
-                    .map(|&(s, _, _)| s)
+                    .map(|&(s, _, _)| s.saturating_sub(early).max(last_frontier))
                     .unwrap_or(u64::MAX);
+                last_frontier = frontier;
                 while let Some(entry) = w.pop_before(frontier) {
+                    prop_assert!(entry.0 < frontier);
                     drained.push(entry);
                 }
             }
             prop_assert!(w.is_empty());
-            prop_assert_eq!(drained.len(), expected.len());
-            for (got, want) in drained.iter().zip(&expected) {
-                let prio = match want.1 {
-                    Event::TxEnd { .. } => 0u8,
-                    Event::TxStart { .. } => 1,
-                    Event::LockOn { .. } => 2,
-                };
-                prop_assert_eq!((got.0, got.1, got.2), (want.0, prio, want.1.tx_id()));
-                prop_assert_eq!(got.3 as u64, want.1.tx_id());
+            prop_assert_eq!(drained.len(), q.len());
+            for got in &drained {
+                let (t, ev) = q.pop().unwrap();
+                prop_assert_eq!((got.0, got.1, got.2), (t, ev.priority(), ev.tx_id()));
+                prop_assert_eq!(got.3 as u64, ev.tx_id());
             }
         }
     }

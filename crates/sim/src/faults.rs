@@ -17,9 +17,10 @@
 /// [`crate::world::SimWorld::gateways`].
 ///
 /// Implementations must be **pure functions of (gateway, time)** — the
-/// world may ask in any order and must get identical answers on replay;
-/// that purity is what makes fault runs deterministic.
-pub trait InfraFaults {
+/// world may ask in any order, from any shard thread (hence `Sync`), and
+/// must get identical answers on replay; that purity is what makes
+/// fault runs deterministic.
+pub trait InfraFaults: Sync {
     /// Is gateway `gw` down (crashed / rebooting) at `t_us`? A down
     /// gateway detects nothing; receptions in flight when it goes down
     /// are lost.

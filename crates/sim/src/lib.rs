@@ -3,17 +3,22 @@
 //! Drives the `gateway` reception model over a statistical radio medium
 //! to reproduce the paper's experiments at laptop scale:
 //!
-//! * [`engine`] — a minimal binary-heap event queue with deterministic
-//!   tie-breaking;
+//! * [`engine`] — event scheduling with deterministic tie-breaking:
+//!   the spec's binary-heap queue and the engine's time wheel;
 //! * [`topology`] — node/gateway placement, link-loss matrices (with
 //!   frozen shadowing so runs are reproducible) and the CP reach matrix;
 //! * [`traffic`] — workload generators: the paper's micro-slotted
 //!   concurrent bursts (§3.1), duty-cycled periodic traffic (§5.2.1) and
 //!   trace-driven long-term load (Appendix D);
-//! * [`world`] — the simulation proper: medium arbitration (capture,
-//!   cross-SF rejection, partial-overlap interference), gateway event
-//!   delivery, network-server-level deduplication and per-packet loss
-//!   classification;
+//! * [`world`] — the simulation world, its per-packet records and loss
+//!   classification (the paper's taxonomy);
+//! * [`shard`] — the one engine every run executes on: medium
+//!   arbitration (capture, cross-SF rejection, partial-overlap
+//!   interference), gateway event delivery and any-gateway reception,
+//!   chunk-fed over independent spectrum shards (a single shard runs
+//!   inline on the calling thread);
+//! * [`mod@reference`] — the executable specification the engine is held
+//!   to, record for record;
 //! * [`metrics`] — PRR, throughput, loss breakdowns and the
 //!   "maximum concurrent users" capacity probe used throughout §5;
 //! * [`faults`] — the infrastructure-fault hook the `chaos` crate plugs

@@ -1,31 +1,32 @@
-//! The pre-indexing simulation loop, kept verbatim as a correctness
-//! and performance reference.
+//! The executable specification of a run: the seed revision's plain
+//! event loop, kept verbatim as the oracle the engine is held to.
 //!
 //! [`run_with_faults_reference`] is a line-for-line port of the
-//! `SimWorld::run_with_faults` implementation as it stood before the
-//! indexed hot path landed: every lock-on visits **every** gateway and
-//! recomputes the per-(node, gateway) RSSI/SNR from the topology,
-//! `TxStart` scans the full on-air list, `TxEnd` removes by `retain`,
-//! and every run allocates its interferer/admission bookkeeping afresh.
-//! It even keeps the dead `snr_v` computation the optimized path
-//! removed, because the point is to measure and differentially test
-//! against the true prior code, not a cleaned-up strawman. One
-//! deliberate departure: the leaked-interference sum is folded in the
-//! fixed point of `crate::accum` rather than in f64, so that every
-//! engine's sum is the same integer whatever order it was added in.
+//! original `SimWorld::run_with_faults`: one binary-heap queue, every
+//! lock-on visits **every** gateway and recomputes the per-(node,
+//! gateway) RSSI/SNR from the topology, `TxStart` scans the full
+//! on-air list, `TxEnd` removes by `retain`, and every run allocates
+//! its interferer/admission bookkeeping afresh. It even keeps the dead
+//! `snr_v` computation, because the point is to differentially test
+//! (and time) against the true original code, not a cleaned-up
+//! strawman. One deliberate departure: the leaked-interference sum is
+//! folded in the fixed point of `crate::accum` rather than in f64, so
+//! that the engine's incremental sum is the same integer whatever order
+//! it was added in.
 //!
 //! Two consumers rely on it:
 //!
-//! * the workspace `sim_equivalence` proptest, which asserts the
-//!   indexed core in [`crate::world::SimWorld::run_with_faults`] is
-//!   record-for-record (and event-for-event) identical to this loop on
-//!   random topologies, traffic and fault schedules;
+//! * the workspace `sim_equivalence` proptest (and the spot checks in
+//!   [`crate::shard`] and [`crate::world`]), which assert the engine
+//!   behind every `SimWorld::run*` entry point is record-for-record
+//!   (and event-for-event) identical to this loop at any shard count,
+//!   on random topologies, traffic and fault schedules;
 //! * `benches/simworld.rs` in the `bench` crate, which times the two
 //!   against each other and writes `BENCH_sim.json`.
 //!
-//! Like the live path, a reference run consumes one run epoch (trace
-//! ids are minted identically) and streams to the world's attached
-//! observability sink, so the two paths are interchangeable mid-stream.
+//! Like the engine, a reference run consumes one run epoch (trace ids
+//! are minted identically) and streams to the world's attached
+//! observability sink, so the two are interchangeable mid-stream.
 
 #![allow(clippy::all)]
 
@@ -62,8 +63,8 @@ enum Verdict {
     Interference,
 }
 
-/// Execute `plans` on `world` with the pre-indexing event loop. Replays
-/// the seed revision's algorithm exactly; see the module docs.
+/// Execute `plans` on `world` with the specification loop. Replays the
+/// seed revision's algorithm exactly; see the module docs.
 pub fn run_with_faults_reference(
     world: &mut SimWorld,
     plans: &[TxPlan],

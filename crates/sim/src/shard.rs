@@ -1,12 +1,11 @@
-//! Sharded, chunk-fed execution of one simulation run — the
-//! million-node path.
+//! The simulation engine: chunk-fed, sharded execution of one run —
+//! every run, from a 20-packet burst to the million-node path.
 //!
-//! The monolithic loop in [`crate::world`] materializes every
-//! transmission, a 3n-event timeline and an `nodes × gateways` link
-//! table before processing the first event; at 10⁶ nodes the table
-//! alone stops fitting anywhere near a cache and per-core throughput
-//! collapses. This module runs *the same arithmetic* over independent
-//! **shards** of the spectrum:
+//! A loop that materializes every transmission, a 3n-event timeline and
+//! an `nodes × gateways` link table before processing the first event
+//! stops scaling long before 10⁶ nodes: the table alone no longer fits
+//! anywhere near a cache. This module runs the arithmetic of the spec
+//! ([`crate::reference`]) over independent **shards** of the spectrum:
 //!
 //! * **Partition.** Channels are grouped into connected components
 //!   under the union of two relations: spectral overlap (any
@@ -15,14 +14,14 @@
 //!   feeds decoder contention). Transmissions in different components
 //!   can never interact — not through capture, leakage, or a shared
 //!   decoder pool — so any grouping of components into shards yields
-//!   results identical to the monolithic run. Each gateway's candidate
+//!   results identical to the one-shard run. Each gateway's candidate
 //!   channels all land in one component, so a gateway belongs to
 //!   exactly one shard.
 //! * **Chunked feeding.** A [`ChunkSource`] emits plans in chunks of
 //!   its caller's choosing together with a *frontier*: a lower bound on
-//!   every future start time. The driver (main thread) assigns global
-//!   transmission ids in emission order, routes plans to shards by
-//!   channel, and re-batches each chunk into **hand-offs** of at most
+//!   every future start time. The driver (the calling thread) assigns
+//!   global transmission ids in emission order, routes plans to shards
+//!   by channel, and re-batches each chunk into **hand-offs** of at most
 //!   `HANDOFF_TXS` plans whose frontier is the exact minimum start of
 //!   the chunk's remainder capped by the source's frontier. Each shard
 //!   files its events on a time wheel and drains strictly below the
@@ -40,21 +39,23 @@
 //!   run length, and not by the caller's chunk size.
 //! * **Compact link tables.** Each shard stores RSSI rows only for the
 //!   nodes it has seen, with a stride of *its own* gateway count —
-//!   at 100k nodes × 64 gateways the global table is ~50 MB while a
+//!   at 100k nodes × 64 gateways a global table would be ~50 MB while a
 //!   per-shard table is well under 1 MB, which is the entire per-core
 //!   speedup at scale (SNR is derived as `rssi - noise_floor`, bitwise
-//!   identical to the monolithic table's entry).
-//! * **Deterministic join.** Shards run under [`std::thread::scope`]
-//!   (one thread per shard); results are joined in shard-id order and
-//!   observability events are buffered per shard keyed by the global
-//!   event order `(t_us, kind priority, tx id)` and k-way merged, so
-//!   the output — records, gateway stats, obs byte stream — is
-//!   invariant under shard count and thread scheduling. The workspace
-//!   `sim_equivalence` proptest pins `run_sharded` byte-identical to
-//!   [`SimWorld::run_with_faults`].
-//!
-//! Faults must be [`Sync`] here ([`InfraFaults`] is pure/read-only by
-//! contract; `chaos::FaultSchedule` is plain data and qualifies).
+//!   identical to `Topology::snr_db`).
+//! * **One shard runs inline.** When the partition (or a
+//!   `max_shards: 1` ceiling, which is what [`SimWorld::run`] asks for)
+//!   yields a single shard, its machine runs on the calling thread: the
+//!   producer loop calls it directly — no spawn, no channel — so
+//!   paper-scale runs pay no threading cost.
+//! * **Deterministic join.** More shards run under
+//!   [`std::thread::scope`] (one thread per shard); results are joined
+//!   in shard-id order and observability events are buffered per shard
+//!   keyed by the global event order `(t_us, kind priority, tx id)` and
+//!   k-way merged, so the output — records, gateway stats, obs byte
+//!   stream — is invariant under shard count and thread scheduling. The
+//!   workspace `sim_equivalence` proptest pins every shard count
+//!   byte-identical to [`crate::reference`].
 
 use crate::accum::{AccumState, TxKey};
 use crate::engine::TimeWheel;
@@ -267,8 +268,9 @@ fn uf_union(parent: &mut [u32], a: u32, b: u32) {
 /// most `ceiling` shards with a deterministic greedy balance (heaviest
 /// component first, ties by smallest member channel, onto the least
 /// loaded shard, ties by lowest shard id).
-fn partition(ctx: &RunContext, n_gws: usize, ceiling: usize) -> Partition {
+fn partition(ctx: &RunContext, ceiling: usize) -> Partition {
     let n_ch = ctx.n_channels();
+    let n_gws = ctx.n_gws;
     let mut parent: Vec<u32> = (0..n_ch as u32).collect();
     for v in 0..n_ch {
         for &o in &ctx.overlapping[v] {
@@ -353,7 +355,7 @@ fn partition(ctx: &RunContext, n_gws: usize, ceiling: usize) -> Partition {
 /// emitted in nondecreasing order (events are processed in key order)
 /// and a given key occurs in exactly one shard (ids are globally
 /// unique), so a k-way merge by key reconstructs the exact byte stream
-/// the monolithic run would have produced.
+/// a one-shard run would have produced.
 struct KeyedSink {
     on: bool,
     key: (u64, u8, u64),
@@ -384,15 +386,16 @@ struct Slot {
     seen: Vec<(u32, Seen)>,
 }
 
-/// One shard's event loop: the [`crate::world`] hot path ported onto
-/// chunk feeding, slot recycling and compact per-shard link tables.
+/// One shard's event loop: the spec's three events per transmission
+/// over chunk feeding, slot recycling and compact per-shard link
+/// tables.
 struct ShardMachine<'e> {
     // Shared, read-only environment.
     topo: &'e Topology,
     node_power: &'e [TxPowerDbm],
     node_network: &'e [u32],
     ctx: &'e RunContext,
-    faults: &'e (dyn InfraFaults + Sync),
+    faults: &'e dyn InfraFaults,
     /// Per *global* gateway: can this fault schedule ever crash it.
     ever_down: &'e [bool],
     /// Per *global* gateway: can decoders ever lock up.
@@ -450,9 +453,15 @@ struct ShardMachine<'e> {
     events: u64,
     candidate_visits: u64,
     peak_live: usize,
+    /// Last finite frontier drained to (heartbeat progress).
+    last_frontier: u64,
+    /// When the machine was built, and the time since spent inside
+    /// [`Self::step`]; the rest was spent waiting for the feed.
+    born: Instant,
+    busy: Duration,
 }
 
-/// Everything a shard thread sends back to the driver.
+/// Everything a shard sends back to the driver.
 struct ShardOutput {
     gw_global: Vec<u32>,
     gateways: Vec<Gateway>,
@@ -471,7 +480,7 @@ impl<'e> ShardMachine<'e> {
         node_power: &'e [TxPowerDbm],
         node_network: &'e [u32],
         ctx: &'e RunContext,
-        faults: &'e (dyn InfraFaults + Sync),
+        faults: &'e dyn InfraFaults,
         ever_down: &'e [bool],
         ever_locked: &'e [bool],
         cic: bool,
@@ -534,6 +543,9 @@ impl<'e> ShardMachine<'e> {
             events: 0,
             candidate_visits: 0,
             peak_live: 0,
+            last_frontier: 0,
+            born: Instant::now(),
+            busy: Duration::ZERO,
         }
     }
 
@@ -580,7 +592,7 @@ impl<'e> ShardMachine<'e> {
             // driver from per-channel counts).
             for &g in &self.ever_down_list {
                 let g = g as usize;
-                if !self.ctx.is_cand[ch as usize * self.ever_down.len() + g]
+                if !self.ctx.is_cand[ch as usize * self.ctx.n_gws + g]
                     && !self.faults.gateway_down(g, tx.lock_on_us)
                 {
                     self.extra_undetected[g] += 1;
@@ -748,8 +760,8 @@ impl<'e> ShardMachine<'e> {
             });
     }
 
-    /// Port of the monolithic `finish_tx`: decoder release, delivery
-    /// classification, record/summary emission. The caller resolves
+    /// Decoder release, delivery classification, record/summary
+    /// emission. The caller resolves
     /// PHY verdicts into `self.vs.verdicts` first
     /// ([`Self::batch_verdicts`]).
     fn finish_tx(&mut self, s: u32) {
@@ -887,8 +899,8 @@ impl<'e> ShardMachine<'e> {
 
     /// PHY verdicts for slot `s` at every seen gateway, into
     /// `self.vs.verdicts`: colliders, cross-SF kills and leaked power
-    /// come from the interference state, the SINR arithmetic is the
-    /// monolithic loop's own ([`VerdictScratch::resolve`]).
+    /// come from the interference state, the SINR arithmetic is
+    /// [`VerdictScratch::resolve`].
     fn batch_verdicts(&mut self, s: u32) {
         let sl = &self.slots[s as usize];
         let link = &self.link;
@@ -908,40 +920,45 @@ impl<'e> ShardMachine<'e> {
         });
     }
 
-    /// Run the shard to completion over its chunk stream and hand the
-    /// results back.
-    fn run(mut self, rx: mpsc::Receiver<ChunkMsg>) -> ShardOutput {
-        let wall = Instant::now();
-        let mut idle = Duration::ZERO;
-        let mut last_frontier = 0u64;
-        loop {
-            let waiting = Instant::now();
-            let Ok((chunk, frontier)) = rx.recv() else {
-                break;
-            };
-            idle += waiting.elapsed();
-            {
-                let _sp = obs::span::enter(obs::span::SpanId::ShardIngest);
-                self.ingest(&chunk);
-            }
-            {
-                let _sp = obs::span::enter(obs::span::SpanId::ShardDrain);
-                self.drain(frontier);
-            }
-            if frontier != u64::MAX {
-                last_frontier = frontier;
-            }
-            if let Some(hb) = self.hb {
-                hb.beat(
-                    self.shard,
-                    self.txs_n,
-                    self.events,
-                    last_frontier,
-                    self.q.len() as u64,
-                    (self.slots.len() - self.free.len()) as u64,
-                );
-            }
+    /// One hand-off: materialize `chunk`, then process everything the
+    /// frontier has made safe.
+    fn step(&mut self, chunk: &[RoutedPlan], frontier: u64) {
+        let began = Instant::now();
+        {
+            let _sp = obs::span::enter(obs::span::SpanId::ShardIngest);
+            self.ingest(chunk);
         }
+        {
+            let _sp = obs::span::enter(obs::span::SpanId::ShardDrain);
+            self.drain(frontier);
+        }
+        if frontier != u64::MAX {
+            self.last_frontier = frontier;
+        }
+        if let Some(hb) = self.hb {
+            hb.beat(
+                self.shard,
+                self.txs_n,
+                self.events,
+                self.last_frontier,
+                self.q.len() as u64,
+                (self.slots.len() - self.free.len()) as u64,
+            );
+        }
+        self.busy += began.elapsed();
+    }
+
+    /// The shard's thread body: [`Self::step`] per hand-off until the
+    /// driver hangs up.
+    fn run(mut self, rx: mpsc::Receiver<ChunkMsg>) -> ShardOutput {
+        while let Ok((chunk, frontier)) = rx.recv() {
+            self.step(&chunk, frontier);
+        }
+        self.finish()
+    }
+
+    /// Close the run and hand the results back.
+    fn finish(mut self) -> ShardOutput {
         // The last frontier is u64::MAX by the ChunkSource contract;
         // this is a belt-and-braces drain for sources that end early.
         self.drain(u64::MAX);
@@ -952,6 +969,7 @@ impl<'e> ShardMachine<'e> {
         }
 
         let accum = self.accum.stats;
+        let wall = self.born.elapsed();
         let stats = ShardRunStats {
             shard: self.shard,
             txs: self.txs_n,
@@ -964,8 +982,8 @@ impl<'e> ShardMachine<'e> {
             accum_evictions: accum.evictions,
             index_builds: accum.index_builds,
             wheel_cascades: self.q.cascades(),
-            wall_us: wall.elapsed().as_micros() as u64,
-            idle_us: idle.as_micros() as u64,
+            wall_us: wall.as_micros() as u64,
+            idle_us: wall.saturating_sub(self.busy).as_micros() as u64,
         };
         ShardOutput {
             gw_global: self.gw_global,
@@ -988,12 +1006,66 @@ struct ShardedOutcome {
     shard_stats: Vec<ShardRunStats>,
 }
 
-/// The sharded driver: partition, spawn one thread per shard, pump
-/// chunks from `source`, join deterministically.
+/// The producer half of a run: pull chunks from `source`, assign
+/// global ids in emission order, route each plan to its shard by
+/// channel (tallying `ch_tx_count`), and pass every hand-off — the
+/// per-shard plan lists plus the frontier — to `deliver`, which must
+/// leave the lists empty. Returns the number of transmissions.
+///
+/// Each source chunk goes out as hand-offs of at most `HANDOFF_TXS`
+/// plans; every shard gets every hand-off's frontier so it can drain
+/// eagerly.
+fn pump(
+    source: &mut dyn ChunkSource,
+    ctx: &RunContext,
+    part: &Partition,
+    ch_tx_count: &mut [u64],
+    mut deliver: impl FnMut(&mut [Vec<RoutedPlan>], u64),
+) -> u64 {
+    let mut total_txs = 0u64;
+    let mut buf: Vec<TxPlan> = Vec::new();
+    let mut per_shard: Vec<Vec<RoutedPlan>> = vec![Vec::new(); part.n_shards];
+    let mut frontiers: Vec<u64> = Vec::new();
+    while let Some(frontier) = source.next_chunk(&mut buf) {
+        // The frontier after a hand-off is the earliest start still to
+        // come: the minimum over the rest of the chunk (plans within a
+        // chunk may be in any order), capped by the source's bound on
+        // all later chunks.
+        let n_handoffs = buf.len().div_ceil(HANDOFF_TXS).max(1);
+        frontiers.clear();
+        frontiers.resize(n_handoffs, frontier);
+        for (h, rest) in buf.chunks(HANDOFF_TXS).enumerate().skip(1).rev() {
+            frontiers[h - 1] = rest.iter().fold(frontiers[h], |m, p| m.min(p.start_us));
+        }
+        // An empty chunk still carries its frontier to the shards, as
+        // one empty hand-off.
+        let mut handoffs = buf.chunks(HANDOFF_TXS);
+        for &handoff_frontier in &frontiers {
+            for p in handoffs.next().unwrap_or_default() {
+                let cid = ctx
+                    .channel_id(&p.channel)
+                    .expect("plan channel outside the declared universe")
+                    as usize;
+                ch_tx_count[cid] += 1;
+                let shard = part.shard_of_channel[cid] as usize;
+                per_shard[shard].push((total_txs, cid as u32, *p));
+                total_txs += 1;
+            }
+            deliver(&mut per_shard, handoff_frontier);
+        }
+    }
+    total_txs
+}
+
+/// The engine's driver: partition, build one [`ShardMachine`] per
+/// shard, pump chunks from `source` through them, join
+/// deterministically. A one-shard run executes its machine right here
+/// on the calling thread — no spawn, no channel; more shards get one
+/// scoped thread each.
 fn run_chunked(
     world: &mut SimWorld,
     source: &mut dyn ChunkSource,
-    faults: &(dyn InfraFaults + Sync),
+    faults: &dyn InfraFaults,
     opts: &ShardOpts,
     collect_records: bool,
 ) -> ShardedOutcome {
@@ -1002,14 +1074,9 @@ fn run_chunked(
     world.run_epoch += 1;
     let n_gws = world.gateways.len();
 
-    // Channel universe and channel-indexed context only — the big
-    // global link tables are exactly what this path avoids.
-    let mut ctx = RunContext::default();
-    ctx.intern_channel_list(source.channels());
-    ctx.rebuild_channels(&world.gateways);
+    let ctx = RunContext::new(source.channels(), &world.gateways);
     let n_ch = ctx.n_channels();
-
-    let part = partition(&ctx, n_gws, opts.shard_ceiling());
+    let part = partition(&ctx, opts.shard_ceiling());
     let n_shards = part.n_shards;
 
     let ever_down: Vec<bool> = (0..n_gws).map(|g| faults.gateway_ever_down(g)).collect();
@@ -1025,8 +1092,10 @@ fn run_chunked(
         }
     }
 
-    // Take the sink for the run; gateway identities go out first, in
-    // global order, exactly like the monolithic run.
+    // Take the sink for the run. Gateway identities go out first, in
+    // global order: analyzers need the gateway→network ownership map
+    // before any packet event to classify decoder holds as own- vs
+    // foreign-network.
     let mut taken = world.obs.take();
     let obs_on = taken.as_deref().map(|s| s.enabled()).unwrap_or(false);
     if obs_on {
@@ -1059,132 +1128,99 @@ fn run_chunked(
     // Move the gateways out to their shards; unassigned ones stay
     // parked.
     let mut parked: Vec<Option<Gateway>> = world.gateways.drain(..).map(Some).collect();
+    let mut take_gateways = |shard: usize| -> Vec<Gateway> {
+        part.shard_gws[shard]
+            .iter()
+            .map(|&g| parked[g as usize].take().expect("gateway assigned once"))
+            .collect()
+    };
 
     let topo = &world.topo;
     let node_power = &world.node_power[..];
     let node_network = &world.node_network[..];
     let cic = world.cic;
+    let machine = |shard: usize, gateways: Vec<Gateway>| {
+        let gw_global = part.shard_gws[shard].clone();
+        // Candidate lists in local gateway ids (global order is
+        // ascending in both, so candidate order is preserved).
+        let mut cand_local: Vec<Vec<u32>> = vec![Vec::new(); n_ch];
+        for (ci, cl) in cand_local.iter_mut().enumerate() {
+            if part.shard_of_channel[ci] == shard as u32 {
+                *cl = ctx.cand[ci]
+                    .iter()
+                    .map(|&g| {
+                        gw_global
+                            .binary_search(&g)
+                            .expect("candidate gateway owned by this shard")
+                            as u32
+                    })
+                    .collect();
+            }
+        }
+        ShardMachine::new(
+            topo,
+            node_power,
+            node_network,
+            &ctx,
+            faults,
+            &ever_down,
+            &ever_locked,
+            cic,
+            epoch,
+            collect_records,
+            obs_on,
+            hb.as_ref(),
+            shard as u32,
+            gw_global,
+            cand_local,
+            gateways,
+            opts.chunk_txs.min(HANDOFF_TXS),
+        )
+    };
 
     let mut ch_tx_count = vec![0u64; n_ch];
-    let mut total_txs: u64 = 0;
-
-    let mut outputs: Vec<ShardOutput> = if n_shards == 0 {
-        // Empty channel universe: the source must be empty too.
-        let mut buf = Vec::new();
-        while source.next_chunk(&mut buf).is_some() {
-            assert!(
-                buf.is_empty(),
-                "plan emitted outside the declared channel universe"
-            );
+    let (total_txs, mut outputs): (u64, Vec<ShardOutput>) = match n_shards {
+        // Empty channel universe: the source must be empty too (`pump`
+        // refuses a plan outside the universe).
+        0 => (
+            pump(source, &ctx, &part, &mut ch_tx_count, |_, _| {}),
+            Vec::new(),
+        ),
+        1 => {
+            let mut m = machine(0, take_gateways(0));
+            let total_txs = pump(source, &ctx, &part, &mut ch_tx_count, |routed, frontier| {
+                m.step(&routed[0], frontier);
+                routed[0].clear();
+            });
+            (total_txs, vec![m.finish()])
         }
-        Vec::new()
-    } else {
-        let ctx_ref = &ctx;
-        let part_ref = &part;
-        let ever_down_ref = &ever_down[..];
-        let ever_locked_ref = &ever_locked[..];
-        let hb_ref = hb.as_ref();
-        let chunk_hint = opts.chunk_txs.min(HANDOFF_TXS);
-        std::thread::scope(|scope| {
+        _ => std::thread::scope(|scope| {
             let mut senders = Vec::with_capacity(n_shards);
             let mut handles = Vec::with_capacity(n_shards);
             for shard in 0..n_shards {
                 let (tx, rx) = mpsc::sync_channel::<ChunkMsg>(2);
-                let gw_global = part_ref.shard_gws[shard].clone();
-                let gateways: Vec<Gateway> = gw_global
-                    .iter()
-                    .map(|&g| parked[g as usize].take().expect("gateway assigned once"))
-                    .collect();
-                // Candidate lists in local gateway ids (global order is
-                // ascending in both, so candidate order is preserved).
-                let mut cand_local: Vec<Vec<u32>> = vec![Vec::new(); n_ch];
-                for (ci, cl) in cand_local.iter_mut().enumerate() {
-                    if part_ref.shard_of_channel[ci] == shard as u32 {
-                        *cl = ctx_ref.cand[ci]
-                            .iter()
-                            .map(|&g| {
-                                gw_global
-                                    .binary_search(&g)
-                                    .expect("candidate gateway owned by this shard")
-                                    as u32
-                            })
-                            .collect();
-                    }
-                }
-                handles.push(scope.spawn(move || {
-                    ShardMachine::new(
-                        topo,
-                        node_power,
-                        node_network,
-                        ctx_ref,
-                        faults,
-                        ever_down_ref,
-                        ever_locked_ref,
-                        cic,
-                        epoch,
-                        collect_records,
-                        obs_on,
-                        hb_ref,
-                        shard as u32,
-                        gw_global,
-                        cand_local,
-                        gateways,
-                        chunk_hint,
-                    )
-                    .run(rx)
-                }));
+                let gateways = take_gateways(shard);
+                handles.push(scope.spawn(move || machine(shard, gateways).run(rx)));
                 senders.push(tx);
             }
-
-            // Producer: route plans to shards by channel, assigning
-            // global ids in emission order. Each source chunk goes out
-            // as hand-offs of at most `HANDOFF_TXS` plans; every shard
-            // gets every hand-off's frontier so it can drain eagerly.
-            let mut buf: Vec<TxPlan> = Vec::new();
-            let mut per_shard: Vec<Vec<RoutedPlan>> = (0..n_shards).map(|_| Vec::new()).collect();
-            let mut frontiers: Vec<u64> = Vec::new();
-            while let Some(frontier) = source.next_chunk(&mut buf) {
-                // The frontier after a hand-off is the earliest start
-                // still to come: the minimum over the rest of the chunk
-                // (plans within a chunk may be in any order), capped by
-                // the source's bound on all later chunks.
-                let n_handoffs = buf.len().div_ceil(HANDOFF_TXS).max(1);
-                frontiers.clear();
-                frontiers.resize(n_handoffs, frontier);
-                for (h, rest) in buf.chunks(HANDOFF_TXS).enumerate().skip(1).rev() {
-                    frontiers[h - 1] = rest.iter().fold(frontiers[h], |m, p| m.min(p.start_us));
+            let total_txs = pump(source, &ctx, &part, &mut ch_tx_count, |routed, frontier| {
+                for (plans, sender) in routed.iter_mut().zip(&senders) {
+                    // The next hand-off routes about as much, so the
+                    // replacement starts at this one's size instead of
+                    // regrowing from empty.
+                    let next = Vec::with_capacity(plans.len());
+                    sender
+                        .send((std::mem::replace(plans, next), frontier))
+                        .expect("shard thread alive");
                 }
-                // An empty chunk still carries its frontier to the
-                // shards, as one empty hand-off.
-                let mut handoffs = buf.chunks(HANDOFF_TXS);
-                for &handoff_frontier in &frontiers {
-                    for p in handoffs.next().unwrap_or_default() {
-                        let cid = ctx_ref
-                            .channel_id(&p.channel)
-                            .expect("plan channel outside the declared universe")
-                            as usize;
-                        ch_tx_count[cid] += 1;
-                        let shard = part_ref.shard_of_channel[cid] as usize;
-                        per_shard[shard].push((total_txs, cid as u32, *p));
-                        total_txs += 1;
-                    }
-                    for (routed, sender) in per_shard.iter_mut().zip(&senders) {
-                        // The next hand-off routes about as much, so
-                        // the replacement starts at this one's size
-                        // instead of regrowing from empty.
-                        let next = Vec::with_capacity(routed.len());
-                        sender
-                            .send((std::mem::replace(routed, next), handoff_frontier))
-                            .expect("shard thread alive");
-                    }
-                }
-            }
+            });
             drop(senders);
-            handles
+            let outputs = handles
                 .into_iter()
                 .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        })
+                .collect();
+            (total_txs, outputs)
+        }),
     };
 
     // Restore gateways to global order (unassigned ones never moved).
@@ -1200,7 +1236,8 @@ fn run_chunked(
         .map(|g| g.expect("every gateway restored"))
         .collect();
 
-    // Not-detected reconciliation, matching the monolithic run: in-loop
+    // Not-detected reconciliation (the spec bumps the counter once per
+    // up gateway per undetected transmission): in-loop
     // SNR-miss tallies (shard-local), per-transmission tallies for
     // crashable gateways (shard-local, any shard's transmissions), and
     // the O(1)-per-gateway bulk for never-down gateways.
@@ -1232,7 +1269,7 @@ fn run_chunked(
 
     // K-way merge the per-shard obs buffers by global event key. Keys
     // are unique across shards (each is tagged with its transmission
-    // id), so `<` alone reconstructs the monolithic stream.
+    // id), so `<` alone reconstructs the global event order.
     if obs_on {
         let _sp = obs::span::enter(obs::span::SpanId::ShardMerge);
         let sink = taken.as_deref_mut().expect("sink present when enabled");
@@ -1320,20 +1357,20 @@ fn run_chunked(
 }
 
 impl SimWorld {
-    /// [`Self::run`] over the sharded engine: byte-identical records,
+    /// [`Self::run`] spread over threads: byte-identical records,
     /// gateway stats and obs stream, computed over independent channel
     /// shards on up to `opts.max_shards` threads.
     pub fn run_sharded(&mut self, plans: &[TxPlan], opts: &ShardOpts) -> Vec<PacketRecord> {
         self.run_sharded_with_faults(plans, &NoFaults, opts)
     }
 
-    /// [`Self::run_with_faults`] over the sharded engine. `faults`
-    /// must be `Sync` (shards query it concurrently; [`InfraFaults`]
-    /// implementations are pure).
+    /// [`Self::run_sharded`] under an infrastructure-fault schedule
+    /// (shards query it concurrently; [`InfraFaults`] implementations
+    /// are pure and `Sync`).
     pub fn run_sharded_with_faults(
         &mut self,
         plans: &[TxPlan],
-        faults: &(dyn InfraFaults + Sync),
+        faults: &dyn InfraFaults,
         opts: &ShardOpts,
     ) -> Vec<PacketRecord> {
         let mut source = SliceChunks::new(plans, opts.chunk_txs);
@@ -1355,7 +1392,7 @@ impl SimWorld {
     pub fn run_streamed_with_faults(
         &mut self,
         source: &mut dyn ChunkSource,
-        faults: &(dyn InfraFaults + Sync),
+        faults: &dyn InfraFaults,
         opts: &ShardOpts,
     ) -> StreamedRun {
         let out = run_chunked(self, source, faults, opts, false);
@@ -1366,8 +1403,8 @@ impl SimWorld {
         }
     }
 
-    /// Per-shard counters from the most recent sharded/streamed run;
-    /// `None` before the first, or after a monolithic run.
+    /// Per-shard counters from the most recent run (one entry for a
+    /// [`Self::run`]); `None` before the first.
     pub fn last_shard_stats(&self) -> Option<&[ShardRunStats]> {
         self.last_shard_stats.as_deref()
     }
@@ -1376,6 +1413,7 @@ impl SimWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::run_with_faults_reference;
     use crate::traffic::{concurrent_burst, duty_cycled, BurstScheme};
     use gateway::config::GatewayConfig;
     use gateway::profile::GatewayProfile;
@@ -1432,19 +1470,8 @@ mod tests {
     fn partition_separates_disjoint_subbands() {
         let w = two_subband_world(4);
         let plans = duty_cycled(&two_subband_assignments(4), 12, 0.01, 60_000_000, 3);
-        let mut ctx = RunContext::default();
-        let chans: Vec<Channel> = {
-            let mut cs = Vec::new();
-            for p in &plans {
-                if !cs.contains(&p.channel) {
-                    cs.push(p.channel);
-                }
-            }
-            cs
-        };
-        ctx.intern_channel_list(&chans);
-        ctx.rebuild_channels(&w.gateways);
-        let part = partition(&ctx, 2, 8);
+        let ctx = RunContext::new(SliceChunks::new(&plans, 1).channels(), &w.gateways);
+        let part = partition(&ctx, 8);
         assert_eq!(part.n_shards, 2, "two disjoint sub-bands, two shards");
         assert_eq!(part.shard_gws.iter().map(Vec::len).sum::<usize>(), 2);
         // Gateway 0 (sub-band 0) and gateway 1 (sub-band 2) are in
@@ -1455,14 +1482,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_monolithic() {
+    fn sharded_matches_reference() {
         let assigns = two_subband_assignments(24);
         let plans = duty_cycled(&assigns, 12, 0.02, 120_000_000, 11);
         assert!(!plans.is_empty());
 
-        let mut mono = two_subband_world(24);
-        let recs_mono = mono.run(&plans);
+        let mut spec = two_subband_world(24);
+        let recs_spec = run_with_faults_reference(&mut spec, &plans, &NoFaults);
 
+        // One shard runs inline on this thread, two and four (capped at
+        // the two components) on spawned ones: the same bytes.
         for shards in [1usize, 2, 4] {
             let mut sharded = two_subband_world(24);
             let opts = ShardOpts {
@@ -1470,16 +1499,18 @@ mod tests {
                 chunk_txs: 7,
             };
             let recs = sharded.run_sharded(&plans, &opts);
-            assert_eq!(recs, recs_mono, "shards={shards}");
-            for (a, b) in sharded.gateways.iter().zip(&mono.gateways) {
+            assert_eq!(recs, recs_spec, "shards={shards}");
+            for (a, b) in sharded.gateways.iter().zip(&spec.gateways) {
                 assert_eq!(a.stats(), b.stats(), "shards={shards}");
             }
             let stats = sharded.last_run_stats().unwrap();
             assert_eq!(stats.txs, plans.len() as u64);
             assert_eq!(stats.events, 3 * plans.len() as u64);
             let per_shard = sharded.last_shard_stats().unwrap();
+            assert_eq!(per_shard.len(), shards.min(2));
             assert_eq!(per_shard.iter().map(|s| s.txs).sum::<u64>(), stats.txs);
             assert!(per_shard.iter().all(|s| s.peak_live <= s.txs));
+            assert!(per_shard.iter().all(|s| s.idle_us <= s.wall_us));
         }
     }
 
@@ -1490,14 +1521,15 @@ mod tests {
         let assigns = two_subband_assignments(8);
         let mut plans = duty_cycled(&assigns, 12, 0.02, 60_000_000, 5);
         plans.reverse();
-        let mut mono = two_subband_world(8);
-        let recs_mono = mono.run(&plans);
+        let mut spec = two_subband_world(8);
+        let recs_spec = run_with_faults_reference(&mut spec, &plans, &NoFaults);
+        assert_eq!(two_subband_world(8).run(&plans), recs_spec);
         let mut sharded = two_subband_world(8);
         let opts = ShardOpts {
             max_shards: 2,
             chunk_txs: 3,
         };
-        assert_eq!(sharded.run_sharded(&plans, &opts), recs_mono);
+        assert_eq!(sharded.run_sharded(&plans, &opts), recs_spec);
     }
 
     #[test]
@@ -1616,18 +1648,17 @@ mod tests {
             );
             SimWorld::new(topo, vec![1; 20], vec![gw])
         };
-        let mut mono = mk();
-        let recs_mono = mono.run(&plans);
+        let recs_spec = run_with_faults_reference(&mut mk(), &plans, &NoFaults);
         let mut sharded = mk();
         let opts = ShardOpts {
             max_shards: 4,
             chunk_txs: 3,
         };
-        assert_eq!(sharded.run_sharded(&plans, &opts), recs_mono);
+        assert_eq!(sharded.run_sharded(&plans, &opts), recs_spec);
     }
 
     #[test]
-    fn leak_universe_matches_monolithic() {
+    fn leak_universe_matches_reference() {
         use lora_phy::channel::ChannelGrid;
         // Overlapping-channel world: gateway 1 listens on 50 kHz-
         // shifted channels so the partial-overlap leak sums (and their
@@ -1671,15 +1702,14 @@ mod tests {
         let plans = duty_cycled(&assigns, 16, 0.05, 120_000_000, 11);
         assert!(!plans.is_empty());
 
-        let mut mono = mk();
-        let recs_mono = mono.run(&plans);
+        let recs_spec = run_with_faults_reference(&mut mk(), &plans, &NoFaults);
         for shards in [1usize, 2, 3] {
             let mut w = mk();
             let opts = ShardOpts {
                 max_shards: shards,
                 chunk_txs: 32,
             };
-            assert_eq!(w.run_sharded(&plans, &opts), recs_mono, "shards={shards}");
+            assert_eq!(w.run_sharded(&plans, &opts), recs_spec, "shards={shards}");
             let stats = w.last_run_stats().unwrap();
             assert!(
                 stats.accum_updates > 0 && stats.accum_undos > 0,
@@ -1689,7 +1719,7 @@ mod tests {
     }
 
     /// Gateway 0 crashes twice while the hot channel of
-    /// [`density_ramp_matches_monolithic`] is in the sorted state: in
+    /// [`density_ramp_matches_reference`] is in the sorted state: in
     /// the middle of the first dense burst, and in the quiet phase
     /// after it, before the index is dropped.
     struct CrashGw0;
@@ -1712,7 +1742,7 @@ mod tests {
     }
 
     #[test]
-    fn density_ramp_matches_monolithic() {
+    fn density_ramp_matches_reference() {
         // One channel goes sparse → dense → sparse → dense → sparse
         // while the rest of the band stays sparse. The dense phases are
         // synchronized slots (every node of a slot starts at the same
@@ -1780,13 +1810,13 @@ mod tests {
             }
         }
 
-        let healthy: &(dyn InfraFaults + Sync) = &NoFaults;
+        let healthy: &dyn InfraFaults = &NoFaults;
         for (faults, faulted) in [(healthy, false), (&CrashGw0, true)] {
-            let mut mono = mk();
-            let recs_mono = mono.run_with_faults(&plans, faults);
+            let mut spec = mk();
+            let recs_spec = run_with_faults_reference(&mut spec, &plans, faults);
             // The crashes must cost deliveries, not only abort
             // receptions that were lost to collisions anyway.
-            let infra = recs_mono
+            let infra = recs_spec
                 .iter()
                 .filter(|r| r.cause == Some(LossCause::Infrastructure))
                 .count();
@@ -1798,8 +1828,8 @@ mod tests {
                     chunk_txs: 50,
                 };
                 let recs = w.run_sharded_with_faults(&plans, faults, &opts);
-                assert_eq!(recs, recs_mono, "shards={shards} faulted={faulted}");
-                for (a, b) in w.gateways.iter().zip(&mono.gateways) {
+                assert_eq!(recs, recs_spec, "shards={shards} faulted={faulted}");
+                for (a, b) in w.gateways.iter().zip(&spec.gateways) {
                     assert_eq!(a.stats(), b.stats(), "shards={shards}");
                 }
                 let per_shard = w.last_shard_stats().unwrap();

@@ -189,7 +189,7 @@ pub trait ChunkSource {
 /// *remaining* plans (a precomputed suffix minimum, so unsorted slices
 /// — which [`crate::world::SimWorld::run`] accepts — work too). Lets
 /// `SimWorld::run_sharded` reuse the streaming machinery and lets
-/// tests pin chunked == monolithic.
+/// tests pin the chunked engine to the reference.
 pub struct SliceChunks<'a> {
     plans: &'a [TxPlan],
     channels: Vec<Channel>,

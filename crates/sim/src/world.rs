@@ -20,36 +20,29 @@
 //! * **Other** — below-threshold SNR, cross-SF interference, or no
 //!   gateway in detection range.
 //!
-//! # The indexed hot path
+//! # One engine, one spec
 //!
-//! The event loop runs over a per-run `runctx` context: the
-//! schedule is sorted once into exact [`crate::engine::EventQueue`] pop
-//! order (every event is known before the loop, so no heap is needed),
-//! link gains come from flat tables, lock-on visits only the gateways
-//! whose listening set covers the packet's channel (everything else is
-//! a guaranteed `NotDetected`, reconciled in bulk at run end), TxStart
-//! scans per-channel on-air buckets instead of the global on-air list,
-//! and TxEnd removal is an O(1) swap-remove. All per-run buffers are
-//! owned by the world and reused, so a warmed world's steady state
-//! performs no heap allocation beyond the returned records. The loop is
-//! bit-for-bit equivalent to the retained pre-indexing implementation
-//! in [`crate::reference`]; the workspace `sim_equivalence` proptest
-//! holds the two to record-for-record identity.
+//! Every run — [`SimWorld::run`], [`SimWorld::run_sharded`],
+//! [`SimWorld::run_streamed`] and their `_with_faults` forms — executes
+//! on the chunk-fed engine in [`crate::shard`]; this module holds the
+//! world, the record and counter types, and the per-TxEnd verdict
+//! buffers the engine fills. The engine is bit-for-bit equivalent to the
+//! executable specification in [`crate::reference`]; the workspace
+//! `sim_equivalence` proptest holds the two to record-for-record
+//! identity.
 
-use crate::accum::{from_fixed, leak_fx};
-use crate::engine::Event;
-use crate::runctx::{PairClass, RunContext, RunScratch};
+use crate::accum::from_fixed;
+use crate::runctx::RunContext;
+use crate::shard::ShardOpts;
 use crate::topology::Topology;
 use crate::traffic::TxPlan;
-use gateway::radio::{Gateway, LockOnOutcome, PacketAtGateway};
-use lora_phy::airtime::PacketParams;
+use gateway::radio::Gateway;
 use lora_phy::channel::Channel;
 use lora_phy::interference::{capture_outcome, CaptureOutcome, CROSS_SF_REJECTION_DB};
 use lora_phy::snr::decodable;
-use lora_phy::types::{Bandwidth, DataRate, SpreadingFactor, TxPowerDbm};
-use obs::{NullSink, ObsEvent, ObsSink};
+use lora_phy::types::{DataRate, SpreadingFactor, TxPowerDbm};
+use obs::{ObsEvent, ObsSink};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// A materialized transmission (a [`TxPlan`] with computed airtime).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,9 +166,8 @@ pub(crate) enum Verdict {
 }
 
 /// Reusable buffers for the batched per-TxEnd verdict computation
-/// ([`batch_verdicts`] here, `ShardMachine::batch_verdicts` in
-/// [`crate::shard`]): one slot per seen gateway, aligned with the
-/// transmission's admission span. Slots are invalidated by a
+/// (`ShardMachine::batch_verdicts` in [`crate::shard`]): one slot per
+/// seen gateway, aligned with the transmission's admission list. Slots are invalidated by a
 /// generation stamp instead of a `clear()+resize()` re-zero, so
 /// [`Self::prepare`] is O(1) over the retained capacity.
 #[derive(Debug, Default)]
@@ -348,20 +340,17 @@ pub struct SimRunStats {
     pub candidate_visits: u64,
     /// `txs × gateways`: the pairs the un-indexed loop would visit.
     pub candidate_ceiling: u64,
-    /// Sharded engine: interference contributions added at TxStart
-    /// (collider-list pushes, sorted-index inserts, leak folds); 0 for
-    /// a monolithic run.
+    /// Interference contributions added at TxStart (collider-list
+    /// pushes, sorted-index inserts, leak folds).
     #[serde(default)]
     pub accum_updates: u64,
-    /// Sharded engine: leak contributions exactly undone at TxEnd.
+    /// Leak contributions exactly undone at TxEnd.
     #[serde(default)]
     pub accum_undos: u64,
-    /// Sharded engine: dead collider-list and sorted-index entries
-    /// compacted out.
+    /// Dead collider-list and sorted-index entries compacted out.
     #[serde(default)]
     pub accum_evictions: u64,
-    /// Time-wheel level cascades across all shards (0 for monolithic
-    /// runs, which keep the binary-heap queue).
+    /// Time-wheel level cascades across all shards.
     #[serde(default)]
     pub wheel_cascades: u64,
     /// Host wall-clock duration of the run, µs.
@@ -419,12 +408,10 @@ pub struct SimWorld {
     /// (and one JSONL stream) hosts many runs. Advances on every run,
     /// observed or not, so attaching a sink never shifts the ids.
     pub(crate) run_epoch: u64,
-    /// Reusable per-run context and arenas (see [`crate::runctx`]).
-    scratch: RunScratch,
     /// Counters from the most recent run.
     pub(crate) last_stats: Option<SimRunStats>,
-    /// Per-shard counters from the most recent *sharded* run (see
-    /// [`crate::shard`]); `None` after a monolithic run.
+    /// Per-shard counters from the most recent run (see
+    /// [`crate::shard`]).
     pub(crate) last_shard_stats: Option<Vec<crate::shard::ShardRunStats>>,
 }
 
@@ -441,7 +428,6 @@ impl SimWorld {
             cic: false,
             obs: None,
             run_epoch: 0,
-            scratch: RunScratch::default(),
             last_stats: None,
             last_shard_stats: None,
         }
@@ -466,9 +452,9 @@ impl SimWorld {
         self.obs.take()
     }
 
-    /// Counters from the most recent [`Self::run_with_faults`] (or
-    /// [`Self::run`]) call: events processed, candidate-cull ratio and
-    /// wall time. `None` before the first run.
+    /// Counters from the most recent run of any kind: events
+    /// processed, candidate-cull ratio and wall time. `None` before the
+    /// first run.
     pub fn last_run_stats(&self) -> Option<SimRunStats> {
         self.last_stats
     }
@@ -490,540 +476,21 @@ impl SimWorld {
     /// crash window overlaps them), locked-up decoders shrink admission
     /// capacity, and losses that healthy hardware would have avoided
     /// are classified [`LossCause::Infrastructure`].
+    ///
+    /// One shard, so the engine runs on the calling thread: no spawn,
+    /// no channel ([`Self::run_sharded_with_faults`] is the same run
+    /// spread over threads).
     pub fn run_with_faults(
         &mut self,
         plans: &[TxPlan],
         faults: &dyn crate::faults::InfraFaults,
     ) -> Vec<PacketRecord> {
-        let wall_start = Instant::now();
-        let epoch = self.run_epoch;
-        self.run_epoch += 1;
-        self.last_shard_stats = None;
-        let n_gws = self.gateways.len();
-
-        // Scratch is moved out for the run so the event loop can borrow
-        // its arenas alongside `self.gateways`.
-        let mut s = std::mem::take(&mut self.scratch);
-
-        let sp_plan = obs::span::enter(obs::span::SpanId::SimPlanBuild);
-        s.txs.clear();
-        s.txs.reserve(plans.len());
-        for (i, p) in plans.iter().enumerate() {
-            let airtime = PacketParams::lorawan_uplink(
-                p.dr.spreading_factor(),
-                Bandwidth::Khz125,
-                p.payload_len,
-            )
-            .airtime();
-            s.txs.push(Transmission {
-                id: i as u64,
-                trace: obs::packet_trace(epoch, i as u64),
-                node: p.node,
-                network_id: self.node_network[p.node],
-                channel: p.channel,
-                dr: p.dr,
-                start_us: p.start_us,
-                lock_on_us: airtime.lock_on_at(p.start_us),
-                end_us: airtime.end_at(p.start_us),
-                payload_len: p.payload_len,
-            });
-        }
-        let n = s.txs.len();
-
-        // Per-run context: rebuilt every run because node powers and
-        // gateway channel configurations change between runs.
-        s.ctx.intern_channels(&s.txs, &mut s.ch_of_tx);
-        s.ctx.rebuild(&self.topo, &self.node_power, &self.gateways);
-        let n_ch = s.ctx.n_channels();
-
-        // Every event of the run is known now (nothing is scheduled
-        // mid-loop), so instead of heap-popping 3n times the schedule
-        // is sorted once into the exact order `EventQueue` would pop —
-        // reserve-before-push keeps the arena from reallocating.
-        s.timeline.clear();
-        s.timeline.reserve(3 * n);
-        for t in &s.txs {
-            s.timeline
-                .push((t.start_us, Event::TxStart { tx_id: t.id }));
-            s.timeline
-                .push((t.lock_on_us, Event::LockOn { tx_id: t.id }));
-            s.timeline.push((t.end_us, Event::TxEnd { tx_id: t.id }));
-        }
-        drop(sp_plan);
-        {
-            let _sp = obs::span::enter(obs::span::SpanId::SimSortSchedule);
-            crate::engine::sort_schedule(&mut s.timeline);
-        }
-
-        // Take the sink out of `self` for the duration of the run so the
-        // event loop can borrow gateways mutably alongside it.
-        let mut taken = self.obs.take();
-        let mut null = NullSink;
-        let sink: &mut dyn ObsSink = match taken.as_deref_mut() {
-            Some(s) => s,
-            None => &mut null,
+        let opts = ShardOpts {
+            max_shards: 1,
+            ..ShardOpts::default()
         };
-
-        // Gateway identities first: analyzers need the gateway→network
-        // ownership map before any packet event to classify decoder
-        // holds as own- vs foreign-network.
-        if sink.enabled() {
-            for g in &self.gateways {
-                sink.record(&ObsEvent::GatewayInfo {
-                    gw: g.id as u32,
-                    network: g.network_id,
-                    capacity: g.pool().capacity() as u32,
-                });
-            }
-        }
-
-        if s.interferers.len() < n {
-            s.interferers.resize_with(n, Vec::new);
-        }
-        for v in &mut s.interferers[..n] {
-            v.clear();
-        }
-        s.seen_buf.clear();
-        s.seen_span.clear();
-        s.seen_span.resize(n, (0, 0));
-        s.records.clear();
-        s.records.resize(n, None);
-        s.start_seq.clear();
-        s.start_seq.resize(n, 0);
-        s.pos_in_bucket.clear();
-        s.pos_in_bucket.resize(n, 0);
-        if s.buckets.len() < n_ch {
-            s.buckets.resize_with(n_ch, Vec::new);
-        }
-        for b in &mut s.buckets[..n_ch] {
-            b.clear();
-        }
-        s.undetected.clear();
-        s.undetected.resize(n_gws, 0);
-        s.ever_down.clear();
-        s.ever_down
-            .extend((0..n_gws).map(|g| faults.gateway_ever_down(g)));
-        s.ever_locked.clear();
-        s.ever_locked
-            .extend((0..n_gws).map(|g| faults.decoder_lockups_possible(g)));
-        // The admission path only refreshes lock state for gateways the
-        // schedule can actually lock; clear everyone else's up front so
-        // state left by a previous faulted run cannot leak in.
-        for (g_idx, &locked) in s.ever_locked.iter().enumerate() {
-            if !locked {
-                self.gateways[g_idx].set_locked_decoders(0);
-            }
-        }
-        let mut receiving = std::mem::take(&mut s.receiving);
-        let timeline = std::mem::take(&mut s.timeline);
-
-        let mut events: u64 = 0;
-        let mut candidate_visits: u64 = 0;
-        let mut seq: u32 = 0;
-
-        let sp_loop = obs::span::enter(obs::span::SpanId::SimEventLoop);
-        for &(_, ev) in &timeline {
-            events += 1;
-            match ev {
-                Event::TxStart { tx_id } => {
-                    let txi = tx_id as usize;
-                    let t = &s.txs[txi];
-                    if sink.enabled() {
-                        sink.record(&ObsEvent::TxStart {
-                            t_us: t.start_us,
-                            trace: t.trace,
-                            tx: t.id,
-                            node: t.node as u64,
-                            network: t.network_id,
-                        });
-                    }
-                    let c = s.ch_of_tx[txi] as usize;
-                    s.gathered.clear();
-                    for &oc in &s.ctx.overlapping[c] {
-                        for &o_id in &s.buckets[oc as usize] {
-                            if s.txs[o_id as usize].node != t.node {
-                                s.gathered.push(o_id);
-                            }
-                        }
-                    }
-                    // Buckets are permuted by swap-remove, so restore
-                    // chronological (TxStart) order before registering —
-                    // interferer-list order is part of the determinism
-                    // contract with the reference loop.
-                    let start_seq = &s.start_seq;
-                    s.gathered.sort_unstable_by_key(|&o| start_seq[o as usize]);
-                    for &o_id in &s.gathered {
-                        s.interferers[txi].push(o_id);
-                        s.interferers[o_id as usize].push(tx_id);
-                    }
-                    s.start_seq[txi] = seq;
-                    seq += 1;
-                    s.pos_in_bucket[txi] = s.buckets[c].len() as u32;
-                    s.buckets[c].push(tx_id);
-                }
-                Event::LockOn { tx_id } => {
-                    let _sp = obs::span::enter(obs::span::SpanId::SimLockOn);
-                    let txi = tx_id as usize;
-                    let t = s.txs[txi];
-                    let now = t.lock_on_us;
-                    if sink.enabled() {
-                        sink.record(&ObsEvent::PacketLockOn {
-                            t_us: now,
-                            trace: t.trace,
-                            tx: t.id,
-                            node: t.node as u64,
-                            network: t.network_id,
-                        });
-                    }
-                    let c = s.ch_of_tx[txi] as usize;
-                    let sf = t.dr.spreading_factor();
-                    let seen_start = s.seen_buf.len() as u32;
-                    for &gq in &s.ctx.cand[c] {
-                        candidate_visits += 1;
-                        let g_idx = gq as usize;
-                        let snr = s.ctx.snr[t.node * n_gws + g_idx];
-                        if !decodable(snr, sf, 0.0) {
-                            // Below the detection floor: the reference
-                            // loop counts an up gateway's non-detection;
-                            // a crashed gateway counts nothing.
-                            if !s.ever_down[g_idx] || !faults.gateway_down(g_idx, now) {
-                                s.undetected[g_idx] += 1;
-                            }
-                            continue;
-                        }
-                        if s.ever_down[g_idx] && faults.gateway_down(g_idx, now) {
-                            // A crashed gateway admits nothing. Any
-                            // receptions it still holds are failed (and
-                            // their decoders released) at their TxEnd.
-                            s.seen_buf.push((gq, Seen::DownAtLockOn));
-                            continue;
-                        }
-                        let g = &mut self.gateways[g_idx];
-                        if s.ever_locked[g_idx] {
-                            g.set_locked_decoders(faults.locked_decoders(g_idx, now));
-                        }
-                        let pkt = PacketAtGateway {
-                            tx_id: t.id,
-                            trace: t.trace,
-                            network_id: t.network_id,
-                            channel: t.channel,
-                            sf,
-                            rssi_dbm: s.ctx.rssi[t.node * n_gws + g_idx],
-                            snr_db: snr,
-                            lock_on_us: t.lock_on_us,
-                            end_us: t.end_us,
-                        };
-                        // The candidate index proved the channel half of
-                        // detection and the SNR gate just passed, so the
-                        // gateway's own `would_detect` re-check is skipped.
-                        match g.admit_detected_obs(pkt, sink) {
-                            LockOnOutcome::Admitted => {
-                                s.seen_buf.push((gq, Seen::Admitted));
-                            }
-                            LockOnOutcome::DroppedNoDecoder => {
-                                let foreign = g.foreign_held_decoders() > 0;
-                                // If physical decoders were still free,
-                                // only the lock-up made this a drop.
-                                let lockup = g.pool().locked() > 0
-                                    && g.decoders_in_use() < g.pool().capacity();
-                                s.seen_buf.push((
-                                    gq,
-                                    Seen::Dropped {
-                                        foreign_held: foreign,
-                                        lockup,
-                                    },
-                                ));
-                            }
-                            LockOnOutcome::NotDetected => {
-                                unreachable!("admission precondition verified above")
-                            }
-                        }
-                    }
-                    s.seen_span[txi] = (seen_start, s.seen_buf.len() as u32);
-                }
-                Event::TxEnd { tx_id } => {
-                    let _sp = obs::span::enter(obs::span::SpanId::SimVerdicts);
-                    let txi = tx_id as usize;
-                    let c = s.ch_of_tx[txi] as usize;
-                    let pos = s.pos_in_bucket[txi] as usize;
-                    let moved = {
-                        let b = &mut s.buckets[c];
-                        b.swap_remove(pos);
-                        b.get(pos).copied()
-                    };
-                    if let Some(m) = moved {
-                        s.pos_in_bucket[m as usize] = pos as u32;
-                    }
-                    let (span_a, span_b) = s.seen_span[txi];
-                    let record = finish_tx(
-                        &mut self.gateways,
-                        self.cic,
-                        &s.ctx,
-                        &s.txs,
-                        &s.ch_of_tx,
-                        tx_id,
-                        &s.seen_buf[span_a as usize..span_b as usize],
-                        &s.interferers[txi],
-                        faults,
-                        &s.ever_down,
-                        sink,
-                        &mut receiving,
-                        &mut s.vscratch,
-                    );
-                    s.records[txi] = Some(record);
-                }
-            }
-        }
-        drop(sp_loop);
-        s.timeline = timeline;
-
-        sink.flush();
-        self.obs = taken;
-
-        // Reconcile `not_detected` with the reference semantics: the
-        // un-indexed loop bumps it once per (up gateway, undetected tx).
-        // SNR failures at candidate gateways were tallied in the loop;
-        // non-candidate (channel-mismatch) pairs are counted here in
-        // bulk — O(1) per never-down gateway via the per-channel tx
-        // counts, per-tx only for gateways a fault schedule can crash.
-        for g_idx in 0..n_gws {
-            let mut miss = s.undetected[g_idx];
-            if s.ever_down[g_idx] {
-                for t in &s.txs {
-                    if !s.ctx.is_cand[s.ch_of_tx[t.id as usize] as usize * n_gws + g_idx]
-                        && !faults.gateway_down(g_idx, t.lock_on_us)
-                    {
-                        miss += 1;
-                    }
-                }
-            } else {
-                let mut cand_txs = 0u64;
-                for (c, cnt) in s.ctx.ch_tx_count.iter().enumerate() {
-                    if s.ctx.is_cand[c * n_gws + g_idx] {
-                        cand_txs += *cnt;
-                    }
-                }
-                miss += n as u64 - cand_txs;
-            }
-            if miss > 0 {
-                self.gateways[g_idx].note_undetected(miss);
-            }
-        }
-
-        let out: Vec<PacketRecord> = s
-            .records
-            .iter_mut()
-            .map(|r| r.take().expect("every tx finished"))
-            .collect();
-
-        s.receiving = receiving;
-        self.scratch = s;
-        self.last_stats = Some(SimRunStats {
-            txs: n as u64,
-            events,
-            gateways: n_gws as u32,
-            candidate_visits,
-            candidate_ceiling: n as u64 * n_gws as u64,
-            accum_updates: 0,
-            accum_undos: 0,
-            accum_evictions: 0,
-            wheel_cascades: 0,
-            wall_us: wall_start.elapsed().as_micros() as u64,
-        });
-        out
+        self.run_sharded_with_faults(plans, faults, &opts)
     }
-}
-
-/// Resolve PHY verdicts, deliver outcomes to gateways, classify.
-#[allow(clippy::too_many_arguments)]
-fn finish_tx(
-    gateways: &mut [Gateway],
-    cic: bool,
-    ctx: &RunContext,
-    txs: &[Transmission],
-    ch_of_tx: &[u32],
-    tx_id: u64,
-    seen: &[(u32, Seen)],
-    intf: &[u64],
-    faults: &dyn crate::faults::InfraFaults,
-    ever_down: &[bool],
-    sink: &mut dyn ObsSink,
-    receiving: &mut Vec<usize>,
-    vs: &mut VerdictScratch,
-) -> PacketRecord {
-    let t = &txs[tx_id as usize];
-    batch_verdicts(ctx, txs, ch_of_tx, t, seen, intf, cic, vs);
-    receiving.clear();
-    let mut decoder_drop: Option<bool> = None; // Some(foreign?) if droppable-but-clean
-    let mut collision_with: Option<u32> = None;
-    let mut own_detected = false;
-    // An own-network gateway would have received the packet but for
-    // an injected fault (crash or decoder lock-up).
-    let mut infra_loss = false;
-
-    for (k, &(gq, how)) in seen.iter().enumerate() {
-        let g_idx = gq as usize;
-        let own = gateways[g_idx].network_id == t.network_id;
-        let verdict = vs.verdicts[k];
-        if how == Seen::Admitted {
-            let crashed_mid_rx =
-                ever_down[g_idx] && faults.gateway_down_during(g_idx, t.lock_on_us, t.end_us);
-            let phy_ok = verdict == Verdict::Ok && !crashed_mid_rx;
-            if let Some(gateway::radio::ReceptionOutcome::Received) =
-                gateways[g_idx].on_tx_end_obs(tx_id, phy_ok, sink)
-            {
-                receiving.push(g_idx);
-            }
-            if own && crashed_mid_rx && verdict == Verdict::Ok {
-                infra_loss = true;
-            }
-        }
-        if own {
-            own_detected = true;
-            match (how, verdict) {
-                (Seen::DownAtLockOn, Verdict::Ok) => {
-                    infra_loss = true;
-                }
-                (
-                    Seen::Dropped {
-                        foreign_held,
-                        lockup,
-                    },
-                    Verdict::Ok,
-                ) => {
-                    if lockup {
-                        // Healthy hardware had the decoder to spare.
-                        infra_loss = true;
-                    } else {
-                        // Would have been received with a free decoder.
-                        let entry = decoder_drop.get_or_insert(false);
-                        *entry = *entry || foreign_held;
-                    }
-                }
-                (_, Verdict::Collision { with_network }) => {
-                    collision_with.get_or_insert(with_network);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    let delivered = !receiving.is_empty();
-    let cause = if delivered {
-        None
-    } else if infra_loss {
-        // Healthy infrastructure would have delivered the packet:
-        // the fault is the proximate cause even if other gateways
-        // also dropped it by genuine contention.
-        Some(LossCause::Infrastructure)
-    } else if let Some(foreign) = decoder_drop {
-        Some(if foreign {
-            LossCause::DecoderContentionInter
-        } else {
-            LossCause::DecoderContentionIntra
-        })
-    } else if let Some(net) = collision_with {
-        Some(if net == t.network_id {
-            LossCause::ChannelContentionIntra
-        } else {
-            LossCause::ChannelContentionInter
-        })
-    } else {
-        let _ = own_detected; // either undetected or SNR/interference
-        Some(LossCause::Other)
-    };
-
-    if sink.enabled() {
-        sink.record(&ObsEvent::PacketOutcome {
-            t_us: t.end_us,
-            trace: t.trace,
-            tx: tx_id,
-            delivered,
-            cause: cause.map(LossCause::obs_kind),
-        });
-    }
-
-    PacketRecord {
-        tx_id,
-        node: t.node,
-        network_id: t.network_id,
-        channel: t.channel,
-        dr: t.dr,
-        start_us: t.start_us,
-        end_us: t.end_us,
-        payload_len: t.payload_len,
-        delivered,
-        receiving_gateways: receiving.clone(),
-        cause,
-    }
-}
-
-/// PHY verdicts for `t` at every seen gateway, filled into
-/// `vs.verdicts` aligned with the `seen` slice.
-///
-/// Table-driven port of the reference verdict: link gains and channel
-/// pair classes come from the [`RunContext`], and the noise-only SINR
-/// denominator is hoisted. The traversal is *interferer-major* — each
-/// interferer is classified once and its per-gateway RSSI row
-/// (`rssi[o.node * n_gws ..]`) is read contiguously — where the
-/// reference re-walks the whole interferer list per gateway with
-/// scattered table reads. For any fixed gateway the interferers are
-/// still processed in registration order, so the leaked-interference
-/// sum, the strongest-collider tie-break and every surviving
-/// floating-point operation match the reference bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn batch_verdicts(
-    ctx: &RunContext,
-    txs: &[Transmission],
-    ch_of_tx: &[u32],
-    t: &Transmission,
-    seen: &[(u32, Seen)],
-    intf: &[u64],
-    cic: bool,
-    vs: &mut VerdictScratch,
-) {
-    let n_gws = ctx.n_gws;
-    let n_ch = ctx.n_channels();
-    let sf_v = t.dr.spreading_factor();
-    let cv = ch_of_tx[t.id as usize] as usize;
-    let vrow = t.node * n_gws;
-    vs.prepare(seen.len());
-
-    for &o_id in intf {
-        let o = &txs[o_id as usize];
-        let co = ch_of_tx[o_id as usize] as usize;
-        match ctx.pair[cv * n_ch + co] {
-            PairClass::Disjoint => {}
-            PairClass::Detect => {
-                let same_sf = o.dr.spreading_factor() == sf_v;
-                if same_sf && cic {
-                    // CIC resolves the collision; both survive.
-                    continue;
-                }
-                vs.arbitrate(
-                    seen,
-                    &ctx.rssi[vrow..vrow + n_gws],
-                    &ctx.rssi[o.node * n_gws..(o.node + 1) * n_gws],
-                    same_sf,
-                    t.lock_on_us <= o.lock_on_us,
-                    o.network_id,
-                );
-            }
-            class @ PairClass::Leak { .. } => {
-                if let Some(gain) = class.leak_gain(o.dr.spreading_factor() != sf_v) {
-                    let orow = o.node * n_gws;
-                    for (gi, &(gq, _)) in seen.iter().enumerate() {
-                        let rssi_o = ctx.rssi[orow + gq as usize];
-                        vs.add_intf(gi, leak_fx(rssi_o, gain));
-                    }
-                }
-            }
-        }
-    }
-
-    vs.resolve(seen.len(), ctx, sf_v, |gi| {
-        ctx.rssi[vrow + seen[gi].0 as usize]
-    });
 }
 
 #[cfg(test)]
@@ -1241,7 +708,7 @@ mod tests {
             profile,
             GatewayConfig::new(profile, plan.channels.clone()).unwrap(),
         );
-        let mut w = SimWorld::new(topo, vec![1, 1], gw.into_iter_helper());
+        let mut w = SimWorld::new(topo, vec![1, 1], vec![gw]);
         let ch = plan.channels[0];
         let plans = vec![
             TxPlan {
@@ -1373,7 +840,7 @@ mod tests {
             profile,
             GatewayConfig::new(profile, plan.channels.clone()).unwrap(),
         );
-        let mut w = SimWorld::new(topo, vec![1], gw.into_iter_helper());
+        let mut w = SimWorld::new(topo, vec![1], vec![gw]);
         let plans = vec![TxPlan {
             node: 0,
             channel: plan.channels[0],
@@ -1408,9 +875,10 @@ mod tests {
     }
 
     #[test]
-    fn indexed_run_matches_reference_loop() {
-        // Spot equivalence on the capacity scenario (the workspace
-        // proptest covers random worlds): identical records and stats.
+    fn run_matches_reference_loop() {
+        // Spot equivalence of the engine and the spec on the capacity
+        // scenario (the workspace proptest covers random worlds):
+        // identical records and stats.
         let plans = concurrent_burst(
             &orthogonal_assignments(20),
             10,
@@ -1429,16 +897,6 @@ mod tests {
         assert_eq!(fast_recs, slow_recs);
         for (a, b) in fast.gateways.iter().zip(&slow.gateways) {
             assert_eq!(a.stats(), b.stats());
-        }
-    }
-
-    // Small helper to turn one gateway into a Vec.
-    trait IntoVecHelper {
-        fn into_iter_helper(self) -> Vec<Gateway>;
-    }
-    impl IntoVecHelper for Gateway {
-        fn into_iter_helper(self) -> Vec<Gateway> {
-            vec![self]
         }
     }
 }

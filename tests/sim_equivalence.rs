@@ -1,8 +1,8 @@
-//! Differential property test: the indexed simulation core
-//! (`SimWorld::run_with_faults`) must be record-for-record — and
-//! event-for-event — identical to the retained pre-indexing reference
-//! loop (`sim::reference::run_with_faults_reference`) on randomized
-//! worlds.
+//! Differential property test: the simulation engine behind every
+//! `SimWorld::run*` entry point must be record-for-record — and
+//! event-for-event — identical to the executable specification
+//! (`sim::reference::run_with_faults_reference`) on randomized worlds,
+//! at every shard count.
 //!
 //! Each case draws a full scenario from one seed: topology size and
 //! losses, heterogeneous gateway listening sets (including 40%-shifted
@@ -11,9 +11,9 @@
 //! overlapping traffic, and optionally a chaos fault schedule with
 //! gateway crashes and decoder lock-ups (the `gateway_ever_down` /
 //! `decoder_lockups_possible` fast-path gates). Half the cases attach
-//! an observability sink to both paths and require the typed event
-//! streams to match too; every case runs each world twice so the
-//! reused scratch arenas and run-epoch advancement are also covered.
+//! an observability sink and require the typed event streams to match
+//! too; every case runs each world twice so gateway state carried
+//! across runs and run-epoch advancement are also covered.
 
 use alphawan_system::chaos::{FaultPlan, FaultSchedule, FaultSpec};
 use alphawan_system::gateway::config::GatewayConfig;
@@ -170,15 +170,17 @@ impl Scenario {
     }
 }
 
-/// Run one world through `runner` twice (scratch arenas and run epoch
+type Records = Vec<alphawan_system::sim::world::PacketRecord>;
+
+/// Run one world through `runner` twice (gateway state and run epoch
 /// carry across runs), capturing the observed event streams when the
 /// scenario asks for them.
 fn run_twice(
     sc: &Scenario,
-    runner: impl Fn(&mut SimWorld) -> Vec<alphawan_system::sim::world::PacketRecord>,
+    runner: impl Fn(&mut SimWorld) -> Records,
 ) -> (
-    Vec<alphawan_system::sim::world::PacketRecord>,
-    Vec<alphawan_system::sim::world::PacketRecord>,
+    Records,
+    Records,
     Vec<alphawan_system::gateway::radio::GatewayStats>,
     Vec<ObsEvent>,
 ) {
@@ -198,10 +200,17 @@ fn run_twice(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The indexed core and the reference loop agree on every record,
-    /// every gateway counter and (when observed) every emitted event —
-    /// across two consecutive runs of the same world.
-    fn indexed_core_matches_reference(seed in any::<u64>()) {
+    /// `run_with_faults` (one shard, inline on the calling thread) and
+    /// `run_sharded_with_faults` over 1, 2 and 5 shards (spawned from
+    /// two up, with a scenario-derived chunk size) each reproduce the
+    /// spec byte for byte — records, gateway counters and (when
+    /// observed) the typed observability stream — across two
+    /// consecutive runs of the same world, fault plans and leaking
+    /// 40%-shifted channels included (the leak sum is an integer fold
+    /// on both sides, so its order cannot matter); and the streamed
+    /// (aggregate-only) path folds the exact [`RunSummary`] that the
+    /// spec's records imply.
+    fn engine_matches_reference(seed in any::<u64>()) {
         let sc = Scenario::generate(seed);
         let schedule = sc
             .fault_plan
@@ -211,61 +220,35 @@ proptest! {
             Some(s) => s,
             None => &NoFaults,
         };
+        let chunk_txs = 1 + (seed % 23) as usize;
 
-        let (fast_1, fast_2, fast_stats, fast_events) =
-            run_twice(&sc, |w| w.run_with_faults(&sc.plans, faults));
-        let (ref_1, ref_2, ref_stats, ref_events) =
-            run_twice(&sc, |w| run_with_faults_reference(w, &sc.plans, faults));
-
-        prop_assert_eq!(&fast_1, &ref_1, "first-run records diverged");
-        prop_assert_eq!(&fast_2, &ref_2, "second-run records diverged");
-        prop_assert_eq!(&fast_stats, &ref_stats, "gateway stats diverged");
-        prop_assert_eq!(&fast_events, &ref_events, "observed event streams diverged");
+        let spec = run_twice(&sc, |w| run_with_faults_reference(w, &sc.plans, faults));
         if sc.observed {
-            prop_assert!(!fast_events.is_empty(), "observed run emitted no events");
+            prop_assert!(!spec.3.is_empty(), "observed run emitted no events");
         }
         // The runs are non-degenerate often enough to mean something:
         // every plan produced a record.
-        prop_assert_eq!(fast_1.len(), sc.plans.len());
-    }
+        prop_assert_eq!(spec.0.len(), sc.plans.len());
 
-    /// Shard invariance: the sharded engine run over 1, 2 and 5 shards
-    /// (with a scenario-derived chunk size) reproduces the monolithic
-    /// run byte for byte — records, gateway counters and the typed
-    /// observability stream — across two consecutive runs of the same
-    /// world, fault plans and leaking 40%-shifted channels included (the
-    /// leak sum is an integer fold on every path, so its order cannot
-    /// matter); and the streamed (aggregate-only) path folds the exact
-    /// [`RunSummary`] that the materialized records imply.
-    fn sharded_engine_matches_monolithic(seed in any::<u64>()) {
-        let sc = Scenario::generate(seed);
-        let schedule = sc
-            .fault_plan
-            .as_ref()
-            .map(|p| FaultSchedule::compile(p).unwrap());
-        let faults: &(dyn InfraFaults + Sync) = match &schedule {
-            Some(s) => s,
-            None => &NoFaults,
-        };
-
-        let (mono_1, mono_2, mono_stats, mono_events) =
-            run_twice(&sc, |w| w.run_with_faults(&sc.plans, faults));
-        let chunk_txs = 1 + (seed % 23) as usize;
-
-        for max_shards in [1usize, 2, 5] {
-            let opts = ShardOpts { max_shards, chunk_txs };
-            let (sh_1, sh_2, sh_stats, sh_events) =
-                run_twice(&sc, |w| w.run_sharded_with_faults(&sc.plans, faults, &opts));
-            prop_assert_eq!(&sh_1, &mono_1, "first-run records diverged (shards={})", max_shards);
-            prop_assert_eq!(&sh_2, &mono_2, "second-run records diverged (shards={})", max_shards);
-            prop_assert_eq!(&sh_stats, &mono_stats, "gateway stats diverged (shards={})", max_shards);
-            prop_assert_eq!(&sh_events, &mono_events, "observed event streams diverged (shards={})", max_shards);
+        // `None` is the plain entry point, `Some(n)` the sharded one.
+        for max_shards in [None, Some(1usize), Some(2), Some(5)] {
+            let engine = run_twice(&sc, |w| match max_shards {
+                None => w.run_with_faults(&sc.plans, faults),
+                Some(max_shards) => {
+                    let opts = ShardOpts { max_shards, chunk_txs };
+                    w.run_sharded_with_faults(&sc.plans, faults, &opts)
+                }
+            });
+            prop_assert_eq!(&engine.0, &spec.0, "first-run records diverged ({:?})", max_shards);
+            prop_assert_eq!(&engine.1, &spec.1, "second-run records diverged ({:?})", max_shards);
+            prop_assert_eq!(&engine.2, &spec.2, "gateway stats diverged ({:?})", max_shards);
+            prop_assert_eq!(&engine.3, &spec.3, "observed event streams diverged ({:?})", max_shards);
         }
 
-        // Streamed aggregate == fold of the materialized records, and
-        // the statistical gate accepts identical summaries at zero
+        // Streamed aggregate == fold of the spec's records, and the
+        // statistical gate accepts identical summaries at zero
         // tolerance.
-        let expect = RunSummary::from_records(&mono_1);
+        let expect = RunSummary::from_records(&spec.0);
         let mut w = sc.build_world();
         let opts = ShardOpts { max_shards: 3, chunk_txs };
         let mut source = SliceChunks::new(&sc.plans, chunk_txs);

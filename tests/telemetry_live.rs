@@ -97,7 +97,7 @@ fn span_profiler_attach_is_bit_exact() {
         "profiler changed the event stream bytes"
     );
     // And the attached run actually profiled the engine phases.
-    for site in ["sim.event_loop", "sim.lock_on", "sim.verdicts"] {
+    for site in ["shard.ingest", "shard.drain", "shard.merge"] {
         assert!(
             report
                 .sites
