@@ -185,10 +185,10 @@ impl Default for Deduplicator {
     }
 }
 
-/// Stable shard index for a DevAddr. Both the in-process
-/// [`ShardedDeduplicator`] and the `svc` daemon's worker routing use
-/// this exact function, so a shard-merged daemon decision stream can
-/// be replayed against in-process shards and compared byte-for-byte.
+/// Stable shard index for a DevAddr. [`ShardedDeduplicator`], which is
+/// what the `svc` daemon's ingest thread decides with, routes by this
+/// function, so a shard-merged daemon decision stream can be replayed
+/// against in-process shards and compared byte-for-byte.
 /// (splitmix64 finalizer: cheap, and diffuses the operator prefix
 /// bits of [`DevAddr::new`] so shards stay balanced.)
 pub fn shard_of(dev_addr: DevAddr, shards: usize) -> usize {
@@ -203,7 +203,7 @@ pub fn shard_of(dev_addr: DevAddr, shards: usize) -> usize {
 }
 
 /// N independent [`Deduplicator`]s addressed by [`shard_of`] — the
-/// in-process reference for the `svc` daemon's sharded ingest. Because
+/// state the `svc` daemon's ingest thread owns. Because
 /// every copy of a frame shares a DevAddr, sharding never splits a
 /// frame's copies, and per-shard decisions equal a single map's.
 #[derive(Debug)]
@@ -225,10 +225,11 @@ impl ShardedDeduplicator {
         (shard, self.shards[shard].offer(copy))
     }
 
-    /// Offer to one specific shard (replaying a daemon's per-shard
-    /// decision log in shard order).
-    pub fn offer_to(&mut self, shard: usize, copy: UplinkCopy) -> DedupOutcome {
-        self.shards[shard].offer(copy)
+    /// [`ShardedDeduplicator::offer`] with observability: the owning
+    /// shard's [`Deduplicator::offer_obs`].
+    pub fn offer_obs(&mut self, copy: UplinkCopy, sink: &mut dyn ObsSink) -> (usize, DedupOutcome) {
+        let shard = shard_of(copy.dev_addr, self.shards.len());
+        (shard, self.shards[shard].offer_obs(copy, sink))
     }
 
     pub fn shard_count(&self) -> usize {

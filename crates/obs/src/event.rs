@@ -407,7 +407,7 @@ pub enum ObsEvent {
     /// A service daemon ingested one PUSH_DATA datagram (which may
     /// carry many rxpk copies). Control-plane timing like
     /// [`ObsEvent::SvcAccept`]; the per-copy dedup classifications
-    /// follow as [`ObsEvent::Dedup`] events on the worker shards.
+    /// follow as [`ObsEvent::Dedup`] events from the same thread.
     SvcIngest {
         /// Host wall-clock µs since daemon start.
         wall_us: u64,

@@ -32,7 +32,7 @@
 //!   or explicit request;
 //! * [`span`] — a low-overhead hierarchical span profiler (scoped RAII
 //!   timers, exact counts, sampled durations) instrumenting the sim
-//!   engine phases, the CP-solver stages and the svc shard workers —
+//!   engine phases, the CP-solver stages and the svc ingest thread —
 //!   free when detached;
 //! * [`tsdb`] — the embedded step-aggregated time-series store:
 //!   fixed-interval delta [`Frame`]s in a bounded ring, windowed rates

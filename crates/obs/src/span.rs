@@ -1,6 +1,6 @@
 //! Low-overhead hierarchical span profiler for hot-path phase timing.
 //!
-//! The sim engine, the CP solver and the svc shard workers are
+//! The sim engine, the CP solver and the svc ingest thread are
 //! instrumented with scoped RAII spans ([`enter`]) at a closed set of
 //! sites ([`SpanId`]). The profiler is designed around two invariants:
 //!
@@ -23,7 +23,7 @@
 //! record with its nesting depth (e.g. a `SolverRepair` span inside a
 //! `SolverEval` span records depth 1). State is process-global and
 //! merged across threads by construction (plain atomics per site), so
-//! shard workers and GA scoring threads need no explicit flush.
+//! sim shard workers and GA scoring threads need no explicit flush.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -61,7 +61,8 @@ pub enum SpanId {
     SolverMutate = 4,
     /// CP solver: one genome repair pass.
     SolverRepair = 5,
-    /// svc shard worker: one drained batch of ingest packets.
+    /// svc ingest thread: one drain's packets offered to the dedup
+    /// shards and logged.
     SvcBatch = 6,
     /// Internal: self-overhead calibration loop.
     Calibrate = 7,

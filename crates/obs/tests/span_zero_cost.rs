@@ -1,7 +1,7 @@
 //! Zero-cost audit for the detached span profiler.
 //!
 //! `obs::span::enter` sits on the simulation hot path, the CP-solver
-//! inner loops and the svc shard workers; its contract is that with no
+//! inner loops and the svc ingest thread; its contract is that with no
 //! profiler attached a span is one relaxed atomic load and an inert
 //! guard — no heap allocation, no site-table writes, no TLS traffic.
 //! A counting global allocator wraps the system allocator and a tight

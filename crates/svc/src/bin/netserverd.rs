@@ -2,10 +2,13 @@
 //!
 //! ```text
 //! netserverd [--bind ADDR] [--metrics ADDR] [--shards N]
-//!            [--receivers N] [--window-us N] [--log-cap N]
-//!            [--series-interval-ms N] [--flight DIR] [--slo FILE]
-//!            [--spans]
+//!            [--window-us N] [--log-cap N] [--series-interval-ms N]
+//!            [--flight DIR] [--slo FILE] [--spans]
 //! ```
+//!
+//! One thread receives, acknowledges and deduplicates; `--shards` is
+//! how many dedup windows and decision logs it keeps, not a thread
+//! count.
 //!
 //! Prints `ingest=<addr> metrics=<addr>` once both sockets are bound,
 //! so launch scripts can scrape the ephemeral ports.
@@ -21,7 +24,6 @@ fn parse_flags(cfg: &mut NetServerConfig) -> Result<(), String> {
             "--bind" => cfg.bind = parse(&value("--bind")?)?,
             "--metrics" => cfg.metrics_bind = parse(&value("--metrics")?)?,
             "--shards" => cfg.shards = parse(&value("--shards")?)?,
-            "--receivers" => cfg.receivers = parse(&value("--receivers")?)?,
             "--window-us" => cfg.dedup_window_us = parse(&value("--window-us")?)?,
             "--log-cap" => cfg.decision_log_cap = parse(&value("--log-cap")?)?,
             "--series-interval-ms" => {

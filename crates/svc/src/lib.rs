@@ -7,7 +7,7 @@
 //! Master over TCP:
 //!
 //! * [`netserverd`] — UDP ingest speaking the Semtech forwarder
-//!   protocol, fanning uplinks out to sharded dedup workers
+//!   protocol: one thread receives, acknowledges and deduplicates
 //!   ([`runtime`]).
 //! * [`masterd`] — the TCP channel-plan daemon wrapping
 //!   [`alphawan::master::MasterServer`].
@@ -16,10 +16,9 @@
 //!
 //! Everything is plain `std` threads and blocking sockets — no async
 //! runtime. The workloads here are a handful of long-lived
-//! connections plus one UDP firehose; thread-per-socket with bounded
-//! queues gives the same throughput as an executor without importing
-//! one, and keeps the failure modes (a blocked thread, a full queue)
-//! observable with a debugger. Both daemons export Prometheus-format
+//! connections plus one UDP firehose; thread-per-socket gives the same
+//! throughput as an executor without importing one, and keeps the
+//! failure mode (a blocked thread) observable with a debugger. Both daemons export Prometheus-format
 //! metrics over a plaintext TCP endpoint ([`endpoint`]) and write the
 //! versioned `BENCH_service.json` artifact ([`report`]).
 
@@ -39,7 +38,5 @@ pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use masterd::{MasterConfig, MasterDaemon};
 pub use netserverd::{NetServerConfig, NetServerDaemon};
 pub use report::{LatencyQuantiles, ServiceBench, BENCH_SERVICE_SCHEMA_VERSION};
-pub use runtime::{
-    render_decisions, replay_decisions, replay_divergence, Decision, ShardPool, ShardRouter,
-};
+pub use runtime::{render_decisions, replay_decisions, replay_divergence, Decision};
 pub use telemetry::{FlightTee, Sampler, SharedFlight};

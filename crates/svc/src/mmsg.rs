@@ -337,15 +337,29 @@ mod sys {
     #[cfg(all(test, target_pointer_width = "64"))]
     mod tests {
         use super::{IoVec, MMsgHdr, MsgHdr};
-        use std::mem::{align_of, size_of};
+        use std::mem::{align_of, offset_of, size_of};
 
-        /// The 64-bit Linux ABI (`struct iovec`, `struct msghdr`,
-        /// `struct mmsghdr` of `<sys/socket.h>`).
+        /// The 64-bit Linux ABI, x86-64 and aarch64 alike (`struct
+        /// iovec`, `struct msghdr`, `struct mmsghdr` of
+        /// `<sys/socket.h>`): where the kernel reads and writes every
+        /// field the ring sets or reads back, not the sizes alone.
         #[test]
         fn headers_have_the_kernel_layout() {
             assert_eq!((size_of::<IoVec>(), align_of::<IoVec>()), (16, 8));
+            assert_eq!((offset_of!(IoVec, base), offset_of!(IoVec, len)), (0, 8));
             assert_eq!((size_of::<MsgHdr>(), align_of::<MsgHdr>()), (56, 8));
+            assert_eq!(offset_of!(MsgHdr, name), 0);
+            assert_eq!(offset_of!(MsgHdr, name_len), 8);
+            assert_eq!(offset_of!(MsgHdr, iov), 16);
+            assert_eq!(offset_of!(MsgHdr, iov_len), 24);
+            assert_eq!(offset_of!(MsgHdr, control), 32);
+            assert_eq!(offset_of!(MsgHdr, control_len), 40);
+            assert_eq!(offset_of!(MsgHdr, flags), 48);
             assert_eq!((size_of::<MMsgHdr>(), align_of::<MMsgHdr>()), (64, 8));
+            assert_eq!(
+                (offset_of!(MMsgHdr, hdr), offset_of!(MMsgHdr, len)),
+                (0, 56)
+            );
         }
     }
 }
@@ -354,6 +368,7 @@ mod sys {
 mod tests {
     use super::portable::encode_name;
     use super::*;
+    use proptest::prelude::*;
     use std::io;
     use std::net::UdpSocket;
     use std::time::Duration;
@@ -387,6 +402,43 @@ mod tests {
         }
         assert_eq!(decode_name(&[1, 0, 0, 0, 0, 0, 0, 0]), None);
         assert_eq!(decode_name(&[]), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_096))]
+        /// Whatever bytes a name holds, of any family and any length a
+        /// `sockaddr` can have: no panic, an address only where every
+        /// field of a `sockaddr_in` / `sockaddr_in6` is there, and that
+        /// address spelled back is the raw name the ACK is sent to.
+        fn decode_name_takes_any_bytes(
+            family in any::<u16>(),
+            pick in 0u8..4,
+            mut name in collection::vec(any::<u8>(), 0..129),
+        ) {
+            // A random family is seldom one the socket yields: half the
+            // cases get one.
+            let family = [AF_INET, AF_INET6, family, family][pick as usize];
+            if let Some(head) = name.get_mut(0..2) {
+                head.copy_from_slice(&family.to_ne_bytes());
+            }
+            let fields = match family {
+                _ if name.len() < 2 => usize::MAX,
+                AF_INET => 8,
+                AF_INET6 => 28,
+                _ => usize::MAX,
+            };
+            match decode_name(&name) {
+                None => prop_assert!(name.len() < fields, "refused: {name:?}"),
+                Some(peer) => {
+                    prop_assert!(name.len() >= fields, "made up: {name:?}");
+                    prop_assert_eq!(peer.is_ipv4(), family == AF_INET);
+                    let mut raw = [0xFFu8; NAME];
+                    let len = encode_name(peer, &mut raw) as usize;
+                    prop_assert_eq!(&raw[..fields], &name[..fields]);
+                    prop_assert_eq!(decode_name(&raw[..len]), Some(peer));
+                }
+            }
+        }
     }
 
     /// What one `recv` must yield for `wires` sent before it, and what

@@ -2,29 +2,33 @@
 //!
 //! Speaks the Semtech UDP forwarder protocol on a real socket:
 //! `PUSH_DATA` is acknowledged, fast-parsed
-//! ([`gateway::forwarder::fast`]) and fanned out to the dedup shard
-//! pool; `PULL_DATA` is acknowledged and records the gateway's
-//! downlink route so [`NetServerDaemon::send_downlink`] can push a
-//! `PULL_RESP` back; `TX_ACK` is counted. Receiver threads share one
-//! bound socket via `try_clone` (std has no `SO_REUSEPORT`), so the
-//! kernel's socket buffer is the single shared ingress queue.
+//! ([`gateway::forwarder::fast`]) and deduplicated; `PULL_DATA` is
+//! acknowledged and records the gateway's downlink route so
+//! [`NetServerDaemon::send_downlink`] can push a `PULL_RESP` back;
+//! `TX_ACK` is counted. One thread does all of it: the thread that
+//! received a packet is the thread that decides it.
 //!
-//! A receiver works a **drain** at a time: it blocks for one datagram
+//! That thread works a **drain** at a time: it blocks for one datagram
 //! and takes whatever else the socket already holds in the same call
 //! (`crate::mmsg`, up to 16), parses and counts each as it would alone,
-//! sends the drain's ACKs with one call, and only then hands every
-//! shard *one* [`Batch`] and takes the registry lock *once*. What a
-//! datagram costs beyond its parse is a thread wake-up per hand-off,
-//! not the system calls, so a drain of n datagrams costs about 1/n of
-//! n drains of one; and since a drain is whatever queued up while the
-//! last one was worked, an idle daemon drains one datagram at a time
-//! (nothing waits to fill a batch) and a loaded one batches by itself.
-//! `svc_drain_datagrams` is the histogram of n.
+//! sends the drain's ACKs with one call, and only then offers the
+//! drain's packets to the dedup shards it owns
+//! (`crate::runtime::Decider`) and takes the registry lock *once*.
+//! The per-datagram costs (two system calls, the lock) are shared by
+//! the drain, so a drain of n datagrams costs less than n drains of
+//! one; and since a drain is whatever queued up while the last one was
+//! worked, an idle daemon drains one datagram at a time (nothing waits
+//! to fill a batch) and a loaded one batches by itself.
+//! `svc_drain_datagrams` is the histogram of n. While the thread
+//! decides it does not read: the kernel's socket buffer is the one
+//! queue, and it sheds when it is full.
 
 use crate::endpoint::{HttpEndpoint, HttpHandler};
 use crate::mmsg::{Ring, RING};
 use crate::report::LatencyQuantiles;
-use crate::runtime::{render_decisions, Batch, PacketIn, ShardPool, ShardRouter, SharedObs};
+use crate::runtime::{
+    render_decisions, Decided, Decider, Decision, DecisionLogs, PacketIn, SharedObs,
+};
 use crate::telemetry::{self, FlightTee, Sampler, SharedFlight};
 use gateway::forwarder::codec::{Datagram, TxPacket};
 use gateway::forwarder::fast::{parse_push_data, FastRx};
@@ -49,12 +53,8 @@ pub struct NetServerConfig {
     pub bind: SocketAddr,
     /// TCP metrics endpoint.
     pub metrics_bind: SocketAddr,
-    /// Dedup worker shards.
+    /// Dedup shards, each with its own window and decision log.
     pub shards: usize,
-    /// Receiver threads sharing the ingest socket.
-    pub receivers: usize,
-    /// Bounded batches queued per shard before the router blocks.
-    pub channel_capacity: usize,
     /// Dedup window, µs.
     pub dedup_window_us: u64,
     /// Per-shard decision-log cap (the prefix stays replay-exact).
@@ -78,8 +78,6 @@ impl Default for NetServerConfig {
             bind: (Ipv4Addr::LOCALHOST, 0).into(),
             metrics_bind: (Ipv4Addr::LOCALHOST, 0).into(),
             shards: 2,
-            receivers: 1,
-            channel_capacity: 256,
             dedup_window_us: 2_000_000,
             decision_log_cap: 4_000_000,
             series_interval_ms: 1_000,
@@ -96,35 +94,28 @@ impl Default for NetServerConfig {
 /// growing the tables without bound.
 const MAX_GATEWAYS: usize = u16::MAX as usize;
 
-/// Packets staged for one shard before they are handed over in the
-/// middle of a drain: the bound of a [`Batch`], which a drain of
-/// [`RING`] datagrams of any number of rxpk would otherwise not have.
-const HAND_OFF_PKTS: usize = 256;
-
 /// Bucket bounds of `svc_drain_datagrams`, the datagrams one receive
 /// call returned: up to the ring's length.
 const DRAIN_BOUNDS: [u64; 5] = [1, 2, 4, 8, RING as u64];
 
 struct ReceiverShared {
     registry: Arc<Mutex<Registry>>,
-    /// Gateway EUI → dense id handed to the dedup layer.
-    gw_ids: Mutex<HashMap<u64, u16>>,
-    /// Gateway EUI → last PULL_DATA origin (the downlink route).
+    /// Gateway EUI → last PULL_DATA origin (the downlink route), read
+    /// by [`NetServerDaemon::send_downlink`] from its caller's thread.
     pull_routes: Mutex<HashMap<u64, SocketAddr>>,
     sink: Option<SharedObs>,
     started: Instant,
 }
 
 impl ReceiverShared {
-    /// The dense id of gateway `eui`, handed out on first sight;
-    /// `None` once [`MAX_GATEWAYS`] others hold one.
-    fn gw_id(&self, eui: u64) -> Option<u16> {
-        let mut ids = self.gw_ids.lock();
+    /// The dense id of gateway `eui` in `ids`, the ingest thread's own
+    /// table, handed out on first sight; `None` once [`MAX_GATEWAYS`]
+    /// others hold one.
+    fn gw_id(&self, ids: &mut HashMap<u64, u16>, eui: u64) -> Option<u16> {
         if let Some(&id) = ids.get(&eui) {
             return Some(id);
         }
         if ids.len() >= MAX_GATEWAYS {
-            drop(ids);
             self.reject_gateway();
             return None;
         }
@@ -175,19 +166,19 @@ impl ReceiverShared {
 pub struct NetServerDaemon {
     addr: SocketAddr,
     endpoint: HttpEndpoint,
-    pool: Option<ShardPool>,
+    logs: Arc<DecisionLogs>,
     registry: Arc<Mutex<Registry>>,
     shared: Arc<ReceiverShared>,
     socket: UdpSocket,
     window_us: u64,
     shutdown: Arc<AtomicBool>,
-    receivers: Vec<JoinHandle<()>>,
+    ingest: JoinHandle<()>,
     sampler: Sampler,
     flight: Option<SharedFlight>,
 }
 
 impl NetServerDaemon {
-    /// Bind the sockets and start the receiver + shard threads.
+    /// Bind the sockets and start the ingest thread.
     pub fn start(cfg: NetServerConfig, sink: Option<SharedObs>) -> io::Result<NetServerDaemon> {
         let socket = UdpSocket::bind(cfg.bind)?;
         let addr = socket.local_addr()?;
@@ -220,49 +211,41 @@ impl NetServerDaemon {
                 .unwrap_or_else(telemetry::netserver_slo_rules),
             flight.clone(),
         );
-        let pool = ShardPool::new(
+        let decider = Decider::new(
             cfg.shards,
-            cfg.channel_capacity,
             cfg.dedup_window_us,
             cfg.decision_log_cap,
-            Arc::clone(&registry),
             sink.clone(),
         );
+        let logs = decider.logs();
         let shared = Arc::new(ReceiverShared {
             registry: Arc::clone(&registry),
-            gw_ids: Mutex::new(HashMap::new()),
             pull_routes: Mutex::new(HashMap::new()),
             sink,
             started: Instant::now(),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut receivers = Vec::new();
-        for idx in 0..cfg.receivers.max(1) {
-            let rx_socket = socket.try_clone()?;
-            rx_socket.set_read_timeout(Some(Duration::from_millis(50)))?;
-            let rx_shared = Arc::clone(&shared);
-            let rx_shutdown = Arc::clone(&shutdown);
-            let router = pool.router();
-            receivers.push(
-                std::thread::Builder::new()
-                    .name(format!("svc-ingest-{idx}"))
-                    .spawn(move || receiver_loop(rx_socket, router, rx_shared, rx_shutdown))?,
-            );
-        }
+        let rx_socket = socket.try_clone()?;
+        rx_socket.set_read_timeout(Some(Duration::from_millis(50)))?;
+        let rx_shared = Arc::clone(&shared);
+        let rx_shutdown = Arc::clone(&shutdown);
+        let ingest = std::thread::Builder::new()
+            .name("svc-ingest".into())
+            .spawn(move || receiver_loop(rx_socket, decider, rx_shared, rx_shutdown))?;
         let endpoint = HttpEndpoint::start(
             cfg.metrics_bind,
-            Self::http_handler(Arc::clone(&registry), &pool, sampler.tsdb()),
+            Self::http_handler(Arc::clone(&registry), Arc::clone(&logs), sampler.tsdb()),
         )?;
         Ok(NetServerDaemon {
             addr,
             endpoint,
-            pool: Some(pool),
+            logs,
             registry,
             shared,
             socket,
             window_us: cfg.dedup_window_us,
             shutdown,
-            receivers,
+            ingest,
             sampler,
             flight,
         })
@@ -270,15 +253,13 @@ impl NetServerDaemon {
 
     fn http_handler(
         registry: Arc<Mutex<Registry>>,
-        pool: &ShardPool,
+        logs: Arc<DecisionLogs>,
         tsdb: Arc<Mutex<obs::Tsdb>>,
     ) -> HttpHandler {
-        let decisions = pool.decision_handles();
-        let tracked = pool.tracked_handles();
         Arc::new(move |path| match path {
             "/metrics" => {
                 let mut text = registry.lock().render_prometheus();
-                let resident: u64 = tracked.iter().map(|t| t.load(Ordering::Relaxed)).sum();
+                let resident = logs.tracked();
                 text.push_str(&format!(
                     "# TYPE dedup_tracked_records gauge\ndedup_tracked_records {resident}\n"
                 ));
@@ -300,11 +281,7 @@ impl NetServerDaemon {
                 );
                 Some(("application/json", body.into_bytes()))
             }
-            "/decisions" => {
-                let logs: Vec<Vec<crate::runtime::Decision>> =
-                    decisions.iter().map(|l| l.lock().clone()).collect();
-                Some(("text/plain", render_decisions(&logs)))
-            }
+            "/decisions" => Some(("text/plain", render_decisions(&logs.decisions()))),
             "/series" => Some(("application/json", telemetry::series_body_of(&tsdb))),
             "/spans" => Some(("application/json", telemetry::spans_body())),
             _ => None,
@@ -322,23 +299,33 @@ impl NetServerDaemon {
     }
 
     /// Snapshot of every shard's decision log.
-    pub fn decisions(&self) -> Vec<Vec<crate::runtime::Decision>> {
-        self.pool.as_ref().expect("running").decisions()
+    pub fn decisions(&self) -> Vec<Vec<Decision>> {
+        self.logs.decisions()
     }
 
-    /// Dedup counters summed across shards.
+    /// Dedup counters summed across shards, as of the last drain the
+    /// registry was told of.
     pub fn dedup_stats(&self) -> DedupStats {
-        self.pool.as_ref().expect("running").dedup_stats()
+        let r = self.registry.lock();
+        let new = r.counter("dedup_new_total");
+        let duplicate = r.counter("dedup_duplicate_total");
+        let late = r.counter("dedup_late_total");
+        DedupStats {
+            offered: new + duplicate + late,
+            new,
+            duplicate,
+            late,
+        }
     }
 
     /// (DevAddr, FCnt) records currently resident across shards.
     pub fn tracked(&self) -> u64 {
-        self.pool.as_ref().expect("running").tracked()
+        self.logs.tracked()
     }
 
     /// Decisions lost to the log cap.
     pub fn decisions_dropped(&self) -> u64 {
-        self.pool.as_ref().expect("running").decisions_dropped()
+        self.logs.dropped()
     }
 
     /// The dedup window the shards run.
@@ -396,17 +383,11 @@ impl NetServerDaemon {
         }
     }
 
-    /// Stop the receivers, drain the shards and join everything.
+    /// Stop the ingest thread, which finishes the drain it is working,
+    /// and join everything.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for t in self.receivers.drain(..) {
-            let _ = t.join();
-        }
-        // Receivers (and their routers) are gone; close the shard
-        // queues and join the workers.
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
+        let _ = self.ingest.join();
         self.sampler.shutdown();
         if let Some(fr) = &self.flight {
             fr.lock().flush();
@@ -439,8 +420,9 @@ impl DrainCounts {
         self.malformed += 1;
     }
 
-    /// Add a drain of `drained` datagrams to the registry.
-    fn publish(&self, drained: usize, registry: &Mutex<Registry>) {
+    /// Add a drain of `drained` datagrams, and what was decided of its
+    /// packets, to the registry: the one time a drain takes its lock.
+    fn publish(&self, drained: usize, decided: Option<Decided>, registry: &Mutex<Registry>) {
         let mut reg = registry.lock();
         for (name, by) in [
             ("svc_datagrams_total", self.datagrams),
@@ -457,18 +439,10 @@ impl DrainCounts {
             }
         }
         reg.observe("svc_drain_datagrams", &DRAIN_BOUNDS, drained as u64);
+        if let Some(decided) = decided {
+            decided.publish(&mut reg);
+        }
     }
-}
-
-/// Hand `shard` the packets staged for it, as one batch.
-fn hand_off(shard: usize, pkts: &mut Vec<PacketIn>, router: &ShardRouter, recv: Instant) {
-    if pkts.is_empty() {
-        return;
-    }
-    // The next drain stages about as many.
-    let next = Vec::with_capacity(pkts.len());
-    let pkts = std::mem::replace(pkts, next);
-    router.send(shard, Batch { pkts, recv });
 }
 
 /// What a failed receive means. The read timeout is the shutdown poll;
@@ -489,17 +463,17 @@ fn pause_after_recv_error(e: &io::Error, registry: &Mutex<Registry>) -> Option<D
 
 fn receiver_loop(
     socket: UdpSocket,
-    router: ShardRouter,
+    mut decider: Decider,
     shared: Arc<ReceiverShared>,
     shutdown: Arc<AtomicBool>,
 ) {
     let mut ring = Ring::new();
     let mut rxs: Vec<FastRx> = Vec::with_capacity(128);
     let mut scratch: Vec<u8> = Vec::with_capacity(256);
-    // Per-shard staging buffers, reused across drains.
-    let mut staged: Vec<Vec<PacketIn>> = (0..router.shard_count()).map(|_| Vec::new()).collect();
-    // The ids this receiver has resolved, see `local_gw_id`.
-    let mut gw_ids: Vec<(u64, u16)> = Vec::new();
+    // One drain's packets in arrival order, reused across drains.
+    let mut staged: Vec<PacketIn> = Vec::new();
+    // Gateway EUI → dense id handed to the dedup layer.
+    let mut gw_ids: HashMap<u64, u16> = HashMap::new();
     while !shutdown.load(Ordering::SeqCst) {
         let drained = match ring.recv(&socket) {
             Ok(n) => n,
@@ -515,7 +489,7 @@ fn receiver_loop(
         for slot in 0..drained {
             let datagram = ring.datagram(slot);
             match datagram.get(3) {
-                // PUSH_DATA: ack, parse, stage.
+                // PUSH_DATA: parse, ack, stage.
                 Some(0x00) => {
                     rxs.clear();
                     let Ok(head) = parse_push_data(datagram, &mut rxs, &mut scratch) else {
@@ -523,8 +497,8 @@ fn receiver_loop(
                         continue;
                     };
                     counts.datagrams += 1;
-                    let Some(gw) = local_gw_id(&mut gw_ids, &shared, head.eui) else {
-                        // Not served: no ACK, nothing routed.
+                    let Some(gw) = shared.gw_id(&mut gw_ids, head.eui) else {
+                        // Not served: no ACK, nothing decided.
                         continue;
                     };
                     let ack = [datagram[0], datagram[1], datagram[2], 0x01];
@@ -540,9 +514,7 @@ fn receiver_loop(
                         if trace0 == 0 {
                             trace0 = rx.trce;
                         }
-                        let shard = router.shard_of(dev);
-                        let to = &mut staged[shard];
-                        to.push(PacketIn {
+                        staged.push(PacketIn {
                             dev,
                             fcnt,
                             gw,
@@ -550,12 +522,6 @@ fn receiver_loop(
                             snr_db: rx.lsnr as f32,
                             trace: rx.trce,
                         });
-                        if to.len() >= HAND_OFF_PKTS {
-                            // No packet is routed before its datagram's
-                            // ACK has left.
-                            ring.flush_acks(&socket);
-                            hand_off(shard, to, &router, recv);
-                        }
                     }
                     shared.emit(|| ObsEvent::SvcIngest {
                         wall_us: shared.wall_us(),
@@ -590,25 +556,11 @@ fn receiver_loop(
                 _ => counts.malformed(),
             }
         }
+        // No packet is decided before its datagram's ACK has left.
         ring.flush_acks(&socket);
-        for (shard, pkts) in staged.iter_mut().enumerate() {
-            hand_off(shard, pkts, &router, recv);
-        }
-        counts.publish(drained, &shared.registry);
-    }
-}
-
-/// Gateway `eui`'s dense id from a receiver's own list (sorted by EUI),
-/// which asks the shared table, and takes its lock, only for an EUI it
-/// has not resolved before.
-fn local_gw_id(known: &mut Vec<(u64, u16)>, shared: &ReceiverShared, eui: u64) -> Option<u16> {
-    match known.binary_search_by_key(&eui, |&(eui, _)| eui) {
-        Ok(at) => Some(known[at].1),
-        Err(at) => {
-            let id = shared.gw_id(eui)?;
-            known.insert(at, (eui, id));
-            Some(id)
-        }
+        let decided = (!staged.is_empty()).then(|| decider.decide(&staged, recv));
+        staged.clear();
+        counts.publish(drained, decided, &shared.registry);
     }
 }
 
@@ -625,21 +577,21 @@ mod tests {
     fn gateway_tables_stop_at_the_cap() {
         let shared = ReceiverShared {
             registry: Arc::new(Mutex::new(Registry::new())),
-            gw_ids: Mutex::new(HashMap::new()),
             pull_routes: Mutex::new(HashMap::new()),
             sink: None,
             started: Instant::now(),
         };
+        let mut gw_ids = HashMap::new();
         let eui = |i: usize| 0xA000_0000_0000_0000 | i as u64;
         let peer: SocketAddr = (Ipv4Addr::LOCALHOST, 1700).into();
         const SPOOFED: usize = 70_000;
         for i in 0..SPOOFED {
             // Ids are dense in order of first sight, so distinct.
             let served = (i < MAX_GATEWAYS).then_some(i as u16);
-            assert_eq!(shared.gw_id(eui(i)), served, "gateway {i}");
+            assert_eq!(shared.gw_id(&mut gw_ids, eui(i)), served, "gateway {i}");
             assert_eq!(shared.set_pull_route(eui(i), peer), served.map(|_| true));
         }
-        assert_eq!(shared.gw_ids.lock().len(), MAX_GATEWAYS);
+        assert_eq!(gw_ids.len(), MAX_GATEWAYS);
         assert_eq!(shared.pull_routes.lock().len(), MAX_GATEWAYS);
         let rejected = 2 * (SPOOFED - MAX_GATEWAYS) as u64;
         assert_eq!(
@@ -651,7 +603,7 @@ mod tests {
         );
         // A full table still serves the gateways in it, unchanged.
         for i in (0..MAX_GATEWAYS).step_by(97) {
-            assert_eq!(shared.gw_id(eui(i)), Some(i as u16));
+            assert_eq!(shared.gw_id(&mut gw_ids, eui(i)), Some(i as u16));
             assert_eq!(shared.set_pull_route(eui(i), peer), Some(false));
         }
         assert_eq!(

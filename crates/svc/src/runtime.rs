@@ -1,22 +1,20 @@
-//! The sharded service runtime behind `netserverd`.
+//! What `netserverd`'s ingest thread decides with, and what it leaves
+//! for others to read.
 //!
-//! Receiver threads parse datagrams and route each keyed uplink copy to
-//! one of N worker shards by `hash(DevAddr)`
-//! ([`netserver::dedup::shard_of`]) over **bounded** channels. A worker
-//! owns its shard's [`Deduplicator`] outright — no locks on the dedup
-//! hot path — and appends every decision to a shard-local log.
+//! The thread that received a drain's datagrams also decides them: it
+//! owns a [`ShardedDeduplicator`] outright — no lock, queue or second
+//! thread on the dedup path — and `Decider::decide` offers the
+//! drain's keyed uplink copies to it in arrival order, each to the
+//! shard its `hash(DevAddr)` names ([`netserver::dedup::shard_of`]),
+//! then appends every shard's decisions to that shard's log.
 //!
-//! Backpressure: the router's `send` blocks when a shard's queue is
-//! full, which stalls the receiver; further datagrams then queue in the
-//! kernel socket buffer and are shed there once it overflows. The
-//! daemon's own memory stays bounded by `shards × capacity` in-flight
-//! batches (a batch is one receive drain's share, handed over early
-//! once 256 packets are staged, so never more) plus the capped
-//! decision log — load shedding happens at the kernel boundary, never
-//! by unbounded buffering.
+//! Backpressure is one sentence: the thread that is deciding is not
+//! reading, so datagrams queue in the kernel socket buffer and are shed
+//! there once it overflows. The daemon's own memory is the receive
+//! ring, one drain's staged packets and the capped decision logs.
 //!
-//! Correctness contract: because a shard processes its offers in a
-//! single thread, replaying any shard's decision log through a fresh
+//! Correctness contract: a shard's offers are made in arrival order by
+//! one thread, so replaying any shard's decision log through a fresh
 //! [`Deduplicator`] must reproduce the logged outcomes exactly (the
 //! `per_shard_replay_is_exact` property in `netserver::dedup`).
 //! [`replay_divergence`] performs that replay and
@@ -24,18 +22,18 @@
 //! byte-identity.
 
 use lora_mac::device::DevAddr;
-use netserver::dedup::{shard_of, DedupOutcome, DedupStats, Deduplicator, UplinkCopy};
+use netserver::dedup::{DedupOutcome, DedupStats, Deduplicator, ShardedDeduplicator, UplinkCopy};
 use obs::Registry;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Ingest-latency histogram bounds (µs): socket receive → dedup
-/// decision recorded. Loopback ingest takes 10–40 µs a datagram, so the
-/// head buckets resolve queue wait building up below saturation; the
-/// tail buckets catch scheduling stalls under overload.
+/// Ingest-latency histogram bounds (µs): a drain's receive call
+/// returned → its last decision logged, which is one thread's parse,
+/// ACK flush and decide with no queue in between. The head buckets
+/// resolve drains of a few packets, the tail buckets catch scheduling
+/// stalls under overload.
 pub const INGEST_LATENCY_BOUNDS_US: [u64; 13] = [
     5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000,
 ];
@@ -58,18 +56,6 @@ pub struct PacketIn {
     pub snr_db: f32,
     /// Distributed trace id threaded through obs events.
     pub trace: u64,
-}
-
-/// A batch of copies routed to one shard (the copies of one receive
-/// drain that hashed to that shard, in arrival order; the receiver
-/// caps how many), stamped with the socket receive instant so the
-/// worker can measure ingest latency.
-#[derive(Debug)]
-pub struct Batch {
-    /// The copies routed to this shard.
-    pub pkts: Vec<PacketIn>,
-    /// The instant the carrying drain's receive call returned.
-    pub recv: Instant,
 }
 
 /// One dedup decision, in the exact order the owning shard made it.
@@ -98,191 +84,102 @@ fn outcome_code(o: DedupOutcome) -> u8 {
 /// A thread-safe observability fan-in the daemons can emit into.
 pub type SharedObs = Arc<Mutex<dyn obs::ObsSink + Send>>;
 
-struct Shard {
-    sender: crossbeam::channel::SyncSender<Batch>,
-    log: Arc<Mutex<Vec<Decision>>>,
-    tracked: Arc<AtomicU64>,
-    handle: JoinHandle<()>,
+/// What the ingest thread leaves for other threads to read: the
+/// per-shard decision logs, how many decisions the log cap kept out,
+/// and the dedup records resident.
+pub(crate) struct DecisionLogs {
+    logs: Vec<Mutex<Vec<Decision>>>,
+    dropped: AtomicU64,
+    tracked: AtomicU64,
 }
 
-/// The pool of dedup worker shards.
-pub struct ShardPool {
-    shards: Vec<Shard>,
-    registry: Arc<Mutex<Registry>>,
-    log_cap: usize,
-    dropped_log: Arc<AtomicU64>,
-}
-
-/// Cloneable routing handle handed to receiver threads.
-#[derive(Clone)]
-pub struct ShardRouter {
-    senders: Vec<crossbeam::channel::SyncSender<Batch>>,
-}
-
-impl ShardRouter {
-    /// Number of shards behind this router.
-    pub fn shard_count(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The shard a device address routes to.
-    pub fn shard_of(&self, dev: u32) -> usize {
-        shard_of(DevAddr(dev), self.senders.len())
-    }
-
-    /// Route one batch to a shard, blocking when its queue is full
-    /// (this is the backpressure point).
-    pub fn send(&self, shard: usize, batch: Batch) {
-        // A closed channel only happens during shutdown; drop silently.
-        let _ = self.senders[shard].send(batch);
-    }
-}
-
-impl ShardPool {
-    /// Spawn `shards` workers with `capacity`-bounded queues and a
-    /// `window_us` dedup window. Decision logs stop growing at
-    /// `log_cap` entries per shard (the prefix property keeps replay
-    /// exact on a truncated log).
-    pub fn new(
-        shards: usize,
-        capacity: usize,
-        window_us: u64,
-        log_cap: usize,
-        registry: Arc<Mutex<Registry>>,
-        sink: Option<SharedObs>,
-    ) -> ShardPool {
-        assert!(shards > 0, "a shard pool needs at least one worker");
-        let dropped_log = Arc::new(AtomicU64::new(0));
-        let pool: Vec<Shard> = (0..shards)
-            .map(|idx| {
-                let (sender, receiver) = crossbeam::channel::bounded::<Batch>(capacity);
-                let log = Arc::new(Mutex::new(Vec::new()));
-                let tracked = Arc::new(AtomicU64::new(0));
-                let worker_log = Arc::clone(&log);
-                let worker_tracked = Arc::clone(&tracked);
-                let worker_registry = Arc::clone(&registry);
-                let worker_dropped = Arc::clone(&dropped_log);
-                let worker_sink = sink.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("svc-shard-{idx}"))
-                    .spawn(move || {
-                        shard_worker(
-                            receiver,
-                            window_us,
-                            log_cap,
-                            worker_log,
-                            worker_tracked,
-                            worker_registry,
-                            worker_dropped,
-                            worker_sink,
-                        )
-                    })
-                    .expect("spawn shard worker");
-                Shard {
-                    sender,
-                    log,
-                    tracked,
-                    handle,
-                }
-            })
-            .collect();
-        ShardPool {
-            shards: pool,
-            registry,
-            log_cap,
-            dropped_log,
-        }
-    }
-
-    /// Shared handles to the per-shard decision logs (for scrape
-    /// endpoints that outlive the pool borrow).
-    pub fn decision_handles(&self) -> Vec<Arc<Mutex<Vec<Decision>>>> {
-        self.shards.iter().map(|s| Arc::clone(&s.log)).collect()
-    }
-
-    /// Shared handles to the per-shard resident-record gauges.
-    pub fn tracked_handles(&self) -> Vec<Arc<AtomicU64>> {
-        self.shards.iter().map(|s| Arc::clone(&s.tracked)).collect()
-    }
-
-    /// A routing handle for receiver threads.
-    pub fn router(&self) -> ShardRouter {
-        ShardRouter {
-            senders: self.shards.iter().map(|s| s.sender.clone()).collect(),
-        }
-    }
-
+impl DecisionLogs {
     /// Snapshot of every shard's decision log, in shard order.
-    pub fn decisions(&self) -> Vec<Vec<Decision>> {
-        self.shards.iter().map(|s| s.log.lock().clone()).collect()
-    }
-
-    /// Dedup counters summed across shards (read from the registry the
-    /// workers increment).
-    pub fn dedup_stats(&self) -> DedupStats {
-        let r = self.registry.lock();
-        let new = r.counter("dedup_new_total");
-        let duplicate = r.counter("dedup_duplicate_total");
-        let late = r.counter("dedup_late_total");
-        DedupStats {
-            offered: new + duplicate + late,
-            new,
-            duplicate,
-            late,
-        }
-    }
-
-    /// Total (DevAddr, FCnt) records currently resident across shards —
-    /// the bounded-memory invariant tests assert on.
-    pub fn tracked(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.tracked.load(Ordering::Relaxed))
-            .sum()
+    pub(crate) fn decisions(&self) -> Vec<Vec<Decision>> {
+        self.logs.iter().map(|l| l.lock().clone()).collect()
     }
 
     /// Decisions that were made but not logged because a shard's log
     /// hit its cap.
-    pub fn decisions_dropped(&self) -> u64 {
-        self.dropped_log.load(Ordering::Relaxed)
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
     }
 
-    /// The per-shard decision-log cap.
-    pub fn log_cap(&self) -> usize {
-        self.log_cap
-    }
-
-    /// Close the queues and join every worker. Every [`ShardRouter`]
-    /// must be dropped first: a live router keeps the channels open and
-    /// the workers running.
-    pub fn shutdown(self) {
-        for s in self.shards {
-            drop(s.sender);
-            let _ = s.handle.join();
-        }
+    /// Total (DevAddr, FCnt) records resident across shards as of the
+    /// last drain — the bounded-memory invariant tests assert on.
+    pub(crate) fn tracked(&self) -> u64 {
+        self.tracked.load(Ordering::Relaxed)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn shard_worker(
-    receiver: crossbeam::channel::Receiver<Batch>,
-    window_us: u64,
+/// What one [`Decider::decide`] call decided, for the registry.
+pub(crate) struct Decided {
+    outcomes: DedupStats,
+    /// Socket receive → the last decision of the drain logged, µs.
+    latency_us: u64,
+}
+
+impl Decided {
+    /// Add the call's outcomes and its ingest latency to `registry`.
+    pub(crate) fn publish(&self, registry: &mut Registry) {
+        registry.inc("dedup_new_total", self.outcomes.new);
+        registry.inc("dedup_duplicate_total", self.outcomes.duplicate);
+        registry.inc("dedup_late_total", self.outcomes.late);
+        registry.observe(
+            "ingest_latency_us",
+            &INGEST_LATENCY_BOUNDS_US,
+            self.latency_us,
+        );
+    }
+}
+
+/// The dedup shards, owned by the one thread that offers to them.
+pub(crate) struct Decider {
+    dedup: ShardedDeduplicator,
+    /// One call's decisions per shard, on their way to `logs`.
+    local: Vec<Vec<Decision>>,
+    /// Decision logs stop growing at this many entries per shard (the
+    /// prefix property keeps replay exact on a truncated log).
     log_cap: usize,
-    log: Arc<Mutex<Vec<Decision>>>,
-    tracked: Arc<AtomicU64>,
-    registry: Arc<Mutex<Registry>>,
-    dropped_log: Arc<AtomicU64>,
+    logs: Arc<DecisionLogs>,
     sink: Option<SharedObs>,
-) {
-    let mut dedup = Deduplicator::new(window_us);
-    let mut local: Vec<Decision> = Vec::with_capacity(128);
-    while let Ok(batch) = receiver.recv() {
+}
+
+impl Decider {
+    /// `shards` deduplicators of a `window_us` window, each with a
+    /// decision log of at most `log_cap` entries.
+    pub(crate) fn new(
+        shards: usize,
+        window_us: u64,
+        log_cap: usize,
+        sink: Option<SharedObs>,
+    ) -> Decider {
+        Decider {
+            dedup: ShardedDeduplicator::new(shards, window_us),
+            local: vec![Vec::new(); shards],
+            log_cap,
+            logs: Arc::new(DecisionLogs {
+                logs: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+                dropped: AtomicU64::new(0),
+                tracked: AtomicU64::new(0),
+            }),
+            sink,
+        }
+    }
+
+    /// The handle other threads read this decider's logs through.
+    pub(crate) fn logs(&self) -> Arc<DecisionLogs> {
+        Arc::clone(&self.logs)
+    }
+
+    /// Offer `pkts`, received at `recv`, in order, each to its shard,
+    /// and log the decisions: made and logged when the call returns.
+    pub(crate) fn decide(&mut self, pkts: &[PacketIn], recv: Instant) -> Decided {
         let _sp = obs::span::enter(obs::span::SpanId::SvcBatch);
-        let (mut new, mut dup, mut late) = (0u64, 0u64, 0u64);
-        // Sampled once per batch: a sink switched mid-batch is seen
-        // from the next one.
-        let traced = sink.as_ref().filter(|s| s.lock().enabled());
-        for p in &batch.pkts {
+        let mut outcomes = DedupStats::default();
+        // Locked once for the call, not once a packet.
+        let mut sink = self.sink.as_ref().map(|s| s.lock());
+        for p in pkts {
             let copy = UplinkCopy {
                 dev_addr: DevAddr(p.dev),
                 fcnt: p.fcnt,
@@ -291,16 +188,16 @@ fn shard_worker(
                 received_us: p.t_us,
                 trace: p.trace,
             };
-            let outcome = match traced {
-                Some(s) => dedup.offer_obs(copy, &mut *s.lock()),
-                None => dedup.offer(copy),
+            let (shard, outcome) = match sink.as_deref_mut() {
+                Some(sink) => self.dedup.offer_obs(copy, sink),
+                None => self.dedup.offer(copy),
             };
             match outcome {
-                DedupOutcome::New => new += 1,
-                DedupOutcome::Duplicate => dup += 1,
-                DedupOutcome::Late => late += 1,
+                DedupOutcome::New => outcomes.new += 1,
+                DedupOutcome::Duplicate => outcomes.duplicate += 1,
+                DedupOutcome::Late => outcomes.late += 1,
             }
-            local.push(Decision {
+            self.local[shard].push(Decision {
                 dev: p.dev,
                 fcnt: p.fcnt,
                 gw: p.gw,
@@ -308,24 +205,25 @@ fn shard_worker(
                 outcome,
             });
         }
-        let latency_us = batch.recv.elapsed().as_micros() as u64;
-        {
-            let mut l = log.lock();
-            let room = log_cap.saturating_sub(l.len());
-            if room >= local.len() {
-                l.extend_from_slice(&local);
-            } else {
-                l.extend_from_slice(&local[..room]);
-                dropped_log.fetch_add((local.len() - room) as u64, Ordering::Relaxed);
+        drop(sink);
+        outcomes.offered = pkts.len() as u64;
+        for (local, log) in self.local.iter_mut().zip(&self.logs.logs) {
+            if local.is_empty() {
+                continue;
             }
+            let mut log = log.lock();
+            let room = self.log_cap.saturating_sub(log.len()).min(local.len());
+            log.extend_from_slice(&local[..room]);
+            let over = (local.len() - room) as u64;
+            self.logs.dropped.fetch_add(over, Ordering::Relaxed);
+            local.clear();
         }
-        local.clear();
-        tracked.store(dedup.tracked() as u64, Ordering::Relaxed);
-        let mut r = registry.lock();
-        r.inc("dedup_new_total", new);
-        r.inc("dedup_duplicate_total", dup);
-        r.inc("dedup_late_total", late);
-        r.observe("ingest_latency_us", &INGEST_LATENCY_BOUNDS_US, latency_us);
+        let tracked = self.dedup.tracked() as u64;
+        self.logs.tracked.store(tracked, Ordering::Relaxed);
+        Decided {
+            outcomes,
+            latency_us: recv.elapsed().as_micros() as u64,
+        }
     }
 }
 
@@ -424,13 +322,7 @@ pub fn replay_divergence(logs: &[Vec<Decision>], window_us: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pool(shards: usize) -> (ShardPool, ShardRouter) {
-        let registry = Arc::new(Mutex::new(Registry::new()));
-        let p = ShardPool::new(shards, 8, 1_000_000, 10_000, registry, None);
-        let r = p.router();
-        (p, r)
-    }
+    use netserver::dedup::shard_of;
 
     fn pkt(dev: u32, fcnt: u16, gw: u16, t_us: u64) -> PacketIn {
         PacketIn {
@@ -443,32 +335,17 @@ mod tests {
         }
     }
 
-    fn drain(p: &ShardPool, want: u64) {
-        for _ in 0..200 {
-            if p.dedup_stats().offered >= want {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        panic!("workers never processed {want} offers");
-    }
-
     #[test]
     fn decisions_route_by_hash_and_replay_exactly() {
-        let (p, r) = pool(4);
-        for i in 0..64u32 {
-            let dev = i % 8;
-            let shard = r.shard_of(dev);
-            r.send(
-                shard,
-                Batch {
-                    pkts: vec![pkt(dev, (i / 8) as u16, (i % 3) as u16, i as u64 * 1_000)],
-                    recv: Instant::now(),
-                },
-            );
+        let mut d = Decider::new(4, 1_000_000, 10_000, None);
+        let pkts: Vec<PacketIn> = (0..64u32)
+            .map(|i| pkt(i % 8, (i / 8) as u16, (i % 3) as u16, i as u64 * 1_000))
+            .collect();
+        for drain in pkts.chunks(7) {
+            let decided = d.decide(drain, Instant::now());
+            assert_eq!(decided.outcomes.offered, drain.len() as u64);
         }
-        drain(&p, 64);
-        let logs = p.decisions();
+        let logs = d.logs().decisions();
         assert_eq!(logs.iter().map(|l| l.len()).sum::<usize>(), 64);
         // Every decision sits in the shard its DevAddr hashes to.
         for (shard, log) in logs.iter().enumerate() {
@@ -482,24 +359,20 @@ mod tests {
             render_decisions(&replay_decisions(&logs, 1_000_000)),
             "decision stream must be byte-identical to the replay"
         );
-        drop(r);
-        p.shutdown();
     }
 
     #[test]
     fn duplicate_and_late_outcomes_are_logged() {
-        let (p, r) = pool(1);
-        let batch = |pkts| Batch {
-            pkts,
-            recv: Instant::now(),
-        };
-        r.send(0, batch(vec![pkt(1, 0, 0, 1_000), pkt(1, 0, 1, 2_000)]));
+        let sink = Arc::new(Mutex::new(obs::VecSink::new()));
+        let mut d = Decider::new(1, 1_000_000, 10_000, Some(sink.clone()));
+        let mut registry = Registry::new();
+        let mut decide = |pkts: &[PacketIn]| d.decide(pkts, Instant::now()).publish(&mut registry);
+        decide(&[pkt(1, 0, 0, 1_000), pkt(1, 0, 1, 2_000)]);
         // Advance the high-water mark a full window, then offer a stale
         // copy of an expired frame.
-        r.send(0, batch(vec![pkt(2, 0, 0, 3_000_000)]));
-        r.send(0, batch(vec![pkt(1, 0, 2, 1_500)]));
-        drain(&p, 4);
-        let logs = p.decisions();
+        decide(&[pkt(2, 0, 0, 3_000_000)]);
+        decide(&[pkt(1, 0, 2, 1_500)]);
+        let logs = d.logs().decisions();
         let outcomes: Vec<DedupOutcome> = logs[0].iter().map(|d| d.outcome).collect();
         assert_eq!(
             outcomes,
@@ -511,52 +384,48 @@ mod tests {
             ]
         );
         assert_eq!(replay_divergence(&logs, 1_000_000), 0);
-        let stats = p.dedup_stats();
-        assert_eq!((stats.new, stats.duplicate, stats.late), (2, 1, 1));
-        drop(r);
-        p.shutdown();
+        // The sink saw the same decisions, in the order offered.
+        let seen: Vec<(u32, obs::DedupKind)> = (sink.lock().events().iter())
+            .map(|ev| match ev {
+                obs::ObsEvent::Dedup { gw, outcome, .. } => (*gw, *outcome),
+                other => panic!("not a dedup event: {other:?}"),
+            })
+            .collect();
+        use obs::DedupKind::{Duplicate, Late, New};
+        assert_eq!(seen, [(0, New), (1, Duplicate), (0, New), (2, Late)]);
+        let count = |name| registry.counter(name);
+        assert_eq!(
+            (
+                count("dedup_new_total"),
+                count("dedup_duplicate_total"),
+                count("dedup_late_total")
+            ),
+            (2, 1, 1)
+        );
     }
 
     #[test]
     fn log_cap_keeps_a_replayable_prefix() {
-        let registry = Arc::new(Mutex::new(Registry::new()));
-        let p = ShardPool::new(1, 8, 1_000_000, 10, Arc::clone(&registry), None);
-        let r = p.router();
-        for i in 0..25u16 {
-            r.send(
-                0,
-                Batch {
-                    pkts: vec![pkt(7, i, 0, i as u64 * 100)],
-                    recv: Instant::now(),
-                },
-            );
+        let mut d = Decider::new(1, 1_000_000, 10, None);
+        let pkts: Vec<PacketIn> = (0..25u16).map(|i| pkt(7, i, 0, i as u64 * 100)).collect();
+        // The cap falls inside the third call's decisions.
+        for drain in pkts.chunks(4) {
+            d.decide(drain, Instant::now());
         }
-        drain(&p, 25);
-        let logs = p.decisions();
+        let logs = d.logs().decisions();
         assert_eq!(logs[0].len(), 10, "log stops at the cap");
-        assert_eq!(p.decisions_dropped(), 15);
+        assert_eq!(d.logs().dropped(), 15);
         // The prefix is still exactly replayable.
         assert_eq!(replay_divergence(&logs, 1_000_000), 0);
-        drop(r);
-        p.shutdown();
     }
 
     #[test]
     fn registry_sees_latency_histogram() {
-        let registry = Arc::new(Mutex::new(Registry::new()));
-        let p = ShardPool::new(2, 8, 1_000_000, 1_000, Arc::clone(&registry), None);
-        let r = p.router();
-        r.send(
-            r.shard_of(5),
-            Batch {
-                pkts: vec![pkt(5, 0, 0, 10)],
-                recv: Instant::now(),
-            },
-        );
-        drain(&p, 1);
-        drop(r);
-        p.shutdown();
-        let reg = registry.lock();
+        let mut d = Decider::new(2, 1_000_000, 1_000, None);
+        let mut reg = Registry::new();
+        d.decide(&[pkt(5, 0, 0, 10)], Instant::now())
+            .publish(&mut reg);
+        assert_eq!(d.logs().tracked(), 1);
         let h = reg.histogram("ingest_latency_us").expect("histogram");
         assert_eq!(h.total(), 1);
         assert_eq!(reg.counter("dedup_new_total"), 1);

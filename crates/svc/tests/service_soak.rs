@@ -6,7 +6,7 @@
 //! Debug builds run a small fleet and check the invariants only; the
 //! throughput floor is asserted in release builds, where the soak sends
 //! on the order of a million packets and requires a sustained daemon
-//! ingest rate of `ALPHAWAN_SOAK_MIN_PPS` (default 500 000) pkts/sec.
+//! ingest rate of [`SOAK_MIN_PPS`].
 
 use svc::{
     render_decisions, replay_decisions, replay_divergence, LoadgenConfig, NetServerConfig,
@@ -18,18 +18,15 @@ const TARGET_PKTS: u64 = 20_000;
 #[cfg(not(debug_assertions))]
 const TARGET_PKTS: u64 = 1_500_000;
 
-fn soak_min_pps() -> f64 {
-    std::env::var("ALPHAWAN_SOAK_MIN_PPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500_000.0)
-}
+/// The release floor, pkts/sec: deliberately lenient for shared CI
+/// runners (a 2-core 2.1 GHz Xeon sustains four times as much).
+#[cfg(not(debug_assertions))]
+const SOAK_MIN_PPS: f64 = 500_000.0;
 
 #[test]
 fn loopback_soak_holds_rate_and_equivalence() {
     let cfg = NetServerConfig {
         shards: 2,
-        channel_capacity: 512,
         decision_log_cap: (TARGET_PKTS as usize) + 1024,
         ..NetServerConfig::default()
     };
@@ -54,9 +51,10 @@ fn loopback_soak_holds_rate_and_equivalence() {
         "{report:?}"
     );
 
-    // Loopback with blocking backpressure: nothing may be lost. The
-    // last batches can still be in flight through the shard queues
-    // when the generator returns, so poll the ingest counter.
+    // The generator sends inside a window of unacknowledged datagrams,
+    // so on loopback nothing may be lost. The last drain can still be
+    // on its way into the registry when the generator returns, so poll
+    // the ingest counter.
     let mut ingested = daemon.counter("svc_pkts_total");
     for _ in 0..2_000 {
         if ingested == report.sent_pkts {
@@ -129,12 +127,9 @@ fn loopback_soak_holds_rate_and_equivalence() {
     // The throughput floor only means something with optimizations on.
     #[cfg(not(debug_assertions))]
     assert!(
-        pps >= soak_min_pps(),
-        "sustained ingest {pps:.0} pkts/sec below the {:.0} floor",
-        soak_min_pps()
+        pps >= SOAK_MIN_PPS,
+        "sustained ingest {pps:.0} pkts/sec below the {SOAK_MIN_PPS:.0} floor"
     );
-    #[cfg(debug_assertions)]
-    let _ = soak_min_pps;
 
     daemon.shutdown();
 }
