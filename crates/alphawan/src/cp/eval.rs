@@ -12,6 +12,14 @@
 //!   scoring a candidate through a reusable [`Scratch`] then performs
 //!   **zero heap allocations** (enforced by the `eval_alloc`
 //!   integration test).
+//! * A node's serving gateways depend only on its reach mask at its
+//!   ring and on its channel, so [`EvalContext::score`] folds the nodes
+//!   into *cells* keyed by that pair and derives one serve mask, one
+//!   load fold and one best-φ per occupied cell, never per node. Every
+//!   worker's [`Scratch`] holds the whole cell table: distinct (class,
+//!   ring) reach masks × the channel count rounded up to a power of
+//!   two, 16 bytes a cell (85 classes over 38 channels intern to at
+//!   most 510 × 64 cells, ≈ 0.5 MB).
 //! * [`Genome`] is a flat solution encoding — one `u16` gene per node
 //!   (`channel * DISTANCE_RINGS + ring`) and one `u64` channel bitmask
 //!   per gateway — so cloning a candidate is two `memcpy`s instead of
@@ -23,10 +31,10 @@
 //!   allocating.
 //! * `fan_out` spreads per-item work over `std::thread::scope`
 //!   workers, each with private state: the GA's generation step
-//!   (breed + repair + score per slot) and [`score_batch`] both run on
-//!   it. Each item is produced by the same pure function whoever runs
-//!   it, so results are **byte-identical for every worker count** —
-//!   the `ga_deterministic_per_seed` and `obs_determinism` guarantees
+//!   (breed + repair + score per slot) runs on it. Each item is
+//!   produced by the same pure function whoever runs it, so results
+//!   are **byte-identical for every worker count** — the
+//!   `ga_deterministic_per_seed` and `obs_determinism` guarantees
 //!   survive parallelism.
 //!
 //! # Determinism and exactness rules
@@ -192,12 +200,15 @@ pub struct EvalContext<'p> {
     class_reach: Vec<u64>,
     /// Nodes per class.
     class_nodes: Vec<u32>,
-    /// `class_full[c]` bit `l` ⇔ class `c` reaches *every* gateway at
-    /// ring `l`. For such (node, ring) pairs the serve mask collapses
-    /// to `listeners[ch]`, so scoring can aggregate per channel
-    /// instead of walking per-node bitmasks — O(1) per node in dense
-    /// deployments where most nodes hear all gateways.
-    class_full: Vec<u8>,
+    /// `class_cell[c * DISTANCE_RINGS + l]`: first cell of the reach
+    /// mask class `c` has at ring `l` — the mask's interned id shifted
+    /// left by `ch_bits`. A node's cell is this ORed with its channel.
+    class_cell: Vec<u32>,
+    /// Reach mask of each interned id (`cell >> ch_bits`).
+    rid_mask: Vec<u64>,
+    /// `log2` of the cell stride, the channel count rounded up to a
+    /// power of two, so a cell splits into (id, channel) by a shift.
+    ch_bits: u32,
     /// Per-node traffic in [`LOAD_SCALE`] fixed-point units.
     traffic_q: Vec<u64>,
     /// Per-gateway decoder budget in the same units.
@@ -243,23 +254,29 @@ impl<'p> EvalContext<'p> {
             class_nodes[c as usize] += 1;
             class.push(c);
         }
-        let all_gw = if p.n_gateways() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << p.n_gateways()) - 1
-        };
-        let full_bits = |row: &[u64]| {
-            (0..row.len())
-                .map(|l| ((row[l] == all_gw) as u8) << l)
-                .sum()
-        };
-        let class_full = class_reach.chunks(DISTANCE_RINGS).map(full_bits).collect();
+        // Intern the per-ring masks the same way: classes share masks
+        // (every class unheard at ring 0 has the empty one).
+        let ch_bits = p.n_channels().next_power_of_two().trailing_zeros();
+        let mut rids: HashMap<u64, u32> = HashMap::new();
+        let mut rid_mask = Vec::new();
+        let class_cell = class_reach
+            .iter()
+            .map(|&mask| {
+                let rid = *rids.entry(mask).or_insert_with(|| {
+                    rid_mask.push(mask);
+                    rid_mask.len() as u32 - 1
+                });
+                u32::try_from((rid as usize) << ch_bits).expect("cell ids fit u32")
+            })
+            .collect();
         EvalContext {
             p,
             class,
             class_reach,
             class_nodes,
-            class_full,
+            class_cell,
+            rid_mask,
+            ch_bits,
             traffic_q: p.traffic.iter().map(|&t| quantize(t)).collect(),
             dec_q: p
                 .gw_limits
@@ -309,19 +326,24 @@ impl<'p> EvalContext<'p> {
     /// per worker; every subsequent [`EvalContext::score`] through it
     /// is allocation-free.
     pub fn scratch(&self) -> Scratch {
+        let n_cells = self.rid_mask.len() << self.ch_bits;
         Scratch {
             listeners: vec![0; self.p.n_channels()],
             k_q: vec![0; self.p.n_gateways()],
             phi_q: vec![0; self.p.n_gateways()],
-            serve: vec![0; self.p.n_nodes()],
             slot_count: vec![0; self.n_slots],
-            ch_load: vec![0; self.p.n_channels()],
-            ch_best: vec![0; self.p.n_channels()],
+            cells: vec![Cell::default(); n_cells],
+            touched: vec![0; n_cells.min(self.p.n_nodes()) + 1],
         }
     }
 
     /// Full score of `g` — same value the incremental evaluator
     /// maintains, computed from scratch. Zero heap allocations.
+    ///
+    /// One pass over the nodes folds each into its (reach mask,
+    /// channel) cell; every later step runs per occupied cell. Sums of
+    /// fixed-point loads are exact, so regrouping Σᵢ tᵢ·φ(serveᵢ) by
+    /// cell yields the per-node sum's integers bit for bit.
     pub fn score(&self, g: &Genome, s: &mut Scratch) -> f64 {
         debug_assert_eq!(g.gene.len(), self.p.n_nodes());
         debug_assert_eq!(g.gw_mask.len(), self.p.n_gateways());
@@ -332,71 +354,49 @@ impl<'p> EvalContext<'p> {
                 s.listeners[ch as usize] |= 1 << j;
             }
         }
-        // k_j loads. Full-reach (node, ring) pairs serve exactly
-        // `listeners[ch]`, so their traffic aggregates per channel and
-        // folds into every listening gateway afterwards; the rest walk
-        // their serve mask. Fixed-point sums are order-independent, so
-        // the split is bit-exact against the single-pass form.
+        // Fold every node into its cell, and its slot into the
+        // duplicate count. A cell's first node pushes it onto
+        // `touched`: the write always happens and only the length
+        // moves, so no branch depends on the data.
+        s.slot_count.fill(0);
+        let mut used = 0usize;
+        for ((&gene, &c), &t) in g.gene.iter().zip(&self.class).zip(&self.traffic_q) {
+            let ring_cell = self.class_cell[c as usize * DISTANCE_RINGS + gene_ring(gene)];
+            let cell = ring_cell as usize | gene_channel(gene);
+            let acc = &mut s.cells[cell];
+            s.touched[used] = cell as u32;
+            used += (acc.nodes == 0) as usize;
+            acc.load += t;
+            acc.nodes += 1;
+            s.slot_count[gene as usize] += 1;
+        }
+        let touched = &s.touched[..used];
+        let ch_mask = (1usize << self.ch_bits) - 1;
+        let serve = |cell: usize| self.rid_mask[cell >> self.ch_bits] & s.listeners[cell & ch_mask];
+        // k_j loads, one serve mask per occupied cell.
         s.k_q.fill(0);
-        s.ch_load.fill(0);
-        for (i, &gene) in g.gene.iter().enumerate() {
-            let (ch, l) = (gene_channel(gene), gene_ring(gene));
-            if self.class_full[self.class[i] as usize] >> l & 1 == 1 {
-                s.ch_load[ch] += self.traffic_q[i];
-            } else {
-                let serve = self.reach_mask(i, l) & s.listeners[ch];
-                s.serve[i] = serve;
-                let t = self.traffic_q[i];
-                for j in BitIter(serve) {
-                    s.k_q[j as usize] += t;
-                }
+        for &cell in touched {
+            let load = s.cells[cell as usize].load;
+            for j in BitIter(serve(cell as usize)) {
+                s.k_q[j as usize] += load;
             }
         }
-        for (j, &mask) in g.gw_mask.iter().enumerate() {
-            let mut agg = 0u64;
-            for ch in BitIter(mask) {
-                agg += s.ch_load[ch as usize];
-            }
-            s.k_q[j] += agg;
-        }
-        // φ_j: decoder-overflow risk per gateway; per-channel best φ
-        // for the full-reach fast path (`u64::MAX` ⇔ nobody listens).
+        // φ_j: decoder-overflow risk per gateway.
         for j in 0..self.p.n_gateways() {
             s.phi_q[j] = s.k_q[j].saturating_sub(self.dec_q[j]);
         }
-        for (ch, &m) in s.listeners.iter().enumerate() {
-            let mut best = u64::MAX;
-            for j in BitIter(m) {
-                best = best.min(s.phi_q[j as usize]);
-            }
-            s.ch_best[ch] = best;
-        }
-        // Φ_i: best-gateway risk, traffic-weighted; duplicate slots.
+        // Φ: best-gateway risk, traffic-weighted, per cell; emptying
+        // each cell leaves the table zeroed for the next call.
         let mut main_q: u128 = 0;
         let mut disconnected: u64 = 0;
-        s.slot_count.fill(0);
-        for (i, &gene) in g.gene.iter().enumerate() {
-            let (ch, l) = (gene_channel(gene), gene_ring(gene));
-            if self.class_full[self.class[i] as usize] >> l & 1 == 1 {
-                let best = s.ch_best[ch];
-                if best == u64::MAX {
-                    disconnected += 1;
-                } else {
-                    main_q += self.traffic_q[i] as u128 * best as u128;
-                }
+        for &cell in touched {
+            let mask = serve(cell as usize);
+            let Cell { load, nodes } = std::mem::take(&mut s.cells[cell as usize]);
+            if mask == 0 {
+                disconnected += nodes as u64;
             } else {
-                let serve = s.serve[i];
-                if serve == 0 {
-                    disconnected += 1;
-                } else {
-                    let mut best = u64::MAX;
-                    for j in BitIter(serve) {
-                        best = best.min(s.phi_q[j as usize]);
-                    }
-                    main_q += self.traffic_q[i] as u128 * best as u128;
-                }
+                main_q += load as u128 * min_phi(&s.phi_q, mask) as u128;
             }
-            s.slot_count[gene as usize] += 1;
         }
         let dup_units: u64 = s
             .slot_count
@@ -407,6 +407,25 @@ impl<'p> EvalContext<'p> {
     }
 }
 
+/// Smallest φ among the gateways of `serve` (`u64::MAX` when empty).
+#[inline]
+fn min_phi(phi_q: &[u64], serve: u64) -> u64 {
+    let mut best = u64::MAX;
+    for j in BitIter(serve) {
+        best = best.min(phi_q[j as usize]);
+    }
+    best
+}
+
+/// One (reach mask, channel) cell: the nodes folded into it by the
+/// current [`EvalContext::score`] call.
+#[derive(Clone, Copy, Default)]
+struct Cell {
+    /// Σ quantized traffic of the cell's nodes.
+    load: u64,
+    nodes: u32,
+}
+
 /// Reusable per-worker scoring buffers (see [`EvalContext::scratch`]).
 pub struct Scratch {
     /// Per-channel gateway-listener bitmask.
@@ -415,15 +434,13 @@ pub struct Scratch {
     k_q: Vec<u64>,
     /// Per-gateway quantized overflow risk `φ_j`.
     phi_q: Vec<u64>,
-    /// Per-node serving-gateway bitmask (slow-path nodes only).
-    serve: Vec<u64>,
     /// Per-(channel, ring) slot population.
     slot_count: Vec<u32>,
-    /// Per-channel aggregated load of full-reach nodes.
-    ch_load: Vec<u64>,
-    /// Per-channel minimum φ over listening gateways (`u64::MAX` when
-    /// no gateway listens on the channel).
-    ch_best: Vec<u64>,
+    /// Every (reach mask, channel) cell; all zero between calls.
+    cells: Vec<Cell>,
+    /// Occupied cells in first-touch order, plus one slot the
+    /// branch-free push writes past the last of them.
+    touched: Vec<u32>,
 }
 
 /// Run `job(k, &mut items[k], worker)` for every item, on up to one
@@ -462,20 +479,6 @@ pub(crate) fn fan_out<T: Send, W: Send>(
         }
         run(own);
     });
-}
-
-/// Score `genomes` into `out` through `fan_out`, one worker per
-/// scratch. Every candidate is scored by the same pure function on a
-/// private scratch, so `out` is byte-identical for every worker count
-/// (including 1, the serial reference).
-pub fn score_batch(
-    ctx: &EvalContext,
-    genomes: &[Genome],
-    scratches: &mut [Scratch],
-    out: &mut [f64],
-) {
-    assert_eq!(genomes.len(), out.len());
-    fan_out(out, scratches, |k, o, s| *o = ctx.score(&genomes[k], s));
 }
 
 /// Delta-scored evaluator: owns a [`Genome`] plus the derived state
@@ -558,7 +561,7 @@ impl<'c, 'p> IncrementalEval<'c, 'p> {
             if self.serve[i] == 0 {
                 self.disconnected += 1;
             } else {
-                let r = self.min_phi(self.serve[i]);
+                let r = min_phi(&self.phi_q, self.serve[i]);
                 self.risk_q[i] = r;
                 self.main_q += ctx.traffic_q[i] as u128 * r as u128;
             }
@@ -568,15 +571,6 @@ impl<'c, 'p> IncrementalEval<'c, 'p> {
             .iter()
             .map(|&c| (c as u64).saturating_sub(1))
             .sum();
-    }
-
-    #[inline]
-    fn min_phi(&self, serve: u64) -> u64 {
-        let mut best = u64::MAX;
-        for j in BitIter(serve) {
-            best = best.min(self.phi_q[j as usize]);
-        }
-        best
     }
 
     /// Current objective — O(1), identical to
@@ -665,7 +659,7 @@ impl<'c, 'p> IncrementalEval<'c, 'p> {
                 continue;
             }
             let t = self.ctx.traffic_q[i] as u128;
-            let r = self.min_phi(serve);
+            let r = min_phi(&self.phi_q, serve);
             self.main_q -= t * self.risk_q[i] as u128;
             self.main_q += t * r as u128;
             self.risk_q[i] = r;
@@ -689,7 +683,7 @@ impl<'c, 'p> IncrementalEval<'c, 'p> {
         if serve == 0 {
             self.disconnected += 1;
         } else {
-            let r = self.min_phi(serve);
+            let r = min_phi(&self.phi_q, serve);
             self.risk_q[i] = r;
             self.main_q += self.ctx.traffic_q[i] as u128 * r as u128;
         }
@@ -755,13 +749,13 @@ impl<'c, 'p> IncrementalEval<'c, 'p> {
                 if serve == 0 {
                     self.disconnected += 1;
                 } else {
-                    let r = self.min_phi(serve);
+                    let r = min_phi(&self.phi_q, serve);
                     self.risk_q[i] = r;
                     self.main_q += self.ctx.traffic_q[i] as u128 * r as u128;
                 }
             } else if serve & changed != 0 {
                 let t = self.ctx.traffic_q[i] as u128;
-                let r = self.min_phi(serve);
+                let r = min_phi(&self.phi_q, serve);
                 self.main_q -= t * self.risk_q[i] as u128;
                 self.main_q += t * r as u128;
                 self.risk_q[i] = r;
@@ -887,33 +881,5 @@ mod tests {
             inc.score().to_bits(),
             ctx.score(inc.genome(), &mut s).to_bits()
         );
-    }
-
-    #[test]
-    fn batch_scoring_is_worker_count_invariant() {
-        let p = problem(20, 3, (0..20).map(|i| 1.0 + (i % 4) as f64).collect());
-        let ctx = EvalContext::new(&p);
-        let genomes: Vec<Genome> = (0..9)
-            .map(|v| {
-                let sol = CpSolution {
-                    gw_channels: vec![vec![v % 8], vec![(v + 2) % 8], vec![(v + 4) % 8]],
-                    node_channel: (0..20).map(|i| (i + v) % 8).collect(),
-                    node_ring: (0..20).map(|i| (i * v + 1) % DISTANCE_RINGS).collect(),
-                };
-                Genome::from_solution(&sol)
-            })
-            .collect();
-        let mut serial = vec![0.0; genomes.len()];
-        let mut one = [ctx.scratch()];
-        score_batch(&ctx, &genomes, &mut one, &mut serial);
-        for workers in [2usize, 4, 8] {
-            let mut scratches: Vec<Scratch> = (0..workers).map(|_| ctx.scratch()).collect();
-            let mut out = vec![0.0; genomes.len()];
-            score_batch(&ctx, &genomes, &mut scratches, &mut out);
-            assert_eq!(
-                serial.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                out.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-            );
-        }
     }
 }

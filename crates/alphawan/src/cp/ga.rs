@@ -18,7 +18,11 @@
 //!   splitmix64 chain of seed, generation and population slot), reads
 //!   only the previous generation and is scored by a pure function, so
 //!   the result is byte-identical for every worker count —
-//!   determinism is per (problem, config), not per machine.
+//!   determinism is per (problem, config), not per machine. A worker
+//!   owns its state for the whole solve: a scoring [`Scratch`] (its
+//!   cell table is distinct (class, ring) reach masks × channels
+//!   rounded up to a power of two, 16 bytes a cell) and a
+//!   [`RepairScratch`] (one `u32` per node plus the option lists).
 //! * The **reference path** ([`GaSolver::solve_reference`]) is the
 //!   original direct-encoding loop over
 //!   [`CpProblem::objective`], kept as the property-tested baseline and
@@ -262,6 +266,7 @@ impl GaSolver {
             if cfg.optimize_node_assignments {
                 repair_genome(&ctx, child, repair, &mut rng);
             }
+            let _sp = obs::span::enter(obs::span::SpanId::SolverScore);
             *score = ctx.score(child, scratch);
         };
 
@@ -539,10 +544,14 @@ pub(crate) fn resample_gw_mask(p: &CpProblem, j: usize, rng: &mut StdRng) -> u64
 /// disconnected per child, so a list pays from ~9 nodes up.
 const LIST_MIN_NODES: usize = 16;
 
-/// Per-worker repair state: the (channel, ring) option lists of the
-/// child being repaired, one per populous reach class, built the first
-/// time the class needs a repair in that child.
+/// Per-worker repair state: the disconnected nodes of the child being
+/// repaired, and its (channel, ring) option lists, one per populous
+/// reach class, built the first time the class needs a repair in that
+/// child. Sized at construction for the worst case (every node
+/// disconnected, every populous class listed).
 pub struct RepairScratch {
+    /// Indices of the current child's disconnected nodes, ascending.
+    disconnected: Vec<u32>,
     /// Every list of the current child, back to back.
     options: Vec<u16>,
     /// `(start, len)` of each class's list in `options`; `start ==
@@ -565,6 +574,7 @@ impl RepairScratch {
         };
         let listed = (0..ctx.n_classes()).filter(|&c| ctx.class_nodes(c) >= LIST_MIN_NODES);
         RepairScratch {
+            disconnected: vec![0; ctx.problem().n_nodes()],
             options: Vec::with_capacity(listed.map(bound).sum()),
             list: vec![(UNBUILT, 0); ctx.n_classes()],
             lists_built: 0,
@@ -586,6 +596,13 @@ impl RepairScratch {
 /// a populous class enumerates it once per child and every repair is
 /// a load; a small class finds the drawn option by O(set bits) mask
 /// walks, never enumerating. No heap use either way.
+///
+/// The disconnected nodes are listed first, in one pass that writes
+/// every index and advances only past the disconnected ones — about a
+/// third of the nodes in no pattern a branch predictor learns. Repair
+/// never changes a gateway mask, so a node's connectivity does not
+/// depend on earlier repairs, and repairing the list in node order
+/// draws exactly what checking and repairing node by node would.
 pub fn repair_genome(ctx: &EvalContext, g: &mut Genome, s: &mut RepairScratch, rng: &mut StdRng) {
     let _sp = obs::span::enter(obs::span::SpanId::SolverRepair);
     let mut listeners = [0u64; 64];
@@ -598,14 +615,18 @@ pub fn repair_genome(ctx: &EvalContext, g: &mut Genome, s: &mut RepairScratch, r
             m &= m - 1;
         }
     }
+    let mut n = 0usize;
+    for (i, &gene) in g.gene.iter().enumerate() {
+        let serve =
+            ctx.class_reach_mask(ctx.class_of(i), gene_ring(gene)) & listeners[gene_channel(gene)];
+        s.disconnected[n] = i as u32;
+        n += (serve == 0) as usize;
+    }
     s.options.clear();
     s.list.fill((UNBUILT, 0));
-    for i in 0..g.gene.len() {
-        let gene = g.gene[i];
+    for k in 0..n {
+        let i = s.disconnected[k] as usize;
         let c = ctx.class_of(i);
-        if ctx.class_reach_mask(c, gene_ring(gene)) & listeners[gene_channel(gene)] != 0 {
-            continue;
-        }
         if ctx.class_nodes(c) < LIST_MIN_NODES {
             if let Some(option) = walk_to_option(ctx, c, &g.gw_mask, &nch, rng) {
                 g.gene[i] = option;

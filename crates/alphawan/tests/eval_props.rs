@@ -1,13 +1,14 @@
 //! Property tests for the CP evaluation engine: the incremental
 //! evaluator must track the full recompute bit-for-bit through
-//! arbitrary mutation chains, batch scoring must be worker-count
-//! invariant, the GA must be bit-identical across worker counts, the
+//! arbitrary mutation chains, the cell-folded full score must equal a
+//! per-node rebuild on every reach-table shape, the GA must be
+//! bit-identical across worker counts, the
 //! engine must reproduce the serial reference objective exactly on
 //! integer traffic, and the class-lookup repair must reproduce the
 //! per-node mask walk it replaced, draw for draw.
 
 use alphawan::cp::eval::{
-    gene_channel, gene_ring, pack_gene, score_batch, EvalContext, Genome, IncrementalEval,
+    gene_channel, gene_ring, pack_gene, EvalContext, Genome, IncrementalEval,
 };
 use alphawan::cp::ga::{repair_genome, GaConfig, GaSolver, RepairScratch};
 use alphawan::cp::{CpProblem, GatewayLimits};
@@ -67,7 +68,7 @@ fn random_genome(p: &CpProblem, rng: &mut StdRng) -> Genome {
         .map(|_| pack_gene(rng.gen_range(0..n_ch), rng.gen_range(0..DISTANCE_RINGS)))
         .collect();
     let gw_mask = (0..p.n_gateways())
-        .map(|_| rng.gen_range(0..1u64 << n_ch))
+        .map(|_| random_mask(n_ch, rng))
         .collect();
     Genome { gene, gw_mask }
 }
@@ -169,8 +170,10 @@ fn reach_table_problem(seed: u64, nodes: usize, gws: usize, n_ch: usize, rows: u
     CpProblem::new(channels, reach, vec![1.0; nodes], limits)
 }
 
+/// A uniform mask over `1 ≤ n_ch ≤ 64` channels: the same draw as
+/// `0..1 << n_ch` wherever that shift does not overflow.
 fn random_mask(n_ch: usize, rng: &mut StdRng) -> u64 {
-    rng.gen_range(0..1u64 << n_ch)
+    rng.gen_range(0..=u64::MAX >> (64 - n_ch))
 }
 
 proptest! {
@@ -227,28 +230,45 @@ proptest! {
         }
     }
 
-    /// Batch scoring is invariant to the number of scratch buffers
-    /// (i.e. worker threads): every split produces the serial scores.
-    fn parallel_scoring_matches_serial(
+    /// The cell-folded full score equals an independent per-node
+    /// rebuild (`IncrementalEval::new`) bit for bit on fractional
+    /// traffic and tight decoder budgets — over one reach row for all
+    /// nodes, a few shared rows, a row per node, rows with no reach and
+    /// full reach; 1 to 64 gateways and 2 to 64 channels — with one
+    /// scratch reused genome after genome.
+    fn cell_score_matches_per_node_rebuild(
         seed in any::<u64>(),
-        nodes in 1usize..20,
-        gws in 1usize..5,
-        n_ch in 2usize..9,
-        population in 1usize..12,
+        nodes in 1usize..300,
+        gw_pick in 0usize..6,
+        n_ch in 2usize..65,
+        row_pick in 0usize..6,
     ) {
-        let p = build_problem(seed, nodes, gws, n_ch, false);
-        let ctx = EvalContext::new(&p);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
-        let genomes: Vec<Genome> = (0..population).map(|_| random_genome(&p, &mut rng)).collect();
-        let mut serial = vec![0.0; population];
-        score_batch(&ctx, &genomes, &mut [ctx.scratch()], &mut serial);
-        for workers in [2usize, 3, 7] {
-            let mut scratches: Vec<_> = (0..workers).map(|_| ctx.scratch()).collect();
-            let mut out = vec![0.0; population];
-            score_batch(&ctx, &genomes, &mut scratches, &mut out);
-            for (s, o) in serial.iter().zip(&out) {
-                prop_assert_eq!(s.to_bits(), o.to_bits());
+        let gws = [1, 2, 3, 7, 33, 64][gw_pick];
+        let rows = [1, 2, 5, 17, usize::MAX, 0][row_pick];
+        let mut p = reach_table_problem(seed, nodes, gws, n_ch, rows.max(1));
+        prop_assert_eq!(p.n_channels(), n_ch);
+        if rows == 0 {
+            for row in p.reach.iter_mut() {
+                row.fill([true; DISTANCE_RINGS]);
             }
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5C0E);
+        p.traffic = (0..nodes).map(|_| rng.gen_range(0.1..5.0f64)).collect();
+        for limits in p.gw_limits.iter_mut() {
+            limits.decoders = rng.gen_range(1..6);
+        }
+        let ctx = EvalContext::new(&p);
+        let mut scratch = ctx.scratch();
+        for _ in 0..4 {
+            let mut g = random_genome(&p, &mut rng);
+            for mask in g.gw_mask.iter_mut() {
+                if rng.gen_bool(0.3) {
+                    *mask = 0; // a gateway listening nowhere
+                }
+            }
+            let rebuilt = IncrementalEval::new(&ctx, g.clone()).score();
+            let folded = ctx.score(&g, &mut scratch);
+            prop_assert_eq!(folded.to_bits(), rebuilt.to_bits(), "{} vs {}", folded, rebuilt);
         }
     }
 

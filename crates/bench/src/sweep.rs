@@ -6,7 +6,7 @@
 //! [`SweepRunner`] fans such jobs out over scoped worker threads and
 //! merges the results **in job order**, so the output of every sweep is
 //! byte-identical to the serial path at any worker count — the same
-//! discipline as the CP solver's `score_batch`. Each job must therefore
+//! discipline as the CP solver's generation step. Each job must therefore
 //! be a pure function of its index (own RNGs seeded from the job
 //! parameters, own `SimWorld`, no global sinks written mid-job).
 

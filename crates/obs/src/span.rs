@@ -55,21 +55,23 @@ pub enum SpanId {
     /// Sim engine: k-way merge of per-shard event streams.
     ShardMerge = 2,
     /// CP solver: one generation step (breed + repair + score of
-    /// every child), or one `score_batch` call.
+    /// every child).
     SolverEval = 3,
     /// CP solver: one genome mutation.
     SolverMutate = 4,
     /// CP solver: one genome repair pass.
     SolverRepair = 5,
+    /// CP solver: one bred child scored.
+    SolverScore = 6,
     /// svc ingest thread: one drain's packets offered to the dedup
     /// shards and logged.
-    SvcBatch = 6,
+    SvcBatch = 7,
     /// Internal: self-overhead calibration loop.
-    Calibrate = 7,
+    Calibrate = 8,
 }
 
 /// Number of [`SpanId`] variants (size of the site table).
-pub const SPAN_SITE_COUNT: usize = 8;
+pub const SPAN_SITE_COUNT: usize = 9;
 
 impl SpanId {
     /// Stable human-readable site name used in reports and JSON.
@@ -81,6 +83,7 @@ impl SpanId {
             SpanId::SolverEval => "solver.eval",
             SpanId::SolverMutate => "solver.mutate",
             SpanId::SolverRepair => "solver.repair",
+            SpanId::SolverScore => "solver.score",
             SpanId::SvcBatch => "svc.batch",
             SpanId::Calibrate => "span.calibrate",
         }
@@ -94,7 +97,8 @@ impl SpanId {
             3 => SpanId::SolverEval,
             4 => SpanId::SolverMutate,
             5 => SpanId::SolverRepair,
-            6 => SpanId::SvcBatch,
+            6 => SpanId::SolverScore,
+            7 => SpanId::SvcBatch,
             _ => SpanId::Calibrate,
         }
     }
@@ -438,6 +442,24 @@ mod tests {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         }
+    }
+
+    /// Every slot of the site table maps back to the variant stored
+    /// there, and every site reports under a name of its own.
+    #[test]
+    fn site_ids_and_names_round_trip() {
+        let names: Vec<&str> = (0..SPAN_SITE_COUNT)
+            .map(|i| {
+                let site = SpanId::from_index(i);
+                assert_eq!(site as usize, i, "{site:?}");
+                site.name()
+            })
+            .collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), SPAN_SITE_COUNT, "{names:?}");
+        assert!(names.contains(&"solver.score"));
     }
 
     #[test]

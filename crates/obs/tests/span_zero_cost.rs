@@ -37,13 +37,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const SITES: [SpanId; 7] = [
+const SITES: [SpanId; 8] = [
     SpanId::ShardIngest,
     SpanId::ShardDrain,
     SpanId::ShardMerge,
     SpanId::SolverEval,
     SpanId::SolverMutate,
     SpanId::SolverRepair,
+    SpanId::SolverScore,
     SpanId::SvcBatch,
 ];
 
