@@ -59,9 +59,10 @@ pub enum CaptureOutcome {
 ///
 /// `first_rssi`/`second_rssi` are received powers in dBm at this gateway;
 /// "first" is the packet that locked on earlier. A packet survives only
-/// with a ≥ [`CAPTURE_THRESHOLD_DB`] advantage; the earlier packet
-/// additionally wins ties-within-threshold only if it is at least as
-/// strong (conservative model: otherwise both are corrupted).
+/// with a ≥ [`CAPTURE_THRESHOLD_DB`] advantage; within the threshold both
+/// are corrupted (conservative model). The rule is power-only, so it is
+/// symmetric: swapping the arguments mirrors the outcome, and lock-on
+/// order never decides who survives.
 pub fn capture_outcome(first_rssi: f64, second_rssi: f64) -> CaptureOutcome {
     if first_rssi - second_rssi >= CAPTURE_THRESHOLD_DB {
         CaptureOutcome::FirstSurvives
@@ -146,6 +147,45 @@ mod tests {
     fn capture_threshold_boundary() {
         assert_eq!(capture_outcome(-80.0, -86.0), CaptureOutcome::FirstSurvives);
         assert_eq!(capture_outcome(-80.0, -85.9), CaptureOutcome::BothLost);
+    }
+
+    /// Swapping the arguments mirrors the outcome, on a grid through
+    /// ±6 dB and a few ulps either side of it: who locked on first
+    /// never decides a capture, which is what lets the simulator
+    /// arbitrate without lock-on order. An asymmetric threshold (`>`
+    /// on one side, or one side a ulp off) fails here.
+    #[test]
+    fn capture_is_symmetric() {
+        fn mirror(o: CaptureOutcome) -> CaptureOutcome {
+            match o {
+                CaptureOutcome::FirstSurvives => CaptureOutcome::SecondSurvives,
+                CaptureOutcome::SecondSurvives => CaptureOutcome::FirstSurvives,
+                CaptureOutcome::BothLost => CaptureOutcome::BothLost,
+            }
+        }
+        let ulps = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
+        let mut deltas = vec![0.0, 1.0, 5.9, 6.1, 20.0];
+        for k in -3..=3 {
+            deltas.push(ulps(CAPTURE_THRESHOLD_DB, k));
+        }
+        let mut checked_at_threshold = 0;
+        for base in [-120.0, -86.0, -80.0, -30.0, 0.0, 14.0] {
+            for &d in &deltas {
+                for delta in [d, -d] {
+                    let (a, b) = (base + delta, base);
+                    assert_eq!(
+                        capture_outcome(a, b),
+                        mirror(capture_outcome(b, a)),
+                        "capture_outcome({a}, {b}) vs ({b}, {a})"
+                    );
+                    checked_at_threshold += ((a - b).abs() == CAPTURE_THRESHOLD_DB) as u32;
+                }
+            }
+        }
+        assert!(
+            checked_at_threshold > 0,
+            "no pair sat exactly on the threshold"
+        );
     }
 
     #[test]

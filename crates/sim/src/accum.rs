@@ -51,9 +51,11 @@
 //! picks: the index is built from the flat list when a compacted list
 //! reaches [`BUILD_AT`] entries and dropped when it shrinks to
 //! [`DROP_AT`]; the flat list is maintained either way, so switching
-//! back needs no rebuild. The surviving test is monotone in the
-//! collider's RSSI (`rssi_v − rssi_o ≥ threshold` whichever locked on
-//! first), so testing the strongest is bit-equivalent to testing all.
+//! back needs no rebuild. Capture is symmetric (`rssi_v − rssi_o ≥
+//! threshold` whichever locked on first), so the surviving test is
+//! monotone in the collider's RSSI and testing the strongest is
+//! bit-equivalent to testing all.
+//! RSSIs come from the shard's link table, one row per live slot.
 //!
 //! # Slot lifecycle
 //!
@@ -78,8 +80,10 @@
 //! the determinism contract.
 
 use crate::runctx::{PairClass, RunContext};
-use crate::world::{Seen, VerdictScratch};
+use crate::shard::Seen;
 use lora_phy::interference::{capture_outcome, CaptureOutcome, CROSS_SF_REJECTION_DB};
+use lora_phy::snr::decodable;
+use lora_phy::types::SpreadingFactor;
 use std::collections::{HashMap, VecDeque};
 
 /// Scale of the fixed-point linear-power representation, 2⁹⁶. Linear
@@ -136,21 +140,155 @@ pub(crate) struct AccumStats {
 /// list's entry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TxKey {
-    /// Slot id in the shard machine.
+    /// Slot id in the shard machine, and its row of the link table.
     pub slot: u32,
     /// Sending node.
     pub node: u32,
     /// Sender's network (collision attribution).
     pub network: u32,
-    /// Row of the shard's compact link table.
-    pub row: u32,
-    /// Lock-on instant, µs.
-    pub lock_on: u64,
     /// Shard-local event sequence of its TxStart: start order, the
     /// equal-RSSI tie-break, and the slot tenant's identity.
     pub start_evseq: u64,
     /// Spreading-factor index (SF7 = 0 … SF12 = 5).
     pub sf: u8,
+}
+
+// Three keys to a cache line: the flat walk reads nothing else.
+const _: () = assert!(std::mem::size_of::<TxKey>() == 24);
+
+/// PHY verdict for one (transmission, gateway) pair, independent of
+/// decoder availability.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Verdict {
+    Ok,
+    /// Lost to a same-channel same-SF collision with this network's node.
+    Collision {
+        with_network: u32,
+    },
+    /// Lost to interference / insufficient SINR.
+    Interference,
+}
+
+/// What the interference state found against the victim at one seen
+/// gateway.
+#[derive(Debug, Clone, Copy, Default)]
+struct Found {
+    /// Accumulated leaked interference, fixed-point linear power: an
+    /// integer sum, so the order interferers are folded in cannot
+    /// change it.
+    intf_fx: u128,
+    /// Strongest same-settings collider so far (RSSI, network id).
+    strongest: Option<(f64, u32)>,
+    /// Cross-SF interference kill flag.
+    kill: bool,
+}
+
+/// Reusable buffers for the batched per-TxEnd verdict computation
+/// (`ShardMachine::batch_verdicts` in [`crate::shard`]): one entry per
+/// seen gateway, aligned with the transmission's admission list.
+#[derive(Debug, Default)]
+pub(crate) struct VerdictScratch {
+    found: Vec<Found>,
+    /// Final verdicts, indexed like the seen slice.
+    pub(crate) verdicts: Vec<Verdict>,
+}
+
+impl VerdictScratch {
+    /// Begin a batch over `k` gateways, keeping the buffers' capacity.
+    pub(crate) fn prepare(&mut self, k: usize) {
+        self.found.clear();
+        self.found.resize(k, Found::default());
+        self.verdicts.clear();
+    }
+
+    /// Add leaked interference (fixed-point linear power) at slot `i`.
+    #[inline]
+    pub(crate) fn add_intf(&mut self, i: usize, fx: u128) {
+        self.found[i].intf_fx = self.found[i].intf_fx.wrapping_add(fx);
+    }
+
+    /// Mark slot `i` killed by cross-SF interference.
+    #[inline]
+    pub(crate) fn set_kill(&mut self, i: usize) {
+        self.found[i].kill = true;
+    }
+
+    /// Offer a same-SF collider at slot `i`; keeps the strongest seen
+    /// (first registered wins ties, matching the reference loop).
+    #[inline]
+    pub(crate) fn note_collider(&mut self, i: usize, rssi: f64, network: u32) {
+        match self.found[i].strongest {
+            Some((r, _)) if r >= rssi => {}
+            _ => self.found[i].strongest = Some((rssi, network)),
+        }
+    }
+
+    /// Arbitrate the victim against one detect-class interferer at
+    /// every seen gateway. `rssi_v` / `rssi_o` are the two link-table
+    /// rows (indexed by the gateway ids in `seen`).
+    #[inline]
+    pub(crate) fn arbitrate(
+        &mut self,
+        seen: &[(u32, Seen)],
+        rssi_v: &[f64],
+        rssi_o: &[f64],
+        same_sf: bool,
+        network_o: u32,
+    ) {
+        for (gi, &(g, _)) in seen.iter().enumerate() {
+            let (rssi_v, rssi_o) = (rssi_v[g as usize], rssi_o[g as usize]);
+            if same_sf {
+                // Same settings: the capture effect decides, and it
+                // does not care which packet locked on first.
+                if capture_outcome(rssi_v, rssi_o) != CaptureOutcome::FirstSurvives {
+                    self.note_collider(gi, rssi_o, network_o);
+                }
+            } else if rssi_v - rssi_o < CROSS_SF_REJECTION_DB {
+                // Cross-SF quasi-orthogonality.
+                self.set_kill(gi);
+            }
+        }
+    }
+
+    /// Read slot `i`: `(leaked power, strongest collider, kill)`.
+    #[inline]
+    pub(crate) fn state(&self, i: usize) -> (u128, Option<(f64, u32)>, bool) {
+        let f = self.found[i];
+        (f.intf_fx, f.strongest, f.kill)
+    }
+
+    /// Close the batch: one verdict per gateway slot `0..k` from what
+    /// was collected, into [`Self::verdicts`]. `rssi_v(i)` is the
+    /// victim's RSSI at slot `i`'s gateway, dBm.
+    pub(crate) fn resolve(
+        &mut self,
+        k: usize,
+        ctx: &RunContext,
+        sf_v: SpreadingFactor,
+        rssi_v: impl Fn(usize) -> f64,
+    ) {
+        for i in 0..k {
+            let (intf_fx, strongest, kill) = self.state(i);
+            self.verdicts.push(if let Some((_, net)) = strongest {
+                Verdict::Collision { with_network: net }
+            } else {
+                // SINR over thermal noise plus leaked foreign energy.
+                // With no leak the precomputed noise-only term is exact
+                // (`x + 0.0` is bitwise `x` for the positive noise
+                // power).
+                let sinr = if intf_fx == 0 {
+                    rssi_v(i) - ctx.noise_only_db
+                } else {
+                    rssi_v(i) - 10.0 * (ctx.noise_lin + from_fixed(intf_fx)).log10()
+                };
+                if kill || !decodable(sinr, sf_v, 0.0) {
+                    Verdict::Interference
+                } else {
+                    Verdict::Ok
+                }
+            });
+        }
+    }
 }
 
 /// Per slot: event sequences of its tenant's TxStart and TxEnd
@@ -297,6 +435,30 @@ struct LeakSums {
     orth_tot: Vec<u128>,
 }
 
+impl LeakSums {
+    /// Zero sums of `per_sf` entries (`per_sf / 6` totals).
+    fn reset(&mut self, per_sf: usize) {
+        let n = [per_sf, per_sf, per_sf / N_SF];
+        for (v, n) in [&mut self.same, &mut self.orth, &mut self.orth_tot]
+            .into_iter()
+            .zip(n)
+        {
+            v.clear();
+            v.resize(n, 0);
+        }
+    }
+}
+
+/// Per slot, while its tenant is on air in a leak universe: what an
+/// own-node correction needs of it, and the node's next older on-air
+/// transmission.
+#[derive(Debug, Clone, Copy, Default)]
+struct OwnLink {
+    ch: u32,
+    sf: u8,
+    next: Option<u32>,
+}
+
 /// Per-victim snapshot of the ended-sums at its TxStart, plus the
 /// exact same-node correction accumulated while it was on air. One per
 /// candidate gateway of the victim's channel.
@@ -308,9 +470,15 @@ struct LeakSnap {
     own_corr: u128,
 }
 
-/// The interference state of one shard.
-pub(crate) struct AccumState<'e> {
-    ctx: &'e RunContext,
+/// The interference state of one shard. Its buffers outlive a run:
+/// [`Self::reset`] empties them for the next one without giving their
+/// capacity back.
+#[derive(Default)]
+pub(crate) struct AccumState {
+    /// The shard's RSSI table, `link[slot * n_lg + local gateway]`,
+    /// dBm. The shard machine writes a slot's row at ingest, for the
+    /// gateways any read here can touch (see [`crate::shard`]).
+    pub(crate) link: Vec<f64>,
     n_lg: usize,
     /// CIC receivers resolve same-SF collisions: both packets survive.
     cic: bool,
@@ -325,57 +493,54 @@ pub(crate) struct AccumState<'e> {
     ended: LeakSums,
     /// Per slot: snapshots aligned with its channel's candidate list.
     snaps: Vec<Vec<LeakSnap>>,
-    /// Per node with transmissions on air: `(channel, key)` of each.
-    node_live: HashMap<u32, Vec<(u32, TxKey)>>,
+    /// Per node with transmissions on air: the slot of its latest one,
+    /// whose [`OwnLink`] chains to the older ones.
+    node_live: HashMap<u32, u32>,
+    /// Per slot: its own-node chain link (valid while on air).
+    own: Vec<OwnLink>,
     /// Hot-path counters.
     pub(crate) stats: AccumStats,
 }
 
-impl<'e> AccumState<'e> {
-    /// Empty state for a shard with `n_lg` local gateways over `ctx`'s
-    /// channel universe; `cic` is the world's collision-resolving
-    /// receiver switch.
-    pub(crate) fn new(ctx: &'e RunContext, n_lg: usize, cic: bool) -> AccumState<'e> {
-        AccumState::with_thresholds(ctx, n_lg, cic, BUILD_AT, DROP_AT)
+impl AccumState {
+    /// Empty the state for a run of a shard with `n_lg` local gateways
+    /// over `ctx`'s channel universe; `cic` is the world's
+    /// collision-resolving receiver switch. Per-slot buffers (`link`,
+    /// `life`, `snaps`, `own`) are rewritten for each tenant, so they
+    /// are kept as they are.
+    pub(crate) fn reset(&mut self, ctx: &RunContext, n_lg: usize, cic: bool) {
+        self.reset_with_thresholds(ctx, n_lg, cic, BUILD_AT, DROP_AT);
     }
 
-    /// [`Self::new`] with the representation thresholds spelled out
+    /// [`Self::reset`] with the representation thresholds spelled out
     /// (tests shrink them so small schedules cross both ways).
-    fn with_thresholds(
-        ctx: &'e RunContext,
+    fn reset_with_thresholds(
+        &mut self,
+        ctx: &RunContext,
         n_lg: usize,
         cic: bool,
         build_at: usize,
         drop_at: usize,
-    ) -> AccumState<'e> {
+    ) {
         let n_ch = ctx.n_channels();
-        let has_leak = ctx.pair.iter().any(|p| matches!(p, PairClass::Leak { .. }));
-        let sums = |per_sf: usize| LeakSums {
-            same: vec![0; per_sf],
-            orth: vec![0; per_sf],
-            orth_tot: vec![0; per_sf / N_SF],
-        };
-        let per_sf = if has_leak { n_ch * N_SF * n_lg } else { 0 };
-        AccumState {
-            ctx,
-            n_lg,
-            cic,
-            chans: (0..n_ch)
-                .map(|_| Chan {
-                    check_at: build_at,
-                    ..Chan::default()
-                })
-                .collect(),
-            life: Vec::new(),
-            build_at,
-            drop_at,
-            has_leak,
-            started: sums(per_sf),
-            ended: sums(per_sf),
-            snaps: Vec::new(),
-            node_live: HashMap::new(),
-            stats: AccumStats::default(),
+        self.n_lg = n_lg;
+        self.cic = cic;
+        self.build_at = build_at;
+        self.drop_at = drop_at;
+        self.chans.resize_with(n_ch, Chan::default);
+        for ch in &mut self.chans {
+            ch.list.clear();
+            ch.sorted = None;
+            ch.check_at = build_at;
+            ch.live_q.clear();
+            ch.pending.clear();
         }
+        self.has_leak = ctx.pair.iter().any(|p| matches!(p, PairClass::Leak { .. }));
+        let per_sf = if self.has_leak { n_ch * N_SF * n_lg } else { 0 };
+        self.started.reset(per_sf);
+        self.ended.reset(per_sf);
+        self.node_live.clear();
+        self.stats = AccumStats::default();
     }
 
     #[inline]
@@ -385,16 +550,15 @@ impl<'e> AccumState<'e> {
 
     /// TxStart of `key` on channel `co`: list it on every channel it
     /// can collide with, fold its leak into the started-sums, and take
-    /// its own ended-sum snapshot. `link` is the shard's compact RSSI
-    /// table, `cand_local` the per-channel candidate gateways.
+    /// its own ended-sum snapshot. `cand_local` holds the per-channel
+    /// candidate gateways.
     pub(crate) fn register(
         &mut self,
+        ctx: &RunContext,
         co: usize,
         key: TxKey,
-        link: &[f64],
         cand_local: &[Vec<u32>],
     ) {
-        let ctx = self.ctx;
         let n_ch = ctx.n_channels();
         let si = key.slot as usize;
         if si >= self.life.len() {
@@ -409,29 +573,29 @@ impl<'e> AccumState<'e> {
             let cv = cv as usize;
             match ctx.pair[cv * n_ch + co] {
                 PairClass::Disjoint => {}
-                PairClass::Detect => self.list(cv, key, link, &cand_local[cv]),
+                PairClass::Detect => self.list(cv, key, &cand_local[cv]),
                 class @ PairClass::Leak { .. } => {
-                    self.fold_leak(cv, class, &key, link, &cand_local[cv], true)
+                    self.fold_leak(cv, class, &key, &cand_local[cv], true)
                 }
             }
         }
         if self.has_leak {
-            self.snapshot(co, key, link, cand_local);
+            self.snapshot(ctx, co, key, cand_local);
         }
     }
 
     /// Append `key` to victim channel `cv`'s list (and index).
-    fn list(&mut self, cv: usize, key: TxKey, link: &[f64], cand: &[u32]) {
+    fn list(&mut self, cv: usize, key: TxKey, cand: &[u32]) {
         if self.chans[cv].list.len() >= self.chans[cv].check_at {
-            self.adapt(cv, link, cand);
+            self.adapt(cv, cand);
         }
         let ch = &mut self.chans[cv];
         ch.list.push(key);
         self.stats.updates += 1;
         if let Some(index) = &mut ch.sorted {
-            let row = key.row as usize * self.n_lg;
+            let row = key.slot as usize * self.n_lg;
             for (k, &lg) in cand.iter().enumerate() {
-                let e = MaxEntry::new(&key, link[row + lg as usize]);
+                let e = MaxEntry::new(&key, self.link[row + lg as usize]);
                 let v = &mut index[key.sf as usize * cand.len() + k];
                 let pos = v.partition_point(|x| x.before(&e));
                 v.insert(pos, e);
@@ -442,8 +606,8 @@ impl<'e> AccumState<'e> {
 
     /// Compact channel `cv`'s list and pick the representation its
     /// length calls for.
-    fn adapt(&mut self, cv: usize, link: &[f64], cand: &[u32]) {
-        let life = &self.life;
+    fn adapt(&mut self, cv: usize, cand: &[u32]) {
+        let (life, link) = (&self.life, &self.link);
         let ch = &mut self.chans[cv];
         let horizon = ch.horizon();
         let mut evicted = ch.list.len();
@@ -463,7 +627,7 @@ impl<'e> AccumState<'e> {
             None if n >= self.build_at => {
                 let mut index = vec![Vec::new(); N_SF * cand.len()];
                 for e in &ch.list {
-                    let row = e.row as usize * self.n_lg;
+                    let row = e.slot as usize * self.n_lg;
                     for (k, &lg) in cand.iter().enumerate() {
                         index[e.sf as usize * cand.len() + k]
                             .push(MaxEntry::new(e, link[row + lg as usize]));
@@ -490,22 +654,14 @@ impl<'e> AccumState<'e> {
 
     /// Fold `key`'s leak into victim channel `cv`'s started- or
     /// ended-sums.
-    fn fold_leak(
-        &mut self,
-        cv: usize,
-        class: PairClass,
-        key: &TxKey,
-        link: &[f64],
-        cand: &[u32],
-        started: bool,
-    ) {
-        let row = key.row as usize * self.n_lg;
+    fn fold_leak(&mut self, cv: usize, class: PairClass, key: &TxKey, cand: &[u32], started: bool) {
+        let row = key.slot as usize * self.n_lg;
         let sf_o = key.sf as usize;
         let (gain_same, gain_orth) = (class.leak_gain(false), class.leak_gain(true));
         let mut touched = 0u64;
         for &lg in cand {
             let lg = lg as usize;
-            let rssi_o = link[row + lg];
+            let rssi_o = self.link[row + lg];
             let i = self.idx(cv, sf_o, lg);
             let j = cv * self.n_lg + lg;
             let sums = if started {
@@ -535,13 +691,13 @@ impl<'e> AccumState<'e> {
     /// record the reciprocal leak between it and its node's other
     /// on-air transmissions, to be subtracted at verdict time
     /// (bit-identical to what the global folds added).
-    fn snapshot(&mut self, c: usize, key: TxKey, link: &[f64], cand_local: &[Vec<u32>]) {
-        let ctx = self.ctx;
+    fn snapshot(&mut self, ctx: &RunContext, c: usize, key: TxKey, cand_local: &[Vec<u32>]) {
         let n_ch = ctx.n_channels();
         let n_lg = self.n_lg;
         let si = key.slot as usize;
         if si >= self.snaps.len() {
             self.snaps.resize_with(si + 1, Vec::new);
+            self.own.resize(si + 1, OwnLink::default());
         }
         let sf = key.sf as usize;
         let mut snap = std::mem::take(&mut self.snaps[si]);
@@ -555,28 +711,37 @@ impl<'e> AccumState<'e> {
                 own_corr: 0,
             }
         }));
-        let own = self.node_live.entry(key.node).or_default();
-        for &(co, o) in own.iter() {
+        // The node's other on-air transmissions, latest first (the
+        // corrections are wrapping integer sums: order is immaterial).
+        let head = self.node_live.insert(key.node, key.slot);
+        let mut other = head;
+        while let Some(o) = other {
+            let OwnLink { ch: co, sf, next } = self.own[o as usize];
             let co = co as usize;
-            let cross_sf = o.sf != key.sf;
+            let cross_sf = sf != key.sf;
             if let Some(g) = ctx.pair[c * n_ch + co].leak_gain(cross_sf) {
-                let orow = o.row as usize * n_lg;
+                let orow = o as usize * n_lg;
                 for (sn, &lg) in snap.iter_mut().zip(&cand_local[c]) {
                     sn.own_corr = sn
                         .own_corr
-                        .wrapping_add(leak_fx(link[orow + lg as usize], g));
+                        .wrapping_add(leak_fx(self.link[orow + lg as usize], g));
                 }
             }
             if let Some(g) = ctx.pair[co * n_ch + c].leak_gain(cross_sf) {
-                let row = key.row as usize * n_lg;
-                for (sn, &lg) in self.snaps[o.slot as usize].iter_mut().zip(&cand_local[co]) {
+                let row = si * n_lg;
+                for (sn, &lg) in self.snaps[o as usize].iter_mut().zip(&cand_local[co]) {
                     sn.own_corr = sn
                         .own_corr
-                        .wrapping_add(leak_fx(link[row + lg as usize], g));
+                        .wrapping_add(leak_fx(self.link[row + lg as usize], g));
                 }
             }
+            other = next;
         }
-        own.push((c as u32, key));
+        self.own[si] = OwnLink {
+            ch: c as u32,
+            sf: key.sf,
+            next: head,
+        };
         self.snaps[si] = snap;
     }
 
@@ -590,15 +755,14 @@ impl<'e> AccumState<'e> {
         cv: usize,
         victim: &TxKey,
         seen: &[(u32, Seen)],
-        link: &[f64],
         cand: &[u32],
         vs: &mut VerdictScratch,
     ) {
         vs.prepare(seen.len());
         let cic = self.cic;
         let n_lg = self.n_lg;
-        let vrow = victim.row as usize * n_lg;
-        let life = &self.life;
+        let vrow = victim.slot as usize * n_lg;
+        let (life, link) = (&self.life, &self.link);
         let ch = &mut self.chans[cv];
         let horizon = ch.horizon();
         let mut evicted = 0u64;
@@ -639,13 +803,12 @@ impl<'e> AccumState<'e> {
                 }
                 let same_sf = e.sf == victim.sf;
                 if visible && e.node != victim.node && !(same_sf && cic) {
-                    let orow = e.row as usize * n_lg;
+                    let orow = e.slot as usize * n_lg;
                     vs.arbitrate(
                         seen,
                         &link[vrow..vrow + n_lg],
                         &link[orow..orow + n_lg],
                         same_sf,
-                        victim.lock_on <= e.lock_on,
                         e.network,
                     );
                 }
@@ -682,14 +845,13 @@ impl<'e> AccumState<'e> {
     /// was listed on goes to `on_free`.
     pub(crate) fn retire(
         &mut self,
+        ctx: &RunContext,
         co: usize,
         key: &TxKey,
         evseq: u64,
-        link: &[f64],
         cand_local: &[Vec<u32>],
         mut on_free: impl FnMut(u32),
     ) {
-        let ctx = self.ctx;
         let n_ch = ctx.n_channels();
         self.life[key.slot as usize].end = evseq;
         if self.has_leak {
@@ -697,15 +859,10 @@ impl<'e> AccumState<'e> {
                 let cv = cv as usize;
                 let class = ctx.pair[cv * n_ch + co];
                 if matches!(class, PairClass::Leak { .. }) {
-                    self.fold_leak(cv, class, key, link, &cand_local[cv], false);
+                    self.fold_leak(cv, class, key, &cand_local[cv], false);
                 }
             }
-            if let Some(own) = self.node_live.get_mut(&key.node) {
-                own.retain(|&(_, o)| o.slot != key.slot);
-                if own.is_empty() {
-                    self.node_live.remove(&key.node);
-                }
-            }
+            self.unlink_own(key);
         }
 
         // Starts and ends are processed in event order, so both queues
@@ -745,6 +902,23 @@ impl<'e> AccumState<'e> {
             }
         }
     }
+
+    /// Take `key` off its node's own-node chain.
+    fn unlink_own(&mut self, key: &TxKey) {
+        let next = self.own[key.slot as usize].next;
+        let head = self.node_live.get_mut(&key.node).expect("node on air");
+        if *head != key.slot {
+            let mut o = *head as usize;
+            while self.own[o].next != Some(key.slot) {
+                o = self.own[o].next.expect("slot on its node's chain") as usize;
+            }
+            self.own[o].next = next;
+        } else if let Some(next) = next {
+            *head = next;
+        } else {
+            self.node_live.remove(&key.node);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -757,10 +931,15 @@ mod tests {
     const N_LG: usize = 2;
     const N_NODES: usize = 4;
 
-    /// RSSI rows per node (the compact link table; row = node) — nodes
-    /// 0 and 1 tie at gateway 0 on purpose, so the start-order
-    /// tie-break is exercised in both representations.
+    /// RSSI rows per node — nodes 0 and 1 tie at gateway 0 on purpose,
+    /// so the start-order tie-break is exercised in both
+    /// representations. The state reads them from a per-slot copy, as
+    /// in the shard; the oracle reads them here, by node.
     const LINK: [f64; N_NODES * N_LG] = [-60.0, -70.0, -60.0, -75.0, -80.0, -70.0, -55.0, -66.0];
+
+    fn node_row(node: u32) -> &'static [f64] {
+        &LINK[node as usize * N_LG..][..N_LG]
+    }
 
     /// A transmission in a test schedule:
     /// `(node, channel, sf index, start µs, duration µs)`. This is the
@@ -814,12 +993,13 @@ mod tests {
     /// whole candidate list and for its last gateway alone (a `seen`
     /// subsequence).
     fn check_victim(
-        ac: &mut AccumState<'_>,
+        ac: &mut AccumState,
+        ctx: &RunContext,
         txs: &[TxRec],
         v: usize,
         cand: &[Vec<u32>],
     ) -> Result<(), TestCaseError> {
-        let (ctx, cic) = (ac.ctx, ac.cic);
+        let cic = ac.cic;
         let vic = &txs[v];
         let mut overlapped: Vec<&TxRec> = txs
             .iter()
@@ -838,7 +1018,6 @@ mod tests {
         for seen in [&all[..], &all[all.len() - 1..]] {
             let mut want = VerdictScratch::default();
             want.prepare(seen.len());
-            let row = |k: &TxKey| &LINK[k.row as usize * N_LG..][..N_LG];
             for o in &overlapped {
                 let cross_sf = o.key.sf != vic.key.sf;
                 match ctx.pair[vic.ch * N_CH + o.ch] {
@@ -846,16 +1025,15 @@ mod tests {
                     PairClass::Detect if !cross_sf && cic => {}
                     PairClass::Detect => want.arbitrate(
                         seen,
-                        row(&vic.key),
-                        row(&o.key),
+                        node_row(vic.key.node),
+                        node_row(o.key.node),
                         !cross_sf,
-                        vic.key.lock_on <= o.key.lock_on,
                         o.key.network,
                     ),
                     class @ PairClass::Leak { .. } => {
                         if let Some(g) = class.leak_gain(cross_sf) {
                             for (gi, &(lg, _)) in seen.iter().enumerate() {
-                                want.add_intf(gi, leak_fx(row(&o.key)[lg as usize], g));
+                                want.add_intf(gi, leak_fx(node_row(o.key.node)[lg as usize], g));
                             }
                         }
                     }
@@ -863,7 +1041,7 @@ mod tests {
             }
 
             let mut got = VerdictScratch::default();
-            ac.interference(vic.ch, &vic.key, seen, &LINK, &cand[vic.ch], &mut got);
+            ac.interference(vic.ch, &vic.key, seen, &cand[vic.ch], &mut got);
             for gi in 0..seen.len() {
                 let (want_fx, want_collider, want_kill) = want.state(gi);
                 let (got_fx, got_collider, got_kill) = got.state(gi);
@@ -886,30 +1064,31 @@ mod tests {
     }
 
     /// Drive a schedule through the interference state exactly as the
-    /// shard machine does — same event order, evseq discipline and slot
-    /// recycling — checking every on-air victim against the oracle
-    /// after every event, plus the ending victim at its verdict point
-    /// (before its own retire), which is the read the shard actually
-    /// performs. Returns `(index builds, index drops)`.
+    /// shard machine does — same event order, evseq discipline, slot
+    /// recycling and per-slot link rows — checking every on-air victim
+    /// against the oracle after every event, plus the ending victim at
+    /// its verdict point (before its own retire), which is the read the
+    /// shard actually performs. `ac` may carry a previous schedule's
+    /// leftovers: the reset must clear them. Returns `(index builds,
+    /// index drops)`.
     fn run_schedule(
+        ac: &mut AccumState,
         sched: &[Sched],
         cic: bool,
         (build_at, drop_at): (usize, usize),
     ) -> Result<(u64, u64), TestCaseError> {
         let ctx = test_ctx();
         let cand = cand_local();
-        let mut ac = AccumState::with_thresholds(&ctx, N_LG, cic, build_at, drop_at);
+        ac.reset_with_thresholds(&ctx, N_LG, cic, build_at, drop_at);
 
         let mut txs: Vec<TxRec> = sched
             .iter()
-            .map(|&(node, ch, sf, start, _)| TxRec {
+            .map(|&(node, ch, sf, _, _)| TxRec {
                 ch: ch as usize % N_CH,
                 key: TxKey {
                     slot: u32::MAX,
                     node: node as u32 % N_NODES as u32,
                     network: node as u32 % 2,
-                    row: node as u32 % N_NODES as u32,
-                    lock_on: start + sf as u64 % 3,
                     start_evseq: 0,
                     sf: sf % N_SF as u8,
                 },
@@ -932,25 +1111,29 @@ mod tests {
         for (evseq, &(_, prio, i)) in (1u64..).zip(&events) {
             let was_sorted: Vec<bool> = ac.chans.iter().map(|c| c.sorted.is_some()).collect();
             if prio == 1 {
-                txs[i].key.slot = free.pop().unwrap_or_else(|| {
+                let slot = free.pop().unwrap_or_else(|| {
                     n_slots += 1;
                     n_slots - 1
                 });
+                let row = slot as usize * N_LG;
+                if ac.link.len() < row + N_LG {
+                    ac.link.resize(row + N_LG, f64::NAN);
+                }
+                ac.link[row..row + N_LG].copy_from_slice(node_row(txs[i].key.node));
+                txs[i].key.slot = slot;
                 txs[i].key.start_evseq = evseq;
-                ac.register(txs[i].ch, txs[i].key, &LINK, &cand);
+                ac.register(&ctx, txs[i].ch, txs[i].key, &cand);
             } else {
-                check_victim(&mut ac, &txs, i, &cand)?;
+                check_victim(ac, &ctx, &txs, i, &cand)?;
                 txs[i].end_evseq = evseq;
-                ac.retire(txs[i].ch, &txs[i].key, evseq, &LINK, &cand, |s| {
-                    free.push(s)
-                });
+                ac.retire(&ctx, txs[i].ch, &txs[i].key, evseq, &cand, |s| free.push(s));
             }
             for (c, was) in ac.chans.iter().zip(was_sorted) {
                 drops += (was && c.sorted.is_none()) as u64;
             }
             for v in 0..txs.len() {
                 if txs[v].key.start_evseq != 0 && txs[v].end_evseq == u64::MAX {
-                    check_victim(&mut ac, &txs, v, &cand)?;
+                    check_victim(ac, &ctx, &txs, v, &cand)?;
                 }
             }
         }
@@ -964,10 +1147,13 @@ mod tests {
     /// Thresholds no schedule reaches: the flat list serves every query.
     const FLAT: (usize, usize) = (usize::MAX, 0);
 
+    /// The schedule under both representations, on one state reused
+    /// across the two runs (as a world reuses its shards' buffers).
     fn run_both(sched: &[Sched], cic: bool) -> Result<(u64, u64), TestCaseError> {
-        let (builds, _) = run_schedule(sched, cic, FLAT)?;
+        let mut ac = AccumState::default();
+        let (builds, _) = run_schedule(&mut ac, sched, cic, FLAT)?;
         prop_assert_eq!(builds, 0);
-        run_schedule(sched, cic, TINY)
+        run_schedule(&mut ac, sched, cic, TINY)
     }
 
     #[test]

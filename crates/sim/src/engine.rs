@@ -198,20 +198,15 @@ impl TimeWheel {
         }
     }
 
-    /// An empty wheel pre-sized from an expected event count `n` (size
-    /// it from the chunk hint: a chunk schedules three events per
-    /// transmission).
-    ///
-    /// The ready run only ever serves one level-0 bucket at a time, so
-    /// its useful capacity is bounded by bucket occupancy, not by `n`;
-    /// the reservation is capped accordingly to keep the streamed
-    /// path's heap ceiling at the on-air working set (see the
-    /// `sim_streaming_mem` audit) while still skipping the early
-    /// doubling reallocations a cold `Vec` would pay.
-    pub fn with_capacity(n: usize) -> TimeWheel {
-        let mut w = TimeWheel::new();
-        w.ready.reserve(n.min(4 * WHEEL_SLOTS));
-        w
+    /// Rewind a drained wheel to time 0, keeping each bucket's
+    /// capacity: the engine's wheel serves run after run.
+    pub(crate) fn rewind(&mut self) {
+        debug_assert!(self.is_empty() && self.occupied == [[0; WHEEL_SLOTS / 64]; WHEEL_LEVELS]);
+        self.ready.clear();
+        self.ready_idx = 0;
+        self.cur = 0;
+        self.last_tick = [0; WHEEL_LEVELS];
+        self.cascades = 0;
     }
 
     /// Entries still queued.
@@ -268,12 +263,18 @@ impl TimeWheel {
             self.last_tick[l] = tick;
             if l + 1 < WHEEL_LEVELS {
                 let slot = tick as usize & (WHEEL_SLOTS - 1);
-                let moved = std::mem::take(&mut self.levels[l + 1][slot]);
                 self.occupied[l + 1][slot / 64] &= !(1 << (slot % 64));
-                self.cascades += moved.len() as u64;
-                for e in moved {
+                // Everything here shares the cursor's level-(l+1) tick,
+                // so it files at level l or finer, never back into this
+                // bucket — which is emptied in place, keeping its
+                // capacity for its next rotation.
+                let n = self.levels[l + 1][slot].len();
+                self.cascades += n as u64;
+                for i in 0..n {
+                    let e = self.levels[l + 1][slot][i];
                     self.place(e);
                 }
+                self.levels[l + 1][slot].clear();
             } else {
                 // Top level rolled a tick: any overflow entry the wheels
                 // can now address moves down.
@@ -549,7 +550,7 @@ mod proptests {
                 q.push(e, Event::TxEnd { tx_id: id });
             }
 
-            let mut w = TimeWheel::with_capacity(8);
+            let mut w = TimeWheel::new();
             let mut drained: Vec<WheelEntry> = Vec::new();
             let mut last_frontier = 0;
             for (ci, group) in txs.chunks(chunk).enumerate() {

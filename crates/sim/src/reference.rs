@@ -9,10 +9,12 @@
 //! its interferer/admission bookkeeping afresh. It even keeps the dead
 //! `snr_v` computation, because the point is to differentially test
 //! (and time) against the true original code, not a cleaned-up
-//! strawman. One deliberate departure: the leaked-interference sum is
+//! strawman. Two deliberate departures: the leaked-interference sum is
 //! folded in the fixed point of `crate::accum` rather than in f64, so
 //! that the engine's incremental sum is the same integer whatever order
-//! it was added in.
+//! it was added in; and capture asks only whether the victim leads the
+//! collider by the threshold, without the seed's lock-on-order branch,
+//! which `capture_outcome`'s symmetry made a no-op.
 //!
 //! Two consumers rely on it:
 //!
@@ -350,16 +352,9 @@ fn verdict(
                 if world.cic {
                     continue;
                 }
-                let (first, second) = if t.lock_on_us <= o.lock_on_us {
-                    (rssi_v, rssi_o)
-                } else {
-                    (rssi_o, rssi_v)
-                };
-                let survives = match capture_outcome(first, second) {
-                    CaptureOutcome::FirstSurvives => t.lock_on_us <= o.lock_on_us,
-                    CaptureOutcome::SecondSurvives => t.lock_on_us > o.lock_on_us,
-                    CaptureOutcome::BothLost => false,
-                };
+                // Capture is symmetric: which packet locked on first
+                // does not matter.
+                let survives = capture_outcome(rssi_v, rssi_o) == CaptureOutcome::FirstSurvives;
                 if !survives {
                     match strongest_collider {
                         Some((r, _)) if r >= rssi_o => {}

@@ -37,12 +37,14 @@
 //!   on a channel it can collide with started before that end. Peak
 //!   memory is bounded by the on-air set plus one hand-off — not by the
 //!   run length, and not by the caller's chunk size.
-//! * **Compact link tables.** Each shard stores RSSI rows only for the
-//!   nodes it has seen, with a stride of *its own* gateway count —
-//!   at 100k nodes × 64 gateways a global table would be ~50 MB while a
-//!   per-shard table is well under 1 MB, which is the entire per-core
-//!   speedup at scale (SNR is derived as `rssi - noise_floor`, bitwise
-//!   identical to `Topology::snr_db`).
+//! * **Per-slot link rows.** A transmission's RSSIs live in its slot's
+//!   row (stride: the shard's gateway count), written at ingest for the
+//!   gateways a later read can touch (`hear`), so the table is
+//!   `peak_live × gateways × 8 B` — 0.6 MB per shard on a 100k-node,
+//!   64-gateway world, where a row per node ever seen took 12.8 MB. SNR
+//!   is `rssi - noise_floor`, bitwise identical to `Topology::snr_db`.
+//! * **Buffers outlive the run.** A world keeps its shards' buffers
+//!   ([`ShardState`]); the next run clears them instead of allocating.
 //! * **One shard runs inline.** When the partition (or a
 //!   `max_shards: 1` ceiling, which is what [`SimWorld::run`] asks for)
 //!   yields a single shard, its machine runs on the calling thread: the
@@ -57,23 +59,20 @@
 //!   workspace `sim_equivalence` proptest pins every shard count
 //!   byte-identical to [`crate::reference`].
 
-use crate::accum::{AccumState, TxKey};
+use crate::accum::{AccumState, TxKey, Verdict, VerdictScratch};
 use crate::engine::TimeWheel;
 use crate::faults::{InfraFaults, NoFaults};
 use crate::metrics::RunSummary;
 use crate::runctx::RunContext;
 use crate::topology::Topology;
 use crate::traffic::{ChunkSource, SliceChunks, TxPlan};
-use crate::world::{
-    LossCause, PacketRecord, Seen, SimRunStats, SimWorld, Transmission, Verdict, VerdictScratch,
-};
+use crate::world::{LossCause, PacketRecord, SimRunStats, SimWorld, Transmission};
 use gateway::radio::{Gateway, LockOnOutcome, PacketAtGateway, ReceptionOutcome};
 use lora_phy::airtime::PacketParams;
 use lora_phy::snr::{decodable, noise_floor_dbm};
 use lora_phy::types::{Bandwidth, TxPowerDbm};
 use obs::{ObsEvent, ObsSink};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -289,20 +288,21 @@ fn partition(ctx: &RunContext, ceiling: usize) -> Partition {
         }
     }
 
-    // Components numbered by first-seen (i.e. smallest) member channel.
-    let mut comp_of_root: HashMap<u32, u32> = HashMap::new();
+    // Components numbered by first-seen (i.e. smallest) member channel,
+    // which is also the root: unions keep the smaller one.
     let mut comp_of_channel = vec![0u32; n_ch];
     let mut comp_min_channel: Vec<u32> = Vec::new();
     let mut comp_weight: Vec<u64> = Vec::new();
-    for (ci, slot) in comp_of_channel.iter_mut().enumerate() {
-        let root = uf_find(&mut parent, ci as u32);
-        let next = comp_min_channel.len() as u32;
-        let comp = *comp_of_root.entry(root).or_insert(next);
-        if comp == next {
+    for ci in 0..n_ch {
+        let root = uf_find(&mut parent, ci as u32) as usize;
+        let comp = if root == ci {
             comp_min_channel.push(ci as u32);
             comp_weight.push(0);
-        }
-        *slot = comp;
+            comp_min_channel.len() as u32 - 1
+        } else {
+            comp_of_channel[root]
+        };
+        comp_of_channel[ci] = comp;
         // Weight ∝ expected admission work: the channel plus its
         // candidate gateways.
         comp_weight[comp as usize] += 1 + ctx.cand[ci].len() as u64;
@@ -372,6 +372,24 @@ impl ObsSink for KeyedSink {
     }
 }
 
+/// How one gateway saw one transmission during admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Seen {
+    /// Detected and assigned a decoder.
+    Admitted,
+    /// Detected but rejected by the decoder pool.
+    Dropped {
+        /// Foreign-network packets held decoders at rejection time.
+        foreign_held: bool,
+        /// Locked-up decoders contributed to the drop: physical
+        /// capacity was still free when the packet was rejected.
+        lockup: bool,
+    },
+    /// The gateway would have detected the packet but was crashed at
+    /// lock-on.
+    DownAtLockOn,
+}
+
 /// Live per-transmission state. Slots are recycled once
 /// [`AccumState::retire`] reports them dead; `seen` keeps its capacity
 /// across reuses.
@@ -379,31 +397,55 @@ struct Slot {
     tx: Transmission,
     /// Interned (global) channel id.
     ch: u32,
-    /// The transmission as the interference state lists it (carries the
-    /// compact link-table row).
+    /// The transmission as the interference state lists it.
     key: TxKey,
     /// (local gateway id, admission outcome), in candidate order.
     seen: Vec<(u32, Seen)>,
 }
 
-/// One shard's event loop: the spec's three events per transmission
-/// over chunk feeding, slot recycling and compact per-shard link
-/// tables.
-struct ShardMachine<'e> {
-    // Shared, read-only environment.
+/// A shard's buffers, kept by the world between runs: what a run
+/// allocates in proportion to its on-air set. A run takes them in
+/// whatever state the last one left them and clears them on entry.
+#[derive(Default)]
+pub(crate) struct ShardState {
+    /// Hierarchical time-wheel event scheduler: O(1) amortized
+    /// insert/pop under the nondecreasing-frontier drain discipline.
+    /// Entries are the global event key plus the slot id payload.
+    q: TimeWheel,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Collider lists, leak sums, the slot lifecycle and the per-slot
+    /// link rows (`accum.link`).
+    accum: AccumState,
+    vs: VerdictScratch,
+    receiving: Vec<usize>,
+}
+
+/// What every shard of a run reads and none writes.
+struct RunEnv<'e> {
     topo: &'e Topology,
     node_power: &'e [TxPowerDbm],
     node_network: &'e [u32],
-    ctx: &'e RunContext,
+    ctx: RunContext,
     faults: &'e dyn InfraFaults,
     /// Per *global* gateway: can this fault schedule ever crash it.
-    ever_down: &'e [bool],
+    ever_down: Vec<bool>,
     /// Per *global* gateway: can decoders ever lock up.
-    ever_locked: &'e [bool],
+    ever_locked: Vec<bool>,
     /// Global gateway ids with `ever_down` set (usually empty).
     ever_down_list: Vec<u32>,
+    cic: bool,
     epoch: u64,
     collect_records: bool,
+    obs_on: bool,
+    /// Live-run heartbeat writer (`ALPHAWAN_HEARTBEAT`), if attached.
+    hb: Option<obs::HeartbeatWriter>,
+}
+
+/// One shard's event loop: the spec's three events per transmission
+/// over chunk feeding, slot recycling and per-slot link rows.
+struct ShardMachine<'e> {
+    env: &'e RunEnv<'e>,
 
     // Shard identity.
     shard: u32,
@@ -412,29 +454,18 @@ struct ShardMachine<'e> {
     /// Per interned channel id: candidate *local* gateway ids
     /// (ascending in global id; empty for channels of other shards).
     cand_local: Vec<Vec<u32>>,
-    /// Row stride of `link` (= `gw_global.len()`).
+    /// Per interned channel id: the union of `cand_local` over every
+    /// channel overlapping it, ascending — the gateways at which any
+    /// later read can want a transmission's RSSI.
+    hear: Vec<Vec<u32>>,
+    /// Row stride of the link table (= `gw_global.len()`).
     n_lg: usize,
     /// 125 kHz noise floor, dBm (SNR = RSSI − floor).
     floor: f64,
 
     // Owned state.
     gateways: Vec<Gateway>,
-    /// Hierarchical time-wheel event scheduler: O(1) amortized
-    /// insert/pop under the nondecreasing-frontier drain discipline
-    /// (replaces the former per-shard `BinaryHeap`). Entries are the
-    /// global event key plus the slot id payload.
-    q: TimeWheel,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-
-    /// Collider lists, leak sums and the slot lifecycle.
-    accum: AccumState<'e>,
-    /// Per global node: its row in `link` (`u32::MAX` = unseen).
-    node_row: Vec<u32>,
-    /// Next row to assign.
-    next_row: u32,
-    /// Compact RSSI table, `link[row * n_lg + local_gw]`, dBm.
-    link: Vec<f64>,
+    st: ShardState,
     /// Per local gateway: in-loop not-detected tally (candidate SNR
     /// misses at an up gateway).
     undetected: Vec<u64>,
@@ -442,12 +473,8 @@ struct ShardMachine<'e> {
     /// ever-down gateways (must be counted per transmission because it
     /// depends on the crash window; empty when no gateway can crash).
     extra_undetected: Vec<u64>,
-    receiving: Vec<usize>,
-    vs: VerdictScratch,
     sink: KeyedSink,
-    /// Live-run heartbeat writer (`ALPHAWAN_HEARTBEAT`), if attached.
-    hb: Option<&'e obs::HeartbeatWriter>,
-    records: Vec<(u64, PacketRecord)>,
+    records: Vec<PacketRecord>,
     summary: RunSummary,
     txs_n: u64,
     events: u64,
@@ -467,76 +494,82 @@ struct ShardOutput {
     gateways: Vec<Gateway>,
     undetected: Vec<u64>,
     extra_undetected: Vec<u64>,
-    records: Vec<(u64, PacketRecord)>,
+    records: Vec<PacketRecord>,
     summary: RunSummary,
     obs: Vec<((u64, u8, u64), ObsEvent)>,
     stats: ShardRunStats,
+    state: ShardState,
 }
 
 impl<'e> ShardMachine<'e> {
-    #[allow(clippy::too_many_arguments)]
+    /// The machine of shard `shard` under `part`, on the shard's
+    /// gateways and the buffers its previous run left.
     fn new(
-        topo: &'e Topology,
-        node_power: &'e [TxPowerDbm],
-        node_network: &'e [u32],
-        ctx: &'e RunContext,
-        faults: &'e dyn InfraFaults,
-        ever_down: &'e [bool],
-        ever_locked: &'e [bool],
-        cic: bool,
-        epoch: u64,
-        collect_records: bool,
-        obs_on: bool,
-        hb: Option<&'e obs::HeartbeatWriter>,
-        shard: u32,
-        gw_global: Vec<u32>,
-        cand_local: Vec<Vec<u32>>,
+        env: &'e RunEnv<'e>,
+        part: &Partition,
+        shard: usize,
         gateways: Vec<Gateway>,
-        chunk_hint: usize,
+        state: ShardState,
     ) -> ShardMachine<'e> {
+        let ctx = &env.ctx;
+        let gw_global = part.shard_gws[shard].clone();
+        // Candidate lists in local gateway ids (global order is
+        // ascending in both, so candidate order is preserved).
+        let mut cand_local: Vec<Vec<u32>> = vec![Vec::new(); ctx.n_channels()];
+        for (ci, cl) in cand_local.iter_mut().enumerate() {
+            if part.shard_of_channel[ci] == shard as u32 {
+                *cl = ctx.cand[ci]
+                    .iter()
+                    .map(|&g| {
+                        gw_global
+                            .binary_search(&g)
+                            .expect("candidate gateway owned by this shard")
+                            as u32
+                    })
+                    .collect();
+            }
+        }
+        // Overlapping channels share a component, hence this shard.
+        let hear = ctx
+            .overlapping
+            .iter()
+            .map(|over| {
+                let mut h: Vec<u32> = over
+                    .iter()
+                    .flat_map(|&cv| cand_local[cv as usize].iter().copied())
+                    .collect();
+                h.sort_unstable();
+                h.dedup();
+                h
+            })
+            .collect();
         let n_lg = gw_global.len();
-        let any_down = ever_down.iter().any(|&d| d);
+        let mut st = state;
+        // A finished run leaves every slot free and the wheel empty;
+        // rewind both so slot ids and the cursor start afresh.
+        st.q.rewind();
+        debug_assert!(st.slots.iter().all(|sl| sl.seen.is_empty()));
+        st.free.clear();
+        st.free.extend((0..st.slots.len() as u32).rev());
+        st.accum.reset(ctx, n_lg, env.cic);
+        let any_down = !env.ever_down_list.is_empty();
         ShardMachine {
-            topo,
-            node_power,
-            node_network,
-            ctx,
-            faults,
-            ever_down,
-            ever_locked,
-            ever_down_list: ever_down
-                .iter()
-                .enumerate()
-                .filter(|&(_, &d)| d)
-                .map(|(g, _)| g as u32)
-                .collect(),
-            epoch,
-            collect_records,
-            shard,
+            env,
+            shard: shard as u32,
             gw_global,
             cand_local,
+            hear,
             n_lg,
             floor: noise_floor_dbm(Bandwidth::Khz125),
             gateways,
-            // Pre-sized from the chunk hint: one chunk contributes at
-            // most 3 events per transmission to the ready run.
-            q: TimeWheel::with_capacity(3 * chunk_hint),
-            slots: Vec::new(),
-            free: Vec::new(),
-            accum: AccumState::new(ctx, n_lg, cic),
-            node_row: vec![u32::MAX; topo.nodes.len()],
-            next_row: 0,
-            link: Vec::new(),
+            st,
             undetected: vec![0; n_lg],
-            extra_undetected: vec![0; if any_down { ever_down.len() } else { 0 }],
-            receiving: Vec::new(),
-            vs: VerdictScratch::default(),
+            extra_undetected: vec![0; if any_down { env.ever_down.len() } else { 0 }],
             sink: KeyedSink {
-                on: obs_on,
+                on: env.obs_on,
                 key: (0, 0, 0),
                 buf: Vec::new(),
             },
-            hb,
             records: Vec::new(),
             summary: RunSummary::default(),
             txs_n: 0,
@@ -561,9 +594,9 @@ impl<'e> ShardMachine<'e> {
             .airtime();
             let tx = Transmission {
                 id,
-                trace: obs::packet_trace(self.epoch, id),
+                trace: obs::packet_trace(self.env.epoch, id),
                 node: p.node,
-                network_id: self.node_network[p.node],
+                network_id: self.env.node_network[p.node],
                 channel: p.channel,
                 dr: p.dr,
                 start_us: p.start_us,
@@ -572,63 +605,66 @@ impl<'e> ShardMachine<'e> {
                 payload_len: p.payload_len,
             };
 
-            // Assign the node a compact link row on first sight.
-            let mut row = 0u32;
-            if self.n_lg > 0 {
-                row = self.node_row[tx.node];
-                if row == u32::MAX {
-                    row = self.next_row;
-                    self.next_row += 1;
-                    self.node_row[tx.node] = row;
-                    let power = self.node_power[tx.node].0;
-                    let loss_row = &self.topo.loss_db[tx.node];
-                    self.link
-                        .extend(self.gw_global.iter().map(|&g| power - loss_row[g as usize]));
-                }
-            }
-
             // Non-candidate not-detected tallies for crashable
             // gateways (the never-down bulk is reconciled by the
             // driver from per-channel counts).
-            for &g in &self.ever_down_list {
+            for &g in &self.env.ever_down_list {
                 let g = g as usize;
-                if !self.ctx.is_cand[ch as usize * self.ctx.n_gws + g]
-                    && !self.faults.gateway_down(g, tx.lock_on_us)
+                if !self.env.ctx.is_cand[ch as usize * self.env.ctx.n_gws + g]
+                    && !self.env.faults.gateway_down(g, tx.lock_on_us)
                 {
                     self.extra_undetected[g] += 1;
                 }
             }
 
-            let slot = self.free.pop().unwrap_or(self.slots.len() as u32);
+            let slot = self.st.free.pop().unwrap_or(self.st.slots.len() as u32);
+            self.fill_link_row(slot, ch, tx.node);
             let key = TxKey {
                 slot,
                 node: tx.node as u32,
                 network: tx.network_id,
-                row,
-                lock_on: tx.lock_on_us,
                 // Set at TxStart.
                 start_evseq: 0,
                 sf: (tx.dr.spreading_factor().value() - 7) as u8,
             };
-            match self.slots.get_mut(slot as usize) {
+            match self.st.slots.get_mut(slot as usize) {
                 Some(sl) => {
                     debug_assert!(sl.seen.is_empty());
                     sl.tx = tx;
                     sl.ch = ch;
                     sl.key = key;
                 }
-                None => self.slots.push(Slot {
+                None => self.st.slots.push(Slot {
                     tx,
                     ch,
                     key,
                     seen: Vec::new(),
                 }),
             }
-            self.peak_live = self.peak_live.max(self.slots.len() - self.free.len());
+            self.peak_live = self.peak_live.max(self.st.slots.len() - self.st.free.len());
 
-            self.q.push((tx.start_us, PRIO_TX_START, id, slot));
-            self.q.push((tx.lock_on_us, PRIO_LOCK_ON, id, slot));
-            self.q.push((tx.end_us, PRIO_TX_END, id, slot));
+            self.st.q.push((tx.start_us, PRIO_TX_START, id, slot));
+            self.st.q.push((tx.lock_on_us, PRIO_LOCK_ON, id, slot));
+            self.st.q.push((tx.end_us, PRIO_TX_END, id, slot));
+        }
+    }
+
+    /// Write slot `slot`'s link row for a transmission of `node` on
+    /// channel `ch`: its RSSI at every `hear` gateway. Debug builds
+    /// poison the rest of the row, so a read outside `hear` corrupts
+    /// the run visibly instead of reading a former tenant's RSSI.
+    fn fill_link_row(&mut self, slot: u32, ch: u32, node: usize) {
+        let row = slot as usize * self.n_lg;
+        if self.st.accum.link.len() < row + self.n_lg {
+            self.st.accum.link.resize(row + self.n_lg, f64::NAN);
+        } else if cfg!(debug_assertions) {
+            self.st.accum.link[row..row + self.n_lg].fill(f64::NAN);
+        }
+        let power = self.env.node_power[node].0;
+        let loss_row = &self.env.topo.loss_db[node];
+        for &lg in &self.hear[ch as usize] {
+            let g = self.gw_global[lg as usize] as usize;
+            self.st.accum.link[row + lg as usize] = power - loss_row[g];
         }
     }
 
@@ -637,7 +673,7 @@ impl<'e> ShardMachine<'e> {
     /// of a later chunk starts at or after the frontier, so events at
     /// the frontier itself may still gain same-key-ordered company).
     fn drain(&mut self, frontier_us: u64) {
-        while let Some((_, prio, _, slot)) = self.q.pop_before(frontier_us) {
+        while let Some((_, prio, _, slot)) = self.st.q.pop_before(frontier_us) {
             self.events += 1;
             match prio {
                 PRIO_TX_START => self.on_tx_start(slot),
@@ -649,7 +685,7 @@ impl<'e> ShardMachine<'e> {
 
     fn on_tx_start(&mut self, s: u32) {
         let si = s as usize;
-        let t = self.slots[si].tx;
+        let t = self.st.slots[si].tx;
         self.sink.key = (t.start_us, PRIO_TX_START, t.id);
         if self.sink.enabled() {
             self.sink.record(&ObsEvent::TxStart {
@@ -660,15 +696,16 @@ impl<'e> ShardMachine<'e> {
                 network: t.network_id,
             });
         }
-        let sl = &mut self.slots[si];
+        let sl = &mut self.st.slots[si];
         sl.key.start_evseq = self.events;
-        self.accum
-            .register(sl.ch as usize, sl.key, &self.link, &self.cand_local);
+        self.st
+            .accum
+            .register(&self.env.ctx, sl.ch as usize, sl.key, &self.cand_local);
     }
 
     fn on_lock_on(&mut self, s: u32) {
         let si = s as usize;
-        let t = self.slots[si].tx;
+        let t = self.st.slots[si].tx;
         let now = t.lock_on_us;
         self.sink.key = (now, PRIO_LOCK_ON, t.id);
         if self.sink.enabled() {
@@ -680,30 +717,30 @@ impl<'e> ShardMachine<'e> {
                 network: t.network_id,
             });
         }
-        let c = self.slots[si].ch as usize;
-        let row_base = self.slots[si].key.row as usize * self.n_lg;
+        let c = self.st.slots[si].ch as usize;
+        let row_base = si * self.n_lg;
         let sf = t.dr.spreading_factor();
-        let mut seen = std::mem::take(&mut self.slots[si].seen);
+        let mut seen = std::mem::take(&mut self.st.slots[si].seen);
         for k in 0..self.cand_local[c].len() {
             let lg = self.cand_local[c][k] as usize;
             self.candidate_visits += 1;
             let g_idx = self.gw_global[lg] as usize;
-            let rssi = self.link[row_base + lg];
+            let rssi = self.st.accum.link[row_base + lg];
             let snr = rssi - self.floor;
             if !decodable(snr, sf, 0.0) {
                 // Below the detection floor: an up gateway counts a
                 // non-detection; a crashed gateway counts nothing.
-                if !self.ever_down[g_idx] || !self.faults.gateway_down(g_idx, now) {
+                if !self.env.ever_down[g_idx] || !self.env.faults.gateway_down(g_idx, now) {
                     self.undetected[lg] += 1;
                 }
                 continue;
             }
-            if self.ever_down[g_idx] && self.faults.gateway_down(g_idx, now) {
+            if self.env.ever_down[g_idx] && self.env.faults.gateway_down(g_idx, now) {
                 seen.push((lg as u32, Seen::DownAtLockOn));
                 continue;
             }
-            if self.ever_locked[g_idx] {
-                let locked = self.faults.locked_decoders(g_idx, now);
+            if self.env.ever_locked[g_idx] {
+                let locked = self.env.faults.locked_decoders(g_idx, now);
                 self.gateways[lg].set_locked_decoders(locked);
             }
             let pkt = PacketAtGateway {
@@ -738,7 +775,7 @@ impl<'e> ShardMachine<'e> {
                 }
             }
         }
-        self.slots[si].seen = seen;
+        self.st.slots[si].seen = seen;
     }
 
     /// TxEnd: resolve the verdicts, finish the transmission, then undo
@@ -746,32 +783,38 @@ impl<'e> ShardMachine<'e> {
     /// transmission on air can still see.
     fn on_tx_end(&mut self, s: u32) {
         let si = s as usize;
-        let t = self.slots[si].tx;
+        let t = self.st.slots[si].tx;
         self.sink.key = (t.end_us, PRIO_TX_END, t.id);
         self.batch_verdicts(s);
         self.finish_tx(s);
 
-        let (slots, free) = (&mut self.slots, &mut self.free);
-        let (c, key) = (slots[si].ch as usize, slots[si].key);
-        self.accum
-            .retire(c, &key, self.events, &self.link, &self.cand_local, |dead| {
-                slots[dead as usize].seen.clear();
-                free.push(dead);
-            });
+        let st = &mut self.st;
+        let (c, key) = (st.slots[si].ch as usize, st.slots[si].key);
+        st.accum.retire(
+            &self.env.ctx,
+            c,
+            &key,
+            self.events,
+            &self.cand_local,
+            |dead| {
+                st.slots[dead as usize].seen.clear();
+                st.free.push(dead);
+            },
+        );
     }
 
     /// Decoder release, delivery classification, record/summary
     /// emission. The caller resolves
-    /// PHY verdicts into `self.vs.verdicts` first
+    /// PHY verdicts into `self.st.vs.verdicts` first
     /// ([`Self::batch_verdicts`]).
     fn finish_tx(&mut self, s: u32) {
         let si = s as usize;
-        let t = self.slots[si].tx;
-        let seen = std::mem::take(&mut self.slots[si].seen);
-        let row_base = self.slots[si].key.row as usize * self.n_lg;
+        let t = self.st.slots[si].tx;
+        let seen = std::mem::take(&mut self.st.slots[si].seen);
+        let row_base = si * self.n_lg;
         let sf = t.dr.spreading_factor();
 
-        self.receiving.clear();
+        self.st.receiving.clear();
         let mut decoder_drop: Option<bool> = None;
         let mut collision_with: Option<u32> = None;
         let mut own_detected = false;
@@ -780,14 +823,15 @@ impl<'e> ShardMachine<'e> {
         for (k, &(lg, how)) in seen.iter().enumerate() {
             let g_idx = self.gw_global[lg as usize] as usize;
             let own = self.gateways[lg as usize].network_id == t.network_id;
-            let verdict = self.vs.verdicts[k];
+            let verdict = self.st.vs.verdicts[k];
             if how == Seen::Admitted {
-                let crashed_mid_rx = self.ever_down[g_idx]
+                let crashed_mid_rx = self.env.ever_down[g_idx]
                     && self
+                        .env
                         .faults
                         .gateway_down_during(g_idx, t.lock_on_us, t.end_us);
                 let phy_ok = verdict == Verdict::Ok && !crashed_mid_rx;
-                let rssi = self.link[row_base + lg as usize];
+                let rssi = self.st.accum.link[row_base + lg as usize];
                 let pkt = PacketAtGateway {
                     tx_id: t.id,
                     trace: t.trace,
@@ -802,7 +846,7 @@ impl<'e> ShardMachine<'e> {
                 if let ReceptionOutcome::Received =
                     self.gateways[lg as usize].on_tx_end_tracked_obs(&pkt, phy_ok, &mut self.sink)
                 {
-                    self.receiving.push(g_idx);
+                    self.st.receiving.push(g_idx);
                 }
                 if own && crashed_mid_rx && verdict == Verdict::Ok {
                     infra_loss = true;
@@ -835,9 +879,9 @@ impl<'e> ShardMachine<'e> {
                 }
             }
         }
-        self.slots[si].seen = seen;
+        self.st.slots[si].seen = seen;
 
-        let delivered = !self.receiving.is_empty();
+        let delivered = !self.st.receiving.is_empty();
         let cause = if delivered {
             None
         } else if infra_loss {
@@ -877,45 +921,36 @@ impl<'e> ShardMachine<'e> {
             delivered,
             cause,
         );
-        if self.collect_records {
-            self.records.push((
-                t.id,
-                PacketRecord {
-                    tx_id: t.id,
-                    node: t.node,
-                    network_id: t.network_id,
-                    channel: t.channel,
-                    dr: t.dr,
-                    start_us: t.start_us,
-                    end_us: t.end_us,
-                    payload_len: t.payload_len,
-                    delivered,
-                    receiving_gateways: self.receiving.clone(),
-                    cause,
-                },
-            ));
+        if self.env.collect_records {
+            self.records.push(PacketRecord {
+                tx_id: t.id,
+                node: t.node,
+                network_id: t.network_id,
+                channel: t.channel,
+                dr: t.dr,
+                start_us: t.start_us,
+                end_us: t.end_us,
+                payload_len: t.payload_len,
+                delivered,
+                receiving_gateways: self.st.receiving.clone(),
+                cause,
+            });
         }
     }
 
     /// PHY verdicts for slot `s` at every seen gateway, into
-    /// `self.vs.verdicts`: colliders, cross-SF kills and leaked power
+    /// `self.st.vs.verdicts`: colliders, cross-SF kills and leaked power
     /// come from the interference state, the SINR arithmetic is
     /// [`VerdictScratch::resolve`].
     fn batch_verdicts(&mut self, s: u32) {
-        let sl = &self.slots[s as usize];
-        let link = &self.link;
+        let st = &mut self.st;
+        let sl = &st.slots[s as usize];
         let cv = sl.ch as usize;
-        self.accum.interference(
-            cv,
-            &sl.key,
-            &sl.seen,
-            link,
-            &self.cand_local[cv],
-            &mut self.vs,
-        );
-        let vrow = sl.key.row as usize * self.n_lg;
+        st.accum
+            .interference(cv, &sl.key, &sl.seen, &self.cand_local[cv], &mut st.vs);
+        let (link, vrow) = (&st.accum.link, s as usize * self.n_lg);
         let sf_v = sl.tx.dr.spreading_factor();
-        self.vs.resolve(sl.seen.len(), self.ctx, sf_v, |gi| {
+        st.vs.resolve(sl.seen.len(), &self.env.ctx, sf_v, |gi| {
             link[vrow + sl.seen[gi].0 as usize]
         });
     }
@@ -935,14 +970,14 @@ impl<'e> ShardMachine<'e> {
         if frontier != u64::MAX {
             self.last_frontier = frontier;
         }
-        if let Some(hb) = self.hb {
+        if let Some(hb) = &self.env.hb {
             hb.beat(
                 self.shard,
                 self.txs_n,
                 self.events,
                 self.last_frontier,
-                self.q.len() as u64,
-                (self.slots.len() - self.free.len()) as u64,
+                self.st.q.len() as u64,
+                (self.st.slots.len() - self.st.free.len()) as u64,
             );
         }
         self.busy += began.elapsed();
@@ -962,13 +997,13 @@ impl<'e> ShardMachine<'e> {
         // The last frontier is u64::MAX by the ChunkSource contract;
         // this is a belt-and-braces drain for sources that end early.
         self.drain(u64::MAX);
-        debug_assert!(self.q.is_empty());
-        debug_assert_eq!(self.slots.len(), self.free.len());
-        if let Some(hb) = self.hb {
+        debug_assert!(self.st.q.is_empty());
+        debug_assert_eq!(self.st.slots.len(), self.st.free.len());
+        if let Some(hb) = &self.env.hb {
             hb.flush();
         }
 
-        let accum = self.accum.stats;
+        let accum = self.st.accum.stats;
         let wall = self.born.elapsed();
         let stats = ShardRunStats {
             shard: self.shard,
@@ -981,7 +1016,7 @@ impl<'e> ShardMachine<'e> {
             accum_undos: accum.undos,
             accum_evictions: accum.evictions,
             index_builds: accum.index_builds,
-            wheel_cascades: self.q.cascades(),
+            wheel_cascades: self.st.q.cascades(),
             wall_us: wall.as_micros() as u64,
             idle_us: wall.saturating_sub(self.busy).as_micros() as u64,
         };
@@ -994,6 +1029,7 @@ impl<'e> ShardMachine<'e> {
             summary: self.summary,
             obs: self.sink.buf,
             stats,
+            state: self.st,
         }
     }
 }
@@ -1135,60 +1171,40 @@ fn run_chunked(
             .collect()
     };
 
-    let topo = &world.topo;
-    let node_power = &world.node_power[..];
-    let node_network = &world.node_network[..];
-    let cic = world.cic;
-    let machine = |shard: usize, gateways: Vec<Gateway>| {
-        let gw_global = part.shard_gws[shard].clone();
-        // Candidate lists in local gateway ids (global order is
-        // ascending in both, so candidate order is preserved).
-        let mut cand_local: Vec<Vec<u32>> = vec![Vec::new(); n_ch];
-        for (ci, cl) in cand_local.iter_mut().enumerate() {
-            if part.shard_of_channel[ci] == shard as u32 {
-                *cl = ctx.cand[ci]
-                    .iter()
-                    .map(|&g| {
-                        gw_global
-                            .binary_search(&g)
-                            .expect("candidate gateway owned by this shard")
-                            as u32
-                    })
-                    .collect();
-            }
-        }
-        ShardMachine::new(
-            topo,
-            node_power,
-            node_network,
-            &ctx,
-            faults,
-            &ever_down,
-            &ever_locked,
-            cic,
-            epoch,
-            collect_records,
-            obs_on,
-            hb.as_ref(),
-            shard as u32,
-            gw_global,
-            cand_local,
-            gateways,
-            opts.chunk_txs.min(HANDOFF_TXS),
-        )
+    let env = RunEnv {
+        topo: &world.topo,
+        node_power: &world.node_power,
+        node_network: &world.node_network,
+        ctx,
+        faults,
+        ever_down_list: (0..n_gws as u32)
+            .filter(|&g| ever_down[g as usize])
+            .collect(),
+        ever_down,
+        ever_locked,
+        cic: world.cic,
+        epoch,
+        collect_records,
+        obs_on,
+        hb,
     };
+    let (ctx, part) = (&env.ctx, &part);
+    // Last run's shard buffers, handed out in shard order.
+    let mut states = std::mem::take(&mut world.engine).into_iter();
+    let mut next_state = || states.next().unwrap_or_default();
+    let machine = |shard, gateways, state| ShardMachine::new(&env, part, shard, gateways, state);
 
     let mut ch_tx_count = vec![0u64; n_ch];
     let (total_txs, mut outputs): (u64, Vec<ShardOutput>) = match n_shards {
         // Empty channel universe: the source must be empty too (`pump`
         // refuses a plan outside the universe).
         0 => (
-            pump(source, &ctx, &part, &mut ch_tx_count, |_, _| {}),
+            pump(source, ctx, part, &mut ch_tx_count, |_, _| {}),
             Vec::new(),
         ),
         1 => {
-            let mut m = machine(0, take_gateways(0));
-            let total_txs = pump(source, &ctx, &part, &mut ch_tx_count, |routed, frontier| {
+            let mut m = machine(0, take_gateways(0), next_state());
+            let total_txs = pump(source, ctx, part, &mut ch_tx_count, |routed, frontier| {
                 m.step(&routed[0], frontier);
                 routed[0].clear();
             });
@@ -1199,11 +1215,11 @@ fn run_chunked(
             let mut handles = Vec::with_capacity(n_shards);
             for shard in 0..n_shards {
                 let (tx, rx) = mpsc::sync_channel::<ChunkMsg>(2);
-                let gateways = take_gateways(shard);
-                handles.push(scope.spawn(move || machine(shard, gateways).run(rx)));
+                let (gateways, state) = (take_gateways(shard), next_state());
+                handles.push(scope.spawn(move || machine(shard, gateways, state).run(rx)));
                 senders.push(tx);
             }
-            let total_txs = pump(source, &ctx, &part, &mut ch_tx_count, |routed, frontier| {
+            let total_txs = pump(source, ctx, part, &mut ch_tx_count, |routed, frontier| {
                 for (plans, sender) in routed.iter_mut().zip(&senders) {
                     // The next hand-off routes about as much, so the
                     // replacement starts at this one's size instead of
@@ -1251,7 +1267,7 @@ fn run_chunked(
         }
     }
     for (g, m) in miss.iter_mut().enumerate() {
-        if !ever_down[g] {
+        if !env.ever_down[g] {
             let mut cand_txs = 0u64;
             for (c, cnt) in ch_tx_count.iter().enumerate() {
                 if ctx.is_cand[c * n_gws + g] {
@@ -1297,56 +1313,48 @@ fn run_chunked(
     }
     world.obs = taken;
 
-    // Scatter records back into global id order.
-    let records = if collect_records {
-        let mut slots: Vec<Option<PacketRecord>> = vec![None; total_txs as usize];
-        for out in &mut outputs {
-            for (id, r) in out.records.drain(..) {
-                slots[id as usize] = Some(r);
+    // Records into global id order, in place: ids are 0..txs, so each
+    // swap puts one record where it belongs.
+    let records = collect_records.then(|| {
+        let mut parts = outputs
+            .iter_mut()
+            .map(|out| std::mem::take(&mut out.records));
+        let mut all = parts.next().unwrap_or_default();
+        for mut part in parts {
+            all.append(&mut part);
+        }
+        assert_eq!(all.len() as u64, total_txs, "every tx finished");
+        for i in 0..all.len() {
+            while all[i].tx_id as usize != i {
+                let j = all[i].tx_id as usize;
+                all.swap(i, j);
             }
         }
-        Some(
-            slots
-                .into_iter()
-                .map(|r| r.expect("every tx finished"))
-                .collect(),
-        )
-    } else {
-        None
-    };
+        all
+    });
 
     let mut summary = RunSummary::default();
     let mut shard_stats = Vec::with_capacity(outputs.len());
-    let mut events = 0u64;
-    let mut candidate_visits = 0u64;
-    let mut accum_updates = 0u64;
-    let mut accum_undos = 0u64;
-    let mut accum_evictions = 0u64;
-    let mut wheel_cascades = 0u64;
     for out in &outputs {
         summary.merge(&out.summary);
-        events += out.stats.events;
-        candidate_visits += out.stats.candidate_visits;
-        accum_updates += out.stats.accum_updates;
-        accum_undos += out.stats.accum_undos;
-        accum_evictions += out.stats.accum_evictions;
-        wheel_cascades += out.stats.wheel_cascades;
         shard_stats.push(out.stats);
     }
+    let sum = |f: fn(&ShardRunStats) -> u64| shard_stats.iter().map(f).sum();
     let stats = SimRunStats {
         txs: total_txs,
-        events,
+        events: sum(|s| s.events),
         gateways: n_gws as u32,
-        candidate_visits,
+        candidate_visits: sum(|s| s.candidate_visits),
         candidate_ceiling: total_txs * n_gws as u64,
-        accum_updates,
-        accum_undos,
-        accum_evictions,
-        wheel_cascades,
+        accum_updates: sum(|s| s.accum_updates),
+        accum_undos: sum(|s| s.accum_undos),
+        accum_evictions: sum(|s| s.accum_evictions),
+        wheel_cascades: sum(|s| s.wheel_cascades),
         wall_us: wall.elapsed().as_micros() as u64,
     };
     world.last_stats = Some(stats);
     world.last_shard_stats = Some(shard_stats.clone());
+    world.engine = outputs.into_iter().map(|out| out.state).collect();
 
     ShardedOutcome {
         records,

@@ -25,22 +25,19 @@
 //! Every run — [`SimWorld::run`], [`SimWorld::run_sharded`],
 //! [`SimWorld::run_streamed`] and their `_with_faults` forms — executes
 //! on the chunk-fed engine in [`crate::shard`]; this module holds the
-//! world, the record and counter types, and the per-TxEnd verdict
-//! buffers the engine fills. The engine is bit-for-bit equivalent to the
+//! world and the record and counter types. The world keeps each shard's
+//! engine buffers between runs, so a repeat run clears them instead of
+//! allocating them again. The engine is bit-for-bit equivalent to the
 //! executable specification in [`crate::reference`]; the workspace
 //! `sim_equivalence` proptest holds the two to record-for-record
 //! identity.
 
-use crate::accum::from_fixed;
-use crate::runctx::RunContext;
-use crate::shard::ShardOpts;
+use crate::shard::{ShardOpts, ShardState};
 use crate::topology::Topology;
 use crate::traffic::TxPlan;
 use gateway::radio::Gateway;
 use lora_phy::channel::Channel;
-use lora_phy::interference::{capture_outcome, CaptureOutcome, CROSS_SF_REJECTION_DB};
-use lora_phy::snr::decodable;
-use lora_phy::types::{DataRate, SpreadingFactor, TxPowerDbm};
+use lora_phy::types::{DataRate, TxPowerDbm};
 use obs::{ObsEvent, ObsSink};
 use serde::{Deserialize, Serialize};
 
@@ -134,194 +131,6 @@ pub struct PacketRecord {
     pub cause: Option<LossCause>,
 }
 
-/// How one gateway saw one transmission during admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Seen {
-    /// Detected and assigned a decoder.
-    Admitted,
-    /// Detected but rejected by the decoder pool.
-    Dropped {
-        /// Foreign-network packets held decoders at rejection time.
-        foreign_held: bool,
-        /// Locked-up decoders contributed to the drop: physical
-        /// capacity was still free when the packet was rejected.
-        lockup: bool,
-    },
-    /// The gateway would have detected the packet but was crashed at
-    /// lock-on.
-    DownAtLockOn,
-}
-
-/// PHY verdict for one (transmission, gateway) pair, independent of
-/// decoder availability.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Verdict {
-    Ok,
-    /// Lost to a same-channel same-SF collision with this network's node.
-    Collision {
-        with_network: u32,
-    },
-    /// Lost to interference / insufficient SINR.
-    Interference,
-}
-
-/// Reusable buffers for the batched per-TxEnd verdict computation
-/// (`ShardMachine::batch_verdicts` in [`crate::shard`]): one slot per
-/// seen gateway, aligned with the transmission's admission list. Slots are invalidated by a
-/// generation stamp instead of a `clear()+resize()` re-zero, so
-/// [`Self::prepare`] is O(1) over the retained capacity.
-#[derive(Debug, Default)]
-pub(crate) struct VerdictScratch {
-    /// Accumulated leaked interference, fixed-point linear power (see
-    /// [`crate::accum`]): an integer sum, so the order interferers are
-    /// folded in cannot change it.
-    intf_fx: Vec<u128>,
-    /// Strongest same-settings collider so far (RSSI, network id).
-    strongest: Vec<Option<(f64, u32)>>,
-    /// Cross-SF interference kill flag.
-    kill: Vec<bool>,
-    /// Per-slot validity stamp; a slot holds live data iff its stamp
-    /// equals the current generation.
-    stamp: Vec<u64>,
-    /// Current batch generation (bumped by [`Self::prepare`]).
-    gen: u64,
-    /// Final verdicts, indexed like the seen slice.
-    pub(crate) verdicts: Vec<Verdict>,
-}
-
-impl VerdictScratch {
-    /// Begin a batch over `k` gateways. Existing capacity is reused and
-    /// stale slots are left in place — they read as empty until first
-    /// touched, because their stamp no longer matches.
-    pub(crate) fn prepare(&mut self, k: usize) {
-        self.gen += 1;
-        if self.stamp.len() < k {
-            self.stamp.resize(k, 0);
-            self.intf_fx.resize(k, 0);
-            self.strongest.resize(k, None);
-            self.kill.resize(k, false);
-        }
-        self.verdicts.clear();
-    }
-
-    /// Reset slot `i` to the empty state on its first touch this batch.
-    #[inline]
-    fn touch(&mut self, i: usize) {
-        if self.stamp[i] != self.gen {
-            self.stamp[i] = self.gen;
-            self.intf_fx[i] = 0;
-            self.strongest[i] = None;
-            self.kill[i] = false;
-        }
-    }
-
-    /// Add leaked interference (fixed-point linear power) at slot `i`.
-    #[inline]
-    pub(crate) fn add_intf(&mut self, i: usize, fx: u128) {
-        self.touch(i);
-        self.intf_fx[i] = self.intf_fx[i].wrapping_add(fx);
-    }
-
-    /// Mark slot `i` killed by cross-SF interference.
-    #[inline]
-    pub(crate) fn set_kill(&mut self, i: usize) {
-        self.touch(i);
-        self.kill[i] = true;
-    }
-
-    /// Offer a same-SF collider at slot `i`; keeps the strongest seen
-    /// (first registered wins ties, matching the reference loop).
-    #[inline]
-    pub(crate) fn note_collider(&mut self, i: usize, rssi: f64, network: u32) {
-        self.touch(i);
-        match self.strongest[i] {
-            Some((r, _)) if r >= rssi => {}
-            _ => self.strongest[i] = Some((rssi, network)),
-        }
-    }
-
-    /// Arbitrate the victim against one detect-class interferer at
-    /// every seen gateway. `rssi_v` / `rssi_o` are the two link-table
-    /// rows (indexed by the gateway ids in `seen`), `t_first` whether
-    /// the victim locked on no later than the interferer.
-    #[inline]
-    pub(crate) fn arbitrate(
-        &mut self,
-        seen: &[(u32, Seen)],
-        rssi_v: &[f64],
-        rssi_o: &[f64],
-        same_sf: bool,
-        t_first: bool,
-        network_o: u32,
-    ) {
-        for (gi, &(g, _)) in seen.iter().enumerate() {
-            let (rssi_v, rssi_o) = (rssi_v[g as usize], rssi_o[g as usize]);
-            if same_sf {
-                // Same settings: the capture effect decides.
-                let (first, second) = if t_first {
-                    (rssi_v, rssi_o)
-                } else {
-                    (rssi_o, rssi_v)
-                };
-                let survives = match capture_outcome(first, second) {
-                    CaptureOutcome::FirstSurvives => t_first,
-                    CaptureOutcome::SecondSurvives => !t_first,
-                    CaptureOutcome::BothLost => false,
-                };
-                if !survives {
-                    self.note_collider(gi, rssi_o, network_o);
-                }
-            } else if rssi_v - rssi_o < CROSS_SF_REJECTION_DB {
-                // Cross-SF quasi-orthogonality.
-                self.set_kill(gi);
-            }
-        }
-    }
-
-    /// Read slot `i`: `(leaked power, strongest collider, kill)`.
-    #[inline]
-    pub(crate) fn state(&self, i: usize) -> (u128, Option<(f64, u32)>, bool) {
-        if self.stamp[i] == self.gen {
-            (self.intf_fx[i], self.strongest[i], self.kill[i])
-        } else {
-            (0, None, false)
-        }
-    }
-
-    /// Close the batch: one verdict per gateway slot `0..k` from what
-    /// was collected, into [`Self::verdicts`]. `rssi_v(i)` is the
-    /// victim's RSSI at slot `i`'s gateway, dBm.
-    pub(crate) fn resolve(
-        &mut self,
-        k: usize,
-        ctx: &RunContext,
-        sf_v: SpreadingFactor,
-        rssi_v: impl Fn(usize) -> f64,
-    ) {
-        for i in 0..k {
-            let (intf_fx, strongest, kill) = self.state(i);
-            self.verdicts.push(if let Some((_, net)) = strongest {
-                Verdict::Collision { with_network: net }
-            } else {
-                // SINR over thermal noise plus leaked foreign energy.
-                // With no leak the precomputed noise-only term is exact
-                // (`x + 0.0` is bitwise `x` for the positive noise
-                // power).
-                let sinr = if intf_fx == 0 {
-                    rssi_v(i) - ctx.noise_only_db
-                } else {
-                    rssi_v(i) - 10.0 * (ctx.noise_lin + from_fixed(intf_fx)).log10()
-                };
-                if kill || !decodable(sinr, sf_v, 0.0) {
-                    Verdict::Interference
-                } else {
-                    Verdict::Ok
-                }
-            });
-        }
-    }
-}
-
 /// Aggregate counters from the most recent run, exposed via
 /// [`SimWorld::last_run_stats`]. The world never streams these into its
 /// attached obs sink itself — `wall_us` is host wall-clock, and runs
@@ -413,6 +222,8 @@ pub struct SimWorld {
     /// Per-shard counters from the most recent run (see
     /// [`crate::shard`]).
     pub(crate) last_shard_stats: Option<Vec<crate::shard::ShardRunStats>>,
+    /// Each shard's engine buffers, handed from one run to the next.
+    pub(crate) engine: Vec<ShardState>,
 }
 
 impl SimWorld {
@@ -430,6 +241,7 @@ impl SimWorld {
             run_epoch: 0,
             last_stats: None,
             last_shard_stats: None,
+            engine: Vec::new(),
         }
     }
 

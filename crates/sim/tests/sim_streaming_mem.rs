@@ -1,15 +1,19 @@
-//! Memory-ceiling audit for the streamed (sharded) simulation path.
+//! Memory audit for the streamed (sharded) simulation path, under a
+//! global allocator that tracks live bytes, their peak, and the number
+//! of allocation calls. Three claims:
 //!
-//! A byte-tracking global allocator wraps the system allocator; a
-//! streamed run over a workload of ~10k transmissions must keep its
-//! transient heap growth *below the cost of materializing the event
-//! timeline alone* — direct evidence that [`sim::shard`] never builds
-//! the 3n-event timeline or the full plan list, which is the entire
-//! point of the streaming path (at 10M transmissions the timeline is
-//! ~0.5 GB; the streamed working set stays at the on-air ceiling).
+//! * a streamed run over ~10k transmissions keeps its transient heap
+//!   growth *below the cost of materializing the event timeline alone*
+//!   — direct evidence that [`sim::shard`] never builds the 3n-event
+//!   timeline or the full plan list (at 10M transmissions the timeline
+//!   is ~0.5 GB; the streamed working set stays at the on-air ceiling);
+//! * the engine keeps no per-node state: the same run peaks at the same
+//!   heap in a 200-node and a 200 000-node world;
+//! * a world keeps its engine buffers between runs, so a repeat run
+//!   allocates a fixed number of times, whatever its length.
 //!
-//! This is the binary's only test so no concurrent test can perturb
-//! the counters.
+//! The tests take [`LOCK`] so that no concurrent test perturbs the
+//! counters.
 
 use gateway::config::GatewayConfig;
 use gateway::profile::GatewayProfile;
@@ -19,17 +23,27 @@ use lora_phy::pathloss::PathLossModel;
 use lora_phy::types::DataRate;
 use sim::shard::ShardOpts;
 use sim::topology::Topology;
-use sim::traffic::DutyCycleStream;
+use sim::traffic::{collect_chunks, DutyCycleStream, SliceChunks, TxPlan};
 use sim::world::SimWorld;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct PeakAlloc;
 
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+/// Allocation calls (`alloc` and `realloc`).
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn note_alloc(bytes: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
     let cur = CURRENT.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     PEAK.fetch_max(cur, Ordering::Relaxed);
 }
@@ -58,43 +72,73 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static GLOBAL: PeakAlloc = PeakAlloc;
 
-#[test]
-fn streamed_run_peak_heap_stays_below_timeline_cost() {
-    let n_nodes = 200usize;
+/// Nodes that transmit in every workload here.
+const ACTIVE_NODES: usize = 200;
+
+fn channels() -> Vec<Channel> {
+    ChannelGrid::standard(916_800_000, 1_600_000).channels()
+}
+
+/// A two-gateway world of `n_nodes` whose first [`ACTIVE_NODES`] nodes
+/// are the same in every size: positions and link losses are those of
+/// the `ACTIVE_NODES`-node world.
+fn world(n_nodes: usize) -> SimWorld {
     let model = PathLossModel {
         shadowing_sigma_db: 0.0,
         ..Default::default()
     };
-    let topo = Topology::new((3_000.0, 3_000.0), n_nodes, 2, model, 21);
+    let topo = |n| Topology::new((3_000.0, 3_000.0), n, 2, model, 21);
+    let mut t = topo(n_nodes);
+    if n_nodes != ACTIVE_NODES {
+        let active = topo(ACTIVE_NODES);
+        for i in 0..ACTIVE_NODES {
+            t.nodes[i] = active.nodes[i];
+            t.loss_db[i].copy_from_slice(&active.loss_db[i]);
+        }
+    }
     let profile = GatewayProfile::rak7268cv2();
-    let channels = ChannelGrid::standard(916_800_000, 1_600_000).channels();
     let gateways = (0..2)
         .map(|j| {
             Gateway::new(
                 j,
                 1,
                 profile,
-                GatewayConfig::new(profile, channels.clone()).unwrap(),
+                GatewayConfig::new(profile, channels()).unwrap(),
             )
         })
         .collect();
-    let mut world = SimWorld::new(topo, vec![1; n_nodes], gateways);
+    SimWorld::new(t, vec![1; n_nodes], gateways)
+}
 
-    let assigns: Vec<(usize, Channel, DataRate)> = (0..n_nodes)
-        .map(|i| (i, channels[i % 8], DataRate::from_index(i / 8 % 6).unwrap()))
+/// ~10k transmissions of the active nodes over 600 s, streamed in
+/// 200 ms windows: hundreds of chunks, each a sliver of the run.
+fn stream() -> DutyCycleStream {
+    let ch = channels();
+    let assigns: Vec<(usize, Channel, DataRate)> = (0..ACTIVE_NODES)
+        .map(|i| (i, ch[i % 8], DataRate::from_index(i / 8 % 6).unwrap()))
         .collect();
-    // ~10k transmissions streamed in 200 ms windows: hundreds of
-    // chunks, each a sliver of the run.
-    let mut stream = DutyCycleStream::new(&assigns, 23, 0.01, 600_000_000, 33, 200_000);
-    let opts = ShardOpts {
-        max_shards: 2,
-        chunk_txs: 4096,
-    };
+    DutyCycleStream::new(&assigns, 23, 0.01, 600_000_000, 33, 200_000)
+}
 
+const TWO_SHARDS: ShardOpts = ShardOpts {
+    max_shards: 2,
+    chunk_txs: 4096,
+};
+
+/// Heap growth at the peak of `f`, bytes.
+fn peak_delta<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = CURRENT.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let run = world.run_streamed(&mut stream, &opts);
-    let peak_delta = PEAK.load(Ordering::Relaxed).saturating_sub(before);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed).saturating_sub(before))
+}
+
+#[test]
+fn streamed_run_peak_heap_stays_below_timeline_cost() {
+    let _serial = lock();
+    let mut world = world(ACTIVE_NODES);
+    let mut stream = stream();
+    let (run, peak_delta) = peak_delta(|| world.run_streamed(&mut stream, &TWO_SHARDS));
 
     let txs = run.stats.txs;
     assert!(txs > 5_000, "workload too small to be meaningful ({txs})");
@@ -122,5 +166,80 @@ fn streamed_run_peak_heap_stays_below_timeline_cost() {
     assert!(
         peak_live > 0 && peak_live < txs / 10,
         "peak live slots {peak_live} not an order of magnitude below {txs} txs"
+    );
+}
+
+/// The same run on the same 200 nodes, in a world of 200 and of
+/// 200 000 nodes (each world, loss matrix included, built before
+/// measuring): the engine's heap peak must not see the other 199 800.
+/// An engine with any state per node ever seen fails this — the one
+/// that kept an RSSI row per node also kept a `nodes × 4 B` row map,
+/// 0.8 MB per shard here.
+#[test]
+fn streamed_peak_is_independent_of_world_node_count() {
+    let _serial = lock();
+    let peak_in = |n_nodes: usize| {
+        let mut world = world(n_nodes);
+        let mut stream = stream();
+        let (run, peak) = peak_delta(|| world.run_streamed(&mut stream, &TWO_SHARDS));
+        (run.summary, peak)
+    };
+    let (small, small_peak) = peak_in(ACTIVE_NODES);
+    let (large, large_peak) = peak_in(200_000);
+    assert_eq!(small, large, "the two worlds ran different workloads");
+    assert!(
+        small_peak.abs_diff(large_peak) < 8 * 1024,
+        "peak heap {small_peak} B with {ACTIVE_NODES} nodes, {large_peak} B with 200 000"
+    );
+}
+
+/// Allocation calls a repeat run may make: the run's set-up — channel
+/// context, shard partition, gateway hand-out, per-channel candidate
+/// and `hear` lists, the producer's chunk buffers, the summary. It is
+/// O(channels + gateways), here 8 channels and 2 gateways, and does
+/// not depend on run length or node count.
+const REPEAT_RUN_ALLOCS: u64 = 128;
+
+/// A world keeps its engine buffers between runs: once it has served
+/// a workload, running it again allocates only the run's set-up —
+/// equally often for 1k transmissions as for 10k, and far less often
+/// than the cold run. One shard, so the producer's hand-off buffer is
+/// reused too (threaded shards add one allocation per hand-off).
+#[test]
+fn repeat_runs_allocate_a_fixed_number_of_times() {
+    let _serial = lock();
+    let long: Vec<TxPlan> = collect_chunks(&mut stream());
+    let short = &long[..1_000];
+    assert!(long.len() > 5_000, "{} plans", long.len());
+    let mut world = world(ACTIVE_NODES);
+    let opts = ShardOpts {
+        max_shards: 1,
+        chunk_txs: 512,
+    };
+    let mut allocs = |plans: &[TxPlan]| {
+        let mut source = SliceChunks::new(plans, opts.chunk_txs);
+        world.reset();
+        let before = CALLS.load(Ordering::Relaxed);
+        world.run_streamed(&mut source, &opts);
+        CALLS.load(Ordering::Relaxed) - before
+    };
+
+    let cold = allocs(&long);
+    allocs(short);
+    let (repeat_short, repeat_long) = (allocs(short), allocs(&long));
+    assert_eq!(
+        repeat_short,
+        repeat_long,
+        "a repeat run allocated {repeat_short} times for {} txs, {repeat_long} for {}",
+        short.len(),
+        long.len()
+    );
+    assert!(
+        repeat_long <= REPEAT_RUN_ALLOCS,
+        "a repeat run allocated {repeat_long} times (bound {REPEAT_RUN_ALLOCS})"
+    );
+    assert!(
+        10 * repeat_long < cold,
+        "a repeat run allocated {repeat_long} times, the cold run {cold}"
     );
 }

@@ -13,7 +13,13 @@
 //! `decoder_lockups_possible` fast-path gates). Half the cases attach
 //! an observability sink and require the typed event streams to match
 //! too; every case runs each world twice so gateway state carried
-//! across runs and run-epoch advancement are also covered.
+//! across runs and run-epoch advancement are also covered. Before its
+//! two runs, every engine world first serves an unrelated warm-up run
+//! (other plans, another shard count, a changed node power and gateway
+//! plan, both put back): the engine buffers a world keeps between runs
+//! must carry nothing into the next one. Debug builds poison the
+//! engine's unwritten link-table lanes, so these runs also prove no
+//! read strays outside the lanes written for it.
 
 use alphawan_system::chaos::{FaultPlan, FaultSchedule, FaultSpec};
 use alphawan_system::gateway::config::GatewayConfig;
@@ -59,6 +65,10 @@ struct Scenario {
     plans: Vec<TxPlan>,
     fault_plan: Option<FaultPlan>,
     observed: bool,
+    /// The engine worlds' warm-up: its plans, and the listening set
+    /// gateway 0 has during it.
+    warm_plans: Vec<TxPlan>,
+    warm_gw0: Vec<Channel>,
 }
 
 impl Scenario {
@@ -68,7 +78,7 @@ impl Scenario {
         let nodes = rng.gen_range(1usize..=24);
         let gws = rng.gen_range(1usize..=4);
 
-        let gw_channels = (0..gws)
+        let gw_channels: Vec<Vec<Channel>> = (0..gws)
             .map(|_| {
                 let len = rng.gen_range(1usize..=6);
                 let mut idx: Vec<usize> = (0..len).map(|_| rng.gen_range(0..pool.len())).collect();
@@ -83,16 +93,19 @@ impl Scenario {
             .map(|_| TxPowerDbm(rng.gen_range(8i32..=20) as f64))
             .collect();
 
-        let n_txs = rng.gen_range(4usize..=70);
-        let plans = (0..n_txs)
-            .map(|_| TxPlan {
-                node: rng.gen_range(0..nodes),
-                channel: pool[rng.gen_range(0..pool.len())],
-                dr: DataRate::from_index(rng.gen_range(0usize..6)).unwrap(),
-                start_us: rng.gen_range(0u64..3_000_000),
-                payload_len: rng.gen_range(8usize..=32),
-            })
-            .collect();
+        let random_plans = |rng: &mut StdRng| -> Vec<TxPlan> {
+            let n_txs = rng.gen_range(4usize..=70);
+            (0..n_txs)
+                .map(|_| TxPlan {
+                    node: rng.gen_range(0..nodes),
+                    channel: pool[rng.gen_range(0..pool.len())],
+                    dr: DataRate::from_index(rng.gen_range(0usize..6)).unwrap(),
+                    start_us: rng.gen_range(0u64..3_000_000),
+                    payload_len: rng.gen_range(8usize..=32),
+                })
+                .collect()
+        };
+        let plans = random_plans(&mut rng);
 
         let fault_plan = match rng.gen_range(0u8..3) {
             0 => None,
@@ -124,18 +137,30 @@ impl Scenario {
             }
         };
 
+        let topo_seed = rng.gen_range(0u64..1 << 32);
+        let cic = rng.gen_bool(0.5);
+        let observed = rng.gen_bool(0.5);
+        let warm_plans = random_plans(&mut rng);
+        let warm_gw0 = pool
+            .iter()
+            .copied()
+            .filter(|ch| !gw_channels[0].contains(ch))
+            .take(rng.gen_range(1usize..=6))
+            .collect();
         Scenario {
             nodes,
             gws,
-            topo_seed: rng.gen_range(0u64..1 << 32),
+            topo_seed,
             gw_channels,
             gw_network,
             node_network,
             node_power,
-            cic: rng.gen_bool(0.5),
+            cic,
             plans,
             fault_plan,
-            observed: rng.gen_bool(0.5),
+            observed,
+            warm_plans,
+            warm_gw0,
         }
     }
 
@@ -168,15 +193,37 @@ impl Scenario {
         w.cic = self.cic;
         w
     }
+
+    /// An unrelated engine run on `w` — the warm-up plans over five
+    /// shards, with node 0 louder and gateway 0 on other channels —
+    /// after which the world is put back as built (bar its run epoch
+    /// and the engine buffers it keeps).
+    fn warm_up(&self, w: &mut SimWorld) {
+        let profile = GatewayProfile::rak7268cv2();
+        let built = w.gateways[0].config().clone();
+        w.node_power[0] = TxPowerDbm(self.node_power[0].0 + 7.0);
+        w.gateways[0].reconfigure(GatewayConfig::new(profile, self.warm_gw0.clone()).unwrap());
+        let opts = ShardOpts {
+            max_shards: 5,
+            chunk_txs: 3,
+        };
+        w.run_sharded(&self.warm_plans, &opts);
+        w.node_power[0] = self.node_power[0];
+        w.gateways[0].reconfigure(built);
+        w.reset();
+    }
 }
 
 type Records = Vec<alphawan_system::sim::world::PacketRecord>;
 
 /// Run one world through `runner` twice (gateway state and run epoch
 /// carry across runs), capturing the observed event streams when the
-/// scenario asks for them.
+/// scenario asks for them. An engine world is warmed up first
+/// ([`Scenario::warm_up`]); the spec's world spends the same run epoch
+/// on an empty run, so both mint the same trace ids.
 fn run_twice(
     sc: &Scenario,
+    engine: bool,
     runner: impl Fn(&mut SimWorld) -> Records,
 ) -> (
     Records,
@@ -185,6 +232,11 @@ fn run_twice(
     Vec<ObsEvent>,
 ) {
     let mut w = sc.build_world();
+    if engine {
+        sc.warm_up(&mut w);
+    } else {
+        run_with_faults_reference(&mut w, &[], &NoFaults);
+    }
     let shared = SharedSink::new(VecSink::new());
     if sc.observed {
         w.set_obs_sink(Box::new(shared.clone()));
@@ -205,7 +257,8 @@ proptest! {
     /// two up, with a scenario-derived chunk size) each reproduce the
     /// spec byte for byte — records, gateway counters and (when
     /// observed) the typed observability stream — across two
-    /// consecutive runs of the same world, fault plans and leaking
+    /// consecutive runs of the same world, the engine's after an
+    /// unrelated warm-up run, fault plans and leaking
     /// 40%-shifted channels included (the leak sum is an integer fold
     /// on both sides, so its order cannot matter); and the streamed
     /// (aggregate-only) path folds the exact [`RunSummary`] that the
@@ -222,7 +275,7 @@ proptest! {
         };
         let chunk_txs = 1 + (seed % 23) as usize;
 
-        let spec = run_twice(&sc, |w| run_with_faults_reference(w, &sc.plans, faults));
+        let spec = run_twice(&sc, false, |w| run_with_faults_reference(w, &sc.plans, faults));
         if sc.observed {
             prop_assert!(!spec.3.is_empty(), "observed run emitted no events");
         }
@@ -232,7 +285,7 @@ proptest! {
 
         // `None` is the plain entry point, `Some(n)` the sharded one.
         for max_shards in [None, Some(1usize), Some(2), Some(5)] {
-            let engine = run_twice(&sc, |w| match max_shards {
+            let engine = run_twice(&sc, true, |w| match max_shards {
                 None => w.run_with_faults(&sc.plans, faults),
                 Some(max_shards) => {
                     let opts = ShardOpts { max_shards, chunk_txs };
