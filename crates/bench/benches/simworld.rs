@@ -566,7 +566,7 @@ fn main() {
     );
     // Seal the session event stream (rename off `.partial`) so the
     // SimRunStats/SimShardStats events this bench recorded are
-    // obsctl-readable after the run.
+    // tracectl-readable after the run.
     bench::obs_session::flush();
     println!("wrote {}", path.display());
 }

@@ -1,4 +1,5 @@
-//! `tracectl` — inspect a packet-lifecycle event stream.
+//! `tracectl` — inspect a packet-lifecycle event stream, or tail a
+//! streamed run's heartbeats.
 //!
 //! Reads an `ObsEvent` JSONL file (as written by `JsonlSink` /
 //! `ALPHAWAN_OBS_OUT`), reconstructs per-packet timelines with
@@ -8,6 +9,7 @@
 //!
 //! ```text
 //! tracectl <events.jsonl> [--top K] [--chrome out.json] [--check]
+//! tracectl tail <heartbeats.jsonl> [--last N] [--follow]
 //! ```
 //!
 //! * `--top K` — table row cap (default 10);
@@ -15,10 +17,19 @@
 //!   (loadable in Perfetto / `chrome://tracing`);
 //! * `--check` — exit nonzero if the stream has schema errors
 //!   (unparseable lines) or causality violations.
+//!
+//! `tail` renders the last `N` (default 20) lines of a heartbeat JSONL
+//! file, written by a streamed run with `ALPHAWAN_HEARTBEAT=<path>`;
+//! `--follow` keeps polling the file and prints beats as they land.
 
+use bench::ctl;
 use obs::{chrome_trace, FlightHeader, ObsEvent, TraceAnalyzer};
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
+
+const USAGE: &str =
+    "usage: tracectl <events.jsonl> [--top K] [--chrome out.json] [--check]\n       \
+                     tracectl tail <heartbeats.jsonl> [--last N] [--follow]";
 
 struct Args {
     input: String,
@@ -27,12 +38,11 @@ struct Args {
     check: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut input = None;
     let mut top = 10usize;
     let mut chrome = None;
     let mut check = false;
-    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--top" => {
@@ -41,12 +51,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--chrome" => chrome = Some(args.next().ok_or("--chrome needs a path")?),
             "--check" => check = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: tracectl <events.jsonl> [--top K] [--chrome out.json] [--check]"
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with("--") => return Err(format!("unknown flag: {other}")),
             other => {
                 if input.replace(other.to_string()).is_some() {
@@ -56,16 +61,74 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(Args {
-        input: input
-            .ok_or("usage: tracectl <events.jsonl> [--top K] [--chrome out.json] [--check]")?,
+        input: input.ok_or(USAGE)?,
         top,
         chrome,
         check,
     })
 }
 
+fn tail(args: &[String]) -> Result<(), String> {
+    let mut file = None;
+    let mut last = 20usize;
+    let mut follow = false;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--last" => {
+                last = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .ok_or("--last needs a number")?
+            }
+            "--follow" => follow = true,
+            _ if file.is_none() => file = Some(a.clone()),
+            other => return Err(format!("unexpected argument {other}")),
+        }
+    }
+    let file = file.ok_or(USAGE)?;
+    let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
+    let mut beats = ctl::parse_heartbeats(&text);
+    print!("{}", ctl::render_heartbeat_tail(&beats, last));
+    if !follow {
+        return Ok(());
+    }
+    let mut seen = beats.len();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
+        beats = ctl::parse_heartbeats(&text);
+        if beats.len() < seen {
+            // The file was truncated (a new run started): reprint.
+            seen = 0;
+        }
+        if beats.len() > seen {
+            let fresh = ctl::render_heartbeat_tail(&beats, beats.len() - seen);
+            // Drop the header when appending to an existing view.
+            let mut lines = fresh.lines();
+            if seen > 0 {
+                lines.next();
+            }
+            for l in lines {
+                println!("{l}");
+            }
+            seen = beats.len();
+        }
+    }
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|a| a == "tail") {
+        return match tail(&argv[1..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("tracectl tail: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
+    let args = match parse_args(argv.into_iter()) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");

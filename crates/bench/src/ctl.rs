@@ -1,4 +1,4 @@
-//! Shared machinery for the `obsctl` and `benchctl` binaries.
+//! Shared machinery for the `benchctl` and `tracectl` binaries.
 //!
 //! * A committed perf **baseline** (`BENCH_baseline.json` at the
 //!   workspace root): a list of floor/ceiling checks addressed into
@@ -6,9 +6,7 @@
 //!   check` evaluates them and exits nonzero on any violation, which
 //!   is how CI gates perf regressions without flaking on absolute
 //!   wall-clock numbers.
-//! * Plain-text renderers for `obsctl`'s `tail` / `top` / `spans`
-//!   views over heartbeat JSONL files, `/series` documents and
-//!   `/spans` reports.
+//! * The plain-text heartbeat table behind `tracectl tail`.
 //!
 //! Path expressions are dot-separated field names; a segment may carry
 //! one `[...]` suffix — `[3]` indexes an array, `[key=value]` selects
@@ -17,7 +15,7 @@
 //! matches `1`). Example:
 //! `scales[mode=streamed].sharded_events_per_sec`.
 
-use obs::{Heartbeat, SeriesDoc, SpanReport};
+use obs::Heartbeat;
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
@@ -285,7 +283,7 @@ pub fn parse_heartbeats(text: &str) -> Vec<Heartbeat> {
         .collect()
 }
 
-/// `obsctl tail`: the last `last` heartbeats, one aligned line each.
+/// `tracectl tail`: the last `last` heartbeats, one aligned line each.
 pub fn render_heartbeat_tail(beats: &[Heartbeat], last: usize) -> String {
     let start = beats.len().saturating_sub(last);
     let mut text = String::from(
@@ -303,73 +301,6 @@ pub fn render_heartbeat_tail(beats: &[Heartbeat], last: usize) -> String {
             b.frontier_us,
             b.queue_depth,
             b.live_slots
-        ));
-    }
-    text
-}
-
-/// `obsctl top`: the latest frame's counters as windowed rates plus
-/// gauge values and histogram p99s.
-pub fn render_series_top(doc: &SeriesDoc) -> String {
-    let mut text = format!(
-        "series v{}  interval {}ms  frames {}\n",
-        doc.version,
-        doc.interval_us / 1_000,
-        doc.frames.len()
-    );
-    let Some(frame) = doc.frames.last() else {
-        text.push_str("(no closed frames yet)\n");
-        return text;
-    };
-    let window_s = (frame.t_end_us - frame.t_start_us).max(1) as f64 / 1e6;
-    text.push_str(&format!(
-        "frame #{}  [{} .. {}] us\n",
-        frame.seq, frame.t_start_us, frame.t_end_us
-    ));
-    for (name, delta) in &frame.counters {
-        text.push_str(&format!(
-            "  {name:<42} {:>14}  {:>12.1}/s\n",
-            delta,
-            *delta as f64 / window_s
-        ));
-    }
-    for (name, value) in &frame.gauges {
-        text.push_str(&format!("  {name:<42} {value:>14.0}  (gauge)\n"));
-    }
-    for (name, h) in &frame.hists {
-        text.push_str(&format!(
-            "  {name:<42} {:>14}  p50 {} p99 {} max {}\n",
-            h.count, h.p50, h.p99, h.max
-        ));
-    }
-    text
-}
-
-/// `obsctl spans`: per-site aggregates, hottest estimated-total first.
-pub fn render_spans(report: &SpanReport) -> String {
-    let mut text = format!(
-        "spans v{}  attached={}  stride={}  self={}ns/call\n",
-        report.version, report.attached, report.stride, report.self_ns_per_call
-    );
-    text.push_str(&format!(
-        "{:<20} {:>12} {:>10} {:>12} {:>12} {:>12}\n",
-        "site", "calls", "samples", "mean_ns", "max_ns", "est_total_ms"
-    ));
-    let mut sites = report.sites.clone();
-    sites.sort_by(|a, b| {
-        b.est_total_ns
-            .partial_cmp(&a.est_total_ns)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for s in &sites {
-        text.push_str(&format!(
-            "{:<20} {:>12} {:>10} {:>12.0} {:>12} {:>12.3}\n",
-            s.site,
-            s.calls,
-            s.samples,
-            s.mean_ns,
-            s.max_ns,
-            s.est_total_ns / 1e6
         ));
     }
     text
@@ -530,26 +461,5 @@ mod tests {
         let table = render_heartbeat_tail(&beats, 2);
         assert_eq!(table.lines().count(), 3, "header + 2 rows");
         assert!(table.contains("frontier_us"));
-    }
-
-    #[test]
-    fn series_and_spans_render() {
-        let doc: SeriesDoc = serde_json::from_str(
-            r#"{"version":1,"interval_us":1000000,"frames":[
-                {"seq":0,"t_start_us":0,"t_end_us":1000000,
-                 "counters":[["pkts_total",500]],
-                 "gauges":[["process_rss_bytes",1048576.0]],
-                 "hists":[["lat_us",{"count":10,"sum":1000,"p50":90,"p95":180,"p99":200,"max":210}]]}
-            ]}"#,
-        )
-        .expect("series doc parses");
-        let top = render_series_top(&doc);
-        assert!(top.contains("pkts_total") && top.contains("500.0/s"));
-        assert!(top.contains("process_rss_bytes"));
-        assert!(top.contains("p99 200"));
-
-        let spans = obs::span::report();
-        let rendered = render_spans(&spans);
-        assert!(rendered.contains("stride="));
     }
 }

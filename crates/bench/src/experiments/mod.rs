@@ -1,5 +1,5 @@
 //! One module per paper table/figure. Each exposes `run()`, printing
-//! the same rows/series the paper reports and writing CSVs under
+//! the same rows and series the paper reports and writing CSVs under
 //! `results/`. The `all_experiments [name…]` binary runs the named
 //! modules, or everything.
 

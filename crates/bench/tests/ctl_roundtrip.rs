@@ -1,4 +1,4 @@
-//! Round-trip tests for the `benchctl` and `obsctl` binaries against
+//! Round-trip tests for `benchctl` and `tracectl tail` against
 //! checked-in fixtures — the same invocations CI's perf gate and a
 //! live debugging session use, driven through the real executables.
 
@@ -16,11 +16,11 @@ fn benchctl(args: &[&str]) -> Output {
         .expect("benchctl runs")
 }
 
-fn obsctl(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_obsctl"))
+fn tracectl(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tracectl"))
         .args(args)
         .output()
-        .expect("obsctl runs")
+        .expect("tracectl runs")
 }
 
 fn text(bytes: &[u8]) -> String {
@@ -182,9 +182,9 @@ fn benchctl_usage_error_exits_two() {
 }
 
 #[test]
-fn obsctl_tail_renders_heartbeats() {
+fn tracectl_tail_renders_heartbeats() {
     let fx = fixtures();
-    let out = obsctl(&["tail", fx.join("heartbeats.jsonl").to_str().unwrap()]);
+    let out = tracectl(&["tail", fx.join("heartbeats.jsonl").to_str().unwrap()]);
     let stdout = text(&out.stdout);
     assert!(out.status.success(), "{}", text(&out.stderr));
     assert!(stdout.contains("frontier_us"), "header missing: {stdout}");
@@ -194,9 +194,9 @@ fn obsctl_tail_renders_heartbeats() {
 }
 
 #[test]
-fn obsctl_tail_last_limits_rows() {
+fn tracectl_tail_last_limits_rows() {
     let fx = fixtures();
-    let out = obsctl(&[
+    let out = tracectl(&[
         "tail",
         fx.join("heartbeats.jsonl").to_str().unwrap(),
         "--last",
@@ -209,39 +209,96 @@ fn obsctl_tail_last_limits_rows() {
 }
 
 #[test]
-fn obsctl_top_renders_series_fixture() {
-    let fx = fixtures();
-    let out = obsctl(&["top", fx.join("series.json").to_str().unwrap()]);
-    let stdout = text(&out.stdout);
-    assert!(out.status.success(), "{}", text(&out.stderr));
-    assert!(stdout.contains("decoder_acquired_total"), "got: {stdout}");
-    assert!(stdout.contains("tx_attempts_total"));
-    assert!(stdout.contains("decoder_occupancy"));
-    // The accumulator-path counters the sim registers mid-soak must
-    // surface in the live view like any other counter.
-    assert!(stdout.contains("sim_accum_updates"), "got: {stdout}");
-    assert!(stdout.contains("sim_accum_undos"), "got: {stdout}");
+fn tracectl_tail_missing_file_exits_two() {
+    let missing = fixtures().join("no-such-heartbeats.jsonl");
+    let out = tracectl(&["tail", missing.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = text(&out.stderr);
+    assert!(stderr.starts_with("tracectl tail: "), "got: {stderr}");
+    assert!(stderr.contains("no-such-heartbeats.jsonl"), "got: {stderr}");
+    assert!(out.stdout.is_empty(), "no table for a missing file");
 }
 
 #[test]
-fn obsctl_spans_renders_report_fixture() {
-    let fx = fixtures();
-    let out = obsctl(&["spans", fx.join("spans.json").to_str().unwrap()]);
-    let stdout = text(&out.stdout);
-    assert!(out.status.success(), "{}", text(&out.stderr));
-    assert!(stdout.contains("shard.drain"), "got: {stdout}");
-    assert!(stdout.contains("shard.ingest"));
-    let drain_line = stdout.lines().position(|l| l.contains("shard.drain"));
-    let ingest_line = stdout.lines().position(|l| l.contains("shard.ingest"));
-    assert!(
-        drain_line < ingest_line,
-        "spans must sort by estimated total time, descending"
+fn tracectl_tail_rejects_bad_arguments() {
+    let beats = fixtures().join("heartbeats.jsonl");
+    let beats = beats.to_str().unwrap();
+    for (args, says) in [
+        (&["tail"][..], "usage: tracectl"),
+        (&["tail", beats, "--last"], "--last needs a number"),
+        (&["tail", beats, "--last", "ten"], "--last needs a number"),
+        (&["tail", beats, beats], "unexpected argument"),
+    ] {
+        let out = tracectl(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            text(&out.stderr).contains(says),
+            "{args:?}: {}",
+            text(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn tracectl_tail_follow_prints_appended_beats() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let dir = std::env::temp_dir().join(format!("tracectl-follow-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("heartbeats.jsonl");
+    let fixture = std::fs::read_to_string(fixtures().join("heartbeats.jsonl")).unwrap();
+    let mut lines = fixture.lines();
+    std::fs::write(&path, format!("{}\n", lines.next().unwrap())).unwrap();
+
+    /// `--follow` never exits by itself: kill it however the test ends.
+    struct KillOnDrop(std::process::Child);
+    impl Drop for KillOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_tracectl"))
+            .args(["tail", path.to_str().unwrap(), "--follow"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("tracectl runs"),
     );
-}
-
-#[test]
-fn obsctl_rejects_unknown_sources() {
-    let out = obsctl(&["top", "no-such-file.json"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(text(&out.stderr).contains("no such file"));
+    let (tx, rx) = mpsc::channel();
+    let stdout = child.0.stdout.take().unwrap();
+    let reader = std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines() {
+            if tx.send(line.unwrap()).is_err() {
+                break;
+            }
+        }
+    });
+    let next = || rx.recv_timeout(Duration::from_secs(10));
+    let header = next().expect("header");
+    assert!(header.contains("frontier_us"), "got: {header}");
+    assert!(next().expect("first beat").contains("1230"));
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    for l in lines {
+        writeln!(file, "{l}").unwrap();
+    }
+    drop(file);
+    // The three new beats follow, without a second header.
+    let fresh: Vec<String> = (0..3).map(|_| next().expect("appended beat")).collect();
+    drop(child);
+    let _ = reader.join();
+    assert!(
+        fresh.iter().all(|l| !l.contains("frontier_us")),
+        "{fresh:?}"
+    );
+    for (row, events) in fresh.iter().zip(["1206", "2499", "2433"]) {
+        assert!(row.contains(events), "{row} lacks {events}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -28,18 +28,13 @@
 //!   pool-full drop), and Chrome trace-event export for Perfetto;
 //! * [`flight`] — the [`FlightRecorder`] sink: a bounded ring that
 //!   snapshots the recent past to JSONL (with a trigger-context header)
-//!   on chaos fault activations, pool-full drop bursts, SLO breaches,
-//!   or explicit request;
+//!   on chaos fault activations, pool-full drop bursts, or explicit
+//!   request;
 //! * [`span`] — a low-overhead hierarchical span profiler (scoped RAII
 //!   timers, exact counts, sampled durations) instrumenting the sim
 //!   engine phases, the CP-solver stages and the svc ingest thread —
 //!   free when detached;
-//! * [`tsdb`] — the embedded step-aggregated time-series store:
-//!   fixed-interval delta [`Frame`]s in a bounded ring, windowed rates
-//!   and per-window quantiles, plus per-shard [`Heartbeat`]s for
-//!   streamed runs;
-//! * [`slo`] — burn-rate rules over tsdb frames that trigger the
-//!   [`FlightRecorder`] in-process when violated.
+//! * [`heartbeat`] — per-shard [`Heartbeat`]s for streamed runs.
 //!
 //! Events are plain `Copy` data and every sink implementation is
 //! deterministic: a fixed-seed run produces a byte-identical JSONL
@@ -50,16 +45,16 @@
 
 pub mod event;
 pub mod flight;
+pub mod heartbeat;
 pub mod metrics;
 pub mod report;
 pub mod sink;
-pub mod slo;
 pub mod span;
 pub mod trace;
-pub mod tsdb;
 
 pub use event::{DedupKind, FaultKind, LossKind, ObsEvent, PlanServed, SolverKind, SvcConn};
 pub use flight::{FlightHeader, FlightRecorder, FLIGHT_HEADER_VERSION};
+pub use heartbeat::{Heartbeat, HeartbeatWriter};
 pub use metrics::{
     proc_mem, GatewayOccupancy, Histogram, MetricsSink, ProcMem, Registry,
     DISPATCH_LATENCY_BOUNDS_US, SOLVER_WALL_BOUNDS_US,
@@ -67,13 +62,9 @@ pub use metrics::{
 pub use report::{
     GatewayReport, NamedCount, NamedGauge, NamedHistogram, RunReport, RUN_REPORT_VERSION,
 };
-pub use sink::{JsonlSink, NullSink, ObsSink, RingSink, SharedSink, TeeSink, VecSink};
-pub use slo::{SloBreach, SloRule, SloSet};
+pub use sink::{JsonlSink, NullSink, ObsSink, RingSink, SharedSink, VecSink};
 pub use span::{SpanGuard, SpanId, SpanRecord, SpanReport, SpanSiteReport, SPAN_REPORT_VERSION};
 pub use trace::{
     chrome_trace, control_trace, packet_trace, ChromeTrace, ContentionReport, PacketTimeline,
     TraceAnalyzer, TraceId, TraceReport,
-};
-pub use tsdb::{
-    Frame, Heartbeat, HeartbeatWriter, HistWindow, SeriesDoc, Tsdb, TsdbSink, TSDB_SCHEMA_VERSION,
 };

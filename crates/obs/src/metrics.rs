@@ -104,11 +104,6 @@ impl Histogram {
         }
     }
 
-    /// Largest sample observed (0 with no samples).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// Upper-bound estimate of quantile `q` ∈ [0, 1]: the bound of the
     /// first bucket whose cumulative count reaches `⌈q·total⌉`, capped
     /// at the largest sample actually observed (so a histogram whose
@@ -190,11 +185,6 @@ impl Registry {
                 self.gauges.insert(name.to_string(), value);
             }
         }
-    }
-
-    /// Read gauge `name`, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Record `v` into histogram `name`, creating it with `bounds` on
@@ -379,9 +369,8 @@ impl GatewayOccupancy {
 }
 
 /// An [`ObsSink`] that aggregates the event stream into a [`Registry`]
-/// plus per-gateway occupancy state. Attach it (directly, behind a
-/// [`SharedSink`](crate::sink::SharedSink), or teed with a
-/// [`JsonlSink`](crate::sink::JsonlSink)) and read the results back as
+/// plus per-gateway occupancy state. Attach it (directly, or behind a
+/// [`SharedSink`](crate::sink::SharedSink)) and read the results back as
 /// a [`RunReport`](crate::report::RunReport) via
 /// [`RunReport::from_metrics`](crate::report::RunReport::from_metrics).
 #[derive(Debug, Clone, Default)]
@@ -547,7 +536,7 @@ impl ObsSink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DedupKind, LossKind};
+    use crate::event::{DedupKind, LossKind, SolverKind};
 
     #[test]
     fn histogram_bucket_edges_are_upper_inclusive() {
@@ -591,7 +580,7 @@ mod tests {
         r.set_gauge("g", 1.5);
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("g"), Some(1.5));
+        assert_eq!(r.gauges().collect::<Vec<_>>(), vec![("g", 1.5)]);
         let names: Vec<&str> = r.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a"], "sorted, deterministic iteration");
     }
@@ -700,7 +689,7 @@ mod tests {
         // the cap trims the estimate to the observed max.
         assert_eq!(h.p95(), 600);
         assert_eq!(h.p99(), 600);
-        assert_eq!(h.max(), 600);
+        assert_eq!(h.quantile(1.0), 600);
     }
 
     #[test]
@@ -765,8 +754,9 @@ latency_us_count 3
             assert!(mem.peak_rss_bytes >= mem.rss_bytes);
             let mut r = Registry::new();
             let sampled = r.sample_process_memory().unwrap();
-            assert!(r.gauge("process_rss_bytes").unwrap() > 0.0);
-            let peak = r.gauge("process_peak_rss_bytes").unwrap();
+            let gauge = |name: &str| r.gauges().find(|&(n, _)| n == name).map(|(_, v)| v);
+            assert!(gauge("process_rss_bytes").unwrap() > 0.0);
+            let peak = gauge("process_peak_rss_bytes").unwrap();
             assert!(peak >= sampled.rss_bytes as f64 * 0.5, "peak {peak} sane");
         }
     }
@@ -781,5 +771,169 @@ latency_us_count 3
         });
         assert_eq!(m.gateways()[&3].capacity, 8);
         assert_eq!(m.registry().counter("gateway_info"), 1);
+    }
+
+    #[test]
+    fn registry_gauge_overwrites_and_histogram_keeps_first_bounds() {
+        let mut r = Registry::new();
+        r.set_gauge("g", 1.0);
+        r.set_gauge("g", -2.5);
+        assert_eq!(r.gauges().collect::<Vec<_>>(), vec![("g", -2.5)]);
+        r.observe("h", &[10], 5);
+        // Later bounds are ignored: the histogram was sized on first use.
+        r.observe("h", &[1, 2, 3], 50);
+        let h = r.histogram("h").unwrap();
+        assert_eq!(h.bounds(), &[10]);
+        assert_eq!(h.counts(), &[1, 1]);
+        assert!(r.histogram("never").is_none());
+    }
+
+    #[test]
+    fn prometheus_render_ignores_insertion_order() {
+        let mut a = Registry::new();
+        a.inc("zeta", 1);
+        a.inc("alpha", 2);
+        a.set_gauge("mid", 0.5);
+        a.observe("lat", &[10], 3);
+        let mut b = Registry::new();
+        b.observe("lat", &[10], 3);
+        b.set_gauge("mid", 0.5);
+        b.inc("alpha", 2);
+        b.inc("zeta", 1);
+        assert_eq!(a.render_prometheus(), b.render_prometheus());
+        assert!(a.render_prometheus().starts_with("# TYPE alpha counter\n"));
+        assert_eq!(Registry::new().render_prometheus(), "");
+    }
+
+    #[test]
+    fn process_memory_renders_as_gauges() {
+        let mut r = Registry::new();
+        match r.sample_process_memory() {
+            Some(_) => {
+                let text = r.render_prometheus();
+                assert!(text.contains("# TYPE process_rss_bytes gauge\n"), "{text}");
+                assert!(text.contains("# TYPE process_peak_rss_bytes gauge\n"));
+                assert!(text.lines().any(|l| l.starts_with("process_rss_bytes ")));
+            }
+            None => assert_eq!(r.gauges().count(), 0, "no procfs, no gauges"),
+        }
+    }
+
+    #[test]
+    fn release_without_acquire_records_no_latency() {
+        let mut m = MetricsSink::new();
+        m.record(&release(500, 2, 9, 0));
+        assert!(m.registry().histogram("dispatch_latency_us").is_none());
+        assert_eq!(m.gateways()[&2].timeline, vec![(500, 0)]);
+        // A release is paired with its own acquisition only.
+        m.record(&acquire(600, 2, 10, 1));
+        m.record(&release(700, 2, 11, 0));
+        assert!(m.registry().histogram("dispatch_latency_us").is_none());
+        m.record(&release(900, 2, 10, 0));
+        assert_eq!(
+            m.registry().histogram("dispatch_latency_us").unwrap().sum(),
+            300
+        );
+    }
+
+    #[test]
+    fn solver_runs_feed_wall_histogram_and_rate_gauge() {
+        let mut m = MetricsSink::new();
+        let run = |solver, evaluations, wall_us| ObsEvent::SolverRun {
+            trace: 0,
+            solver,
+            nodes: 10,
+            gateways: 2,
+            evaluations,
+            generations: 5,
+            workers: 1,
+            wall_us,
+        };
+        m.record(&run(SolverKind::Ga, 1_000, 500_000));
+        m.record(&run(SolverKind::Anneal, 400, 0)); // no rate from a zero wall
+        let r = m.registry();
+        assert_eq!(r.counter("solver_Ga_runs"), 1);
+        assert_eq!(r.counter("solver_Anneal_runs"), 1);
+        assert_eq!(r.counter("solver_evaluations"), 1_400);
+        assert_eq!(r.counter("solver_run"), 2);
+        let h = r.histogram("solver_wall_us").unwrap();
+        assert_eq!(h.bounds(), &SOLVER_WALL_BOUNDS_US);
+        assert_eq!((h.total(), h.sum()), (2, 500_000));
+        let rate = r.gauges().find(|&(n, _)| n == "solver_evals_per_sec");
+        assert_eq!(rate, Some(("solver_evals_per_sec", 2_000.0)));
+    }
+
+    #[test]
+    fn sim_stats_accumulate_across_runs_and_shards() {
+        let mut m = MetricsSink::new();
+        for _ in 0..2 {
+            m.record(&ObsEvent::SimRunStats {
+                trace: 0,
+                txs: 10,
+                events: 30,
+                gateways: 2,
+                candidate_visits: 15,
+                candidate_ceiling: 20,
+                accum_updates: 4,
+                accum_undos: 3,
+                accum_evictions: 2,
+                wheel_cascades: 1,
+                wall_us: 1_000,
+            });
+        }
+        m.record(&ObsEvent::SimShardStats {
+            trace: 0,
+            shard: 1,
+            txs: 6,
+            events: 18,
+            candidate_visits: 9,
+            peak_live: 3,
+            accum_updates: 0,
+            accum_undos: 0,
+            accum_evictions: 0,
+            index_builds: 1,
+            wheel_cascades: 0,
+            wall_us: 800,
+            idle_us: 50,
+        });
+        let r = m.registry();
+        for (name, want) in [
+            ("sim_runs", 2),
+            ("sim_txs", 20),
+            ("sim_events", 60),
+            ("sim_candidate_visits", 30),
+            ("sim_candidate_ceiling", 40),
+            ("sim_accum_updates", 8),
+            ("sim_accum_undos", 6),
+            ("sim_accum_evictions", 4),
+            ("sim_accum_wheel_cascades", 2),
+            ("sim_shards", 1),
+            ("sim_shard_txs", 6),
+            ("sim_shard_events", 18),
+            ("sim_shard_candidate_visits", 9),
+            ("sim_shard_peak_live", 3),
+            ("sim_shard_index_builds", 1),
+            ("sim_shard_idle_us", 50),
+        ] {
+            assert_eq!(r.counter(name), want, "{name}");
+        }
+        let rate = r.gauges().find(|&(n, _)| n == "sim_events_per_sec");
+        assert_eq!(rate, Some(("sim_events_per_sec", 30_000.0)));
+    }
+
+    #[test]
+    fn utilization_is_zero_without_an_observed_span() {
+        let mut m = MetricsSink::new();
+        m.record(&ObsEvent::GatewayInfo {
+            gw: 0,
+            network: 1,
+            capacity: 8,
+        });
+        assert_eq!(m.gateways()[&0].utilization(), 0.0);
+        // One event opens the span but covers no time yet.
+        m.record(&acquire(100, 0, 1, 1));
+        assert_eq!(m.gateways()[&0].utilization(), 0.0);
+        m.record(&release(300, 0, 1, 0));
+        assert!((m.gateways()[&0].utilization() - 1.0 / 16.0).abs() < 1e-12);
     }
 }

@@ -269,26 +269,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Fans every event out to two sinks (compose for more).
-#[derive(Debug, Default)]
-pub struct TeeSink<A: ObsSink, B: ObsSink>(pub A, pub B);
-
-impl<A: ObsSink, B: ObsSink> ObsSink for TeeSink<A, B> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-
-    fn record(&mut self, ev: &ObsEvent) {
-        self.0.record(ev);
-        self.1.record(ev);
-    }
-
-    fn flush(&mut self) {
-        self.0.flush();
-        self.1.flush();
-    }
-}
-
 /// A shared handle to a sink, so the producer (e.g. a `SimWorld`
 /// holding a boxed sink) and the consumer (the harness reading metrics
 /// back out) can both reach it. Single-threaded by design, like every
@@ -352,30 +332,6 @@ mod tests {
         }
     }
 
-    /// A sink that reports itself disabled but panics if an event
-    /// reaches it anyway — proves a guard was honored, not just set.
-    struct TrapSink;
-
-    impl ObsSink for TrapSink {
-        fn enabled(&self) -> bool {
-            false
-        }
-
-        fn record(&mut self, _ev: &ObsEvent) {
-            panic!("record() called on a disabled sink");
-        }
-    }
-
-    /// An instrumented call site, shaped exactly like the hot paths in
-    /// `sim`/`gateway`: event construction and recording are guarded by
-    /// `enabled()`.
-    fn guarded_emit(sink: &mut dyn ObsSink, constructions: &mut u32) {
-        if sink.enabled() {
-            *constructions += 1;
-            sink.record(&ev(1));
-        }
-    }
-
     #[test]
     fn null_sink_disabled() {
         let mut s = NullSink;
@@ -429,67 +385,14 @@ mod tests {
     }
 
     #[test]
-    fn tee_feeds_both() {
-        let mut t = TeeSink(RingSink::new(8), RingSink::new(8));
-        t.record(&ev(1));
-        assert_eq!(t.0.len(), 1);
-        assert_eq!(t.1.len(), 1);
-    }
-
-    #[test]
-    fn tee_with_null_stays_enabled() {
-        let t = TeeSink(NullSink, RingSink::new(1));
-        assert!(t.enabled());
-        let t = TeeSink(NullSink, NullSink);
-        assert!(!t.enabled());
-    }
-
-    #[test]
-    fn tee_both_arms_disabled_short_circuits_call_site() {
-        // The composite guard: a tee of two disabled sinks reports
-        // disabled, so a guarded call site constructs nothing and the
-        // trap arms never see an event.
-        let mut tee = TeeSink(TrapSink, TrapSink);
-        let mut constructions = 0;
-        guarded_emit(&mut tee, &mut constructions);
-        assert_eq!(constructions, 0, "event must not even be constructed");
-    }
-
-    #[test]
-    fn tee_one_arm_enabled_records_on_both_paths() {
-        // One live arm re-enables the composite; the guarded call site
-        // then constructs and records exactly once.
-        let mut tee = TeeSink(NullSink, RingSink::new(4));
-        let mut constructions = 0;
-        guarded_emit(&mut tee, &mut constructions);
-        assert_eq!(constructions, 1);
-        assert_eq!(tee.1.len(), 1);
-    }
-
-    #[test]
-    fn nested_tee_guard_composes() {
-        // enabled() must propagate through arbitrary nesting.
-        let inner = TeeSink(TrapSink, TrapSink);
-        let mut outer = TeeSink(inner, TrapSink);
-        assert!(!outer.enabled());
-        let mut constructions = 0;
-        guarded_emit(&mut outer, &mut constructions);
-        assert_eq!(constructions, 0);
-        let mut live = TeeSink(TeeSink(NullSink, NullSink), RingSink::new(2));
-        assert!(live.enabled());
-        guarded_emit(&mut live, &mut constructions);
-        assert_eq!(live.1.len(), 1);
-    }
-
-    #[test]
-    fn ring_wraparound_behind_tee_and_shared() {
-        // Wraparound semantics survive composition: a ring reached
-        // through SharedSink + TeeSink still keeps the newest events
+    fn ring_wraparound_behind_shared() {
+        // Wraparound semantics survive sharing: a ring reached through
+        // a SharedSink handle still keeps the newest events
         // oldest-first.
         let shared = SharedSink::new(RingSink::new(3));
-        let mut tee = TeeSink(NullSink, shared.handle());
+        let mut producer = shared.handle();
         for t in 0..8 {
-            tee.record(&ev(t));
+            producer.record(&ev(t));
         }
         let ts: Vec<u64> = shared.with(|r| r.events().iter().map(|e| e.t_us().unwrap()).collect());
         assert_eq!(ts, vec![5, 6, 7]);
@@ -583,6 +486,61 @@ mod tests {
         }
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.lines().next().unwrap().contains("Header"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ring_of_one_keeps_only_the_newest() {
+        let mut r = RingSink::new(1);
+        assert!(r.is_empty());
+        for t in 0..5 {
+            r.record(&ev(t));
+            let ts: Vec<u64> = r.events().iter().map(|e| e.t_us().unwrap()).collect();
+            assert_eq!(ts, vec![t]);
+        }
+        assert_eq!(r.total_recorded(), 5);
+    }
+
+    #[test]
+    fn shared_sink_reports_the_inner_sink_enabled() {
+        assert!(!SharedSink::new(NullSink).enabled());
+        let shared = SharedSink::new(VecSink::new());
+        assert!(shared.enabled());
+        assert!(shared.handle().enabled(), "every handle agrees");
+    }
+
+    #[test]
+    fn shared_sink_flush_reaches_the_file() {
+        let dir = std::env::temp_dir().join(format!("obs_sink_shared_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("events.jsonl");
+        let shared = SharedSink::new(JsonlSink::create(&path).unwrap());
+        let mut producer = shared.clone();
+        producer.record(&ev(1));
+        producer.record(&ev(2));
+        producer.flush();
+        // The file holds both lines while every handle is still alive.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        assert_eq!(shared.with(|s| s.written()), 2);
+        drop((shared, producer));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn plain_jsonl_create_truncates_and_is_born_sealed() {
+        let dir = std::env::temp_dir().join(format!("obs_sink_trunc_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("events.jsonl");
+        for t in 0..2 {
+            let mut s = JsonlSink::create(&path).unwrap();
+            assert!(s.is_sealed());
+            s.record(&ev(t));
+            assert!(s.seal(), "sealing a plain sink is a flush");
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1, "create truncates: {text}");
+        assert!(!dir.join("events.jsonl.partial").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -347,8 +347,7 @@ pub struct SpanSiteReport {
     pub est_total_ns: f64,
 }
 
-/// Point-in-time snapshot of the whole profiler, serializable to JSON
-/// for the svc `/spans` endpoint and `obsctl spans`.
+/// Point-in-time snapshot of the whole profiler, serializable to JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanReport {
     /// Schema version ([`SPAN_REPORT_VERSION`]).

@@ -44,7 +44,7 @@
 //!   64-gateway world, where a row per node ever seen took 12.8 MB. SNR
 //!   is `rssi - noise_floor`, bitwise identical to `Topology::snr_db`.
 //! * **Buffers outlive the run.** A world keeps its shards' buffers
-//!   ([`ShardState`]); the next run clears them instead of allocating.
+//!   (`ShardState`); the next run clears them instead of allocating.
 //! * **One shard runs inline.** When the partition (or a
 //!   `max_shards: 1` ceiling, which is what [`SimWorld::run`] asks for)
 //!   yields a single shard, its machine runs on the calling thread: the
@@ -107,18 +107,6 @@ impl Default for ShardOpts {
 }
 
 impl ShardOpts {
-    /// Defaults overridden by the environment: `ALPHAWAN_SIM_SHARDS`
-    /// sets `max_shards` (0 or unset = auto).
-    pub fn from_env() -> ShardOpts {
-        let mut opts = ShardOpts::default();
-        if let Ok(v) = std::env::var("ALPHAWAN_SIM_SHARDS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                opts.max_shards = n;
-            }
-        }
-        opts
-    }
-
     /// The shard-count ceiling before the component cap.
     fn shard_ceiling(&self) -> usize {
         if self.max_shards == 0 {
@@ -1148,7 +1136,7 @@ fn run_chunked(
     // Live per-shard heartbeats: `ALPHAWAN_HEARTBEAT=<path>` appends
     // JSONL heartbeat frames (rate-limited per shard by
     // `ALPHAWAN_HEARTBEAT_MS`, default 500) viewable mid-run with
-    // `obsctl tail`. The stream is wall-clock telemetry in a separate
+    // `tracectl tail`. The stream is wall-clock telemetry in a separate
     // file; the deterministic event stream is untouched.
     let hb: Option<obs::HeartbeatWriter> = std::env::var("ALPHAWAN_HEARTBEAT")
         .ok()
@@ -1854,14 +1842,5 @@ mod tests {
         let recs = w.run_sharded(&[], &ShardOpts::default());
         assert!(recs.is_empty());
         assert_eq!(w.last_run_stats().unwrap().txs, 0);
-    }
-
-    #[test]
-    fn from_env_parses_shards() {
-        // Only exercises the parser default (env mutation is racy in
-        // parallel test runs).
-        let opts = ShardOpts::default();
-        assert_eq!(opts.max_shards, 0);
-        assert!(opts.shard_ceiling() >= 1);
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! netserverd [--bind ADDR] [--metrics ADDR] [--shards N]
-//!            [--window-us N] [--log-cap N] [--series-interval-ms N]
-//!            [--flight DIR] [--slo FILE] [--spans]
+//!            [--window-us N] [--log-cap N]
 //! ```
 //!
 //! One thread receives, acknowledges and deduplicates; `--shards` is
@@ -26,19 +25,6 @@ fn parse_flags(cfg: &mut NetServerConfig) -> Result<(), String> {
             "--shards" => cfg.shards = parse(&value("--shards")?)?,
             "--window-us" => cfg.dedup_window_us = parse(&value("--window-us")?)?,
             "--log-cap" => cfg.decision_log_cap = parse(&value("--log-cap")?)?,
-            "--series-interval-ms" => {
-                cfg.series_interval_ms = parse(&value("--series-interval-ms")?)?
-            }
-            "--flight" => cfg.flight_dir = Some(value("--flight")?.into()),
-            "--slo" => {
-                let path = value("--slo")?;
-                let text =
-                    std::fs::read_to_string(&path).map_err(|e| format!("--slo {path}: {e}"))?;
-                let set =
-                    obs::SloSet::from_json(&text).map_err(|e| format!("--slo {path}: {e}"))?;
-                cfg.slo_rules = Some(set.rules().to_vec());
-            }
-            "--spans" => obs::span::attach(),
             other => return Err(format!("unknown flag {other}")),
         }
     }

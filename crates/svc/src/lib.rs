@@ -31,7 +31,6 @@ mod mmsg;
 pub mod netserverd;
 pub mod report;
 pub mod runtime;
-pub mod telemetry;
 
 pub use endpoint::{http_get, HttpEndpoint, HttpHandler};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
@@ -39,4 +38,3 @@ pub use masterd::{MasterConfig, MasterDaemon};
 pub use netserverd::{NetServerConfig, NetServerDaemon};
 pub use report::{LatencyQuantiles, ServiceBench, BENCH_SERVICE_SCHEMA_VERSION};
 pub use runtime::{render_decisions, replay_decisions, replay_divergence, Decision};
-pub use telemetry::{FlightTee, Sampler, SharedFlight};

@@ -9,7 +9,6 @@
 use crate::endpoint::{HttpEndpoint, HttpHandler};
 use crate::report::LatencyQuantiles;
 use crate::runtime::{SharedObs, SERVE_LATENCY_BOUNDS_US};
-use crate::telemetry::{self, Sampler};
 use alphawan::master::server::ServerEvent;
 use alphawan::master::{MasterServer, RegionSpec};
 use obs::{ObsEvent, Registry, SvcConn};
@@ -31,9 +30,6 @@ pub struct MasterConfig {
     pub region: RegionSpec,
     /// Lease TTL forwarded to the Master node; 0 disables expiry.
     pub lease_ttl_ms: u64,
-    /// Sampler tick for the embedded time-series store backing
-    /// `/series` (milliseconds; one frame per tick).
-    pub series_interval_ms: u64,
 }
 
 impl Default for MasterConfig {
@@ -47,7 +43,6 @@ impl Default for MasterConfig {
                 expected_networks: 3,
             },
             lease_ttl_ms: 0,
-            series_interval_ms: 1_000,
         }
     }
 }
@@ -57,7 +52,6 @@ pub struct MasterDaemon {
     server: Option<MasterServer>,
     endpoint: HttpEndpoint,
     registry: Arc<Mutex<Registry>>,
-    sampler: Sampler,
 }
 
 impl MasterDaemon {
@@ -93,30 +87,25 @@ impl MasterDaemon {
         if cfg.lease_ttl_ms > 0 {
             server.node().lock().set_lease_ttl_ms(cfg.lease_ttl_ms);
         }
-        let sampler = Sampler::start(
-            Arc::clone(&registry),
-            cfg.series_interval_ms,
-            telemetry::master_slo_rules(),
-            None,
-        );
-        let endpoint = HttpEndpoint::start(
-            cfg.metrics_bind,
-            Self::http_handler(Arc::clone(&registry), sampler.tsdb()),
-        )?;
+        let endpoint =
+            HttpEndpoint::start(cfg.metrics_bind, Self::http_handler(Arc::clone(&registry)))?;
         Ok(MasterDaemon {
             server: Some(server),
             endpoint,
             registry,
-            sampler,
         })
     }
 
-    fn http_handler(registry: Arc<Mutex<Registry>>, tsdb: Arc<Mutex<obs::Tsdb>>) -> HttpHandler {
+    fn http_handler(registry: Arc<Mutex<Registry>>) -> HttpHandler {
         Arc::new(move |path| match path {
-            "/metrics" => Some((
-                "text/plain; version=0.0.4",
-                registry.lock().render_prometheus().into_bytes(),
-            )),
+            "/metrics" => {
+                let mut reg = registry.lock();
+                reg.sample_process_memory();
+                Some((
+                    "text/plain; version=0.0.4",
+                    reg.render_prometheus().into_bytes(),
+                ))
+            }
             "/healthz" => Some(("text/plain", b"ok\n".to_vec())),
             "/bench" => {
                 let reg = registry.lock();
@@ -133,16 +122,8 @@ impl MasterDaemon {
                 );
                 Some(("application/json", body.into_bytes()))
             }
-            "/series" => Some(("application/json", telemetry::series_body_of(&tsdb))),
-            "/spans" => Some(("application/json", telemetry::spans_body())),
             _ => None,
         })
-    }
-
-    /// Snapshot of the embedded time-series store (what `/series`
-    /// serves).
-    pub fn series(&self) -> obs::SeriesDoc {
-        self.sampler.series_doc()
     }
 
     /// The plan-server address operators connect to.
@@ -174,6 +155,64 @@ impl MasterDaemon {
         if let Some(server) = self.server.take() {
             server.shutdown();
         }
-        self.sampler.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http_get;
+    use alphawan::master::{BackoffPolicy, PlanSource, ResilientMasterClient};
+    use std::time::Duration;
+
+    #[test]
+    fn fresh_daemon_answers_health_bench_and_memory() {
+        let daemon = MasterDaemon::start(MasterConfig::default(), None).expect("starts");
+        let get = |path| http_get(daemon.metrics_addr(), path);
+        assert_eq!(get("/healthz").unwrap(), "ok\n");
+        assert_eq!(
+            get("/bench").unwrap(),
+            "{\"plan_serve_latency_us\": {\"p50\": 0, \"p95\": 0, \"p99\": 0}, \"requests\": 0}\n"
+        );
+        let metrics = get("/metrics").unwrap();
+        if obs::proc_mem().is_some() {
+            assert!(
+                metrics.lines().any(|l| l.starts_with("process_rss_bytes ")),
+                "{metrics}"
+            );
+        }
+        // The decision log is the ingest daemon's; masterd has none.
+        assert!(get("/decisions").unwrap_err().to_string().contains("404"));
+        assert_eq!(daemon.counter("master_requests_total"), 0);
+        assert_eq!(daemon.plan_latency().total(), 0);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn plan_requests_are_counted_and_timed() {
+        let daemon = MasterDaemon::start(MasterConfig::default(), None).expect("starts");
+        let mut client =
+            ResilientMasterClient::new(daemon.addr(), "op-a", BackoffPolicy::default());
+        for _ in 0..3 {
+            let (plan, source) = client.channel_plan().expect("plan served");
+            assert!(!plan.is_empty());
+            assert_eq!(source, PlanSource::Fresh);
+        }
+        // The server reports a request after answering it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while daemon.counter("master_req_request_channels_total") < 3 {
+            assert!(Instant::now() < deadline, "plan requests never counted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(daemon.counter("master_conns_total"), 1, "one session");
+        let requests = daemon.counter("master_requests_total");
+        assert!(requests >= 3);
+        assert_eq!(daemon.plan_latency().total(), requests);
+        let bench = http_get(daemon.metrics_addr(), "/bench").unwrap();
+        assert!(
+            bench.ends_with(&format!("\"requests\": {requests}}}\n")),
+            "{bench}"
+        );
+        daemon.shutdown();
     }
 }

@@ -29,16 +29,14 @@ use crate::report::LatencyQuantiles;
 use crate::runtime::{
     render_decisions, Decided, Decider, Decision, DecisionLogs, PacketIn, SharedObs,
 };
-use crate::telemetry::{self, FlightTee, Sampler, SharedFlight};
 use gateway::forwarder::codec::{Datagram, TxPacket};
 use gateway::forwarder::fast::{parse_push_data, FastRx};
 use netserver::dedup::DedupStats;
-use obs::{FlightRecorder, ObsEvent, ObsSink, Registry, SloRule, SvcConn};
+use obs::{ObsEvent, Registry, SvcConn};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -59,17 +57,6 @@ pub struct NetServerConfig {
     pub dedup_window_us: u64,
     /// Per-shard decision-log cap (the prefix stays replay-exact).
     pub decision_log_cap: usize,
-    /// Sampler tick for the embedded time-series store backing
-    /// `/series` (milliseconds; one frame per tick).
-    pub series_interval_ms: u64,
-    /// When set, a flight recorder rings the last `flight_capacity`
-    /// events and SLO breaches snapshot it into this directory.
-    pub flight_dir: Option<PathBuf>,
-    /// Flight-recorder ring capacity (events).
-    pub flight_capacity: usize,
-    /// SLO burn-rate rules evaluated each sampler tick; `None` uses
-    /// [`telemetry::netserver_slo_rules`].
-    pub slo_rules: Option<Vec<SloRule>>,
 }
 
 impl Default for NetServerConfig {
@@ -80,10 +67,6 @@ impl Default for NetServerConfig {
             shards: 2,
             dedup_window_us: 2_000_000,
             decision_log_cap: 4_000_000,
-            series_interval_ms: 1_000,
-            flight_dir: None,
-            flight_capacity: 4_096,
-            slo_rules: None,
         }
     }
 }
@@ -173,8 +156,6 @@ pub struct NetServerDaemon {
     window_us: u64,
     shutdown: Arc<AtomicBool>,
     ingest: JoinHandle<()>,
-    sampler: Sampler,
-    flight: Option<SharedFlight>,
 }
 
 impl NetServerDaemon {
@@ -183,34 +164,6 @@ impl NetServerDaemon {
         let socket = UdpSocket::bind(cfg.bind)?;
         let addr = socket.local_addr()?;
         let registry = Arc::new(Mutex::new(Registry::new()));
-        // With a flight dir configured, every daemon event is teed into
-        // the recorder ring so an SLO breach can dump the last moments.
-        let flight: Option<SharedFlight> = match &cfg.flight_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let mut fr = FlightRecorder::new(dir, cfg.flight_capacity).with_prefix("netserver");
-                if let Some(s) = &sink {
-                    // A snapshot marks an incident: force the caller's
-                    // main event stream to disk alongside it.
-                    let s = Arc::clone(s);
-                    fr = fr.with_snapshot_hook(Box::new(move |_| s.lock().flush()));
-                }
-                Some(Arc::new(Mutex::new(fr)))
-            }
-            None => None,
-        };
-        let sink: Option<SharedObs> = match &flight {
-            Some(fr) => Some(Arc::new(Mutex::new(FlightTee::new(sink, Arc::clone(fr))))),
-            None => sink,
-        };
-        let sampler = Sampler::start(
-            Arc::clone(&registry),
-            cfg.series_interval_ms,
-            cfg.slo_rules
-                .clone()
-                .unwrap_or_else(telemetry::netserver_slo_rules),
-            flight.clone(),
-        );
         let decider = Decider::new(
             cfg.shards,
             cfg.dedup_window_us,
@@ -234,7 +187,7 @@ impl NetServerDaemon {
             .spawn(move || receiver_loop(rx_socket, decider, rx_shared, rx_shutdown))?;
         let endpoint = HttpEndpoint::start(
             cfg.metrics_bind,
-            Self::http_handler(Arc::clone(&registry), Arc::clone(&logs), sampler.tsdb()),
+            Self::http_handler(Arc::clone(&registry), Arc::clone(&logs)),
         )?;
         Ok(NetServerDaemon {
             addr,
@@ -246,19 +199,17 @@ impl NetServerDaemon {
             window_us: cfg.dedup_window_us,
             shutdown,
             ingest,
-            sampler,
-            flight,
         })
     }
 
-    fn http_handler(
-        registry: Arc<Mutex<Registry>>,
-        logs: Arc<DecisionLogs>,
-        tsdb: Arc<Mutex<obs::Tsdb>>,
-    ) -> HttpHandler {
+    fn http_handler(registry: Arc<Mutex<Registry>>, logs: Arc<DecisionLogs>) -> HttpHandler {
         Arc::new(move |path| match path {
             "/metrics" => {
-                let mut text = registry.lock().render_prometheus();
+                let mut text = {
+                    let mut reg = registry.lock();
+                    reg.sample_process_memory();
+                    reg.render_prometheus()
+                };
                 let resident = logs.tracked();
                 text.push_str(&format!(
                     "# TYPE dedup_tracked_records gauge\ndedup_tracked_records {resident}\n"
@@ -282,8 +233,6 @@ impl NetServerDaemon {
                 Some(("application/json", body.into_bytes()))
             }
             "/decisions" => Some(("text/plain", render_decisions(&logs.decisions()))),
-            "/series" => Some(("application/json", telemetry::series_body_of(&tsdb))),
-            "/spans" => Some(("application/json", telemetry::spans_body())),
             _ => None,
         })
     }
@@ -338,25 +287,6 @@ impl NetServerDaemon {
         self.registry.lock().counter(name)
     }
 
-    /// Snapshot of the embedded time-series store (what `/series`
-    /// serves).
-    pub fn series(&self) -> obs::SeriesDoc {
-        self.sampler.series_doc()
-    }
-
-    /// SLO breaches fired since start (post-suppression).
-    pub fn slo_breaches(&self) -> u64 {
-        self.sampler.breaches()
-    }
-
-    /// Flight snapshots written so far (empty without a `flight_dir`).
-    pub fn flight_snapshots(&self) -> Vec<PathBuf> {
-        self.flight
-            .as_ref()
-            .map(|fr| fr.lock().snapshots().to_vec())
-            .unwrap_or_default()
-    }
-
     /// Clone of the ingest-latency histogram (empty if nothing was
     /// ingested yet).
     pub fn ingest_latency(&self) -> obs::Histogram {
@@ -384,14 +314,10 @@ impl NetServerDaemon {
     }
 
     /// Stop the ingest thread, which finishes the drain it is working,
-    /// and join everything.
-    pub fn shutdown(mut self) {
+    /// and join it.
+    pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = self.ingest.join();
-        self.sampler.shutdown();
-        if let Some(fr) = &self.flight {
-            fr.lock().flush();
-        }
     }
 }
 
@@ -412,9 +338,9 @@ struct DrainCounts {
 
 impl DrainCounts {
     /// A PUSH_DATA that does not parse, or a datagram of no known kind.
-    /// It counts as a datagram too: `svc_datagrams_total` is the
-    /// denominator of the `malformed-burn` SLO, which has to see a flood
-    /// of nothing but these.
+    /// It counts as a datagram too, so `svc_malformed_total /
+    /// svc_datagrams_total` between two scrapes is the malformed share,
+    /// and a flood of nothing but these reads as 1.
     fn malformed(&mut self) {
         self.datagrams += 1;
         self.malformed += 1;
@@ -634,77 +560,205 @@ mod tests {
         }
     }
 
-    /// Send `wires` to a daemon with the default SLO rules on a 20 ms
-    /// sampler, a hundred at a time so the socket buffer never sheds,
-    /// and return the breaches fired by the time every one of them is
-    /// in a closed frame.
-    fn breaches_after(wires: &[Vec<u8>]) -> u64 {
-        let cfg = NetServerConfig {
-            series_interval_ms: 20,
-            ..NetServerConfig::default()
-        };
-        let daemon = NetServerDaemon::start(cfg, None).expect("daemon starts");
-        let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
-        let wait = |what: &str, done: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !done() {
-                assert!(Instant::now() < deadline, "{what}");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        };
-        let mut sent = 0u64;
+    /// Counter `name` as the daemon's `/metrics` endpoint renders it.
+    fn scrape(daemon: &NetServerDaemon, name: &str) -> u64 {
+        let text = crate::http_get(daemon.metrics_addr(), "/metrics").expect("scrape");
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .map_or(0, |v| v.parse().expect("counter value"))
+    }
+
+    /// Send `wires` a hundred at a time, so the socket buffer never
+    /// sheds, waiting after each burst until `/metrics` counts it.
+    fn send_counted(daemon: &NetServerDaemon, socket: &UdpSocket, wires: &[Vec<u8>]) {
+        let mut sent = scrape(daemon, "svc_datagrams_total");
         for burst in wires.chunks(100) {
             for wire in burst {
                 socket.send_to(wire, daemon.addr()).expect("send");
             }
             sent += burst.len() as u64;
-            wait("daemon lost datagrams", &|| {
-                daemon.counter("svc_datagrams_total") == sent
-            });
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while scrape(daemon, "svc_datagrams_total") != sent {
+                assert!(Instant::now() < deadline, "daemon lost datagrams");
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
-        wait("sampler never closed the frames", &|| {
-            let frames = daemon.series().frames;
-            let framed = frames.iter().map(|f| f.counter("svc_datagrams_total"));
-            framed.sum::<u64>() == sent
-        });
-        // The tick that closed the last frame evaluated the rules under
-        // the same lock; its breaches are counted a moment later.
-        let grace = Instant::now() + Duration::from_millis(200);
-        while daemon.slo_breaches() == 0 && Instant::now() < grace {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let breaches = daemon.slo_breaches();
-        daemon.shutdown();
-        breaches
     }
 
-    #[test]
-    fn malformed_burn_sees_a_flood_of_nothing_but_malformed() {
+    /// A PUSH_DATA from gateway 7 carrying one keyed uplink of device
+    /// `0x2601_0000 + i`, under token `i`.
+    fn push_data(i: u32) -> Vec<u8> {
         let keys = SessionKeys {
             nwk_s_key: [0x13; 16],
             app_s_key: [0x57; 16],
         };
-        let good: Vec<Vec<u8>> = (0..1_000u32)
-            .map(|i| {
-                let phy = PhyPayload::uplink(DevAddr(0x2601_0000 + i), 1, 1, &[0u8; 4])
-                    .encode(&keys)
-                    .expect("encodes");
-                let rx = RxPacket::new(
-                    1_000 * i as u64,
-                    Channel::khz125(916_800_000),
-                    SpreadingFactor::SF7,
-                    -95.0,
-                    6.5,
-                    &phy,
-                );
-                Datagram::PushData {
-                    token: i as u16,
-                    eui: GatewayEui(7),
-                    rxpk: vec![rx],
-                }
-                .encode()
-            })
-            .collect();
+        let phy = PhyPayload::uplink(DevAddr(0x2601_0000 + i), 1, 1, &[0u8; 4])
+            .encode(&keys)
+            .expect("encodes");
+        let rx = RxPacket::new(
+            1_000 * i as u64,
+            Channel::khz125(916_800_000),
+            SpreadingFactor::SF7,
+            -95.0,
+            6.5,
+            &phy,
+        );
+        Datagram::PushData {
+            token: i as u16,
+            eui: GatewayEui(7),
+            rxpk: vec![rx],
+        }
+        .encode()
+    }
+
+    /// Poll `/metrics` until counter `name` reads `want`.
+    fn await_scrape(daemon: &NetServerDaemon, name: &str, want: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while scrape(daemon, name) != want {
+            assert!(Instant::now() < deadline, "{name} never reached {want}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A loopback client socket that gives up on a reply after 5 s.
+    fn client() -> UdpSocket {
+        let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        socket
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        socket
+    }
+
+    fn recv_ack(socket: &UdpSocket) -> Vec<u8> {
+        let mut buf = [0u8; 64];
+        let n = socket.recv(&mut buf).expect("ack arrives");
+        buf[..n].to_vec()
+    }
+
+    #[test]
+    fn push_data_is_acked_under_its_token_and_garbage_is_not() {
+        let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
+        let socket = client();
+        // An unparseable PUSH_DATA first: it must draw no ACK, so the
+        // first reply is the good datagram's.
+        let mut bad = vec![2, 0xAA, 0xBB, 0x00];
+        bad.extend_from_slice(&7u64.to_be_bytes());
+        bad.extend_from_slice(b"{not json");
+        socket.send_to(&bad, daemon.addr()).expect("send");
+        let good = push_data(0x0102);
+        socket.send_to(&good, daemon.addr()).expect("send");
+        assert_eq!(recv_ack(&socket), vec![good[0], good[1], good[2], 0x01]);
+        await_scrape(&daemon, "svc_pkts_total", 1);
+        assert_eq!(scrape(&daemon, "svc_push_ack_total"), 1);
+        assert_eq!(scrape(&daemon, "svc_malformed_total"), 1);
+        assert_eq!(scrape(&daemon, "svc_datagrams_total"), 2);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn pull_data_is_acked_and_opens_one_route_per_gateway() {
+        let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
+        let socket = client();
+        for token in [0x0001u16, 0x0002] {
+            let mut pull = vec![2];
+            pull.extend_from_slice(&token.to_be_bytes());
+            pull.push(0x02);
+            pull.extend_from_slice(&0xBEEFu64.to_be_bytes());
+            socket.send_to(&pull, daemon.addr()).expect("send");
+            let [hi, lo] = token.to_be_bytes();
+            assert_eq!(recv_ack(&socket), vec![2, hi, lo, 0x04]);
+        }
+        // A PULL_DATA too short to name its gateway is malformed.
+        socket
+            .send_to(&[2, 0, 3, 0x02, 0xBE], daemon.addr())
+            .expect("send");
+        await_scrape(&daemon, "svc_malformed_total", 1);
+        assert_eq!(scrape(&daemon, "svc_pull_data_total"), 2);
+        assert_eq!(scrape(&daemon, "svc_gateways_seen"), 1, "same EUI twice");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn tx_acks_are_counted_apart_from_datagrams() {
+        let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
+        let socket = client();
+        for token in 0..3u8 {
+            let mut tx_ack = vec![2, 0, token, 0x05];
+            tx_ack.extend_from_slice(&7u64.to_be_bytes());
+            socket.send_to(&tx_ack, daemon.addr()).expect("send");
+        }
+        await_scrape(&daemon, "svc_tx_ack_total", 3);
+        assert_eq!(scrape(&daemon, "svc_datagrams_total"), 0);
+        assert_eq!(scrape(&daemon, "svc_malformed_total"), 0);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn drain_histogram_counts_every_datagram_received() {
+        let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
+        let socket = client();
+        let mut sent = 0u64;
+        for i in 0..4u32 {
+            socket.send_to(&push_data(i), daemon.addr()).expect("send");
+            socket
+                .send_to(&[2, 0, 0, 0x05], daemon.addr())
+                .expect("send");
+            socket.send_to(b"junk", daemon.addr()).expect("send");
+            sent += 3;
+        }
+        await_scrape(&daemon, "svc_drain_datagrams_sum", sent);
+        let drains = scrape(&daemon, "svc_drain_datagrams_count");
+        assert!((1..=sent).contains(&drains), "{drains} drains");
+        assert_eq!(scrape(&daemon, "svc_datagrams_total"), 8);
+        assert_eq!(scrape(&daemon, "svc_tx_ack_total"), 4);
+        assert_eq!(scrape(&daemon, "svc_malformed_total"), 4);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn bench_and_decisions_endpoints_follow_ingest() {
+        let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
+        let get = |path| crate::http_get(daemon.metrics_addr(), path).expect("scrape");
+        assert_eq!(
+            get("/bench"),
+            "{\"ingest_latency_us\": {\"p50\": 0, \"p95\": 0, \"p99\": 0}, \"pkts\": 0}\n"
+        );
+        assert_eq!(get("/decisions"), "");
+        let socket = client();
+        for i in 0..3u32 {
+            socket.send_to(&push_data(i), daemon.addr()).expect("send");
+            recv_ack(&socket);
+        }
+        await_scrape(&daemon, "svc_pkts_total", 3);
+        assert!(get("/bench").ends_with("\"pkts\": 3}\n"));
+        let decided = crate::runtime::parse_decisions(&get("/decisions")).expect("parses");
+        let devs: Vec<u32> = decided.iter().flatten().map(|d| d.dev).collect();
+        assert_eq!(devs.len(), 3, "{devs:x?}");
+        for i in 0..3u32 {
+            assert!(devs.contains(&(0x2601_0000 + i)));
+        }
+        assert_eq!(daemon.dedup_stats().new, 3);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn metrics_samples_process_memory_and_unknown_paths_are_404() {
+        let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
+        let text = crate::http_get(daemon.metrics_addr(), "/metrics").expect("scrape");
+        assert!(text.contains("dedup_tracked_records 0\n"), "{text}");
+        if obs::proc_mem().is_some() {
+            assert!(scrape(&daemon, "process_rss_bytes") > 0, "{text}");
+        }
+        for path in ["/", "/debug", "/metrics/extra"] {
+            let err = crate::http_get(daemon.metrics_addr(), path).unwrap_err();
+            assert!(err.to_string().contains("404"), "{path}: {err}");
+        }
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn metrics_count_a_flood_of_nothing_but_malformed() {
+        let good: Vec<Vec<u8>> = (0..1_000u32).map(push_data).collect();
         // Half unparseable PUSH_DATA, half datagrams of no known kind.
         let malformed: Vec<Vec<u8>> = (0..1_000u32)
             .map(|i| {
@@ -714,7 +768,14 @@ mod tests {
                 wire
             })
             .collect();
-        assert!(breaches_after(&malformed) >= 1, "all-malformed flood");
-        assert_eq!(breaches_after(&good), 0, "all-good traffic");
+        let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
+        let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        send_counted(&daemon, &socket, &malformed);
+        assert_eq!(scrape(&daemon, "svc_malformed_total"), 1_000);
+        assert_eq!(scrape(&daemon, "svc_datagrams_total"), 1_000);
+        send_counted(&daemon, &socket, &good);
+        assert_eq!(scrape(&daemon, "svc_malformed_total"), 1_000);
+        assert_eq!(scrape(&daemon, "svc_datagrams_total"), 2_000);
+        daemon.shutdown();
     }
 }

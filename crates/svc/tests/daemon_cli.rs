@@ -1,0 +1,161 @@
+//! The daemon executables' command lines: the flags they take, the
+//! ones they refuse, and the `ingest=`/`plan=` announcement launch
+//! scripts read their ephemeral ports from.
+
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
+use std::process::{Child, Command, Output, Stdio};
+use svc::http_get;
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe).args(args).output().expect("daemon runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Kills the daemon when the test ends, pass or fail.
+struct Running(Child);
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Start `exe` on ephemeral loopback ports and parse the two
+/// `key=addr` fields of its first stdout line.
+fn launch(exe: &str, args: &[&str]) -> (Running, Vec<(String, SocketAddr)>) {
+    let mut child = Command::new(exe)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("daemon spawns");
+    let stdout = child.stdout.take().expect("piped");
+    let running = Running(child);
+    let mut line = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("announcement");
+    let fields = line
+        .split_whitespace()
+        .map(|f| {
+            let (k, v) = f.split_once('=').expect("key=addr");
+            (k.to_string(), v.parse().expect("socket address"))
+        })
+        .collect();
+    (running, fields)
+}
+
+#[test]
+fn netserverd_refuses_unknown_flags() {
+    for args in [
+        &["--series-interval-ms", "25"][..],
+        &["--flight", "dir"],
+        &["--slo", "rules.json"],
+        &["--spans"],
+        &["--workers", "4"],
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_netserverd"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains(&format!("unknown flag {}", args[0])),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
+fn netserverd_refuses_missing_and_bad_values() {
+    for (args, says) in [
+        (&["--shards"][..], "--shards needs a value"),
+        (&["--log-cap", "many"], "bad value \"many\""),
+        (&["--bind", "not-an-addr"], "bad value \"not-an-addr\""),
+        (&["--window-us", "-1"], "bad value \"-1\""),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_netserverd"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn netserverd_announces_its_ports_and_serves_them() {
+    let (_daemon, fields) = launch(
+        env!("CARGO_BIN_EXE_netserverd"),
+        &[
+            "--bind",
+            "127.0.0.1:0",
+            "--metrics",
+            "127.0.0.1:0",
+            "--shards",
+            "3",
+            "--window-us",
+            "1000",
+            "--log-cap",
+            "10",
+        ],
+    );
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["ingest", "metrics"]);
+    assert_ne!(fields[0].1.port(), 0, "the bound port, not the asked one");
+    let metrics = fields[1].1;
+    assert_eq!(http_get(metrics, "/healthz").unwrap(), "ok\n");
+    // A datagram at the announced ingest port reaches the daemon.
+    let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    socket.send_to(b"junk", fields[0].1).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !http_get(metrics, "/metrics")
+        .unwrap()
+        .contains("svc_malformed_total 1\n")
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "datagram never counted"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn masterd_refuses_unknown_flags_and_bad_values() {
+    for (args, says) in [
+        (
+            &["--series-interval-ms", "25"][..],
+            "unknown flag --series-interval-ms",
+        ),
+        (&["--networks"], "--networks needs a value"),
+        (&["--lease-ttl-ms", "soon"], "bad value \"soon\""),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_masterd"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn masterd_announces_its_ports_and_serves_them() {
+    let (_daemon, fields) = launch(
+        env!("CARGO_BIN_EXE_masterd"),
+        &[
+            "--bind",
+            "127.0.0.1:0",
+            "--metrics",
+            "127.0.0.1:0",
+            "--networks",
+            "2",
+            "--lease-ttl-ms",
+            "60000",
+        ],
+    );
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["plan", "metrics"]);
+    assert_eq!(http_get(fields[1].1, "/healthz").unwrap(), "ok\n");
+    assert!(http_get(fields[1].1, "/bench")
+        .unwrap()
+        .ends_with("\"requests\": 0}\n"));
+}

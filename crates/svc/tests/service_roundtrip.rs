@@ -99,6 +99,15 @@ fn loadgen_to_netserverd_with_master_plans() {
             "missing {needle} in:\n{master_metrics}"
         );
     }
+    // Both daemons read the process's memory when they are scraped.
+    if obs::proc_mem().is_some() {
+        for scrape in [&metrics, &master_metrics] {
+            assert!(
+                scrape.lines().any(|l| l.starts_with("process_rss_bytes ")),
+                "missing process_rss_bytes in:\n{scrape}"
+            );
+        }
+    }
 
     // The /decisions scrape round-trips into the same byte stream.
     let scraped = http_get(daemon.metrics_addr(), "/decisions").unwrap();

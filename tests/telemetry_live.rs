@@ -1,16 +1,13 @@
 //! Continuous-telemetry acceptance tests.
 //!
-//! Three contracts, end to end against the real simulation engine:
+//! Two contracts, end to end against the real simulation engine:
 //!
 //! * attaching the span profiler is invisible to the simulation — the
 //!   records AND the streamed JSONL event bytes are bit-identical to a
 //!   detached run;
 //! * a streamed (chunked, sharded) run with `ALPHAWAN_HEARTBEAT` set
 //!   emits parseable per-shard heartbeat JSONL with monotone sequence
-//!   numbers and frontiers — the live surface `obsctl tail` renders;
-//! * a simulation event stream folded through [`obs::TsdbSink`]
-//!   produces step-aggregated frames whose counter deltas sum to the
-//!   plain registry totals.
+//!   numbers and frontiers — the live surface `tracectl tail` renders.
 
 use alphawan_system::gateway::config::GatewayConfig;
 use alphawan_system::gateway::profile::GatewayProfile;
@@ -18,7 +15,7 @@ use alphawan_system::gateway::radio::Gateway;
 use alphawan_system::lora_phy::channel::{Channel, ChannelGrid};
 use alphawan_system::lora_phy::pathloss::PathLossModel;
 use alphawan_system::lora_phy::types::DataRate;
-use alphawan_system::obs::{self, JsonlSink, SharedSink, TsdbSink};
+use alphawan_system::obs::{self, JsonlSink};
 use alphawan_system::sim::faults::NoFaults;
 use alphawan_system::sim::shard::ShardOpts;
 use alphawan_system::sim::topology::Topology;
@@ -26,6 +23,16 @@ use alphawan_system::sim::traffic::{duty_cycled, DutyCycleStream, TxPlan};
 use alphawan_system::sim::world::SimWorld;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// `ALPHAWAN_HEARTBEAT` is process-global and every run reads it, so a
+/// run on another test thread would write into the heartbeat test's
+/// file: the tests here take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn take_turn() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn eight_channels() -> Vec<Channel> {
     ChannelGrid::standard(916_800_000, 1_600_000).channels()
@@ -66,6 +73,7 @@ fn tmp(name: &str) -> PathBuf {
 
 #[test]
 fn span_profiler_attach_is_bit_exact() {
+    let _turn = take_turn();
     let plans = traffic(24, 20_000_000);
     let run_to_jsonl = |path: &PathBuf| {
         let mut world = build_world(24, 2, 5);
@@ -112,6 +120,7 @@ fn span_profiler_attach_is_bit_exact() {
 
 #[test]
 fn streamed_run_emits_live_heartbeats() {
+    let _turn = take_turn();
     let hb_path = tmp("heartbeats.jsonl");
     let _ = std::fs::remove_file(&hb_path);
     std::env::set_var("ALPHAWAN_HEARTBEAT", &hb_path);
@@ -153,42 +162,4 @@ fn streamed_run_emits_live_heartbeats() {
     let events_seen: u64 = last.values().map(|b| b.events).sum();
     assert!(events_seen > 0, "heartbeats never reported progress");
     let _ = std::fs::remove_file(&hb_path);
-}
-
-#[test]
-fn sim_event_stream_fills_tsdb_frames() {
-    let plans = traffic(24, 20_000_000);
-    let shared = SharedSink::new(TsdbSink::new(1_000_000, 600));
-    let mut world = build_world(24, 2, 5);
-    world.set_obs_sink(Box::new(shared.clone()));
-    let records = world.run_with_faults(&plans, &NoFaults);
-    drop(world.take_obs_sink());
-    assert!(!records.is_empty());
-
-    let totals: Vec<(String, u64)> = shared.with(|s| {
-        s.metrics()
-            .registry()
-            .counters()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect()
-    });
-    let db = shared.with(|s| s.clone()).finish();
-    assert!(db.len() > 1, "a 20s run must close multiple 1s windows");
-
-    // Window deltas must reassemble the run totals, counter by counter.
-    let mut summed: BTreeMap<String, u64> = BTreeMap::new();
-    for frame in db.frames() {
-        assert!(frame.t_end_us > frame.t_start_us, "degenerate window");
-        assert!(!frame.is_empty(), "empty frames must not be emitted");
-        for (name, delta) in &frame.counters {
-            *summed.entry(name.clone()).or_default() += delta;
-        }
-    }
-    for (name, total) in &totals {
-        assert_eq!(
-            summed.get(name).copied().unwrap_or(0),
-            *total,
-            "counter {name} deltas do not sum to the run total"
-        );
-    }
 }
