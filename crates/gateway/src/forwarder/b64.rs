@@ -114,6 +114,41 @@ pub(super) fn decode_bytes_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), B
     Ok(())
 }
 
+/// Decode the Base64 text at the start of `bytes` up to the `"` that
+/// closes it, in the one pass that finds the `"`. `Some(len)` of the
+/// text when it is well-formed and the `"` follows a whole quad, with
+/// `out` holding what [`decode_bytes_into`] makes of the text; `None`
+/// for anything else (a stray byte, bad padding, a `\`, the input
+/// ending first), with nothing said about `out`.
+pub(super) fn decode_quoted(bytes: &[u8], out: &mut Vec<u8>) -> Option<usize> {
+    out.clear();
+    let mut at = 0;
+    let quad = loop {
+        let quad = bytes.get(at..at + 4)?;
+        let v = [
+            DECODE[quad[0] as usize],
+            DECODE[quad[1] as usize],
+            DECODE[quad[2] as usize],
+            DECODE[quad[3] as usize],
+        ];
+        if (v[0] | v[1] | v[2] | v[3]) & INVALID != 0 {
+            break quad;
+        }
+        let n = ((v[0] as u32) << 18) | ((v[1] as u32) << 12) | ((v[2] as u32) << 6) | v[3] as u32;
+        out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
+        at += 4;
+    };
+    if quad[0] == b'"' {
+        return Some(at);
+    }
+    // A padded last quad: the cold path takes no `"` or `\`.
+    if bytes.get(at + 4) != Some(&b'"') {
+        return None;
+    }
+    decode_quad_cold(quad, at, true, out).ok()?;
+    Some(at + 4)
+}
+
 /// A quad holding `=` or a byte outside the alphabet, at byte offset
 /// `at`: either the padded tail of the input or the error to report.
 #[cold]

@@ -8,20 +8,58 @@
 //! from the Base64 `data`), skipping everything else without
 //! allocating.
 //!
-//! What skipping costs is what sets the daemon's packet rate, so the
-//! scanner does the least that keeps its verdicts:
+//! The parse is the largest share of the ingest thread's work per rxpk
+//! (`docs/SCALING.md` has the split), so the scanner does the least
+//! that keeps its verdicts, a word at a time where the wire allows:
 //!
-//! * a string is walked eight bytes at a time to its closing `"` (or
-//!   the next `\`), and only `data` is looked into;
+//! * a member key spelled `"name":` with a four-byte name, as every key
+//!   the codec writes is, is one 8-byte load and a mask compare, and
+//!   the member is then chosen by its name as a `u32`. Any other
+//!   spelling (another length, an escape, whitespace, the last bytes of
+//!   the input) goes the way any string and `:` go, to the same result;
+//! * `tmst` and `trce` take their digits eight at a time (a digit test
+//!   on the word and three multiplies), up to 16 digits, which cannot
+//!   overflow; a checked loop takes the rest, so overflow still fails
+//!   where the number starts;
+//! * `data` is decoded in the pass that finds its closing `"`, four
+//!   table lookups per quad ([`super::b64`]); text that is not plain
+//!   Base64 is cut out as a string first and decoded after;
+//! * any other string is walked eight bytes at a time to its closing
+//!   `"` (or the next `\`);
 //! * a number nobody reads — six of an rxpk's nine — is held to the
 //!   grammar of a number but never converted: a datagram with
-//!   `"rssi":-9-7` is still malformed as a whole, it just no longer
-//!   costs a decimal-to-float conversion to find out;
+//!   `"rssi":-9-7` is still malformed as a whole. Its digits go a byte
+//!   at a time: runs of one to three, where a word step would make the
+//!   next load wait for the count (measured slower);
 //! * `lsnr`, spelled `[-]digits[.digits]` with at most 15 digits as
 //!   every forwarder spells it, is an integer divided by an exact
 //!   power of ten — one rounding, the bits `str::parse` returns — and
 //!   any other spelling goes to `str::parse`;
-//! * Base64 is four table lookups per quad ([`super::b64`]).
+//! * all of that is inlined into the one member loop; objects, arrays
+//!   and literals nobody reads are not.
+//!
+//! # What this parser accepts that `Datagram::decode` rejects
+//!
+//! The scanner reads four members and looks at the rest only as far as
+//! finding their end needs, so it takes wires the reference decoder
+//! refuses. `accepts_wires_the_codec_rejects` pins one of each:
+//!
+//! * the contents of skipped strings are not validated: bad escapes
+//!   (`"\q"`, `"\uZZZZ"`), raw control bytes (which the vendored decoder
+//!   takes too) and invalid UTF-8;
+//! * skipped numbers are held to the number grammar but not to their
+//!   field's type or range (`"chan":-1.5`, `"rssi":1e999`);
+//! * skipped objects and arrays are only balanced, not parsed;
+//! * `lsnr` is read in `str::parse`'s grammar, which takes `+6.5`;
+//! * missing members default: `tmst`, `trce` and `lsnr` to 0, and no
+//!   DevAddr or FCnt;
+//! * for a duplicate member the last one wins (the decoder reads the
+//!   first);
+//! * bytes after the payload's closing `}` are not looked at.
+//!
+//! The converse holds as well: `data` that is not Base64, a `tmst`
+//! spelled `1.0` and `"rxpk":null` are taken by the decoder only. The
+//! ingest path's contract is this parser's verdict.
 //!
 //! Two pins keep it honest. The proptests at the bottom hold its
 //! results to `Datagram::decode` on arbitrary codec-generated wire
@@ -30,14 +68,16 @@
 //! on, verbatim and test-only, as `oracle`: `differential` requires the
 //! identical `Result` — error variants and offsets included, `lsnr` by
 //! bits — on hundreds of thousands of codec wires mutated towards the
-//! bytes the scanners branch on. A change here that alters any verdict
-//! on any input fails there.
+//! bytes the scanners branch on and towards the word paths' edges:
+//! members shuffled, whitespace around `:` and `,`, keys of three or
+//! five bytes or with an escape, `"` or `\` in them, counters of 15 to
+//! 21 digits, wires cut inside a key. A change here that alters any
+//! verdict on any input fails there.
 //!
-//! Measuring it: a loop that re-parses one wire (the benchmark's
-//! `gateway.fast_parse_ns_per_pkt`, any microbench) teaches the branch
-//! predictor that wire and *understates* what a change saves in the
-//! daemon, where every datagram differs. Judge by
-//! `svc.syscall_us_per_datagram` and `work_per_s` on `svc-bulk`.
+//! Measuring it: the benchmark's `gateway.fast_parse_ns_per_pkt`
+//! re-parses one wire, which could teach the branch predictor that
+//! wire; `docs/SCALING.md` gives the figure over many distinct wires
+//! beside it. What counts is `op_us` and `work_per_s` on `svc-bulk`.
 
 use super::b64::{self, B64Error};
 use super::codec::PROTOCOL_VERSION;
@@ -164,6 +204,53 @@ const POW10: [f64; 16] = [
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
 ];
 
+/// `10^k` for `k ≤ 8`.
+const POW10_U64: [u64; 9] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+];
+
+// The member names the scanner reads, as [`Scanner::member_key`]
+// returns them.
+const RXPK: u32 = u32::from_le_bytes(*b"rxpk");
+const TMST: u32 = u32::from_le_bytes(*b"tmst");
+const TRCE: u32 = u32::from_le_bytes(*b"trce");
+const LSNR: u32 = u32::from_le_bytes(*b"lsnr");
+const DATA: u32 = u32::from_le_bytes(*b"data");
+
+/// Whether any of the four bytes of `name` is a `"` or a `\`.
+fn quote_or_backslash(name: u32) -> bool {
+    let w = name as u64;
+    (bytes_equal(w, b'"') | bytes_equal(w, b'\\')) & 0x8080_8080 != 0
+}
+
+/// How many of `w`'s bytes, first byte first, are ASCII digits before
+/// the first one that is not. A byte is a digit iff its high nibble is
+/// 3 and stays 3 once 6 is added. The sum can carry into the next byte,
+/// but only out of a non-digit, so the count is exact.
+fn leading_digits(w: u64) -> usize {
+    const HI: u64 = 0xF0F0_F0F0_F0F0_F0F0;
+    let t = (w & HI) | ((w.wrapping_add(0x0606_0606_0606_0606) & HI) >> 4);
+    ((t ^ 0x3333_3333_3333_3333).trailing_zeros() / 8) as usize
+}
+
+/// The number spelled by the first `k` (1 to 8) bytes of `w`, all
+/// digits: shifted up so the bytes below them read as leading zeros,
+/// then pairs, quads and the octet are folded by one multiply each.
+fn digits_value(w: u64, k: usize) -> u64 {
+    let d = (w & 0x0F0F_0F0F_0F0F_0F0F) << (8 * (8 - k));
+    let d = (d.wrapping_mul((10 << 8) | 1) >> 8) & 0x00FF_00FF_00FF_00FF;
+    let d = (d.wrapping_mul((100 << 16) | 1) >> 16) & 0x0000_FFFF_0000_FFFF;
+    d.wrapping_mul((10_000 << 32) | 1) >> 32
+}
+
 impl<'a> Scanner<'a> {
     fn err<T>(&self) -> Result<T, FastError> {
         Err(FastError::Json(self.i))
@@ -171,6 +258,13 @@ impl<'a> Scanner<'a> {
 
     fn peek(&self) -> Option<u8> {
         self.b.get(self.i).copied()
+    }
+
+    /// The eight bytes at the cursor as one little-endian word, if
+    /// there are eight.
+    fn word(&self) -> Option<u64> {
+        let w = self.b.get(self.i..)?.first_chunk()?;
+        Some(u64::from_le_bytes(*w))
     }
 
     fn skip_ws(&mut self) {
@@ -211,22 +305,16 @@ impl<'a> Scanner<'a> {
             self.i += 1;
             return Ok(());
         }
+        let mut key = self.member_key()?;
         loop {
-            let (ks, ke) = self.string_span()?;
-            self.expect(b':')?;
-            if &self.b[ks..ke] == b"rxpk" {
+            if key == RXPK {
                 self.parse_rxpk_array(out, scratch)?;
             } else {
                 self.skip_value()?;
             }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return self.err(),
+            match self.next_key(b'}')? {
+                Some(next) => key = next,
+                None => return Ok(()),
             }
         }
     }
@@ -270,39 +358,90 @@ impl<'a> Scanner<'a> {
             self.i += 1;
             return Ok(rx);
         }
+        let mut key = self.member_key()?;
         loop {
-            let (ks, ke) = self.string_span()?;
-            self.expect(b':')?;
-            match &self.b[ks..ke] {
-                b"tmst" => rx.tmst = self.parse_u64()?,
-                b"trce" => rx.trce = self.parse_u64()?,
-                b"lsnr" => rx.lsnr = self.parse_f64()?,
-                b"data" => {
-                    let (ds, de) = self.string_span()?;
-                    let text = &self.b[ds..de];
-                    if let Err(e) = b64::decode_bytes_into(text, scratch) {
-                        // Text that decodes is ASCII, so only a rejected
-                        // span can be the non-UTF-8 one, which is a JSON
-                        // error before it is a Base64 one.
-                        return Err(match std::str::from_utf8(text) {
-                            Ok(_) => FastError::B64(e),
-                            Err(_) => FastError::Json(ds),
-                        });
-                    }
+            match key {
+                TMST => rx.tmst = self.parse_u64()?,
+                TRCE => rx.trce = self.parse_u64()?,
+                LSNR => rx.lsnr = self.parse_f64()?,
+                DATA => {
+                    self.data(scratch)?;
                     rx.dev_addr = PhyPayload::peek_dev_addr(scratch).map(|a| a.0);
                     rx.fcnt = PhyPayload::peek_fcnt(scratch);
                 }
                 _ => self.skip_value()?,
             }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(rx);
-                }
-                _ => return self.err(),
+            match self.next_key(b'}')? {
+                Some(next) => key = next,
+                None => return Ok(rx),
             }
+        }
+    }
+
+    /// The `data` string, decoded into `scratch`. Well-formed Base64
+    /// right after the `"` is decoded in the pass that finds its end;
+    /// anything else is cut out as a string first and then decoded, to
+    /// the same bytes or the error that text makes.
+    fn data(&mut self, scratch: &mut Vec<u8>) -> Result<(), FastError> {
+        if self.peek() == Some(b'"') {
+            if let Some(len) = b64::decode_quoted(&self.b[self.i + 1..], scratch) {
+                self.i += len + 2;
+                return Ok(());
+            }
+        }
+        let (ds, de) = self.string_span()?;
+        let text = &self.b[ds..de];
+        b64::decode_bytes_into(text, scratch).map_err(|e| {
+            // Text that decodes is ASCII, so only a rejected span can
+            // be the non-UTF-8 one, which is a JSON error before it is
+            // a Base64 one.
+            match std::str::from_utf8(text) {
+                Ok(_) => FastError::B64(e),
+                Err(_) => FastError::Json(ds),
+            }
+        })
+    }
+
+    /// A member's key and its `:`, leaving the cursor on the value. The
+    /// name comes back as a `u32` when it has four bytes, and as 0 (no
+    /// name the scanner looks for) otherwise. The key as the codec
+    /// spells it, `"name":` with no `"` or `\` in the name, is one load
+    /// and one compare; every other spelling (another length, an
+    /// escape, whitespace, the last bytes of the input) goes the way
+    /// any string and `:` go, to the same result.
+    #[inline(always)]
+    fn member_key(&mut self) -> Result<u32, FastError> {
+        // Bytes 0, 5 and 6 of the word: `"`, `"` and `:`.
+        const MASK: u64 = 0x00FF_FF00_0000_00FF;
+        const KEY: u64 = 0x003A_2200_0000_0022;
+        if let Some(w) = self.word() {
+            let name = (w >> 8) as u32;
+            if w & MASK == KEY && !quote_or_backslash(name) {
+                self.i += 7;
+                return Ok(name);
+            }
+        }
+        let (ks, ke) = self.string_span()?;
+        self.expect(b':')?;
+        Ok(self.b[ks..ke].try_into().map_or(0, u32::from_le_bytes))
+    }
+
+    /// After a member's value: the next member's key as
+    /// [`Scanner::member_key`] reads it, or `None` past the `close` that
+    /// ends the object.
+    #[inline(always)]
+    fn next_key(&mut self, close: u8) -> Result<Option<u32>, FastError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.i += 1;
+                self.member_key().map(Some)
+            }
+            Some(c) if c == close => {
+                self.i += 1;
+                Ok(None)
+            }
+            _ => self.err(),
         }
     }
 
@@ -316,8 +455,7 @@ impl<'a> Scanner<'a> {
         loop {
             // Eight bytes at a time to the next `"` or `\`; the byte
             // steps below take that byte, and the last < 8 of the input.
-            while let Some(word) = self.b.get(self.i..self.i + 8) {
-                let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            while let Some(w) = self.word() {
                 let hits = bytes_equal(w, b'"') | bytes_equal(w, b'\\');
                 if hits != 0 {
                     self.i += (hits.trailing_zeros() / 8) as usize;
@@ -339,10 +477,27 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// Digits as a `u64`, failing at their start if there are none or
+    /// they overflow. Up to 16 digits go a word at a time: they stay
+    /// below 10^16, so nothing there can overflow; the checked loop
+    /// takes any after them.
+    #[inline(always)]
     fn parse_u64(&mut self) -> Result<u64, FastError> {
         self.skip_ws();
         let start = self.i;
         let mut n: u64 = 0;
+        while self.i - start < 16 {
+            let Some(w) = self.word() else { break };
+            let k = leading_digits(w);
+            if k == 0 {
+                break;
+            }
+            n = n * POW10_U64[k] + digits_value(w, k);
+            self.i += k;
+            if k < 8 {
+                break;
+            }
+        }
         while let Some(c @ b'0'..=b'9') = self.peek() {
             n = n
                 .checked_mul(10)
@@ -358,6 +513,7 @@ impl<'a> Scanner<'a> {
 
     /// A number this parser reads (`lsnr`): everything `str::parse`
     /// takes that is spelled in [`is_number_byte`]s, to the same bits.
+    #[inline(always)]
     fn parse_f64(&mut self) -> Result<f64, FastError> {
         self.skip_ws();
         let start = self.i;
@@ -379,6 +535,7 @@ impl<'a> Scanner<'a> {
     /// exact in an `f64`, so their quotient is rounded once — to the
     /// value `str::parse` rounds the same decimal to. `None` (position
     /// unspecified) for any other spelling.
+    #[inline(always)]
     fn exact_decimal(&mut self) -> Option<f64> {
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -412,6 +569,7 @@ impl<'a> Scanner<'a> {
     }
 
     /// Skip any JSON value without materializing it.
+    #[inline(always)]
     fn skip_value(&mut self) -> Result<(), FastError> {
         self.skip_ws();
         match self.peek() {
@@ -435,6 +593,7 @@ impl<'a> Scanner<'a> {
     /// exponent of at least one digit — but never converted. A
     /// [`is_number_byte`] left behind means the whole run is not a
     /// number, exactly as when the run was cut out first and parsed.
+    #[inline(always)]
     fn skip_number(&mut self) -> Result<(), FastError> {
         let start = self.i;
         if self.peek() == Some(b'-') {
@@ -460,6 +619,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    #[inline(never)]
     fn skip_lit(&mut self, lit: &[u8]) -> Result<(), FastError> {
         if self.b[self.i..].starts_with(lit) {
             self.i += lit.len();
@@ -469,6 +629,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    #[inline(never)]
     fn skip_delimited(&mut self, open: u8, close: u8) -> Result<(), FastError> {
         self.expect(open)?;
         let mut depth = 1usize;
@@ -845,6 +1006,103 @@ mod tests {
         assert_eq!(out[0].fcnt, None);
     }
 
+    /// One wire per reason the module doc gives for taking what
+    /// `Datagram::decode` refuses: the accepted superset, pinned.
+    #[test]
+    fn accepts_wires_the_codec_rejects() {
+        let rx = traced_rxpk(0x2601_0001, 42, 1_000_000, 7);
+        let wire = Datagram::PushData {
+            token: 1,
+            eui: GatewayEui(2),
+            rxpk: vec![rx.clone()],
+        }
+        .encode();
+        let json = String::from_utf8(wire[12..].to_vec()).expect("codec JSON");
+        let edit = |from: &str, to: &str| {
+            assert_eq!(json.matches(from).count(), 1, "{from}");
+            json.replacen(from, to, 1).into_bytes()
+        };
+        let expected = FastRx {
+            tmst: rx.tmst,
+            lsnr: rx.lsnr,
+            trce: rx.trce,
+            dev_addr: Some(0x2601_0001),
+            fcnt: Some(42),
+        };
+        let cases: Vec<(&str, Vec<u8>, FastRx)> = vec![
+            (
+                "skipped_string_bad_escape",
+                edit("\"LORA\"", r#""LO\qRA""#),
+                expected,
+            ),
+            (
+                "skipped_string_bad_unicode_escape",
+                edit("\"LORA\"", r#""\uZZZZ""#),
+                expected,
+            ),
+            (
+                "skipped_string_invalid_utf8",
+                {
+                    let mut j = edit("\"LORA\"", "\"LO@RA\"");
+                    let at = j.iter().position(|&c| c == b'@').expect("marker");
+                    j[at] = 0xFF;
+                    j
+                },
+                expected,
+            ),
+            (
+                "skipped_number_wrong_type",
+                edit("\"chan\":0", "\"chan\":-1.5"),
+                expected,
+            ),
+            (
+                "skipped_number_out_of_range",
+                edit("\"rssi\":-95", "\"rssi\":1e999"),
+                expected,
+            ),
+            (
+                "skipped_object_only_balanced",
+                edit("]}", "],\"stat\":{1:[}}"),
+                expected,
+            ),
+            (
+                "read_number_in_str_parse_grammar",
+                edit("\"lsnr\":6.5", "\"lsnr\":+6.5"),
+                expected,
+            ),
+            (
+                "missing_members_default",
+                format!(r#"{{"rxpk":[{{"tmst":1000000,"data":"{}"}}]}}"#, rx.data).into_bytes(),
+                FastRx {
+                    lsnr: 0.0,
+                    trce: 0,
+                    ..expected
+                },
+            ),
+            // The decoder reads the first of two, a string where a
+            // number belongs; the scanner skips both `rfch` and keeps
+            // the last `tmst`.
+            (
+                "duplicate_member_last_wins",
+                edit("[{", "[{\"tmst\":1,\"rfch\":\"x\","),
+                expected,
+            ),
+            (
+                "bytes_after_the_payload",
+                [json.as_bytes(), b"garbage"].concat(),
+                expected,
+            ),
+        ];
+        for (reason, json, want) in cases {
+            let wire = [&wire[..12], &json[..]].concat();
+            assert_eq!(Datagram::decode(&wire), None, "{reason}");
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            let head = parse_push_data(&wire, &mut out, &mut scratch);
+            assert_eq!(head.map(|h| h.count), Ok(1), "{reason}");
+            assert_eq!(out[0], want, "{reason}");
+        }
+    }
+
     #[test]
     fn malformed_json_reports_offset_not_panic() {
         let mut wire = vec![2, 0, 1, 0];
@@ -938,10 +1196,108 @@ mod differential {
         wire.splice(at..end, text);
     }
 
+    fn pick(at: &[usize], rng: &mut StdRng) -> Option<usize> {
+        (!at.is_empty()).then(|| at[rng.gen_range(0..at.len())])
+    }
+
+    /// Where each key spelled `"name":` with a four-byte name starts:
+    /// the keys the word path takes.
+    fn word_keys(wire: &[u8]) -> Vec<usize> {
+        (12..wire.len().saturating_sub(6))
+            .filter(|&i| wire[i] == b'"' && wire[i + 5] == b'"' && wire[i + 6] == b':')
+            .collect()
+    }
+
+    /// Put the members of one object in another order.
+    fn shuffle_members(wire: &mut Vec<u8>, rng: &mut StdRng) {
+        let opens: Vec<usize> = (13..wire.len()).filter(|&i| wire[i] == b'{').collect();
+        let Some(open) = pick(&opens, rng) else {
+            return;
+        };
+        let Some(close) = (open..wire.len()).find(|&i| wire[i] == b'}') else {
+            return;
+        };
+        let mut members: Vec<&[u8]> = wire[open + 1..close].split(|&c| c == b',').collect();
+        for k in (1..members.len()).rev() {
+            members.swap(k, rng.gen_range(0..=k));
+        }
+        let body = members.join(&b',');
+        wire.splice(open + 1..close, body);
+    }
+
+    /// Whitespace before and after some of the `:` and `,`.
+    fn space_out(wire: &mut Vec<u8>, rng: &mut StdRng) {
+        const WS: &[u8] = b" \t\n\r";
+        let mut spaced = wire[..12].to_vec();
+        for &c in &wire[12..] {
+            let sep = c == b':' || c == b',';
+            if sep && rng.gen_bool(0.3) {
+                spaced.push(WS[rng.gen_range(0..WS.len())]);
+            }
+            spaced.push(c);
+            if sep && rng.gen_bool(0.3) {
+                spaced.push(WS[rng.gen_range(0..WS.len())]);
+            }
+        }
+        *wire = spaced;
+    }
+
+    /// Respell one four-byte key: three or five letters, one letter as
+    /// a `\u` escape, or a `"` or `\` in place of one.
+    fn rename_a_key(wire: &mut Vec<u8>, rng: &mut StdRng) {
+        let Some(key) = pick(&word_keys(wire), rng) else {
+            return;
+        };
+        let letter = key + 1 + rng.gen_range(0..4usize);
+        match rng.gen_range(0..4u8) {
+            0 => {
+                wire.remove(letter);
+            }
+            1 => wire.insert(letter, b'x'),
+            2 => {
+                let escape = format!("\\u{:04x}", wire[letter]);
+                wire.splice(letter..=letter, escape.into_bytes());
+            }
+            _ => wire[letter] = if rng.gen_bool(0.5) { b'"' } else { b'\\' },
+        }
+    }
+
+    /// Give one `tmst` or `trce` 15 to 21 digits: past the 16 taken a
+    /// word at a time, and past what a `u64` holds. Now and then one
+    /// of them is a byte from `:` to `?`, just above the digits.
+    fn lengthen_a_counter(wire: &mut Vec<u8>, rng: &mut StdRng) {
+        let counters: Vec<usize> = word_keys(wire)
+            .into_iter()
+            .filter(|&k| matches!(&wire[k + 1..k + 5], b"tmst" | b"trce"))
+            .collect();
+        let Some(key) = pick(&counters, rng) else {
+            return;
+        };
+        let start = key + 7;
+        let end = (start..wire.len())
+            .find(|&i| !wire[i].is_ascii_digit())
+            .unwrap_or(wire.len());
+        let mut digits: Vec<u8> = (0..rng.gen_range(15..=21usize))
+            .map(|_| b'0' + rng.gen_range(0..10u8))
+            .collect();
+        if rng.gen_bool(0.25) {
+            let k = rng.gen_range(0..digits.len());
+            digits[k] = b':' + rng.gen_range(0..6u8);
+        }
+        wire.splice(start..end, digits);
+    }
+
+    /// End the wire inside one key, where a word load runs past the end.
+    fn cut_inside_a_key(wire: &mut Vec<u8>, rng: &mut StdRng) {
+        if let Some(key) = pick(&word_keys(wire), rng) {
+            wire.truncate(key + rng.gen_range(0..7usize));
+        }
+    }
+
     fn mutate(wire: &mut Vec<u8>, rng: &mut StdRng) {
         for _ in 0..rng.gen_range(0..=3u8) {
             let at = rng.gen_range(0..wire.len());
-            match rng.gen_range(0..4u8) {
+            match rng.gen_range(0..9u8) {
                 0 => wire[at] = mutation_byte(rng),
                 1 => wire.insert(at, mutation_byte(rng)),
                 2 => {
@@ -949,7 +1305,12 @@ mod differential {
                         wire.remove(at);
                     }
                 }
-                _ => respell_a_number(wire, rng),
+                3 => respell_a_number(wire, rng),
+                4 => shuffle_members(wire, rng),
+                5 => space_out(wire, rng),
+                6 => rename_a_key(wire, rng),
+                7 => lengthen_a_counter(wire, rng),
+                _ => cut_inside_a_key(wire, rng),
             }
         }
     }

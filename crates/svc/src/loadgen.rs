@@ -35,7 +35,7 @@ use lora_mac::frame::PhyPayload;
 use lora_phy::channel::ChannelGrid;
 use obs::Histogram;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,8 +85,9 @@ pub struct LoadgenConfig {
     /// an unpaced sender overruns the receiver's kernel socket buffer
     /// and the kernel drops silently; bounding in-flight bytes below
     /// that buffer is what makes a lossless loopback soak possible. A
-    /// window slot whose ACK never arrives (chaos loss) is leaked back
-    /// after a short stall rather than wedging the sender.
+    /// window slot whose ACK never arrives (chaos loss) is given up
+    /// after a short stall rather than wedging the sender; should that
+    /// ACK come after all, it frees nothing.
     pub max_inflight_datagrams: u64,
 }
 
@@ -123,7 +124,8 @@ pub struct LoadgenReport {
     pub elapsed: Duration,
     /// Client-side send rate, pkts/sec.
     pub offered_pps: f64,
-    /// PUSH/PULL ACK datagrams received back.
+    /// PUSH_ACKs received back, except those that came after their
+    /// window slot was given up.
     pub acks: u64,
     /// Round-trip latency of sampled PUSH_DATA→ACK pairs, µs.
     pub ack_rtt: Histogram,
@@ -316,6 +318,47 @@ fn find_tmst_patches(wire: &[u8]) -> Vec<(usize, u64)> {
     out
 }
 
+/// How long the sender waits on a full window before it gives up the
+/// oldest slot.
+const STALL: Duration = Duration::from_millis(5);
+
+/// The ACK window the sender and the ACK thread share: the tokens of
+/// datagrams waiting for their PUSH_ACK, oldest first, and those whose
+/// slot the sender gave up.
+#[derive(Default)]
+struct AckWindow {
+    waiting: VecDeque<u16>,
+    given_up: HashSet<u16>,
+}
+
+impl AckWindow {
+    /// Take a slot for `token`, which is about to be sent. A token seen
+    /// again has come round the 16-bit space: whatever it meant is gone.
+    fn hold(&mut self, token: u16) {
+        self.given_up.remove(&token);
+        self.waiting.push_back(token);
+    }
+
+    /// Stop waiting for the oldest datagram (its ACK presumed lost).
+    fn give_up_oldest(&mut self) {
+        if let Some(token) = self.waiting.pop_front() {
+            self.given_up.insert(token);
+        }
+    }
+
+    /// A PUSH_ACK for `token` arrived: free its slot, or, if the sender
+    /// already gave that slot up, retire the token. Whether it counts.
+    fn ack(&mut self, token: u16) -> bool {
+        if self.given_up.remove(&token) {
+            return false;
+        }
+        if let Some(at) = self.waiting.iter().position(|&t| t == token) {
+            self.waiting.remove(at);
+        }
+        true
+    }
+}
+
 fn patch_tmst(wire: &mut [u8], at: usize, value: u64) {
     debug_assert!((TMST_BASE_US..=TMST_MAX_US).contains(&value));
     let mut v = value;
@@ -338,9 +381,11 @@ pub fn run_stream(cfg: &LoadgenConfig, mut fleet: FleetStream) -> io::Result<Loa
     let socket = UdpSocket::bind(("127.0.0.1", 0))?;
     socket.connect(cfg.server)?;
 
-    // ACK receiver: counts PUSH_ACKs and resolves sampled RTTs.
+    // ACK receiver: frees window slots, counts PUSH_ACKs and resolves
+    // sampled RTTs.
     let stop = Arc::new(AtomicBool::new(false));
     let acks = Arc::new(AtomicU64::new(0));
+    let ack_window = Arc::new(Mutex::new(AckWindow::default()));
     let pending: Arc<Mutex<HashMap<u16, Instant>>> = Arc::new(Mutex::new(HashMap::new()));
     let rtt: Arc<Mutex<Histogram>> = Arc::new(Mutex::new(Histogram::new(&ACK_RTT_BOUNDS_US)));
     let ack_thread = {
@@ -348,6 +393,7 @@ pub fn run_stream(cfg: &LoadgenConfig, mut fleet: FleetStream) -> io::Result<Loa
         socket.set_read_timeout(Some(Duration::from_millis(20)))?;
         let stop = Arc::clone(&stop);
         let acks = Arc::clone(&acks);
+        let ack_window = Arc::clone(&ack_window);
         let pending = Arc::clone(&pending);
         let rtt = Arc::clone(&rtt);
         std::thread::Builder::new()
@@ -357,8 +403,10 @@ pub fn run_stream(cfg: &LoadgenConfig, mut fleet: FleetStream) -> io::Result<Loa
                 while !stop.load(Ordering::SeqCst) {
                     match socket.recv(&mut buf) {
                         Ok(len) if len >= 4 && buf[3] == 0x01 => {
-                            acks.fetch_add(1, Ordering::Relaxed);
                             let token = u16::from_be_bytes([buf[1], buf[2]]);
+                            if ack_window.lock().ack(token) {
+                                acks.fetch_add(1, Ordering::Relaxed);
+                            }
                             if let Some(t0) = pending.lock().remove(&token) {
                                 rtt.lock().observe(t0.elapsed().as_micros() as u64);
                             }
@@ -404,26 +452,31 @@ pub fn run_stream(cfg: &LoadgenConfig, mut fleet: FleetStream) -> io::Result<Loa
     let started = Instant::now();
     let mut sent_pkts = 0u64;
     let mut sent_datagrams = 0u64;
-    // ACKs presumed lost: leaked window slots, so chaos-dropped
-    // datagrams cost one bounded stall each instead of a deadlock.
-    let mut leaked_acks = 0u64;
     let window = cfg.max_inflight_datagrams;
     for epoch in 0..epochs {
         let shift = epoch as u64 * fleet.epoch_span_us;
         for d in fleet.datagrams.iter_mut() {
+            let token = (sent_datagrams & 0xFFFF) as u16;
             if window > 0 {
+                // A slot whose ACK does not come within `STALL` is given
+                // up, so a chaos-dropped datagram costs one bounded
+                // stall instead of a deadlock.
                 let stall = Instant::now();
-                while sent_datagrams.saturating_sub(acks.load(Ordering::Relaxed) + leaked_acks)
-                    >= window
-                {
-                    if stall.elapsed() > Duration::from_millis(5) {
-                        leaked_acks += 1;
+                loop {
+                    let mut w = ack_window.lock();
+                    if (w.waiting.len() as u64) < window {
+                        w.hold(token);
                         break;
                     }
+                    if stall.elapsed() > STALL {
+                        w.give_up_oldest();
+                        w.hold(token);
+                        break;
+                    }
+                    drop(w);
                     std::thread::yield_now();
                 }
             }
-            let token = (sent_datagrams & 0xFFFF) as u16;
             d.wire[1..3].copy_from_slice(&token.to_be_bytes());
             for &(at, base) in &d.tmst {
                 patch_tmst(&mut d.wire, at, base + shift);
@@ -548,6 +601,72 @@ mod tests {
         .unwrap();
         assert_eq!(two.pkts_per_epoch(), 2 * one.pkts_per_epoch());
         assert_eq!(two.epoch_span_us, one.epoch_span_us);
+    }
+
+    /// A PUSH_DATA sink that acknowledges every fourth datagram `delay`
+    /// late and the others at once, until `stop`. Returns the most
+    /// datagrams it ever held unacknowledged.
+    fn late_acking_daemon(socket: UdpSocket, stop: &AtomicBool, delay: Duration) -> usize {
+        socket
+            .set_read_timeout(Some(Duration::from_millis(1)))
+            .expect("timeout");
+        let mut late: VecDeque<(Instant, SocketAddr, [u8; 4])> = VecDeque::new();
+        let (mut received, mut most) = (0u64, 0usize);
+        let mut buf = [0u8; 2_048];
+        while !stop.load(Ordering::SeqCst) {
+            while late
+                .front()
+                .is_some_and(|&(due, _, _)| due <= Instant::now())
+            {
+                let (_, peer, ack) = late.pop_front().expect("front");
+                socket.send_to(&ack, peer).expect("late ack");
+            }
+            let Ok((len, peer)) = socket.recv_from(&mut buf) else {
+                continue;
+            };
+            if len < 12 || buf[3] != 0x00 {
+                continue;
+            }
+            received += 1;
+            let ack = [buf[0], buf[1], buf[2], 0x01];
+            if received.is_multiple_of(4) {
+                late.push_back((Instant::now() + delay, peer, ack));
+                most = most.max(late.len());
+            } else {
+                socket.send_to(&ack, peer).expect("ack");
+            }
+        }
+        most
+    }
+
+    #[test]
+    fn a_late_ack_frees_no_second_window_slot() {
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        let server = socket.local_addr().expect("addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let daemon = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || late_acking_daemon(socket, &stop, Duration::from_millis(10)))
+        };
+        // Every fourth ACK comes after the 5 ms stall that gives its slot
+        // up. Were the late ACK to free the slot a second time, the
+        // window would widen by one each time.
+        let load = LoadgenConfig {
+            server,
+            batch: 1,
+            epochs: 25,
+            ..cfg()
+        };
+        let report = run(&load, 1_000_000).expect("runs");
+        stop.store(true, Ordering::SeqCst);
+        let most = daemon.join().expect("daemon thread");
+        assert!(report.sent_datagrams >= 1_000, "{report:?}");
+        // The window, and the slots given up whose ACK is still to come.
+        let window = load.max_inflight_datagrams as usize;
+        assert!(
+            most <= 2 * window,
+            "{most} datagrams unacknowledged at once with a window of {window}"
+        );
     }
 
     #[test]

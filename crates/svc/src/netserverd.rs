@@ -187,7 +187,7 @@ impl NetServerDaemon {
             .spawn(move || receiver_loop(rx_socket, decider, rx_shared, rx_shutdown))?;
         let endpoint = HttpEndpoint::start(
             cfg.metrics_bind,
-            Self::http_handler(Arc::clone(&registry), Arc::clone(&logs)),
+            Self::http_handler(addr, Arc::clone(&registry), Arc::clone(&logs)),
         )?;
         Ok(NetServerDaemon {
             addr,
@@ -202,7 +202,13 @@ impl NetServerDaemon {
         })
     }
 
-    fn http_handler(registry: Arc<Mutex<Registry>>, logs: Arc<DecisionLogs>) -> HttpHandler {
+    /// `ingest` is the UDP socket's address, whose kernel-side drops
+    /// `/metrics` reports.
+    fn http_handler(
+        ingest: SocketAddr,
+        registry: Arc<Mutex<Registry>>,
+        logs: Arc<DecisionLogs>,
+    ) -> HttpHandler {
         Arc::new(move |path| match path {
             "/metrics" => {
                 let mut text = {
@@ -214,6 +220,11 @@ impl NetServerDaemon {
                 text.push_str(&format!(
                     "# TYPE dedup_tracked_records gauge\ndedup_tracked_records {resident}\n"
                 ));
+                if let Some(drops) = socket_drops(ingest) {
+                    text.push_str(&format!(
+                        "# TYPE svc_socket_drops gauge\nsvc_socket_drops {drops}\n"
+                    ));
+                }
                 Some(("text/plain; version=0.0.4", text.into_bytes()))
             }
             "/healthz" => Some(("text/plain", b"ok\n".to_vec())),
@@ -319,6 +330,35 @@ impl NetServerDaemon {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = self.ingest.join();
     }
+}
+
+/// Datagrams the kernel dropped for the UDP socket bound at `addr`
+/// because its receive buffer was full: the `drops` column of the
+/// socket's row in `/proc/net/udp` (`udp6` for an IPv6 address). The
+/// daemon has no queue of its own, so this is where overload shows.
+/// `None` where the file or the row is not there.
+fn socket_drops(addr: SocketAddr) -> Option<u64> {
+    // The kernel prints each 32-bit word of the address as a number in
+    // host byte order, and the port as one.
+    let words = |octets: &[u8]| -> String {
+        octets
+            .chunks_exact(4)
+            .map(|w| format!("{:08X}", u32::from_ne_bytes([w[0], w[1], w[2], w[3]])))
+            .collect()
+    };
+    let (table, ip) = match addr {
+        SocketAddr::V4(a) => ("/proc/net/udp", words(&a.ip().octets())),
+        SocketAddr::V6(a) => ("/proc/net/udp6", words(&a.ip().octets())),
+    };
+    let local = format!("{ip}:{:04X}", addr.port());
+    let table = std::fs::read_to_string(table).ok()?;
+    table.lines().skip(1).find_map(|row| {
+        let mut cols = row.split_whitespace();
+        if cols.nth(1)? != local {
+            return None;
+        }
+        cols.last()?.parse().ok()
+    })
 }
 
 /// Datagrams of one drain by kind, and the packets they carried: what
@@ -754,6 +794,80 @@ mod tests {
             assert!(err.to_string().contains("404"), "{path}: {err}");
         }
         daemon.shutdown();
+    }
+
+    /// The `drops` column of the socket at `addr`, read from the kernel's
+    /// table here rather than by [`socket_drops`]: each row's address
+    /// parsed back and compared. `None` without the table or the row.
+    fn kernel_drops(addr: SocketAddr) -> Option<u64> {
+        let table = if addr.is_ipv4() {
+            "/proc/net/udp"
+        } else {
+            "/proc/net/udp6"
+        };
+        let table = std::fs::read_to_string(table).ok()?;
+        table.lines().skip(1).find_map(|row| {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            let (ip, port) = cols.get(1)?.split_once(':')?;
+            let octets: Vec<u8> = (0..ip.len())
+                .step_by(8)
+                .filter_map(|k| u32::from_str_radix(ip.get(k..k + 8)?, 16).ok())
+                .flat_map(u32::to_ne_bytes)
+                .collect();
+            let ip: std::net::IpAddr = match octets.len() {
+                4 => <[u8; 4]>::try_from(octets).ok()?.into(),
+                16 => <[u8; 16]>::try_from(octets).ok()?.into(),
+                _ => return None,
+            };
+            let at = SocketAddr::new(ip, u16::from_str_radix(port, 16).ok()?);
+            (at == addr).then(|| cols.last()?.parse().ok())?
+        })
+    }
+
+    #[test]
+    fn socket_drops_read_the_sockets_kernel_row() {
+        // A socket nobody reads: the kernel drops what its buffer cannot
+        // hold.
+        let sink = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        let addr = sink.local_addr().expect("addr");
+        let Some(before) = kernel_drops(addr) else {
+            return; // no /proc/net/udp on this system
+        };
+        assert_eq!(socket_drops(addr), Some(before));
+        let sender = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        for _ in 0..40 {
+            for _ in 0..500 {
+                sender.send_to(&[0u8; 4_000], addr).expect("send");
+            }
+            if kernel_drops(addr) > Some(0) {
+                break;
+            }
+        }
+        let after = kernel_drops(addr).expect("the row stays");
+        assert!(after > 0, "80 MB into an unread socket and no drops");
+        assert_eq!(socket_drops(addr), Some(after));
+    }
+
+    #[test]
+    fn metrics_report_the_ingest_sockets_drops() {
+        for bind in ["127.0.0.1:0", "[::1]:0"] {
+            let cfg = NetServerConfig {
+                bind: bind.parse().expect("address"),
+                ..NetServerConfig::default()
+            };
+            let Ok(daemon) = NetServerDaemon::start(cfg, None) else {
+                continue; // no IPv6 loopback here
+            };
+            let text = crate::http_get(daemon.metrics_addr(), "/metrics").expect("scrape");
+            match kernel_drops(daemon.addr()) {
+                Some(drops) => {
+                    assert!(text.contains("\nsvc_socket_drops "), "{bind}: {text}");
+                    assert_eq!(scrape(&daemon, "svc_socket_drops"), drops, "{bind}");
+                }
+                None => assert!(!text.contains("svc_socket_drops"), "{bind}: {text}"),
+            }
+            daemon.shutdown();
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! Backpressure is one sentence: the thread that is deciding is not
 //! reading, so datagrams queue in the kernel socket buffer and are shed
 //! there once it overflows. The daemon's own memory is the receive
-//! ring, one drain's staged packets and the capped decision logs.
+//! ring, one drain's staged packets and the capped decision logs, which
+//! grow a block at a time and never move a block.
 //!
 //! Correctness contract: a shard's offers are made in arrival order by
 //! one thread, so replaying any shard's decision log through a fresh
@@ -84,11 +85,46 @@ fn outcome_code(o: DedupOutcome) -> u8 {
 /// A thread-safe observability fan-in the daemons can emit into.
 pub type SharedObs = Arc<Mutex<dyn obs::ObsSink + Send>>;
 
+/// Decisions a [`DecisionLog`] block holds.
+const LOG_BLOCK: usize = 1 << 16;
+
+/// One shard's decisions, in blocks each allocated once at full size.
+/// The log grows without moving what it holds, so the memory it takes
+/// is what it stores: a vector that grows by reallocating copies
+/// itself, and where the allocator serves that copy from its heap
+/// instead of remapping, old and new are resident at once, which moved
+/// the daemon's peak RSS by megabytes from run to run.
+#[derive(Default)]
+struct DecisionLog {
+    /// Full blocks, then the one being filled.
+    blocks: Vec<Vec<Decision>>,
+}
+
+impl DecisionLog {
+    fn len(&self) -> usize {
+        self.blocks
+            .last()
+            .map_or(0, |last| (self.blocks.len() - 1) * LOG_BLOCK + last.len())
+    }
+
+    fn extend(&mut self, mut decisions: &[Decision]) {
+        while !decisions.is_empty() {
+            let Some(block) = self.blocks.last_mut().filter(|b| b.len() < LOG_BLOCK) else {
+                self.blocks.push(Vec::with_capacity(LOG_BLOCK));
+                continue;
+            };
+            let (now, later) = decisions.split_at((LOG_BLOCK - block.len()).min(decisions.len()));
+            block.extend_from_slice(now);
+            decisions = later;
+        }
+    }
+}
+
 /// What the ingest thread leaves for other threads to read: the
 /// per-shard decision logs, how many decisions the log cap kept out,
 /// and the dedup records resident.
 pub(crate) struct DecisionLogs {
-    logs: Vec<Mutex<Vec<Decision>>>,
+    logs: Vec<Mutex<DecisionLog>>,
     dropped: AtomicU64,
     tracked: AtomicU64,
 }
@@ -96,7 +132,7 @@ pub(crate) struct DecisionLogs {
 impl DecisionLogs {
     /// Snapshot of every shard's decision log, in shard order.
     pub(crate) fn decisions(&self) -> Vec<Vec<Decision>> {
-        self.logs.iter().map(|l| l.lock().clone()).collect()
+        self.logs.iter().map(|l| l.lock().blocks.concat()).collect()
     }
 
     /// Decisions that were made but not logged because a shard's log
@@ -159,7 +195,7 @@ impl Decider {
             local: vec![Vec::new(); shards],
             log_cap,
             logs: Arc::new(DecisionLogs {
-                logs: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+                logs: (0..shards).map(|_| Mutex::default()).collect(),
                 dropped: AtomicU64::new(0),
                 tracked: AtomicU64::new(0),
             }),
@@ -213,7 +249,7 @@ impl Decider {
             }
             let mut log = log.lock();
             let room = self.log_cap.saturating_sub(log.len()).min(local.len());
-            log.extend_from_slice(&local[..room]);
+            log.extend(&local[..room]);
             let over = (local.len() - room) as u64;
             self.logs.dropped.fetch_add(over, Ordering::Relaxed);
             local.clear();
@@ -417,6 +453,31 @@ mod tests {
         assert_eq!(d.logs().dropped(), 15);
         // The prefix is still exactly replayable.
         assert_eq!(replay_divergence(&logs, 1_000_000), 0);
+    }
+
+    #[test]
+    fn a_log_fills_block_after_block_and_never_moves_one() {
+        let decisions: Vec<Decision> = (0..2 * LOG_BLOCK as u32 + 5)
+            .map(|i| Decision {
+                dev: i,
+                fcnt: i as u16,
+                gw: 0,
+                t_us: i as u64,
+                outcome: DedupOutcome::New,
+            })
+            .collect();
+        let mut log = DecisionLog::default();
+        let mut placed: Vec<*const Decision> = Vec::new();
+        for part in decisions.chunks(LOG_BLOCK / 3 + 1) {
+            log.extend(part);
+            let now: Vec<*const Decision> = log.blocks.iter().map(|b| b.as_ptr()).collect();
+            assert!(now.starts_with(&placed), "a block moved");
+            placed = now;
+        }
+        assert_eq!(log.len(), decisions.len());
+        assert_eq!(log.blocks.len(), 3);
+        assert!(log.blocks.iter().all(|b| b.capacity() == LOG_BLOCK));
+        assert_eq!(log.blocks.concat(), decisions);
     }
 
     #[test]
