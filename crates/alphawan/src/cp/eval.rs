@@ -455,7 +455,6 @@ pub(crate) fn fan_out<T: Send, W: Send>(
     workers: &mut [W],
     job: impl Fn(usize, &mut T, &mut W) + Sync,
 ) {
-    let _sp = obs::span::enter(obs::span::SpanId::SolverEval);
     let threads = workers.len().min(items.len());
     let cursor = Mutex::new(items.iter_mut().enumerate());
     let run = |w: &mut W| loop {

@@ -266,7 +266,6 @@ impl GaSolver {
             if cfg.optimize_node_assignments {
                 repair_genome(&ctx, child, repair, &mut rng);
             }
-            let _sp = obs::span::enter(obs::span::SpanId::SolverScore);
             *score = ctx.score(child, scratch);
         };
 
@@ -499,7 +498,6 @@ fn crossover_genome(a: &Genome, b: &Genome, child: &mut Genome, rng: &mut StdRng
 /// [`bernoulli_hits`] so the cost scales with mutations applied rather
 /// than genome length.
 fn mutate_genome(p: &CpProblem, g: &mut Genome, node_rate: f64, gw_rate: f64, rng: &mut StdRng) {
-    let _sp = obs::span::enter(obs::span::SpanId::SolverMutate);
     let n_ch = p.n_channels();
     let n = g.gene.len();
     bernoulli_hits(n, node_rate, rng, |i, rng| {
@@ -604,7 +602,6 @@ impl RepairScratch {
 /// depend on earlier repairs, and repairing the list in node order
 /// draws exactly what checking and repairing node by node would.
 pub fn repair_genome(ctx: &EvalContext, g: &mut Genome, s: &mut RepairScratch, rng: &mut StdRng) {
-    let _sp = obs::span::enter(obs::span::SpanId::SolverRepair);
     let mut listeners = [0u64; 64];
     let mut nch = [0u32; 64];
     for (j, &mask) in g.gw_mask.iter().enumerate() {

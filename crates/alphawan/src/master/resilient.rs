@@ -225,10 +225,10 @@ mod tests {
 
     #[test]
     fn obs_sink_sees_control_plane_degradation() {
-        use obs::{ObsEvent, PlanServed, RingSink, SharedSink};
+        use obs::{ObsEvent, PlanServed, SharedSink, VecSink};
         let master = MasterServer::start(region()).unwrap();
         let addr = master.addr();
-        let shared = SharedSink::new(RingSink::new(64));
+        let shared = SharedSink::new(VecSink::new());
         let mut client = ResilientMasterClient::new(addr, "op-o", BackoffPolicy::fast_for_tests());
         client.set_obs_sink(Box::new(shared.clone()));
         let (plan, source) = client.channel_plan().unwrap();
@@ -247,7 +247,7 @@ mod tests {
         client.disconnect();
         let (_, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Cached);
-        let events = shared.with(|ring| ring.events().to_vec());
+        let events = shared.with(|v| v.events().to_vec());
         let served: Vec<(PlanServed, u32)> = events
             .iter()
             .filter_map(|e| match *e {

@@ -3,15 +3,15 @@
 //! Three variants over the same workload: no sink attached (the
 //! default path), a [`NullSink`] attached (what instrumented call
 //! sites pay when observation is off: one virtual `enabled()` call
-//! per potential event), and a [`RingSink`] actually recording (the
-//! in-memory capture arm). The NullSink variant must track the
-//! no-sink baseline within measurement noise — the acceptance bar for
-//! "observability is free when off".
+//! per potential event), and a fresh [`VecSink`] per run actually
+//! recording (the in-memory capture arm). The NullSink variant must
+//! track the no-sink baseline within measurement noise — the
+//! acceptance bar for "observability is free when off".
 
 use bench::{NetworkSpec, WorldBuilder, PAYLOAD_LEN};
 use criterion::{criterion_group, criterion_main, Criterion};
 use lora_phy::channel::ChannelGrid;
-use obs::{NullSink, RingSink};
+use obs::{NullSink, VecSink};
 use sim::traffic::duty_cycled;
 
 const USERS: usize = 500;
@@ -58,11 +58,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("ring_sink", |bch| {
+    g.bench_function("vec_sink", |bch| {
         let mut w = builder.build();
-        w.set_obs_sink(Box::new(RingSink::new(1 << 16)));
         bch.iter(|| {
             w.reset();
+            w.set_obs_sink(Box::new(VecSink::new()));
             w.run(&plans).len()
         })
     });

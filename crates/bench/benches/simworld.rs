@@ -23,9 +23,8 @@
 //! (`schema_version: 5`) through the obs session writer, falling back
 //! to `results/out/` when no `--obs-out` session is active.
 //!
-//! Pass `--quick` (or set `ALPHAWAN_BENCH_QUICK=1`) for the CI
-//! perf-smoke configuration: the 144-node exact point plus
-//! short-horizon 1M- and 10M-node streamed points.
+//! Pass `--quick` for the CI perf-smoke configuration: the 144-node
+//! exact point plus short-horizon 1M- and 10M-node streamed points.
 
 use gateway::config::GatewayConfig;
 use gateway::profile::GatewayProfile;
@@ -200,11 +199,6 @@ struct BenchReport {
     schema_version: u32,
     quick: bool,
     scales: Vec<ScalePoint>,
-    /// Span-profiler overhead on a 100k-node engine run, attached
-    /// vs detached (fractional; full mode only — quick CI runs are too
-    /// noisy to gate on a 2% wall-clock delta).
-    #[serde(default)]
-    span_overhead_frac: Option<f64>,
 }
 
 /// Repetitions per path; each point reports the best run, which damps
@@ -298,87 +292,6 @@ fn measure_exact(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> ScaleP
         point.sharded_events_per_sec, point.speedup.unwrap(), point.candidate_cull_ratio
     );
     point
-}
-
-/// Span-profiler overhead gate: a 100k-node `SimWorld::run_with_faults`
-/// (the engine's `shard.*` spans, one pair per hand-off) with the
-/// profiler detached and attached at the default stride. Records
-/// must be bit-identical either way (instrumentation cannot perturb
-/// the simulation), and the *instrumentation cost* — the amortized
-/// attached cost per span call (measured over millions of calls, so
-/// shared-host noise averages out) times the run's exact span-call
-/// count — must stay within 2% of the detached wall time, the budget
-/// `obs::span` promises at its call sites. The raw attached/detached
-/// wall-clock ratio is printed for information but not gated: two
-/// ~0.3 s wall-time windows cannot resolve 2% under the multi-percent
-/// noise bursts of shared CI-class hosts (the ratio swings both
-/// directions run to run), while the per-call × call-count bound
-/// stays stable and still catches every real regression — a new span
-/// in an inner loop raises the call count, a costlier `enter` raises
-/// the per-call cost.
-fn measure_span_overhead(nodes: usize, gws: usize, horizon_us: u64) -> f64 {
-    let seed = 550_000 + nodes as u64;
-    let plans = workload(nodes, gws, DEFAULT_DUTY, horizon_us, seed);
-    let mut world = build_world(nodes, gws, seed);
-
-    let time_once = |world: &mut SimWorld| {
-        world.reset();
-        let t0 = Instant::now();
-        let recs = world.run_with_faults(&plans, &NoFaults);
-        (t0.elapsed().as_secs_f64(), recs)
-    };
-
-    // Interleaved best-of so both modes sample the same noise regime.
-    let (mut off_secs, mut on_secs) = (f64::INFINITY, f64::INFINITY);
-    let (mut recs_off, mut recs_on) = (Vec::new(), Vec::new());
-    for _ in 0..REPS {
-        obs::span::detach();
-        let (t, recs) = time_once(&mut world);
-        off_secs = off_secs.min(t);
-        recs_off = recs;
-        obs::span::attach();
-        let (t, recs) = time_once(&mut world);
-        on_secs = on_secs.min(t);
-        recs_on = recs;
-    }
-    let report = obs::span::report();
-
-    // Amortized attached cost per call at the default stride: a tight
-    // loop long enough (~tens of ms) that bursty noise averages out.
-    const CAL_ITERS: u64 = 2_000_000;
-    let t0 = Instant::now();
-    for _ in 0..CAL_ITERS {
-        let _g = obs::span::enter(obs::span::SpanId::Calibrate);
-    }
-    let amortized_ns = t0.elapsed().as_nanos() as f64 / CAL_ITERS as f64;
-    obs::span::detach();
-
-    assert_eq!(
-        recs_on, recs_off,
-        "span profiler must not perturb simulation records"
-    );
-    assert!(
-        report.sites.iter().any(|s| s.site == "shard.drain"),
-        "attached run must have profiled the engine's drains"
-    );
-    let calls: u64 = report.sites.iter().map(|s| s.calls).sum();
-    let overhead = (amortized_ns * calls as f64) / (off_secs.max(1e-12) * 1e9);
-    let wall_ratio = on_secs / off_secs.max(1e-12) - 1.0;
-    println!(
-        "bench simworld/span_overhead   detached {off_secs:>8.3}s  attached {on_secs:>8.3}s (wall {:>+6.2}%)  cost {:>+6.2}% ({} calls x {:.1}ns, stride {}, self {}ns/sampled-call)",
-        wall_ratio * 100.0,
-        overhead * 100.0,
-        calls,
-        amortized_ns,
-        report.stride,
-        report.self_ns_per_call
-    );
-    assert!(
-        overhead <= 0.02,
-        "span instrumentation cost {:.2}% exceeds the 2% budget",
-        overhead * 100.0
-    );
-    overhead
 }
 
 /// The streamed points: the workload is generated chunk by chunk and
@@ -485,8 +398,7 @@ fn measure_streamed(nodes: usize, gws: usize, duty: f64, horizon_us: u64) -> Sca
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var_os("ALPHAWAN_BENCH_QUICK").is_some();
+    let quick = std::env::args().any(|a| a == "--quick");
     // (nodes, gateways, duty, horizon) per mode. Exact points shorten
     // the window as nodes grow so the reference replica finishes in
     // reasonable wall time; the streamed points keep short horizons
@@ -526,16 +438,11 @@ fn main() {
             .map(|&(n, g, d, h)| measure_streamed(n, g, d, h)),
     );
 
-    // Full mode only: quick CI boxes are too noisy for a 2% wall gate
-    // (CI enforces perf floors through `benchctl check` instead).
-    let span_overhead_frac = (!quick).then(|| measure_span_overhead(100_000, 64, 10_000_000));
-
     let report = BenchReport {
         bench: "sim".to_string(),
         schema_version: 5,
         quick,
         scales,
-        span_overhead_frac,
     };
 
     let json = serde_json::to_string(&report).expect("bench report serializes");

@@ -17,9 +17,8 @@
 //! session writer (falling back to `results/out/` when no `--obs-out`
 //! session is active).
 //!
-//! Pass `--quick` (or set `ALPHAWAN_BENCH_QUICK=1`) to run only the
-//! 144-node and the clustered point with a reduced generation budget —
-//! the CI perf-smoke configuration.
+//! Pass `--quick` to run only the 144-node and the clustered point with
+//! a reduced generation budget — the CI perf-smoke configuration.
 
 use alphawan::cp::eval::{EvalContext, Genome};
 use alphawan::cp::ga::{GaConfig, GaSolver};
@@ -505,8 +504,7 @@ fn worker_sweep(nodes: usize, gws: usize, ga: GaConfig, counts: &[usize]) -> Vec
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var_os("ALPHAWAN_BENCH_QUICK").is_some();
+    let quick = std::env::args().any(|a| a == "--quick");
     let ga = GaConfig {
         population: 24,
         generations: if quick { 8 } else { 16 },

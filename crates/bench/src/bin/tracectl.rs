@@ -23,7 +23,7 @@
 //! `--follow` keeps polling the file and prints beats as they land.
 
 use bench::ctl;
-use obs::{chrome_trace, FlightHeader, ObsEvent, TraceAnalyzer};
+use obs::{chrome_trace, ObsEvent, TraceAnalyzer};
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
 
@@ -147,7 +147,6 @@ fn main() -> ExitCode {
     let mut analyzer = TraceAnalyzer::new();
     let mut events: Vec<ObsEvent> = Vec::new();
     let mut schema_errors: Vec<(usize, String)> = Vec::new();
-    let mut flight_headers: Vec<FlightHeader> = Vec::new();
     for (lineno, line) in BufReader::new(file).lines().enumerate() {
         let line = match line {
             Ok(l) => l,
@@ -164,12 +163,7 @@ fn main() -> ExitCode {
                 analyzer.observe(&ev);
                 events.push(ev);
             }
-            // Flight-recorder snapshots open with a header line — part
-            // of the format, not a schema error.
-            Err(e) => match FlightHeader::parse_line(&line) {
-                Some(h) => flight_headers.push(h),
-                None => schema_errors.push((lineno + 1, format!("{e:?}"))),
-            },
+            Err(e) => schema_errors.push((lineno + 1, format!("{e:?}"))),
         }
     }
 
@@ -190,15 +184,6 @@ fn main() -> ExitCode {
         report.drops.len(),
         report.violations.len()
     );
-    for h in &flight_headers {
-        println!(
-            "         flight snapshot #{}: reason {:?}, {} events, trigger t={}µs",
-            h.seq,
-            h.reason,
-            h.events,
-            h.trigger_t_us.map_or("-".to_string(), |t| t.to_string()),
-        );
-    }
 
     // -- Per-trace packet summaries ------------------------------------
     println!("\npacket traces (first {} by trace id):", args.top);

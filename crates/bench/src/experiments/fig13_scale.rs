@@ -67,7 +67,7 @@ pub fn run() {
         .iter()
         .flat_map(|&users| STRATEGIES.iter().map(move |&(kind, _)| (users, kind)))
         .collect();
-    let runner = crate::sweep::SweepRunner::from_env();
+    let runner = crate::sweep::SweepRunner::per_core();
     let results = runner.run(jobs.len(), |i| {
         let (users, kind) = jobs[i];
         run_strategy(kind, users)

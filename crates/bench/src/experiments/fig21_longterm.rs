@@ -87,7 +87,7 @@ pub fn run() {
     // worlds directly (never through the obs session), so no event
     // stream can interleave nondeterministically.
     let weeks: Vec<WeekState> = (1..=53usize).map(WeekState::at).collect();
-    let runner = crate::sweep::SweepRunner::from_env();
+    let runner = crate::sweep::SweepRunner::per_core();
     let results = runner.run(weeks.len(), |i| {
         let s = &weeks[i];
         (weekly_prr(&topo, s, true), weekly_prr(&topo, s, false))

@@ -138,10 +138,9 @@ pub(crate) fn write_report(name: &str) {
     let _ = report.write(&s.dir.join(format!("{name}.obs.json")));
 }
 
-/// Flush (and seal) the session event stream. Wire this into a
-/// [`obs::FlightRecorder`] snapshot hook so the main stream is on disk
-/// — under its final name — next to every snapshot. No-op when
-/// inactive.
+/// Flush (and seal) the session event stream, so it is on disk under
+/// its final name before the process writes its last artifact. No-op
+/// when inactive.
 pub fn flush() {
     if let Some(m) = session() {
         let mut s = lock(m);

@@ -24,19 +24,10 @@ impl SweepRunner {
         }
     }
 
-    /// Worker count from the `ALPHAWAN_SWEEP_WORKERS` environment
-    /// variable, defaulting to the machine's available parallelism.
-    /// `ALPHAWAN_SWEEP_WORKERS=1` forces the serial path.
-    pub fn from_env() -> SweepRunner {
-        let workers = std::env::var("ALPHAWAN_SWEEP_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        SweepRunner::new(workers)
+    /// One worker per core the machine offers. The worker count never
+    /// changes results, so the experiments take all of them.
+    pub fn per_core() -> SweepRunner {
+        SweepRunner::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Configured worker count.
@@ -113,5 +104,16 @@ mod tests {
         assert_eq!(SweepRunner::new(0).workers(), 1);
         // More workers than jobs.
         assert_eq!(SweepRunner::new(64).run(3, |i| i), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn per_core_uses_every_core_and_matches_serial() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let runner = SweepRunner::per_core();
+        assert_eq!(runner.workers(), cores);
+        assert_eq!(
+            runner.run(17, |i| i * 3 + 1),
+            SweepRunner::new(1).run(17, |i| i * 3 + 1)
+        );
     }
 }

@@ -1,7 +1,9 @@
-//! Round-trip tests for `benchctl` and `tracectl tail` against
-//! checked-in fixtures — the same invocations CI's perf gate and a
-//! live debugging session use, driven through the real executables.
+//! Round-trip tests for `benchctl` and `tracectl` against checked-in
+//! fixtures and small generated event streams — the same invocations
+//! CI's perf and trace gates and a live debugging session use, driven
+//! through the real executables.
 
+use obs::{chrome_trace, ChromeTrace, LossKind, ObsEvent};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -301,4 +303,207 @@ fn tracectl_tail_follow_prints_appended_beats() {
         assert!(row.contains(events), "{row} lacks {events}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One traced packet's full lifecycle at one gateway, causally clean.
+fn clean_stream() -> Vec<ObsEvent> {
+    let (trace, tx) = (7, 1);
+    vec![
+        ObsEvent::GatewayInfo {
+            gw: 0,
+            network: 1,
+            capacity: 8,
+        },
+        ObsEvent::PacketLockOn {
+            t_us: 100,
+            trace,
+            tx,
+            node: 3,
+            network: 1,
+        },
+        ObsEvent::DecoderAcquired {
+            t_us: 100,
+            trace,
+            gw: 0,
+            tx,
+            in_use: 1,
+            capacity: 8,
+        },
+        ObsEvent::DecoderReleased {
+            t_us: 900,
+            trace,
+            gw: 0,
+            tx,
+            in_use: 0,
+        },
+        ObsEvent::PacketOutcome {
+            t_us: 900,
+            trace,
+            tx,
+            delivered: true,
+            cause: None::<LossKind>,
+        },
+    ]
+}
+
+/// Write `events`, then the `extra` raw lines, as a JSONL stream.
+fn stream_file(name: &str, events: &[ObsEvent], extra: &[&str]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tracectl-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    let mut text: String = events
+        .iter()
+        .map(|e| serde_json::to_string(e).unwrap() + "\n")
+        .collect();
+    for l in extra {
+        text.push_str(l);
+        text.push('\n');
+    }
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+#[test]
+fn tracectl_check_passes_on_a_clean_stream() {
+    let path = stream_file("clean.jsonl", &clean_stream(), &[]);
+    let out = tracectl(&[path.to_str().unwrap(), "--check"]);
+    let stdout = text(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", text(&out.stderr));
+    assert!(
+        stdout.contains("5 events, 0 unparseable lines, 1 gateways, 1 packet traces"),
+        "got: {stdout}"
+    );
+    assert!(stdout.contains("0 causality violations"), "got: {stdout}");
+    assert!(stdout.contains("delivered"), "outcome missing: {stdout}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn tracectl_check_fails_on_a_line_that_is_not_an_event() {
+    // A header line of some other format is not part of the event
+    // schema: it is reported, and `--check` gates on it.
+    let path = stream_file(
+        "header.jsonl",
+        &clean_stream(),
+        &[r#"{"Header":{"seq":0}}"#],
+    );
+    let out = tracectl(&[path.to_str().unwrap(), "--check"]);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out.stdout));
+    let stderr = text(&out.stderr);
+    assert!(
+        stderr.contains("schema violation at line 6"),
+        "got: {stderr}"
+    );
+    assert!(
+        stderr.contains("check failed: 1 schema violations, 0 causality violations"),
+        "got: {stderr}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn tracectl_without_check_reports_but_does_not_gate() {
+    let path = stream_file("lenient.jsonl", &clean_stream(), &["not json at all"]);
+    let out = tracectl(&[path.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert!(
+        text(&out.stdout).contains("5 events, 1 unparseable lines"),
+        "got: {}",
+        text(&out.stdout)
+    );
+    assert!(text(&out.stderr).contains("schema violation at line 6"));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn tracectl_check_fails_on_a_causality_violation() {
+    // Drop the acquisition: the release then frees a decoder nobody held.
+    let mut events = clean_stream();
+    events.remove(2);
+    let path = stream_file("orphan.jsonl", &events, &[]);
+    let out = tracectl(&[path.to_str().unwrap(), "--check"]);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out.stdout));
+    assert!(
+        text(&out.stdout).contains("1 causality violations"),
+        "got: {}",
+        text(&out.stdout)
+    );
+    let stderr = text(&out.stderr);
+    assert!(stderr.contains("causality violation: "), "got: {stderr}");
+    assert!(
+        stderr.contains("check failed: 0 schema violations, 1 causality violations"),
+        "got: {stderr}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn tracectl_writes_a_chrome_trace() {
+    let path = stream_file("chrome.jsonl", &clean_stream(), &[]);
+    let chrome = path.with_extension("chrome.json");
+    let out = tracectl(&[path.to_str().unwrap(), "--chrome", chrome.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let written = std::fs::read_to_string(&chrome).unwrap();
+    let doc: ChromeTrace = serde_json::from_str(&written).expect("chrome JSON");
+    assert_eq!(doc, chrome_trace(&clean_stream()));
+    let n = doc.traceEvents.len();
+    assert!(n > 0, "no chrome events");
+    assert!(
+        text(&out.stdout).contains(&format!("wrote {n} chrome trace events")),
+        "got: {}",
+        text(&out.stdout)
+    );
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&chrome);
+}
+
+#[test]
+fn tracectl_top_caps_the_trace_table() {
+    let mut events = clean_stream();
+    for trace in [8, 9] {
+        events.push(ObsEvent::PacketOutcome {
+            t_us: 2_000,
+            trace,
+            tx: trace,
+            delivered: false,
+            cause: None,
+        });
+    }
+    let path = stream_file("top.jsonl", &events, &[]);
+    let out = tracectl(&[path.to_str().unwrap(), "--top", "1"]);
+    let stdout = text(&out.stdout);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert!(stdout.contains("3 packet traces"), "got: {stdout}");
+    assert!(
+        stdout.contains("packet traces (first 1 by trace id)"),
+        "got: {stdout}"
+    );
+    assert!(stdout.contains("0x7"), "first trace missing: {stdout}");
+    assert!(!stdout.contains("0x8"), "row past --top printed: {stdout}");
+    assert!(stdout.contains("… 2 more"), "got: {stdout}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn tracectl_rejects_bad_arguments() {
+    let path = stream_file("args.jsonl", &clean_stream(), &[]);
+    let path = path.to_str().unwrap();
+    let missing = fixtures().join("no-such-events.jsonl");
+    for (args, says) in [
+        (&[][..], "usage: tracectl"),
+        (&[path, "--frobnicate"], "unknown flag: --frobnicate"),
+        (&[path, "--top", "ten"], "bad --top value: ten"),
+        (&[path, "--chrome"], "--chrome needs a path"),
+        (&[path, path], "exactly one input file expected"),
+        (&[missing.to_str().unwrap()], "no-such-events.jsonl"),
+    ] {
+        let out = tracectl(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            text(&out.stderr).contains(says),
+            "{args:?}: {}",
+            text(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_file(path);
 }

@@ -385,9 +385,9 @@ mod tests {
 
     #[test]
     fn observe_emits_one_event_per_fault() {
-        use obs::{FaultKind, ObsEvent, RingSink};
+        use obs::{FaultKind, ObsEvent, VecSink};
         let plan = sample_plan();
-        let mut sink = RingSink::new(16);
+        let mut sink = VecSink::new();
         plan.observe(&mut sink);
         assert_eq!(sink.events().len(), plan.faults.len());
         // Spot-check the three target conventions: gateway-scoped,

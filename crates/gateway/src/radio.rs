@@ -554,9 +554,9 @@ mod tests {
 
     #[test]
     fn obs_events_trace_decoder_lifecycle() {
-        use obs::{ObsEvent, RingSink};
+        use obs::{ObsEvent, VecSink};
         let mut g = gw(1);
-        let mut sink = RingSink::new(64);
+        let mut sink = VecSink::new();
         // Fill the pool with foreign packets, then drop an own-network
         // one: acquire ×16, then PoolFullDrop + StealRefused.
         for i in 0..16u64 {

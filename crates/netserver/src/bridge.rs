@@ -168,7 +168,7 @@ mod tests {
             .unwrap();
         let mut up = ingested(&wire, 1, 10);
         up.rxpk = up.rxpk.with_trace(0xFACE);
-        let mut sink = obs::RingSink::new(4);
+        let mut sink = obs::VecSink::new();
         process_uplink_obs(&mut server, &up, &mut sink);
         match sink.events()[0] {
             obs::ObsEvent::Dedup { trace, .. } => assert_eq!(trace, 0xFACE),

@@ -351,9 +351,9 @@ mod tests {
 
     #[test]
     fn offer_obs_emits_classifications() {
-        use obs::{DedupKind, ObsEvent, RingSink};
+        use obs::{DedupKind, ObsEvent, VecSink};
         let mut d = Deduplicator::new(200_000);
-        let mut sink = RingSink::new(8);
+        let mut sink = VecSink::new();
         d.offer_obs(copy(1, 10, 0, -3.0, 0), &mut sink);
         d.offer_obs(copy(1, 10, 1, 2.0, 50_000), &mut sink);
         d.offer_obs(copy(1, 11, 0, 0.0, 1_000_000), &mut sink);

@@ -12,8 +12,8 @@
 //!   preempts), dedup outcomes, Master RPC attempts and cache
 //!   degradation, and fault-plan activations;
 //! * [`sink`] — the zero-alloc-on-hot-path [`ObsSink`] trait with
-//!   [`NullSink`] (free), [`RingSink`] (bounded in-memory),
-//!   [`JsonlSink`] (one JSON object per line) and composition helpers;
+//!   [`NullSink`] (free), [`VecSink`] (in-memory), [`JsonlSink`] (one
+//!   JSON object per line) and [`SharedSink`] (one sink, many owners);
 //! * [`metrics`] — a dependency-free registry of counters, gauges and
 //!   fixed-bucket histograms, plus [`MetricsSink`] which folds the
 //!   event stream into decoder occupancy timelines, per-gateway
@@ -26,14 +26,6 @@
 //!   event stream back into causal per-packet timelines with
 //!   decoder-contention attribution (blocker→victim pairs for every
 //!   pool-full drop), and Chrome trace-event export for Perfetto;
-//! * [`flight`] — the [`FlightRecorder`] sink: a bounded ring that
-//!   snapshots the recent past to JSONL (with a trigger-context header)
-//!   on chaos fault activations, pool-full drop bursts, or explicit
-//!   request;
-//! * [`span`] — a low-overhead hierarchical span profiler (scoped RAII
-//!   timers, exact counts, sampled durations) instrumenting the sim
-//!   engine phases, the CP-solver stages and the svc ingest thread —
-//!   free when detached;
 //! * [`heartbeat`] — per-shard [`Heartbeat`]s for streamed runs.
 //!
 //! Events are plain `Copy` data and every sink implementation is
@@ -44,16 +36,13 @@
 #![deny(missing_docs)]
 
 pub mod event;
-pub mod flight;
 pub mod heartbeat;
 pub mod metrics;
 pub mod report;
 pub mod sink;
-pub mod span;
 pub mod trace;
 
 pub use event::{DedupKind, FaultKind, LossKind, ObsEvent, PlanServed, SolverKind, SvcConn};
-pub use flight::{FlightHeader, FlightRecorder, FLIGHT_HEADER_VERSION};
 pub use heartbeat::{Heartbeat, HeartbeatWriter};
 pub use metrics::{
     proc_mem, GatewayOccupancy, Histogram, MetricsSink, ProcMem, Registry,
@@ -62,8 +51,7 @@ pub use metrics::{
 pub use report::{
     GatewayReport, NamedCount, NamedGauge, NamedHistogram, RunReport, RUN_REPORT_VERSION,
 };
-pub use sink::{JsonlSink, NullSink, ObsSink, RingSink, SharedSink, VecSink};
-pub use span::{SpanGuard, SpanId, SpanRecord, SpanReport, SpanSiteReport, SPAN_REPORT_VERSION};
+pub use sink::{JsonlSink, NullSink, ObsSink, SharedSink, VecSink};
 pub use trace::{
     chrome_trace, control_trace, packet_trace, ChromeTrace, ContentionReport, PacketTimeline,
     TraceAnalyzer, TraceId, TraceReport,

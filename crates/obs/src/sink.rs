@@ -48,78 +48,9 @@ impl ObsSink for NullSink {
     fn record(&mut self, _ev: &ObsEvent) {}
 }
 
-/// A bounded in-memory sink: keeps the most recent `capacity` events,
-/// overwriting the oldest on wraparound (a flight recorder).
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    buf: Vec<ObsEvent>,
-    capacity: usize,
-    /// Index the next event will be written to once the ring is full.
-    head: usize,
-    total: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> RingSink {
-        assert!(capacity > 0, "a zero-capacity ring records nothing");
-        RingSink {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            total: 0,
-        }
-    }
-
-    /// Events recorded over the sink's lifetime (including overwritten
-    /// ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no event has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<ObsEvent> {
-        if self.buf.len() < self.capacity {
-            self.buf.clone()
-        } else {
-            // `head` points at the oldest retained event once full.
-            let mut out = Vec::with_capacity(self.capacity);
-            out.extend_from_slice(&self.buf[self.head..]);
-            out.extend_from_slice(&self.buf[..self.head]);
-            out
-        }
-    }
-}
-
-impl ObsSink for RingSink {
-    fn record(&mut self, ev: &ObsEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(*ev);
-        } else {
-            self.buf[self.head] = *ev;
-            self.head = (self.head + 1) % self.capacity;
-        }
-        self.total += 1;
-    }
-}
-
 /// An unbounded in-memory sink: keeps every event, in order. The
 /// natural capture buffer for feeding a
-/// [`TraceAnalyzer`](crate::trace::TraceAnalyzer) after a run; prefer
-/// [`RingSink`] when the run is long and only the tail matters.
+/// [`TraceAnalyzer`](crate::trace::TraceAnalyzer) after a run.
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
     events: Vec<ObsEvent>,
@@ -232,15 +163,6 @@ impl JsonlSink {
         self.pending_rename.is_none()
     }
 
-    /// Write one pre-serialized JSON line (e.g. a
-    /// [`FlightHeader`](crate::flight::FlightHeader)). The caller is
-    /// responsible for `line` being a single line of valid JSON.
-    pub fn write_line(&mut self, line: &str) {
-        let _ = self.out.write_all(line.as_bytes());
-        let _ = self.out.write_all(b"\n");
-        self.written += 1;
-    }
-
     /// Lines written so far.
     pub fn written(&self) -> u64 {
         self.written
@@ -340,66 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_before_wraparound_keeps_order() {
-        let mut r = RingSink::new(4);
-        for t in 0..3 {
-            r.record(&ev(t));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.total_recorded(), 3);
-        let ts: Vec<u64> = r.events().iter().map(|e| e.t_us().unwrap()).collect();
-        assert_eq!(ts, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn ring_wraparound_drops_oldest_first() {
-        let mut r = RingSink::new(3);
-        for t in 0..7 {
-            r.record(&ev(t));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.total_recorded(), 7);
-        let ts: Vec<u64> = r.events().iter().map(|e| e.t_us().unwrap()).collect();
-        assert_eq!(ts, vec![4, 5, 6], "oldest-first after two wraps");
-    }
-
-    #[test]
-    fn ring_exact_fill_boundary() {
-        // Exactly `capacity` events: full but not yet wrapped.
-        let mut r = RingSink::new(3);
-        for t in 0..3 {
-            r.record(&ev(t));
-        }
-        let ts: Vec<u64> = r.events().iter().map(|e| e.t_us().unwrap()).collect();
-        assert_eq!(ts, vec![0, 1, 2]);
-        // One more: the single oldest event is replaced.
-        r.record(&ev(3));
-        let ts: Vec<u64> = r.events().iter().map(|e| e.t_us().unwrap()).collect();
-        assert_eq!(ts, vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-capacity")]
-    fn ring_zero_capacity_panics() {
-        RingSink::new(0);
-    }
-
-    #[test]
-    fn ring_wraparound_behind_shared() {
-        // Wraparound semantics survive sharing: a ring reached through
-        // a SharedSink handle still keeps the newest events
-        // oldest-first.
-        let shared = SharedSink::new(RingSink::new(3));
-        let mut producer = shared.handle();
-        for t in 0..8 {
-            producer.record(&ev(t));
-        }
-        let ts: Vec<u64> = shared.with(|r| r.events().iter().map(|e| e.t_us().unwrap()).collect());
-        assert_eq!(ts, vec![5, 6, 7]);
-        assert_eq!(shared.with(|r| r.total_recorded()), 8);
-    }
-
-    #[test]
     fn vec_sink_keeps_everything_in_order() {
         let mut v = VecSink::new();
         assert!(v.is_empty());
@@ -413,12 +275,12 @@ mod tests {
 
     #[test]
     fn shared_sink_handles_see_same_buffer() {
-        let shared = SharedSink::new(RingSink::new(8));
-        let mut producer: SharedSink<RingSink> = shared.handle();
+        let shared = SharedSink::new(VecSink::new());
+        let mut producer: SharedSink<VecSink> = shared.handle();
         producer.record(&ev(9));
-        assert_eq!(shared.with(|r| r.len()), 1);
-        shared.with_mut(|r| r.record(&ev(10)));
-        assert_eq!(producer.with(|r| r.total_recorded()), 2);
+        assert_eq!(shared.with(|v| v.len()), 1);
+        shared.with_mut(|v| v.record(&ev(10)));
+        assert_eq!(producer.with(|v| v.len()), 2);
     }
 
     #[test]
@@ -475,30 +337,87 @@ mod tests {
     }
 
     #[test]
-    fn write_line_interleaves_raw_json() {
-        let dir = std::env::temp_dir().join("obs_sink_raw");
-        let path = dir.join("mixed.jsonl");
+    fn jsonl_lines_parse_back_to_the_events() {
+        let dir = std::env::temp_dir().join(format!("obs_sink_parse_{}", std::process::id()));
+        let path = dir.join("events.jsonl");
+        let events = [
+            ev(3),
+            ObsEvent::DecoderReleased {
+                t_us: 9,
+                trace: 4,
+                gw: 2,
+                tx: 3,
+                in_use: 0,
+            },
+        ];
         {
             let mut s = JsonlSink::create(&path).unwrap();
-            s.write_line("{\"Header\":{\"v\":1}}");
-            s.record(&ev(1));
-            assert_eq!(s.written(), 2);
+            for e in &events {
+                s.record(e);
+            }
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.lines().next().unwrap().contains("Header"));
+        let back: Vec<ObsEvent> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("line parses as an event"))
+            .collect();
+        assert_eq!(back, events);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn ring_of_one_keeps_only_the_newest() {
-        let mut r = RingSink::new(1);
-        assert!(r.is_empty());
-        for t in 0..5 {
-            r.record(&ev(t));
-            let ts: Vec<u64> = r.events().iter().map(|e| e.t_us().unwrap()).collect();
-            assert_eq!(ts, vec![t]);
+    fn jsonl_bytes_depend_only_on_the_events() {
+        let dir = std::env::temp_dir().join(format!("obs_sink_bytes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let write = |name: &str, atomic: bool| {
+            let path = dir.join(name);
+            let mut s = if atomic {
+                JsonlSink::create_atomic(&path).unwrap()
+            } else {
+                JsonlSink::create(&path).unwrap()
+            };
+            for t in 0..4 {
+                s.record(&ev(t));
+            }
+            drop(s);
+            std::fs::read(&path).unwrap()
+        };
+        let plain = write("a.jsonl", false);
+        assert_eq!(plain, write("b.jsonl", false));
+        assert_eq!(
+            plain,
+            write("c.jsonl", true),
+            "atomic sinks write the same bytes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn jsonl_create_makes_missing_directories() {
+        let dir = std::env::temp_dir().join(format!("obs_sink_mkdir_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("a/b/events.jsonl");
+        JsonlSink::create(&path).unwrap().record(&ev(1));
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn atomic_create_truncates_a_stale_partial() {
+        let dir = std::env::temp_dir().join(format!("obs_sink_stale_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("events.jsonl");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A crashed run left its partial file behind.
+        std::fs::write(dir.join("events.jsonl.partial"), "{}\n{}\n{}\n").unwrap();
+        {
+            let mut s = JsonlSink::create_atomic(&path).unwrap();
+            s.record(&ev(5));
         }
-        assert_eq!(r.total_recorded(), 5);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1, "stale lines leaked: {text}");
+        assert!(!dir.join("events.jsonl.partial").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

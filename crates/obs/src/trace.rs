@@ -24,9 +24,8 @@
 //! The analyzer also checks stream causality ([`CausalityViolation`]):
 //! a decoder released before (or without) its acquisition, an acquire
 //! for a trace that never locked on, a hold that never ends. A healthy
-//! full-run stream has none; truncated streams (e.g. a
-//! [`crate::flight::FlightRecorder`] snapshot) legitimately report
-//! boundary violations for spans cut by the window edge.
+//! full-run stream has none; a truncated stream legitimately reports
+//! boundary violations for spans cut by its edge.
 
 use crate::event::{DedupKind, LossKind, ObsEvent, PlanServed};
 use serde::{Deserialize, Serialize};

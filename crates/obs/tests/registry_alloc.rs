@@ -4,9 +4,8 @@
 //! `inc` ×3 + `observe` once per shard batch, always on names the
 //! registry has seen: such a call must find the entry by `&str` and
 //! allocate nothing (building a `String` key first was one heap round
-//! trip per call). Same counting-allocator harness as
-//! `span_zero_cost`, and likewise the binary's only test so nothing
-//! else moves the counter.
+//! trip per call). A counting global allocator measures it, and this
+//! is the binary's only test so nothing else moves the counter.
 
 use obs::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -947,14 +947,8 @@ impl<'e> ShardMachine<'e> {
     /// frontier has made safe.
     fn step(&mut self, chunk: &[RoutedPlan], frontier: u64) {
         let began = Instant::now();
-        {
-            let _sp = obs::span::enter(obs::span::SpanId::ShardIngest);
-            self.ingest(chunk);
-        }
-        {
-            let _sp = obs::span::enter(obs::span::SpanId::ShardDrain);
-            self.drain(frontier);
-        }
+        self.ingest(chunk);
+        self.drain(frontier);
         if frontier != u64::MAX {
             self.last_frontier = frontier;
         }
@@ -1275,7 +1269,6 @@ fn run_chunked(
     // are unique across shards (each is tagged with its transmission
     // id), so `<` alone reconstructs the global event order.
     if obs_on {
-        let _sp = obs::span::enter(obs::span::SpanId::ShardMerge);
         let sink = taken.as_deref_mut().expect("sink present when enabled");
         let mut idx = vec![0usize; outputs.len()];
         loop {

@@ -632,7 +632,7 @@ mod tests {
         let mut plain = clean_world(20, &[1]);
         let recs_plain = plain.run(&plans);
         let mut observed = clean_world(20, &[1]);
-        observed.set_obs_sink(Box::new(obs::RingSink::new(1024)));
+        observed.set_obs_sink(Box::new(obs::VecSink::new()));
         let recs_obs = observed.run(&plans);
         assert_eq!(recs_plain, recs_obs);
     }

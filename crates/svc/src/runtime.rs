@@ -211,7 +211,6 @@ impl Decider {
     /// Offer `pkts`, received at `recv`, in order, each to its shard,
     /// and log the decisions: made and logged when the call returns.
     pub(crate) fn decide(&mut self, pkts: &[PacketIn], recv: Instant) -> Decided {
-        let _sp = obs::span::enter(obs::span::SpanId::SvcBatch);
         let mut outcomes = DedupStats::default();
         // Locked once for the call, not once a packet.
         let mut sink = self.sink.as_ref().map(|s| s.lock());

@@ -1,0 +1,470 @@
+//! The prose docs name only what the code has.
+//!
+//! Over README.md, DESIGN.md, EXPERIMENTS.md and `docs/*.md`, outside
+//! fenced code blocks:
+//!
+//! * every `ALPHAWAN_*` environment variable must occur in the Rust
+//!   sources under `crates/`, `examples/`, `tests/` and `src/`;
+//! * every backticked Rust path — `Type`, `module::Type`,
+//!   `Type::method`, with or without a call suffix — must be made of
+//!   identifiers those sources contain.
+//!
+//! Comments in the sources do not count, so a name that survives only
+//! in a comment does not keep a doc line alive; string literals do, so
+//! a variable the code reads with `std::env::var` resolves. A deletion
+//! that leaves a doc naming the deleted item fails here.
+//!
+//! A third check holds every relative Markdown link in those docs and
+//! ROADMAP.md to a file in the repository.
+
+use std::collections::HashSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The docs whose names must resolve, as paths relative to the root.
+fn prose_docs() -> Vec<PathBuf> {
+    let mut docs: Vec<PathBuf> = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        .iter()
+        .map(PathBuf::from)
+        .collect();
+    let mut extra: Vec<PathBuf> = fs::read_dir(root().join("docs"))
+        .expect("docs/ readable")
+        .map(|e| e.expect("docs/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "md"))
+        .map(|p| p.strip_prefix(root()).expect("under root").to_path_buf())
+        .collect();
+    extra.sort();
+    docs.extend(extra);
+    docs
+}
+
+fn read(rel: &Path) -> String {
+    fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{}: {e}", rel.display()))
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|x| x == "rs") && !path.ends_with(file!()) {
+            out.push(path);
+        }
+    }
+}
+
+/// `src` with its `//` and `/* */` comments blanked. String and char
+/// literals are copied whole, so a `//` inside one is not a comment.
+fn strip_comments(src: &str) -> String {
+    let c: Vec<char> = src.chars().collect();
+    let mut out = String::with_capacity(src.len());
+    let mut i = 0;
+    while i < c.len() {
+        let next = c.get(i + 1).copied();
+        if c[i] == '/' && next == Some('/') {
+            while i < c.len() && c[i] != '\n' {
+                i += 1;
+            }
+        } else if c[i] == '/' && next == Some('*') {
+            i += 2;
+            while i < c.len() && !(c[i - 1] == '*' && c[i] == '/') {
+                i += 1;
+            }
+            i += 1;
+            out.push(' ');
+        } else if let Some(hashes) = raw_string_at(&c, i) {
+            // A raw string runs to a quote followed by as many hashes.
+            let closes =
+                |j: usize| c[j] == '"' && c[j + 1..].iter().take(hashes).all(|&h| h == '#');
+            let mut j = i + 2 + hashes;
+            while j < c.len() && !closes(j) {
+                j += 1;
+            }
+            let end = (j + 1 + hashes).min(c.len());
+            out.extend(&c[i..end]);
+            i = end;
+        } else if c[i] == '"' {
+            let start = i;
+            i += 1;
+            while i < c.len() && c[i] != '"' {
+                i += if c[i] == '\\' { 2 } else { 1 };
+            }
+            i = (i + 1).min(c.len());
+            out.extend(&c[start..i]);
+        } else if c[i] == '\'' && next == Some('\\') {
+            // Escaped char literal: `'\''`, `'\\'`, `'\u{..}'`.
+            let end = c
+                .get(i + 3..)
+                .and_then(|t| t.iter().position(|&ch| ch == '\''))
+                .map_or(c.len(), |p| i + 4 + p);
+            out.extend(&c[i..end]);
+            i = end;
+        } else if c[i] == '\'' && c.get(i + 2) == Some(&'\'') {
+            out.extend(&c[i..i + 3]);
+            i += 3;
+        } else {
+            out.push(c[i]);
+            i += 1;
+        }
+    }
+    out
+}
+
+/// The number of `#`s if a raw string literal (`r"`, `r#"`, `br#"`)
+/// opens at `i`.
+fn raw_string_at(c: &[char], i: usize) -> Option<usize> {
+    let in_word = i > 0 && (c[i - 1].is_alphanumeric() || c[i - 1] == '_') && c[i - 1] != 'b';
+    if c[i] != 'r' || in_word {
+        return None;
+    }
+    let hashes = c[i + 1..].iter().take_while(|&&ch| ch == '#').count();
+    (c.get(i + 1 + hashes) == Some(&'"')).then_some(hashes)
+}
+
+/// Every word (`[A-Za-z0-9_]+`) outside comments in the sources,
+/// scanned once per test binary.
+fn source_words() -> &'static HashSet<String> {
+    static WORDS: OnceLock<HashSet<String>> = OnceLock::new();
+    WORDS.get_or_init(scan_source_words)
+}
+
+fn scan_source_words() -> HashSet<String> {
+    let mut files = Vec::new();
+    for dir in ["crates", "examples", "tests", "src"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "only {} source files found", files.len());
+    let mut words = HashSet::new();
+    for f in files {
+        let src = fs::read_to_string(&f).unwrap_or_else(|e| panic!("{}: {e}", f.display()));
+        let code = strip_comments(&src);
+        words.extend(
+            code.split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
+                .filter(|w| !w.is_empty())
+                .map(str::to_string),
+        );
+    }
+    words
+}
+
+/// `text` with the lines of its fenced code blocks blanked.
+fn outside_fences(text: &str) -> String {
+    let mut in_fence = false;
+    let mut out = String::with_capacity(text.len());
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+        } else if !in_fence {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The inline code spans of `text`: a run of n backticks up to the
+/// next run of exactly n, as Markdown pairs them.
+fn code_spans(text: &str) -> Vec<String> {
+    let c: Vec<char> = text.chars().collect();
+    let run = |i: usize| c[i..].iter().take_while(|&&ch| ch == '`').count();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < c.len() {
+        if c[i] != '`' {
+            i += 1;
+            continue;
+        }
+        let n = run(i);
+        let body = i + n;
+        let mut j = body;
+        let close = loop {
+            if j >= c.len() {
+                break None;
+            }
+            if c[j] == '`' {
+                let m = run(j);
+                if m == n {
+                    break Some(j);
+                }
+                j += m;
+            } else {
+                j += 1;
+            }
+        };
+        match close {
+            Some(j) => {
+                spans.push(c[body..j].iter().collect::<String>().trim().to_string());
+                i = j + n;
+            }
+            None => i = body,
+        }
+    }
+    spans
+}
+
+/// The identifiers of `span` if it is a Rust path naming a type:
+/// `::`-separated identifiers, at least one of them UpperCamelCase,
+/// optionally followed by a call's parentheses.
+fn type_path(span: &str) -> Option<Vec<&str>> {
+    let path = match span.find('(') {
+        Some(p) if span.ends_with(')') => &span[..p],
+        Some(_) => return None,
+        None => span,
+    };
+    let segs: Vec<&str> = path.split("::").collect();
+    let is_ident = |s: &str| {
+        s.chars()
+            .next()
+            .is_some_and(|ch| ch.is_ascii_alphabetic() || ch == '_')
+            && s.chars().all(|ch| ch.is_ascii_alphanumeric() || ch == '_')
+    };
+    let is_type = |s: &str| {
+        s.starts_with(|ch: char| ch.is_ascii_uppercase())
+            && s.chars().any(|ch| ch.is_ascii_lowercase())
+    };
+    (segs.iter().all(|s| is_ident(s)) && segs.iter().any(|s| is_type(s))).then_some(segs)
+}
+
+/// Every `ALPHAWAN_*` name and backticked type path in `text` (a doc
+/// already cut to [`outside_fences`]), each with the first part the
+/// sources lack, if any.
+fn doc_names(text: &str, words: &HashSet<String>) -> Vec<(String, Option<String>)> {
+    let mut names = Vec::new();
+    for (at, _) in text.match_indices("ALPHAWAN_") {
+        let name: String = text[at..]
+            .chars()
+            .take_while(|ch| ch.is_ascii_uppercase() || ch.is_ascii_digit() || *ch == '_')
+            .collect();
+        if name.len() > "ALPHAWAN_".len() {
+            let lack = (!words.contains(&name)).then(|| name.clone());
+            names.push((format!("variable {name}"), lack));
+        }
+    }
+    for span in code_spans(text) {
+        if let Some(segs) = type_path(&span) {
+            let lack = segs
+                .iter()
+                .find(|s| !words.contains(**s))
+                .map(|s| s.to_string());
+            names.push((format!("`{span}`"), lack));
+        }
+    }
+    names
+}
+
+/// The relative targets of the `[text](target)` links in `text`: no
+/// URLs, no in-page anchors, and an anchor suffix cut off.
+fn relative_links(text: &str) -> Vec<&str> {
+    let mut links = Vec::new();
+    for (at, _) in text.match_indices("](") {
+        // A link is `[text](target)`: a `[` before with no `]` in
+        // between, and a target without whitespace up to `)`.
+        let before = &text[..at];
+        if before
+            .rfind('[')
+            .is_none_or(|open| before[open..].contains(']'))
+        {
+            continue;
+        }
+        let rest = &text[at + 2..];
+        let Some(end) = rest.find(|ch: char| ch == ')' || ch.is_whitespace()) else {
+            continue;
+        };
+        let target = &rest[..end];
+        if target.is_empty() || !rest[end..].starts_with(')') {
+            continue;
+        }
+        if ["http://", "https://", "mailto:", "#"]
+            .iter()
+            .any(|p| target.starts_with(p))
+        {
+            continue;
+        }
+        links.push(target.split('#').next().unwrap_or(target));
+    }
+    links
+}
+
+#[test]
+fn docs_name_only_what_the_sources_have() {
+    let words = source_words();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in prose_docs() {
+        for (name, lack) in doc_names(&outside_fences(&read(&doc)), words) {
+            checked += 1;
+            if let Some(lack) = lack {
+                missing.push(format!(
+                    "{}: {name} ({lack} not in the sources)",
+                    doc.display()
+                ));
+            }
+        }
+    }
+    assert!(
+        checked >= 150,
+        "only {checked} names checked: the scan lost the docs"
+    );
+    assert!(
+        missing.is_empty(),
+        "{} of {checked} doc names resolve to nothing in the sources:\n{}",
+        missing.len(),
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn relative_links_resolve() {
+    let mut docs = prose_docs();
+    docs.push(PathBuf::from("ROADMAP.md"));
+    let mut bad = Vec::new();
+    for doc in &docs {
+        let text = read(doc);
+        let dir = doc.parent().unwrap_or(Path::new(""));
+        for path in relative_links(&text) {
+            if !root().join(dir).join(path).exists() {
+                bad.push(format!("{}: broken link -> {path}", doc.display()));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn a_doc_naming_a_type_the_sources_lack_fails() {
+    let doc = "Keep the tail in a `NoSuchRecorder`; snapshot it with \
+               `obs::NoSuchRecorder::open()` into a `VecSink`.\n";
+    let names = doc_names(doc, source_words());
+    let lacking: Vec<_> = names
+        .iter()
+        .filter_map(|(_, lack)| lack.as_deref())
+        .collect();
+    assert_eq!(names.len(), 3, "{names:?}");
+    assert_eq!(lacking, ["NoSuchRecorder", "NoSuchRecorder"], "{names:?}");
+}
+
+#[test]
+fn a_doc_naming_an_unread_variable_fails() {
+    let doc = "Set `ALPHAWAN_HEARTBEAT` or ALPHAWAN_NO_SUCH_KNOB=1; \
+               a bare `ALPHAWAN_` prefix names nothing.\n";
+    let names = doc_names(doc, source_words());
+    assert_eq!(
+        names,
+        [
+            ("variable ALPHAWAN_HEARTBEAT".to_string(), None),
+            (
+                "variable ALPHAWAN_NO_SUCH_KNOB".to_string(),
+                Some("ALPHAWAN_NO_SUCH_KNOB".to_string())
+            ),
+        ]
+    );
+}
+
+#[test]
+fn names_inside_fenced_blocks_are_not_checked() {
+    let doc = "Use `VecSink`.\n```rust\nlet r = NoSuchRecorder::new();\n```\nDone.\n";
+    let text = outside_fences(doc);
+    assert_eq!(
+        text.lines().count(),
+        doc.lines().count(),
+        "line numbers kept"
+    );
+    assert!(!text.contains("NoSuchRecorder"), "{text}");
+    assert!(
+        text.contains("`VecSink`") && text.contains("Done."),
+        "{text}"
+    );
+}
+
+#[test]
+fn comments_are_blanked_but_strings_are_kept() {
+    let src = "let a = 1; // OnlyInComment\n/* Block\nComment */ let b = \"// Kept\";\n\
+               let c = \"esc \\\" // StillString\"; let d = '/';\n";
+    let code = strip_comments(src);
+    for gone in ["OnlyInComment", "Block", "Comment */"] {
+        assert!(!code.contains(gone), "{gone} survived: {code}");
+    }
+    for kept in [
+        "let a = 1;",
+        "\"// Kept\"",
+        "// StillString",
+        "let d = '/';",
+    ] {
+        assert!(code.contains(kept), "{kept} lost: {code}");
+    }
+}
+
+#[test]
+fn raw_strings_and_char_literals_are_not_comments() {
+    let src = "let r = r#\"a \" // Raw\"#; let b = br\"// Bytes\";\n\
+               let q = '\"'; let e = '\\''; fn f<'a>(x: &'a str) {} // Gone\n";
+    let code = strip_comments(src);
+    for kept in [
+        "// Raw\"#",
+        "// Bytes",
+        "let q = '\"';",
+        "let e = '\\'';",
+        "fn f<'a>",
+    ] {
+        assert!(code.contains(kept), "{kept} lost: {code}");
+    }
+    assert!(!code.contains("Gone"), "{code}");
+    // `r` ending an identifier does not open a raw string.
+    assert_eq!(
+        raw_string_at(&"for\"x\"".chars().collect::<Vec<_>>(), 2),
+        None
+    );
+    assert_eq!(
+        raw_string_at(&"r##\"x\"##".chars().collect::<Vec<_>>(), 0),
+        Some(2)
+    );
+}
+
+#[test]
+fn code_spans_pair_backtick_runs_of_equal_length() {
+    assert_eq!(
+        code_spans("a `One` b `` Two`s `` c ``` Three ``` d `open"),
+        ["One", "Two`s", "Three"]
+    );
+}
+
+#[test]
+fn type_paths_are_told_from_other_code_spans() {
+    for (span, want) in [
+        ("VecSink", Some(&["VecSink"][..])),
+        ("obs::VecSink", Some(&["obs", "VecSink"][..])),
+        (
+            "JsonlSink::create_atomic",
+            Some(&["JsonlSink", "create_atomic"][..]),
+        ),
+        ("SweepRunner::new(n)", Some(&["SweepRunner", "new"][..])),
+        ("cargo test", None),
+        ("snake_case_fn", None),
+        ("SCREAMING_CONST", None),
+        ("obs::sink", None),
+        ("Vec<u8>", None),
+        ("f(x", None),
+        ("--quick", None),
+    ] {
+        assert_eq!(type_path(span).as_deref(), want, "{span}");
+    }
+}
+
+#[test]
+fn link_scan_keeps_only_relative_targets() {
+    let doc = "See [design](DESIGN.md), [scaling](docs/SCALING.md#knobs), \
+               [site](https://example.org/x.md), [top](#top), [mail](mailto:a@b), \
+               an array[i](j) call, [spaced](a b), and [empty]().\n";
+    assert_eq!(relative_links(doc), ["DESIGN.md", "docs/SCALING.md", "j"]);
+}

@@ -134,14 +134,14 @@ fn same_seed_chaos_runs_emit_byte_identical_jsonl() {
 /// shifts the ids of later runs.
 #[test]
 fn trace_ids_are_epoch_salted_and_sink_independent() {
-    use alphawan_system::obs::{ObsEvent, RingSink, SharedSink};
+    use alphawan_system::obs::{ObsEvent, SharedSink, VecSink};
 
     let capture = |world: &mut SimWorld| -> Vec<ObsEvent> {
-        let shared = SharedSink::new(RingSink::new(4096));
+        let shared = SharedSink::new(VecSink::new());
         world.set_obs_sink(Box::new(shared.clone()));
         world.run(&traffic());
         world.take_obs_sink();
-        shared.with(|r| r.events())
+        shared.with(|v| v.events().to_vec())
     };
     let traces =
         |events: &[ObsEvent]| -> Vec<u64> { events.iter().filter_map(|e| e.trace()).collect() };
