@@ -18,7 +18,7 @@
 //!   `netserver::dedup` and forwarder pipelines without sockets;
 //! * [`udp_proxy`] — [`ChaosUdpProxy`]: a real-socket UDP proxy that
 //!   applies the same fault model between a live packet forwarder
-//!   (`gateway::forwarder`) and `netserver::udp`;
+//!   (`gateway::forwarder`) and `svc`'s `netserverd`;
 //! * [`tcp_proxy`] — [`ChaosTcpProxy`]: a TCP proxy in front of
 //!   `alphawan::master` injecting control-plane partitions and slow
 //!   responses, for exercising `MasterClient` reconnect backoff and
@@ -29,7 +29,7 @@
 //! | domain        | faults                                     | injects into |
 //! |---------------|--------------------------------------------|--------------|
 //! | gateway       | crash/restart windows, decoder lock-ups, clock drift | `gateway::pool`, `sim::world` |
-//! | backhaul      | datagram loss, latency/jitter, duplication, reordering | `netserver::udp` ↔ `gateway::forwarder` |
+//! | backhaul      | datagram loss, latency/jitter, duplication, reordering | `netserverd` ↔ `gateway::forwarder` |
 //! | control plane | Master partition, slow responses           | `alphawan::master` |
 
 #![deny(missing_docs)]

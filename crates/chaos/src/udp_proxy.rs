@@ -1,7 +1,7 @@
 //! Real-socket UDP chaos proxy for the gateway backhaul.
 //!
 //! Sits between a live packet forwarder (`gateway::forwarder::client`)
-//! and `netserver::udp::UdpIngest`: point the forwarder at
+//! and `svc`'s `netserverd`: point the forwarder at
 //! [`ChaosUdpProxy::addr`] instead of the server. Uplink datagrams
 //! (forwarder → server) get the plan's backhaul faults — loss, delay +
 //! jitter, duplication, reordering (via per-datagram holds); downlink
@@ -172,104 +172,5 @@ impl Drop for ChaosUdpProxy {
         if self.thread.is_some() {
             self.shutdown_inner();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::plan::{FaultPlan, FaultSpec};
-    use gateway::forwarder::client::PacketForwarder;
-    use gateway::forwarder::codec::{GatewayEui, RxPacket, TxPacket};
-    use lora_phy::channel::Channel;
-    use lora_phy::types::SpreadingFactor;
-    use netserver::udp::UdpIngest;
-
-    fn rxpk(tmst: u64) -> RxPacket {
-        RxPacket::new(
-            tmst,
-            Channel::khz125(916_900_000),
-            SpreadingFactor::SF8,
-            -100.0,
-            5.0,
-            &[0x40, 1, 2, 3],
-        )
-    }
-
-    fn proxy_for(server: &UdpIngest, faults: Vec<FaultSpec>) -> ChaosUdpProxy {
-        let schedule = FaultSchedule::compile(&FaultPlan { seed: 5, faults }).unwrap();
-        ChaosUdpProxy::start(server.addr(), schedule).unwrap()
-    }
-
-    #[test]
-    fn clean_proxy_is_transparent() {
-        let server = UdpIngest::start().unwrap();
-        let proxy = proxy_for(&server, vec![]);
-        let mut fwd = PacketForwarder::new(proxy.addr(), GatewayEui(0x11)).unwrap();
-        fwd.push(vec![rxpk(42)]).unwrap();
-        let got = server.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(got.gateway, GatewayEui(0x11));
-        assert_eq!(got.rxpk.tmst, 42);
-        // Downlink passthrough: PULL then PULL_RESP through the proxy.
-        fwd.pull().unwrap();
-        let txpk = TxPacket {
-            tmst: 9,
-            freq: 916.9,
-            datr: "SF9BW125".into(),
-            powe: 14,
-            size: 1,
-            data: gateway::forwarder::b64::encode(&[0x60]),
-        };
-        server
-            .send_downlink(GatewayEui(0x11), txpk.clone())
-            .unwrap();
-        assert_eq!(fwd.recv_downlink().unwrap(), txpk);
-        assert!(proxy.uplink_seen() >= 2); // PUSH + PULL
-        assert_eq!(proxy.uplink_dropped(), 0);
-        proxy.shutdown();
-        server.shutdown();
-    }
-
-    #[test]
-    fn total_loss_blackholes_uplinks() {
-        let server = UdpIngest::start().unwrap();
-        let proxy = proxy_for(
-            &server,
-            vec![FaultSpec::BackhaulLoss {
-                probability: 1.0,
-                start_us: 0,
-                end_us: u64::MAX,
-            }],
-        );
-        let mut fwd = PacketForwarder::new(proxy.addr(), GatewayEui(0x22)).unwrap();
-        // push() waits for an ACK that can never come; use the short-
-        // timeout erroring path.
-        let _ = fwd.push(vec![rxpk(1)]);
-        assert!(server.recv_timeout(Duration::from_millis(300)).is_none());
-        assert!(proxy.uplink_dropped() >= 1);
-        proxy.shutdown();
-        server.shutdown();
-    }
-
-    #[test]
-    fn duplication_reaches_the_server_twice() {
-        let server = UdpIngest::start().unwrap();
-        let proxy = proxy_for(
-            &server,
-            vec![FaultSpec::BackhaulDuplicate {
-                probability: 1.0,
-                lag_us: 1_000,
-                start_us: 0,
-                end_us: u64::MAX,
-            }],
-        );
-        let mut fwd = PacketForwarder::new(proxy.addr(), GatewayEui(0x33)).unwrap();
-        let _ = fwd.push(vec![rxpk(7)]);
-        let a = server.recv_timeout(Duration::from_secs(2)).unwrap();
-        let b = server.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(a, b, "same uplink delivered twice");
-        assert!(proxy.uplink_duplicated() >= 1);
-        proxy.shutdown();
-        server.shutdown();
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! LoRaWAN mostly needs AES-128 *encryption*: the MIC is AES-CMAC
 //! ([`crate::cmac`]) and payload confidentiality is a CTR-style
-//! construction. The *decrypt* direction exists for one LoRaWAN quirk:
-//! a JoinAccept is produced with the inverse cipher so that
-//! encrypt-only end devices can decode it with the forward cipher
-//! ([`crate::join`]).
+//! construction. The *decrypt* direction is the FIPS-197 inverse
+//! cipher, which LoRaWAN uses only to produce an OTAA JoinAccept; this
+//! crate does not model OTAA join, so only the vector tests run it.
 //!
 //! This is a straightforward table-free implementation (S-box lookup plus
 //! explicit MixColumns arithmetic); it favors auditability over raw
@@ -309,5 +308,44 @@ mod tests {
         // FIPS-197 §4.2.1 example: {57} · {13} = {fe}.
         assert_eq!(gmul(0x57, 0x13), 0xfe);
         assert_eq!(gmul(0x57, 0x01), 0x57);
+    }
+
+    /// FIPS-197 Appendix A.1: the last round key (w40..w43) expanded
+    /// from the Appendix B key.
+    #[test]
+    fn fips197_appendix_a1_last_round_key() {
+        let key = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ];
+        let aes = Aes128::new(&key);
+        assert_eq!(aes.round_keys[0], key);
+        assert_eq!(
+            aes.round_keys[10],
+            [
+                0xd0, 0x14, 0xf9, 0xa8, 0xc9, 0xee, 0x25, 0x89, 0xe1, 0x3f, 0x0c, 0xc8, 0xb6, 0x63,
+                0x0c, 0xa6,
+            ]
+        );
+    }
+
+    /// The all-zero key and block (NIST AESAVS GFSbox/KAT baseline).
+    #[test]
+    fn zero_key_zero_block() {
+        assert_eq!(
+            Aes128::new(&[0; 16]).encrypt(&[0; 16]),
+            [
+                0x66, 0xe9, 0x4b, 0xd4, 0xef, 0x8a, 0x2c, 0x3b, 0x88, 0x4c, 0xfa, 0x59, 0xca, 0x34,
+                0x2b, 0x2e,
+            ]
+        );
+    }
+
+    #[test]
+    fn inverse_sbox_inverts_the_sbox() {
+        let inv = inv_sbox();
+        for b in 0..=255u8 {
+            assert_eq!(inv[SBOX[b as usize] as usize], b, "{b:#04x}");
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! RX1 on the uplink channel (data rate offset by `rx1_dr_offset`) at
 //! `RECEIVE_DELAY1`, and RX2 on a fixed channel/data-rate at
 //! `RECEIVE_DELAY1 + 1 s`. This is the only moment a server can deliver
-//! the MAC commands AlphaWAN's reconfiguration rides on, so the
-//! downlink scheduler must hit these windows exactly.
+//! the MAC commands AlphaWAN's reconfiguration rides on, so a
+//! downlink must hit these windows exactly.
 
 use lora_phy::channel::Channel;
 use lora_phy::types::DataRate;
@@ -127,5 +127,45 @@ mod tests {
         assert!(catches_window(&rx1, 850_000, 100_000));
         assert!(!catches_window(&rx1, 950_000, 100_000));
         assert!(catches_window(&rx2, 950_000, 100_000));
+    }
+
+    #[test]
+    fn rx1_rate_saturates_at_dr0_for_every_offset() {
+        let ch = Channel::khz125(916_900_000);
+        for offset in 0..=5 {
+            let mut p = params();
+            p.rx1_dr_offset = offset;
+            for dr in DataRate::ALL {
+                let [rx1, _] = rx_windows(&p, 0, ch, dr);
+                assert_eq!(
+                    rx1.dr.index(),
+                    dr.index().saturating_sub(offset),
+                    "{dr:?} offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rx2_ignores_the_uplink_channel_and_rate() {
+        let p = params();
+        for (hz, dr) in [
+            (916_900_000, DataRate::DR5),
+            (917_500_000, DataRate::DR2),
+            (918_100_000, DataRate::DR0),
+        ] {
+            let [rx1, rx2] = rx_windows(&p, 3_000_000, Channel::khz125(hz), dr);
+            assert_eq!(rx1.channel.center_hz, hz);
+            assert_eq!(rx2.channel, p.rx2_channel);
+            assert_eq!(rx2.dr, p.rx2_dr);
+            assert_eq!(rx2.open_us - rx1.open_us, 1_000_000);
+        }
+    }
+
+    #[test]
+    fn zero_lead_catches_until_the_window_opens() {
+        let [rx1, _] = rx_windows(&params(), 0, Channel::khz125(916_900_000), DataRate::DR0);
+        assert!(catches_window(&rx1, rx1.open_us, 0));
+        assert!(!catches_window(&rx1, rx1.open_us + 1, 0));
     }
 }

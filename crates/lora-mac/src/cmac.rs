@@ -149,4 +149,52 @@ mod tests {
     fn cmac_distinguishes_messages() {
         assert_ne!(aes_cmac(&KEY, b"aaaa"), aes_cmac(&KEY, b"aaab"));
     }
+
+    /// RFC 4493 §4 subkey generation (L = AES-128(K, 0)).
+    #[test]
+    fn rfc4493_subkeys() {
+        let (k1, k2) = subkeys(&Aes128::new(&KEY));
+        assert_eq!(
+            k1,
+            [
+                0xfb, 0xee, 0xd6, 0x18, 0x35, 0x71, 0x33, 0x66, 0x7c, 0x85, 0xe0, 0x8f, 0x72, 0x36,
+                0xa8, 0xde,
+            ]
+        );
+        assert_eq!(
+            k2,
+            [
+                0xf7, 0xdd, 0xac, 0x30, 0x6a, 0xe2, 0x66, 0xcc, 0xf9, 0x0b, 0xc1, 0x1e, 0xe4, 0x6d,
+                0x51, 0x3b,
+            ]
+        );
+    }
+
+    #[test]
+    fn padding_is_not_ambiguous() {
+        // An incomplete block is padded with 0x80 and masked with K2; a
+        // message that already ends in that padding, or fills the block,
+        // is masked with K1 — the two must never collide.
+        for len in [0usize, 3, 15] {
+            let msg: Vec<u8> = (0..len as u8).collect();
+            let mut padded = msg.clone();
+            padded.push(0x80);
+            padded.resize(16, 0);
+            assert_ne!(aes_cmac(&KEY, &msg), aes_cmac(&KEY, &padded), "len {len}");
+        }
+    }
+
+    #[test]
+    fn complete_blocks_are_cbc_mac_with_k1_on_the_last() {
+        let msg: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(37));
+        let aes = Aes128::new(&KEY);
+        let (k1, _) = subkeys(&aes);
+        let mut x: [u8; 16] = core::array::from_fn(|i| msg[i]);
+        aes.encrypt_block(&mut x);
+        for i in 0..16 {
+            x[i] ^= msg[16 + i] ^ k1[i];
+        }
+        aes.encrypt_block(&mut x);
+        assert_eq!(aes_cmac(&KEY, &msg), x);
+    }
 }

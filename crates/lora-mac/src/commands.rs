@@ -286,4 +286,107 @@ mod tests {
             assert_eq!(tx_power_index_for_dbm(tx_power_dbm_for_index(idx)), idx);
         }
     }
+
+    #[test]
+    fn cids_follow_the_specification() {
+        let req = LinkAdrReq {
+            data_rate: DR0,
+            tx_power_idx: 0,
+            ch_mask: 1,
+            redundancy: 0,
+        };
+        let chan = NewChannelReq {
+            ch_index: 0,
+            freq_hz: 923_200_000,
+            max_dr: DR5,
+            min_dr: DR0,
+        };
+        for (cmd, cid) in [
+            (MacCommand::LinkAdrReq(req), 0x03),
+            (MacCommand::DutyCycleReq { max_duty_cycle: 0 }, 0x04),
+            (MacCommand::DevStatusReq, 0x06),
+            (MacCommand::NewChannelReq(chan), 0x07),
+            (
+                MacCommand::TxParamSetupReq(TxParamSetupReq { max_eirp_idx: 0 }),
+                0x09,
+            ),
+        ] {
+            assert_eq!(cmd.cid(), cid, "{cmd:?}");
+            let mut wire = Vec::new();
+            cmd.encode(&mut wire);
+            assert_eq!(wire[0], cid, "{cmd:?} leads with its CID");
+        }
+    }
+
+    #[test]
+    fn answers_encode_their_status_bits() {
+        let enc = |cmd: MacCommand| {
+            let mut wire = Vec::new();
+            cmd.encode(&mut wire);
+            wire
+        };
+        assert_eq!(
+            enc(MacCommand::LinkAdrAns {
+                power_ok: true,
+                dr_ok: false,
+                ch_mask_ok: true
+            }),
+            [0x03, 0b101]
+        );
+        assert_eq!(
+            enc(MacCommand::NewChannelAns {
+                freq_ok: true,
+                dr_ok: false
+            }),
+            [0x07, 0b01]
+        );
+        // SNR margin is a 6-bit two's-complement field.
+        assert_eq!(
+            enc(MacCommand::DevStatusAns {
+                battery: 255,
+                snr_margin: -5
+            }),
+            [0x06, 255, 0x3b]
+        );
+    }
+
+    #[test]
+    fn out_of_range_data_rate_nibble_rejected() {
+        // DR15 in a LinkADRReq, and a NewChannelReq whose max DR is 9.
+        assert!(MacCommand::decode_downlink(&[0x03, 0xF0, 0xFF, 0x00, 0x00]).is_none());
+        assert!(MacCommand::decode_downlink(&[0x07, 0, 0x80, 0xDE, 0x8C, 0x90]).is_none());
+    }
+
+    #[test]
+    fn decoding_stops_at_the_first_unknown_command() {
+        let mut wire = Vec::new();
+        MacCommand::DevStatusReq.encode(&mut wire);
+        wire.push(0x7f);
+        MacCommand::DevStatusReq.encode(&mut wire);
+        assert_eq!(
+            MacCommand::decode_all_downlink(&wire),
+            vec![MacCommand::DevStatusReq]
+        );
+        assert!(MacCommand::decode_all_downlink(&[]).is_empty());
+    }
+
+    #[test]
+    fn four_bit_request_fields_are_masked() {
+        let mut wire = Vec::new();
+        MacCommand::DutyCycleReq {
+            max_duty_cycle: 0x1F,
+        }
+        .encode(&mut wire);
+        MacCommand::TxParamSetupReq(TxParamSetupReq { max_eirp_idx: 0x3A }).encode(&mut wire);
+        assert_eq!(wire, [0x04, 0x0F, 0x09, 0x0A]);
+        assert_eq!(
+            MacCommand::decode_all_downlink(&wire),
+            vec![
+                MacCommand::DutyCycleReq {
+                    max_duty_cycle: 0x0F
+                },
+                MacCommand::TxParamSetupReq(TxParamSetupReq { max_eirp_idx: 0x0A }),
+            ]
+        );
+    }
 }

@@ -291,4 +291,68 @@ mod tests {
         // Deterministic.
         assert_eq!(k1, SessionKeys::derive(&nk, DevAddr::new(1, 1)));
     }
+
+    #[test]
+    fn dev_addr_new_masks_oversized_fields() {
+        let a = DevAddr::new(0xFF, u32::MAX);
+        assert_eq!(a.nwk_id(), 0x7f);
+        assert_eq!(a.0 & 0x01ff_ffff, 0x01ff_ffff);
+        assert_eq!(DevAddr::new(0, 0), DevAddr(0));
+    }
+
+    #[test]
+    fn duty_cycle_req_is_applied_silently() {
+        let mut d = dev();
+        let ans = d.apply(&MacCommand::DutyCycleReq { max_duty_cycle: 7 });
+        assert_eq!(ans, None, "DutyCycleReq has no answer payload here");
+        assert_eq!(d.max_duty_exp, 7);
+    }
+
+    #[test]
+    fn link_adr_mask_bits_past_the_table_enable_nothing() {
+        // Bits 8..15 name slots this 8-channel device does not have.
+        let mut d = dev();
+        let ans = d.apply(&MacCommand::LinkAdrReq(LinkAdrReq {
+            data_rate: DR2,
+            tx_power_idx: 7,
+            ch_mask: 0xFF00,
+            redundancy: 0,
+        }));
+        assert!(d.enabled_channels().is_empty());
+        assert_eq!(d.tx_power.0, 6.0, "index 7 is the lowest power");
+        assert_eq!(
+            ans,
+            Some(MacCommand::LinkAdrAns {
+                power_ok: true,
+                dr_ok: true,
+                ch_mask_ok: false
+            })
+        );
+    }
+
+    #[test]
+    fn answers_and_status_requests_leave_the_device_unchanged() {
+        let mut d = dev();
+        for cmd in [
+            MacCommand::DevStatusReq,
+            MacCommand::LinkAdrAns {
+                power_ok: true,
+                dr_ok: true,
+                ch_mask_ok: true,
+            },
+            MacCommand::NewChannelAns {
+                freq_ok: true,
+                dr_ok: true,
+            },
+            MacCommand::DevStatusAns {
+                battery: 200,
+                snr_margin: 3,
+            },
+        ] {
+            assert_eq!(d.apply(&cmd), None, "{cmd:?}");
+        }
+        assert_eq!(d.data_rate, DR0);
+        assert_eq!(d.tx_power.0, 14.0);
+        assert_eq!(d.enabled_channels().len(), 8);
+    }
 }

@@ -125,4 +125,34 @@ mod tests {
         assert!(duty <= 0.0101, "achieved duty {duty}");
         assert!(duty >= 0.0095, "governor too conservative: {duty}");
     }
+
+    #[test]
+    fn fresh_governor_allows_immediately() {
+        let g = DutyCycleGovernor::new(0.01);
+        assert_eq!(g.duty(), 0.01);
+        assert_eq!(g.next_allowed_us(), 0);
+        assert!(g.may_transmit(0));
+    }
+
+    #[test]
+    fn ten_percent_enforces_9x_offtime() {
+        let mut g = DutyCycleGovernor::new(0.1);
+        assert!(g.record(2_000_000, 100_000));
+        assert_eq!(g.next_allowed_us(), 3_000_000); // 0.1 s on + 0.9 s off
+    }
+
+    #[test]
+    fn fractional_off_period_rounds_up() {
+        // 1 µs at 30 % duty owes 2.33 µs of silence: the governor
+        // waits 3, never less than the regulation asks.
+        let mut g = DutyCycleGovernor::new(0.3);
+        assert!(g.record(0, 1));
+        assert_eq!(g.next_allowed_us(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "duty cycle must be in (0,1]")]
+    fn duty_above_one_is_invalid() {
+        DutyCycleGovernor::new(1.5);
+    }
 }

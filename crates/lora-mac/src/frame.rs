@@ -412,6 +412,131 @@ mod tests {
         let g = PhyPayload::decode(&wire, &keys()).unwrap();
         assert_eq!(g.frm_payload, payload);
     }
+
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn key16(s: &str) -> [u8; 16] {
+        hex(s).try_into().unwrap()
+    }
+
+    /// A published LoRaWAN 1.0 uplink (the `lora-packet` library's
+    /// example): interoperability, not just self-consistency.
+    #[test]
+    fn reference_uplink_vector() {
+        let wire = hex("40F17DBE4900020001954378762B11FF0D");
+        let keys = SessionKeys {
+            nwk_s_key: key16("44024241ed4ce9a68c6a8bc055233fd3"),
+            app_s_key: key16("ec925802ae430ca77fd3dd73cb2cc588"),
+        };
+        let f = PhyPayload::decode(&wire, &keys).unwrap();
+        assert_eq!(f.mtype, MType::UnconfirmedDataUp);
+        assert_eq!(f.dev_addr, DevAddr(0x49BE_7DF1));
+        assert_eq!(f.fcnt, 2);
+        assert_eq!(f.fport, Some(1));
+        assert_eq!(f.frm_payload, b"test");
+        assert_eq!(f.encode(&keys).unwrap(), wire);
+    }
+
+    #[test]
+    fn downlink_roundtrips_and_direction_is_bound_into_the_mic() {
+        let f = PhyPayload {
+            mtype: MType::ConfirmedDataDown,
+            dev_addr: DevAddr(0x0200_0001),
+            adr: false,
+            ack: true,
+            fcnt: 17,
+            fopts: vec![0x06],
+            fport: Some(3),
+            frm_payload: b"cmd".to_vec(),
+        };
+        let mut wire = f.encode(&keys()).unwrap();
+        assert_eq!(PhyPayload::decode(&wire, &keys()).unwrap(), f);
+        // Relabel it as an uplink: the same bytes under the other
+        // direction no longer carry a valid MIC.
+        wire[0] = MType::ConfirmedDataUp.to_bits() << 5;
+        assert_eq!(
+            PhyPayload::decode(&wire, &keys()),
+            Err(FrameCodecError::BadMic)
+        );
+    }
+
+    #[test]
+    fn reserved_mtype_rejected() {
+        let mut wire = PhyPayload::uplink(DevAddr(1), 1, 1, b"x")
+            .encode(&keys())
+            .unwrap();
+        for bits in [0b110u8, 0b111] {
+            wire[0] = bits << 5;
+            assert_eq!(
+                PhyPayload::decode(&wire, &keys()),
+                Err(FrameCodecError::BadMType(bits))
+            );
+            assert_eq!(PhyPayload::peek_dev_addr(&wire), None);
+            assert_eq!(PhyPayload::peek_fcnt(&wire), None);
+        }
+    }
+
+    #[test]
+    fn fopts_length_past_the_frame_is_truncated() {
+        // MHDR, DevAddr, FCtrl claiming 15 FOpts bytes, FCnt, then
+        // only the 4 MIC bytes.
+        let wire = [0x40, 1, 0, 0, 0, 0x0f, 0, 0, 0xde, 0xad, 0xbe, 0xef];
+        assert_eq!(
+            PhyPayload::decode(&wire, &keys()),
+            Err(FrameCodecError::Truncated)
+        );
+    }
+
+    #[test]
+    fn keystream_depends_on_fcnt_and_address() {
+        let body = |addr: u32, fcnt: u16| {
+            let wire = PhyPayload::uplink(DevAddr(addr), fcnt, 1, &[0u8; 16])
+                .encode(&keys())
+                .unwrap();
+            wire[9..wire.len() - 4].to_vec()
+        };
+        assert_ne!(body(5, 1), body(5, 2), "FCnt must change the keystream");
+        assert_ne!(body(5, 1), body(6, 1), "DevAddr must change the keystream");
+        assert_eq!(body(5, 1), body(5, 1));
+    }
+
+    #[test]
+    fn uplink_direction_per_mtype() {
+        use MType::*;
+        for (m, up) in [
+            (JoinRequest, true),
+            (JoinAccept, false),
+            (UnconfirmedDataUp, true),
+            (UnconfirmedDataDown, false),
+            (ConfirmedDataUp, true),
+            (ConfirmedDataDown, false),
+        ] {
+            assert_eq!(m.is_uplink(), up, "{m:?}");
+            assert_eq!(MType::from_bits(m.to_bits()), Some(m));
+        }
+    }
+
+    #[test]
+    fn errors_name_their_cause() {
+        assert_eq!(FrameCodecError::Truncated.to_string(), "frame truncated");
+        assert_eq!(
+            FrameCodecError::BadMType(0b111).to_string(),
+            "unsupported MType bits 0b111"
+        );
+        assert_eq!(
+            FrameCodecError::FOptsTooLong(16).to_string(),
+            "FOpts length 16 exceeds 15"
+        );
+        assert_eq!(
+            FrameCodecError::BadMic.to_string(),
+            "MIC verification failed"
+        );
+    }
 }
 
 #[cfg(test)]

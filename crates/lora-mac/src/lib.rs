@@ -6,18 +6,13 @@
 //!   crypto crates), validated against FIPS-197 and RFC 4493 vectors;
 //! * [`frame`] — LoRaWAN PHYPayload encode/decode with MIC computation
 //!   and payload encryption per LoRaWAN 1.0.x;
-//! * [`sync`] — frame sync words; the paper's §3.1 shows these can only
-//!   be checked *after* a packet is decoded, which is why foreign-network
-//!   packets consume decoder resources;
 //! * [`commands`] — MAC commands (LinkADRReq, NewChannelReq, …): the
 //!   application-layer knobs AlphaWAN uses to retune channels, data
 //!   rates and Tx power on COTS devices (§4.3.3, "End-devices");
 //! * [`duty`] — the 1% duty-cycle governor that shapes LoRaWAN traffic;
-//! * [`adr`] — the standard network-side ADR controller whose aggressive
-//!   DR5 bias the paper measures in Fig. 6d/e;
+//! * [`class_a`] — the RX1/RX2 receive windows a downlink must hit;
 //! * [`device`] — end-device session state that applies MAC commands.
 
-pub mod adr;
 pub mod aes;
 pub mod class_a;
 pub mod cmac;
@@ -25,14 +20,9 @@ pub mod commands;
 pub mod device;
 pub mod duty;
 pub mod frame;
-pub mod join;
-pub mod sync;
 
-pub use adr::{AdrController, AdrDecision};
 pub use class_a::{rx_windows, ClassAParams, RxWindow};
 pub use commands::{MacCommand, NewChannelReq};
 pub use device::{DevAddr, Device, SessionKeys};
 pub use duty::DutyCycleGovernor;
 pub use frame::{FrameCodecError, MType, PhyPayload};
-pub use join::{derive_session_keys, JoinAccept, JoinRequest, JoinServer};
-pub use sync::SyncWord;

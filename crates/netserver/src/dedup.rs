@@ -466,6 +466,37 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn equal_snr_keeps_the_first_gateway() {
+        let mut d = Deduplicator::default();
+        d.offer(copy(1, 10, 3, 4.0, 0));
+        d.offer(copy(1, 10, 1, 4.0, 10));
+        assert_eq!(d.best_copy(DevAddr(1), 10), Some((4.0, 3)));
+        assert_eq!(d.best_copy(DevAddr(1), 11), None, "never offered");
+    }
+
+    #[test]
+    fn default_window_is_200ms_inclusive() {
+        let mut d = Deduplicator::default();
+        assert_eq!(d.offer(copy(1, 10, 0, 0.0, 0)), DedupOutcome::New);
+        assert_eq!(
+            d.offer(copy(1, 10, 1, 0.0, 200_000)),
+            DedupOutcome::Duplicate,
+            "a copy exactly one window later still belongs to the frame"
+        );
+        assert_eq!(
+            d.offer(copy(1, 10, 2, 0.0, 200_001)),
+            DedupOutcome::New,
+            "one µs past the window the FCnt is a new frame"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn sharded_needs_a_shard() {
+        ShardedDeduplicator::new(0, 200_000);
+    }
 }
 
 #[cfg(test)]

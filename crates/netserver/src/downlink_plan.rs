@@ -140,4 +140,74 @@ mod tests {
             plan_downlink(&profile(), &params(), &uplink(), &payload, 10_100_000, 0).unwrap();
         assert_eq!(b64::decode(&plan.txpk.data).unwrap(), payload);
     }
+
+    #[test]
+    fn ready_exactly_lead_before_rx1_still_makes_it() {
+        let plan =
+            plan_downlink(&profile(), &params(), &uplink(), &[1], 10_900_000, 100_000).unwrap();
+        assert_eq!(plan.window.open_us, 11_000_000, "RX1");
+        let plan =
+            plan_downlink(&profile(), &params(), &uplink(), &[1], 10_900_001, 100_000).unwrap();
+        assert_eq!(plan.window.open_us, 12_000_000, "one µs later: RX2");
+    }
+
+    #[test]
+    fn rx1_rate_follows_the_dr_offset() {
+        let mut p = params();
+        p.rx1_dr_offset = 2;
+        let plan = plan_downlink(&profile(), &p, &uplink(), &[1], 10_100_000, 0).unwrap();
+        assert_eq!(plan.window.dr, DataRate::DR1);
+        assert_eq!(plan.txpk.datr, "SF11BW125", "DR3 − 2 = DR1");
+        assert_eq!(plan.txpk.freq, 916.9, "RX1 keeps the uplink channel");
+    }
+
+    #[test]
+    fn equal_snr_answers_from_the_lowest_gateway_id() {
+        let mut p = LinkProfile::default();
+        for gw in [9, 4, 6] {
+            p.best_snr_per_gw.insert(gw, 2.0);
+        }
+        let plan = plan_downlink(&p, &params(), &uplink(), &[1], 10_100_000, 0).unwrap();
+        assert_eq!(plan.gw_id, 4);
+    }
+
+    #[test]
+    fn txpk_is_timed_to_the_window_it_targets() {
+        for ready in [10_100_000, 11_500_000] {
+            let plan = plan_downlink(&profile(), &params(), &uplink(), &[1, 2], ready, 0).unwrap();
+            assert_eq!(plan.txpk.tmst, plan.window.open_us);
+            assert_eq!(
+                plan.txpk.freq,
+                plan.window.channel.center_hz as f64 / 1e6,
+                "the txpk goes out on its window's channel"
+            );
+            assert_eq!(plan.txpk.powe, 14);
+        }
+    }
+
+    #[test]
+    fn txpk_survives_the_pull_resp_codec() {
+        use gateway::forwarder::codec::Datagram;
+        let plan = plan_downlink(
+            &profile(),
+            &params(),
+            &uplink(),
+            &[0x60, 0xAA, 0x55],
+            10_950_000,
+            0,
+        )
+        .unwrap();
+        let wire = Datagram::PullResp {
+            token: 0x1234,
+            txpk: plan.txpk.clone(),
+        }
+        .encode();
+        match Datagram::decode(&wire) {
+            Some(Datagram::PullResp { token, txpk }) => {
+                assert_eq!(token, 0x1234);
+                assert_eq!(txpk, plan.txpk);
+            }
+            other => panic!("PULL_RESP does not decode: {other:?}"),
+        }
+    }
 }

@@ -147,4 +147,64 @@ mod tests {
         assert_eq!(e.peak_samples(10).len(), 1);
         assert_eq!(e.window_count(), 1);
     }
+
+    #[test]
+    fn empty_estimator_yields_nothing() {
+        let e = TrafficEstimator::new(1_000);
+        assert_eq!(e.window_count(), 0);
+        assert!(e.peak_samples(3).is_empty());
+        assert!(e.mean_rates().is_empty());
+    }
+
+    #[test]
+    fn zero_samples_requested_is_empty() {
+        let mut e = TrafficEstimator::new(1_000);
+        e.record(DevAddr(1), 0);
+        assert!(e.peak_samples(0).is_empty());
+    }
+
+    #[test]
+    fn windows_are_half_open() {
+        let mut e = TrafficEstimator::new(1_000);
+        e.record(DevAddr(1), 999); // window 0
+        e.record(DevAddr(1), 1_000); // window 1
+        e.record(DevAddr(1), 1_999); // window 1
+        let windows: Vec<(u64, u64)> = e
+            .peak_samples(usize::MAX)
+            .iter()
+            .map(|s| (s.window, s.demand()))
+            .collect();
+        assert_eq!(windows, vec![(1, 2), (0, 1)]);
+    }
+
+    #[test]
+    fn sampling_is_repeatable_and_demand_sums_devices() {
+        let mut e = TrafficEstimator::new(1_000);
+        for (dev, t) in [(1, 10), (2, 20), (2, 30), (3, 1_500), (1, 2_100)] {
+            e.record(DevAddr(dev), t);
+        }
+        let first = e.peak_samples(3);
+        assert_eq!(first, e.peak_samples(3), "sampling does not consume");
+        for s in &first {
+            assert_eq!(s.demand(), s.per_device.values().sum::<u64>());
+        }
+        assert_eq!(first[0].demand(), 3);
+    }
+
+    #[test]
+    fn idle_windows_do_not_dilute_mean_rates() {
+        // Only windows with traffic count: two busy windows ten apart
+        // give a device with one uplink in each a rate of 1, not 2/11.
+        let mut e = TrafficEstimator::new(1_000);
+        e.record(DevAddr(1), 0);
+        e.record(DevAddr(1), 10_000);
+        assert_eq!(e.window_count(), 2);
+        assert!((e.mean_rates()[&DevAddr(1)] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_width_window_is_rejected() {
+        TrafficEstimator::new(0);
+    }
 }

@@ -183,4 +183,69 @@ mod tests {
         assert!(p.traffic_windows().is_empty());
         assert!(p.profile(DevAddr(1)).is_none());
     }
+
+    #[test]
+    fn weaker_copy_never_lowers_the_best_snr() {
+        let mut p = LogParser::new(1_000_000);
+        p.ingest(&log(1, 4, -2.0, 10));
+        p.ingest(&log(1, 4, -5.0, 20));
+        p.ingest(&log(1, 4, -3.5, 30));
+        let prof = p.profile(DevAddr(1)).unwrap();
+        assert_eq!(prof.best_snr_per_gw[&4], -2.0);
+        assert_eq!(prof.reachable_gateways(), vec![4]);
+    }
+
+    #[test]
+    fn equal_snr_best_gateway_is_the_lowest_id() {
+        // Whatever order the map iterates in, a tie resolves the same
+        // way — the downlink planner relies on this being stable.
+        for order in [[7, 3, 5], [3, 5, 7], [5, 7, 3]] {
+            let mut p = LogParser::new(1_000_000);
+            for gw in order {
+                p.ingest(&log(1, gw, -4.0, 0));
+            }
+            assert_eq!(
+                p.profile(DevAddr(1)).unwrap().best_gateway(),
+                Some((3, -4.0))
+            );
+        }
+    }
+
+    #[test]
+    fn profiles_are_kept_per_device() {
+        let mut p = LogParser::new(1_000_000);
+        p.ingest(&log(1, 0, 1.0, 0));
+        p.ingest(&log(2, 1, 2.0, 0));
+        p.ingest(&log(2, 2, 3.0, 0));
+        assert_eq!(p.profile(DevAddr(1)).unwrap().reachable_gateways(), vec![0]);
+        assert_eq!(
+            p.profile(DevAddr(2)).unwrap().reachable_gateways(),
+            vec![1, 2]
+        );
+        assert_eq!(p.profile(DevAddr(1)).unwrap().uplinks, 1);
+        assert_eq!(p.profile(DevAddr(2)).unwrap().uplinks, 2);
+    }
+
+    #[test]
+    fn windows_follow_the_configured_width_and_skip_idle_ones() {
+        let mut p = LogParser::new(250_000);
+        for t in [0, 249_999, 250_000, 750_000] {
+            p.ingest(&log(1, 0, 0.0, t));
+        }
+        // Window 2 saw nothing and is not listed.
+        assert_eq!(p.traffic_windows(), vec![(0, 2), (1, 1), (3, 1)]);
+    }
+
+    #[test]
+    fn empty_profile_has_no_best_gateway() {
+        let prof = LinkProfile::default();
+        assert!(prof.reachable_gateways().is_empty());
+        assert_eq!(prof.best_gateway(), None);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_width_window_is_rejected() {
+        LogParser::new(0);
+    }
 }

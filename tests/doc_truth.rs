@@ -7,7 +7,12 @@
 //!   sources under `crates/`, `examples/`, `tests/` and `src/`;
 //! * every backticked Rust path — `Type`, `module::Type`,
 //!   `Type::method`, with or without a call suffix — must be made of
-//!   identifiers those sources contain.
+//!   identifiers those sources contain;
+//! * every backticked all-lowercase path that starts with a workspace
+//!   crate — `netserver::dedup`, `sim::accum::tests::some_test`,
+//!   `obs::proc_mem()` — must name a module file under
+//!   `crates/<crate>/src` (`<module>.rs` or `<module>/mod.rs`) for each
+//!   segment, until one names an item the last such file contains.
 //!
 //! Comments in the sources do not count, so a name that survives only
 //! in a comment does not keep a doc line alive; string literals do, so
@@ -236,9 +241,58 @@ fn type_path(span: &str) -> Option<Vec<&str>> {
     (segs.iter().all(|s| is_ident(s)) && segs.iter().any(|s| is_type(s))).then_some(segs)
 }
 
-/// Every `ALPHAWAN_*` name and backticked type path in `text` (a doc
-/// already cut to [`outside_fences`]), each with the first part the
-/// sources lack, if any.
+/// The segments of `span` if it is an all-lowercase Rust path of two
+/// or more segments whose first is a workspace crate (`lora_mac` for
+/// `crates/lora-mac`), optionally followed by a call's parentheses.
+fn crate_path(span: &str) -> Option<Vec<&str>> {
+    let path = span.strip_suffix("()").unwrap_or(span);
+    let segs: Vec<&str> = path.split("::").collect();
+    let lower_ident = |s: &str| {
+        s.starts_with(|ch: char| ch.is_ascii_lowercase() || ch == '_')
+            && s.chars()
+                .all(|ch| ch.is_ascii_lowercase() || ch.is_ascii_digit() || ch == '_')
+    };
+    let is_crate = |s: &str| root().join("crates").join(s.replace('_', "-")).is_dir();
+    (segs.len() >= 2 && segs.iter().all(|s| lower_ident(s)) && is_crate(segs[0])).then_some(segs)
+}
+
+/// The first segment of crate path `segs` that resolves to nothing.
+/// Each segment after the crate descends into `<module>.rs` or
+/// `<module>/mod.rs` while one exists; from the first that does not,
+/// the segments must be words of the last module file reached (an
+/// item it defines or re-exports, or an inline `mod tests`).
+fn crate_path_lack(segs: &[&str]) -> Option<String> {
+    let mut dir = root()
+        .join("crates")
+        .join(segs[0].replace('_', "-"))
+        .join("src");
+    let mut file = dir.join("lib.rs");
+    let mut rest = &segs[1..];
+    while let Some((seg, tail)) = rest.split_first() {
+        let module = [dir.join(format!("{seg}.rs")), dir.join(seg).join("mod.rs")]
+            .into_iter()
+            .find(|f| f.is_file());
+        let Some(module) = module else { break };
+        dir = dir.join(seg);
+        file = module;
+        rest = tail;
+    }
+    if rest.is_empty() {
+        return None;
+    }
+    let src = fs::read_to_string(&file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+    let code = strip_comments(&src);
+    let words: HashSet<&str> = code
+        .split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
+        .collect();
+    rest.iter()
+        .find(|s| !words.contains(**s))
+        .map(|s| s.to_string())
+}
+
+/// Every `ALPHAWAN_*` name, backticked type path and backticked crate
+/// path in `text` (a doc already cut to [`outside_fences`]), each with
+/// the first part the sources lack, if any.
 fn doc_names(text: &str, words: &HashSet<String>) -> Vec<(String, Option<String>)> {
     let mut names = Vec::new();
     for (at, _) in text.match_indices("ALPHAWAN_") {
@@ -258,6 +312,8 @@ fn doc_names(text: &str, words: &HashSet<String>) -> Vec<(String, Option<String>
                 .find(|s| !words.contains(**s))
                 .map(|s| s.to_string());
             names.push((format!("`{span}`"), lack));
+        } else if let Some(segs) = crate_path(&span) {
+            names.push((format!("`{span}`"), crate_path_lack(&segs)));
         }
     }
     names
@@ -352,6 +408,20 @@ fn a_doc_naming_a_type_the_sources_lack_fails() {
         .collect();
     assert_eq!(names.len(), 3, "{names:?}");
     assert_eq!(lacking, ["NoSuchRecorder", "NoSuchRecorder"], "{names:?}");
+}
+
+#[test]
+fn a_doc_naming_a_module_its_crate_lacks_fails() {
+    let doc = "Frames reach `netserver::dedup` through `svc::netserverd`, not \
+               `netserver::udp`; see `sim::accum::tests::no_such_test`, \
+               `obs::proc_mem()`, `lora_mac::frame` and `std::thread::scope`.\n";
+    let names = doc_names(doc, source_words());
+    let lacking: Vec<_> = names
+        .iter()
+        .filter_map(|(_, lack)| lack.as_deref())
+        .collect();
+    assert_eq!(names.len(), 6, "{names:?}");
+    assert_eq!(lacking, ["udp", "no_such_test"], "{names:?}");
 }
 
 #[test]
