@@ -1,9 +1,88 @@
-//! Run metrics: PRR, throughput, loss breakdowns and the capacity
-//! probes used throughout the paper's §5.
+//! Run metrics used throughout the paper's §5 — PRR, throughput, loss
+//! breakdowns — and [`LossFold`], the one place a lost packet is booked
+//! to a Fig 4 cause.
 
+use crate::accum::Verdict;
+use crate::shard::Seen;
 use crate::world::{LossCause, PacketRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+
+/// What one gateway of a packet's own network made of it: how
+/// admission saw it, the PHY verdict there, and whether the gateway
+/// crashed while it held the packet's decoder (`false` unless
+/// [`Seen::Admitted`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fate {
+    pub(crate) seen: Seen,
+    pub(crate) verdict: Verdict,
+    pub(crate) crashed_mid_rx: bool,
+}
+
+/// The Fig 4 classifier: folds a packet's [`Fate`]s at its own
+/// network's gateways, in ascending gateway order, into its
+/// [`LossCause`]. A lost packet is booked to the first rung that holds:
+/// **infrastructure** (some gateway would have decoded it but was down
+/// at lock-on, crashed mid-reception, or dropped it with decoders
+/// locked up), **decoder contention** (some gateway dropped it for want
+/// of a decoder with a clean verdict; *inter* if foreign packets held
+/// decoders at any of them), **channel contention** (a same-settings
+/// collision; *inter*/*intra* by the first one's strongest collider),
+/// else **other**.
+///
+/// The engine and the spec ([`crate::reference`]) both book through
+/// this fold. That costs the differential no independence that matters:
+/// the ladder is bookkeeping, not physics — each side still derives
+/// every fate (admission order, decoder holds, verdicts, crash windows)
+/// on its own, so a disagreement there still shows as differing
+/// records. A fault in the ladder itself is witnessed instead by this
+/// module's `the_ladder_books_each_rung_in_order`,
+/// `foreign_held_ors_across_gateways`, `the_first_collision_names_the_network`,
+/// `a_delivered_packet_books_no_cause`, and by
+/// `world::tests::pool_drop_outranks_collision_at_another_gateway`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LossFold {
+    infrastructure: bool,
+    /// `Some` once a clean decoder drop is seen; OR of `foreign_held`.
+    decoder: Option<bool>,
+    /// The first collision's strongest colliding network.
+    collision: Option<u32>,
+}
+
+impl LossFold {
+    /// Fold in the packet's fate at the next own-network gateway.
+    #[inline]
+    pub(crate) fn note(&mut self, fate: Fate) {
+        match (fate.seen, fate.verdict) {
+            (_, Verdict::Collision { with_network }) => {
+                self.collision.get_or_insert(with_network);
+            }
+            (_, Verdict::Interference) => {}
+            (Seen::Admitted, Verdict::Ok) => self.infrastructure |= fate.crashed_mid_rx,
+            (Seen::DownAtLockOn, Verdict::Ok)
+            | (Seen::Dropped { lockup: true, .. }, Verdict::Ok) => self.infrastructure = true,
+            (Seen::Dropped { foreign_held, .. }, Verdict::Ok) => {
+                *self.decoder.get_or_insert(false) |= foreign_held;
+            }
+        }
+    }
+
+    /// The cause of a packet of `network_id` with the fates folded so
+    /// far: `None` if it was `delivered`.
+    #[inline]
+    pub(crate) fn cause(&self, network_id: u32, delivered: bool) -> Option<LossCause> {
+        if delivered {
+            return None;
+        }
+        Some(match (self.infrastructure, self.decoder, self.collision) {
+            (true, _, _) => LossCause::Infrastructure,
+            (_, Some(true), _) => LossCause::DecoderContentionInter,
+            (_, Some(false), _) => LossCause::DecoderContentionIntra,
+            (_, _, Some(net)) if net == network_id => LossCause::ChannelContentionIntra,
+            (_, _, Some(_)) => LossCause::ChannelContentionInter,
+            (_, _, None) => LossCause::Other,
+        })
+    }
+}
 
 /// Counts per loss cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,6 +127,16 @@ impl LossBreakdown {
         }
     }
 
+    /// Add another breakdown's counts in.
+    pub(crate) fn merge(&mut self, other: &LossBreakdown) {
+        self.decoder_intra += other.decoder_intra;
+        self.decoder_inter += other.decoder_inter;
+        self.channel_intra += other.channel_intra;
+        self.channel_inter += other.channel_inter;
+        self.other += other.other;
+        self.infrastructure += other.infrastructure;
+    }
+
     /// All decoder-contention losses.
     pub fn decoder(&self) -> u64 {
         self.decoder_intra + self.decoder_inter
@@ -83,29 +172,20 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Compute metrics over all records, or only those of `network`.
     pub fn from_records(records: &[PacketRecord], network: Option<u32>) -> RunMetrics {
-        let mut m = RunMetrics::default();
-        let mut t_min = u64::MAX;
-        let mut t_max = 0u64;
-        for r in records {
-            if let Some(net) = network {
-                if r.network_id != net {
-                    continue;
-                }
-            }
-            m.sent += 1;
-            t_min = t_min.min(r.start_us);
-            t_max = t_max.max(r.end_us);
-            if r.delivered {
-                m.delivered += 1;
-                m.delivered_payload_bytes += r.payload_len as u64;
-            } else if let Some(c) = r.cause {
-                m.losses.add(c);
-            }
+        let mut s = NetSummary::default();
+        for r in records
+            .iter()
+            .filter(|r| network.is_none_or(|n| r.network_id == n))
+        {
+            s.note(r.start_us, r.end_us, r.payload_len, r.delivered, r.cause);
         }
-        if m.sent > 0 {
-            m.horizon_us = t_max - t_min;
+        RunMetrics {
+            sent: s.sent,
+            delivered: s.delivered,
+            losses: s.losses,
+            delivered_payload_bytes: s.delivered_payload_bytes,
+            horizon_us: s.horizon_us(),
         }
-        m
     }
 
     /// Packet reception ratio.
@@ -209,12 +289,7 @@ impl NetSummary {
     pub fn merge(&mut self, other: &NetSummary) {
         self.sent += other.sent;
         self.delivered += other.delivered;
-        self.losses.decoder_intra += other.losses.decoder_intra;
-        self.losses.decoder_inter += other.losses.decoder_inter;
-        self.losses.channel_intra += other.losses.channel_intra;
-        self.losses.channel_inter += other.losses.channel_inter;
-        self.losses.other += other.losses.other;
-        self.losses.infrastructure += other.losses.infrastructure;
+        self.losses.merge(&other.losses);
         self.delivered_payload_bytes += other.delivered_payload_bytes;
         self.t_min_us = self.t_min_us.min(other.t_min_us);
         self.t_max_us = self.t_max_us.max(other.t_max_us);
@@ -408,17 +483,6 @@ impl RunSummary {
     }
 }
 
-/// Delivered-count per network.
-pub fn delivered_per_network(records: &[PacketRecord]) -> HashMap<u32, u64> {
-    let mut out = HashMap::new();
-    for r in records {
-        if r.delivered {
-            *out.entry(r.network_id).or_insert(0) += 1;
-        }
-    }
-    out
-}
-
 /// Per-data-rate usage distribution over sent packets (Fig. 6d/e,
 /// Fig. 13d input): fraction of packets per DR index 0..=5.
 pub fn dr_distribution(records: &[PacketRecord]) -> [f64; 6] {
@@ -431,12 +495,6 @@ pub fn dr_distribution(records: &[PacketRecord]) -> [f64; 6] {
         return [0.0; 6];
     }
     core::array::from_fn(|i| counts[i] as f64 / total as f64)
-}
-
-/// "Maximum number of concurrent users": delivered count of a single
-/// concurrent burst — the capacity metric of §2.2/§5.1.
-pub fn concurrent_capacity(records: &[PacketRecord]) -> usize {
-    records.iter().filter(|r| r.delivered).count()
 }
 
 #[cfg(test)]
@@ -511,16 +569,214 @@ mod tests {
         assert_eq!(m.throughput_bps(), 0.0);
     }
 
+    const NET: u32 = 1;
+    const FOREIGN: u32 = 2;
+    const OK: Verdict = Verdict::Ok;
+    const NOISE: Verdict = Verdict::Interference;
+    const ADMITTED: Seen = Seen::Admitted;
+    const DOWN: Seen = Seen::DownAtLockOn;
+    const LOCKUP: Seen = Seen::Dropped {
+        foreign_held: false,
+        lockup: true,
+    };
+
+    fn dropped(foreign_held: bool) -> Seen {
+        Seen::Dropped {
+            foreign_held,
+            lockup: false,
+        }
+    }
+
+    fn hit(with_network: u32) -> Verdict {
+        Verdict::Collision { with_network }
+    }
+
+    fn at(seen: Seen, verdict: Verdict) -> Fate {
+        Fate {
+            seen,
+            verdict,
+            crashed_mid_rx: false,
+        }
+    }
+
+    fn crashed(verdict: Verdict) -> Fate {
+        Fate {
+            crashed_mid_rx: true,
+            ..at(ADMITTED, verdict)
+        }
+    }
+
+    /// The cause a lost packet of `NET` is booked to after `fates`.
+    fn book(fates: &[Fate]) -> Option<LossCause> {
+        let mut fold = LossFold::default();
+        for &f in fates {
+            fold.note(f);
+        }
+        fold.cause(NET, false)
+    }
+
     #[test]
-    fn per_network_delivered() {
-        let records = vec![
-            rec(0, 1, true, None),
-            rec(1, 2, true, None),
-            rec(2, 1, true, None),
+    fn the_ladder_books_each_rung_in_order() {
+        use LossCause::*;
+        let table: &[(&str, &[Fate], LossCause)] = &[
+            ("no own gateway heard it", &[], Other),
+            ("admitted, lost to SINR", &[at(ADMITTED, NOISE)], Other),
+            (
+                "admitted, collided",
+                &[at(ADMITTED, hit(NET))],
+                ChannelContentionIntra,
+            ),
+            (
+                "collided with a foreign packet",
+                &[at(ADMITTED, hit(FOREIGN))],
+                ChannelContentionInter,
+            ),
+            (
+                "pool full of own packets",
+                &[at(dropped(false), OK)],
+                DecoderContentionIntra,
+            ),
+            (
+                "pool held foreign packets",
+                &[at(dropped(true), OK)],
+                DecoderContentionInter,
+            ),
+            ("down at lock-on", &[at(DOWN, OK)], Infrastructure),
+            ("crashed mid-reception", &[crashed(OK)], Infrastructure),
+            (
+                "dropped with decoders locked up",
+                &[at(LOCKUP, OK)],
+                Infrastructure,
+            ),
+            // A fault or a drop counts only where the PHY would have
+            // decoded the packet.
+            (
+                "down, and it collided there",
+                &[at(DOWN, hit(NET))],
+                ChannelContentionIntra,
+            ),
+            ("locked up, and lost to SINR", &[at(LOCKUP, NOISE)], Other),
+            ("crashed, and lost to SINR", &[crashed(NOISE)], Other),
+            (
+                "dropped, and it collided there",
+                &[at(dropped(true), hit(FOREIGN))],
+                ChannelContentionInter,
+            ),
+            // Between gateways, whatever their order.
+            (
+                "infrastructure beats decoder",
+                &[at(dropped(true), OK), at(DOWN, OK)],
+                Infrastructure,
+            ),
+            (
+                "... in either order",
+                &[crashed(OK), at(dropped(false), OK)],
+                Infrastructure,
+            ),
+            (
+                "decoder beats channel",
+                &[at(ADMITTED, hit(FOREIGN)), at(dropped(false), OK)],
+                DecoderContentionIntra,
+            ),
+            (
+                "... in either order",
+                &[at(dropped(true), OK), at(ADMITTED, hit(NET))],
+                DecoderContentionInter,
+            ),
+            (
+                "channel beats other",
+                &[at(ADMITTED, NOISE), at(DOWN, hit(FOREIGN))],
+                ChannelContentionInter,
+            ),
+            (
+                "... in either order",
+                &[at(ADMITTED, hit(NET)), at(LOCKUP, NOISE)],
+                ChannelContentionIntra,
+            ),
+            (
+                "infrastructure beats channel",
+                &[at(ADMITTED, hit(NET)), at(LOCKUP, OK)],
+                Infrastructure,
+            ),
         ];
-        let per = delivered_per_network(&records);
-        assert_eq!(per[&1], 2);
-        assert_eq!(per[&2], 1);
+        for (case, fates, want) in table {
+            assert_eq!(book(fates), Some(*want), "{case}");
+        }
+    }
+
+    #[test]
+    fn foreign_held_ors_across_gateways() {
+        for (fates, want) in [
+            ([false, false], LossCause::DecoderContentionIntra),
+            ([false, true], LossCause::DecoderContentionInter),
+            ([true, false], LossCause::DecoderContentionInter),
+            ([true, true], LossCause::DecoderContentionInter),
+        ] {
+            let fates = fates.map(|foreign| at(dropped(foreign), OK));
+            assert_eq!(book(&fates), Some(want), "{fates:?}");
+        }
+    }
+
+    #[test]
+    fn the_first_collision_names_the_network() {
+        let first_own = [at(ADMITTED, hit(NET)), at(dropped(true), hit(FOREIGN))];
+        assert_eq!(book(&first_own), Some(LossCause::ChannelContentionIntra));
+        let first_foreign = [at(DOWN, hit(FOREIGN)), at(ADMITTED, hit(NET))];
+        assert_eq!(
+            book(&first_foreign),
+            Some(LossCause::ChannelContentionInter)
+        );
+    }
+
+    #[test]
+    fn a_delivered_packet_books_no_cause() {
+        let fates = [
+            at(dropped(true), OK),
+            at(DOWN, OK),
+            crashed(OK),
+            at(ADMITTED, hit(FOREIGN)),
+            at(ADMITTED, OK),
+        ];
+        for n in 0..=fates.len() {
+            let mut fold = LossFold::default();
+            for &f in &fates[..n] {
+                fold.note(f);
+            }
+            assert_eq!(fold.cause(NET, true), None, "after {n} fates");
+        }
+    }
+
+    #[test]
+    fn merged_summaries_equal_one_fold_cause_by_cause() {
+        let causes = [
+            LossCause::DecoderContentionIntra,
+            LossCause::DecoderContentionInter,
+            LossCause::ChannelContentionIntra,
+            LossCause::ChannelContentionInter,
+            LossCause::Other,
+            LossCause::Infrastructure,
+        ];
+        let records: Vec<PacketRecord> = (0..24u64)
+            .map(|i| match i % 7 {
+                6 => rec(i, 1 + (i % 2) as u32, true, None),
+                k => rec(i, 1 + (i % 2) as u32, false, Some(causes[k as usize])),
+            })
+            .collect();
+        let whole = RunSummary::from_records(&records);
+        // Each half sees every outcome, so a cause the merge drops shows.
+        assert!(whole.total.outcome_distribution().iter().all(|&p| p > 0.0));
+        let mut halves = RunSummary::from_records(&records[..11]);
+        halves.merge(&RunSummary::from_records(&records[11..]));
+        assert_eq!(halves, whole);
+        for net in [None, Some(1), Some(2)] {
+            let m = RunMetrics::from_records(&records, net);
+            let s = net.map_or(&whole.total, |n| whole.network(n).unwrap());
+            assert_eq!(
+                (m.sent, m.delivered, m.losses, m.horizon_us),
+                (s.sent, s.delivered, s.losses, s.horizon_us())
+            );
+            assert_eq!(m.delivered_payload_bytes, s.delivered_payload_bytes);
+        }
     }
 
     #[test]

@@ -1,20 +1,32 @@
 //! The executable specification of a run: the seed revision's plain
-//! event loop, kept verbatim as the oracle the engine is held to.
+//! event loop, kept as the oracle the engine is held to.
 //!
-//! [`run_with_faults_reference`] is a line-for-line port of the
-//! original `SimWorld::run_with_faults`: one binary-heap queue, every
+//! [`run_with_faults_reference`] is the original
+//! `SimWorld::run_with_faults` algorithm: one binary-heap queue, every
 //! lock-on visits **every** gateway and recomputes the per-(node,
 //! gateway) RSSI/SNR from the topology, `TxStart` scans the full
 //! on-air list, `TxEnd` removes by `retain`, and every run allocates
 //! its interferer/admission bookkeeping afresh. It even keeps the dead
 //! `snr_v` computation, because the point is to differentially test
-//! (and time) against the true original code, not a cleaned-up
+//! (and time) against the original physics, not a cleaned-up
 //! strawman. Two deliberate departures: the leaked-interference sum is
 //! folded in the fixed point of `crate::accum` rather than in f64, so
 //! that the engine's incremental sum is the same integer whatever order
 //! it was added in; and capture asks only whether the victim leads the
 //! collider by the threshold, without the seed's lock-on-order branch,
 //! which `capture_outcome`'s symmetry made a no-op.
+//!
+//! Four pieces hold no physics and are shared with the engine rather
+//! than copied: the `Transmission` builder (`Transmission::from_plan`,
+//! `Transmission::at_gateway`), the run-start gateway identities
+//! (`SimWorld::emit_gateway_info`), the loss ladder
+//! ([`crate::metrics::LossFold`], over the crate's own `Seen` and
+//! `Verdict`) and the outcome tail (`Transmission::emit_outcome`,
+//! `Transmission::record`). Each is a pure function of what the two
+//! loops still derive independently — each gateway's admission, the
+//! verdict there, the crash windows — so a divergence in anything the
+//! differential exists to test still shows as differing records or
+//! events. The ladder's own table is in `metrics`' unit tests.
 //!
 //! Two consumers rely on it:
 //!
@@ -32,13 +44,14 @@
 
 #![allow(clippy::all)]
 
-use crate::accum::{from_fixed, leak_fx};
+use crate::accum::{from_fixed, leak_fx, Verdict};
 use crate::engine::{Event, EventQueue};
+use crate::metrics::{Fate, LossFold};
+use crate::shard::Seen;
 use crate::topology::Topology;
 use crate::traffic::TxPlan;
-use crate::world::{LossCause, PacketRecord, SimWorld, Transmission};
+use crate::world::{PacketRecord, SimWorld, Transmission};
 use gateway::radio::{LockOnOutcome, PacketAtGateway};
-use lora_phy::airtime::PacketParams;
 use lora_phy::channel::overlap_ratio;
 use lora_phy::interference::{
     capture_outcome, leakage_gain_db, CaptureOutcome, CROSS_SF_REJECTION_DB,
@@ -47,23 +60,6 @@ use lora_phy::interference::{
 use lora_phy::snr::{decodable, noise_floor_dbm};
 use lora_phy::types::{Bandwidth, TxPowerDbm};
 use obs::{NullSink, ObsEvent, ObsSink};
-
-/// How one gateway saw one transmission during admission (the
-/// reference's private copy of the world's bookkeeping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Seen {
-    Admitted,
-    Dropped { foreign_held: bool, lockup: bool },
-    DownAtLockOn,
-}
-
-/// PHY verdict for one (transmission, gateway) pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Verdict {
-    Ok,
-    Collision { with_network: u32 },
-    Interference,
-}
 
 /// Execute `plans` on `world` with the specification loop. Replays the
 /// seed revision's algorithm exactly; see the module docs.
@@ -77,26 +73,7 @@ pub fn run_with_faults_reference(
     let txs: Vec<Transmission> = plans
         .iter()
         .enumerate()
-        .map(|(i, p)| {
-            let airtime = PacketParams::lorawan_uplink(
-                p.dr.spreading_factor(),
-                Bandwidth::Khz125,
-                p.payload_len,
-            )
-            .airtime();
-            Transmission {
-                id: i as u64,
-                trace: obs::packet_trace(epoch, i as u64),
-                node: p.node,
-                network_id: world.node_network[p.node],
-                channel: p.channel,
-                dr: p.dr,
-                start_us: p.start_us,
-                lock_on_us: airtime.lock_on_at(p.start_us),
-                end_us: airtime.end_at(p.start_us),
-                payload_len: p.payload_len,
-            }
-        })
+        .map(|(i, p)| Transmission::from_plan(p, i as u64, epoch, world.node_network[p.node]))
         .collect();
 
     let mut queue = EventQueue::new();
@@ -113,15 +90,7 @@ pub fn run_with_faults_reference(
         None => &mut null,
     };
 
-    if sink.enabled() {
-        for g in &world.gateways {
-            sink.record(&ObsEvent::GatewayInfo {
-                gw: g.id as u32,
-                network: g.network_id,
-                capacity: g.pool().capacity() as u32,
-            });
-        }
-    }
+    world.emit_gateway_info(sink);
 
     let mut interferers: Vec<Vec<u64>> = vec![Vec::new(); txs.len()];
     let mut on_air: Vec<u64> = Vec::new();
@@ -227,99 +196,32 @@ fn finish_tx(
 ) -> PacketRecord {
     let t = &txs[tx_id as usize];
     let mut receiving = Vec::new();
-    let mut decoder_drop: Option<bool> = None;
-    let mut collision_with: Option<u32> = None;
-    let mut own_detected = false;
-    let mut infra_loss = false;
+    let mut fold = LossFold::default();
 
     for &(g_idx, how) in seen {
-        let own = world.gateways[g_idx].network_id == t.network_id;
         let verdict = verdict(world, txs, t, g_idx, &interferers[tx_id as usize]);
+        let mut crashed_mid_rx = false;
         if how == Seen::Admitted {
-            let crashed_mid_rx = faults.gateway_down_during(g_idx, t.lock_on_us, t.end_us);
+            crashed_mid_rx = faults.gateway_down_during(g_idx, t.lock_on_us, t.end_us);
             let phy_ok = verdict == Verdict::Ok && !crashed_mid_rx;
             if let Some(gateway::radio::ReceptionOutcome::Received) =
                 world.gateways[g_idx].on_tx_end_obs(tx_id, phy_ok, sink)
             {
                 receiving.push(g_idx);
             }
-            if own && crashed_mid_rx && verdict == Verdict::Ok {
-                infra_loss = true;
-            }
         }
-        if own {
-            own_detected = true;
-            match (how, verdict) {
-                (Seen::DownAtLockOn, Verdict::Ok) => {
-                    infra_loss = true;
-                }
-                (
-                    Seen::Dropped {
-                        foreign_held,
-                        lockup,
-                    },
-                    Verdict::Ok,
-                ) => {
-                    if lockup {
-                        infra_loss = true;
-                    } else {
-                        let entry = decoder_drop.get_or_insert(false);
-                        *entry = *entry || foreign_held;
-                    }
-                }
-                (_, Verdict::Collision { with_network }) => {
-                    collision_with.get_or_insert(with_network);
-                }
-                _ => {}
-            }
+        if world.gateways[g_idx].network_id == t.network_id {
+            fold.note(Fate {
+                seen: how,
+                verdict,
+                crashed_mid_rx,
+            });
         }
     }
 
-    let delivered = !receiving.is_empty();
-    let cause = if delivered {
-        None
-    } else if infra_loss {
-        Some(LossCause::Infrastructure)
-    } else if let Some(foreign) = decoder_drop {
-        Some(if foreign {
-            LossCause::DecoderContentionInter
-        } else {
-            LossCause::DecoderContentionIntra
-        })
-    } else if let Some(net) = collision_with {
-        Some(if net == t.network_id {
-            LossCause::ChannelContentionIntra
-        } else {
-            LossCause::ChannelContentionInter
-        })
-    } else {
-        let _ = own_detected;
-        Some(LossCause::Other)
-    };
-
-    if sink.enabled() {
-        sink.record(&ObsEvent::PacketOutcome {
-            t_us: t.end_us,
-            trace: t.trace,
-            tx: tx_id,
-            delivered,
-            cause: cause.map(LossCause::obs_kind),
-        });
-    }
-
-    PacketRecord {
-        tx_id,
-        node: t.node,
-        network_id: t.network_id,
-        channel: t.channel,
-        dr: t.dr,
-        start_us: t.start_us,
-        end_us: t.end_us,
-        payload_len: t.payload_len,
-        delivered,
-        receiving_gateways: receiving,
-        cause,
-    }
+    let cause = fold.cause(t.network_id, !receiving.is_empty());
+    t.emit_outcome(sink, cause);
+    t.record(receiving, cause)
 }
 
 fn verdict(
@@ -392,15 +294,8 @@ fn packet_at(
     t: &Transmission,
     g_idx: usize,
 ) -> PacketAtGateway {
-    PacketAtGateway {
-        tx_id: t.id,
-        trace: t.trace,
-        network_id: t.network_id,
-        channel: t.channel,
-        sf: t.dr.spreading_factor(),
-        rssi_dbm: topo.rssi_dbm(t.node, g_idx, node_power[t.node]),
-        snr_db: topo.snr_db(t.node, g_idx, node_power[t.node]),
-        lock_on_us: t.lock_on_us,
-        end_us: t.end_us,
-    }
+    t.at_gateway(
+        topo.rssi_dbm(t.node, g_idx, node_power[t.node]),
+        topo.snr_db(t.node, g_idx, node_power[t.node]),
+    )
 }

@@ -62,13 +62,12 @@
 use crate::accum::{AccumState, TxKey, Verdict, VerdictScratch};
 use crate::engine::TimeWheel;
 use crate::faults::{InfraFaults, NoFaults};
-use crate::metrics::RunSummary;
+use crate::metrics::{Fate, LossFold, RunSummary};
 use crate::runctx::RunContext;
 use crate::topology::Topology;
 use crate::traffic::{ChunkSource, SliceChunks, TxPlan};
-use crate::world::{LossCause, PacketRecord, SimRunStats, SimWorld, Transmission};
-use gateway::radio::{Gateway, LockOnOutcome, PacketAtGateway, ReceptionOutcome};
-use lora_phy::airtime::PacketParams;
+use crate::world::{PacketRecord, SimRunStats, SimWorld, Transmission};
+use gateway::radio::{Gateway, LockOnOutcome, ReceptionOutcome};
 use lora_phy::snr::{decodable, noise_floor_dbm};
 use lora_phy::types::{Bandwidth, TxPowerDbm};
 use obs::{ObsEvent, ObsSink};
@@ -574,24 +573,7 @@ impl<'e> ShardMachine<'e> {
     fn ingest(&mut self, chunk: &[(u64, u32, TxPlan)]) {
         for &(id, ch, p) in chunk {
             self.txs_n += 1;
-            let airtime = PacketParams::lorawan_uplink(
-                p.dr.spreading_factor(),
-                Bandwidth::Khz125,
-                p.payload_len,
-            )
-            .airtime();
-            let tx = Transmission {
-                id,
-                trace: obs::packet_trace(self.env.epoch, id),
-                node: p.node,
-                network_id: self.env.node_network[p.node],
-                channel: p.channel,
-                dr: p.dr,
-                start_us: p.start_us,
-                lock_on_us: airtime.lock_on_at(p.start_us),
-                end_us: airtime.end_at(p.start_us),
-                payload_len: p.payload_len,
-            };
+            let tx = Transmission::from_plan(&p, id, self.env.epoch, self.env.node_network[p.node]);
 
             // Non-candidate not-detected tallies for crashable
             // gateways (the never-down bulk is reconciled by the
@@ -731,17 +713,7 @@ impl<'e> ShardMachine<'e> {
                 let locked = self.env.faults.locked_decoders(g_idx, now);
                 self.gateways[lg].set_locked_decoders(locked);
             }
-            let pkt = PacketAtGateway {
-                tx_id: t.id,
-                trace: t.trace,
-                network_id: t.network_id,
-                channel: t.channel,
-                sf,
-                rssi_dbm: rssi,
-                snr_db: snr,
-                lock_on_us: t.lock_on_us,
-                end_us: t.end_us,
-            };
+            let pkt = t.at_gateway(rssi, snr);
             match self.gateways[lg].admit_detected_tracked_obs(&pkt, &mut self.sink) {
                 LockOnOutcome::Admitted => {
                     seen.push((lg as u32, Seen::Admitted));
@@ -791,116 +763,49 @@ impl<'e> ShardMachine<'e> {
         );
     }
 
-    /// Decoder release, delivery classification, record/summary
-    /// emission. The caller resolves
-    /// PHY verdicts into `self.st.vs.verdicts` first
+    /// Decoder release, then the loss fold and the outcome tail. The
+    /// caller resolves PHY verdicts into `self.st.vs.verdicts` first
     /// ([`Self::batch_verdicts`]).
     fn finish_tx(&mut self, s: u32) {
         let si = s as usize;
         let t = self.st.slots[si].tx;
         let seen = std::mem::take(&mut self.st.slots[si].seen);
         let row_base = si * self.n_lg;
-        let sf = t.dr.spreading_factor();
 
         self.st.receiving.clear();
-        let mut decoder_drop: Option<bool> = None;
-        let mut collision_with: Option<u32> = None;
-        let mut own_detected = false;
-        let mut infra_loss = false;
-
+        let mut fold = LossFold::default();
         for (k, &(lg, how)) in seen.iter().enumerate() {
             let g_idx = self.gw_global[lg as usize] as usize;
-            let own = self.gateways[lg as usize].network_id == t.network_id;
             let verdict = self.st.vs.verdicts[k];
+            let mut crashed_mid_rx = false;
             if how == Seen::Admitted {
-                let crashed_mid_rx = self.env.ever_down[g_idx]
+                crashed_mid_rx = self.env.ever_down[g_idx]
                     && self
                         .env
                         .faults
                         .gateway_down_during(g_idx, t.lock_on_us, t.end_us);
                 let phy_ok = verdict == Verdict::Ok && !crashed_mid_rx;
                 let rssi = self.st.accum.link[row_base + lg as usize];
-                let pkt = PacketAtGateway {
-                    tx_id: t.id,
-                    trace: t.trace,
-                    network_id: t.network_id,
-                    channel: t.channel,
-                    sf,
-                    rssi_dbm: rssi,
-                    snr_db: rssi - self.floor,
-                    lock_on_us: t.lock_on_us,
-                    end_us: t.end_us,
-                };
+                let pkt = t.at_gateway(rssi, rssi - self.floor);
                 if let ReceptionOutcome::Received =
                     self.gateways[lg as usize].on_tx_end_tracked_obs(&pkt, phy_ok, &mut self.sink)
                 {
                     self.st.receiving.push(g_idx);
                 }
-                if own && crashed_mid_rx && verdict == Verdict::Ok {
-                    infra_loss = true;
-                }
             }
-            if own {
-                own_detected = true;
-                match (how, verdict) {
-                    (Seen::DownAtLockOn, Verdict::Ok) => {
-                        infra_loss = true;
-                    }
-                    (
-                        Seen::Dropped {
-                            foreign_held,
-                            lockup,
-                        },
-                        Verdict::Ok,
-                    ) => {
-                        if lockup {
-                            infra_loss = true;
-                        } else {
-                            let entry = decoder_drop.get_or_insert(false);
-                            *entry = *entry || foreign_held;
-                        }
-                    }
-                    (_, Verdict::Collision { with_network }) => {
-                        collision_with.get_or_insert(with_network);
-                    }
-                    _ => {}
-                }
+            if self.gateways[lg as usize].network_id == t.network_id {
+                fold.note(Fate {
+                    seen: how,
+                    verdict,
+                    crashed_mid_rx,
+                });
             }
         }
         self.st.slots[si].seen = seen;
 
         let delivered = !self.st.receiving.is_empty();
-        let cause = if delivered {
-            None
-        } else if infra_loss {
-            Some(LossCause::Infrastructure)
-        } else if let Some(foreign) = decoder_drop {
-            Some(if foreign {
-                LossCause::DecoderContentionInter
-            } else {
-                LossCause::DecoderContentionIntra
-            })
-        } else if let Some(net) = collision_with {
-            Some(if net == t.network_id {
-                LossCause::ChannelContentionIntra
-            } else {
-                LossCause::ChannelContentionInter
-            })
-        } else {
-            let _ = own_detected;
-            Some(LossCause::Other)
-        };
-
-        if self.sink.enabled() {
-            self.sink.record(&ObsEvent::PacketOutcome {
-                t_us: t.end_us,
-                trace: t.trace,
-                tx: t.id,
-                delivered,
-                cause: cause.map(LossCause::obs_kind),
-            });
-        }
-
+        let cause = fold.cause(t.network_id, delivered);
+        t.emit_outcome(&mut self.sink, cause);
         self.summary.note(
             t.network_id,
             t.start_us,
@@ -910,19 +815,8 @@ impl<'e> ShardMachine<'e> {
             cause,
         );
         if self.env.collect_records {
-            self.records.push(PacketRecord {
-                tx_id: t.id,
-                node: t.node,
-                network_id: t.network_id,
-                channel: t.channel,
-                dr: t.dr,
-                start_us: t.start_us,
-                end_us: t.end_us,
-                payload_len: t.payload_len,
-                delivered,
-                receiving_gateways: self.st.receiving.clone(),
-                cause,
-            });
+            self.records
+                .push(t.record(self.st.receiving.clone(), cause));
         }
     }
 
@@ -1110,21 +1004,11 @@ fn run_chunked(
         }
     }
 
-    // Take the sink for the run. Gateway identities go out first, in
-    // global order: analyzers need the gateway→network ownership map
-    // before any packet event to classify decoder holds as own- vs
-    // foreign-network.
+    // Take the sink for the run; gateway identities go out first.
     let mut taken = world.obs.take();
     let obs_on = taken.as_deref().map(|s| s.enabled()).unwrap_or(false);
-    if obs_on {
-        let sink = taken.as_deref_mut().expect("sink present when enabled");
-        for g in &world.gateways {
-            sink.record(&ObsEvent::GatewayInfo {
-                gw: g.id as u32,
-                network: g.network_id,
-                capacity: g.pool().capacity() as u32,
-            });
-        }
+    if let Some(sink) = taken.as_deref_mut() {
+        world.emit_gateway_info(sink);
     }
 
     // Live per-shard heartbeats: `ALPHAWAN_HEARTBEAT=<path>` appends
@@ -1404,6 +1288,7 @@ mod tests {
     use super::*;
     use crate::reference::run_with_faults_reference;
     use crate::traffic::{concurrent_burst, duty_cycled, BurstScheme};
+    use crate::world::LossCause;
     use gateway::config::GatewayConfig;
     use gateway::profile::GatewayProfile;
     use lora_phy::channel::Channel;

@@ -12,7 +12,7 @@
 //! one past the block's draws. Every link sees the words it would have
 //! seen from a single thread, whatever the worker count.
 
-use lora_phy::pathloss::{ring_radii_m, PathLossModel, DISTANCE_RINGS};
+use lora_phy::pathloss::{PathLossModel, DISTANCE_RINGS};
 use lora_phy::types::{DataRate, TxPowerDbm};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -447,11 +447,6 @@ impl Topology {
                     >= lora_phy::snr::demod_snr_floor_db(lora_phy::types::SpreadingFactor::SF12)
             })
             .collect()
-    }
-
-    /// Ring radii for the configured path-loss model.
-    pub fn ring_radii(&self, tx: TxPowerDbm) -> [f64; DISTANCE_RINGS] {
-        ring_radii_m(&self.model, tx, 0.0)
     }
 }
 

@@ -378,11 +378,6 @@ impl DutyCycleStream {
         stream
     }
 
-    /// Total nodes with an assignment.
-    pub fn n_assignments(&self) -> usize {
-        self.assignments.len()
-    }
-
     /// File assignment `idx` under the window of its next arrival
     /// `t_us` (at or past the current window); an arrival at or past
     /// the horizon retires the node.

@@ -6,19 +6,10 @@
 //! lock-on order) and end (PHY verdicts, decoder release, delivery).
 //!
 //! A packet is *delivered* if at least one gateway of its own network
-//! receives it (LoRaWAN's any-gateway reception, Appendix B). Lost
-//! packets are classified per the paper's taxonomy (Fig. 4 / Fig. 13c):
-//!
-//! * **Decoder contention** — some own-network gateway detected the
-//!   packet and would have decoded it, but had no free decoder; *inter*
-//!   if foreign-network packets were holding decoders there, else
-//!   *intra*;
-//! * **Channel contention** — every detecting own-network gateway lost
-//!   the packet to a same-channel same-SF collision ("multiple nodes
-//!   using identical transmission settings"); *inter*/*intra* by the
-//!   strongest colliding network;
-//! * **Other** — below-threshold SNR, cross-SF interference, or no
-//!   gateway in detection range.
+//! receives it (LoRaWAN's any-gateway reception, Appendix B). A lost
+//! packet is booked to the paper's taxonomy (Fig. 4 / Fig. 13c) —
+//! decoder contention, channel contention, other, plus the chaos
+//! layer's infrastructure bucket — by one fold, `metrics::LossFold`.
 //!
 //! # One engine, one spec
 //!
@@ -35,7 +26,8 @@
 use crate::shard::{ShardOpts, ShardState};
 use crate::topology::Topology;
 use crate::traffic::TxPlan;
-use gateway::radio::Gateway;
+use gateway::radio::{Gateway, PacketAtGateway};
+use lora_phy::airtime::lorawan_uplink_airtime;
 use lora_phy::channel::Channel;
 use lora_phy::types::{DataRate, TxPowerDbm};
 use obs::{ObsEvent, ObsSink};
@@ -66,6 +58,81 @@ pub struct Transmission {
     pub end_us: u64,
     /// PHY payload length, bytes.
     pub payload_len: usize,
+}
+
+impl Transmission {
+    /// Plan `p` on air as transmission `id` of run `epoch`, sent by a
+    /// node of `network_id`.
+    pub(crate) fn from_plan(p: &TxPlan, id: u64, epoch: u64, network_id: u32) -> Transmission {
+        let airtime = lorawan_uplink_airtime(p.dr.spreading_factor(), p.payload_len);
+        Transmission {
+            id,
+            trace: obs::packet_trace(epoch, id),
+            node: p.node,
+            network_id,
+            channel: p.channel,
+            dr: p.dr,
+            start_us: p.start_us,
+            lock_on_us: airtime.lock_on_at(p.start_us),
+            end_us: airtime.end_at(p.start_us),
+            payload_len: p.payload_len,
+        }
+    }
+
+    /// The packet as a gateway hears it at `rssi_dbm` / `snr_db`.
+    pub(crate) fn at_gateway(&self, rssi_dbm: f64, snr_db: f64) -> PacketAtGateway {
+        PacketAtGateway {
+            tx_id: self.id,
+            trace: self.trace,
+            network_id: self.network_id,
+            channel: self.channel,
+            sf: self.dr.spreading_factor(),
+            rssi_dbm,
+            snr_db,
+            lock_on_us: self.lock_on_us,
+            end_us: self.end_us,
+        }
+    }
+
+    /// Stream the packet's `PacketOutcome`: delivered exactly when the
+    /// loss fold booked no `cause`.
+    pub(crate) fn emit_outcome(
+        &self,
+        sink: &mut (impl ObsSink + ?Sized),
+        cause: Option<LossCause>,
+    ) {
+        if sink.enabled() {
+            sink.record(&ObsEvent::PacketOutcome {
+                t_us: self.end_us,
+                trace: self.trace,
+                tx: self.id,
+                delivered: cause.is_none(),
+                cause: cause.map(LossCause::obs_kind),
+            });
+        }
+    }
+
+    /// The packet's record: delivered exactly when some gateway in
+    /// `receiving_gateways` received it.
+    pub(crate) fn record(
+        &self,
+        receiving_gateways: Vec<usize>,
+        cause: Option<LossCause>,
+    ) -> PacketRecord {
+        PacketRecord {
+            tx_id: self.id,
+            node: self.node,
+            network_id: self.network_id,
+            channel: self.channel,
+            dr: self.dr,
+            start_us: self.start_us,
+            end_us: self.end_us,
+            payload_len: self.payload_len,
+            delivered: !receiving_gateways.is_empty(),
+            receiving_gateways,
+            cause,
+        }
+    }
 }
 
 /// Why a packet was lost (paper taxonomy, Fig. 4, plus the chaos
@@ -262,6 +329,21 @@ impl SimWorld {
     /// Detach and return the current observability sink, if any.
     pub fn take_obs_sink(&mut self) -> Option<Box<dyn ObsSink>> {
         self.obs.take()
+    }
+
+    /// Stream every gateway's identity, in global order: analyzers
+    /// need the gateway→network ownership map before any packet event
+    /// to classify decoder holds as own- vs foreign-network.
+    pub(crate) fn emit_gateway_info(&self, sink: &mut dyn ObsSink) {
+        if sink.enabled() {
+            for g in &self.gateways {
+                sink.record(&ObsEvent::GatewayInfo {
+                    gw: g.id as u32,
+                    network: g.network_id,
+                    capacity: g.pool().capacity() as u32,
+                });
+            }
+        }
     }
 
     /// Counters from the most recent run of any kind: events
@@ -684,6 +766,97 @@ mod tests {
         assert_eq!(stats.candidate_ceiling, 20);
         assert!(stats.candidate_visits <= stats.candidate_ceiling);
         assert!(stats.cull_ratio() <= 1.0 && stats.cull_ratio() > 0.0);
+    }
+
+    #[test]
+    fn pool_drop_outranks_collision_at_another_gateway() {
+        // Packet P (node 16) is dropped by gateway `full`, whose pool 16
+        // long fillers hold, with a clean verdict there; at gateway
+        // `clear` it is admitted but captured by Q (node 17), which is
+        // 20 dB stronger there and out of range at `full`. Decoder
+        // contention outranks the collision whichever gateway comes
+        // first, in the engine and in the spec alike.
+        let ch = StandardChannelPlan::us915_subband(0).channels[0];
+        let fillers = orthogonal_assignments(16);
+        for (full, clear) in [(0, 1), (1, 0)] {
+            let mut plans: Vec<TxPlan> = fillers
+                .iter()
+                .map(|&(node, channel, dr)| TxPlan {
+                    node,
+                    channel,
+                    dr,
+                    start_us: node as u64 * 1_000,
+                    payload_len: 10,
+                })
+                .collect();
+            for (node, start_us) in [(16, 500_000), (17, 500_100)] {
+                plans.push(TxPlan {
+                    node,
+                    channel: ch,
+                    dr: DataRate::DR5,
+                    start_us,
+                    payload_len: 10,
+                });
+            }
+            let build = || {
+                let mut w = clean_world(18, &[1, 1]);
+                for (node, _, _) in &fillers {
+                    w.topo.loss_db[*node][full] = 80.0;
+                    w.topo.loss_db[*node][clear] = 200.0;
+                }
+                w.topo.loss_db[16][full] = 80.0;
+                w.topo.loss_db[16][clear] = 100.0;
+                w.topo.loss_db[17][full] = 200.0;
+                w.topo.loss_db[17][clear] = 80.0;
+                w
+            };
+            let engine = build().run(&plans);
+            let spec = crate::reference::run_with_faults_reference(
+                &mut build(),
+                &plans,
+                &crate::faults::NoFaults,
+            );
+            assert_eq!(engine, spec);
+            assert!(engine[..16].iter().all(|r| r.receiving_gateways == [full]));
+            assert_eq!(engine[17].receiving_gateways, [clear], "Q captured P");
+            assert!(!engine[16].delivered);
+            assert_eq!(
+                engine[16].cause,
+                Some(LossCause::DecoderContentionIntra),
+                "full pool at gateway {full}"
+            );
+        }
+    }
+
+    #[test]
+    fn records_echo_their_plans() {
+        let plan = StandardChannelPlan::us915_subband(0);
+        let mut w = clean_world(30, &[1, 2]);
+        w.node_network = (0..30).map(|i| 1 + (i % 3 == 0) as u32).collect();
+        let plans: Vec<TxPlan> = (0..30)
+            .map(|i| TxPlan {
+                node: 29 - i,
+                channel: plan.channels[i * 5 % 8],
+                dr: DataRate::from_index(i % 6).unwrap(),
+                start_us: 7_919 * (i * i % 31) as u64,
+                payload_len: 1 + i * 7 % 51,
+            })
+            .collect();
+        let recs = w.run(&plans);
+        assert_eq!(recs.len(), plans.len());
+        for (i, (r, p)) in recs.iter().zip(&plans).enumerate() {
+            assert_eq!(r.tx_id, i as u64);
+            assert_eq!(
+                (r.node, r.network_id, r.channel, r.dr),
+                (p.node, w.node_network[p.node], p.channel, p.dr),
+                "tx {i}"
+            );
+            assert_eq!((r.start_us, r.payload_len), (p.start_us, p.payload_len));
+            let airtime = lorawan_uplink_airtime(p.dr.spreading_factor(), p.payload_len);
+            assert_eq!(r.end_us - r.start_us, airtime.total_us(), "tx {i}");
+            assert_eq!(r.delivered, !r.receiving_gateways.is_empty());
+            assert_eq!(r.delivered, r.cause.is_none());
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn parse_flags() -> Result<Flags, String> {
             "--inflight" => flags.cfg.max_inflight_datagrams = parse(&value("--inflight")?)?,
             "--seed" => flags.cfg.seed = parse(&value("--seed")?)?,
             "--window-us" => flags.window_us = parse(&value("--window-us")?)?,
-            "--chaos-loss" => flags.chaos_loss = Some(parse(&value("--chaos-loss")?)?),
+            "--chaos-loss" => flags.chaos_loss = Some(probability(&value("--chaos-loss")?)?),
             "--mode" => flags.mode = value("--mode")?,
             other => return Err(format!("unknown flag {other}")),
         }
@@ -63,6 +63,16 @@ fn parse_flags() -> Result<Flags, String> {
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value {s:?}"))
+}
+
+/// A probability: a number in `[0, 1]` (so not NaN).
+fn probability(s: &str) -> Result<f64, String> {
+    let p: f64 = parse(s)?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("bad value {s:?}: a probability is in [0, 1]"))
+    }
 }
 
 fn main() {

@@ -1,6 +1,6 @@
-//! The daemon executables' command lines: the flags they take, the
-//! ones they refuse, and the `ingest=`/`plan=` announcement launch
-//! scripts read their ephemeral ports from.
+//! The daemon executables' command lines — and `loadgen`'s: the flags
+//! they take, the ones they refuse, and the `ingest=`/`plan=`
+//! announcement launch scripts read their ephemeral ports from.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -134,6 +134,22 @@ fn masterd_refuses_unknown_flags_and_bad_values() {
         let out = run(env!("CARGO_BIN_EXE_masterd"), args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn loadgen_refuses_a_loss_probability_outside_zero_to_one() {
+    for value in ["1.5", "-0.1", "NaN", "inf", "lots"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_loadgen"),
+            &["--server", "127.0.0.1:9", "--chaos-loss", value],
+        );
+        assert_eq!(out.status.code(), Some(2), "{value}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("bad value \"{value}\"")),
+            "{value}: {}",
+            stderr(&out)
+        );
     }
 }
 

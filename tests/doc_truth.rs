@@ -20,9 +20,11 @@
 //! that leaves a doc naming the deleted item fails here.
 //!
 //! A third check holds every relative Markdown link in those docs and
-//! ROADMAP.md to a file in the repository.
+//! ROADMAP.md to a file in the repository. A fourth keeps the `sim`
+//! crate's API honest: every `pub fn` in `crates/sim/src` outside test
+//! code must be named by some non-test source besides its definition.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -88,42 +90,46 @@ fn strip_comments(src: &str) -> String {
             }
             i += 1;
             out.push(' ');
-        } else if let Some(hashes) = raw_string_at(&c, i) {
-            // A raw string runs to a quote followed by as many hashes.
-            let closes =
-                |j: usize| c[j] == '"' && c[j + 1..].iter().take(hashes).all(|&h| h == '#');
-            let mut j = i + 2 + hashes;
-            while j < c.len() && !closes(j) {
-                j += 1;
-            }
-            let end = (j + 1 + hashes).min(c.len());
+        } else if let Some(end) = literal_end(&c, i) {
             out.extend(&c[i..end]);
             i = end;
-        } else if c[i] == '"' {
-            let start = i;
-            i += 1;
-            while i < c.len() && c[i] != '"' {
-                i += if c[i] == '\\' { 2 } else { 1 };
-            }
-            i = (i + 1).min(c.len());
-            out.extend(&c[start..i]);
-        } else if c[i] == '\'' && next == Some('\\') {
-            // Escaped char literal: `'\''`, `'\\'`, `'\u{..}'`.
-            let end = c
-                .get(i + 3..)
-                .and_then(|t| t.iter().position(|&ch| ch == '\''))
-                .map_or(c.len(), |p| i + 4 + p);
-            out.extend(&c[i..end]);
-            i = end;
-        } else if c[i] == '\'' && c.get(i + 2) == Some(&'\'') {
-            out.extend(&c[i..i + 3]);
-            i += 3;
         } else {
             out.push(c[i]);
             i += 1;
         }
     }
     out
+}
+
+/// The index just past the string, raw string or char literal that
+/// opens at `i`, if one does.
+fn literal_end(c: &[char], i: usize) -> Option<usize> {
+    if let Some(hashes) = raw_string_at(c, i) {
+        // A raw string runs to a quote followed by as many hashes.
+        let closes = |j: usize| c[j] == '"' && c[j + 1..].iter().take(hashes).all(|&h| h == '#');
+        let mut j = i + 2 + hashes;
+        while j < c.len() && !closes(j) {
+            j += 1;
+        }
+        Some((j + 1 + hashes).min(c.len()))
+    } else if c[i] == '"' {
+        let mut j = i + 1;
+        while j < c.len() && c[j] != '"' {
+            j += if c[j] == '\\' { 2 } else { 1 };
+        }
+        Some((j + 1).min(c.len()))
+    } else if c[i] == '\'' && c.get(i + 1) == Some(&'\\') {
+        // Escaped char literal: `'\''`, `'\\'`, `'\u{..}'`.
+        let end = c
+            .get(i + 3..)
+            .and_then(|t| t.iter().position(|&ch| ch == '\''))
+            .map_or(c.len(), |p| i + 4 + p);
+        Some(end)
+    } else if c[i] == '\'' && c.get(i + 2) == Some(&'\'') {
+        Some(i + 3)
+    } else {
+        None
+    }
 }
 
 /// The number of `#`s if a raw string literal (`r"`, `r#"`, `br#"`)
@@ -161,6 +167,119 @@ fn scan_source_words() -> HashSet<String> {
         );
     }
     words
+}
+
+/// `code` (comments already stripped) with every `#[cfg(test)]` item
+/// blanked: from the attribute through the item's first `;` or, if a
+/// `{` comes first, its matching `}`. Braces inside literals do not
+/// count.
+fn without_test_items(code: &str) -> String {
+    let c: Vec<char> = code.chars().collect();
+    let attr: Vec<char> = "#[cfg(test)]".chars().collect();
+    let mut out = String::with_capacity(code.len());
+    let mut i = 0;
+    while i < c.len() {
+        if c[i..].starts_with(&attr) {
+            i = item_end(&c, i + attr.len());
+            out.push(' ');
+        } else {
+            out.push(c[i]);
+            i += 1;
+        }
+    }
+    out
+}
+
+/// The index just past the item that starts at `i`.
+fn item_end(c: &[char], mut i: usize) -> usize {
+    let mut depth = 0usize;
+    while i < c.len() {
+        match c[i] {
+            '{' => depth += 1,
+            '}' if depth <= 1 => return i + 1,
+            '}' => depth -= 1,
+            ';' if depth == 0 => return i + 1,
+            _ => {
+                if let Some(end) = literal_end(c, i) {
+                    i = end;
+                    continue;
+                }
+            }
+        }
+        i += 1;
+    }
+    c.len()
+}
+
+/// Every non-test Rust source — `crates/*/src` and `crates/*/benches`,
+/// `benchmark/src`, `examples` and `src` — as (path, code) with
+/// comments and `#[cfg(test)]` items blanked.
+fn non_test_sources() -> Vec<(PathBuf, String)> {
+    let mut files = Vec::new();
+    let mut crates: Vec<PathBuf> = fs::read_dir(root().join("crates"))
+        .expect("crates/ readable")
+        .map(|e| e.expect("crates/ entry").path())
+        .collect();
+    crates.sort();
+    for krate in crates {
+        for sub in ["src", "benches"] {
+            if krate.join(sub).is_dir() {
+                rust_files(&krate.join(sub), &mut files);
+            }
+        }
+    }
+    for dir in ["benchmark/src", "examples", "src"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    files
+        .into_iter()
+        .map(|f| {
+            let src = fs::read_to_string(&f).unwrap_or_else(|e| panic!("{}: {e}", f.display()));
+            let code = without_test_items(&strip_comments(&src));
+            (f, code)
+        })
+        .collect()
+}
+
+fn words(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// The names of the `pub fn`s `code` defines.
+fn pub_fns(code: &str) -> Vec<&str> {
+    code.match_indices("pub fn ")
+        .filter(|&(at, _)| at == 0 || !code[..at].ends_with(|ch: char| ch.is_alphanumeric()))
+        .filter_map(|(at, m)| words(&code[at + m.len()..]).next())
+        .collect()
+}
+
+/// The `pub fn`s of `crates/sim/src` whose every occurrence in
+/// non-test source is a definition (`fn name`), ascending.
+fn uncalled_sim_fns(sources: &[(PathBuf, String)]) -> Vec<String> {
+    let mut uses: HashMap<&str, usize> = HashMap::new();
+    let mut defs: HashMap<&str, usize> = HashMap::new();
+    for (_, code) in sources {
+        let mut prev = "";
+        for w in words(code) {
+            *uses.entry(w).or_default() += 1;
+            if prev == "fn" {
+                *defs.entry(w).or_default() += 1;
+            }
+            prev = w;
+        }
+    }
+    let sim = root().join("crates/sim/src");
+    let mut uncalled: Vec<String> = sources
+        .iter()
+        .filter(|(f, _)| f.starts_with(&sim))
+        .flat_map(|(_, code)| pub_fns(code))
+        .filter(|name| uses[name] <= defs[name])
+        .map(str::to_string)
+        .collect();
+    uncalled.sort();
+    uncalled.dedup();
+    uncalled
 }
 
 /// `text` with the lines of its fenced code blocks blanked.
@@ -395,6 +514,52 @@ fn relative_links_resolve() {
         }
     }
     assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn every_sim_pub_fn_has_a_non_test_caller() {
+    // Kept without a non-test caller, one reason each.
+    let allowed = [
+        ("gateways_in_range", "tests check Fig 6's reach premise"),
+        ("best_snr_within", "tests check the paper's SNR window"),
+        ("take_obs_sink", "set_obs_sink's inverse, public API"),
+    ];
+    let uncalled = uncalled_sim_fns(&non_test_sources());
+    let unexpected: Vec<&String> = uncalled
+        .iter()
+        .filter(|f| allowed.iter().all(|(name, _)| name != f))
+        .collect();
+    assert!(
+        unexpected.is_empty(),
+        "sim `pub fn`s nothing outside tests names (delete them or give \
+         one a caller): {unexpected:?}"
+    );
+    for (name, why) in allowed {
+        assert!(
+            uncalled.iter().any(|f| f == name),
+            "{name} ({why}) now has a caller: drop it from the allow-list"
+        );
+    }
+}
+
+#[test]
+fn test_items_are_blanked_and_pub_fns_found() {
+    let code = "pub fn kept() { helper(); }\n#[cfg(test)]\nmod tests { fn t() { \"}\"; } }\n\
+                #[cfg(test)]\nmod big;\npub(crate) fn inner() {}\nfn helper() {}\n\
+                #[cfg(test)]\npub fn only_in_tests() -> u8 { 1 }\npub fn after() {}\n";
+    let live = without_test_items(code);
+    for gone in ["mod tests", "fn t()", "mod big", "only_in_tests"] {
+        assert!(!live.contains(gone), "{gone} survived: {live}");
+    }
+    for kept in [
+        "pub fn kept()",
+        "pub(crate) fn inner",
+        "fn helper",
+        "pub fn after",
+    ] {
+        assert!(live.contains(kept), "{kept} lost: {live}");
+    }
+    assert_eq!(pub_fns(&live), ["kept", "after"]);
 }
 
 #[test]
