@@ -12,7 +12,7 @@ use super::codec::{Datagram, GatewayEui, RxPacket, TxPacket};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a forwarder exchange failed.
 #[derive(Debug)]
@@ -86,16 +86,11 @@ pub struct PacketForwarder {
     eui: GatewayEui,
     next_token: u16,
     ack_timeout: Duration,
-    keepalive_interval: Duration,
-    last_pull: Option<Instant>,
 }
 
 impl PacketForwarder {
     /// Default deadline for any awaited ACK.
     pub const DEFAULT_ACK_TIMEOUT: Duration = Duration::from_secs(2);
-    /// Default PULL_DATA cadence (the reference Semtech forwarder
-    /// defaults to 10 s; NAT bindings commonly drop around 30 s).
-    pub const DEFAULT_KEEPALIVE: Duration = Duration::from_secs(10);
 
     /// Bind an ephemeral local socket talking to `server`.
     pub fn new(server: SocketAddr, eui: GatewayEui) -> Result<PacketForwarder, ForwarderError> {
@@ -106,8 +101,6 @@ impl PacketForwarder {
             eui,
             next_token: 1,
             ack_timeout: Self::DEFAULT_ACK_TIMEOUT,
-            keepalive_interval: Self::DEFAULT_KEEPALIVE,
-            last_pull: None,
         };
         fwd.socket.set_read_timeout(Some(fwd.ack_timeout))?;
         Ok(fwd)
@@ -124,12 +117,6 @@ impl PacketForwarder {
         self.ack_timeout = timeout;
         self.socket.set_read_timeout(Some(timeout))?;
         Ok(())
-    }
-
-    /// Change the PULL_DATA keepalive cadence used by
-    /// [`PacketForwarder::tick_keepalive`].
-    pub fn set_keepalive_interval(&mut self, interval: Duration) {
-        self.keepalive_interval = interval;
     }
 
     fn token(&mut self) -> u16 {
@@ -166,33 +153,13 @@ impl PacketForwarder {
         }
         .encode();
         self.socket.send_to(&wire, self.server)?;
-        let out = match self.recv("PULL_ACK", token)? {
+        match self.recv("PULL_ACK", token)? {
             Datagram::PullAck { token: t } if t == token => Ok(()),
             other => Err(ForwarderError::Unexpected {
                 expected: "PULL_ACK",
                 got: kind_name(&other),
             }),
-        };
-        if out.is_ok() {
-            self.last_pull = Some(Instant::now());
         }
-        out
-    }
-
-    /// Send a PULL_DATA keepalive if the configured interval has
-    /// elapsed since the last acknowledged one (or none was ever
-    /// sent). Returns whether a keepalive exchange ran. Call this from
-    /// the fleet driver's main loop; the reference forwarder's
-    /// downstream thread does the same thing with a sleep.
-    pub fn tick_keepalive(&mut self) -> Result<bool, ForwarderError> {
-        let due = match self.last_pull {
-            None => true,
-            Some(at) => at.elapsed() >= self.keepalive_interval,
-        };
-        if due {
-            self.pull()?;
-        }
-        Ok(due)
     }
 
     /// Wait for a PULL_RESP downlink and acknowledge it with TX_ACK.
@@ -235,6 +202,7 @@ mod tests {
     use super::*;
     use lora_phy::channel::Channel;
     use lora_phy::types::SpreadingFactor;
+    use std::time::Instant;
 
     /// A controllable stand-in for the network server: one loopback
     /// UDP socket the test drives by hand.
@@ -336,25 +304,6 @@ mod tests {
             other => panic!("expected Unexpected, got {other:?}"),
         }
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn keepalive_fires_once_per_interval() {
-        let server = FakeServer::start();
-        let mut fwd = PacketForwarder::new(server.addr(), GatewayEui(0xE4)).unwrap();
-        fwd.set_keepalive_interval(Duration::from_secs(3600));
-        let handle = std::thread::spawn(move || {
-            let (d, from) = server.recv();
-            match d {
-                Datagram::PullData { token, .. } => server.send(&Datagram::PullAck { token }, from),
-                other => panic!("expected PULL_DATA, got {other:?}"),
-            }
-        });
-        // First tick: no keepalive has ever run, so one fires.
-        assert!(fwd.tick_keepalive().unwrap());
-        handle.join().unwrap();
-        // Interval far from elapsed: no exchange, no server needed.
-        assert!(!fwd.tick_keepalive().unwrap());
     }
 
     #[test]

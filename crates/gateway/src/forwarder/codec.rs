@@ -1,9 +1,21 @@
 //! Datagram codec for the Semtech UDP protocol.
+//!
+//! The encoder writes its JSON bodies itself, straight into the wire:
+//! keys in the field order of [`RxPacket`] / [`TxPacket`], integers in
+//! decimal, an `f64` as `{}` prints it (`null` when not finite), and
+//! strings escaped as `serde_json` escapes them. Three readers depend
+//! on that exact layout: [`super::fast`]'s word path, which matches a
+//! `"name":` key with a four-byte name in one load, and the ten-digit
+//! `tmst` patchers of `svc::loadgen` and of the benchmark's `svc`
+//! workloads, which find `"tmst":` by its bytes. The golden test
+//! `wire_layout_is_pinned` fails on any change to it. Decoding goes
+//! through `serde_json`.
 
 use super::b64;
 use lora_phy::channel::Channel;
-use lora_phy::types::{Bandwidth, DataRate, SpreadingFactor};
+use lora_phy::types::{Bandwidth, SpreadingFactor};
 use serde::{Deserialize, Serialize};
+use std::io::Write as _;
 
 /// Protocol version byte (v2 is what SX130x reference forwarders send).
 pub const PROTOCOL_VERSION: u8 = 2;
@@ -100,12 +112,6 @@ impl RxPacket {
         Some((sf, bw))
     }
 
-    /// LoRaWAN uplink data-rate index for 125 kHz rates.
-    pub fn dr_index(&self) -> Option<DataRate> {
-        let (sf, bw) = self.data_rate()?;
-        (bw == Bandwidth::Khz125).then(|| DataRate::from_spreading_factor(sf))
-    }
-
     /// Channel reconstructed from the `freq` field.
     pub fn channel(&self) -> Channel {
         Channel::khz125((self.freq * 1e6).round() as u32)
@@ -130,13 +136,15 @@ pub struct TxPacket {
     pub data: String,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
 struct PushPayload {
     #[serde(skip_serializing_if = "Option::is_none")]
     rxpk: Option<Vec<RxPacket>>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
 struct PullRespPayload {
     txpk: TxPacket,
 }
@@ -194,37 +202,34 @@ impl Datagram {
     const PULL_ACK: u8 = 0x04;
     const TX_ACK: u8 = 0x05;
 
-    /// Serialize to wire bytes.
+    /// Serialize to wire bytes: the header, then the JSON body written
+    /// by [`write_push_json`] / [`write_pull_resp_json`], in one
+    /// allocation of the final length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12);
-        out.push(PROTOCOL_VERSION);
-        let (token, kind) = match self {
-            Datagram::PushData { token, .. } => (*token, Self::PUSH_DATA),
-            Datagram::PushAck { token } => (*token, Self::PUSH_ACK),
-            Datagram::PullData { token, .. } => (*token, Self::PULL_DATA),
-            Datagram::PullAck { token } => (*token, Self::PULL_ACK),
-            Datagram::PullResp { token, .. } => (*token, Self::PULL_RESP),
-            Datagram::TxAck { token, .. } => (*token, Self::TX_ACK),
+        let mut json = Vec::new();
+        let (token, kind, eui) = match self {
+            Datagram::PushData { token, eui, rxpk } => {
+                write_push_json(&mut json, rxpk);
+                (*token, Self::PUSH_DATA, Some(eui))
+            }
+            Datagram::PushAck { token } => (*token, Self::PUSH_ACK, None),
+            Datagram::PullData { token, eui } => (*token, Self::PULL_DATA, Some(eui)),
+            Datagram::PullAck { token } => (*token, Self::PULL_ACK, None),
+            Datagram::PullResp { token, txpk } => {
+                write_pull_resp_json(&mut json, txpk);
+                (*token, Self::PULL_RESP, None)
+            }
+            Datagram::TxAck { token, eui } => (*token, Self::TX_ACK, Some(eui)),
         };
+        let eui_len = if eui.is_some() { 8 } else { 0 };
+        let mut out = Vec::with_capacity(4 + eui_len + json.len());
+        out.push(PROTOCOL_VERSION);
         out.extend_from_slice(&token.to_be_bytes());
         out.push(kind);
-        match self {
-            Datagram::PushData { eui, rxpk, .. } => {
-                out.extend_from_slice(&eui.0.to_be_bytes());
-                let payload = PushPayload {
-                    rxpk: Some(rxpk.clone()),
-                };
-                out.extend_from_slice(&serde_json::to_vec(&payload).expect("rxpk serializes"));
-            }
-            Datagram::PullData { eui, .. } | Datagram::TxAck { eui, .. } => {
-                out.extend_from_slice(&eui.0.to_be_bytes());
-            }
-            Datagram::PullResp { txpk, .. } => {
-                let payload = PullRespPayload { txpk: txpk.clone() };
-                out.extend_from_slice(&serde_json::to_vec(&payload).expect("txpk serializes"));
-            }
-            Datagram::PushAck { .. } | Datagram::PullAck { .. } => {}
+        if let Some(eui) = eui {
+            out.extend_from_slice(&eui.0.to_be_bytes());
         }
+        out.extend_from_slice(&json);
         out
     }
 
@@ -273,6 +278,138 @@ impl Datagram {
     }
 }
 
+/// Scratch-body bytes reserved per rxpk; `svc-bulk`'s are ≈ 190.
+const RXPK_BYTES_HINT: usize = 256;
+
+/// `{"rxpk":[…]}`.
+fn write_push_json(out: &mut Vec<u8>, rxpk: &[RxPacket]) {
+    out.reserve(16 + rxpk.len() * RXPK_BYTES_HINT);
+    out.extend_from_slice(br#"{"rxpk":["#);
+    for (i, p) in rxpk.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_rxpk(out, p);
+    }
+    out.extend_from_slice(b"]}");
+}
+
+fn write_rxpk(out: &mut Vec<u8>, p: &RxPacket) {
+    out.extend_from_slice(br#"{"tmst":"#);
+    put_u64(out, p.tmst);
+    out.extend_from_slice(br#","freq":"#);
+    put_f64(out, p.freq);
+    out.extend_from_slice(br#","chan":"#);
+    put_u64(out, p.chan.into());
+    out.extend_from_slice(br#","rfch":"#);
+    put_u64(out, p.rfch.into());
+    out.extend_from_slice(br#","stat":"#);
+    put_i64(out, p.stat.into());
+    out.extend_from_slice(br#","modu":"#);
+    put_str(out, &p.modu);
+    out.extend_from_slice(br#","datr":"#);
+    put_str(out, &p.datr);
+    out.extend_from_slice(br#","codr":"#);
+    put_str(out, &p.codr);
+    out.extend_from_slice(br#","rssi":"#);
+    put_i64(out, p.rssi.into());
+    out.extend_from_slice(br#","lsnr":"#);
+    put_f64(out, p.lsnr);
+    out.extend_from_slice(br#","size":"#);
+    put_u64(out, p.size as u64);
+    out.extend_from_slice(br#","data":"#);
+    put_str(out, &p.data);
+    out.extend_from_slice(br#","trce":"#);
+    put_u64(out, p.trce);
+    out.push(b'}');
+}
+
+/// `{"txpk":{…}}`.
+fn write_pull_resp_json(out: &mut Vec<u8>, t: &TxPacket) {
+    out.extend_from_slice(br#"{"txpk":{"tmst":"#);
+    put_u64(out, t.tmst);
+    out.extend_from_slice(br#","freq":"#);
+    put_f64(out, t.freq);
+    out.extend_from_slice(br#","datr":"#);
+    put_str(out, &t.datr);
+    out.extend_from_slice(br#","powe":"#);
+    put_i64(out, t.powe.into());
+    out.extend_from_slice(br#","size":"#);
+    put_u64(out, t.size as u64);
+    out.extend_from_slice(br#","data":"#);
+    put_str(out, &t.data);
+    out.extend_from_slice(b"}}");
+}
+
+fn put_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+fn put_i64(out: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    put_u64(out, n.unsigned_abs());
+}
+
+/// Shortest round-trip decimal, integral values without a fraction;
+/// JSON has no NaN or infinity, so those are `null`.
+fn put_f64(out: &mut Vec<u8>, x: f64) {
+    if x.is_finite() {
+        // `Vec<u8>`'s `io::Write` never fails.
+        let _ = write!(out, "{x}");
+    } else {
+        out.extend_from_slice(b"null");
+    }
+}
+
+/// A JSON string: `"` and `\` backslashed, `\n` `\r` `\t` by name, other
+/// control characters as `\u00xx` (lower-case hex), everything else
+/// verbatim. Runs between escapes are copied whole.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let unicode;
+        let escape: &[u8] = match b {
+            b'"' => br#"\""#,
+            b'\\' => br"\\",
+            b'\n' => br"\n",
+            b'\r' => br"\r",
+            b'\t' => br"\t",
+            0..=0x1f => {
+                unicode = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[(b >> 4) as usize],
+                    HEX[(b & 15) as usize],
+                ];
+                &unicode
+            }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(escape);
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +436,6 @@ mod tests {
         assert_eq!(p.size, 4);
         assert_eq!(p.phy_payload().unwrap(), vec![0x40, 0x01, 0x02, 0x03]);
         assert_eq!(p.data_rate(), Some((SF7, Bandwidth::Khz125)));
-        assert_eq!(p.dr_index(), Some(DataRate::DR5));
         assert_eq!(p.channel().center_hz, 916_900_000);
     }
 
@@ -386,6 +522,115 @@ mod tests {
         }
     }
 
+    /// The `serde_json` encoding the writer replaced, kept as its oracle.
+    pub(super) fn serde_encode(d: &Datagram) -> Vec<u8> {
+        let mut out = vec![PROTOCOL_VERSION];
+        match d {
+            Datagram::PushData { token, eui, rxpk } => {
+                out.extend_from_slice(&token.to_be_bytes());
+                out.push(Datagram::PUSH_DATA);
+                out.extend_from_slice(&eui.0.to_be_bytes());
+                let payload = PushPayload {
+                    rxpk: Some(rxpk.clone()),
+                };
+                out.extend(serde_json::to_vec(&payload).unwrap());
+            }
+            Datagram::PullResp { token, txpk } => {
+                out.extend_from_slice(&token.to_be_bytes());
+                out.push(Datagram::PULL_RESP);
+                let payload = PullRespPayload { txpk: txpk.clone() };
+                out.extend(serde_json::to_vec(&payload).unwrap());
+            }
+            _ => panic!("only PUSH_DATA and PULL_RESP carry JSON"),
+        }
+        out
+    }
+
+    /// The byte layout three readers depend on: `fast`'s four-byte key
+    /// words and the ten-digit `tmst` patchers of `svc::loadgen` and
+    /// the benchmark. Keys are checked one by one first, so a
+    /// reordered or renamed key fails by name.
+    #[test]
+    fn wire_layout_is_pinned() {
+        let traced = RxPacket {
+            tmst: 1_234_567_890,
+            freq: 868.0,
+            chan: 2,
+            rfch: 1,
+            stat: -1,
+            modu: "L\"O\\R\tA\u{1}é".into(),
+            datr: "SF7BW125".into(),
+            codr: "4/5".into(),
+            rssi: -120,
+            lsnr: -7.5,
+            size: 4,
+            data: "QAECAw==".into(),
+            trce: 42,
+        };
+        let plain = RxPacket {
+            tmst: 4_000_000_000,
+            trce: u64::MAX,
+            ..rxpk()
+        };
+        let push = Datagram::PushData {
+            token: 0xBEEF,
+            eui: GatewayEui(0x0102_0304_0506_0708),
+            rxpk: vec![traced, plain],
+        };
+        let pull = Datagram::PullResp {
+            token: 0x0102,
+            txpk: TxPacket {
+                tmst: 999,
+                freq: 916.9,
+                datr: "SF9BW125".into(),
+                powe: 14,
+                size: 2,
+                data: "AQI=".into(),
+            },
+        };
+        let push_json = concat!(
+            r#"{"rxpk":["#,
+            r#"{"tmst":1234567890,"freq":868,"chan":2,"rfch":1,"stat":-1,"#,
+            r#""modu":"L\"O\\R\tA\u0001é","datr":"SF7BW125","codr":"4/5","#,
+            r#""rssi":-120,"lsnr":-7.5,"size":4,"data":"QAECAw==","trce":42},"#,
+            r#"{"tmst":4000000000,"freq":916.9,"chan":0,"rfch":0,"stat":1,"#,
+            r#""modu":"LORA","datr":"SF7BW125","codr":"4/5","#,
+            r#""rssi":-97,"lsnr":8.3,"size":4,"data":"QAECAw==","trce":18446744073709551615}"#,
+            r#"]}"#,
+        );
+        let pull_json = r#"{"txpk":{"tmst":999,"freq":916.9,"datr":"SF9BW125","powe":14,"size":2,"data":"AQI="}}"#;
+
+        let rxpk_keys = [
+            "tmst", "freq", "chan", "rfch", "stat", "modu", "datr", "codr", "rssi", "lsnr", "size",
+            "data", "trce",
+        ];
+        let txpk_keys = ["txpk", "tmst", "freq", "datr", "powe", "size", "data"];
+        let push_keys: Vec<&str> = std::iter::once("rxpk")
+            .chain(rxpk_keys)
+            .chain(rxpk_keys)
+            .collect();
+        let push_header = [2, 0xBE, 0xEF, 0, 1, 2, 3, 4, 5, 6, 7, 8];
+        let pull_header = [2, 0x01, 0x02, 3];
+        for (wire, header, json, keys) in [
+            (push.encode(), &push_header[..], push_json, &push_keys[..]),
+            (pull.encode(), &pull_header[..], pull_json, &txpk_keys[..]),
+        ] {
+            let body = String::from_utf8_lossy(wire.get(header.len()..).unwrap_or_default());
+            let found: Vec<&str> = body
+                .match_indices("\":")
+                .filter_map(|(end, _)| Some(&body[body[..end].rfind('"')? + 1..end]))
+                .collect();
+            for (i, want) in keys.iter().enumerate() {
+                assert_eq!(found.get(i), Some(want), "key {i} of {body}");
+            }
+            assert_eq!(found.len(), keys.len(), "{body}");
+            assert_eq!(body, json);
+            assert_eq!(wire, [header, json.as_bytes()].concat());
+        }
+        assert_eq!(Datagram::decode(&push.encode()), Some(push));
+        assert_eq!(Datagram::decode(&pull.encode()), Some(pull));
+    }
+
     #[test]
     fn datr_parser_rejects_nonsense() {
         let mut p = rxpk();
@@ -400,8 +645,71 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::serde_encode;
     use super::*;
     use proptest::prelude::*;
+
+    /// Characters a JSON string writer can get wrong: quotes,
+    /// backslashes, every escape class of control character, DEL, and
+    /// two-, three- and four-byte UTF-8.
+    const CHARS: &[char] = &[
+        'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}',
+        '\u{7f}', 'é', '€', '𝄞',
+    ];
+
+    fn text() -> impl Strategy<Value = String> {
+        collection::vec(0..CHARS.len(), 0..12)
+            .prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect())
+    }
+
+    /// Any bit pattern, and one time in four a value with its own
+    /// spelling: NaN, ±inf, ±0, integral, tiny, huge.
+    fn float() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 9] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            868.0,
+            916.9,
+            f64::MIN_POSITIVE / 4.0,
+            1.5e300,
+        ];
+        (0u8..4, any::<u64>()).prop_map(|(k, bits)| match k {
+            0 => SPECIAL[(bits % SPECIAL.len() as u64) as usize],
+            _ => f64::from_bits(bits),
+        })
+    }
+
+    fn rx_packet() -> impl Strategy<Value = RxPacket> {
+        (
+            (any::<u64>(), float(), any::<u8>(), any::<u8>(), any::<i8>()),
+            (text(), text(), text()),
+            (any::<i32>(), float(), any::<usize>(), text(), any::<u64>()),
+        )
+            .prop_map(
+                |(
+                    (tmst, freq, chan, rfch, stat),
+                    (modu, datr, codr),
+                    (rssi, lsnr, size, data, trce),
+                )| RxPacket {
+                    tmst,
+                    freq,
+                    chan,
+                    rfch,
+                    stat,
+                    modu,
+                    datr,
+                    codr,
+                    rssi,
+                    lsnr,
+                    size,
+                    data,
+                    trce,
+                },
+            )
+    }
 
     proptest! {
         /// PUSH_DATA datagrams roundtrip for arbitrary receptions.
@@ -431,6 +739,31 @@ mod proptests {
                 rxpk: vec![rx],
             };
             prop_assert_eq!(Datagram::decode(&d.encode()), Some(d));
+        }
+
+        /// The writer emits exactly the bytes the `serde_json` path
+        /// did, for arbitrary packets and for an empty `rxpk`.
+        fn writer_matches_serde_encoding(
+            token in any::<u16>(),
+            eui in any::<u64>(),
+            rxpk in collection::vec(rx_packet(), 0..4),
+            (tmst, freq, powe, size) in (any::<u64>(), float(), any::<i32>(), any::<usize>()),
+            (datr, data) in (text(), text()),
+        ) {
+            let push = Datagram::PushData { token, eui: GatewayEui(eui), rxpk };
+            let pull = Datagram::PullResp {
+                token,
+                txpk: TxPacket { tmst, freq, datr, powe, size, data },
+            };
+            for d in [push, pull] {
+                let (ours, oracle) = (d.encode(), serde_encode(&d));
+                prop_assert!(
+                    ours == oracle,
+                    "writer {}\n serde {}",
+                    String::from_utf8_lossy(&ours),
+                    String::from_utf8_lossy(&oracle)
+                );
+            }
         }
 
         /// The decoder never panics on arbitrary bytes.

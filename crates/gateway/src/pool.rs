@@ -68,6 +68,7 @@ impl DecoderPool {
     }
 
     /// Decoders free for new packets right now.
+    #[cfg(test)]
     pub fn available(&self) -> usize {
         self.effective_capacity().saturating_sub(self.in_use)
     }

@@ -48,12 +48,6 @@ impl GatewayProfile {
         (self.multi_sf_chains + self.extra_chains) * 6
     }
 
-    /// Practical concurrent-packet capacity: the decoder pool size
-    /// (Table 4's "Practical Capacity").
-    pub fn practical_capacity(&self) -> usize {
-        self.decoders
-    }
-
     /// The RAK7268CV2 the paper uses for its §3.1 case study.
     pub fn rak7268cv2() -> &'static GatewayProfile {
         COTS_PROFILES
@@ -63,6 +57,7 @@ impl GatewayProfile {
     }
 
     /// A Table-4 profile by model name.
+    #[cfg(test)]
     pub fn by_model(model: &str) -> Option<&'static GatewayProfile> {
         COTS_PROFILES.iter().find(|p| p.model == model)
     }
@@ -143,10 +138,10 @@ mod tests {
     fn table4_theory_capacities() {
         let p = GatewayProfile::rak7268cv2();
         assert_eq!(p.theoretical_capacity(), 54);
-        assert_eq!(p.practical_capacity(), 16);
+        assert_eq!(p.decoders, 16);
         let rak7289 = GatewayProfile::by_model("RAK7289CV2").unwrap();
         assert_eq!(rak7289.theoretical_capacity(), 108);
-        assert_eq!(rak7289.practical_capacity(), 32);
+        assert_eq!(rak7289.decoders, 32);
     }
 
     #[test]
@@ -154,7 +149,7 @@ mod tests {
         // The §3.2 observation that motivates the whole paper.
         for p in COTS_PROFILES {
             assert!(
-                p.practical_capacity() < p.theoretical_capacity(),
+                p.decoders < p.theoretical_capacity(),
                 "{} {} has enough decoders?!",
                 p.manufacturer,
                 p.model

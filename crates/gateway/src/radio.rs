@@ -377,17 +377,6 @@ impl Gateway {
         self.pool.set_locked(n);
     }
 
-    /// Abort all in-flight receptions (a crash/power-cycle): decoders
-    /// are released and the packets are lost.
-    pub fn abort_active(&mut self) {
-        for _ in 0..self.pool.in_use() {
-            self.pool.release();
-        }
-        self.active.clear();
-        self.foreign_active = 0;
-        self.untracked_foreign = 0;
-    }
-
     /// How many currently held decoders belong to packets from a network
     /// other than this gateway's. Used by the simulator to classify a
     /// contention drop as intra- vs inter-network (Fig. 4).

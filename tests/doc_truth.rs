@@ -254,9 +254,9 @@ fn pub_fns(code: &str) -> Vec<&str> {
         .collect()
 }
 
-/// The `pub fn`s of `crates/sim/src` whose every occurrence in
+/// The `pub fn`s of `crates/<krate>/src` whose every occurrence in
 /// non-test source is a definition (`fn name`), ascending.
-fn uncalled_sim_fns(sources: &[(PathBuf, String)]) -> Vec<String> {
+fn uncalled_pub_fns(sources: &[(PathBuf, String)], krate: &str) -> Vec<String> {
     let mut uses: HashMap<&str, usize> = HashMap::new();
     let mut defs: HashMap<&str, usize> = HashMap::new();
     for (_, code) in sources {
@@ -269,10 +269,10 @@ fn uncalled_sim_fns(sources: &[(PathBuf, String)]) -> Vec<String> {
             prev = w;
         }
     }
-    let sim = root().join("crates/sim/src");
+    let src = root().join("crates").join(krate).join("src");
     let mut uncalled: Vec<String> = sources
         .iter()
-        .filter(|(f, _)| f.starts_with(&sim))
+        .filter(|(f, _)| f.starts_with(&src))
         .flat_map(|(_, code)| pub_fns(code))
         .filter(|name| uses[name] <= defs[name])
         .map(str::to_string)
@@ -280,6 +280,27 @@ fn uncalled_sim_fns(sources: &[(PathBuf, String)]) -> Vec<String> {
     uncalled.sort();
     uncalled.dedup();
     uncalled
+}
+
+/// Fails unless the `pub fn`s of `crates/<krate>/src` that nothing
+/// outside tests names are exactly the `allowed` ones.
+fn assert_uncalled_pub_fns_are(krate: &str, allowed: &[(&str, &str)]) {
+    let uncalled = uncalled_pub_fns(&non_test_sources(), krate);
+    let unexpected: Vec<&String> = uncalled
+        .iter()
+        .filter(|f| allowed.iter().all(|(name, _)| name != f))
+        .collect();
+    assert!(
+        unexpected.is_empty(),
+        "{krate} `pub fn`s nothing outside tests names (delete them or give \
+         one a caller): {unexpected:?}"
+    );
+    for (name, why) in allowed {
+        assert!(
+            uncalled.iter().any(|f| f == name),
+            "{name} ({why}) now has a caller: drop it from the allow-list"
+        );
+    }
 }
 
 /// `text` with the lines of its fenced code blocks blanked.
@@ -524,22 +545,19 @@ fn every_sim_pub_fn_has_a_non_test_caller() {
         ("best_snr_within", "tests check the paper's SNR window"),
         ("take_obs_sink", "set_obs_sink's inverse, public API"),
     ];
-    let uncalled = uncalled_sim_fns(&non_test_sources());
-    let unexpected: Vec<&String> = uncalled
-        .iter()
-        .filter(|f| allowed.iter().all(|(name, _)| name != f))
-        .collect();
-    assert!(
-        unexpected.is_empty(),
-        "sim `pub fn`s nothing outside tests names (delete them or give \
-         one a caller): {unexpected:?}"
-    );
-    for (name, why) in allowed {
-        assert!(
-            uncalled.iter().any(|f| f == name),
-            "{name} ({why}) now has a caller: drop it from the allow-list"
-        );
-    }
+    assert_uncalled_pub_fns_are("sim", &allowed);
+}
+
+#[test]
+fn every_gateway_pub_fn_has_a_non_test_caller() {
+    // Kept without a non-test caller, one reason each.
+    let across = "svc/tests and tests/frame_pipeline.rs drive the forwarder across crates";
+    let allowed = [
+        ("pull", across),
+        ("recv_downlink", across),
+        ("set_ack_timeout", across),
+    ];
+    assert_uncalled_pub_fns_are("gateway", &allowed);
 }
 
 #[test]
