@@ -1,8 +1,8 @@
 //! The experiment runner: `all_experiments [name…]` regenerates the
 //! named table/figure experiments (`fig13_scale`, `table04_gateways`, …;
 //! none named = all of them, in registry order, the heavier Fig 13 /
-//! Fig 21 last), writing CSVs under `results/out/`. `--obs-out <DIR>` is
-//! read by `bench::obs_session`.
+//! Fig 21 last), writing their CSVs into `results/` (`bench::Table::emit`).
+//! `--obs-out <DIR>` is read by `bench::obs_session`.
 use std::time::Instant;
 
 /// `(name, run)` per experiment module of `bench::experiments`.

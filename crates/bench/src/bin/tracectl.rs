@@ -2,7 +2,7 @@
 //! streamed run's heartbeats.
 //!
 //! Reads an `ObsEvent` JSONL file (as written by `JsonlSink` /
-//! `ALPHAWAN_OBS_OUT`), reconstructs per-packet timelines with
+//! `--obs-out`), reconstructs per-packet timelines with
 //! [`obs::TraceAnalyzer`], and prints per-trace summaries plus the
 //! decoder-contention attribution tables (own vs foreign decoder-µs
 //! per gateway, blocker→victim network pairs, top-K blockers).

@@ -9,8 +9,8 @@
 //! ```text
 //! cargo run --release -p bench --bin all_experiments -- fig12a_gateways
 //! ```
-//! or everything at once (writes CSVs and a summary under
-//! `results/out/`):
+//! or everything at once, rewriting the golden CSVs in `results/`
+//! (see [`Table::emit`]):
 //! ```text
 //! cargo run --release -p bench --bin all_experiments
 //! ```
@@ -33,7 +33,7 @@ pub mod sweep;
 #[doc = include_str!("../../../EXPERIMENTS.md")]
 pub mod guide {}
 
-pub use report::{write_csv, Table};
+pub use report::Table;
 pub use scenario::{
     adr_data_rate, apply_group_tpc, balanced_orthogonal_assignments, capacity_probe,
     coordinated_schedule, orthogonal_assignments, planned_assignments, subtopology, NetworkSpec,

@@ -1,8 +1,7 @@
 //! Opt-in observability session for experiment binaries.
 //!
-//! Pass `--obs-out <DIR>` to `all_experiments` or a bench (or set the
-//! `ALPHAWAN_OBS_OUT=<DIR>` environment variable) and the harness
-//! switches on event capture for the whole process:
+//! Pass `--obs-out <DIR>` to `all_experiments` or a bench and the
+//! harness switches on event capture for the whole process:
 //!
 //! * every [`SimWorld`](sim::world::SimWorld) built through
 //!   [`WorldBuilder::build`](crate::scenario::WorldBuilder::build)
@@ -33,8 +32,7 @@ struct Session {
 
 static SESSION: OnceLock<Option<Mutex<Session>>> = OnceLock::new();
 
-/// `--obs-out <DIR>` / `--obs-out=<DIR>` from the process arguments,
-/// falling back to `ALPHAWAN_OBS_OUT`.
+/// `--obs-out <DIR>` / `--obs-out=<DIR>` from the process arguments.
 fn obs_dir() -> Option<PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -45,7 +43,7 @@ fn obs_dir() -> Option<PathBuf> {
             return Some(PathBuf::from(v));
         }
     }
-    std::env::var_os("ALPHAWAN_OBS_OUT").map(PathBuf::from)
+    None
 }
 
 fn session() -> Option<&'static Mutex<Session>> {

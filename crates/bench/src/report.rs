@@ -1,7 +1,6 @@
 //! Plain-text tables and CSV output for experiment results.
 
 use std::fs;
-use std::io::Write;
 use std::path::PathBuf;
 
 /// A printable results table.
@@ -61,8 +60,9 @@ impl Table {
         out
     }
 
-    /// Print to stdout and persist as CSV under `results/out/`. When
-    /// the process runs with `--obs-out`, also writes the experiment's
+    /// Print to stdout and write `results/<csv_name>.csv`, or
+    /// `results/out/<csv_name>.csv` for a `MEASURED` table. When the
+    /// process runs with `--obs-out`, also writes the experiment's
     /// [`obs::RunReport`] next to the event stream.
     pub fn emit(&self, csv_name: &str) {
         print!("{}", self.render());
@@ -74,21 +74,20 @@ impl Table {
     }
 }
 
-/// Write `content` to `results/out/<name>.csv` (best effort —
-/// experiments must not fail over filesystem trouble). `results/out/`
-/// is gitignored: regenerated outputs land there, while the committed
-/// golden copies live one level up in `results/` and are only updated
-/// deliberately (see `EXPERIMENTS.md`).
-pub fn write_csv(name: &str, content: &str) {
-    let dir = PathBuf::from("results").join("out");
-    if fs::create_dir_all(&dir).is_err() {
-        return;
+/// The tables of wall-clock measurements. They differ from run to run,
+/// so they land in the gitignored `results/out/`; every other table is
+/// deterministic and its CSV in `results/` is the committed golden.
+const MEASURED: [&str; 2] = ["fig17a_latency", "fig17b_latency_coex"];
+
+/// Write `<name>.csv` into the workspace's `results/` (`results/out/`
+/// if measured) from any working directory. Best effort.
+fn write_csv(name: &str, content: &str) {
+    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    if MEASURED.contains(&name) {
+        dir.push("out");
     }
-    let path = dir.join(format!("{name}.csv"));
-    if let Ok(mut f) = fs::File::create(&path) {
-        let _ = f.write_all(content.as_bytes());
-        let _ = f.write_all(b"\n");
-    }
+    let _ = fs::create_dir_all(&dir)
+        .and_then(|()| fs::write(dir.join(format!("{name}.csv")), format!("{content}\n")));
 }
 
 /// Format a float with 1 decimal.

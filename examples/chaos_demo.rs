@@ -3,18 +3,18 @@
 //! attribution the chaos layer adds.
 //!
 //! ```text
-//! cargo run --release --example chaos_demo [plan.json]
+//! cargo run --release --example chaos_demo -- [--obs-out <DIR>] [plan.json]
 //! ```
 //!
-//! With no argument a built-in plan (two overlapping gateway crashes +
-//! a decoder lock-up) is used; pass a path to replay your own plan.
+//! With no plan a built-in one (two overlapping gateway crashes + a
+//! decoder lock-up) is used; pass a path to replay your own plan.
 //!
-//! Set `ALPHAWAN_OBS_OUT=<dir>` to stream the faulted run's full
-//! [`ObsEvent`] trace to `<dir>/chaos_demo.events.jsonl` (plan
-//! announcement first), ready for `tracectl`:
+//! `--obs-out <DIR>` streams the faulted run's full [`ObsEvent`] trace
+//! to `<DIR>/chaos_demo.events.jsonl` (plan announcement first), ready
+//! for `tracectl`:
 //!
 //! ```text
-//! ALPHAWAN_OBS_OUT=out cargo run --release --example chaos_demo
+//! cargo run --release --example chaos_demo -- --obs-out out
 //! cargo run --release -p bench --bin tracectl -- out/chaos_demo.events.jsonl --check
 //! ```
 
@@ -80,31 +80,33 @@ fn report(label: &str, m: &RunMetrics) {
     );
 }
 
+/// `r`'s value, or `what: <error>` on stderr and exit code 2.
+fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        std::process::exit(2)
+    })
+}
+
 fn main() {
-    let json = match std::env::args().nth(1) {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        },
+    let (mut plan_path, mut obs_dir) = (None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--obs-out" {
+            obs_dir = args.next().map(std::path::PathBuf::from);
+        } else {
+            plan_path = Some(a);
+        }
+    }
+    let json = match plan_path {
+        Some(path) => or_exit(
+            std::fs::read_to_string(&path),
+            &format!("cannot read {path}"),
+        ),
         None => DEFAULT_PLAN.to_string(),
     };
-    let plan: FaultPlan = match FaultPlan::from_json(&json) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("invalid fault plan: {e}");
-            std::process::exit(2);
-        }
-    };
-    let schedule = match FaultSchedule::compile(&plan) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("invalid fault plan: {e}");
-            std::process::exit(2);
-        }
-    };
+    let plan = or_exit(FaultPlan::from_json(&json), "invalid fault plan");
+    let schedule = or_exit(FaultSchedule::compile(&plan), "invalid fault plan");
 
     let channels = ChannelGrid::standard(916_800_000, 1_600_000).channels();
     let assigns: Vec<_> = (0..NODES)
@@ -123,12 +125,11 @@ fn main() {
     report("healthy", &healthy);
 
     // The faulted run is the interesting one: stream its packet
-    // lifecycles (and the fault-plan announcement) to JSONL when
-    // ALPHAWAN_OBS_OUT is set, for offline `tracectl` analysis.
+    // lifecycles (and the fault-plan announcement) to JSONL under
+    // `--obs-out`, for offline `tracectl` analysis.
     let mut faulted_world = build_world();
-    let obs_path = std::env::var_os("ALPHAWAN_OBS_OUT").map(|dir| {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("ALPHAWAN_OBS_OUT dir creatable");
+    let obs_path = obs_dir.map(|dir| {
+        std::fs::create_dir_all(&dir).expect("--obs-out dir creatable");
         let path = dir.join("chaos_demo.events.jsonl");
         let mut sink = alphawan_system::obs::JsonlSink::create(&path).expect("events file");
         plan.observe(&mut sink);

@@ -23,6 +23,10 @@
 //! ROADMAP.md to a file in the repository. A fourth keeps the `sim`
 //! crate's API honest: every `pub fn` in `crates/sim/src` outside test
 //! code must be named by some non-test source besides its definition.
+//! A fifth holds the golden set to the code: `results/*.csv` are
+//! exactly the tables the experiments `emit` minus the measured ones
+//! `report.rs` sends to `results/out/`, and EXPERIMENTS.md's catalogue
+//! names those tables and marks the measured ones.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -535,6 +539,112 @@ fn relative_links_resolve() {
         }
     }
     assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+/// The table names the experiment modules pass to `Table::emit`,
+/// ascending.
+fn emitted_tables() -> Vec<String> {
+    let mut files = Vec::new();
+    rust_files(&root().join("crates/bench/src/experiments"), &mut files);
+    let mut names = Vec::new();
+    for f in files {
+        let src = fs::read_to_string(&f).unwrap_or_else(|e| panic!("{}: {e}", f.display()));
+        let code = strip_comments(&src);
+        for (at, m) in code.match_indices(".emit(\"") {
+            let rest = &code[at + m.len()..];
+            names.push(rest[..rest.find('"').expect("closed literal")].to_string());
+        }
+    }
+    names.sort();
+    names
+}
+
+/// The string literals of `report.rs`'s `MEASURED` array: the tables
+/// of wall-clock measurements, written outside the golden set.
+fn measured_tables() -> Vec<String> {
+    let code = strip_comments(&read(Path::new("crates/bench/src/report.rs")));
+    let at = code
+        .find("const MEASURED")
+        .expect("report.rs declares MEASURED");
+    let value = &code[at + code[at..].find('=').expect("MEASURED has a value")..];
+    let value = &value[..value.find(';').expect("MEASURED ends")];
+    value
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_string)
+        .collect()
+}
+
+/// The CSV names of EXPERIMENTS.md's catalogue (the table's second
+/// column), each with whether a `†` marks it measured.
+fn catalogue_tables() -> Vec<(String, bool)> {
+    let doc = read(Path::new("EXPERIMENTS.md"));
+    let start = doc
+        .find("## Experiment catalogue")
+        .expect("EXPERIMENTS.md has a catalogue");
+    let section = &doc[start..];
+    let section = &section[..section[1..].find("\n## ").map_or(section.len(), |e| e + 1)];
+    section
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('|').nth(2))
+        .flat_map(|cell| {
+            let measured = cell.contains('†');
+            code_spans(cell)
+                .into_iter()
+                .map(move |name| (name, measured))
+        })
+        .collect()
+}
+
+#[test]
+fn results_hold_exactly_the_golden_tables() {
+    let emitted = emitted_tables();
+    let measured = measured_tables();
+    assert!(emitted.len() >= 30, "only {} emits found", emitted.len());
+    assert!(!measured.is_empty(), "no MEASURED tables found");
+    for m in &measured {
+        assert!(
+            emitted.contains(m),
+            "MEASURED names {m}, which nothing emits"
+        );
+        let copy = root().join("results").join(format!("{m}.csv"));
+        assert!(!copy.exists(), "measured table {m} has a committed copy");
+    }
+    let golden: Vec<String> = emitted
+        .iter()
+        .filter(|n| !measured.contains(n))
+        .cloned()
+        .collect();
+    let committed: Vec<String> = fs::read_dir(root().join("results"))
+        .expect("results/ readable")
+        .map(|e| e.expect("results/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "csv"))
+        .map(|p| p.file_stem().expect("named").to_string_lossy().into_owned())
+        .collect();
+    let orphans: Vec<&String> = committed.iter().filter(|n| !golden.contains(n)).collect();
+    let unpinned: Vec<&String> = golden.iter().filter(|n| !committed.contains(n)).collect();
+    assert!(
+        orphans.is_empty() && unpinned.is_empty(),
+        "results/*.csv must be exactly the emitted, non-measured tables: \
+         no emit writes {orphans:?}, no CSV holds {unpinned:?} (re-pin: run \
+         all_experiments, review git diff results/, commit)"
+    );
+    let catalogue = catalogue_tables();
+    let mut named: Vec<String> = catalogue.iter().map(|(n, _)| n.clone()).collect();
+    named.sort();
+    assert_eq!(
+        named, emitted,
+        "EXPERIMENTS.md's catalogue must name every emitted table once"
+    );
+    for (name, dagger) in &catalogue {
+        assert_eq!(
+            *dagger,
+            measured.contains(name),
+            "EXPERIMENTS.md: † must mark exactly the measured tables ({name})"
+        );
+    }
 }
 
 #[test]
