@@ -100,19 +100,6 @@ pub struct SolverStats {
     pub wall: Duration,
 }
 
-impl SolverStats {
-    /// Objective evaluations per wall-clock second (0 when no time was
-    /// observed).
-    pub fn evals_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.evaluations as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The evolutionary solver.
 pub struct GaSolver {
     pub config: GaConfig,

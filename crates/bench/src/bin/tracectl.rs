@@ -22,8 +22,7 @@
 //! file, written by a streamed run with `ALPHAWAN_HEARTBEAT=<path>`;
 //! `--follow` keeps polling the file and prints beats as they land.
 
-use bench::ctl;
-use obs::{chrome_trace, ObsEvent, TraceAnalyzer};
+use obs::{chrome_trace, Heartbeat, ObsEvent, TraceAnalyzer};
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
 
@@ -68,6 +67,37 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     })
 }
 
+/// Parse a heartbeat JSONL file; unparseable lines are skipped (the
+/// writer is rate-limited, not transactional).
+fn parse_heartbeats(text: &str) -> Vec<Heartbeat> {
+    text.lines()
+        .filter_map(|l| serde_json::from_str::<Heartbeat>(l.trim()).ok())
+        .collect()
+}
+
+/// `tracectl tail`: the last `last` heartbeats, one aligned line each.
+fn render_heartbeat_tail(beats: &[Heartbeat], last: usize) -> String {
+    let start = beats.len().saturating_sub(last);
+    let mut text = String::from(
+        "  wall_ms shard      seq          txs       events       ev/s  frontier_us  queue  live\n",
+    );
+    for b in &beats[start..] {
+        text.push_str(&format!(
+            "{:>9} {:>5} {:>8} {:>12} {:>12} {:>10.0} {:>12} {:>6} {:>5}\n",
+            b.wall_ms,
+            b.shard,
+            b.seq,
+            b.txs,
+            b.events,
+            b.events_per_sec,
+            b.frontier_us,
+            b.queue_depth,
+            b.live_slots
+        ));
+    }
+    text
+}
+
 fn tail(args: &[String]) -> Result<(), String> {
     let mut file = None;
     let mut last = 20usize;
@@ -88,8 +118,8 @@ fn tail(args: &[String]) -> Result<(), String> {
     }
     let file = file.ok_or(USAGE)?;
     let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-    let mut beats = ctl::parse_heartbeats(&text);
-    print!("{}", ctl::render_heartbeat_tail(&beats, last));
+    let mut beats = parse_heartbeats(&text);
+    print!("{}", render_heartbeat_tail(&beats, last));
     if !follow {
         return Ok(());
     }
@@ -97,13 +127,13 @@ fn tail(args: &[String]) -> Result<(), String> {
     loop {
         std::thread::sleep(std::time::Duration::from_millis(300));
         let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-        beats = ctl::parse_heartbeats(&text);
+        beats = parse_heartbeats(&text);
         if beats.len() < seen {
             // The file was truncated (a new run started): reprint.
             seen = 0;
         }
         if beats.len() > seen {
-            let fresh = ctl::render_heartbeat_tail(&beats, beats.len() - seen);
+            let fresh = render_heartbeat_tail(&beats, beats.len() - seen);
             // Drop the header when appending to an existing view.
             let mut lines = fresh.lines();
             if seen > 0 {
@@ -316,4 +346,94 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn beat(i: u64) -> Heartbeat {
+        Heartbeat {
+            shard: 0,
+            seq: i,
+            wall_ms: i * 100,
+            txs: i * 10,
+            events: i * 30,
+            events_per_sec: 300.0,
+            frontier_us: i * 1_000,
+            queue_depth: 2,
+            live_slots: 1,
+        }
+    }
+
+    fn jsonl(beats: impl Iterator<Item = Heartbeat>) -> String {
+        let mut text = String::new();
+        for hb in beats {
+            text.push_str(&serde_json::to_string(&hb).expect("hb serializes"));
+            text.push('\n');
+        }
+        text
+    }
+
+    #[test]
+    fn heartbeat_tail_renders_last_n() {
+        let mut text = jsonl((0..5).map(beat));
+        text.push_str("not json\n");
+        let beats = parse_heartbeats(&text);
+        assert_eq!(beats.len(), 5);
+        let table = render_heartbeat_tail(&beats, 2);
+        assert_eq!(table.lines().count(), 3, "header + 2 rows");
+        assert!(table.contains("frontier_us"));
+    }
+
+    #[test]
+    fn a_half_written_heartbeat_is_skipped_until_it_lands() {
+        // `--follow` rereads the file while the run appends to it, so
+        // the last line may be cut mid-object.
+        let whole = jsonl((0..3).map(beat));
+        let cut = &whole[..whole.len() - 20];
+        assert_eq!(parse_heartbeats(cut).len(), 2);
+        let padded = format!("\n  {}\n\n", whole.replace('\n', "  \n"));
+        assert_eq!(parse_heartbeats(&padded).len(), 3);
+    }
+
+    #[test]
+    fn heartbeat_tail_columns_line_up_with_the_header() {
+        let mut big = beat(7);
+        big.wall_ms = 123_456_789;
+        big.txs = 999_999_999_999;
+        big.events_per_sec = 1_234_567_890.4;
+        let table = render_heartbeat_tail(&[beat(1), big], 2);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 3);
+        let header = lines[0];
+        // Each header word ends where its column's values end.
+        let ends: Vec<usize> = header
+            .match_indices(|c: char| c != ' ')
+            .filter(|&(at, _)| header[at + 1..].starts_with(' ') || at + 1 == header.len())
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(ends.len(), 9, "{header}");
+        for row in &lines[1..] {
+            assert_eq!(row.len(), header.len(), "{row}");
+            for &end in &ends {
+                assert_ne!(row.as_bytes()[end], b' ', "column ending at {end}: {row}");
+                assert!(
+                    end + 1 == row.len() || row.as_bytes()[end + 1] == b' ',
+                    "column ending at {end}: {row}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn heartbeat_tail_shows_what_there_is() {
+        let beats = parse_heartbeats(&jsonl((0..3).map(beat)));
+        assert_eq!(render_heartbeat_tail(&beats, 20).lines().count(), 4);
+        assert_eq!(render_heartbeat_tail(&beats, 0).lines().count(), 1);
+        assert_eq!(render_heartbeat_tail(&[], 20).lines().count(), 1);
+        let last = render_heartbeat_tail(&beats, 1);
+        let row = last.lines().nth(1).expect("one row");
+        assert!(row.trim_start().starts_with("200 "), "newest beat: {row}");
+    }
 }

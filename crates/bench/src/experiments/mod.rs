@@ -28,7 +28,6 @@ pub mod table04_gateways;
 
 use crate::scenario::PAYLOAD_LEN;
 use alphawan::cp::ga::GaConfig;
-use alphawan::cp::{CpSolution, GatewayLimits};
 use alphawan::planner::{IntraNetworkPlanner, PlanOutcome};
 use lora_phy::channel::{Channel, ChannelGrid};
 use sim::topology::Topology;
@@ -182,16 +181,6 @@ pub fn probe_capacity(
     recs.iter().filter(|r| r.delivered).count()
 }
 
-/// Convert a CP solution into standard-form (channel, DR) node settings.
-pub fn solution_settings(
-    channels: &[Channel],
-    sol: &CpSolution,
-) -> Vec<(Channel, lora_phy::types::DataRate)> {
-    (0..sol.node_channel.len())
-        .map(|i| (channels[sol.node_channel[i]], sol.node_dr(i)))
-        .collect()
-}
-
 /// Duty-cycled workload for a set of assignments over `horizon_us`.
 pub fn duty_workload(
     assignments: &[(usize, Channel, lora_phy::types::DataRate)],
@@ -199,9 +188,4 @@ pub fn duty_workload(
     seed: u64,
 ) -> Vec<sim::traffic::TxPlan> {
     sim::traffic::duty_cycled(assignments, PAYLOAD_LEN, 0.01, horizon_us, seed)
-}
-
-/// SX1302 limits used by every §5 experiment.
-pub fn sx1302_limits(n: usize) -> Vec<GatewayLimits> {
-    vec![GatewayLimits::sx1302(); n]
 }

@@ -1,9 +1,10 @@
 //! # bench — the experiment harness
 //!
 //! One module per table/figure of the paper (see [`experiments`]), run
-//! by name through the `all_experiments` binary, plus Criterion
-//! performance benches (`benches/`). This library holds the shared
-//! scenario builders and the plain-text/CSV reporting helpers.
+//! by name through the `all_experiments` binary, plus the `tracectl`
+//! event-stream inspector. This library holds the shared scenario
+//! builders and the plain-text/CSV reporting helpers. Speed is not
+//! measured here: the repo benchmark (`benchmark/`) does that.
 //!
 //! Run a single experiment:
 //! ```text
@@ -20,7 +21,6 @@
 
 #![deny(missing_docs)]
 
-pub mod ctl;
 pub mod experiments;
 pub mod obs_session;
 pub mod report;

@@ -1,7 +1,7 @@
 //! Opt-in observability session for experiment binaries.
 //!
-//! Pass `--obs-out <DIR>` to `all_experiments` or a bench and the
-//! harness switches on event capture for the whole process:
+//! Pass `--obs-out <DIR>` to `all_experiments` and the harness
+//! switches on event capture for the whole process:
 //!
 //! * every [`SimWorld`](sim::world::SimWorld) built through
 //!   [`WorldBuilder::build`](crate::scenario::WorldBuilder::build)
@@ -99,17 +99,6 @@ pub fn replay_events(events: &[ObsEvent]) {
     }
 }
 
-/// Record one event into the session stream (e.g. a
-/// [`ObsEvent::SimRunStats`] emitted by an experiment after a run).
-/// No-op when inactive.
-pub fn record_event(ev: &ObsEvent) {
-    if let Some(m) = session() {
-        let mut s = lock(m);
-        s.jsonl.record(ev);
-        s.metrics.record(ev);
-    }
-}
-
 /// Fold an experiment's aggregate metrics (typically
 /// [`sim::metrics::RunMetrics`]) into the next report written by
 /// [`Table::emit`](crate::report::Table::emit). No-op when inactive.
@@ -134,42 +123,6 @@ pub(crate) fn write_report(name: &str) {
     let mut report = RunReport::from_metrics(name, &s.metrics);
     report.run_metrics = s.run_metrics.take();
     let _ = report.write(&s.dir.join(format!("{name}.obs.json")));
-}
-
-/// Flush (and seal) the session event stream, so it is on disk under
-/// its final name before the process writes its last artifact. No-op
-/// when inactive.
-pub fn flush() {
-    if let Some(m) = session() {
-        let mut s = lock(m);
-        s.jsonl.flush();
-        s.jsonl.seal();
-    }
-}
-
-/// Write a machine-readable bench artifact (e.g. `BENCH_solver.json`).
-/// The file lands next to the event stream when an observability
-/// session is active, otherwise under the workspace's gitignored
-/// `results/out/` — anchored at the workspace root rather than the
-/// current directory, because `cargo bench` runs benches from the
-/// crate directory. Best effort, like CSV output; returns the path
-/// written.
-pub fn write_bench_artifact(name: &str, json: &str) -> Option<PathBuf> {
-    let dir = match session() {
-        Some(m) => lock(m).dir.clone(),
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("results")
-            .join("out"),
-    };
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(name);
-    // tmp + rename: `benchctl` may read the artifact while a bench
-    // rewrites it, and must never see a torn file.
-    let tmp = dir.join(format!("{name}.partial"));
-    std::fs::write(&tmp, json).ok()?;
-    std::fs::rename(&tmp, &path).ok()?;
-    Some(path)
 }
 
 /// Forwards to the process-wide session; handed to every built

@@ -313,86 +313,6 @@ pub enum ObsEvent {
         /// Host wall-clock duration of the search, µs.
         wall_us: u64,
     },
-    /// One complete simulation run finished: aggregate counters from
-    /// the indexed event loop. Emitted by the run's *caller* (the world
-    /// only stores them, see `sim::SimRunStats`) because `wall_us` is
-    /// host wall-clock and would break byte-identical event streams.
-    SimRunStats {
-        /// Trace of the run (0 = untraced).
-        #[serde(default)]
-        trace: u64,
-        /// Transmissions in the plan.
-        txs: u64,
-        /// Events processed (3 × txs).
-        events: u64,
-        /// Gateways in the world.
-        gateways: u32,
-        /// (transmission, gateway) admission pairs visited at lock-on
-        /// after the candidate cull.
-        candidate_visits: u64,
-        /// `txs × gateways`: the pairs an un-indexed loop would visit.
-        candidate_ceiling: u64,
-        /// Sharded engine: interference contributions added at TxStart
-        /// (0 for a monolithic run).
-        #[serde(default)]
-        accum_updates: u64,
-        /// Sharded engine: leak contributions exactly undone at TxEnd.
-        #[serde(default)]
-        accum_undos: u64,
-        /// Sharded engine: dead collider-list and sorted-index entries
-        /// compacted out.
-        #[serde(default)]
-        accum_evictions: u64,
-        /// Time-wheel level cascades across all shards (0 before the
-        /// wheel scheduler).
-        #[serde(default)]
-        wheel_cascades: u64,
-        /// Host wall-clock duration of the run, µs.
-        wall_us: u64,
-    },
-    /// One shard of a sharded simulation run finished (the per-shard
-    /// roll-up under an aggregate [`ObsEvent::SimRunStats`]). Emitted
-    /// by the run's caller, like `SimRunStats`, because `wall_us` is
-    /// host wall-clock.
-    SimShardStats {
-        /// Trace of the run (0 = untraced).
-        #[serde(default)]
-        trace: u64,
-        /// Shard index within the run.
-        shard: u32,
-        /// Transmissions routed to this shard.
-        txs: u64,
-        /// Events this shard processed (3 × its txs).
-        events: u64,
-        /// (transmission, gateway) admission pairs visited at lock-on.
-        candidate_visits: u64,
-        /// Peak simultaneously-live transmission slots (the streaming
-        /// loop's working-set bound).
-        peak_live: u64,
-        /// Interference contributions added at TxStart (collider-list
-        /// pushes, sorted-index inserts, leak folds).
-        #[serde(default)]
-        accum_updates: u64,
-        /// Leak contributions exactly undone at TxEnd.
-        #[serde(default)]
-        accum_undos: u64,
-        /// Dead collider-list and sorted-index entries compacted out.
-        #[serde(default)]
-        accum_evictions: u64,
-        /// Sorted collider indexes built (0 = flat lists served the
-        /// whole run; 0 before the field existed).
-        #[serde(default)]
-        index_builds: u64,
-        /// Time-wheel level cascades in this shard's scheduler.
-        #[serde(default)]
-        wheel_cascades: u64,
-        /// Host wall-clock duration of the shard's event loop, µs.
-        wall_us: u64,
-        /// Of `wall_us`, time blocked waiting for the driver's next
-        /// hand-off, µs (0 before the field existed).
-        #[serde(default)]
-        idle_us: u64,
-    },
     /// A service daemon accepted a new peer. Control-plane: `wall_us`
     /// is host wall-clock time since daemon start, not simulation
     /// time.
@@ -453,8 +373,6 @@ impl ObsEvent {
             | ObsEvent::MasterRpcRetry { .. }
             | ObsEvent::MasterPlanServed { .. }
             | ObsEvent::SolverRun { .. }
-            | ObsEvent::SimRunStats { .. }
-            | ObsEvent::SimShardStats { .. }
             | ObsEvent::SvcAccept { .. }
             | ObsEvent::SvcIngest { .. }
             | ObsEvent::FaultActivated { .. } => None,
@@ -477,8 +395,6 @@ impl ObsEvent {
             | ObsEvent::MasterRpcRetry { trace, .. }
             | ObsEvent::MasterPlanServed { trace, .. }
             | ObsEvent::SolverRun { trace, .. }
-            | ObsEvent::SimRunStats { trace, .. }
-            | ObsEvent::SimShardStats { trace, .. }
             | ObsEvent::SvcIngest { trace, .. } => trace,
             ObsEvent::GatewayInfo { .. }
             | ObsEvent::SvcAccept { .. }
@@ -504,8 +420,6 @@ impl ObsEvent {
             ObsEvent::MasterRpcRetry { .. } => "master_rpc_retry",
             ObsEvent::MasterPlanServed { .. } => "master_plan_served",
             ObsEvent::SolverRun { .. } => "solver_run",
-            ObsEvent::SimRunStats { .. } => "sim_run_stats",
-            ObsEvent::SimShardStats { .. } => "sim_shard_stats",
             ObsEvent::SvcAccept { .. } => "svc_accept",
             ObsEvent::SvcIngest { .. } => "svc_ingest",
             ObsEvent::FaultActivated { .. } => "fault_activated",

@@ -480,54 +480,6 @@ impl ObsSink for MetricsSink {
                     );
                 }
             }
-            ObsEvent::SimRunStats {
-                txs,
-                events,
-                candidate_visits,
-                candidate_ceiling,
-                accum_updates,
-                accum_undos,
-                accum_evictions,
-                wheel_cascades,
-                wall_us,
-                ..
-            } => {
-                self.registry.inc("sim_runs", 1);
-                self.registry.inc("sim_txs", txs);
-                self.registry.inc("sim_events", events);
-                self.registry.inc("sim_candidate_visits", candidate_visits);
-                self.registry
-                    .inc("sim_candidate_ceiling", candidate_ceiling);
-                // Interference-state counters of the sharded engine
-                // (`sim::accum`); all 0 for a monolithic run.
-                self.registry.inc("sim_accum_updates", accum_updates);
-                self.registry.inc("sim_accum_undos", accum_undos);
-                self.registry.inc("sim_accum_evictions", accum_evictions);
-                self.registry
-                    .inc("sim_accum_wheel_cascades", wheel_cascades);
-                if wall_us > 0 {
-                    self.registry
-                        .set_gauge("sim_events_per_sec", events as f64 / (wall_us as f64 / 1e6));
-                }
-            }
-            ObsEvent::SimShardStats {
-                txs,
-                events,
-                candidate_visits,
-                peak_live,
-                index_builds,
-                idle_us,
-                ..
-            } => {
-                self.registry.inc("sim_shards", 1);
-                self.registry.inc("sim_shard_txs", txs);
-                self.registry.inc("sim_shard_events", events);
-                self.registry
-                    .inc("sim_shard_candidate_visits", candidate_visits);
-                self.registry.inc("sim_shard_peak_live", peak_live);
-                self.registry.inc("sim_shard_index_builds", index_builds);
-                self.registry.inc("sim_shard_idle_us", idle_us);
-            }
             _ => {}
         }
     }
@@ -861,64 +813,6 @@ latency_us_count 3
         assert_eq!((h.total(), h.sum()), (2, 500_000));
         let rate = r.gauges().find(|&(n, _)| n == "solver_evals_per_sec");
         assert_eq!(rate, Some(("solver_evals_per_sec", 2_000.0)));
-    }
-
-    #[test]
-    fn sim_stats_accumulate_across_runs_and_shards() {
-        let mut m = MetricsSink::new();
-        for _ in 0..2 {
-            m.record(&ObsEvent::SimRunStats {
-                trace: 0,
-                txs: 10,
-                events: 30,
-                gateways: 2,
-                candidate_visits: 15,
-                candidate_ceiling: 20,
-                accum_updates: 4,
-                accum_undos: 3,
-                accum_evictions: 2,
-                wheel_cascades: 1,
-                wall_us: 1_000,
-            });
-        }
-        m.record(&ObsEvent::SimShardStats {
-            trace: 0,
-            shard: 1,
-            txs: 6,
-            events: 18,
-            candidate_visits: 9,
-            peak_live: 3,
-            accum_updates: 0,
-            accum_undos: 0,
-            accum_evictions: 0,
-            index_builds: 1,
-            wheel_cascades: 0,
-            wall_us: 800,
-            idle_us: 50,
-        });
-        let r = m.registry();
-        for (name, want) in [
-            ("sim_runs", 2),
-            ("sim_txs", 20),
-            ("sim_events", 60),
-            ("sim_candidate_visits", 30),
-            ("sim_candidate_ceiling", 40),
-            ("sim_accum_updates", 8),
-            ("sim_accum_undos", 6),
-            ("sim_accum_evictions", 4),
-            ("sim_accum_wheel_cascades", 2),
-            ("sim_shards", 1),
-            ("sim_shard_txs", 6),
-            ("sim_shard_events", 18),
-            ("sim_shard_candidate_visits", 9),
-            ("sim_shard_peak_live", 3),
-            ("sim_shard_index_builds", 1),
-            ("sim_shard_idle_us", 50),
-        ] {
-            assert_eq!(r.counter(name), want, "{name}");
-        }
-        let rate = r.gauges().find(|&(n, _)| n == "sim_events_per_sec");
-        assert_eq!(rate, Some(("sim_events_per_sec", 30_000.0)));
     }
 
     #[test]

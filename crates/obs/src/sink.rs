@@ -3,8 +3,7 @@
 //! The contract is built for the simulation hot path: call sites guard
 //! event construction behind [`ObsSink::enabled`], so an instrumented
 //! run with a [`NullSink`] pays one predictable branch per potential
-//! event and allocates nothing (the `obs_overhead` bench in the `bench`
-//! crate holds this within noise of the uninstrumented engine).
+//! event and allocates nothing.
 //!
 //! Sinks are deliberately single-threaded (`&mut self`); the simulator
 //! is deterministic and sequential, and keeping sinks lock-free is part

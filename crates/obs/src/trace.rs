@@ -628,8 +628,6 @@ impl TraceAnalyzer {
             // Solver runs carry no packet lifecycle; the metrics layer
             // aggregates them (`solver_*` counters in MetricsSink).
             ObsEvent::SolverRun { .. } => {}
-            // Run-level aggregates carry no packet lifecycle either.
-            ObsEvent::SimRunStats { .. } | ObsEvent::SimShardStats { .. } => {}
             // Service transport events are aggregated by the metrics
             // layer; the per-copy Dedup events above carry the
             // packet-lifecycle content.

@@ -28,15 +28,11 @@
 //! differential exists to test still shows as differing records or
 //! events. The ladder's own table is in `metrics`' unit tests.
 //!
-//! Two consumers rely on it:
-//!
-//! * the workspace `sim_equivalence` proptest (and the spot checks in
-//!   [`crate::shard`] and [`crate::world`]), which assert the engine
-//!   behind every `SimWorld::run*` entry point is record-for-record
-//!   (and event-for-event) identical to this loop at any shard count,
-//!   on random topologies, traffic and fault schedules;
-//! * `benches/simworld.rs` in the `bench` crate, which times the two
-//!   against each other and writes `BENCH_sim.json`.
+//! Its consumer is the workspace `sim_equivalence` proptest (and the
+//! spot checks in [`crate::shard`] and [`crate::world`]), which assert
+//! the engine behind every `SimWorld::run*` entry point is
+//! record-for-record (and event-for-event) identical to this loop at
+//! any shard count, on random topologies, traffic and fault schedules.
 //!
 //! Like the engine, a reference run consumes one run epoch (trace ids
 //! are minted identically) and streams to the world's attached

@@ -92,7 +92,7 @@ pub struct ShardOpts {
     pub max_shards: usize,
     /// Transmissions per producer chunk when a materialized plan list
     /// is fed through the streaming machinery
-    /// ([`SimWorld::run_sharded`]).
+    /// ([`SimWorld::run_sharded_with_faults`]).
     pub chunk_txs: usize,
 }
 
@@ -120,9 +120,7 @@ impl ShardOpts {
 
 /// Per-shard counters from a sharded run, exposed via
 /// [`SimWorld::last_shard_stats`]. Like [`SimRunStats`], these are
-/// never streamed by the world itself (`wall_us` is host wall-clock);
-/// callers emit [`obs::ObsEvent::SimShardStats`] via
-/// [`Self::to_event`].
+/// never streamed by the world itself (`wall_us` is host wall-clock).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShardRunStats {
     /// Shard index within the run.
@@ -166,27 +164,6 @@ pub struct ShardRunStats {
     /// starved by the feed, not busy.
     #[serde(default)]
     pub idle_us: u64,
-}
-
-impl ShardRunStats {
-    /// The observability event mirroring these counters.
-    pub fn to_event(&self, trace: u64) -> ObsEvent {
-        ObsEvent::SimShardStats {
-            trace,
-            shard: self.shard,
-            txs: self.txs,
-            events: self.events,
-            candidate_visits: self.candidate_visits,
-            peak_live: self.peak_live,
-            accum_updates: self.accum_updates,
-            accum_undos: self.accum_undos,
-            accum_evictions: self.accum_evictions,
-            index_builds: self.index_builds,
-            wheel_cascades: self.wheel_cascades,
-            wall_us: self.wall_us,
-            idle_us: self.idle_us,
-        }
-    }
 }
 
 /// Result of a streamed (aggregate-only) run: no per-packet records —
@@ -1230,15 +1207,10 @@ fn run_chunked(
 }
 
 impl SimWorld {
-    /// [`Self::run`] spread over threads: byte-identical records,
-    /// gateway stats and obs stream, computed over independent channel
-    /// shards on up to `opts.max_shards` threads.
-    pub fn run_sharded(&mut self, plans: &[TxPlan], opts: &ShardOpts) -> Vec<PacketRecord> {
-        self.run_sharded_with_faults(plans, &NoFaults, opts)
-    }
-
-    /// [`Self::run_sharded`] under an infrastructure-fault schedule
-    /// (shards query it concurrently; [`InfraFaults`] implementations
+    /// [`Self::run_with_faults`] spread over threads: byte-identical
+    /// records, gateway stats and obs stream, computed over independent
+    /// channel shards on up to `opts.max_shards` threads (shards query
+    /// the fault schedule concurrently; [`InfraFaults`] implementations
     /// are pure and `Sync`).
     pub fn run_sharded_with_faults(
         &mut self,
@@ -1372,7 +1344,7 @@ mod tests {
                 max_shards: shards,
                 chunk_txs: 7,
             };
-            let recs = sharded.run_sharded(&plans, &opts);
+            let recs = sharded.run_sharded_with_faults(&plans, &NoFaults, &opts);
             assert_eq!(recs, recs_spec, "shards={shards}");
             for (a, b) in sharded.gateways.iter().zip(&spec.gateways) {
                 assert_eq!(a.stats(), b.stats(), "shards={shards}");
@@ -1403,7 +1375,10 @@ mod tests {
             max_shards: 2,
             chunk_txs: 3,
         };
-        assert_eq!(sharded.run_sharded(&plans, &opts), recs_spec);
+        assert_eq!(
+            sharded.run_sharded_with_faults(&plans, &NoFaults, &opts),
+            recs_spec
+        );
     }
 
     #[test]
@@ -1473,7 +1448,7 @@ mod tests {
             block.reverse();
         }
         let mut w = two_subband_world(400);
-        let recs = w.run_sharded(&unsorted, &opts);
+        let recs = w.run_sharded_with_faults(&unsorted, &NoFaults, &opts);
         let sliced = w.last_shard_stats().unwrap().to_vec();
         assert_eq!(recs, two_subband_world(400).run(&unsorted));
         assert_eq!(RunSummary::from_records(&recs), fine.summary);
@@ -1528,7 +1503,10 @@ mod tests {
             max_shards: 4,
             chunk_txs: 3,
         };
-        assert_eq!(sharded.run_sharded(&plans, &opts), recs_spec);
+        assert_eq!(
+            sharded.run_sharded_with_faults(&plans, &NoFaults, &opts),
+            recs_spec
+        );
     }
 
     #[test]
@@ -1583,7 +1561,11 @@ mod tests {
                 max_shards: shards,
                 chunk_txs: 32,
             };
-            assert_eq!(w.run_sharded(&plans, &opts), recs_spec, "shards={shards}");
+            assert_eq!(
+                w.run_sharded_with_faults(&plans, &NoFaults, &opts),
+                recs_spec,
+                "shards={shards}"
+            );
             let stats = w.last_run_stats().unwrap();
             assert!(
                 stats.accum_updates > 0 && stats.accum_undos > 0,
@@ -1717,7 +1699,7 @@ mod tests {
     #[test]
     fn empty_plan_list() {
         let mut w = two_subband_world(2);
-        let recs = w.run_sharded(&[], &ShardOpts::default());
+        let recs = w.run_sharded_with_faults(&[], &NoFaults, &ShardOpts::default());
         assert!(recs.is_empty());
         assert_eq!(w.last_run_stats().unwrap().txs, 0);
     }

@@ -188,7 +188,7 @@ pub trait ChunkSource {
 /// fixed-size windows whose frontier is the minimum start time of the
 /// *remaining* plans (a precomputed suffix minimum, so unsorted slices
 /// — which [`crate::world::SimWorld::run`] accepts — work too). Lets
-/// `SimWorld::run_sharded` reuse the streaming machinery and lets
+/// `SimWorld::run_sharded_with_faults` reuse the streaming machinery and lets
 /// tests pin the chunked engine to the reference.
 pub struct SliceChunks<'a> {
     plans: &'a [TxPlan],

@@ -13,8 +13,8 @@
 //!
 //! # One engine, one spec
 //!
-//! Every run — [`SimWorld::run`], [`SimWorld::run_sharded`],
-//! [`SimWorld::run_streamed`] and their `_with_faults` forms — executes
+//! Every run — [`SimWorld::run`], [`SimWorld::run_streamed`], their
+//! `_with_faults` forms and [`SimWorld::run_sharded_with_faults`] — executes
 //! on the chunk-fed engine in [`crate::shard`]; this module holds the
 //! world and the record and counter types. The world keeps each shard's
 //! engine buffers between runs, so a repeat run clears them instead of
@@ -200,9 +200,8 @@ pub struct PacketRecord {
 
 /// Aggregate counters from the most recent run, exposed via
 /// [`SimWorld::last_run_stats`]. The world never streams these into its
-/// attached obs sink itself — `wall_us` is host wall-clock, and runs
-/// must stay byte-identical for a fixed seed — so callers that want the
-/// [`obs::ObsEvent::SimRunStats`] event emit it via [`Self::to_event`].
+/// attached obs sink — `wall_us` is host wall-clock, and runs must stay
+/// byte-identical for a fixed seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimRunStats {
     /// Transmissions in the plan.
@@ -241,23 +240,6 @@ impl SimRunStats {
             1.0
         } else {
             self.candidate_visits as f64 / self.candidate_ceiling as f64
-        }
-    }
-
-    /// The observability event mirroring these counters.
-    pub fn to_event(&self, trace: u64) -> ObsEvent {
-        ObsEvent::SimRunStats {
-            trace,
-            txs: self.txs,
-            events: self.events,
-            gateways: self.gateways,
-            candidate_visits: self.candidate_visits,
-            candidate_ceiling: self.candidate_ceiling,
-            accum_updates: self.accum_updates,
-            accum_undos: self.accum_undos,
-            accum_evictions: self.accum_evictions,
-            wheel_cascades: self.wheel_cascades,
-            wall_us: self.wall_us,
         }
     }
 }

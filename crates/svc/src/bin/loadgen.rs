@@ -12,7 +12,8 @@
 //! the run and replayed in-process; any divergence is a non-zero exit.
 //! With `--chaos-loss`, an in-process [`chaos::ChaosUdpProxy`] with
 //! that datagram-loss probability is spliced in front of the server.
-//! Writes `BENCH_service.json` and prints it to stdout.
+//! Prints the versioned service report ([`svc::ServiceBench`]) to
+//! stdout.
 
 use chaos::{ChaosUdpProxy, FaultPlan, FaultSchedule, FaultSpec};
 use std::net::SocketAddr;
@@ -182,9 +183,6 @@ fn main() {
         dedup_late: dedup.2,
         decision_divergence: divergence,
     };
-    if let Some(path) = bench.write() {
-        eprintln!("loadgen: wrote {}", path.display());
-    }
     print!("{}", bench.to_json());
 
     if let Some(p) = proxy {

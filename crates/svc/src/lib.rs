@@ -19,8 +19,8 @@
 //! connections plus one UDP firehose; thread-per-socket gives the same
 //! throughput as an executor without importing one, and keeps the
 //! failure mode (a blocked thread) observable with a debugger. Both daemons export Prometheus-format
-//! metrics over a plaintext TCP endpoint ([`endpoint`]) and write the
-//! versioned `BENCH_service.json` artifact ([`report`]).
+//! metrics over a plaintext TCP endpoint ([`endpoint`]); `loadgen`
+//! prints the versioned service report ([`report`]).
 
 #![deny(missing_docs)]
 

@@ -1,11 +1,11 @@
-//! The versioned `BENCH_service.json` artifact.
+//! The versioned service report `loadgen` prints to stdout.
 //!
 //! Schema (version 1):
 //!
 //! ```json
 //! {
 //!   "schema_version": 1,
-//!   "mode": "soak",
+//!   "mode": "smoke",
 //!   "sustained_pps": 612345.6,
 //!   "sent_pkts": 1500000, "ingested_pkts": 1498000,
 //!   "sent_datagrams": 23438, "acked_datagrams": 23410,
@@ -56,10 +56,10 @@ impl LatencyQuantiles {
     }
 }
 
-/// Everything the service bench artifact records.
+/// Everything the service report records.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceBench {
-    /// `"soak"`, `"smoke"`, `"chaos"` — which harness produced this.
+    /// loadgen's `--mode` label (`"smoke"` by default, `"ci-smoke"` in CI).
     pub mode: String,
     /// Packets the daemon ingested per wall-clock second, measured
     /// over the window from first to last ingest.
@@ -132,12 +132,6 @@ impl ServiceBench {
             self.dedup_late,
             self.decision_divergence,
         )
-    }
-
-    /// Write `BENCH_service.json` through the bench harness's artifact
-    /// sink (lands under `results/out/` outside an obs session).
-    pub fn write(&self) -> Option<std::path::PathBuf> {
-        bench::obs_session::write_bench_artifact("BENCH_service.json", &self.to_json())
     }
 }
 
@@ -215,6 +209,75 @@ mod tests {
             .as_object()
             .expect("dedup object");
         assert!(!serde::field(dedup, "new").is_null());
+    }
+
+    #[test]
+    fn json_parses_back_to_the_values_given() {
+        let q = |base: u64| LatencyQuantiles {
+            p50: base,
+            p95: base + 1,
+            p99: base + 2,
+        };
+        let bench = ServiceBench {
+            mode: "ci-smoke".into(),
+            sustained_pps: 612_345.6,
+            sent_pkts: 1_500_000,
+            ingested_pkts: 1_498_000,
+            sent_datagrams: 23_438,
+            acked_datagrams: 23_410,
+            ingest_latency_us: q(100),
+            ack_rtt_us: q(200),
+            plan_serve_latency_us: q(300),
+            plan_fetches: 12,
+            plan_cached: 3,
+            dedup_new: 500_000,
+            dedup_duplicate: 990_000,
+            dedup_late: 8_000,
+            decision_divergence: 7,
+        };
+        let v: serde::Value = serde_json::from_str(&bench.to_json()).expect("valid JSON");
+        let obj = v.as_object().expect("top-level object");
+        let num = |obj: &[(String, serde::Value)], key: &str| match serde::field(obj, key) {
+            serde::Value::U64(n) => *n,
+            other => panic!("{key}: {other:?}"),
+        };
+        assert!(matches!(serde::field(obj, "mode"), serde::Value::Str(m) if m == "ci-smoke"));
+        assert!(matches!(
+            serde::field(obj, "sustained_pps"),
+            serde::Value::F64(pps) if *pps == 612_345.6
+        ));
+        for (key, want) in [
+            ("sent_pkts", 1_500_000),
+            ("ingested_pkts", 1_498_000),
+            ("sent_datagrams", 23_438),
+            ("acked_datagrams", 23_410),
+            ("plan_fetches", 12),
+            ("plan_cached", 3),
+            ("decision_divergence", 7),
+        ] {
+            assert_eq!(num(obj, key), want, "{key}");
+        }
+        for (key, base) in [
+            ("ingest_latency_us", 100),
+            ("ack_rtt_us", 200),
+            ("plan_serve_latency_us", 300),
+        ] {
+            let qs = serde::field(obj, key).as_object().expect(key);
+            assert_eq!(
+                [num(qs, "p50"), num(qs, "p95"), num(qs, "p99")],
+                [base, base + 1, base + 2],
+                "{key}"
+            );
+        }
+        let dedup = serde::field(obj, "dedup").as_object().expect("dedup");
+        assert_eq!(
+            [
+                num(dedup, "new"),
+                num(dedup, "duplicate"),
+                num(dedup, "late")
+            ],
+            [500_000, 990_000, 8_000]
+        );
     }
 
     #[test]

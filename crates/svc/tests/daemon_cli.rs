@@ -1,6 +1,7 @@
 //! The daemon executables' command lines — and `loadgen`'s: the flags
-//! they take, the ones they refuse, and the `ingest=`/`plan=`
-//! announcement launch scripts read their ephemeral ports from.
+//! they take, the ones they refuse, the `ingest=`/`plan=`
+//! announcement launch scripts read their ephemeral ports from, and
+//! the service report `loadgen` prints on stdout.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -174,4 +175,68 @@ fn masterd_announces_its_ports_and_serves_them() {
     assert!(http_get(fields[1].1, "/bench")
         .unwrap()
         .ends_with("\"requests\": 0}\n"));
+}
+
+#[test]
+fn loadgen_stdout_is_the_service_report() {
+    // The CI service-smoke run, as launch scripts drive it: both
+    // daemons on ephemeral ports, loadgen through a lossy proxy, its
+    // stdout read as one JSON document.
+    let (_netserverd, ns) = launch(
+        env!("CARGO_BIN_EXE_netserverd"),
+        &["--bind", "127.0.0.1:0", "--metrics", "127.0.0.1:0"],
+    );
+    let (_masterd, md) = launch(
+        env!("CARGO_BIN_EXE_masterd"),
+        &["--bind", "127.0.0.1:0", "--metrics", "127.0.0.1:0"],
+    );
+    let (server, metrics, plan) = (
+        ns[0].1.to_string(),
+        ns[1].1.to_string(),
+        md[0].1.to_string(),
+    );
+    let out = run(
+        env!("CARGO_BIN_EXE_loadgen"),
+        &[
+            "--server",
+            &server,
+            "--master",
+            &plan,
+            "--metrics",
+            &metrics,
+            "--devices",
+            "48",
+            "--gateways",
+            "4",
+            "--replicas",
+            "2",
+            "--epochs",
+            "6",
+            "--chaos-loss",
+            "0.1",
+            "--mode",
+            "ci-smoke",
+        ],
+    );
+    assert!(out.status.success(), "{:?}: {}", out.status, stderr(&out));
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    let doc: serde::Value = serde_json::from_str(&stdout).expect("stdout is one JSON document");
+    let report = doc.as_object().expect("a JSON object");
+    let num = |obj: &[(String, serde::Value)], key: &str| match serde::field(obj, key) {
+        serde::Value::U64(n) => *n,
+        other => panic!("{key}: {other:?} in {stdout}"),
+    };
+    assert_eq!(num(report, "schema_version"), 1);
+    assert!(matches!(serde::field(report, "mode"), serde::Value::Str(m) if m == "ci-smoke"));
+    assert_eq!(num(report, "decision_divergence"), 0, "{stdout}");
+    let (sent, ingested) = (num(report, "sent_pkts"), num(report, "ingested_pkts"));
+    assert!(sent > 0 && ingested > 0, "{stdout}");
+    assert!(
+        ingested < sent,
+        "10 % chaos loss, yet all arrived: {stdout}"
+    );
+    let dedup = serde::field(report, "dedup")
+        .as_object()
+        .expect("dedup object");
+    assert!(num(dedup, "new") > 0, "{stdout}");
 }

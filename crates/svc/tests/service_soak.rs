@@ -10,7 +10,7 @@
 
 use svc::{
     render_decisions, replay_decisions, replay_divergence, LoadgenConfig, NetServerConfig,
-    NetServerDaemon, ServiceBench,
+    NetServerDaemon,
 };
 
 #[cfg(debug_assertions)]
@@ -97,32 +97,6 @@ fn loopback_soak_holds_rate_and_equivalence() {
          (new {}, dup {}, late {}, tracked {tracked})",
         stats.new, stats.duplicate, stats.late
     );
-
-    let quantiles = svc::LatencyQuantiles::of(&daemon.ingest_latency());
-    let bench = ServiceBench {
-        mode: if cfg!(debug_assertions) {
-            "soak-debug".into()
-        } else {
-            "soak".into()
-        },
-        sustained_pps: pps,
-        sent_pkts: report.sent_pkts,
-        ingested_pkts: ingested,
-        sent_datagrams: report.sent_datagrams,
-        acked_datagrams: report.acks,
-        ingest_latency_us: quantiles,
-        ack_rtt_us: svc::LatencyQuantiles::of(&report.ack_rtt),
-        plan_serve_latency_us: svc::LatencyQuantiles::default(),
-        plan_fetches: 0,
-        plan_cached: 0,
-        dedup_new: stats.new,
-        dedup_duplicate: stats.duplicate,
-        dedup_late: stats.late,
-        decision_divergence: 0,
-    };
-    if let Some(path) = bench.write() {
-        eprintln!("soak: wrote {}", path.display());
-    }
 
     // The throughput floor only means something with optimizations on.
     #[cfg(not(debug_assertions))]

@@ -20,13 +20,17 @@
 //! that leaves a doc naming the deleted item fails here.
 //!
 //! A third check holds every relative Markdown link in those docs and
-//! ROADMAP.md to a file in the repository. A fourth keeps the `sim`
-//! crate's API honest: every `pub fn` in `crates/sim/src` outside test
-//! code must be named by some non-test source besides its definition.
+//! ROADMAP.md to a file in the repository. A fourth keeps the `sim`,
+//! `gateway`, `bench` and `chaos` crates' APIs honest: every `pub fn`
+//! in their `src` outside test code must be named by some non-test
+//! source besides its definition.
 //! A fifth holds the golden set to the code: `results/*.csv` are
 //! exactly the tables the experiments `emit` minus the measured ones
 //! `report.rs` sends to `results/out/`, and EXPERIMENTS.md's catalogue
 //! names those tables and marks the measured ones.
+//! A sixth keeps `benchmark/` the one perf system: the retired perf
+//! stack's names occur in no source, doc, manifest or CI workflow, and
+//! no non-test source outside `benchmark/` writes a `BENCH_*.json`.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -215,9 +219,9 @@ fn item_end(c: &[char], mut i: usize) -> usize {
     c.len()
 }
 
-/// Every non-test Rust source — `crates/*/src` and `crates/*/benches`,
-/// `benchmark/src`, `examples` and `src` — as (path, code) with
-/// comments and `#[cfg(test)]` items blanked.
+/// Every non-test Rust source — `crates/*/src`, `benchmark/src`,
+/// `examples` and `src` — as (path, code) with comments and
+/// `#[cfg(test)]` items blanked.
 fn non_test_sources() -> Vec<(PathBuf, String)> {
     let mut files = Vec::new();
     let mut crates: Vec<PathBuf> = fs::read_dir(root().join("crates"))
@@ -226,10 +230,8 @@ fn non_test_sources() -> Vec<(PathBuf, String)> {
         .collect();
     crates.sort();
     for krate in crates {
-        for sub in ["src", "benches"] {
-            if krate.join(sub).is_dir() {
-                rust_files(&krate.join(sub), &mut files);
-            }
+        if krate.join("src").is_dir() {
+            rust_files(&krate.join("src"), &mut files);
         }
     }
     for dir in ["benchmark/src", "examples", "src"] {
@@ -654,8 +656,21 @@ fn every_sim_pub_fn_has_a_non_test_caller() {
         ("gateways_in_range", "tests check Fig 6's reach premise"),
         ("best_snr_within", "tests check the paper's SNR window"),
         ("take_obs_sink", "set_obs_sink's inverse, public API"),
+        (
+            "run_with_faults_reference",
+            "the executable spec the engine tests compare against",
+        ),
+        (
+            "statistically_equivalent",
+            "the scale gate's comparator in sim/tests/sim_scale.rs",
+        ),
     ];
     assert_uncalled_pub_fns_are("sim", &allowed);
+}
+
+#[test]
+fn every_bench_pub_fn_has_a_non_test_caller() {
+    assert_uncalled_pub_fns_are("bench", &[]);
 }
 
 #[test]
@@ -668,6 +683,107 @@ fn every_gateway_pub_fn_has_a_non_test_caller() {
         ("set_ack_timeout", across),
     ];
     assert_uncalled_pub_fns_are("gateway", &allowed);
+}
+
+#[test]
+fn every_chaos_pub_fn_has_a_non_test_caller() {
+    assert_uncalled_pub_fns_are("chaos", &[]);
+}
+
+/// The retired perf stack: its runner, its floor file and the command
+/// that ran its benches.
+const RETIRED_PERF_NAMES: [&str; 3] = ["benchctl", "BENCH_baseline", "cargo bench"];
+
+/// The `BENCH_*.json` names the string literals of `code` (comments
+/// already stripped) spell, whole or as a `format!` template.
+fn bench_artifacts(code: &str) -> Vec<String> {
+    let c: Vec<char> = code.chars().collect();
+    let mut names = Vec::new();
+    let mut i = 0;
+    while i < c.len() {
+        let Some(end) = literal_end(&c, i) else {
+            i += 1;
+            continue;
+        };
+        let literal: String = c[i..end].iter().collect();
+        let body = literal.trim_end_matches('#').trim_end_matches('"');
+        if let Some(at) = body.find("BENCH_") {
+            if body.ends_with(".json") {
+                names.push(body[at..].to_string());
+            }
+        }
+        i = end;
+    }
+    names
+}
+
+#[test]
+fn the_retired_perf_stack_is_named_nowhere() {
+    let mut files = Vec::new();
+    for dir in ["crates", "examples", "tests", "src", "benchmark/src"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    files.extend(prose_docs().into_iter().map(|doc| root().join(doc)));
+    for entry in fs::read_dir(root().join(".github/workflows")).expect("workflows readable") {
+        files.push(entry.expect("workflow entry").path());
+    }
+    files.push(root().join("Cargo.toml"));
+    for dir in ["crates", "vendor"] {
+        for entry in fs::read_dir(root().join(dir)).expect("readable") {
+            let manifest = entry.expect("entry").path().join("Cargo.toml");
+            if manifest.exists() {
+                files.push(manifest);
+            }
+        }
+    }
+    assert!(files.len() > 100, "only {} files scanned", files.len());
+    let mut hits = Vec::new();
+    for f in &files {
+        let text = fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display()));
+        for name in RETIRED_PERF_NAMES {
+            if text.contains(name) {
+                hits.push(format!("{}: {name}", f.display()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "the repo benchmark is the one perf system; these still name the retired one:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn only_the_benchmark_writes_bench_artifacts() {
+    let benchmark = root().join("benchmark");
+    let writers: Vec<String> = non_test_sources()
+        .iter()
+        .filter(|(f, _)| !f.starts_with(&benchmark))
+        .flat_map(|(f, code)| {
+            bench_artifacts(code)
+                .into_iter()
+                .map(move |name| format!("{}: {name}", f.display()))
+        })
+        .collect();
+    assert!(
+        writers.is_empty(),
+        "`BENCH_*.json` artifacts are the repo benchmark's alone:\n{}",
+        writers.join("\n")
+    );
+}
+
+#[test]
+fn bench_artifact_names_are_found_in_string_literals() {
+    let code = "let a = \"results/out/BENCH_svc.json\";\n\
+                let b = format!(\"BENCH_{name}.json\", name = n);\n\
+                let c = BENCH_SERVICE_SCHEMA_VERSION; let q = '\"';\n\
+                let d = \"BENCH_ notes\"; let e = \"x.json\";\n";
+    assert_eq!(
+        bench_artifacts(code),
+        ["BENCH_svc.json", "BENCH_{name}.json"]
+    );
+    let commented = strip_comments("// writes \"BENCH_x.json\"\nlet y = 1;\n");
+    assert!(bench_artifacts(&commented).is_empty());
 }
 
 #[test]

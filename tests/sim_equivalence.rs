@@ -207,7 +207,7 @@ impl Scenario {
             max_shards: 5,
             chunk_txs: 3,
         };
-        w.run_sharded(&self.warm_plans, &opts);
+        w.run_sharded_with_faults(&self.warm_plans, &NoFaults, &opts);
         w.node_power[0] = self.node_power[0];
         w.gateways[0].reconfigure(built);
         w.reset();
