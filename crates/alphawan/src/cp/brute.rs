@@ -10,7 +10,7 @@ use lora_phy::pathloss::DISTANCE_RINGS;
 
 /// Exhaustively find the optimal solution. Panics if the search space
 /// exceeds ~10^7 candidates.
-pub fn brute_force(p: &CpProblem) -> (CpSolution, f64) {
+pub(crate) fn brute_force(p: &CpProblem) -> (CpSolution, f64) {
     let n_ch = p.n_channels();
     let n_gw = p.n_gateways();
     let n_nd = p.n_nodes();

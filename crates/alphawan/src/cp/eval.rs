@@ -838,6 +838,52 @@ mod tests {
     }
 
     #[test]
+    fn nodes_with_one_reach_row_share_a_class() {
+        // Gateway 0 hears rows `a` from ring 2 out, gateway 1 hears `b`
+        // everywhere; classes number by first occurrence.
+        let a = [
+            [false, false, true, true, true, true],
+            [false; DISTANCE_RINGS],
+        ];
+        let b = [[false; DISTANCE_RINGS], [true; DISTANCE_RINGS]];
+        let both = [a[0], b[1]];
+        let mut p = problem(5, 2, vec![1.0; 5]);
+        p.reach = [a, b, a, both, a].iter().map(|r| r.to_vec()).collect();
+        let ctx = EvalContext::new(&p);
+        let classes: Vec<usize> = (0..5).map(|i| ctx.class_of(i)).collect();
+        assert_eq!(classes, [0, 1, 0, 2, 0]);
+        assert_eq!(ctx.n_classes(), 3);
+        let sizes: Vec<usize> = (0..3).map(|c| ctx.class_nodes(c)).collect();
+        assert_eq!(sizes, [3, 1, 1]);
+        let masks = |c| -> Vec<u64> {
+            (0..DISTANCE_RINGS)
+                .map(|l| ctx.class_reach_mask(c, l))
+                .collect()
+        };
+        assert_eq!(masks(0), [0, 0, 0b01, 0b01, 0b01, 0b01]);
+        assert_eq!(masks(1), [0b10; DISTANCE_RINGS]);
+        assert_eq!(masks(2), [0b10, 0b10, 0b11, 0b11, 0b11, 0b11]);
+        for i in 0..5 {
+            assert_eq!(ctx.reach_mask(i, 3), masks(ctx.class_of(i))[3]);
+        }
+    }
+
+    #[test]
+    fn a_genome_copy_reuses_the_target_in_place() {
+        let g = |chs: Vec<Vec<usize>>, ch: Vec<usize>, ring: Vec<usize>| {
+            Genome::from_solution(&CpSolution {
+                gw_channels: chs,
+                node_channel: ch,
+                node_ring: ring,
+            })
+        };
+        let src = g(vec![vec![1, 4], vec![0]], vec![1, 4, 0], vec![5, 0, 2]);
+        let mut dst = g(vec![vec![2], vec![7]], vec![2, 2, 7], vec![1, 1, 1]);
+        dst.copy_from(&src);
+        assert_eq!(dst.to_solution(), src.to_solution());
+    }
+
+    #[test]
     fn incremental_tracks_node_and_gateway_moves() {
         let p = problem(8, 2, vec![1.0; 8]);
         let ctx = EvalContext::new(&p);

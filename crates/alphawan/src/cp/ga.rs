@@ -23,7 +23,7 @@
 //!   cell table is distinct (class, ring) reach masks × channels
 //!   rounded up to a power of two, 16 bytes a cell) and a
 //!   [`RepairScratch`] (one `u32` per node plus the option lists).
-//! * The **reference path** ([`GaSolver::solve_reference`]) is the
+//! * The **reference path** ([`GaSolver::solve_reference_with`]) is the
 //!   original direct-encoding loop over
 //!   [`CpProblem::objective`], kept as the property-tested baseline and
 //!   as the fallback for problems beyond the engine's 64-gateway /
@@ -297,16 +297,17 @@ impl GaSolver {
         )
     }
 
-    /// The pre-engine GA loop over the direct encoding and
-    /// [`CpProblem::objective`] — the property-tested baseline, and the
-    /// fallback beyond the engine's bitmask width.
-    pub fn solve_reference(&self, p: &CpProblem) -> (CpSolution, f64) {
+    /// The reference loop from the greedy seedling over
+    /// [`CpProblem::objective`]: the baseline the engine is
+    /// property-tested against.
+    #[cfg(test)]
+    fn solve_reference(&self, p: &CpProblem) -> (CpSolution, f64) {
         self.solve_reference_with(p, greedy_plan(p), |p, s| p.objective(s))
     }
 
-    /// [`GaSolver::solve_reference`] with an explicit seed and a
-    /// caller-supplied objective function (the bench harness passes the
-    /// pre-change HashMap evaluator here to time a faithful baseline).
+    /// The pre-engine GA loop over the direct encoding, from an explicit
+    /// seedling and scoring with a caller-supplied objective function —
+    /// the fallback beyond the engine's bitmask width.
     pub fn solve_reference_with<F>(
         &self,
         p: &CpProblem,

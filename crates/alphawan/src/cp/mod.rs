@@ -10,11 +10,10 @@
 //! objective minimizes `Σ_i U_i · Φ_i` where `Φ_i` is the minimum
 //! decoder-overflow risk among the gateways serving node `i` — a
 //! knapsack-style NP-hard problem solved approximately by [`ga`] with
-//! [`greedy`] seeding and validated against [`brute`] on small
-//! instances.
+//! [`greedy`] seeding, and checked in tests against an exhaustive
+//! oracle on small instances.
 
 pub mod anneal;
-pub mod brute;
 pub mod eval;
 pub mod ga;
 pub mod greedy;
@@ -229,7 +228,8 @@ impl CpProblem {
     }
 
     /// Whether every node is connected under `sol`.
-    pub fn all_connected(&self, sol: &CpSolution) -> bool {
+    #[cfg(test)]
+    pub(crate) fn all_connected(&self, sol: &CpSolution) -> bool {
         let masks: Vec<u64> = sol
             .gw_channels
             .iter()
@@ -262,6 +262,9 @@ impl CpSolution {
 }
 
 #[cfg(test)]
+mod brute;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use lora_phy::channel::ChannelGrid;
@@ -281,6 +284,34 @@ mod tests {
             2
         ];
         CpProblem::new(channels, reach, traffic, limits)
+    }
+
+    #[test]
+    fn a_radio_window_holds_its_bandwidth_over_the_grid_spacing() {
+        let limits = |bandwidth_hz| GatewayLimits {
+            decoders: 16,
+            max_channels: 8,
+            bandwidth_hz,
+        };
+        let problem = |channels: Vec<Channel>| {
+            let reach = vec![vec![[true; DISTANCE_RINGS]; 2]; 1];
+            let gateways = vec![limits(1_600_000), limits(800_000)];
+            CpProblem::new(channels, reach, vec![1.0], gateways)
+        };
+        let standard = problem(ChannelGrid::standard(920_000_000, 1_600_000).channels());
+        assert_eq!(standard.channel_spacing_hz(), 200_000);
+        assert_eq!(
+            (standard.window_channels(0), standard.window_channels(1)),
+            (8, 4)
+        );
+        // Half-overlapping channels sit 62.5 kHz apart; a window counts
+        // whole spacings only.
+        let dense = problem(ChannelGrid::overlapping(920_000_000, 1_600_000, 0.5).channels());
+        assert_eq!(dense.channel_spacing_hz(), 62_500);
+        assert_eq!(dense.window_channels(0), 25);
+        // One channel has no spacing of its own: the standard grid's.
+        let single = problem(vec![Channel::khz125(920_000_000)]);
+        assert_eq!(single.channel_spacing_hz(), 200_000);
     }
 
     #[test]

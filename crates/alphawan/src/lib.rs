@@ -7,10 +7,9 @@
 //!    optimization of gateway channel sets and per-node channel /
 //!    data-rate / Tx-power assignments, minimizing decoder-contention
 //!    risk (the NP-hard CP problem of §4.3.1, solved with an
-//!    evolutionary algorithm seeded by a greedy constructor, with a
-//!    brute-force oracle for validation). This packages Strategies ①
-//!    (fewer channels per gateway), ② (heterogeneous configurations)
-//!    and ⑦ (contention management).
+//!    evolutionary algorithm seeded by a greedy constructor). This
+//!    packages Strategies ① (fewer channels per gateway), ②
+//!    (heterogeneous configurations) and ⑦ (contention management).
 //! 2. **Inter-network channel planning** ([`master`]): a centralized
 //!    Master node that divides the shared spectrum into
 //!    frequency-misaligned sub-channel plans, one per operator, so the
@@ -23,7 +22,6 @@
 //! orchestrates a capacity upgrade end-to-end and accounts its latency
 //! (Fig. 17); [`operators`] carries the Table 2 industry snapshot.
 
-pub mod agent;
 pub mod cp;
 pub mod master;
 pub mod operators;
@@ -31,7 +29,6 @@ pub mod planner;
 pub mod strategy;
 pub mod upgrade;
 
-pub use agent::{ConfigAck, ConfigCommand, GatewayAgent};
 pub use cp::anneal::{anneal, AnnealConfig, AnnealSolver};
 pub use cp::eval::{EvalContext, Genome, IncrementalEval, Scratch};
 pub use cp::ga::{GaConfig, GaSolver, SolverStats};

@@ -46,7 +46,8 @@ fn splitmix64(mut z: u64) -> u64 {
 
 impl BackoffPolicy {
     /// A fast policy for tests (millisecond-scale delays).
-    pub fn fast_for_tests() -> BackoffPolicy {
+    #[cfg(test)]
+    pub(crate) fn fast_for_tests() -> BackoffPolicy {
         BackoffPolicy {
             initial: Duration::from_millis(5),
             max: Duration::from_millis(50),

@@ -36,15 +36,7 @@ impl MasterClient {
     /// Connect, retrying with the policy's jittered exponential backoff
     /// when the Master is unreachable (partition, restart window).
     /// Returns the last connect error once `policy.max_attempts` is
-    /// exhausted.
-    pub fn connect_with_retry(
-        addr: SocketAddr,
-        policy: &BackoffPolicy,
-    ) -> io::Result<MasterClient> {
-        MasterClient::connect_with_retry_obs(addr, policy, 0, &mut obs::NullSink)
-    }
-
-    /// [`MasterClient::connect_with_retry`] with observability: one
+    /// exhausted. Reports one
     /// [`obs::ObsEvent::MasterConnectAttempt`] per TCP attempt,
     /// carrying the control-plane `trace` of the plan request driving
     /// the sequence ([`obs::control_trace`]; 0 = untraced) and the
@@ -140,4 +132,75 @@ fn unexpected(resp: Response) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("unexpected Master response: {resp:?}"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::master::server::MasterServer;
+    use crate::master::RegionSpec;
+    use obs::{ObsEvent, VecSink};
+    use std::net::TcpListener;
+
+    /// (attempt, ok, backoff_us) of each connect attempt `sink` saw,
+    /// checking every one carries `trace`.
+    fn attempts(sink: &VecSink, trace: u64) -> Vec<(u32, bool, u64)> {
+        sink.events()
+            .iter()
+            .map(|e| match *e {
+                ObsEvent::MasterConnectAttempt {
+                    trace: t,
+                    attempt,
+                    ok,
+                    backoff_us,
+                } => {
+                    assert_eq!(t, trace);
+                    (attempt, ok, backoff_us)
+                }
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn retry_reports_each_attempt_and_the_backoff_after_it() {
+        // A port nothing listens on any more.
+        let dead = TcpListener::bind(("127.0.0.1", 0))
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let policy = BackoffPolicy {
+            max_attempts: 3,
+            ..BackoffPolicy::fast_for_tests()
+        };
+        let mut sink = VecSink::new();
+        assert!(MasterClient::connect_with_retry_obs(dead, &policy, 77, &mut sink).is_err());
+        let backoff = |a| policy.delay_after(a).as_micros() as u64;
+        assert_eq!(
+            attempts(&sink, 77),
+            [
+                (0, false, backoff(0)),
+                (1, false, backoff(1)),
+                (2, false, 0)
+            ],
+            "the last attempt schedules no backoff"
+        );
+    }
+
+    #[test]
+    fn retry_stops_at_the_first_success() {
+        let server = MasterServer::start(RegionSpec {
+            band_low_hz: 916_800_000,
+            spectrum_hz: 1_600_000,
+            expected_networks: 2,
+        })
+        .unwrap();
+        let mut sink = VecSink::new();
+        let policy = BackoffPolicy::fast_for_tests();
+        let mut client =
+            MasterClient::connect_with_retry_obs(server.addr(), &policy, 5, &mut sink).unwrap();
+        assert_eq!(attempts(&sink, 5), [(0, true, 0)]);
+        assert!(client.register("op-r").is_ok());
+        server.shutdown();
+    }
 }

@@ -69,14 +69,6 @@ impl ChannelDivider {
             .map(|i| self.grid.channel(i))
             .collect()
     }
-
-    /// Channels per plan (minimum across slots).
-    pub fn channels_per_plan(&self) -> usize {
-        (0..self.slots)
-            .map(|o| self.plan(o).len())
-            .min()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -105,12 +105,6 @@ impl MasterNode {
         }
     }
 
-    /// Enable lease expiry with the given TTL.
-    pub fn with_lease_ttl_ms(mut self, ttl_ms: u64) -> MasterNode {
-        self.lease_ttl_ms = ttl_ms;
-        self
-    }
-
     /// Change the lease TTL on a running node (e.g. through
     /// [`crate::master::server::MasterServer::node`]).
     pub fn set_lease_ttl_ms(&mut self, ttl_ms: u64) {
@@ -272,7 +266,8 @@ mod tests {
 
     #[test]
     fn leases_expire_without_heartbeat() {
-        let mut m = MasterNode::new(region()).with_lease_ttl_ms(10_000);
+        let mut m = MasterNode::new(region());
+        m.set_lease_ttl_ms(10_000);
         let a = m.register("op-a");
         let b = m.register("op-b");
         m.request_channels(a).unwrap();
@@ -295,7 +290,8 @@ mod tests {
 
     #[test]
     fn heartbeat_preserves_the_same_plan() {
-        let mut m = MasterNode::new(region()).with_lease_ttl_ms(1_000);
+        let mut m = MasterNode::new(region());
+        m.set_lease_ttl_ms(1_000);
         let a = m.register("op-a");
         let plan1 = m.request_channels(a).unwrap();
         m.tick(900);

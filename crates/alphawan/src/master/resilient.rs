@@ -87,12 +87,6 @@ impl ResilientMasterClient {
         self.reconnects
     }
 
-    /// Drop the current session (if any); the next fetch reconnects.
-    /// The cached plan is kept.
-    pub fn disconnect(&mut self) {
-        self.session = None;
-    }
-
     fn ensure_session(&mut self, trace: u64) -> io::Result<&mut (MasterClient, usize)> {
         if self.session.is_none() {
             let mut null = NullSink;
@@ -205,7 +199,7 @@ mod tests {
         // served from cache. shutdown() only stops the acceptor, so
         // drop the session explicitly to model the dead link.
         master.shutdown();
-        client.disconnect();
+        client.session = None;
         let (degraded, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Cached);
         assert_eq!(degraded, plan);
@@ -244,7 +238,7 @@ mod tests {
         let (_, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Fresh, "reconnects after a dead RPC");
         master.shutdown();
-        client.disconnect();
+        client.session = None;
         let (_, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Cached);
         let events = shared.with(|v| v.events().to_vec());
@@ -304,12 +298,12 @@ mod tests {
         assert_eq!(client.reconnects(), 1);
         // After a dropped link the next fetch re-registers and still
         // gets a fresh plan while the Master is up.
-        client.disconnect();
+        client.session = None;
         let (_, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Fresh);
         assert_eq!(client.reconnects(), 2);
         master.shutdown();
-        client.disconnect();
+        client.session = None;
         // Down: degrade to cache.
         let (_, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Cached);

@@ -47,12 +47,8 @@ impl MasterServer {
     }
 
     /// Bind to a caller-chosen address (a daemon's configured listen
-    /// address rather than an ephemeral test port) and start serving.
-    pub fn start_on(region: RegionSpec, bind: SocketAddr) -> io::Result<MasterServer> {
-        Self::start_observed(region, bind, None)
-    }
-
-    /// [`MasterServer::start_on`] with a transport observer.
+    /// address rather than an ephemeral test port) and start serving,
+    /// reporting transport events to `observer`.
     pub fn start_observed(
         region: RegionSpec,
         bind: SocketAddr,
@@ -297,11 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn start_on_binds_requested_address() {
+    fn start_observed_binds_requested_address() {
         // Ephemeral port on the explicit API; the bound port must be
         // reported back and serve traffic.
-        let server =
-            MasterServer::start_on(region(), (std::net::Ipv4Addr::LOCALHOST, 0).into()).unwrap();
+        let bind = (std::net::Ipv4Addr::LOCALHOST, 0).into();
+        let server = MasterServer::start_observed(region(), bind, None).unwrap();
         assert_eq!(server.addr().ip(), std::net::Ipv4Addr::LOCALHOST);
         let mut c = MasterClient::connect(server.addr()).unwrap();
         let id = c.register("op-bind").unwrap();

@@ -130,23 +130,6 @@ impl IntraNetworkPlanner {
         self.materialize(&problem, solution, objective)
     }
 
-    /// [`IntraNetworkPlanner::plan`] with solver observability: the
-    /// search is reported to `sink` as a
-    /// [`obs::ObsEvent::SolverRun`] (`trace` ties it to the
-    /// control-plane request that asked for the plan; 0 = untraced).
-    pub fn plan_observed(
-        &self,
-        topo: &Topology,
-        traffic: Vec<f64>,
-        sink: &mut dyn obs::ObsSink,
-        trace: u64,
-    ) -> PlanOutcome {
-        let problem = self.problem(topo, traffic);
-        let (solution, objective, _stats) =
-            GaSolver::new(self.ga).solve_observed(&problem, sink, trace);
-        self.materialize(&problem, solution, objective)
-    }
-
     /// Convert a solution into channels/settings.
     pub fn materialize(
         &self,
@@ -236,6 +219,41 @@ mod tests {
         assert!(problem.all_connected(&outcome.solution));
         assert_eq!(outcome.node_settings.len(), 48);
         assert_eq!(outcome.gateway_channels.len(), 5);
+    }
+
+    #[test]
+    fn materialize_names_grid_channels_and_ring_data_rates() {
+        let mut pl = planner(2);
+        pl.tx_power = TxPowerDbm(8.0);
+        let topo = Topology::new(
+            (300.0, 300.0),
+            3,
+            2,
+            lora_phy::pathloss::PathLossModel::default(),
+            1,
+        );
+        let problem = pl.problem(&topo, vec![1.0; 3]);
+        let solution = CpSolution {
+            gw_channels: vec![vec![0, 5], vec![7]],
+            node_channel: vec![5, 0, 7],
+            node_ring: vec![0, 5, 2],
+        };
+        let grid = &problem.channels;
+        let outcome = pl.materialize(&problem, solution.clone(), 1.5);
+        assert_eq!(outcome.solution, solution);
+        assert_eq!(outcome.objective, 1.5);
+        assert_eq!(
+            outcome.gateway_channels,
+            [vec![grid[0], grid[5]], vec![grid[7]]]
+        );
+        // Ring l is the reach of DR(5 − l); every node gets the
+        // planner's Tx power.
+        let want = [
+            (grid[5], DataRate::DR5, TxPowerDbm(8.0)),
+            (grid[0], DataRate::DR0, TxPowerDbm(8.0)),
+            (grid[7], DataRate::DR3, TxPowerDbm(8.0)),
+        ];
+        assert_eq!(outcome.node_settings, want);
     }
 
     #[test]

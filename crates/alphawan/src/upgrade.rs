@@ -163,6 +163,33 @@ mod tests {
     }
 
     #[test]
+    fn an_observed_upgrade_reports_its_solve_and_plans_the_same() {
+        let (planner, problem) = small_setup();
+        let up = CapacityUpgrade { ga: planner.ga };
+        let mut sink = obs::VecSink::new();
+        let (observed, _) = up
+            .run_observed(&planner, &problem, "op", None, &mut sink)
+            .unwrap();
+        let (plain, _) = up.run(&planner, &problem, "op", None).unwrap();
+        assert_eq!(
+            observed.solution, plain.solution,
+            "observing never steers the search"
+        );
+        match sink.events() {
+            [obs::ObsEvent::SolverRun {
+                nodes,
+                gateways,
+                evaluations,
+                ..
+            }] => {
+                assert_eq!((*nodes, *gateways), (12, 3));
+                assert!(*evaluations > 0);
+            }
+            other => panic!("expected one SolverRun, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn upgrade_with_master_measures_comm() {
         let server = MasterServer::start(RegionSpec {
             band_low_hz: 916_800_000,

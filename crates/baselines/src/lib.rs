@@ -11,15 +11,13 @@
 //! * [`lmac`] — **LMAC** (Gamage et al.): carrier-sense MAC that defers
 //!   transmissions which would collide on the same channel + SF —
 //!   avoids channel contention, cannot touch decoder contention;
-//! * [`cic`] — **CIC** (Shahid et al.): PHY-layer collision resolution,
-//!   modeled via [`sim::SimWorld::cic`] with COTS decoder limits
+//! * **CIC** (Shahid et al.): PHY-layer collision resolution, a switch
+//!   on the simulator ([`sim::SimWorld::cic`]) with COTS decoder limits
 //!   retained, per the paper's methodology.
 
-pub mod cic;
 pub mod lmac;
 pub mod random_cp;
 pub mod standard;
 
-pub use lmac::lmac_reshape;
 pub use random_cp::random_cp_configs;
 pub use standard::{standard_assignments, standard_gateway_configs};

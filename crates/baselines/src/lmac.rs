@@ -14,10 +14,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim::traffic::TxPlan;
 
-/// Like [`lmac_reshape`], but a transmission whose total deferral would
-/// exceed `deadline_us(plan)` is *given up* (CSMA abandons the packet —
-/// its next duty window is already due). Returns the surviving plans
-/// and the give-up count.
+/// Reshape a workload with LMAC carrier sensing. Transmissions are
+/// processed in start-time order; each defers past any conflicting
+/// earlier transmission's end (+ up to `max_backoff_us` random
+/// backoff). A transmission whose total deferral would exceed
+/// `deadline_us(plan)` is *given up* (CSMA abandons the packet — its
+/// next duty window is already due). Returns the surviving plans and
+/// the give-up count.
 pub fn lmac_reshape_with_deadline<F: Fn(&TxPlan) -> u64>(
     plans: &[TxPlan],
     max_backoff_us: u64,
@@ -58,44 +61,18 @@ pub fn lmac_reshape_with_deadline<F: Fn(&TxPlan) -> u64>(
     (out, gave_up)
 }
 
-/// Reshape a workload with LMAC carrier sensing. Transmissions are
-/// processed in start-time order; each defers past any conflicting
-/// earlier transmission's end (+ up to `max_backoff_us` random backoff).
-pub fn lmac_reshape(plans: &[TxPlan], max_backoff_us: u64, seed: u64) -> Vec<TxPlan> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sorted: Vec<TxPlan> = plans.to_vec();
-    sorted.sort_by_key(|p| p.start_us);
-
-    // Busy-until per (channel center, SF).
-    let mut busy: std::collections::HashMap<(u32, u32), u64> = std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(sorted.len());
-    for mut p in sorted {
-        let airtime =
-            PacketParams::lorawan_uplink(p.dr.spreading_factor(), Bandwidth::Khz125, p.payload_len)
-                .airtime()
-                .total_us();
-        let key = (p.channel.center_hz, p.dr.spreading_factor().value());
-        let free_at = busy.get(&key).copied().unwrap_or(0);
-        if p.start_us < free_at {
-            let backoff = if max_backoff_us > 0 {
-                rng.gen_range(0..=max_backoff_us)
-            } else {
-                0
-            };
-            p.start_us = free_at + backoff;
-        }
-        busy.insert(key, p.start_us + airtime);
-        out.push(p);
-    }
-    out.sort_by_key(|p| p.start_us);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lora_phy::channel::Channel;
     use lora_phy::types::DataRate;
+
+    /// LMAC with no deadline: every transmission defers until clear.
+    fn lmac_reshape(plans: &[TxPlan], max_backoff_us: u64, seed: u64) -> Vec<TxPlan> {
+        let (out, gave_up) = lmac_reshape_with_deadline(plans, max_backoff_us, seed, |_| u64::MAX);
+        assert_eq!(gave_up, 0);
+        out
+    }
 
     fn plan(node: usize, ch: u32, dr: DataRate, start: u64) -> TxPlan {
         TxPlan {

@@ -189,3 +189,112 @@ pub fn duty_workload(
 ) -> Vec<sim::traffic::TxPlan> {
     sim::traffic::duty_cycled(assignments, PAYLOAD_LEN, 0.01, horizon_us, seed)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lora_phy::types::DataRate;
+
+    fn tiny_ga() -> GaConfig {
+        GaConfig {
+            population: 8,
+            generations: 4,
+            workers: 1,
+            ..GaConfig::default()
+        }
+    }
+
+    #[test]
+    fn fixed_windows_spread_evenly_over_the_grid() {
+        let grid = band_channels(4_800_000);
+        assert_eq!(grid.len(), 24);
+        let windows = fixed_eight_channel_windows(&grid, 3);
+        let starts: Vec<usize> = windows.iter().map(|w| w[0]).collect();
+        assert_eq!(starts, [0, 8, 16]);
+        assert!(windows.iter().all(|w| w.len() == 8 && w[7] == w[0] + 7));
+        assert_eq!(
+            fixed_eight_channel_windows(&grid, 1),
+            [(0..8).collect::<Vec<_>>()]
+        );
+        // A grid narrower than a window: every gateway takes all of it.
+        let narrow = &grid[..5];
+        assert_eq!(
+            fixed_eight_channel_windows(narrow, 2),
+            [vec![0, 1, 2, 3, 4], vec![0, 1, 2, 3, 4]]
+        );
+    }
+
+    #[test]
+    fn pinned_gateway_channels_survive_the_solve() {
+        let topo = Topology::testbed(12, 3, 4);
+        let channels = band_channels(3_200_000);
+        let pins = fixed_eight_channel_windows(&channels, 2);
+        let outcome = plan_with_pinned_gateways(
+            &topo,
+            &(0..12).collect::<Vec<_>>(),
+            &[0, 2],
+            channels.clone(),
+            pins.clone(),
+            tiny_ga(),
+        );
+        let want: Vec<Vec<Channel>> = pins
+            .iter()
+            .map(|w| w.iter().map(|&k| channels[k]).collect())
+            .collect();
+        assert_eq!(outcome.gateway_channels, want);
+        assert_eq!(outcome.node_settings.len(), 12);
+    }
+
+    #[test]
+    fn pinned_node_settings_survive_the_solve() {
+        let topo = Topology::testbed(6, 2, 9);
+        let channels = band_channels(1_600_000);
+        let pins: Vec<(Channel, DataRate)> = (0..6)
+            .map(|i| (channels[i % 3], DataRate::from_index(i % 6).unwrap()))
+            .collect();
+        let outcome = plan_with_pinned_nodes(
+            &topo,
+            &(0..6).collect::<Vec<_>>(),
+            &[0, 1],
+            channels,
+            &pins,
+            tiny_ga(),
+        );
+        let got: Vec<(Channel, DataRate)> = outcome
+            .node_settings
+            .iter()
+            .map(|&(ch, dr, _)| (ch, dr))
+            .collect();
+        assert_eq!(got, pins);
+    }
+
+    #[test]
+    fn deploying_a_plan_retunes_only_the_operators_gateways() {
+        let channels = band_channels(1_600_000);
+        let builder =
+            crate::scenario::WorldBuilder::testbed(2).network(crate::scenario::NetworkSpec {
+                network_id: 1,
+                n_nodes: 8,
+                gw_channels: vec![channels.clone(); 3],
+            });
+        let mut world = builder.build_with_sink(None);
+        let (nodes, gws) = ([1, 3, 5, 7], [2]);
+        let outcome = plan_network(&world.topo, &nodes, &gws, channels, tiny_ga());
+        let before: Vec<Vec<Channel>> = world
+            .gateways
+            .iter()
+            .map(|g| g.config().channels().to_vec())
+            .collect();
+        let assigned = deploy_plan(&mut world, &outcome, &nodes, &gws);
+        let ids: Vec<usize> = assigned.iter().map(|a| a.0).collect();
+        assert_eq!(ids, nodes, "assignments keyed by global node id");
+        for (j, g) in world.gateways.iter().enumerate() {
+            let want = if j == 2 {
+                &outcome.gateway_channels[0]
+            } else {
+                &before[j]
+            };
+            assert_eq!(g.config().channels(), &want[..], "gateway {j}");
+        }
+    }
+}

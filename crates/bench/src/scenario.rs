@@ -431,6 +431,56 @@ mod tests {
     }
 
     #[test]
+    fn coordinated_slots_never_overlap_within_a_group() {
+        use lora_phy::airtime::PacketParams;
+        use lora_phy::types::Bandwidth;
+        let [shared, alone] = [eight()[0], eight()[1]];
+        // Ten users fill the one slot group a 10% duty allows; two
+        // more sit on another channel.
+        let assigns: Vec<(usize, Channel, DataRate)> = (0..12)
+            .map(|i| (i, if i < 10 { shared } else { alone }, DataRate::DR5))
+            .collect();
+        let horizon_us = 2_000_000;
+        let plans = coordinated_schedule(&assigns, 0.1, horizon_us, 10);
+        let airtime =
+            PacketParams::lorawan_uplink(DataRate::DR5.spreading_factor(), Bandwidth::Khz125, 10)
+                .airtime()
+                .total_us();
+        let period = airtime * 10;
+        assert!(
+            plans.windows(2).all(|w| w[0].start_us <= w[1].start_us),
+            "sorted"
+        );
+        assert!(plans.iter().all(|p| p.start_us < horizon_us));
+        for node in 0..12 {
+            let starts: Vec<u64> = plans
+                .iter()
+                .filter(|p| p.node == node)
+                .map(|p| p.start_us)
+                .collect();
+            assert!(
+                starts.windows(2).all(|w| w[1] - w[0] == period),
+                "node {node}: once a period"
+            );
+        }
+        let group: Vec<u64> = plans
+            .iter()
+            .filter(|p| p.channel == shared)
+            .map(|p| p.start_us)
+            .collect();
+        assert!(
+            group.windows(2).all(|w| w[1] - w[0] >= airtime),
+            "slot-group members overlap"
+        );
+        // The lone channel's users start on phases of their own group.
+        let firsts: Vec<u64> = [10, 11]
+            .iter()
+            .map(|&n| plans.iter().find(|p| p.node == n).unwrap().start_us)
+            .collect();
+        assert_eq!(firsts, [0, airtime]);
+    }
+
+    #[test]
     fn subtopology_slices_consistently() {
         let b = WorldBuilder::testbed(5)
             .network(NetworkSpec {

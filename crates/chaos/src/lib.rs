@@ -1,9 +1,9 @@
 //! # chaos — deterministic fault injection and resilience layer
 //!
 //! The paper's evaluation assumes healthy infrastructure; real global
-//! IoT deployments see gateways power-cycle, backhauls drop and reorder
-//! datagrams, and control planes partition. This crate injects those
-//! failures **deterministically** so resilience claims are testable:
+//! IoT deployments see gateways power-cycle and backhauls drop and
+//! reorder datagrams. This crate injects those failures
+//! **deterministically** so resilience claims are testable:
 //!
 //! * [`plan`] — [`FaultPlan`]: a pure-data, serde-loadable description
 //!   of what fails and when. Plans are replayable: the same plan over
@@ -11,38 +11,27 @@
 //! * [`schedule`] — [`FaultSchedule`]: a compiled plan answering
 //!   point-in-time queries. Implements [`sim::faults::InfraFaults`] so
 //!   [`sim::world::SimWorld::run_with_faults`] can consult it, and
-//!   derives per-datagram backhaul fates from a seeded hash (no shared
-//!   RNG state, so query order never changes outcomes);
-//! * [`backhaul`] — [`FaultyLink`]: the simulation-time backhaul model
-//!   (loss, latency+jitter, duplication, reordering) for driving
-//!   `netserver::dedup` and forwarder pipelines without sockets;
+//!   derives per-datagram backhaul fates ([`DatagramFate`]) from a
+//!   seeded hash (no shared RNG state, so query order never changes
+//!   outcomes);
 //! * [`udp_proxy`] — [`ChaosUdpProxy`]: a real-socket UDP proxy that
 //!   applies the same fault model between a live packet forwarder
-//!   (`gateway::forwarder`) and `svc`'s `netserverd`;
-//! * [`tcp_proxy`] — [`ChaosTcpProxy`]: a TCP proxy in front of
-//!   `alphawan::master` injecting control-plane partitions and slow
-//!   responses, for exercising `MasterClient` reconnect backoff and
-//!   cached-plan degradation.
+//!   (`gateway::forwarder`) and `svc`'s `netserverd`.
 //!
-//! Three fault domains, one schedule:
+//! Two fault domains, one schedule:
 //!
 //! | domain        | faults                                     | injects into |
 //! |---------------|--------------------------------------------|--------------|
 //! | gateway       | crash/restart windows, decoder lock-ups, clock drift | `gateway::pool`, `sim::world` |
 //! | backhaul      | datagram loss, latency/jitter, duplication, reordering | `netserverd` ↔ `gateway::forwarder` |
-//! | control plane | Master partition, slow responses           | `alphawan::master` |
 
 #![deny(missing_docs)]
 
-pub mod backhaul;
 pub mod plan;
 pub mod rng;
 pub mod schedule;
-pub mod tcp_proxy;
 pub mod udp_proxy;
 
-pub use backhaul::{DatagramFate, FaultyLink};
 pub use plan::{FaultPlan, FaultSpec, PlanError};
-pub use schedule::FaultSchedule;
-pub use tcp_proxy::ChaosTcpProxy;
+pub use schedule::{DatagramFate, FaultSchedule};
 pub use udp_proxy::ChaosUdpProxy;

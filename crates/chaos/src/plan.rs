@@ -87,22 +87,6 @@ pub enum FaultSpec {
         /// Window end, µs (exclusive).
         end_us: u64,
     },
-    /// The Master is unreachable: connections are refused/cut.
-    MasterPartition {
-        /// Partition onset, µs.
-        start_us: u64,
-        /// Partition heal time, µs (exclusive).
-        end_us: u64,
-    },
-    /// Master responses are delayed by `extra_us`.
-    MasterSlowResponse {
-        /// Extra response latency, µs.
-        extra_us: u64,
-        /// Window start, µs.
-        start_us: u64,
-        /// Window end, µs (exclusive).
-        end_us: u64,
-    },
 }
 
 impl FaultSpec {
@@ -125,10 +109,6 @@ impl FaultSpec {
                 start_us, end_us, ..
             }
             | FaultSpec::BackhaulReorder {
-                start_us, end_us, ..
-            }
-            | FaultSpec::MasterPartition { start_us, end_us }
-            | FaultSpec::MasterSlowResponse {
                 start_us, end_us, ..
             } => Some((start_us, end_us)),
             FaultSpec::ClockDrift { .. } => None,
@@ -220,8 +200,8 @@ impl FaultPlan {
     /// Announce the plan to an observability sink: one
     /// [`obs::ObsEvent::FaultActivated`] per fault, in plan order, so
     /// an event stream records which failures were scheduled against
-    /// the run it describes. Faults with no gateway target (backhaul
-    /// and Master domains) carry `gw: -1`; [`FaultSpec::ClockDrift`]
+    /// the run it describes. Backhaul faults, which have no gateway
+    /// target, carry `gw: -1`; [`FaultSpec::ClockDrift`]
     /// has no window and reports `0..u64::MAX`.
     pub fn observe(&self, sink: &mut dyn obs::ObsSink) {
         if !sink.enabled() {
@@ -236,8 +216,6 @@ impl FaultPlan {
                 FaultSpec::BackhaulDelay { .. } => obs::FaultKind::BackhaulDelay,
                 FaultSpec::BackhaulDuplicate { .. } => obs::FaultKind::BackhaulDuplicate,
                 FaultSpec::BackhaulReorder { .. } => obs::FaultKind::BackhaulReorder,
-                FaultSpec::MasterPartition { .. } => obs::FaultKind::MasterPartition,
-                FaultSpec::MasterSlowResponse { .. } => obs::FaultKind::MasterSlowResponse,
             };
             let gw = match *fault {
                 FaultSpec::GatewayCrash { gateway, .. }
@@ -312,15 +290,6 @@ mod tests {
                     start_us: 0,
                     end_us: u64::MAX,
                 },
-                FaultSpec::MasterPartition {
-                    start_us: 10,
-                    end_us: 20,
-                },
-                FaultSpec::MasterSlowResponse {
-                    extra_us: 500_000,
-                    start_us: 0,
-                    end_us: 30,
-                },
             ],
         }
     }
@@ -384,6 +353,48 @@ mod tests {
     }
 
     #[test]
+    fn drift_must_be_finite() {
+        for ppm in [f64::NAN, f64::INFINITY, -100_000.5] {
+            let plan = FaultPlan {
+                seed: 0,
+                faults: vec![FaultSpec::ClockDrift { gateway: 0, ppm }],
+            };
+            assert!(
+                matches!(plan.validate(), Err(PlanError::BadDrift(_))),
+                "{ppm}"
+            );
+        }
+        let edge = FaultPlan {
+            seed: 0,
+            faults: vec![FaultSpec::ClockDrift {
+                gateway: 0,
+                ppm: -100_000.0,
+            }],
+        };
+        assert_eq!(edge.validate(), Ok(()));
+    }
+
+    #[test]
+    fn plan_errors_name_the_offending_value() {
+        assert_eq!(
+            PlanError::BadProbability(1.5).to_string(),
+            "probability 1.5 outside [0, 1]"
+        );
+        assert_eq!(
+            PlanError::BadWindow {
+                start_us: 10,
+                end_us: 5
+            }
+            .to_string(),
+            "fault window 10..5 is inverted"
+        );
+        assert_eq!(
+            PlanError::BadDrift(2e5).to_string(),
+            "clock drift 200000 ppm exceeds ±100000"
+        );
+    }
+
+    #[test]
     fn observe_emits_one_event_per_fault() {
         use obs::{FaultKind, ObsEvent, VecSink};
         let plan = sample_plan();
@@ -418,6 +429,34 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn observe_names_every_fault_kind_in_plan_order() {
+        use obs::{FaultKind, ObsEvent, VecSink};
+        let plan = sample_plan();
+        let mut sink = VecSink::new();
+        plan.observe(&mut sink);
+        let kinds: Vec<(FaultKind, i64)> = sink
+            .events()
+            .iter()
+            .map(|e| match *e {
+                ObsEvent::FaultActivated { kind, gw, .. } => (kind, gw),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (FaultKind::GatewayCrash, 0),
+                (FaultKind::DecoderLockup, 1),
+                (FaultKind::ClockDrift, 2),
+                (FaultKind::BackhaulLoss, -1),
+                (FaultKind::BackhaulDelay, -1),
+                (FaultKind::BackhaulDuplicate, -1),
+                (FaultKind::BackhaulReorder, -1),
+            ]
+        );
     }
 
     #[test]

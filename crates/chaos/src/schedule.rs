@@ -6,7 +6,6 @@
 //! arguments and the plan — see [`crate::rng`] for how per-datagram
 //! decisions stay order-independent.
 
-use crate::backhaul::DatagramFate;
 use crate::plan::{FaultPlan, FaultSpec, PlanError};
 use crate::rng;
 
@@ -62,11 +61,41 @@ struct ReorderWindow {
     end_us: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct MasterWindow {
-    start_us: u64,
-    end_us: u64,
-    extra_us: u64,
+/// What happens to one datagram crossing a faulty backhaul.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DatagramFate {
+    /// Dropped on the floor.
+    Drop,
+    /// Delivered after `delay_us`; `copies > 1` means duplicates follow,
+    /// each `copy_lag_us` after the previous copy.
+    Deliver {
+        /// Delivery latency of the first copy, µs.
+        delay_us: u64,
+        /// Total copies delivered (1 = no duplication).
+        copies: u32,
+        /// Gap between consecutive copies, µs.
+        copy_lag_us: u64,
+    },
+}
+
+impl DatagramFate {
+    /// Arrival times (µs) for a datagram sent at `sent_us`, oldest
+    /// first. Empty when dropped.
+    pub fn arrivals(&self, sent_us: u64) -> Vec<u64> {
+        match *self {
+            DatagramFate::Drop => Vec::new(),
+            DatagramFate::Deliver {
+                delay_us,
+                copies,
+                copy_lag_us,
+            } => {
+                let first = sent_us.saturating_add(delay_us);
+                (0..copies as u64)
+                    .map(|i| first.saturating_add(i * copy_lag_us))
+                    .collect()
+            }
+        }
+    }
 }
 
 fn in_window(t_us: u64, start_us: u64, end_us: u64) -> bool {
@@ -86,8 +115,6 @@ pub struct FaultSchedule {
     delays: Vec<DelayWindow>,
     dups: Vec<DupWindow>,
     reorders: Vec<ReorderWindow>,
-    partitions: Vec<MasterWindow>,
-    slowdowns: Vec<MasterWindow>,
 }
 
 impl FaultSchedule {
@@ -103,8 +130,6 @@ impl FaultSchedule {
             delays: Vec::new(),
             dups: Vec::new(),
             reorders: Vec::new(),
-            partitions: Vec::new(),
-            slowdowns: Vec::new(),
         };
         for fault in &plan.faults {
             match *fault {
@@ -185,24 +210,6 @@ impl FaultSchedule {
                         end_us,
                     });
                 }
-                FaultSpec::MasterPartition { start_us, end_us } => {
-                    s.partitions.push(MasterWindow {
-                        start_us,
-                        end_us,
-                        extra_us: 0,
-                    });
-                }
-                FaultSpec::MasterSlowResponse {
-                    extra_us,
-                    start_us,
-                    end_us,
-                } => {
-                    s.slowdowns.push(MasterWindow {
-                        start_us,
-                        end_us,
-                        extra_us,
-                    });
-                }
             }
         }
         Ok(s)
@@ -219,8 +226,6 @@ impl FaultSchedule {
             && self.lockups.is_empty()
             && self.drifts.is_empty()
             && !self.has_backhaul_faults()
-            && self.partitions.is_empty()
-            && self.slowdowns.is_empty()
     }
 
     /// True if any backhaul fault (loss/delay/dup/reorder) is scheduled.
@@ -314,25 +319,6 @@ impl FaultSchedule {
             copy_lag_us,
         }
     }
-
-    // ---- control-plane domain -------------------------------------------
-
-    /// Is the Master partitioned from clients at `t_us`?
-    pub fn master_partitioned_at(&self, t_us: u64) -> bool {
-        self.partitions
-            .iter()
-            .any(|w| in_window(t_us, w.start_us, w.end_us))
-    }
-
-    /// Extra Master response latency at `t_us` (sum over active
-    /// slow-response windows).
-    pub fn master_extra_delay_us(&self, t_us: u64) -> u64 {
-        self.slowdowns
-            .iter()
-            .filter(|w| in_window(t_us, w.start_us, w.end_us))
-            .map(|w| w.extra_us)
-            .sum()
-    }
 }
 
 impl sim::faults::InfraFaults for FaultSchedule {
@@ -379,8 +365,6 @@ mod tests {
         assert!(!s.gateway_down_at(0, 0));
         assert_eq!(s.locked_decoders_at(0, 0), 0);
         assert_eq!(s.clock_skew_at(0, 1_000_000), 0);
-        assert!(!s.master_partitioned_at(0));
-        assert_eq!(s.master_extra_delay_us(0), 0);
         assert_eq!(
             s.datagram_fate(0, 0),
             DatagramFate::Deliver {
@@ -431,6 +415,22 @@ mod tests {
         assert!(s.gateway_down_during(0, 150, 160));
         assert!(!s.gateway_down_during(0, 0, 50));
         assert!(!s.gateway_down_during(0, 200, 300));
+    }
+
+    #[test]
+    fn a_query_touching_a_crash_start_overlaps_it() {
+        let s = schedule(vec![FaultSpec::GatewayCrash {
+            gateway: 1,
+            start_us: 100,
+            end_us: 200,
+        }]);
+        // The queried span is closed, the crash window half-open.
+        assert!(s.gateway_down_within(1, 50, 100));
+        assert!(s.gateway_down_within(1, 199, 400));
+        assert!(!s.gateway_down_within(1, 200, 400));
+        assert!(!s.gateway_down_within(0, 0, u64::MAX), "other gateway");
+        let f: &dyn InfraFaults = &s;
+        assert!(f.gateway_ever_down(1) && !f.gateway_ever_down(0));
     }
 
     #[test]
@@ -519,34 +519,181 @@ mod tests {
             start_us: 0,
             end_us: u64::MAX,
         }]);
+        let fate = s.datagram_fate(3, 0);
         assert_eq!(
-            s.datagram_fate(3, 0),
+            fate,
             DatagramFate::Deliver {
                 delay_us: 0,
                 copies: 2,
                 copy_lag_us: 42
             }
         );
+        assert_eq!(fate.arrivals(100), [100, 142]);
+        assert!(DatagramFate::Drop.arrivals(100).is_empty());
     }
 
     #[test]
-    fn master_windows_answer_point_queries() {
+    fn arrivals_saturate_at_the_end_of_time() {
+        let fate = DatagramFate::Deliver {
+            delay_us: u64::MAX - 15,
+            copies: 3,
+            copy_lag_us: 10,
+        };
+        assert_eq!(fate.arrivals(10), [u64::MAX - 5, u64::MAX, u64::MAX]);
+    }
+
+    #[test]
+    fn overlapping_backhaul_windows_stack() {
+        let (start_us, end_us) = (0, u64::MAX);
         let s = schedule(vec![
-            FaultSpec::MasterPartition {
-                start_us: 10,
-                end_us: 20,
+            FaultSpec::BackhaulDelay {
+                base_us: 100,
+                jitter_us: 0,
+                start_us,
+                end_us,
             },
-            FaultSpec::MasterSlowResponse {
-                extra_us: 5_000,
-                start_us: 0,
-                end_us: 100,
+            FaultSpec::BackhaulDelay {
+                base_us: 20,
+                jitter_us: 0,
+                start_us,
+                end_us,
+            },
+            FaultSpec::BackhaulReorder {
+                probability: 1.0,
+                hold_us: 3,
+                start_us,
+                end_us,
+            },
+            FaultSpec::BackhaulDuplicate {
+                probability: 1.0,
+                lag_us: 7,
+                start_us,
+                end_us,
+            },
+            FaultSpec::BackhaulDuplicate {
+                probability: 1.0,
+                lag_us: 40,
+                start_us,
+                end_us,
             },
         ]);
-        assert!(!s.master_partitioned_at(9));
-        assert!(s.master_partitioned_at(10));
-        assert!(!s.master_partitioned_at(20));
-        assert_eq!(s.master_extra_delay_us(50), 5_000);
-        assert_eq!(s.master_extra_delay_us(100), 0);
+        // Delays and holds add; each duplicating window adds a copy and
+        // the copies trail by the longest lag.
+        assert_eq!(
+            s.datagram_fate(5, 0),
+            DatagramFate::Deliver {
+                delay_us: 123,
+                copies: 3,
+                copy_lag_us: 40
+            }
+        );
+    }
+
+    #[test]
+    fn a_lost_datagram_is_neither_delayed_nor_duplicated() {
+        let s = schedule(vec![
+            FaultSpec::BackhaulDuplicate {
+                probability: 1.0,
+                lag_us: 7,
+                start_us: 0,
+                end_us: u64::MAX,
+            },
+            FaultSpec::BackhaulLoss {
+                probability: 1.0,
+                start_us: 0,
+                end_us: u64::MAX,
+            },
+        ]);
+        assert!((0..100).all(|seq| s.datagram_fate(seq, 0) == DatagramFate::Drop));
+    }
+
+    #[test]
+    fn reordering_lets_later_datagrams_overtake() {
+        let s = schedule(vec![FaultSpec::BackhaulReorder {
+            probability: 0.5,
+            hold_us: 1_000_000,
+            start_us: 0,
+            end_us: u64::MAX,
+        }]);
+        // With a huge hold, any held datagram arrives after every
+        // unheld successor sent within the hold window.
+        let mut arrivals = Vec::new();
+        for seq in 0..100u64 {
+            let sent = seq * 1_000;
+            for a in s.datagram_fate(seq, sent).arrivals(sent) {
+                arrivals.push((a, seq));
+            }
+        }
+        arrivals.sort();
+        let order: Vec<u64> = arrivals.iter().map(|&(_, seq)| seq).collect();
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(sorted, (0..100).collect::<Vec<_>>(), "nothing lost");
+        assert_ne!(order, sorted, "some datagrams overtook others");
+    }
+
+    #[test]
+    fn schedules_compiled_from_one_plan_agree() {
+        let plan = FaultPlan {
+            seed: 11,
+            faults: vec![
+                FaultSpec::BackhaulLoss {
+                    probability: 0.3,
+                    start_us: 0,
+                    end_us: u64::MAX,
+                },
+                FaultSpec::BackhaulDelay {
+                    base_us: 500,
+                    jitter_us: 300,
+                    start_us: 0,
+                    end_us: u64::MAX,
+                },
+            ],
+        };
+        let a = FaultSchedule::compile(&plan).unwrap();
+        let b = FaultSchedule::compile(&FaultPlan::from_json(&plan.to_json()).unwrap()).unwrap();
+        for seq in 0..500 {
+            assert_eq!(a.datagram_fate(seq, seq * 7), b.datagram_fate(seq, seq * 7));
+        }
+    }
+
+    #[test]
+    fn backhaul_faults_are_told_from_gateway_faults() {
+        let gateway_only = schedule(vec![FaultSpec::ClockDrift {
+            gateway: 0,
+            ppm: 1.0,
+        }]);
+        assert!(!gateway_only.is_empty());
+        assert!(!gateway_only.has_backhaul_faults());
+        let (start_us, end_us) = (5, 6);
+        for fault in [
+            FaultSpec::BackhaulLoss {
+                probability: 0.0,
+                start_us,
+                end_us,
+            },
+            FaultSpec::BackhaulDelay {
+                base_us: 0,
+                jitter_us: 0,
+                start_us,
+                end_us,
+            },
+            FaultSpec::BackhaulDuplicate {
+                probability: 0.0,
+                lag_us: 0,
+                start_us,
+                end_us,
+            },
+            FaultSpec::BackhaulReorder {
+                probability: 0.0,
+                hold_us: 0,
+                start_us,
+                end_us,
+            },
+        ] {
+            let s = schedule(vec![fault]);
+            assert!(s.has_backhaul_faults() && !s.is_empty(), "{s:?}");
+        }
     }
 
     #[test]

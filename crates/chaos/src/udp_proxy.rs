@@ -174,3 +174,77 @@ impl Drop for ChaosUdpProxy {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{FaultPlan, FaultSpec};
+
+    /// An upstream "server" socket, a proxy in front of it with
+    /// `faults`, and a "forwarder" socket; both sockets time out
+    /// reads after 500 ms.
+    fn rig(faults: Vec<FaultSpec>) -> (UdpSocket, ChaosUdpProxy, UdpSocket) {
+        let server = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let schedule = FaultSchedule::compile(&FaultPlan { seed: 3, faults }).unwrap();
+        let proxy = ChaosUdpProxy::start(server.local_addr().unwrap(), schedule).unwrap();
+        let forwarder = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        for s in [&server, &forwarder] {
+            s.set_read_timeout(Some(Duration::from_millis(500)))
+                .unwrap();
+        }
+        (server, proxy, forwarder)
+    }
+
+    fn recv(socket: &UdpSocket) -> Option<(Vec<u8>, SocketAddr)> {
+        let mut buf = [0u8; 64];
+        let (n, from) = socket.recv_from(&mut buf).ok()?;
+        Some((buf[..n].to_vec(), from))
+    }
+
+    #[test]
+    fn a_clean_proxy_passes_both_directions() {
+        let (server, proxy, forwarder) = rig(vec![]);
+        forwarder.send_to(b"up", proxy.addr()).unwrap();
+        let (up, from) = recv(&server).expect("uplink reaches the server");
+        assert_eq!((up.as_slice(), from), (&b"up"[..], proxy.addr()));
+        // The server answers the proxy; the proxy returns it to the
+        // forwarder that last sent.
+        server.send_to(b"ack", proxy.addr()).unwrap();
+        let (down, from) = recv(&forwarder).expect("downlink reaches the forwarder");
+        assert_eq!((down.as_slice(), from), (&b"ack"[..], proxy.addr()));
+        assert_eq!((proxy.uplink_seen(), proxy.downlink_seen()), (1, 1));
+        assert_eq!((proxy.uplink_dropped(), proxy.uplink_duplicated()), (0, 0));
+    }
+
+    #[test]
+    fn a_duplicating_proxy_sends_every_copy() {
+        let (server, proxy, forwarder) = rig(vec![FaultSpec::BackhaulDuplicate {
+            probability: 1.0,
+            lag_us: 2_000,
+            start_us: 0,
+            end_us: u64::MAX,
+        }]);
+        forwarder.send_to(b"twice", proxy.addr()).unwrap();
+        assert_eq!(recv(&server).expect("first copy").0, b"twice");
+        assert_eq!(recv(&server).expect("second copy").0, b"twice");
+        assert_eq!(proxy.uplink_duplicated(), 1);
+        proxy.shutdown();
+    }
+
+    #[test]
+    fn a_lossy_proxy_drops_and_counts_but_keeps_the_downlink() {
+        let (server, proxy, forwarder) = rig(vec![FaultSpec::BackhaulLoss {
+            probability: 1.0,
+            start_us: 0,
+            end_us: u64::MAX,
+        }]);
+        for _ in 0..3 {
+            forwarder.send_to(b"lost", proxy.addr()).unwrap();
+        }
+        assert!(recv(&server).is_none(), "a dropped uplink reaches no one");
+        assert_eq!((proxy.uplink_seen(), proxy.uplink_dropped()), (3, 3));
+        // The return path was learned from the dropped datagrams.
+        server.send_to(b"pull_resp", proxy.addr()).unwrap();
+        assert_eq!(recv(&forwarder).expect("downlink").0, b"pull_resp");
+    }
+}

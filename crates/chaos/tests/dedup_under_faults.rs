@@ -3,16 +3,17 @@
 //! delivered ("New") more than once, and heavily delayed copies must be
 //! classified Late, not New.
 
-use chaos::{FaultPlan, FaultSchedule, FaultSpec, FaultyLink};
+use chaos::{FaultPlan, FaultSchedule, FaultSpec};
 use lora_mac::device::DevAddr;
 use netserver::dedup::{DedupOutcome, Deduplicator, UplinkCopy};
 use std::collections::HashMap;
 
 const WINDOW_US: u64 = 200_000;
 
-/// Send `frames` uplinks through two per-gateway faulty links and feed
-/// the surviving copies to one deduplicator in arrival order. Returns
-/// New-count per frame plus the deduplicator for inspection.
+/// Send `frames` uplinks through two per-gateway faulty backhauls (the
+/// `fcnt`-th datagram of each takes its schedule's `datagram_fate`) and
+/// feed the surviving copies to one deduplicator in arrival order.
+/// Returns New-count per frame plus the deduplicator for inspection.
 fn run(faults: Vec<FaultSpec>, frames: u16, period_us: u64) -> (HashMap<u16, u32>, Deduplicator) {
     let schedule = |seed| {
         FaultSchedule::compile(&FaultPlan {
@@ -22,14 +23,15 @@ fn run(faults: Vec<FaultSpec>, frames: u16, period_us: u64) -> (HashMap<u16, u32
         .unwrap()
     };
     // Independent fault decisions per gateway link (different seeds).
-    let mut links = [FaultyLink::new(schedule(1)), FaultyLink::new(schedule(2))];
+    let links = [schedule(1), schedule(2)];
 
     // (arrival_us, sent_us order tiebreak, gw, fcnt)
     let mut events: Vec<(u64, u64, usize, u16)> = Vec::new();
     for fcnt in 0..frames {
         let sent_us = u64::from(fcnt) * period_us;
-        for (gw, link) in links.iter_mut().enumerate() {
-            for arrival_us in link.offer(sent_us) {
+        for (gw, link) in links.iter().enumerate() {
+            let fate = link.datagram_fate(u64::from(fcnt), sent_us);
+            for arrival_us in fate.arrivals(sent_us) {
                 events.push((arrival_us, sent_us, gw, fcnt));
             }
         }

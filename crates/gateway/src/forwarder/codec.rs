@@ -203,7 +203,7 @@ impl Datagram {
     const TX_ACK: u8 = 0x05;
 
     /// Serialize to wire bytes: the header, then the JSON body written
-    /// by [`write_push_json`] / [`write_pull_resp_json`], in one
+    /// by `write_push_json` / `write_pull_resp_json`, in one
     /// allocation of the final length.
     pub fn encode(&self) -> Vec<u8> {
         let mut json = Vec::new();

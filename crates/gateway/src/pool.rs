@@ -250,6 +250,50 @@ mod tests {
     }
 
     #[test]
+    fn observed_pool_events_report_occupancy_and_lockups() {
+        let mut p = DecoderPool::new(2);
+        p.set_locked(1);
+        let mut sink = obs::VecSink::new();
+        assert!(p.try_acquire_obs(10, 7, 3, 100, &mut sink));
+        assert!(!p.try_acquire_obs(11, 8, 3, 101, &mut sink));
+        p.release_obs(50, 7, 3, 100, &mut sink);
+        assert_eq!(
+            sink.events(),
+            [
+                ObsEvent::DecoderAcquired {
+                    t_us: 10,
+                    trace: 7,
+                    gw: 3,
+                    tx: 100,
+                    in_use: 1,
+                    capacity: 2,
+                },
+                ObsEvent::PoolFullDrop {
+                    t_us: 11,
+                    trace: 8,
+                    gw: 3,
+                    tx: 101,
+                    locked: 1,
+                },
+                ObsEvent::DecoderReleased {
+                    t_us: 50,
+                    trace: 7,
+                    gw: 3,
+                    tx: 100,
+                    in_use: 0,
+                },
+            ]
+        );
+        // The unobserved twin keeps the same books.
+        let mut q = DecoderPool::new(2);
+        q.set_locked(1);
+        assert!(q.try_acquire());
+        assert!(!q.try_acquire());
+        q.release();
+        assert_eq!(p.stats(), q.stats());
+    }
+
+    #[test]
     fn in_flight_receptions_survive_lockup() {
         let mut p = DecoderPool::new(2);
         assert!(p.try_acquire());

@@ -517,6 +517,78 @@ mod tests {
     }
 
     #[test]
+    fn would_detect_predicts_the_lock_on_verdict_without_counting() {
+        let mut probes = Vec::new();
+        for (i, (offset_hz, sf, snr_db)) in [
+            (0, SF7, 10.0),         // aligned, strong
+            (10_000, SF7, 10.0),    // slightly off, still inside the chain
+            (50_000, SF7, 10.0),    // 40% shift: outside every chain
+            (0, SF7, -20.0),        // below the SF7 floor
+            (0, SF12, -18.0),       // above the SF12 floor
+            (1_600_000, SF7, 10.0), // off the plan entirely
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut p = pkt(i as u64, 1, 0, i as u64);
+            p.channel = Channel::khz125(902_300_000 + offset_hz);
+            p.sf = sf;
+            p.snr_db = snr_db;
+            probes.push(p);
+        }
+        let mut g = gw(1);
+        let predicted: Vec<bool> = probes.iter().map(|p| g.would_detect(p)).collect();
+        assert_eq!(
+            g.stats(),
+            GatewayStats::default(),
+            "a prediction counts nothing"
+        );
+        assert_eq!(predicted, [true, true, false, false, true, false]);
+        for (p, want) in probes.into_iter().zip(predicted) {
+            assert_eq!(g.on_lock_on(p) != LockOnOutcome::NotDetected, want, "{p:?}");
+        }
+        assert_eq!(g.stats().not_detected, 3);
+    }
+
+    #[test]
+    fn the_detecting_chain_follows_the_configuration() {
+        let mut g = gw(1);
+        let on = Channel::khz125(902_500_000);
+        let near = Channel::khz125(902_510_000);
+        let off = Channel::khz125(902_550_000);
+        assert_eq!(g.rx_channel_for(&on), Some(on));
+        assert_eq!(
+            g.rx_channel_for(&near),
+            Some(on),
+            "the chain tolerates a small offset"
+        );
+        assert_eq!(g.rx_channel_for(&off), None);
+        assert!(g.listens_to(&near) && !g.listens_to(&off));
+        // Retune to the misaligned centre: the old one goes deaf.
+        let profile = GatewayProfile::rak7268cv2();
+        g.reconfigure(GatewayConfig::new(profile, vec![off]).unwrap());
+        assert_eq!(g.rx_channel_for(&off), Some(off));
+        assert!(!g.listens_to(&on));
+    }
+
+    #[test]
+    fn skipped_lock_ons_are_reconciled_in_bulk() {
+        // A caller that skips a gateway deaf to a channel books the
+        // skipped packets at once; the total matches visiting each.
+        let mut visited = gw(1);
+        let mut skipped = gw(1);
+        let mut deaf = pkt(0, 1, 0, 0);
+        deaf.channel = Channel::khz125(902_300_000 + 50_000);
+        for i in 0..5 {
+            deaf.tx_id = i;
+            assert_eq!(visited.on_lock_on(deaf), LockOnOutcome::NotDetected);
+        }
+        skipped.note_undetected(5);
+        assert_eq!(skipped.stats(), visited.stats());
+        assert_eq!(skipped.stats().not_detected, 5);
+    }
+
+    #[test]
     fn phy_failure_counts_decode_failed() {
         let mut g = gw(1);
         g.on_lock_on(pkt(0, 1, 0, 0));

@@ -1,10 +1,9 @@
 //! AES-128 block cipher, implemented from the FIPS-197 specification.
 //!
-//! LoRaWAN mostly needs AES-128 *encryption*: the MIC is AES-CMAC
-//! ([`crate::cmac`]) and payload confidentiality is a CTR-style
-//! construction. The *decrypt* direction is the FIPS-197 inverse
-//! cipher, which LoRaWAN uses only to produce an OTAA JoinAccept; this
-//! crate does not model OTAA join, so only the vector tests run it.
+//! LoRaWAN data frames need only AES-128 *encryption*: the MIC is
+//! AES-CMAC ([`crate::cmac`]) and payload confidentiality is a
+//! CTR-style construction. The inverse cipher serves only the OTAA
+//! JoinAccept, which this crate does not model, so it is not here.
 //!
 //! This is a straightforward table-free implementation (S-box lookup plus
 //! explicit MixColumns arithmetic); it favors auditability over raw
@@ -88,94 +87,6 @@ impl Aes128 {
         let mut out = *block;
         self.encrypt_block(&mut out);
         out
-    }
-
-    /// Decrypt one 16-byte block in place (the FIPS-197 inverse cipher).
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, &self.round_keys[0]);
-    }
-
-    /// Decrypt a copy of the block.
-    pub fn decrypt(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.decrypt_block(&mut out);
-        out
-    }
-}
-
-/// The inverse S-box, computed once from [`SBOX`].
-fn inv_sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
-
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    let inv = inv_sbox();
-    for b in state.iter_mut() {
-        *b = inv[*b as usize];
-    }
-}
-
-/// Inverse of [`shift_rows`]: rows shift right by their index.
-#[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    // Row 1: shift right by 1.
-    let t = state[13];
-    state[13] = state[9];
-    state[9] = state[5];
-    state[5] = state[1];
-    state[1] = t;
-    // Row 2: shift by 2 (self-inverse).
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift right by 3 (= left by 1).
-    let t = state[3];
-    state[3] = state[7];
-    state[7] = state[11];
-    state[11] = state[15];
-    state[15] = t;
-}
-
-/// GF(2^8) multiply by an arbitrary constant.
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let i = 4 * c;
-        let (a0, a1, a2, a3) = (state[i], state[i + 1], state[i + 2], state[i + 3]);
-        state[i] = gmul(a0, 0x0e) ^ gmul(a1, 0x0b) ^ gmul(a2, 0x0d) ^ gmul(a3, 0x09);
-        state[i + 1] = gmul(a0, 0x09) ^ gmul(a1, 0x0e) ^ gmul(a2, 0x0b) ^ gmul(a3, 0x0d);
-        state[i + 2] = gmul(a0, 0x0d) ^ gmul(a1, 0x09) ^ gmul(a2, 0x0e) ^ gmul(a3, 0x0b);
-        state[i + 3] = gmul(a0, 0x0b) ^ gmul(a1, 0x0d) ^ gmul(a2, 0x09) ^ gmul(a3, 0x0e);
     }
 }
 
@@ -280,36 +191,6 @@ mod tests {
         assert_eq!(xtime(0xae), 0x47);
     }
 
-    /// FIPS-197 Appendix C.1 inverse direction.
-    #[test]
-    fn decrypt_fips197_appendix_c1() {
-        let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let cipher = [
-            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-            0xc5, 0x5a,
-        ];
-        let plain: [u8; 16] = core::array::from_fn(|i| (i * 0x11) as u8);
-        assert_eq!(Aes128::new(&key).decrypt(&cipher), plain);
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt() {
-        let aes = Aes128::new(&[0x3C; 16]);
-        for seed in 0u8..16 {
-            let block: [u8; 16] =
-                core::array::from_fn(|i| seed.wrapping_mul(31).wrapping_add(i as u8));
-            assert_eq!(aes.decrypt(&aes.encrypt(&block)), block);
-            assert_eq!(aes.encrypt(&aes.decrypt(&block)), block);
-        }
-    }
-
-    #[test]
-    fn gmul_reference() {
-        // FIPS-197 §4.2.1 example: {57} · {13} = {fe}.
-        assert_eq!(gmul(0x57, 0x13), 0xfe);
-        assert_eq!(gmul(0x57, 0x01), 0x57);
-    }
-
     /// FIPS-197 Appendix A.1: the last round key (w40..w43) expanded
     /// from the Appendix B key.
     #[test]
@@ -339,13 +220,5 @@ mod tests {
                 0x2b, 0x2e,
             ]
         );
-    }
-
-    #[test]
-    fn inverse_sbox_inverts_the_sbox() {
-        let inv = inv_sbox();
-        for b in 0..=255u8 {
-            assert_eq!(inv[SBOX[b as usize] as usize], b, "{b:#04x}");
-        }
     }
 }

@@ -96,11 +96,6 @@ impl Airtime {
         self.preamble_us + self.payload_us
     }
 
-    /// Total on-air time in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_us() as f64 / 1e6
-    }
-
     /// Gateway lock-on instant (preamble end) of a transmission that
     /// starts at `start_us`. This is the packet's FCFS dispatch point
     /// and the `t_us` of its lock-on / decoder-acquire trace events.
@@ -152,6 +147,19 @@ mod tests {
         let a = PacketParams::lorawan_uplink(SF10, Khz125, 23).airtime();
         // Calculator: 370.688 ms total.
         assert_eq!(a.total_us(), 370_688);
+    }
+
+    #[test]
+    fn a_payload_shorter_than_one_block_takes_the_eight_symbol_floor() {
+        // Implicit header, no CRC, nothing to send: the Semtech
+        // numerator goes negative and only the 8 base symbols remain.
+        let mut p = PacketParams::lorawan_uplink(SF12, Khz125, 0);
+        p.explicit_header = false;
+        p.crc = false;
+        assert_eq!(p.payload_symbols(), 8);
+        // Each further block costs 4 + CR symbols (CR 4/5: five).
+        p.payload_len = 6;
+        assert_eq!(p.payload_symbols(), 8 + 5);
     }
 
     #[test]

@@ -191,6 +191,14 @@ mod tests {
     }
 
     #[test]
+    fn only_whole_channel_slots_count_toward_capacity() {
+        assert_eq!(channels_in_spectrum(199_999), 0);
+        assert_eq!(channels_in_spectrum(1_799_999), 8);
+        assert_eq!(oracle_capacity(1_799_999), 48);
+        assert_eq!(oracle_capacity(0), 0);
+    }
+
+    #[test]
     fn standard_grid_channels_disjoint() {
         let g = ChannelGrid::standard(916_800_000, 1_600_000);
         let chans = g.channels();

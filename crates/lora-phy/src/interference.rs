@@ -16,7 +16,6 @@
 //!    ones; Fig. 8 shows >80% PRR at ≤60% overlap even non-orthogonally.
 
 use crate::channel::{overlap_ratio, Channel};
-use crate::types::SpreadingFactor;
 
 /// Minimum power advantage (dB) for the capture effect: the stronger of
 /// two same-SF co-channel packets survives if it leads by at least this.
@@ -37,12 +36,6 @@ pub const CROSS_SF_REJECTION_DB: f64 = -25.0;
 /// ("<70% overlapping ratios give satisfactory reliability"): foreign
 /// packets at ≤70% overlap stay out of the pipeline.
 pub const DETECTION_OVERLAP_THRESHOLD: f64 = 0.75;
-
-/// Cross-SF rejection expressed as a function (kept for clarity at call
-/// sites and for future per-SF-pair tables).
-pub fn cross_sf_rejection_db(_victim: SpreadingFactor, _interferer: SpreadingFactor) -> f64 {
-    CROSS_SF_REJECTION_DB
-}
 
 /// Outcome of a same-channel, same-SF collision between two packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +111,6 @@ pub fn detects(rx_ch: &Channel, tx_ch: &Channel) -> bool {
 mod tests {
     use super::*;
     use crate::channel::Channel;
-    use crate::types::SpreadingFactor::*;
 
     fn ch(off: u32) -> Channel {
         Channel::khz125(920_000_000 + off)
@@ -263,10 +255,5 @@ mod tests {
         let p_intf = -117.03 + victim_snr + 10.0;
         let s = shift_db(&ch(0), &ch(50_000), false, p_intf);
         assert!(victim_snr - s >= -10.0, "shift {s} destroys the link");
-    }
-
-    #[test]
-    fn cross_sf_rejection_is_strongly_negative() {
-        assert!(cross_sf_rejection_db(SF7, SF12) <= -10.0);
     }
 }

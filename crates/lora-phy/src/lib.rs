@@ -29,7 +29,6 @@ pub mod airtime;
 pub mod antenna;
 pub mod channel;
 pub mod interference;
-pub mod modulation;
 pub mod pathloss;
 pub mod region;
 pub mod snr;
@@ -37,9 +36,8 @@ pub mod types;
 
 pub use airtime::{Airtime, PacketParams};
 pub use channel::{overlap_ratio, Channel, ChannelGrid};
-pub use interference::{capture_outcome, cross_sf_rejection_db, leakage_gain_db, CaptureOutcome};
-pub use modulation::{demodulate_symbol, modulate_symbol, Complex, Demod};
-pub use pathloss::{distance_for_max_dr, LinkBudget, PathLossModel, DISTANCE_RINGS};
+pub use interference::{capture_outcome, leakage_gain_db, CaptureOutcome};
+pub use pathloss::{PathLossModel, DISTANCE_RINGS};
 pub use region::{Region, StandardChannelPlan};
 pub use snr::{demod_snr_floor_db, noise_floor_dbm, sensitivity_dbm};
 pub use types::{Bandwidth, CodingRate, DataRate, SpreadingFactor, TxPowerDbm};

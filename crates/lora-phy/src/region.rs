@@ -62,7 +62,8 @@ impl Region {
 
     /// Whether the region statically fixes its channel grid (§B: "fixed
     /// channel plans") or lets operators define channels dynamically.
-    pub const fn fixed_channel_plan(self) -> bool {
+    #[cfg(test)]
+    const fn fixed_channel_plan(self) -> bool {
         matches!(self, Region::US915 | Region::AU915 | Region::CN470)
     }
 
@@ -70,7 +71,8 @@ impl Region {
     /// define one plan per 8-channel sub-band (Fig. 19); dynamic
     /// regions get one default 8-channel plan anchored at the band
     /// start (clipped to the authorized spectrum).
-    pub fn standard_plans(self) -> Vec<StandardChannelPlan> {
+    #[cfg(test)]
+    fn standard_plans(self) -> Vec<StandardChannelPlan> {
         if self.fixed_channel_plan() {
             let (lo, hi) = self.band_hz();
             // A sub-band covers eight 200 kHz slots; the last channel's
@@ -248,6 +250,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fixed_subbands_tile_the_grid_without_gaps() {
+        for region in [Region::US915, Region::AU915, Region::CN470] {
+            let (lo, _) = region.band_hz();
+            let plans: Vec<StandardChannelPlan> = (0..8)
+                .map(|p| StandardChannelPlan::fixed_subband(lo, p))
+                .collect();
+            assert_eq!(plans[0].channels[0].center_hz, lo, "{region:?}");
+            for (p, plan) in plans.iter().enumerate() {
+                assert_eq!(plan.index, p);
+                let centers: Vec<u32> = plan.channels.iter().map(|c| c.center_hz).collect();
+                assert!(
+                    centers.windows(2).all(|w| w[1] - w[0] == 200_000),
+                    "{region:?} #{p}"
+                );
+            }
+            for pair in plans.windows(2) {
+                let next = pair[1].channels[0].center_hz;
+                assert_eq!(next - pair[0].channels[7].center_hz, 200_000, "{region:?}");
+            }
+        }
+        assert_eq!(
+            StandardChannelPlan::us915_subband(3),
+            StandardChannelPlan::fixed_subband(902_300_000, 3)
+        );
     }
 
     #[test]

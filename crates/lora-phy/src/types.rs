@@ -158,19 +158,6 @@ impl DataRate {
         }
     }
 
-    /// Data rate for a spreading factor (inverse of
-    /// [`DataRate::spreading_factor`]).
-    pub fn from_spreading_factor(sf: SpreadingFactor) -> DataRate {
-        match sf {
-            SpreadingFactor::SF12 => DataRate::DR0,
-            SpreadingFactor::SF11 => DataRate::DR1,
-            SpreadingFactor::SF10 => DataRate::DR2,
-            SpreadingFactor::SF9 => DataRate::DR3,
-            SpreadingFactor::SF8 => DataRate::DR4,
-            SpreadingFactor::SF7 => DataRate::DR5,
-        }
-    }
-
     /// Uplink bandwidth for this data rate (125 kHz for DR0..=DR5).
     pub const fn bandwidth(self) -> Bandwidth {
         Bandwidth::Khz125
@@ -228,7 +215,7 @@ mod tests {
     #[test]
     fn dr_sf_bijection() {
         for dr in DataRate::ALL {
-            assert_eq!(DataRate::from_spreading_factor(dr.spreading_factor()), dr);
+            assert_eq!(dr.spreading_factor().value() as usize, 12 - dr.index());
             assert_eq!(DataRate::from_index(dr.index()), Some(dr));
         }
         assert_eq!(DataRate::from_index(6), None);

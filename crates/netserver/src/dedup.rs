@@ -143,7 +143,8 @@ impl Deduplicator {
     /// Best (SNR, gateway) seen for a frame, if a copy arrived within
     /// the live window. Aged records awaiting the next sweep are
     /// invisible here, matching eager-eviction semantics.
-    pub fn best_copy(&self, dev_addr: DevAddr, fcnt: u16) -> Option<(f64, usize)> {
+    #[cfg(test)]
+    pub(crate) fn best_copy(&self, dev_addr: DevAddr, fcnt: u16) -> Option<(f64, usize)> {
         self.seen
             .get(&(dev_addr, fcnt))
             .filter(|e| self.high_water_us.saturating_sub(e.0) <= self.window_us)
@@ -230,10 +231,6 @@ impl ShardedDeduplicator {
     pub fn offer_obs(&mut self, copy: UplinkCopy, sink: &mut dyn ObsSink) -> (usize, DedupOutcome) {
         let shard = shard_of(copy.dev_addr, self.shards.len());
         (shard, self.shards[shard].offer_obs(copy, sink))
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Frames resident across all shards.
@@ -448,6 +445,27 @@ mod tests {
         assert_eq!((s2, o2), (s1, DedupOutcome::Duplicate));
         assert_eq!(sd.stats().offered, 2);
         assert_eq!(sd.tracked(), 1);
+    }
+
+    #[test]
+    fn sharding_never_changes_a_verdict() {
+        // In time order, each shard's high-water mark is the global one
+        // for every copy it sees, so the split is invisible.
+        let mut one = Deduplicator::new(200_000);
+        let mut sharded = ShardedDeduplicator::new(3, 200_000);
+        let mut t = 0u64;
+        for i in 0..600u32 {
+            let dev = i % 11;
+            // Each frame comes three times, 11 copies apart: some inside
+            // the window (duplicates), some after it expired (new again).
+            let fcnt = (i / 33) as u16;
+            t += 7_919 * u64::from(i % 5);
+            let c = copy(dev, fcnt, (i % 4) as usize, f64::from(i % 9), t);
+            assert_eq!(sharded.offer(c).1, one.offer(c), "copy {i}");
+        }
+        assert_eq!(sharded.stats(), one.stats());
+        let st = one.stats();
+        assert!(st.new > 200 && st.duplicate > 0, "{st:?}");
     }
 
     #[test]

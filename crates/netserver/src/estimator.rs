@@ -72,19 +72,6 @@ impl TrafficEstimator {
         samples.truncate(k);
         samples
     }
-
-    /// Mean per-device rate across all windows (uplinks per window),
-    /// for devices that appeared at all.
-    pub fn mean_rates(&self) -> HashMap<DevAddr, f64> {
-        let mut sums: HashMap<DevAddr, u64> = HashMap::new();
-        for per in self.windows.values() {
-            for (&d, &c) in per {
-                *sums.entry(d).or_insert(0) += c;
-            }
-        }
-        let n = self.windows.len().max(1) as f64;
-        sums.into_iter().map(|(d, s)| (d, s as f64 / n)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -120,17 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_rates_across_windows() {
-        let mut e = TrafficEstimator::new(1_000);
-        e.record(DevAddr(1), 0); // window 0
-        e.record(DevAddr(1), 1_500); // window 1
-        e.record(DevAddr(2), 1_600); // window 1
-        let rates = e.mean_rates();
-        assert!((rates[&DevAddr(1)] - 1.0).abs() < 1e-12);
-        assert!((rates[&DevAddr(2)] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn ties_broken_by_window_id() {
         let mut e = TrafficEstimator::new(1_000);
         e.record(DevAddr(1), 5_000); // window 5
@@ -153,7 +129,6 @@ mod tests {
         let e = TrafficEstimator::new(1_000);
         assert_eq!(e.window_count(), 0);
         assert!(e.peak_samples(3).is_empty());
-        assert!(e.mean_rates().is_empty());
     }
 
     #[test]
@@ -189,17 +164,6 @@ mod tests {
             assert_eq!(s.demand(), s.per_device.values().sum::<u64>());
         }
         assert_eq!(first[0].demand(), 3);
-    }
-
-    #[test]
-    fn idle_windows_do_not_dilute_mean_rates() {
-        // Only windows with traffic count: two busy windows ten apart
-        // give a device with one uplink in each a rate of 1, not 2/11.
-        let mut e = TrafficEstimator::new(1_000);
-        e.record(DevAddr(1), 0);
-        e.record(DevAddr(1), 10_000);
-        assert_eq!(e.window_count(), 2);
-        assert!((e.mean_rates()[&DevAddr(1)] - 1.0).abs() < 1e-12);
     }
 
     #[test]

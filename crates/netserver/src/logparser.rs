@@ -33,13 +33,6 @@ pub struct LinkProfile {
 }
 
 impl LinkProfile {
-    /// Gateways that hear this device at all.
-    pub fn reachable_gateways(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.best_snr_per_gw.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// The single best gateway, if any.
     pub fn best_gateway(&self) -> Option<(usize, f64)> {
         self.best_snr_per_gw
@@ -49,23 +42,22 @@ impl LinkProfile {
     }
 }
 
-/// Parses operational logs into CP input.
+/// Parses operational logs into link profiles, the CP input's
+/// reachability half; [`crate::estimator::TrafficEstimator`] buckets
+/// the same logs into traffic windows.
 #[derive(Debug, Default)]
 pub struct LogParser {
     profiles: HashMap<DevAddr, LinkProfile>,
-    /// Per-device per-window uplink counts; window id = t / window_us.
-    window_us: u64,
-    window_counts: HashMap<u64, u64>,
 }
 
 impl LogParser {
-    /// Parser with the given traffic-window width.
+    /// Parser for a deployment whose traffic windows are `window_us`
+    /// wide (must be positive; the windows themselves are the
+    /// estimator's).
     pub fn new(window_us: u64) -> LogParser {
         assert!(window_us > 0);
         LogParser {
             profiles: HashMap::new(),
-            window_us,
-            window_counts: HashMap::new(),
         }
     }
 
@@ -80,10 +72,6 @@ impl LogParser {
             *e = log.snr_db;
         }
         p.uplinks += 1;
-        *self
-            .window_counts
-            .entry(log.timestamp_us / self.window_us)
-            .or_insert(0) += 1;
     }
 
     /// Link profile of a device.
@@ -97,33 +85,19 @@ impl LogParser {
         v.sort_unstable();
         v
     }
-
-    /// (window id, uplink count) pairs, sorted by window.
-    pub fn traffic_windows(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.window_counts.iter().map(|(&w, &c)| (w, c)).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Mean number of gateways that hear each device — the paper's
-    /// Fig. 6b metric ("each user connects to seven gateways on
-    /// average" without ADR).
-    pub fn mean_gateways_per_device(&self) -> f64 {
-        if self.profiles.is_empty() {
-            return 0.0;
-        }
-        self.profiles
-            .values()
-            .map(|p| p.best_snr_per_gw.len() as f64)
-            .sum::<f64>()
-            / self.profiles.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lora_phy::types::DataRate::*;
+
+    /// The gateways that hear a device, ascending.
+    fn reachable_gateways(prof: &LinkProfile) -> Vec<usize> {
+        let mut v: Vec<usize> = prof.best_snr_per_gw.keys().copied().collect();
+        v.sort_unstable();
+        v
+    }
 
     fn log(dev: u32, gw: usize, snr: f64, t: u64) -> UplinkLog {
         UplinkLog {
@@ -144,28 +118,9 @@ mod tests {
         p.ingest(&log(1, 1, -9.0, 30));
         let prof = p.profile(DevAddr(1)).unwrap();
         assert_eq!(prof.best_snr_per_gw[&0], -2.0);
-        assert_eq!(prof.reachable_gateways(), vec![0, 1]);
+        assert_eq!(reachable_gateways(prof), vec![0, 1]);
         assert_eq!(prof.best_gateway(), Some((0, -2.0)));
         assert_eq!(prof.uplinks, 3);
-    }
-
-    #[test]
-    fn traffic_windows_bucketized() {
-        let mut p = LogParser::new(1_000_000);
-        p.ingest(&log(1, 0, 0.0, 100));
-        p.ingest(&log(2, 0, 0.0, 999_999));
-        p.ingest(&log(3, 0, 0.0, 1_000_000));
-        let w = p.traffic_windows();
-        assert_eq!(w, vec![(0, 2), (1, 1)]);
-    }
-
-    #[test]
-    fn mean_gateways_per_device() {
-        let mut p = LogParser::new(1_000_000);
-        p.ingest(&log(1, 0, 0.0, 0));
-        p.ingest(&log(1, 1, 0.0, 0));
-        p.ingest(&log(2, 0, 0.0, 0));
-        assert!((p.mean_gateways_per_device() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -179,8 +134,7 @@ mod tests {
     #[test]
     fn empty_parser_safe() {
         let p = LogParser::new(1_000);
-        assert_eq!(p.mean_gateways_per_device(), 0.0);
-        assert!(p.traffic_windows().is_empty());
+        assert!(p.devices().is_empty());
         assert!(p.profile(DevAddr(1)).is_none());
     }
 
@@ -192,7 +146,7 @@ mod tests {
         p.ingest(&log(1, 4, -3.5, 30));
         let prof = p.profile(DevAddr(1)).unwrap();
         assert_eq!(prof.best_snr_per_gw[&4], -2.0);
-        assert_eq!(prof.reachable_gateways(), vec![4]);
+        assert_eq!(reachable_gateways(prof), vec![4]);
     }
 
     #[test]
@@ -217,9 +171,9 @@ mod tests {
         p.ingest(&log(1, 0, 1.0, 0));
         p.ingest(&log(2, 1, 2.0, 0));
         p.ingest(&log(2, 2, 3.0, 0));
-        assert_eq!(p.profile(DevAddr(1)).unwrap().reachable_gateways(), vec![0]);
+        assert_eq!(reachable_gateways(p.profile(DevAddr(1)).unwrap()), vec![0]);
         assert_eq!(
-            p.profile(DevAddr(2)).unwrap().reachable_gateways(),
+            reachable_gateways(p.profile(DevAddr(2)).unwrap()),
             vec![1, 2]
         );
         assert_eq!(p.profile(DevAddr(1)).unwrap().uplinks, 1);
@@ -227,19 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn windows_follow_the_configured_width_and_skip_idle_ones() {
-        let mut p = LogParser::new(250_000);
-        for t in [0, 249_999, 250_000, 750_000] {
-            p.ingest(&log(1, 0, 0.0, t));
-        }
-        // Window 2 saw nothing and is not listed.
-        assert_eq!(p.traffic_windows(), vec![(0, 2), (1, 1), (3, 1)]);
-    }
-
-    #[test]
     fn empty_profile_has_no_best_gateway() {
         let prof = LinkProfile::default();
-        assert!(prof.reachable_gateways().is_empty());
+        assert!(reachable_gateways(&prof).is_empty());
         assert_eq!(prof.best_gateway(), None);
     }
 

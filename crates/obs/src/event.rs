@@ -76,10 +76,6 @@ pub enum FaultKind {
     BackhaulDuplicate,
     /// Backhaul datagram reordering.
     BackhaulReorder,
-    /// Master control plane unreachable.
-    MasterPartition,
-    /// Master responses delayed.
-    MasterSlowResponse,
 }
 
 /// Where a Master-assigned channel plan came from (mirrors
@@ -344,8 +340,8 @@ pub enum ObsEvent {
     FaultActivated {
         /// Fault domain.
         kind: FaultKind,
-        /// Target gateway index, or −1 for faults without one
-        /// (backhaul/Master domains).
+        /// Target gateway index, or −1 for faults without one (the
+        /// backhaul domain).
         gw: i64,
         /// Window start, µs.
         start_us: u64,

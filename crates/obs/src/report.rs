@@ -160,13 +160,6 @@ impl RunReport {
         report
     }
 
-    /// Fold in an external metrics document (typically
-    /// `sim::metrics::RunMetrics`) by value, without `obs` learning its
-    /// schema.
-    pub fn set_run_metrics<T: Serialize>(&mut self, metrics: &T) {
-        self.run_metrics = Some(metrics.to_value());
-    }
-
     /// Serialize to a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("RunReport serialization is infallible")
@@ -260,7 +253,7 @@ mod tests {
         struct Fake {
             prr: f64,
         }
-        r.set_run_metrics(&Fake { prr: 0.93 });
+        r.run_metrics = Some(Fake { prr: 0.93 }.to_value());
         let s = r.to_json();
         let back: RunReport = serde_json::from_str(&s).unwrap();
         assert_eq!(back, r);

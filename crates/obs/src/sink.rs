@@ -75,11 +75,6 @@ impl VecSink {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Consume the sink, returning the event buffer.
-    pub fn into_events(self) -> Vec<ObsEvent> {
-        self.events
-    }
 }
 
 impl ObsSink for VecSink {
@@ -156,12 +151,6 @@ impl JsonlSink {
         }
     }
 
-    /// Whether the file has reached its final path (always true for
-    /// [`JsonlSink::create`] sinks).
-    pub fn is_sealed(&self) -> bool {
-        self.pending_rename.is_none()
-    }
-
     /// Lines written so far.
     pub fn written(&self) -> u64 {
         self.written
@@ -211,11 +200,6 @@ impl<S: ObsSink> SharedSink<S> {
     /// Run `f` with shared (read) access to the sink.
     pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
         f(&self.0.borrow())
-    }
-
-    /// Run `f` with exclusive access to the sink.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.0.borrow_mut())
     }
 }
 
@@ -268,7 +252,7 @@ mod tests {
             v.record(&ev(t));
         }
         assert_eq!(v.len(), 5);
-        let ts: Vec<u64> = v.into_events().iter().map(|e| e.t_us().unwrap()).collect();
+        let ts: Vec<u64> = v.events().iter().map(|e| e.t_us().unwrap()).collect();
         assert_eq!(ts, vec![0, 1, 2, 3, 4]);
     }
 
@@ -278,7 +262,7 @@ mod tests {
         let mut producer: SharedSink<VecSink> = shared.handle();
         producer.record(&ev(9));
         assert_eq!(shared.with(|v| v.len()), 1);
-        shared.with_mut(|v| v.record(&ev(10)));
+        shared.handle().record(&ev(10));
         assert_eq!(producer.with(|v| v.len()), 2);
     }
 
@@ -306,11 +290,9 @@ mod tests {
         let mut s = JsonlSink::create_atomic(&path).unwrap();
         s.record(&ev(1));
         s.flush();
-        assert!(!s.is_sealed());
         assert!(!path.exists(), "final path must not exist before seal");
         assert!(dir.join("events.jsonl.partial").exists());
         assert!(s.seal());
-        assert!(s.is_sealed());
         assert!(path.exists());
         assert!(!dir.join("events.jsonl.partial").exists());
         // Post-seal writes land in the renamed file (same inode).
@@ -452,7 +434,7 @@ mod tests {
         let path = dir.join("events.jsonl");
         for t in 0..2 {
             let mut s = JsonlSink::create(&path).unwrap();
-            assert!(s.is_sealed());
+            assert!(path.exists(), "a plain sink opens at its final path");
             s.record(&ev(t));
             assert!(s.seal(), "sealing a plain sink is a flush");
         }

@@ -1131,6 +1131,28 @@ mod tests {
         assert_ne!(control_trace(7, 1), c);
     }
 
+    #[test]
+    fn decoder_time_sums_closed_holds_across_gateways() {
+        let hold = |gw, start_us, end_us| DecoderHold {
+            gw,
+            start_us,
+            end_us,
+        };
+        let tl = PacketTimeline {
+            holds: vec![
+                hold(0, 100, Some(350)),
+                hold(3, 120, Some(400)),
+                // Cut off by the end of the stream: no span to count.
+                hold(5, 130, None),
+                // A release logged before its acquire counts as zero.
+                hold(6, 500, Some(450)),
+            ],
+            ..PacketTimeline::default()
+        };
+        assert_eq!(tl.decoder_us(), 250 + 280);
+        assert_eq!(PacketTimeline::default().decoder_us(), 0);
+    }
+
     fn lifecycle(trace: u64, tx: u64, net: u32, gw: u32, t0: u64, t1: u64) -> Vec<ObsEvent> {
         vec![
             ObsEvent::TxStart {

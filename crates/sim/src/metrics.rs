@@ -1,5 +1,5 @@
 //! Run metrics used throughout the paper's §5 — PRR, throughput, loss
-//! breakdowns — and [`LossFold`], the one place a lost packet is booked
+//! breakdowns — and `LossFold`, the one place a lost packet is booked
 //! to a Fig 4 cause.
 
 use crate::accum::Verdict;
@@ -777,6 +777,63 @@ mod tests {
             );
             assert_eq!(m.delivered_payload_bytes, s.delivered_payload_bytes);
         }
+    }
+
+    /// A summary of `delivered` delivered packets and `lost` packets
+    /// lost to `cause`, all of network `net`.
+    fn summary(net: u32, delivered: usize, lost: usize, cause: LossCause) -> RunSummary {
+        let mut s = RunSummary::default();
+        for i in 0..delivered + lost {
+            let ok = i < delivered;
+            s.note(net, 0, 10, 10, ok, (!ok).then_some(cause));
+        }
+        s
+    }
+
+    #[test]
+    fn pdr_gap_counts_a_network_seen_on_one_side_only() {
+        let mut a = summary(1, 4, 4, LossCause::Other);
+        let b = a.clone();
+        assert_eq!(a.pdr_gap(&b), 0.0);
+        // Network 2 delivers everything on one side and is absent on
+        // the other: the gap is its PDR against an empty fold.
+        a.merge(&summary(2, 8, 0, LossCause::Other));
+        assert_eq!(a.pdr_gap(&b), 1.0);
+        assert_eq!(b.pdr_gap(&a), 1.0);
+    }
+
+    #[test]
+    fn loss_tv_distance_is_half_the_outcome_l1() {
+        let delivered = summary(1, 4, 0, LossCause::Other);
+        let lost = summary(1, 0, 4, LossCause::DecoderContentionIntra);
+        let half = summary(1, 2, 2, LossCause::DecoderContentionIntra);
+        let other_cause = summary(1, 2, 2, LossCause::ChannelContentionInter);
+        assert_eq!(delivered.loss_tv_distance(&lost), 1.0);
+        assert_eq!(delivered.loss_tv_distance(&half), 0.5);
+        // Same PDR, different cause: only the cause mix moves.
+        assert_eq!(half.pdr_gap(&other_cause), 0.0);
+        assert_eq!(half.loss_tv_distance(&other_cause), 0.5);
+        assert_eq!(half.loss_tv_distance(&half), 0.0);
+    }
+
+    #[test]
+    fn the_equivalence_gate_names_every_violation() {
+        let a = summary(1, 8, 0, LossCause::Other);
+        assert_eq!(a.statistically_equivalent(&a.clone(), 0.0, 0.0), Ok(()));
+        let b = summary(1, 3, 1, LossCause::Other);
+        let err = a.statistically_equivalent(&b, 0.1, 0.1).unwrap_err();
+        for part in [
+            "sent diverged: 8 vs 4",
+            "PDR gap 0.250000",
+            "TV distance 0.250000",
+        ] {
+            assert!(err.contains(part), "{part} missing: {err}");
+        }
+        // Loose tolerances forgive the PDR and the mix, never the count.
+        let err = a.statistically_equivalent(&b, 1.0, 1.0).unwrap_err();
+        assert_eq!(err, "sent diverged: 8 vs 4");
+        let c = summary(1, 6, 2, LossCause::Other);
+        assert_eq!(a.statistically_equivalent(&c, 0.25, 0.25), Ok(()));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! than copied: the `Transmission` builder (`Transmission::from_plan`,
 //! `Transmission::at_gateway`), the run-start gateway identities
 //! (`SimWorld::emit_gateway_info`), the loss ladder
-//! ([`crate::metrics::LossFold`], over the crate's own `Seen` and
+//! (`crate::metrics::LossFold`, over the crate's own `Seen` and
 //! `Verdict`) and the outcome tail (`Transmission::emit_outcome`,
 //! `Transmission::record`). Each is a pure function of what the two
 //! loops still derive independently — each gateway's admission, the

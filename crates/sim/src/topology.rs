@@ -440,7 +440,8 @@ impl Topology {
 
     /// Gateways whose link to `node` closes at the *most robust* data
     /// rate (DR0) — the set that will contend for this node's packets.
-    pub fn gateways_in_range(&self, node: usize, tx: TxPowerDbm) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn gateways_in_range(&self, node: usize, tx: TxPowerDbm) -> Vec<usize> {
         (0..self.gateways.len())
             .filter(|&j| {
                 self.snr_db(node, j, tx)

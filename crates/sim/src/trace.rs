@@ -117,7 +117,8 @@ impl TracePool {
 
     /// Fraction of records whose best-gateway SNR falls inside
     /// `[lo, hi]` dB — for validating against the paper's window.
-    pub fn best_snr_within(&self, lo: f64, hi: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn best_snr_within(&self, lo: f64, hi: f64) -> f64 {
         if self.records.is_empty() {
             return 0.0;
         }

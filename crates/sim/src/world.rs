@@ -866,4 +866,83 @@ mod tests {
             assert_eq!(a.stats(), b.stats());
         }
     }
+
+    #[test]
+    fn cic_resolves_the_collision_standard_does_not() {
+        let ch = StandardChannelPlan::us915_subband(0).channels[0];
+        let plans: Vec<TxPlan> = [0, 1_000]
+            .into_iter()
+            .enumerate()
+            .map(|(node, start_us)| TxPlan {
+                node,
+                channel: ch,
+                dr: DataRate::DR5,
+                start_us,
+                payload_len: 10,
+            })
+            .collect();
+        for (cic, delivered) in [(false, 0), (true, 2)] {
+            let mut w = clean_world(2, &[1]);
+            w.topo.loss_db[0][0] = 80.0;
+            w.topo.loss_db[1][0] = 80.0;
+            w.cic = cic;
+            let recs = w.run(&plans);
+            assert_eq!(
+                recs.iter().filter(|r| r.delivered).count(),
+                delivered,
+                "cic {cic}"
+            );
+        }
+    }
+
+    #[test]
+    fn cic_still_bounded_by_decoders() {
+        // 20 collision-free users through a 16-decoder gateway: CIC
+        // cannot lift the decoder cap.
+        let mut w = clean_world(20, &[1]);
+        w.cic = true;
+        let plans = concurrent_burst(
+            &orthogonal_assignments(20),
+            10,
+            1_000_000,
+            2_000,
+            BurstScheme::FinalPreambleOrdered,
+        );
+        let recs = w.run(&plans);
+        assert_eq!(recs.iter().filter(|r| r.delivered).count(), 16);
+    }
+
+    #[test]
+    fn run_epoch_advances_on_every_run_observed_or_not() {
+        let plans = concurrent_burst(
+            &orthogonal_assignments(4),
+            10,
+            1_000_000,
+            2_000,
+            BurstScheme::FinalPreambleOrdered,
+        );
+        let mut w = clean_world(4, &[1]);
+        assert_eq!(w.run_epoch(), 0);
+        w.run(&plans);
+        assert_eq!(w.run_epoch(), 1, "an unobserved run still advances");
+        let shared = obs::SharedSink::new(obs::VecSink::new());
+        w.set_obs_sink(Box::new(shared.handle()));
+        w.run(&plans);
+        assert_eq!(w.run_epoch(), 2);
+        // The observed run minted its trace ids under the epoch it ran
+        // in, so attaching a sink late never reuses an earlier run's ids.
+        let minted: Vec<(u64, u64)> = shared.with(|v| {
+            v.events()
+                .iter()
+                .filter_map(|e| match *e {
+                    ObsEvent::TxStart { trace, tx, .. } => Some((trace, tx)),
+                    _ => None,
+                })
+                .collect()
+        });
+        assert_eq!(minted.len(), 4);
+        for (trace, tx) in minted {
+            assert_eq!(trace, obs::packet_trace(1, tx));
+        }
+    }
 }

@@ -719,6 +719,26 @@ mod tests {
     }
 
     #[test]
+    fn ingest_latency_holds_one_sample_per_drain() {
+        let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
+        let before = daemon.ingest_latency();
+        assert_eq!(before.total(), 0, "an idle daemon reads an empty histogram");
+        assert_eq!(before.bounds(), crate::runtime::INGEST_LATENCY_BOUNDS_US);
+        // Waiting for each ACK before the next send makes every
+        // datagram a drain of its own.
+        let socket = client();
+        for i in 0..3u32 {
+            socket.send_to(&push_data(i), daemon.addr()).expect("send");
+            recv_ack(&socket);
+        }
+        await_scrape(&daemon, "svc_pkts_total", 3);
+        let after = daemon.ingest_latency();
+        assert_eq!(after.total(), 3);
+        assert_eq!(after.bounds(), before.bounds());
+        daemon.shutdown();
+    }
+
+    #[test]
     fn tx_acks_are_counted_apart_from_datagrams() {
         let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
         let socket = client();
@@ -764,6 +784,8 @@ mod tests {
             "{\"ingest_latency_us\": {\"p50\": 0, \"p95\": 0, \"p99\": 0}, \"pkts\": 0}\n"
         );
         assert_eq!(get("/decisions"), "");
+        // Waiting for each ACK before the next send makes every
+        // datagram a drain of its own.
         let socket = client();
         for i in 0..3u32 {
             socket.send_to(&push_data(i), daemon.addr()).expect("send");

@@ -135,29 +135,6 @@ impl ServiceBench {
     }
 }
 
-/// Render one histogram in the Prometheus text exposition format —
-/// the same shape [`obs::Registry::render_prometheus`] emits, for
-/// histograms kept outside a registry (e.g. the load generator's
-/// client-side ACK RTT).
-pub fn render_histogram_prom(name: &str, h: &Histogram, out: &mut String) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cum = 0u64;
-    for (i, &c) in h.counts().iter().enumerate() {
-        cum += c;
-        match h.bounds().get(i) {
-            Some(b) => {
-                let _ = writeln!(out, "{name}_bucket{{le=\"{b}\"}} {cum}");
-            }
-            None => {
-                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
-            }
-        }
-    }
-    let _ = writeln!(out, "{name}_sum {}", h.sum());
-    let _ = writeln!(out, "{name}_count {}", h.total());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,18 +266,5 @@ mod tests {
         let q = LatencyQuantiles::of(&h);
         assert_eq!(q.p50, 10);
         assert_eq!(q.p99, 50);
-    }
-
-    #[test]
-    fn prom_rendering_matches_registry_shape() {
-        let mut h = Histogram::new(&[10]);
-        h.observe(5);
-        h.observe(50);
-        let mut out = String::new();
-        render_histogram_prom("x_us", &h, &mut out);
-        let mut reg = obs::Registry::new();
-        reg.observe("x_us", &[10], 5);
-        reg.observe("x_us", &[10], 50);
-        assert_eq!(out, reg.render_prometheus());
     }
 }

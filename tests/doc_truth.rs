@@ -20,10 +20,11 @@
 //! that leaves a doc naming the deleted item fails here.
 //!
 //! A third check holds every relative Markdown link in those docs and
-//! ROADMAP.md to a file in the repository. A fourth keeps the `sim`,
-//! `gateway`, `bench` and `chaos` crates' APIs honest: every `pub fn`
-//! in their `src` outside test code must be named by some non-test
-//! source besides its definition.
+//! ROADMAP.md to a file in the repository. A fourth keeps every
+//! crate's API honest: every `pub fn` in `crates/*/src` outside test
+//! code must be named by some non-test source besides its definition
+//! and its re-exports, or sit on one allow-list with one of two
+//! reasons.
 //! A fifth holds the golden set to the code: `results/*.csv` are
 //! exactly the tables the experiments `emit` minus the measured ones
 //! `report.rs` sends to `results/out/`, and EXPERIMENTS.md's catalogue
@@ -219,32 +220,72 @@ fn item_end(c: &[char], mut i: usize) -> usize {
     c.len()
 }
 
-/// Every non-test Rust source — `crates/*/src`, `benchmark/src`,
-/// `examples` and `src` — as (path, code) with comments and
-/// `#[cfg(test)]` items blanked.
-fn non_test_sources() -> Vec<(PathBuf, String)> {
-    let mut files = Vec::new();
-    let mut crates: Vec<PathBuf> = fs::read_dir(root().join("crates"))
+/// The workspace crates, as their directory names under `crates/`.
+fn workspace_crates() -> Vec<String> {
+    let mut crates: Vec<String> = fs::read_dir(root().join("crates"))
         .expect("crates/ readable")
         .map(|e| e.expect("crates/ entry").path())
+        .filter(|p| p.join("src").is_dir())
+        .map(|p| p.file_name().expect("named").to_string_lossy().into_owned())
         .collect();
     crates.sort();
-    for krate in crates {
-        if krate.join("src").is_dir() {
-            rust_files(&krate.join("src"), &mut files);
-        }
+    crates
+}
+
+/// Every non-test Rust source — `crates/*/src`, `benchmark/src`,
+/// `examples` and `src` — as (path, code) with comments and
+/// `#[cfg(test)]` items blanked. A module file declared under
+/// `#[cfg(test)]` (`#[cfg(test)] mod oracle;`) is test code and left out.
+fn non_test_sources() -> Vec<(PathBuf, String)> {
+    let mut files = Vec::new();
+    for krate in workspace_crates() {
+        rust_files(&root().join("crates").join(krate).join("src"), &mut files);
     }
     for dir in ["benchmark/src", "examples", "src"] {
         rust_files(&root().join(dir), &mut files);
     }
-    files
+    let code: Vec<(PathBuf, String)> = files
         .into_iter()
         .map(|f| {
             let src = fs::read_to_string(&f).unwrap_or_else(|e| panic!("{}: {e}", f.display()));
-            let code = without_test_items(&strip_comments(&src));
-            (f, code)
+            (f, strip_comments(&src))
         })
+        .collect();
+    let test_only: Vec<PathBuf> = code
+        .iter()
+        .flat_map(|(f, code)| test_only_modules(f, code))
+        .collect();
+    code.into_iter()
+        .filter(|(f, _)| !test_only.iter().any(|m| f.starts_with(m)))
+        .map(|(f, code)| (f, without_test_items(&code)))
         .collect()
+}
+
+/// The files and directories of the modules `file` declares under
+/// `#[cfg(test)]` with a `mod name;` (its `code` comment-free).
+fn test_only_modules(file: &Path, code: &str) -> Vec<PathBuf> {
+    let stem = file.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let dir = match stem {
+        "lib" | "main" | "mod" => file.parent().expect("in a dir").to_path_buf(),
+        _ => file.with_extension(""),
+    };
+    let mut modules = Vec::new();
+    for (at, m) in code.match_indices("#[cfg(test)]") {
+        let item = code[at + m.len()..].trim_start();
+        let item = item.strip_prefix("pub ").unwrap_or(item);
+        let Some(rest) = item.strip_prefix("mod ") else {
+            continue;
+        };
+        let name = words(rest).next().unwrap_or("");
+        if rest.trim_start()[name.len()..]
+            .trim_start()
+            .starts_with(';')
+        {
+            modules.push(dir.join(format!("{name}.rs")));
+            modules.push(dir.join(name));
+        }
+    }
+    modules
 }
 
 fn words(code: &str) -> impl Iterator<Item = &str> {
@@ -260,12 +301,49 @@ fn pub_fns(code: &str) -> Vec<&str> {
         .collect()
 }
 
+/// `code` with every re-export (`pub use …;`, `pub(crate) use …;`)
+/// blanked: naming a fn there is not calling it.
+fn without_reexports(code: &str) -> String {
+    let mut out = String::with_capacity(code.len());
+    let mut rest = code;
+    while let Some(at) = reexport_at(rest) {
+        out.push_str(&rest[..at]);
+        let end = rest[at..].find(';').map_or(rest.len(), |e| at + e + 1);
+        out.push(' ');
+        rest = &rest[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Where the first `pub use` or `pub(…) use` in `code` starts.
+fn reexport_at(code: &str) -> Option<usize> {
+    code.match_indices("pub")
+        .filter(|&(at, _)| {
+            at == 0 || !code[..at].ends_with(|ch: char| ch.is_alphanumeric() || ch == '_')
+        })
+        .find(|&(at, m)| {
+            let after = &code[at + m.len()..];
+            let after = match after.strip_prefix('(') {
+                Some(vis) => vis.find(')').map_or("", |close| &vis[close + 1..]),
+                None => after,
+            };
+            after.starts_with(" use ")
+        })
+        .map(|(at, _)| at)
+}
+
 /// The `pub fn`s of `crates/<krate>/src` whose every occurrence in
-/// non-test source is a definition (`fn name`), ascending.
+/// non-test source outside re-exports is a definition (`fn name`),
+/// ascending.
 fn uncalled_pub_fns(sources: &[(PathBuf, String)], krate: &str) -> Vec<String> {
     let mut uses: HashMap<&str, usize> = HashMap::new();
     let mut defs: HashMap<&str, usize> = HashMap::new();
-    for (_, code) in sources {
+    let live: Vec<(&PathBuf, String)> = sources
+        .iter()
+        .map(|(f, code)| (f, without_reexports(code)))
+        .collect();
+    for (_, code) in &live {
         let mut prev = "";
         for w in words(code) {
             *uses.entry(w).or_default() += 1;
@@ -276,7 +354,7 @@ fn uncalled_pub_fns(sources: &[(PathBuf, String)], krate: &str) -> Vec<String> {
         }
     }
     let src = root().join("crates").join(krate).join("src");
-    let mut uncalled: Vec<String> = sources
+    let mut uncalled: Vec<String> = live
         .iter()
         .filter(|(f, _)| f.starts_with(&src))
         .flat_map(|(_, code)| pub_fns(code))
@@ -286,27 +364,6 @@ fn uncalled_pub_fns(sources: &[(PathBuf, String)], krate: &str) -> Vec<String> {
     uncalled.sort();
     uncalled.dedup();
     uncalled
-}
-
-/// Fails unless the `pub fn`s of `crates/<krate>/src` that nothing
-/// outside tests names are exactly the `allowed` ones.
-fn assert_uncalled_pub_fns_are(krate: &str, allowed: &[(&str, &str)]) {
-    let uncalled = uncalled_pub_fns(&non_test_sources(), krate);
-    let unexpected: Vec<&String> = uncalled
-        .iter()
-        .filter(|f| allowed.iter().all(|(name, _)| name != f))
-        .collect();
-    assert!(
-        unexpected.is_empty(),
-        "{krate} `pub fn`s nothing outside tests names (delete them or give \
-         one a caller): {unexpected:?}"
-    );
-    for (name, why) in allowed {
-        assert!(
-            uncalled.iter().any(|f| f == name),
-            "{name} ({why}) now has a caller: drop it from the allow-list"
-        );
-    }
 }
 
 /// `text` with the lines of its fenced code blocks blanked.
@@ -649,45 +706,74 @@ fn results_hold_exactly_the_golden_tables() {
     }
 }
 
-#[test]
-fn every_sim_pub_fn_has_a_non_test_caller() {
-    // Kept without a non-test caller, one reason each.
-    let allowed = [
-        ("gateways_in_range", "tests check Fig 6's reach premise"),
-        ("best_snr_within", "tests check the paper's SNR window"),
-        ("take_obs_sink", "set_obs_sink's inverse, public API"),
-        (
-            "run_with_faults_reference",
-            "the executable spec the engine tests compare against",
-        ),
-        (
-            "statistically_equivalent",
-            "the scale gate's comparator in sim/tests/sim_scale.rs",
-        ),
-    ];
-    assert_uncalled_pub_fns_are("sim", &allowed);
-}
+/// Allow-list reason: ROADMAP item 9's downlink path, built and tested
+/// but not yet driven by a daemon.
+const DOWNLINK: &str = "ROADMAP item 9's downlink path";
+/// Allow-list reason: an integration test (a crate of its own) drives
+/// it, so `#[cfg(test)]` cannot reach it.
+const ACROSS: &str = "an integration test in another crate drives it";
+
+/// The `pub fn`s kept without a non-test caller: (crate, name, why),
+/// `why` one of the two reasons above.
+const UNCALLED_PUB_FNS: [(&str, &str, &str); 17] = [
+    // Plan the RX window, send the PULL_RESP, decide whether the
+    // device heard it, decode and apply the command.
+    ("netserver", "plan_downlink", DOWNLINK),
+    ("svc", "send_downlink", DOWNLINK),
+    ("sim", "evaluate_downlinks", DOWNLINK),
+    ("lora-mac", "decode_all_downlink", DOWNLINK),
+    ("lora-mac", "apply", DOWNLINK),
+    // Driven by svc/tests and tests/frame_pipeline.rs.
+    ("gateway", "pull", ACROSS),
+    ("gateway", "recv_downlink", ACROSS),
+    ("gateway", "set_ack_timeout", ACROSS),
+    ("lora-mac", "defaults", ACROSS),
+    ("lora-mac", "enabled_channels", ACROSS),
+    ("lora-mac", "next_fcnt", ACROSS),
+    // Driven by chaos/tests, sim/tests, tests/sim_equivalence.rs,
+    // tests/obs_determinism.rs and tests/trace_lifecycle.rs.
+    ("chaos", "arrivals", ACROSS),
+    ("sim", "collect_chunks", ACROSS),
+    ("sim", "statistically_equivalent", ACROSS),
+    ("sim", "run_with_faults_reference", ACROSS),
+    ("sim", "take_obs_sink", ACROSS),
+    ("obs", "is_control", ACROSS),
+];
 
 #[test]
-fn every_bench_pub_fn_has_a_non_test_caller() {
-    assert_uncalled_pub_fns_are("bench", &[]);
-}
-
-#[test]
-fn every_gateway_pub_fn_has_a_non_test_caller() {
-    // Kept without a non-test caller, one reason each.
-    let across = "svc/tests and tests/frame_pipeline.rs drive the forwarder across crates";
-    let allowed = [
-        ("pull", across),
-        ("recv_downlink", across),
-        ("set_ack_timeout", across),
-    ];
-    assert_uncalled_pub_fns_are("gateway", &allowed);
-}
-
-#[test]
-fn every_chaos_pub_fn_has_a_non_test_caller() {
-    assert_uncalled_pub_fns_are("chaos", &[]);
+fn every_pub_fn_has_a_non_test_caller() {
+    let sources = non_test_sources();
+    let crates = workspace_crates();
+    assert!(crates.len() >= 10, "only {} crates found", crates.len());
+    for &(krate, name, _) in &UNCALLED_PUB_FNS {
+        assert!(
+            crates.iter().any(|k| k == krate),
+            "{name}: no crate {krate}"
+        );
+    }
+    for krate in &crates {
+        let uncalled = uncalled_pub_fns(&sources, krate);
+        let allowed: Vec<(&str, &str)> = UNCALLED_PUB_FNS
+            .iter()
+            .filter(|&&(k, _, _)| k == krate)
+            .map(|&(_, name, why)| (name, why))
+            .collect();
+        let unexpected: Vec<&String> = uncalled
+            .iter()
+            .filter(|f| allowed.iter().all(|(name, _)| name != f))
+            .collect();
+        assert!(
+            unexpected.is_empty(),
+            "{krate} `pub fn`s nothing outside tests names (delete them or give \
+             one a caller): {unexpected:?}"
+        );
+        for (name, why) in allowed {
+            assert!(
+                uncalled.iter().any(|f| f == name),
+                "{name} ({why}) now has a caller: drop it from the allow-list"
+            );
+        }
+    }
 }
 
 /// The retired perf stack: its runner, its floor file and the command
@@ -804,6 +890,49 @@ fn test_items_are_blanked_and_pub_fns_found() {
         assert!(live.contains(kept), "{kept} lost: {live}");
     }
     assert_eq!(pub_fns(&live), ["kept", "after"]);
+}
+
+#[test]
+fn a_pub_fn_named_only_in_a_reexport_is_uncalled() {
+    let src = root().join("crates/demo/src");
+    let lib = "pub mod m;\npub use m::{called, reexported};\npub(crate) use m::{\n    inner,\n};\n";
+    let sources = vec![
+        (src.join("lib.rs"), lib.to_string()),
+        (
+            src.join("m.rs"),
+            "pub fn called() {}\npub fn reexported() {}\npub fn inner() {}\n".to_string(),
+        ),
+        (
+            root().join("examples/demo.rs"),
+            "fn main() { demo::called(); }\n".to_string(),
+        ),
+    ];
+    assert_eq!(without_reexports(lib), "pub mod m;\n \n \n");
+    assert_eq!(uncalled_pub_fns(&sources, "demo"), ["inner", "reexported"]);
+}
+
+#[test]
+fn modules_declared_under_cfg_test_are_test_code() {
+    let dir = root().join("crates/demo/src");
+    let lib = "#[cfg(test)]\nmod oracle;\n#[cfg(test)]\nmod tests {}\npub mod live;\n\
+               #[cfg(test)] pub mod fixtures;\n";
+    assert_eq!(
+        test_only_modules(&dir.join("lib.rs"), lib),
+        [
+            dir.join("oracle.rs"),
+            dir.join("oracle"),
+            dir.join("fixtures.rs"),
+            dir.join("fixtures"),
+        ]
+    );
+    assert_eq!(
+        test_only_modules(&dir.join("cp/ga.rs"), "#[cfg(test)]\nmod oracle;\n"),
+        [dir.join("cp/ga/oracle.rs"), dir.join("cp/ga/oracle")]
+    );
+    // The CP solver's exhaustive oracle is such a module.
+    let brute = root().join("crates/alphawan/src/cp/brute.rs");
+    assert!(brute.is_file());
+    assert!(non_test_sources().iter().all(|(f, _)| *f != brute));
 }
 
 #[test]

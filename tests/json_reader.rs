@@ -1,6 +1,7 @@
 //! The vendored `serde_json` reader on hostile and adversarial text:
-//! it never panics on a fault plan, reads back every string its writer
-//! wrote, and reads a long string in time linear in its length.
+//! it never panics on a fault plan, rejects a fault the plan format
+//! does not name, reads back every string its writer wrote, and reads
+//! a long string in time linear in its length.
 
 use alphawan_system::chaos::{FaultPlan, FaultSpec};
 use alphawan_system::gateway::forwarder::codec::{Datagram, GatewayEui, RxPacket};
@@ -54,6 +55,7 @@ const PLAN_ATOMS: &[&str] = &[
     "\"faults\"",
     "\"GatewayCrash\"",
     "\"BackhaulLoss\"",
+    "\"MasterPartition\"",
     "\"gateway\"",
     "\"start_us\"",
     "\"end_us\"",
@@ -120,6 +122,29 @@ proptest! {
 #[test]
 fn the_spliced_plan_fuzzer_starts_from_a_plan_that_reads() {
     assert_eq!(FaultPlan::from_json(&plan().to_json()).unwrap(), plan());
+}
+
+/// The Master's control-plane faults left the plan format with the TCP
+/// proxy that injected them. A plan naming one is an error (which
+/// `chaos_demo` reports as an invalid plan), whether the fault stands
+/// alone or among faults that still read.
+#[test]
+fn a_plan_naming_a_retired_master_fault_is_an_error() {
+    let valid = plan().to_json();
+    assert!(valid.starts_with(r#"{"seed":7,"faults":["#) && valid.ends_with("]}"));
+    for fault in [
+        r#"{"MasterPartition":{"start_us":10,"end_us":20}}"#,
+        r#"{"MasterSlowResponse":{"extra_us":500000,"start_us":0,"end_us":30}}"#,
+        r#"{"MasterPartition":{}}"#,
+        r#""MasterPartition""#,
+    ] {
+        let alone = format!(r#"{{"seed":1,"faults":[{fault}]}}"#);
+        let first = valid.replacen(r#""faults":["#, &format!(r#""faults":[{fault},"#), 1);
+        let last = format!("{},{fault}]}}", &valid[..valid.len() - 2]);
+        for text in [alone, first, last] {
+            assert!(FaultPlan::from_json(&text).is_err(), "read: {text}");
+        }
+    }
 }
 
 /// A reader that rescans the rest of its input for every plain

@@ -1,8 +1,8 @@
 //! Spectrum-sharing lifecycle over real TCP: operators come and go,
-//! leases expire, plans get recycled, and gateway agents apply the
-//! assignments — the full inter-network control plane.
+//! leases expire, plans get recycled, and gateways pass the
+//! assignments through hardware validation and go live on them — the
+//! full inter-network control plane.
 
-use alphawan_system::alphawan::agent::{ConfigAck, ConfigCommand, GatewayAgent};
 use alphawan_system::alphawan::master::server::MasterServer;
 use alphawan_system::alphawan::master::RegionSpec;
 use alphawan_system::alphawan::MasterClient;
@@ -20,7 +20,7 @@ fn region() -> RegionSpec {
 }
 
 #[test]
-fn master_plan_lands_on_a_gateway_via_the_agent() {
+fn master_plan_validates_and_lands_on_a_gateway() {
     let server = MasterServer::start(region()).unwrap();
     let mut client = MasterClient::connect(server.addr()).unwrap();
     let id = client.register("op-x").unwrap();
@@ -28,8 +28,9 @@ fn master_plan_lands_on_a_gateway_via_the_agent() {
     client.bye().unwrap();
     server.shutdown();
 
-    // The operator's gateway agent applies the Master-assigned plan
-    // (capped to one radio's chain budget).
+    // The operator's gateway validates the Master-assigned plan
+    // against its radio (capped to one radio's chain budget), then
+    // reconfigures onto it.
     let profile = GatewayProfile::rak7268cv2();
     let mut gw = Gateway::new(
         0,
@@ -37,18 +38,9 @@ fn master_plan_lands_on_a_gateway_via_the_agent() {
         profile,
         GatewayConfig::new(profile, StandardChannelPlan::us915_subband(0).channels).unwrap(),
     );
-    let mut agent = GatewayAgent::new();
     let channels = plan[..plan.len().min(8)].to_vec();
-    match agent.handle(
-        &mut gw,
-        &ConfigCommand {
-            sequence: 1,
-            channels: channels.clone(),
-        },
-    ) {
-        ConfigAck::Applied { sequence: 1, .. } => {}
-        other => panic!("{other:?}"),
-    }
+    let config = GatewayConfig::new(profile, channels.clone()).expect("plan fits one radio");
+    gw.reconfigure(config);
     assert_eq!(gw.config().channels(), &channels[..]);
 }
 
