@@ -186,72 +186,6 @@ impl Default for Deduplicator {
     }
 }
 
-/// Stable shard index for a DevAddr. [`ShardedDeduplicator`], which is
-/// what the `svc` daemon's ingest thread decides with, routes by this
-/// function, so a shard-merged daemon decision stream can be replayed
-/// against in-process shards and compared byte-for-byte.
-/// (splitmix64 finalizer: cheap, and diffuses the operator prefix
-/// bits of [`DevAddr::new`] so shards stay balanced.)
-pub fn shard_of(dev_addr: DevAddr, shards: usize) -> usize {
-    debug_assert!(shards > 0);
-    let mut x = dev_addr.0 as u64;
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    (x % shards as u64) as usize
-}
-
-/// N independent [`Deduplicator`]s addressed by [`shard_of`] — the
-/// state the `svc` daemon's ingest thread owns. Because
-/// every copy of a frame shares a DevAddr, sharding never splits a
-/// frame's copies, and per-shard decisions equal a single map's.
-#[derive(Debug)]
-pub struct ShardedDeduplicator {
-    shards: Vec<Deduplicator>,
-}
-
-impl ShardedDeduplicator {
-    pub fn new(shards: usize, window_us: u64) -> ShardedDeduplicator {
-        assert!(shards > 0, "need at least one shard");
-        ShardedDeduplicator {
-            shards: (0..shards).map(|_| Deduplicator::new(window_us)).collect(),
-        }
-    }
-
-    /// Route to the owning shard and offer; returns (shard, outcome).
-    pub fn offer(&mut self, copy: UplinkCopy) -> (usize, DedupOutcome) {
-        let shard = shard_of(copy.dev_addr, self.shards.len());
-        (shard, self.shards[shard].offer(copy))
-    }
-
-    /// [`ShardedDeduplicator::offer`] with observability: the owning
-    /// shard's [`Deduplicator::offer_obs`].
-    pub fn offer_obs(&mut self, copy: UplinkCopy, sink: &mut dyn ObsSink) -> (usize, DedupOutcome) {
-        let shard = shard_of(copy.dev_addr, self.shards.len());
-        (shard, self.shards[shard].offer_obs(copy, sink))
-    }
-
-    /// Frames resident across all shards.
-    pub fn tracked(&self) -> usize {
-        self.shards.iter().map(Deduplicator::tracked).sum()
-    }
-
-    /// Offer counters merged across shards.
-    pub fn stats(&self) -> DedupStats {
-        let mut total = DedupStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            total.offered += st.offered;
-            total.new += st.new;
-            total.duplicate += st.duplicate;
-            total.late += st.late;
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,56 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_routes_by_stable_hash() {
-        let mut sd = ShardedDeduplicator::new(4, 200_000);
-        let (s1, o1) = sd.offer(copy(7, 1, 0, 0.0, 0));
-        assert_eq!(o1, DedupOutcome::New);
-        assert_eq!(s1, shard_of(DevAddr(7), 4));
-        let (s2, o2) = sd.offer(copy(7, 1, 1, 2.0, 1_000));
-        assert_eq!((s2, o2), (s1, DedupOutcome::Duplicate));
-        assert_eq!(sd.stats().offered, 2);
-        assert_eq!(sd.tracked(), 1);
-    }
-
-    #[test]
-    fn sharding_never_changes_a_verdict() {
-        // In time order, each shard's high-water mark is the global one
-        // for every copy it sees, so the split is invisible.
-        let mut one = Deduplicator::new(200_000);
-        let mut sharded = ShardedDeduplicator::new(3, 200_000);
-        let mut t = 0u64;
-        for i in 0..600u32 {
-            let dev = i % 11;
-            // Each frame comes three times, 11 copies apart: some inside
-            // the window (duplicates), some after it expired (new again).
-            let fcnt = (i / 33) as u16;
-            t += 7_919 * u64::from(i % 5);
-            let c = copy(dev, fcnt, (i % 4) as usize, f64::from(i % 9), t);
-            assert_eq!(sharded.offer(c).1, one.offer(c), "copy {i}");
-        }
-        assert_eq!(sharded.stats(), one.stats());
-        let st = one.stats();
-        assert!(st.new > 200 && st.duplicate > 0, "{st:?}");
-    }
-
-    #[test]
-    fn shard_of_spreads_sequential_addresses() {
-        // DevAddr::new packs the operator in the high bits; sequential
-        // device indices under one operator must still spread.
-        let shards = 8;
-        let mut counts = vec![0usize; shards];
-        for idx in 0..4_000u32 {
-            counts[shard_of(DevAddr::new(3, idx), shards)] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(
-                c > 4_000 / shards / 2 && c < 4_000 / shards * 2,
-                "shard {s} holds {c} of 4000 — hash is not diffusing"
-            );
-        }
-    }
-
-    #[test]
     fn equal_snr_keeps_the_first_gateway() {
         let mut d = Deduplicator::default();
         d.offer(copy(1, 10, 3, 4.0, 0));
@@ -508,12 +392,6 @@ mod tests {
             DedupOutcome::New,
             "one µs past the window the FCnt is a new frame"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn sharded_needs_a_shard() {
-        ShardedDeduplicator::new(0, 200_000);
     }
 }
 
@@ -587,46 +465,23 @@ mod proptests {
             }
         }
 
-        /// Under in-order delivery (nondecreasing timestamps), sharding
-        /// by DevAddr never changes a decision relative to a single
-        /// map: copies of one frame always land on one shard, and with
-        /// in-order offers every shard's window anchor equals the
-        /// global one at each decision point. (Under *reordered*
-        /// delivery the anchor is shard-local by design, so the exact
-        /// contract becomes per-shard replay equivalence — what the
-        /// svc integration soak asserts.)
+        /// Replaying a deduplicator's offer log through a fresh one
+        /// reproduces its decisions exactly, with every SNR and trace id
+        /// zeroed: those pick the best copy but never decide a copy's
+        /// outcome. `netserverd` logs neither, and its divergence check
+        /// is this replay.
         #[test]
-        fn sharded_matches_single_map_in_order(
-            mut copies in proptest::collection::vec(arb_copy(), 0..200),
-            shards in 1usize..9,
-        ) {
-            copies.sort_by_key(|c| c.received_us);
-            let mut single = Deduplicator::new(200_000);
-            let mut sharded = ShardedDeduplicator::new(shards, 200_000);
-            for c in copies {
-                prop_assert_eq!(sharded.offer(c).1, single.offer(c));
-            }
-        }
-
-        /// Replaying any shard's own offer stream through a fresh
-        /// deduplicator reproduces its decisions exactly — the replay
-        /// contract the daemon's divergence check is built on.
-        #[test]
-        fn per_shard_replay_is_exact(
+        fn replaying_the_log_is_exact(
             copies in proptest::collection::vec(arb_copy(), 0..200),
-            shards in 1usize..9,
+            window in 1_000u64..500_000,
         ) {
-            let mut sharded = ShardedDeduplicator::new(shards, 200_000);
-            let mut logs: Vec<Vec<(UplinkCopy, DedupOutcome)>> = vec![Vec::new(); shards];
-            for c in copies {
-                let (s, o) = sharded.offer(c);
-                logs[s].push((c, o));
-            }
-            for log in logs {
-                let mut replay = Deduplicator::new(200_000);
-                for (c, o) in log {
-                    prop_assert_eq!(replay.offer(c), o);
-                }
+            let mut dedup = Deduplicator::new(window);
+            let log: Vec<(UplinkCopy, DedupOutcome)> =
+                copies.into_iter().map(|c| (c, dedup.offer(c))).collect();
+            let mut replay = Deduplicator::new(window);
+            for (c, o) in log {
+                let bare = UplinkCopy { snr_db: 0.0, trace: 0, ..c };
+                prop_assert_eq!(replay.offer(bare), o);
             }
         }
     }

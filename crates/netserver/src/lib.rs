@@ -21,7 +21,7 @@ pub mod downlink_plan;
 pub mod estimator;
 pub mod logparser;
 
-pub use dedup::{shard_of, Deduplicator, ShardedDeduplicator};
+pub use dedup::Deduplicator;
 pub use downlink_plan::{plan_downlink, DownlinkPlan, UplinkContext};
 pub use estimator::TrafficEstimator;
 pub use logparser::{LinkProfile, LogParser, UplinkLog};

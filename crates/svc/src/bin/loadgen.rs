@@ -4,28 +4,31 @@
 //! ```text
 //! loadgen --server ADDR [--master ADDR] [--metrics ADDR]
 //!         [--devices N] [--gateways N] [--replicas N] [--epochs N]
-//!         [--batch N] [--target-pps N] [--inflight N] [--seed N]
-//!         [--window-us N] [--chaos-loss P] [--mode NAME]
+//!         [--batch N] [--seed N] [--window-us N] [--chaos-loss P]
 //! ```
 //!
-//! With `--metrics`, the daemon's `/decisions` stream is scraped after
-//! the run and replayed in-process; any divergence is a non-zero exit.
-//! With `--chaos-loss`, an in-process [`chaos::ChaosUdpProxy`] with
-//! that datagram-loss probability is spliced in front of the server.
-//! Prints the versioned service report ([`svc::ServiceBench`]) to
-//! stdout.
+//! With `--metrics`, the daemon's dedup counters and its `/decisions`
+//! stream are scraped after the run and the stream is replayed
+//! in-process; any divergence exits 3. With `--chaos-loss`, an
+//! in-process [`chaos::ChaosUdpProxy`] with that datagram-loss
+//! probability is spliced in front of the server.
+//!
+//! Prints one line of `key=value` fields, as the daemons announce their
+//! ports: `sent_pkts`, `sent_datagrams`, `acks`, `plan_fetches` and
+//! `plan_cached`, then with `--metrics` `ingested_pkts` (decisions
+//! logged), `dedup_new`, `dedup_duplicate`, `dedup_late` and
+//! `divergence`.
 
 use chaos::{ChaosUdpProxy, FaultPlan, FaultSchedule, FaultSpec};
 use std::net::SocketAddr;
 use svc::runtime::parse_decisions;
-use svc::{http_get, LatencyQuantiles, LoadgenConfig, ServiceBench};
+use svc::{http_get, LoadgenConfig};
 
 struct Flags {
     cfg: LoadgenConfig,
     metrics: Option<SocketAddr>,
     window_us: u64,
     chaos_loss: Option<f64>,
-    mode: String,
 }
 
 fn parse_flags() -> Result<Flags, String> {
@@ -34,7 +37,6 @@ fn parse_flags() -> Result<Flags, String> {
         metrics: None,
         window_us: 2_000_000,
         chaos_loss: None,
-        mode: "smoke".to_string(),
     };
     let mut server = None;
     let mut args = std::env::args().skip(1);
@@ -49,12 +51,9 @@ fn parse_flags() -> Result<Flags, String> {
             "--replicas" => flags.cfg.replicas = parse(&value("--replicas")?)?,
             "--epochs" => flags.cfg.epochs = parse(&value("--epochs")?)?,
             "--batch" => flags.cfg.batch = parse(&value("--batch")?)?,
-            "--target-pps" => flags.cfg.target_pps = Some(parse(&value("--target-pps")?)?),
-            "--inflight" => flags.cfg.max_inflight_datagrams = parse(&value("--inflight")?)?,
             "--seed" => flags.cfg.seed = parse(&value("--seed")?)?,
             "--window-us" => flags.window_us = parse(&value("--window-us")?)?,
             "--chaos-loss" => flags.chaos_loss = Some(probability(&value("--chaos-loss")?)?),
-            "--mode" => flags.mode = value("--mode")?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -76,6 +75,49 @@ fn probability(s: &str) -> Result<f64, String> {
     }
 }
 
+/// A proxy in front of `server` that loses uplinks with `probability`.
+fn chaos_proxy(server: SocketAddr, seed: u64, probability: f64) -> Result<ChaosUdpProxy, String> {
+    let plan = FaultPlan {
+        seed,
+        faults: vec![FaultSpec::BackhaulLoss {
+            probability,
+            start_us: 0,
+            end_us: u64::MAX,
+        }],
+    };
+    let schedule = FaultSchedule::compile(&plan).map_err(|e| format!("loss plan: {e}"))?;
+    ChaosUdpProxy::start(server, schedule).map_err(|e| format!("chaos proxy: {e}"))
+}
+
+/// The `key=value` fields of what the daemon behind `metrics` decided:
+/// its dedup counters, and how many logged decisions an in-process
+/// replay of its `/decisions` stream decides otherwise.
+fn verify(metrics: SocketAddr, window_us: u64) -> Result<(String, u64), String> {
+    let text = http_get(metrics, "/metrics").map_err(|e| format!("{metrics}/metrics: {e}"))?;
+    let counter = |name: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+            .unwrap_or(0)
+    };
+    let stream =
+        http_get(metrics, "/decisions").map_err(|e| format!("{metrics}/decisions: {e}"))?;
+    let log = parse_decisions(&stream).ok_or(format!("{metrics}/decisions: malformed"))?;
+    let replayed = svc::replay_decisions(&log, window_us);
+    let mut divergence = log.iter().zip(&replayed).filter(|(a, b)| a != b).count() as u64;
+    // Byte-level check: the replay, rendered, is the stream scraped.
+    if svc::render_decisions(&replayed) != stream.as_bytes() {
+        divergence = divergence.max(1);
+    }
+    let fields = format!(
+        "ingested_pkts={} dedup_new={} dedup_duplicate={} dedup_late={} divergence={divergence}",
+        log.len(),
+        counter("dedup_new_total"),
+        counter("dedup_duplicate_total"),
+        counter("dedup_late_total"),
+    );
+    Ok((fields, divergence))
+}
+
 fn main() {
     let mut flags = match parse_flags() {
         Ok(f) => f,
@@ -86,20 +128,20 @@ fn main() {
     };
 
     // Optional chaos splice: loadgen → proxy → server.
-    let proxy = flags.chaos_loss.map(|probability| {
-        let plan = FaultPlan {
-            seed: flags.cfg.seed,
-            faults: vec![FaultSpec::BackhaulLoss {
-                probability,
-                start_us: 0,
-                end_us: u64::MAX,
-            }],
-        };
-        let schedule = FaultSchedule::compile(&plan).expect("valid loss plan");
-        let proxy = ChaosUdpProxy::start(flags.cfg.server, schedule).expect("start chaos proxy");
-        flags.cfg.server = proxy.addr();
-        proxy
-    });
+    let proxy = flags
+        .chaos_loss
+        .map(|p| chaos_proxy(flags.cfg.server, flags.cfg.seed, p))
+        .transpose();
+    let proxy = match proxy {
+        Ok(proxy) => proxy,
+        Err(e) => {
+            eprintln!("loadgen: {e}");
+            std::process::exit(1);
+        }
+    };
+    if let Some(p) = &proxy {
+        flags.cfg.server = p.addr();
+    }
 
     let report = match svc::loadgen::run(&flags.cfg, flags.window_us) {
         Ok(r) => r,
@@ -108,82 +150,28 @@ fn main() {
             std::process::exit(1);
         }
     };
-
-    // Out-of-process decision verification via the metrics endpoint.
-    let mut divergence = 0u64;
-    let mut ingested = 0u64;
-    let mut ingest_latency = LatencyQuantiles::default();
-    let mut dedup = (0u64, 0u64, 0u64);
+    let mut line = format!(
+        "sent_pkts={} sent_datagrams={} acks={} plan_fetches={} plan_cached={}",
+        report.sent_pkts,
+        report.sent_datagrams,
+        report.acks,
+        report.plan_fetches,
+        report.plan_cached
+    );
+    let mut divergence = 0;
     if let Some(metrics) = flags.metrics {
-        if let Ok(text) = http_get(metrics, "/metrics") {
-            let counter = |name: &str| {
-                text.lines()
-                    .find_map(|l| l.strip_prefix(name)?.trim().parse::<u64>().ok())
-                    .unwrap_or(0)
-            };
-            dedup = (
-                counter("dedup_new_total "),
-                counter("dedup_duplicate_total "),
-                counter("dedup_late_total "),
-            );
-        }
-        match http_get(metrics, "/decisions").ok().and_then(|t| {
-            let logs = parse_decisions(&t)?;
-            Some((t, logs))
-        }) {
-            Some((text, logs)) => {
-                ingested = logs.iter().map(|l| l.len() as u64).sum();
-                divergence = svc::replay_divergence(&logs, flags.window_us);
-                // Byte-level check: re-render the replayed stream and
-                // compare against the scraped bytes.
-                let replayed = svc::replay_decisions(&logs, flags.window_us);
-                if svc::render_decisions(&replayed) != text.as_bytes() {
-                    divergence = divergence.max(1);
-                }
+        match verify(metrics, flags.window_us) {
+            Ok((fields, diverged)) => {
+                line = format!("{line} {fields}");
+                divergence = diverged;
             }
-            None => {
-                eprintln!("loadgen: could not scrape/parse /decisions from {metrics}");
+            Err(e) => {
+                eprintln!("loadgen: {e}");
                 std::process::exit(1);
             }
         }
-        if let Ok(bench_json) = http_get(metrics, "/bench") {
-            // Best-effort quantile pickup from the daemon's own view.
-            if let Ok(v) = serde_json::from_str::<serde::Value>(&bench_json) {
-                if let Some(obj) = v.as_object() {
-                    if let Some(q) = serde::field(obj, "ingest_latency_us").as_object() {
-                        let grab = |k: &str| match serde::field(q, k) {
-                            serde::Value::U64(n) => *n,
-                            _ => 0,
-                        };
-                        ingest_latency = LatencyQuantiles {
-                            p50: grab("p50"),
-                            p95: grab("p95"),
-                            p99: grab("p99"),
-                        };
-                    }
-                }
-            }
-        }
     }
-
-    let bench = ServiceBench {
-        mode: flags.mode.clone(),
-        sustained_pps: ingested as f64 / report.elapsed.as_secs_f64().max(1e-9),
-        sent_pkts: report.sent_pkts,
-        ingested_pkts: ingested,
-        sent_datagrams: report.sent_datagrams,
-        acked_datagrams: report.acks,
-        ingest_latency_us: ingest_latency,
-        ack_rtt_us: LatencyQuantiles::of(&report.ack_rtt),
-        plan_serve_latency_us: LatencyQuantiles::of(&report.plan_latency),
-        plan_fetches: report.plan_fetches,
-        plan_cached: report.plan_cached,
-        dedup_new: dedup.0,
-        dedup_duplicate: dedup.1,
-        dedup_late: dedup.2,
-        decision_divergence: divergence,
-    };
-    print!("{}", bench.to_json());
+    println!("{line}");
 
     if let Some(p) = proxy {
         eprintln!(

@@ -7,6 +7,7 @@
 //!
 //! Prints `plan=<addr> metrics=<addr>` once both sockets are bound.
 
+use std::net::SocketAddr;
 use svc::{MasterConfig, MasterDaemon};
 
 fn parse_flags(cfg: &mut MasterConfig) -> Result<(), String> {
@@ -32,8 +33,8 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 
 fn main() {
     let mut cfg = MasterConfig {
-        bind: "127.0.0.1:1701".parse().expect("literal"),
-        metrics_bind: "127.0.0.1:9102".parse().expect("literal"),
+        bind: SocketAddr::from(([127, 0, 0, 1], 1701)),
+        metrics_bind: SocketAddr::from(([127, 0, 0, 1], 9102)),
         ..MasterConfig::default()
     };
     if let Err(e) = parse_flags(&mut cfg) {

@@ -1,13 +1,12 @@
 //! `netserverd` — run the UDP ingest daemon until killed.
 //!
 //! ```text
-//! netserverd [--bind ADDR] [--metrics ADDR] [--shards N]
-//!            [--window-us N] [--log-cap N]
+//! netserverd [--bind ADDR] [--metrics ADDR] [--window-us N] [--log-cap N]
 //! ```
 //!
-//! One thread receives, acknowledges and deduplicates; `--shards` is
-//! how many dedup windows and decision logs it keeps, not a thread
-//! count.
+//! One thread receives, acknowledges and deduplicates against one
+//! dedup window, and logs its decisions in one log of at most
+//! `--log-cap` entries.
 //!
 //! Prints `ingest=<addr> metrics=<addr>` once both sockets are bound,
 //! so launch scripts can scrape the ephemeral ports.
@@ -22,7 +21,6 @@ fn parse_flags(cfg: &mut NetServerConfig) -> Result<(), String> {
         match flag.as_str() {
             "--bind" => cfg.bind = parse(&value("--bind")?)?,
             "--metrics" => cfg.metrics_bind = parse(&value("--metrics")?)?,
-            "--shards" => cfg.shards = parse(&value("--shards")?)?,
             "--window-us" => cfg.dedup_window_us = parse(&value("--window-us")?)?,
             "--log-cap" => cfg.decision_log_cap = parse(&value("--log-cap")?)?,
             other => return Err(format!("unknown flag {other}")),
@@ -37,8 +35,8 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 
 fn main() {
     let mut cfg = NetServerConfig {
-        bind: "127.0.0.1:1700".parse::<SocketAddr>().expect("literal"),
-        metrics_bind: "127.0.0.1:9101".parse::<SocketAddr>().expect("literal"),
+        bind: SocketAddr::from(([127, 0, 0, 1], 1700)),
+        metrics_bind: SocketAddr::from(([127, 0, 0, 1], 9101)),
         ..NetServerConfig::default()
     };
     if let Err(e) = parse_flags(&mut cfg) {

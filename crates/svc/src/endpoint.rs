@@ -11,7 +11,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a client has to send its whole request line. One deadline
+/// for the line, not one per read: connections are served one at a
+/// time, so a client trickling a byte at a time must not hold the
+/// endpoint from everyone else for longer than this.
+const REQUEST_DEADLINE: Duration = Duration::from_millis(500);
 
 /// Resolves a request path to `(content-type, body)`; `None` → 404.
 pub type HttpHandler = Arc<dyn Fn(&str) -> Option<(&'static str, Vec<u8>)> + Send + Sync>;
@@ -79,11 +85,16 @@ impl Drop for HttpEndpoint {
 }
 
 fn serve_one(mut stream: TcpStream, handler: &HttpHandler) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     // Read until the request line is complete; ignore headers/body.
     let mut buf = Vec::with_capacity(256);
     let mut chunk = [0u8; 256];
     while !buf.windows(2).any(|w| w == b"\r\n") && buf.len() < 8_192 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -145,7 +156,8 @@ pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Ipv4Addr;
+    use proptest::prelude::*;
+    use std::net::{Ipv4Addr, Shutdown};
 
     fn endpoint() -> HttpEndpoint {
         let handler: HttpHandler = Arc::new(|path| match path {
@@ -183,5 +195,80 @@ mod tests {
         s.read_to_string(&mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.0 405"), "{raw}");
         ep.shutdown();
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_endpoint() {
+        let ep = endpoint();
+        let addr = ep.addr();
+        std::thread::scope(|scope| {
+            // A byte every 100 ms, each well inside a per-read timeout,
+            // and never a line end: accepted first, so served first.
+            let mut slow = TcpStream::connect(addr).unwrap();
+            slow.write_all(b"G").unwrap();
+            scope.spawn(move || {
+                let started = Instant::now();
+                while started.elapsed() < Duration::from_secs(4) {
+                    std::thread::sleep(Duration::from_millis(100));
+                    if slow.write_all(b"E").is_err() {
+                        break; // the endpoint hung up on us
+                    }
+                }
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            let asked = Instant::now();
+            assert_eq!(http_get(addr, "/healthz").unwrap(), "ok\n");
+            let waited = asked.elapsed();
+            assert!(
+                waited < Duration::from_secs(1),
+                "/healthz waited {waited:?}"
+            );
+        });
+        ep.shutdown();
+    }
+
+    /// What a client sending `request`, then closing its side, reads
+    /// back: the response, or nothing when the endpoint closed or reset
+    /// the connection instead.
+    fn exchange(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // The endpoint may answer and close before it reads all of it.
+        let _ = s.write_all(request);
+        let _ = s.shutdown(Shutdown::Write);
+        let mut response = Vec::new();
+        match s.read_to_end(&mut response) {
+            Ok(_) => response,
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => Vec::new(),
+            Err(e) => panic!("no answer and no close: {e}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any bytes a client sends get a 200, 404 or 405, or a closed
+        /// socket, and the endpoint goes on serving.
+        #[test]
+        fn any_request_gets_a_status_or_a_close(
+            head in 0usize..4,
+            body in proptest::collection::vec(any::<u8>(), 0..300),
+            tail in 0usize..3,
+        ) {
+            let head: &[u8] = [&b""[..], b"GET ", b"GET /healthz", b"POST /metrics HTTP/1.0"][head];
+            let tail: &[u8] = [&b""[..], b"\r\n", b"\r\n\r\n"][tail];
+            let ep = endpoint();
+            let response = exchange(ep.addr(), &[head, &body, tail].concat());
+            prop_assert!(
+                response.is_empty()
+                    || [&b"HTTP/1.0 200 "[..], b"HTTP/1.0 404 ", b"HTTP/1.0 405 "]
+                        .iter()
+                        .any(|status| response.starts_with(status)),
+                "{:?}",
+                String::from_utf8_lossy(&response)
+            );
+            prop_assert_eq!(http_get(ep.addr(), "/healthz").unwrap(), "ok\n");
+            ep.shutdown();
+        }
     }
 }

@@ -11,16 +11,17 @@
 //!   ([`runtime`]).
 //! * [`masterd`] — the TCP channel-plan daemon wrapping
 //!   [`alphawan::master::MasterServer`].
-//! * [`loadgen`] — a line-rate gateway-fleet load generator replaying
-//!   [`bench::scenario`] worlds against a live socket.
+//! * [`loadgen`] — a gateway-fleet load generator replaying
+//!   [`bench::scenario`] worlds against a live socket. It times
+//!   nothing: the repo benchmark is what measures speed.
 //!
 //! Everything is plain `std` threads and blocking sockets — no async
 //! runtime. The workloads here are a handful of long-lived
 //! connections plus one UDP firehose; thread-per-socket gives the same
 //! throughput as an executor without importing one, and keeps the
-//! failure mode (a blocked thread) observable with a debugger. Both daemons export Prometheus-format
-//! metrics over a plaintext TCP endpoint ([`endpoint`]); `loadgen`
-//! prints the versioned service report ([`report`]).
+//! failure mode (a blocked thread) observable with a debugger. Both
+//! daemons export Prometheus-format metrics over a plaintext TCP
+//! endpoint ([`endpoint`]).
 
 #![deny(missing_docs)]
 
@@ -29,12 +30,12 @@ pub mod loadgen;
 pub mod masterd;
 mod mmsg;
 pub mod netserverd;
-pub mod report;
 pub mod runtime;
 
 pub use endpoint::{http_get, HttpEndpoint, HttpHandler};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use masterd::{MasterConfig, MasterDaemon};
 pub use netserverd::{NetServerConfig, NetServerDaemon};
-pub use report::{LatencyQuantiles, ServiceBench, BENCH_SERVICE_SCHEMA_VERSION};
-pub use runtime::{render_decisions, replay_decisions, replay_divergence, Decision};
+pub use runtime::{
+    render_decisions, replay_decisions, replay_divergence, Decision, LatencyQuantiles,
+};

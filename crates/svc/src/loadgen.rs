@@ -1,30 +1,28 @@
-//! The line-rate gateway load generator.
+//! The gateway load generator.
 //!
 //! Replays a simulated gateway fleet against a live `netserverd`
 //! socket. The fleet comes from [`bench::scenario`]: a testbed world
 //! runs a coordinated schedule and every [`sim::world::PacketRecord`]'s
 //! `receiving_gateways` become real `PUSH_DATA` rxpks — one copy per
 //! receiving gateway, which is exactly the duplicate pattern the dedup
-//! shards exist for.
+//! window exists for.
 //!
-//! Reaching line rate on one core means the hot loop cannot touch
-//! JSON: every datagram is encoded **once** at setup, and each epoch
-//! (one replay of the fleet's schedule) re-sends the same bytes after
-//! patching, in place, the binary token (bytes 1..3) and every rxpk's
-//! `tmst` — kept at a fixed 10-ASCII-digit width by anchoring virtual
-//! time at [`TMST_BASE_US`], so the patch never resizes the buffer.
-//! FCnt values repeat across epochs; the epoch span exceeds the dedup
-//! window, so each repeat is correctly classified `New` (the same
-//! thing that happens when a real device's 16-bit FCnt wraps).
+//! The send loop does not touch JSON: every datagram is encoded
+//! **once** at setup, and each epoch (one replay of the fleet's
+//! schedule) re-sends the same bytes after patching, in place, the
+//! binary token (bytes 1..3) and every rxpk's `tmst` — kept at a fixed
+//! 10-ASCII-digit width by anchoring virtual time at [`TMST_BASE_US`],
+//! so the patch never resizes the buffer. FCnt values repeat across
+//! epochs; the epoch span exceeds the dedup window, so each repeat is
+//! correctly classified `New` (the same thing that happens when a real
+//! device's 16-bit FCnt wraps).
 //!
-//! Pacing is open-loop: a target rate is enforced against the wall
-//! clock without waiting for ACKs, so a slow server sheds load in its
-//! kernel socket buffer instead of slowing the generator. ACK RTT is
-//! measured on a sampled subset of datagrams by a separate receiver
-//! thread; the Master plan path is exercised concurrently through
-//! [`ResilientMasterClient`].
+//! One thread sends and reads the PUSH_ACKs, inside a window of eight
+//! unacknowledged datagrams (`WINDOW`); the Master plan path is
+//! exercised concurrently through [`ResilientMasterClient`]. Nothing
+//! here is timed beyond the send loop's wall clock: the repo benchmark
+//! is what measures speed.
 
-use crate::runtime::SERVE_LATENCY_BOUNDS_US;
 use alphawan::master::{BackoffPolicy, PlanSource, ResilientMasterClient};
 use bench::scenario::{
     coordinated_schedule, orthogonal_assignments, NetworkSpec, WorldBuilder, PAYLOAD_LEN,
@@ -33,12 +31,10 @@ use gateway::forwarder::codec::{Datagram, GatewayEui, RxPacket};
 use lora_mac::device::{DevAddr, SessionKeys};
 use lora_mac::frame::PhyPayload;
 use lora_phy::channel::ChannelGrid;
-use obs::Histogram;
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,8 +47,19 @@ const TMST_MAX_US: u64 = 9_999_999_999;
 /// Gateway EUIs are this base plus the fleet gateway index.
 pub const GATEWAY_EUI_BASE: u64 = 0x00AA_0000_0000_0000;
 
-/// ACK round-trip histogram bounds, µs.
-pub const ACK_RTT_BOUNDS_US: [u64; 8] = [100, 250, 500, 1_000, 2_500, 5_000, 25_000, 100_000];
+/// Flow-control window: the most PUSH_DATA datagrams in flight without
+/// a PUSH_ACK. UDP has no backpressure of its own — an unpaced sender
+/// overruns the receiver's kernel socket buffer and the kernel drops
+/// silently; bounding in-flight bytes below that buffer is what makes a
+/// lossless loopback soak possible. A window slot whose ACK never
+/// arrives (chaos loss) is given up after `STALL` (5 ms) rather than
+/// wedging the sender; should that ACK come after all, it frees
+/// nothing.
+const WINDOW: usize = 8;
+
+/// How long the sender waits on a full window before it gives up the
+/// oldest slot.
+const STALL: Duration = Duration::from_millis(5);
 
 /// Load-generator configuration. `Default` is sized for tests; the
 /// soak harness and the `loadgen` binary scale it up.
@@ -76,19 +83,6 @@ pub struct LoadgenConfig {
     pub batch: usize,
     /// Times to replay the fleet schedule.
     pub epochs: usize,
-    /// Open-loop send rate in packets/sec; `None` sends at line rate.
-    pub target_pps: Option<u64>,
-    /// Record ACK RTT for every Nth datagram.
-    pub rtt_sample_every: u64,
-    /// Flow-control window: max PUSH_DATA datagrams in flight without a
-    /// PUSH_ACK (`0` = unbounded). UDP has no backpressure of its own —
-    /// an unpaced sender overruns the receiver's kernel socket buffer
-    /// and the kernel drops silently; bounding in-flight bytes below
-    /// that buffer is what makes a lossless loopback soak possible. A
-    /// window slot whose ACK never arrives (chaos loss) is given up
-    /// after a short stall rather than wedging the sender; should that
-    /// ACK come after all, it frees nothing.
-    pub max_inflight_datagrams: u64,
 }
 
 impl Default for LoadgenConfig {
@@ -102,14 +96,11 @@ impl Default for LoadgenConfig {
             seed: 7,
             batch: 64,
             epochs: 4,
-            target_pps: None,
-            rtt_sample_every: 16,
-            max_inflight_datagrams: 8,
         }
     }
 }
 
-/// What one run sent and observed (client side; daemon-side ingest
+/// What one run sent and got back (client side; daemon-side ingest
 /// counts come from the daemon's own metrics).
 #[derive(Debug)]
 pub struct LoadgenReport {
@@ -122,19 +113,13 @@ pub struct LoadgenReport {
     pub epochs_run: usize,
     /// Wall-clock duration of the send loop.
     pub elapsed: Duration,
-    /// Client-side send rate, pkts/sec.
-    pub offered_pps: f64,
     /// PUSH_ACKs received back, except those that came after their
     /// window slot was given up.
     pub acks: u64,
-    /// Round-trip latency of sampled PUSH_DATA→ACK pairs, µs.
-    pub ack_rtt: Histogram,
     /// Plan requests that went to the Master daemon.
     pub plan_fetches: u64,
     /// Plan requests answered from the client-side cache.
     pub plan_cached: u64,
-    /// Latency of Master plan fetches, µs.
-    pub plan_latency: Histogram,
 }
 
 /// One pre-encoded PUSH_DATA with its patch table.
@@ -272,7 +257,7 @@ pub fn build_fleet(cfg: &LoadgenConfig, min_window_us: u64) -> io::Result<FleetS
                 rxpk,
             }
             .encode();
-            let tmst = find_tmst_patches(&wire);
+            let tmst = find_tmst_patches(&wire)?;
             assert_eq!(tmst.len(), chunk.len(), "one tmst field per rxpk");
             datagrams.push(EncodedDatagram {
                 wire,
@@ -293,7 +278,7 @@ pub fn build_fleet(cfg: &LoadgenConfig, min_window_us: u64) -> io::Result<FleetS
 }
 
 /// Locate every `"tmst":<10 digits>` value in an encoded PUSH_DATA.
-fn find_tmst_patches(wire: &[u8]) -> Vec<(usize, u64)> {
+fn find_tmst_patches(wire: &[u8]) -> io::Result<Vec<(usize, u64)>> {
     const KEY: &[u8] = b"\"tmst\":";
     let mut out = Vec::new();
     let mut i = 0;
@@ -304,27 +289,22 @@ fn find_tmst_patches(wire: &[u8]) -> Vec<(usize, u64)> {
             while end < wire.len() && wire[end].is_ascii_digit() {
                 end += 1;
             }
-            let v: u64 = std::str::from_utf8(&wire[start..end])
+            let v = std::str::from_utf8(&wire[start..end])
                 .ok()
                 .and_then(|s| s.parse().ok())
-                .expect("tmst digits");
-            assert_eq!(end - start, 10, "tmst must be 10 digits for patching");
+                .filter(|_| end - start == 10)
+                .ok_or_else(|| io::Error::other("tmst must be 10 digits for patching"))?;
             out.push((start, v));
             i = end;
         } else {
             i += 1;
         }
     }
-    out
+    Ok(out)
 }
 
-/// How long the sender waits on a full window before it gives up the
-/// oldest slot.
-const STALL: Duration = Duration::from_millis(5);
-
-/// The ACK window the sender and the ACK thread share: the tokens of
-/// datagrams waiting for their PUSH_ACK, oldest first, and those whose
-/// slot the sender gave up.
+/// The ACK window: the tokens of datagrams waiting for their PUSH_ACK,
+/// oldest first, and those whose slot the sender gave up.
 #[derive(Default)]
 struct AckWindow {
     waiting: VecDeque<u16>,
@@ -357,6 +337,32 @@ impl AckWindow {
         }
         true
     }
+
+    /// Read PUSH_ACKs from `socket`, whose read timeout is `STALL`,
+    /// until fewer than `limit` datagrams wait for one, giving up the
+    /// oldest slot whenever `STALL` passes with none freed. Returns the
+    /// ACKs that counted.
+    fn wait_below(&mut self, socket: &UdpSocket, limit: usize) -> u64 {
+        let mut counted = 0;
+        let mut buf = [0u8; 64];
+        let mut stall = Instant::now();
+        while self.waiting.len() >= limit {
+            // A timeout, a stray datagram or a reported ICMP error frees
+            // nothing; only the stall clock moves on.
+            if let Ok(4..) = socket.recv(&mut buf) {
+                if buf[3] == 0x01 && self.ack(u16::from_be_bytes([buf[1], buf[2]])) {
+                    counted += 1;
+                    stall = Instant::now();
+                    continue;
+                }
+            }
+            if stall.elapsed() >= STALL {
+                self.give_up_oldest();
+                stall = Instant::now();
+            }
+        }
+        counted
+    }
 }
 
 fn patch_tmst(wire: &mut [u8], at: usize, value: u64) {
@@ -374,160 +380,83 @@ pub fn run(cfg: &LoadgenConfig, server_window_us: u64) -> io::Result<LoadgenRepo
     run_stream(cfg, fleet)
 }
 
+/// Fetch channel plans from the Master at `addr` every 20 ms, once at
+/// least, until `stop`: the control plane heartbeats while the data
+/// plane is under load. Returns (fetches, answered from cache).
+fn fetch_plans(addr: SocketAddr, stop: &AtomicBool) -> (u64, u64) {
+    let mut client = ResilientMasterClient::new(addr, "loadgen-op", BackoffPolicy::default());
+    let (mut fetches, mut cached) = (0, 0);
+    loop {
+        if let Ok((_, source)) = client.channel_plan() {
+            fetches += 1;
+            cached += u64::from(source == PlanSource::Cached);
+        }
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    client.shutdown();
+    (fetches, cached)
+}
+
 /// Run with a pre-built fleet stream (lets a harness reuse the
 /// expensive simulation across runs).
 pub fn run_stream(cfg: &LoadgenConfig, mut fleet: FleetStream) -> io::Result<LoadgenReport> {
     let epochs = cfg.epochs.min(fleet.max_epochs());
     let socket = UdpSocket::bind(("127.0.0.1", 0))?;
     socket.connect(cfg.server)?;
+    socket.set_read_timeout(Some(STALL))?;
 
-    // ACK receiver: frees window slots, counts PUSH_ACKs and resolves
-    // sampled RTTs.
     let stop = Arc::new(AtomicBool::new(false));
-    let acks = Arc::new(AtomicU64::new(0));
-    let ack_window = Arc::new(Mutex::new(AckWindow::default()));
-    let pending: Arc<Mutex<HashMap<u16, Instant>>> = Arc::new(Mutex::new(HashMap::new()));
-    let rtt: Arc<Mutex<Histogram>> = Arc::new(Mutex::new(Histogram::new(&ACK_RTT_BOUNDS_US)));
-    let ack_thread = {
-        let socket = socket.try_clone()?;
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-        let stop = Arc::clone(&stop);
-        let acks = Arc::clone(&acks);
-        let ack_window = Arc::clone(&ack_window);
-        let pending = Arc::clone(&pending);
-        let rtt = Arc::clone(&rtt);
-        std::thread::Builder::new()
-            .name("loadgen-acks".into())
-            .spawn(move || {
-                let mut buf = [0u8; 1_024];
-                while !stop.load(Ordering::SeqCst) {
-                    match socket.recv(&mut buf) {
-                        Ok(len) if len >= 4 && buf[3] == 0x01 => {
-                            let token = u16::from_be_bytes([buf[1], buf[2]]);
-                            if ack_window.lock().ack(token) {
-                                acks.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if let Some(t0) = pending.lock().remove(&token) {
-                                rtt.lock().observe(t0.elapsed().as_micros() as u64);
-                            }
-                        }
-                        Ok(_) => {}
-                        Err(_) => {}
-                    }
-                }
-            })?
-    };
+    let plans = cfg
+        .master
+        .map(|addr| {
+            let stop = Arc::clone(&stop);
+            std::thread::Builder::new()
+                .name("loadgen-plans".into())
+                .spawn(move || fetch_plans(addr, &stop))
+        })
+        .transpose()?;
 
-    // Master plan fetcher: heartbeats the control plane while the data
-    // plane is under load.
-    let plan_latency = Arc::new(Mutex::new(Histogram::new(&SERVE_LATENCY_BOUNDS_US)));
-    let plan_counts = Arc::new(Mutex::new((0u64, 0u64))); // (fetches, cached)
-    let plan_thread = cfg.master.map(|addr| {
-        let stop = Arc::clone(&stop);
-        let latency = Arc::clone(&plan_latency);
-        let counts = Arc::clone(&plan_counts);
-        std::thread::Builder::new()
-            .name("loadgen-plans".into())
-            .spawn(move || {
-                let mut client =
-                    ResilientMasterClient::new(addr, "loadgen-op", BackoffPolicy::default());
-                while !stop.load(Ordering::SeqCst) {
-                    let t0 = Instant::now();
-                    if let Ok((_, source)) = client.channel_plan() {
-                        latency.lock().observe(t0.elapsed().as_micros() as u64);
-                        let mut c = counts.lock();
-                        c.0 += 1;
-                        if source == PlanSource::Cached {
-                            c.1 += 1;
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                client.shutdown();
-            })
-            .expect("spawn plan thread")
-    });
-
-    // The hot loop: patch + send, ack-windowed, open-loop paced.
+    // The send loop: patch and send, inside the ACK window.
     let started = Instant::now();
-    let mut sent_pkts = 0u64;
-    let mut sent_datagrams = 0u64;
-    let window = cfg.max_inflight_datagrams;
+    let mut window = AckWindow::default();
+    let (mut sent_pkts, mut sent_datagrams, mut acks) = (0u64, 0u64, 0u64);
     for epoch in 0..epochs {
         let shift = epoch as u64 * fleet.epoch_span_us;
         for d in fleet.datagrams.iter_mut() {
+            acks += window.wait_below(&socket, WINDOW);
             let token = (sent_datagrams & 0xFFFF) as u16;
-            if window > 0 {
-                // A slot whose ACK does not come within `STALL` is given
-                // up, so a chaos-dropped datagram costs one bounded
-                // stall instead of a deadlock.
-                let stall = Instant::now();
-                loop {
-                    let mut w = ack_window.lock();
-                    if (w.waiting.len() as u64) < window {
-                        w.hold(token);
-                        break;
-                    }
-                    if stall.elapsed() > STALL {
-                        w.give_up_oldest();
-                        w.hold(token);
-                        break;
-                    }
-                    drop(w);
-                    std::thread::yield_now();
-                }
-            }
+            window.hold(token);
             d.wire[1..3].copy_from_slice(&token.to_be_bytes());
             for &(at, base) in &d.tmst {
                 patch_tmst(&mut d.wire, at, base + shift);
             }
-            if sent_datagrams.is_multiple_of(cfg.rtt_sample_every.max(1)) {
-                pending.lock().insert(token, Instant::now());
-            }
             socket.send(&d.wire)?;
             sent_datagrams += 1;
             sent_pkts += d.pkts as u64;
-            if let Some(pps) = cfg.target_pps {
-                let due_us = sent_pkts.saturating_mul(1_000_000) / pps.max(1);
-                loop {
-                    let elapsed_us = started.elapsed().as_micros() as u64;
-                    if elapsed_us >= due_us {
-                        break;
-                    }
-                    let lag = due_us - elapsed_us;
-                    if lag > 2_000 {
-                        std::thread::sleep(Duration::from_micros(lag - 1_000));
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
         }
     }
     let elapsed = started.elapsed();
+    // The ACKs of the last window.
+    acks += window.wait_below(&socket, 1);
 
-    // Give stragglers a moment, then stop the helpers.
-    std::thread::sleep(Duration::from_millis(50));
     stop.store(true, Ordering::SeqCst);
-    let _ = ack_thread.join();
-    if let Some(t) = plan_thread {
-        let _ = t.join();
-    }
-
-    let (plan_fetches, plan_cached) = *plan_counts.lock();
-    let ack_rtt = rtt.lock().clone();
-    let plan_latency_snapshot = plan_latency.lock().clone();
+    let (plan_fetches, plan_cached) = match plans {
+        Some(thread) => thread
+            .join()
+            .map_err(|_| io::Error::other("plan fetcher panicked"))?,
+        None => (0, 0),
+    };
     Ok(LoadgenReport {
         sent_datagrams,
         sent_pkts,
         epochs_run: epochs,
         elapsed,
-        offered_pps: sent_pkts as f64 / elapsed.as_secs_f64().max(1e-9),
-        acks: acks.load(Ordering::Relaxed),
-        ack_rtt,
+        acks,
         plan_fetches,
         plan_cached,
-        plan_latency: plan_latency_snapshot,
     })
 }
 
@@ -662,10 +591,58 @@ mod tests {
         let most = daemon.join().expect("daemon thread");
         assert!(report.sent_datagrams >= 1_000, "{report:?}");
         // The window, and the slots given up whose ACK is still to come.
-        let window = load.max_inflight_datagrams as usize;
         assert!(
-            most <= 2 * window,
-            "{most} datagrams unacknowledged at once with a window of {window}"
+            most <= 2 * WINDOW,
+            "{most} datagrams unacknowledged at once with a window of {WINDOW}"
+        );
+    }
+
+    #[test]
+    fn a_slot_is_freed_once_and_a_given_up_token_retires_on_its_ack() {
+        let mut w = AckWindow::default();
+        for token in [1, 2, 3] {
+            w.hold(token);
+        }
+        w.give_up_oldest();
+        assert_eq!(w.waiting, [2, 3]);
+        assert!(
+            !w.ack(1),
+            "an ACK after its slot was given up does not count"
+        );
+        assert!(w.given_up.is_empty(), "it retires the token");
+        assert!(w.ack(3));
+        assert_eq!(w.waiting, [2]);
+        // Token 2 is given up, then comes round the 16-bit space again:
+        // its next ACK answers the new datagram and counts.
+        w.give_up_oldest();
+        w.hold(2);
+        assert!(w.given_up.is_empty());
+        assert!(w.ack(2));
+        assert!(w.waiting.is_empty());
+    }
+
+    #[test]
+    fn a_silent_server_costs_one_stall_a_datagram_past_the_window() {
+        // Bound and never read: no ACK, and no ICMP error either.
+        let silent = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        let load = LoadgenConfig {
+            server: silent.local_addr().expect("addr"),
+            batch: 4,
+            epochs: 1,
+            ..cfg()
+        };
+        let started = Instant::now();
+        let report = run(&load, 1_000_000).expect("runs");
+        let took = started.elapsed();
+        let sent = report.sent_datagrams as u32;
+        assert!(sent as usize > WINDOW, "{report:?}");
+        assert_eq!(report.acks, 0);
+        // Every datagram's slot is given up after one stall: those past
+        // the window while sending, the last window's at the end.
+        assert!(took >= STALL * sent, "{took:?} for {sent} datagrams");
+        assert!(
+            took < STALL * sent * 20 + Duration::from_secs(5),
+            "{took:?}"
         );
     }
 

@@ -7,7 +7,6 @@
 //! the same plaintext metrics endpoint `netserverd` exposes.
 
 use crate::endpoint::{HttpEndpoint, HttpHandler};
-use crate::report::LatencyQuantiles;
 use crate::runtime::{SharedObs, SERVE_LATENCY_BOUNDS_US};
 use alphawan::master::server::ServerEvent;
 use alphawan::master::{MasterServer, RegionSpec};
@@ -49,7 +48,9 @@ impl Default for MasterConfig {
 
 /// A running Master daemon.
 pub struct MasterDaemon {
-    server: Option<MasterServer>,
+    /// The plan server's address, read once it is bound.
+    addr: SocketAddr,
+    server: MasterServer,
     endpoint: HttpEndpoint,
     registry: Arc<Mutex<Registry>>,
 }
@@ -84,13 +85,15 @@ impl MasterDaemon {
             }
         });
         let server = MasterServer::start_observed(cfg.region, cfg.bind, Some(observer))?;
+        let addr = server.addr();
         if cfg.lease_ttl_ms > 0 {
             server.node().lock().set_lease_ttl_ms(cfg.lease_ttl_ms);
         }
         let endpoint =
             HttpEndpoint::start(cfg.metrics_bind, Self::http_handler(Arc::clone(&registry)))?;
         Ok(MasterDaemon {
-            server: Some(server),
+            addr,
+            server,
             endpoint,
             registry,
         })
@@ -107,28 +110,13 @@ impl MasterDaemon {
                 ))
             }
             "/healthz" => Some(("text/plain", b"ok\n".to_vec())),
-            "/bench" => {
-                let reg = registry.lock();
-                let q = reg
-                    .histogram("plan_serve_latency_us")
-                    .map(LatencyQuantiles::of)
-                    .unwrap_or_default();
-                let body = format!(
-                    "{{\"plan_serve_latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}, \"requests\": {}}}\n",
-                    q.p50,
-                    q.p95,
-                    q.p99,
-                    reg.counter("master_requests_total")
-                );
-                Some(("application/json", body.into_bytes()))
-            }
             _ => None,
         })
     }
 
     /// The plan-server address operators connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.server.as_ref().expect("running").addr()
+        self.addr
     }
 
     /// The metrics endpoint address.
@@ -141,20 +129,9 @@ impl MasterDaemon {
         self.registry.lock().counter(name)
     }
 
-    /// Clone of the plan-serve latency histogram.
-    pub fn plan_latency(&self) -> obs::Histogram {
-        self.registry
-            .lock()
-            .histogram("plan_serve_latency_us")
-            .cloned()
-            .unwrap_or_else(|| obs::Histogram::new(&SERVE_LATENCY_BOUNDS_US))
-    }
-
     /// Stop accepting and join the accept thread.
-    pub fn shutdown(mut self) {
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
@@ -166,14 +143,10 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn fresh_daemon_answers_health_bench_and_memory() {
+    fn fresh_daemon_answers_health_and_memory() {
         let daemon = MasterDaemon::start(MasterConfig::default(), None).expect("starts");
         let get = |path| http_get(daemon.metrics_addr(), path);
         assert_eq!(get("/healthz").unwrap(), "ok\n");
-        assert_eq!(
-            get("/bench").unwrap(),
-            "{\"plan_serve_latency_us\": {\"p50\": 0, \"p95\": 0, \"p99\": 0}, \"requests\": 0}\n"
-        );
         let metrics = get("/metrics").unwrap();
         if obs::proc_mem().is_some() {
             assert!(
@@ -182,9 +155,11 @@ mod tests {
             );
         }
         // The decision log is the ingest daemon's; masterd has none.
-        assert!(get("/decisions").unwrap_err().to_string().contains("404"));
+        for path in ["/decisions", "/bench"] {
+            assert!(get(path).unwrap_err().to_string().contains("404"), "{path}");
+        }
         assert_eq!(daemon.counter("master_requests_total"), 0);
-        assert_eq!(daemon.plan_latency().total(), 0);
+        assert!(!metrics.contains("plan_serve_latency_us"), "{metrics}");
         daemon.shutdown();
     }
 
@@ -207,11 +182,10 @@ mod tests {
         assert_eq!(daemon.counter("master_conns_total"), 1, "one session");
         let requests = daemon.counter("master_requests_total");
         assert!(requests >= 3);
-        assert_eq!(daemon.plan_latency().total(), requests);
-        let bench = http_get(daemon.metrics_addr(), "/bench").unwrap();
+        let metrics = http_get(daemon.metrics_addr(), "/metrics").unwrap();
         assert!(
-            bench.ends_with(&format!("\"requests\": {requests}}}\n")),
-            "{bench}"
+            metrics.contains(&format!("\nplan_serve_latency_us_count {requests}\n")),
+            "{metrics}"
         );
         daemon.shutdown();
     }

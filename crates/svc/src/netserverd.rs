@@ -12,7 +12,7 @@
 //! and takes whatever else the socket already holds in the same call
 //! (`crate::mmsg`, up to 16), parses and counts each as it would alone,
 //! sends the drain's ACKs with one call, and only then offers the
-//! drain's packets to the dedup shards it owns
+//! drain's packets to the deduplicator it owns
 //! (`crate::runtime::Decider`) and takes the registry lock *once*.
 //! The per-datagram costs (two system calls, the lock) are shared by
 //! the drain, so a drain of n datagrams costs less than n drains of
@@ -25,7 +25,6 @@
 
 use crate::endpoint::{HttpEndpoint, HttpHandler};
 use crate::mmsg::{Ring, RING};
-use crate::report::LatencyQuantiles;
 use crate::runtime::{
     render_decisions, Decided, Decider, Decision, DecisionLogs, PacketIn, SharedObs,
 };
@@ -51,11 +50,9 @@ pub struct NetServerConfig {
     pub bind: SocketAddr,
     /// TCP metrics endpoint.
     pub metrics_bind: SocketAddr,
-    /// Dedup shards, each with its own window and decision log.
-    pub shards: usize,
     /// Dedup window, µs.
     pub dedup_window_us: u64,
-    /// Per-shard decision-log cap (the prefix stays replay-exact).
+    /// Decision-log cap (the prefix stays replay-exact).
     pub decision_log_cap: usize,
 }
 
@@ -64,9 +61,8 @@ impl Default for NetServerConfig {
         NetServerConfig {
             bind: (Ipv4Addr::LOCALHOST, 0).into(),
             metrics_bind: (Ipv4Addr::LOCALHOST, 0).into(),
-            shards: 2,
             dedup_window_us: 2_000_000,
-            decision_log_cap: 4_000_000,
+            decision_log_cap: 8_000_000,
         }
     }
 }
@@ -164,12 +160,7 @@ impl NetServerDaemon {
         let socket = UdpSocket::bind(cfg.bind)?;
         let addr = socket.local_addr()?;
         let registry = Arc::new(Mutex::new(Registry::new()));
-        let decider = Decider::new(
-            cfg.shards,
-            cfg.dedup_window_us,
-            cfg.decision_log_cap,
-            sink.clone(),
-        );
+        let decider = Decider::new(cfg.dedup_window_us, cfg.decision_log_cap, sink.clone());
         let logs = decider.logs();
         let shared = Arc::new(ReceiverShared {
             registry: Arc::clone(&registry),
@@ -228,21 +219,6 @@ impl NetServerDaemon {
                 Some(("text/plain; version=0.0.4", text.into_bytes()))
             }
             "/healthz" => Some(("text/plain", b"ok\n".to_vec())),
-            "/bench" => {
-                let reg = registry.lock();
-                let q = reg
-                    .histogram("ingest_latency_us")
-                    .map(LatencyQuantiles::of)
-                    .unwrap_or_default();
-                let body = format!(
-                    "{{\"ingest_latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}, \"pkts\": {}}}\n",
-                    q.p50,
-                    q.p95,
-                    q.p99,
-                    reg.counter("svc_pkts_total")
-                );
-                Some(("application/json", body.into_bytes()))
-            }
             "/decisions" => Some(("text/plain", render_decisions(&logs.decisions()))),
             _ => None,
         })
@@ -258,13 +234,12 @@ impl NetServerDaemon {
         self.endpoint.addr()
     }
 
-    /// Snapshot of every shard's decision log.
+    /// Snapshot of the decision log, as the one log of a list.
     pub fn decisions(&self) -> Vec<Vec<Decision>> {
-        self.logs.decisions()
+        vec![self.logs.decisions()]
     }
 
-    /// Dedup counters summed across shards, as of the last drain the
-    /// registry was told of.
+    /// Dedup counters as of the last drain the registry was told of.
     pub fn dedup_stats(&self) -> DedupStats {
         let r = self.registry.lock();
         let new = r.counter("dedup_new_total");
@@ -278,7 +253,7 @@ impl NetServerDaemon {
         }
     }
 
-    /// (DevAddr, FCnt) records currently resident across shards.
+    /// (DevAddr, FCnt) records currently resident.
     pub fn tracked(&self) -> u64 {
         self.logs.tracked()
     }
@@ -288,7 +263,7 @@ impl NetServerDaemon {
         self.logs.dropped()
     }
 
-    /// The dedup window the shards run.
+    /// The dedup window the daemon runs.
     pub fn window_us(&self) -> u64 {
         self.window_us
     }
@@ -454,9 +429,9 @@ fn receiver_loop(
         let mut counts = DrainCounts::default();
         for slot in 0..drained {
             let datagram = ring.datagram(slot);
-            match datagram.get(3) {
+            match *datagram {
                 // PUSH_DATA: parse, ack, stage.
-                Some(0x00) => {
+                [version, t0, t1, 0x00, ..] => {
                     rxs.clear();
                     let Ok(head) = parse_push_data(datagram, &mut rxs, &mut scratch) else {
                         counts.malformed();
@@ -467,8 +442,7 @@ fn receiver_loop(
                         // Not served: no ACK, nothing decided.
                         continue;
                     };
-                    let ack = [datagram[0], datagram[1], datagram[2], 0x01];
-                    ring.ack(slot, ack);
+                    ring.ack(slot, [version, t0, t1, 0x01]);
                     counts.push_acks += 1;
                     let mut trace0 = 0u64;
                     for rx in &rxs {
@@ -497,16 +471,15 @@ fn receiver_loop(
                     });
                 }
                 // PULL_DATA: ack and record the downlink route.
-                Some(0x02) if datagram.len() >= 12 => {
-                    let eui = u64::from_be_bytes(datagram[4..12].try_into().expect("len checked"));
+                [version, t0, t1, 0x02, e0, e1, e2, e3, e4, e5, e6, e7, ..] => {
+                    let eui = u64::from_be_bytes([e0, e1, e2, e3, e4, e5, e6, e7]);
                     let first = ring
                         .peer(slot)
                         .and_then(|peer| shared.set_pull_route(eui, peer));
                     let Some(first) = first else {
                         continue;
                     };
-                    let ack = [datagram[0], datagram[1], datagram[2], 0x04];
-                    ring.ack(slot, ack);
+                    ring.ack(slot, [version, t0, t1, 0x04]);
                     counts.pull_data += 1;
                     if first {
                         counts.gateways_seen += 1;
@@ -518,7 +491,7 @@ fn receiver_loop(
                     }
                 }
                 // TX_ACK: downlink confirmed by the gateway.
-                Some(0x05) => counts.tx_acks += 1,
+                [_, _, _, 0x05, ..] => counts.tx_acks += 1,
                 _ => counts.malformed(),
             }
         }
@@ -776,13 +749,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_and_decisions_endpoints_follow_ingest() {
+    fn decisions_endpoint_follows_ingest() {
         let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("starts");
         let get = |path| crate::http_get(daemon.metrics_addr(), path).expect("scrape");
-        assert_eq!(
-            get("/bench"),
-            "{\"ingest_latency_us\": {\"p50\": 0, \"p95\": 0, \"p99\": 0}, \"pkts\": 0}\n"
-        );
         assert_eq!(get("/decisions"), "");
         // Waiting for each ACK before the next send makes every
         // datagram a drain of its own.
@@ -792,13 +761,14 @@ mod tests {
             recv_ack(&socket);
         }
         await_scrape(&daemon, "svc_pkts_total", 3);
-        assert!(get("/bench").ends_with("\"pkts\": 3}\n"));
         let decided = crate::runtime::parse_decisions(&get("/decisions")).expect("parses");
-        let devs: Vec<u32> = decided.iter().flatten().map(|d| d.dev).collect();
-        assert_eq!(devs.len(), 3, "{devs:x?}");
-        for i in 0..3u32 {
-            assert!(devs.contains(&(0x2601_0000 + i)));
-        }
+        let devs: Vec<u32> = decided.iter().map(|d| d.dev).collect();
+        assert_eq!(
+            devs,
+            [0x2601_0000, 0x2601_0001, 0x2601_0002],
+            "in arrival order"
+        );
+        assert_eq!(daemon.decisions(), [decided]);
         assert_eq!(daemon.dedup_stats().new, 3);
         daemon.shutdown();
     }
@@ -811,7 +781,7 @@ mod tests {
         if obs::proc_mem().is_some() {
             assert!(scrape(&daemon, "process_rss_bytes") > 0, "{text}");
         }
-        for path in ["/", "/debug", "/metrics/extra"] {
+        for path in ["/", "/debug", "/metrics/extra", "/bench"] {
             let err = crate::http_get(daemon.metrics_addr(), path).unwrap_err();
             assert!(err.to_string().contains("404"), "{path}: {err}");
         }

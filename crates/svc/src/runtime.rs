@@ -2,29 +2,28 @@
 //! for others to read.
 //!
 //! The thread that received a drain's datagrams also decides them: it
-//! owns a [`ShardedDeduplicator`] outright — no lock, queue or second
-//! thread on the dedup path — and `Decider::decide` offers the
-//! drain's keyed uplink copies to it in arrival order, each to the
-//! shard its `hash(DevAddr)` names ([`netserver::dedup::shard_of`]),
-//! then appends every shard's decisions to that shard's log.
+//! owns one [`Deduplicator`] outright — no lock, queue or second thread
+//! on the dedup path — and `Decider::decide` offers the drain's keyed
+//! uplink copies to it in arrival order, then appends the decisions to
+//! the one decision log.
 //!
 //! Backpressure is one sentence: the thread that is deciding is not
 //! reading, so datagrams queue in the kernel socket buffer and are shed
 //! there once it overflows. The daemon's own memory is the receive
-//! ring, one drain's staged packets and the capped decision logs, which
-//! grow a block at a time and never move a block.
+//! ring, one drain's staged packets and the capped decision log, which
+//! grows a block at a time and never moves a block.
 //!
-//! Correctness contract: a shard's offers are made in arrival order by
-//! one thread, so replaying any shard's decision log through a fresh
+//! Correctness contract: the offers are made in arrival order by one
+//! thread, so replaying the decision log through a fresh
 //! [`Deduplicator`] must reproduce the logged outcomes exactly (the
-//! `per_shard_replay_is_exact` property in `netserver::dedup`).
+//! `replaying_the_log_is_exact` property in `netserver::dedup`).
 //! [`replay_divergence`] performs that replay and
 //! [`render_decisions`] serializes both streams so tests can assert
 //! byte-identity.
 
 use lora_mac::device::DevAddr;
-use netserver::dedup::{DedupOutcome, DedupStats, Deduplicator, ShardedDeduplicator, UplinkCopy};
-use obs::Registry;
+use netserver::dedup::{DedupOutcome, DedupStats, Deduplicator, UplinkCopy};
+use obs::{Histogram, Registry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,6 +40,28 @@ pub const INGEST_LATENCY_BOUNDS_US: [u64; 13] = [
 
 /// Plan-serve latency histogram bounds (µs) for `masterd`.
 pub const SERVE_LATENCY_BOUNDS_US: [u64; 8] = [50, 100, 250, 500, 1_000, 5_000, 25_000, 100_000];
+
+/// p50/p95/p99 snapshot of a histogram (µs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencyQuantiles {
+    /// Median, µs.
+    pub p50: u64,
+    /// 95th percentile, µs.
+    pub p95: u64,
+    /// 99th percentile, µs.
+    pub p99: u64,
+}
+
+impl LatencyQuantiles {
+    /// Snapshot a histogram's quantiles; all-zero with no samples.
+    pub fn of(h: &Histogram) -> LatencyQuantiles {
+        LatencyQuantiles {
+            p50: h.p50(),
+            p95: h.p95(),
+            p99: h.p99(),
+        }
+    }
+}
 
 /// One keyed uplink copy extracted from a PUSH_DATA rxpk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +80,7 @@ pub struct PacketIn {
     pub trace: u64,
 }
 
-/// One dedup decision, in the exact order the owning shard made it.
+/// One dedup decision, in the exact order the ingest thread made it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Device address of the judged frame.
@@ -88,7 +109,7 @@ pub type SharedObs = Arc<Mutex<dyn obs::ObsSink + Send>>;
 /// Decisions a [`DecisionLog`] block holds.
 const LOG_BLOCK: usize = 1 << 16;
 
-/// One shard's decisions, in blocks each allocated once at full size.
+/// The decisions made, in blocks each allocated once at full size.
 /// The log grows without moving what it holds, so the memory it takes
 /// is what it stores: a vector that grows by reallocating copies
 /// itself, and where the allocator serves that copy from its heap
@@ -121,28 +142,28 @@ impl DecisionLog {
 }
 
 /// What the ingest thread leaves for other threads to read: the
-/// per-shard decision logs, how many decisions the log cap kept out,
-/// and the dedup records resident.
+/// decision log, how many decisions the log cap kept out, and the
+/// dedup records resident.
 pub(crate) struct DecisionLogs {
-    logs: Vec<Mutex<DecisionLog>>,
+    log: Mutex<DecisionLog>,
     dropped: AtomicU64,
     tracked: AtomicU64,
 }
 
 impl DecisionLogs {
-    /// Snapshot of every shard's decision log, in shard order.
-    pub(crate) fn decisions(&self) -> Vec<Vec<Decision>> {
-        self.logs.iter().map(|l| l.lock().blocks.concat()).collect()
+    /// Snapshot of the decision log.
+    pub(crate) fn decisions(&self) -> Vec<Decision> {
+        self.log.lock().blocks.concat()
     }
 
-    /// Decisions that were made but not logged because a shard's log
-    /// hit its cap.
+    /// Decisions that were made but not logged because the log hit its
+    /// cap.
     pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Total (DevAddr, FCnt) records resident across shards as of the
-    /// last drain — the bounded-memory invariant tests assert on.
+    /// (DevAddr, FCnt) records resident as of the last drain — the
+    /// bounded-memory invariant tests assert on.
     pub(crate) fn tracked(&self) -> u64 {
         self.tracked.load(Ordering::Relaxed)
     }
@@ -169,33 +190,28 @@ impl Decided {
     }
 }
 
-/// The dedup shards, owned by the one thread that offers to them.
+/// The deduplicator, owned by the one thread that offers to it.
 pub(crate) struct Decider {
-    dedup: ShardedDeduplicator,
-    /// One call's decisions per shard, on their way to `logs`.
-    local: Vec<Vec<Decision>>,
-    /// Decision logs stop growing at this many entries per shard (the
-    /// prefix property keeps replay exact on a truncated log).
+    dedup: Deduplicator,
+    /// One call's decisions, on their way to `logs`.
+    local: Vec<Decision>,
+    /// The decision log stops growing at this many entries (the prefix
+    /// property keeps replay exact on a truncated log).
     log_cap: usize,
     logs: Arc<DecisionLogs>,
     sink: Option<SharedObs>,
 }
 
 impl Decider {
-    /// `shards` deduplicators of a `window_us` window, each with a
-    /// decision log of at most `log_cap` entries.
-    pub(crate) fn new(
-        shards: usize,
-        window_us: u64,
-        log_cap: usize,
-        sink: Option<SharedObs>,
-    ) -> Decider {
+    /// A deduplicator of a `window_us` window, with a decision log of at
+    /// most `log_cap` entries.
+    pub(crate) fn new(window_us: u64, log_cap: usize, sink: Option<SharedObs>) -> Decider {
         Decider {
-            dedup: ShardedDeduplicator::new(shards, window_us),
-            local: vec![Vec::new(); shards],
+            dedup: Deduplicator::new(window_us),
+            local: Vec::new(),
             log_cap,
             logs: Arc::new(DecisionLogs {
-                logs: (0..shards).map(|_| Mutex::default()).collect(),
+                log: Mutex::default(),
                 dropped: AtomicU64::new(0),
                 tracked: AtomicU64::new(0),
             }),
@@ -203,13 +219,13 @@ impl Decider {
         }
     }
 
-    /// The handle other threads read this decider's logs through.
+    /// The handle other threads read this decider's log through.
     pub(crate) fn logs(&self) -> Arc<DecisionLogs> {
         Arc::clone(&self.logs)
     }
 
-    /// Offer `pkts`, received at `recv`, in order, each to its shard,
-    /// and log the decisions: made and logged when the call returns.
+    /// Offer `pkts`, received at `recv`, in order, and log the
+    /// decisions: made and logged when the call returns.
     pub(crate) fn decide(&mut self, pkts: &[PacketIn], recv: Instant) -> Decided {
         let mut outcomes = DedupStats::default();
         // Locked once for the call, not once a packet.
@@ -223,7 +239,7 @@ impl Decider {
                 received_us: p.t_us,
                 trace: p.trace,
             };
-            let (shard, outcome) = match sink.as_deref_mut() {
+            let outcome = match sink.as_deref_mut() {
                 Some(sink) => self.dedup.offer_obs(copy, sink),
                 None => self.dedup.offer(copy),
             };
@@ -232,7 +248,7 @@ impl Decider {
                 DedupOutcome::Duplicate => outcomes.duplicate += 1,
                 DedupOutcome::Late => outcomes.late += 1,
             }
-            self.local[shard].push(Decision {
+            self.local.push(Decision {
                 dev: p.dev,
                 fcnt: p.fcnt,
                 gw: p.gw,
@@ -242,17 +258,13 @@ impl Decider {
         }
         drop(sink);
         outcomes.offered = pkts.len() as u64;
-        for (local, log) in self.local.iter_mut().zip(&self.logs.logs) {
-            if local.is_empty() {
-                continue;
-            }
-            let mut log = log.lock();
-            let room = self.log_cap.saturating_sub(log.len()).min(local.len());
-            log.extend(&local[..room]);
-            let over = (local.len() - room) as u64;
-            self.logs.dropped.fetch_add(over, Ordering::Relaxed);
-            local.clear();
-        }
+        let mut log = self.logs.log.lock();
+        let room = self.log_cap.saturating_sub(log.len()).min(self.local.len());
+        log.extend(&self.local[..room]);
+        drop(log);
+        let over = (self.local.len() - room) as u64;
+        self.logs.dropped.fetch_add(over, Ordering::Relaxed);
+        self.local.clear();
         let tracked = self.dedup.tracked() as u64;
         self.logs.tracked.store(tracked, Ordering::Relaxed);
         Decided {
@@ -262,102 +274,92 @@ impl Decider {
     }
 }
 
-/// Serialize per-shard decision logs to a canonical byte stream — the
-/// "dedup decision stream" the acceptance test compares byte-for-byte
-/// against an in-process replay.
-pub fn render_decisions(logs: &[Vec<Decision>]) -> Vec<u8> {
+/// Serialize a decision log to a canonical byte stream — the "dedup
+/// decision stream" the acceptance test compares byte-for-byte against
+/// an in-process replay.
+pub fn render_decisions(log: &[Decision]) -> Vec<u8> {
     use std::io::Write;
     let mut out = Vec::new();
-    for (shard, log) in logs.iter().enumerate() {
-        for d in log {
-            let _ = writeln!(
-                out,
-                "{shard},{:08x},{},{},{},{}",
-                d.dev,
-                d.fcnt,
-                d.gw,
-                d.t_us,
-                outcome_code(d.outcome)
-            );
-        }
+    for d in log {
+        let _ = writeln!(
+            out,
+            "{:08x},{},{},{},{}",
+            d.dev,
+            d.fcnt,
+            d.gw,
+            d.t_us,
+            outcome_code(d.outcome)
+        );
     }
     out
 }
 
-/// Parse [`render_decisions`] output back into per-shard logs (the
+/// Parse [`render_decisions`] output back into a decision log (the
 /// `loadgen` binary scrapes `/decisions` and verifies divergence
 /// out-of-process). Returns `None` on any malformed line.
-pub fn parse_decisions(text: &str) -> Option<Vec<Vec<Decision>>> {
-    let mut logs: Vec<Vec<Decision>> = Vec::new();
-    for line in text.lines() {
-        let mut f = line.split(',');
-        let shard: usize = f.next()?.parse().ok()?;
-        let dev = u32::from_str_radix(f.next()?, 16).ok()?;
-        let fcnt: u16 = f.next()?.parse().ok()?;
-        let gw: u16 = f.next()?.parse().ok()?;
-        let t_us: u64 = f.next()?.parse().ok()?;
-        let outcome = match f.next()? {
-            "0" => DedupOutcome::New,
-            "1" => DedupOutcome::Duplicate,
-            "2" => DedupOutcome::Late,
-            _ => return None,
-        };
-        if f.next().is_some() {
-            return None;
-        }
-        if logs.len() <= shard {
-            logs.resize_with(shard + 1, Vec::new);
-        }
-        logs[shard].push(Decision {
-            dev,
-            fcnt,
-            gw,
-            t_us,
-            outcome,
-        });
-    }
-    Some(logs)
+pub fn parse_decisions(text: &str) -> Option<Vec<Decision>> {
+    text.lines()
+        .map(|line| {
+            let mut f = line.split(',');
+            let dev = u32::from_str_radix(f.next()?, 16).ok()?;
+            let fcnt: u16 = f.next()?.parse().ok()?;
+            let gw: u16 = f.next()?.parse().ok()?;
+            let t_us: u64 = f.next()?.parse().ok()?;
+            let outcome = match f.next()? {
+                "0" => DedupOutcome::New,
+                "1" => DedupOutcome::Duplicate,
+                "2" => DedupOutcome::Late,
+                _ => return None,
+            };
+            if f.next().is_some() {
+                return None;
+            }
+            Some(Decision {
+                dev,
+                fcnt,
+                gw,
+                t_us,
+                outcome,
+            })
+        })
+        .collect()
 }
 
-/// Replay each shard's offer stream through a fresh [`Deduplicator`]
-/// and rebuild the decision logs the shards *should* have produced.
+/// Replay a decision log's offer stream through a fresh
+/// [`Deduplicator`] and rebuild the log it *should* have produced.
 /// SNR is irrelevant to outcomes (it only picks the best copy), so the
 /// replay runs with SNR 0 and is still exact.
-pub fn replay_decisions(logs: &[Vec<Decision>], window_us: u64) -> Vec<Vec<Decision>> {
-    logs.iter()
-        .map(|log| {
-            let mut dedup = Deduplicator::new(window_us);
-            log.iter()
-                .map(|d| {
-                    let outcome = dedup.offer(UplinkCopy {
-                        dev_addr: DevAddr(d.dev),
-                        fcnt: d.fcnt,
-                        gw_id: d.gw as usize,
-                        snr_db: 0.0,
-                        received_us: d.t_us,
-                        trace: 0,
-                    });
-                    Decision { outcome, ..*d }
-                })
-                .collect()
+pub fn replay_decisions(log: &[Decision], window_us: u64) -> Vec<Decision> {
+    let mut dedup = Deduplicator::new(window_us);
+    log.iter()
+        .map(|d| {
+            let outcome = dedup.offer(UplinkCopy {
+                dev_addr: DevAddr(d.dev),
+                fcnt: d.fcnt,
+                gw_id: d.gw as usize,
+                snr_db: 0.0,
+                received_us: d.t_us,
+                trace: 0,
+            });
+            Decision { outcome, ..*d }
         })
         .collect()
 }
 
 /// Count decisions whose logged outcome differs from the in-process
-/// replay. Zero is the shard-equivalence acceptance criterion.
+/// replay of their log. Zero is the acceptance criterion.
 pub fn replay_divergence(logs: &[Vec<Decision>], window_us: u64) -> u64 {
-    let replayed = replay_decisions(logs, window_us);
     logs.iter()
-        .zip(&replayed)
-        .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x != y).count() as u64)
+        .map(|log| {
+            let replayed = replay_decisions(log, window_us);
+            log.iter().zip(&replayed).filter(|(x, y)| x != y).count() as u64
+        })
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netserver::dedup::shard_of;
 
     fn pkt(dev: u32, fcnt: u16, gw: u16, t_us: u64) -> PacketIn {
         PacketIn {
@@ -371,8 +373,8 @@ mod tests {
     }
 
     #[test]
-    fn decisions_route_by_hash_and_replay_exactly() {
-        let mut d = Decider::new(4, 1_000_000, 10_000, None);
+    fn decisions_are_logged_in_arrival_order_and_replay_exactly() {
+        let mut d = Decider::new(1_000_000, 10_000, None);
         let pkts: Vec<PacketIn> = (0..64u32)
             .map(|i| pkt(i % 8, (i / 8) as u16, (i % 3) as u16, i as u64 * 1_000))
             .collect();
@@ -380,26 +382,54 @@ mod tests {
             let decided = d.decide(drain, Instant::now());
             assert_eq!(decided.outcomes.offered, drain.len() as u64);
         }
-        let logs = d.logs().decisions();
-        assert_eq!(logs.iter().map(|l| l.len()).sum::<usize>(), 64);
-        // Every decision sits in the shard its DevAddr hashes to.
-        for (shard, log) in logs.iter().enumerate() {
-            for d in log {
-                assert_eq!(shard_of(DevAddr(d.dev), 4), shard);
-            }
-        }
+        let logs = [d.logs().decisions()];
+        let arrived: Vec<(u32, u16, u64)> = pkts.iter().map(|p| (p.dev, p.fcnt, p.t_us)).collect();
+        let logged: Vec<(u32, u16, u64)> =
+            logs[0].iter().map(|d| (d.dev, d.fcnt, d.t_us)).collect();
+        assert_eq!(logged, arrived);
         assert_eq!(replay_divergence(&logs, 1_000_000), 0);
         assert_eq!(
-            render_decisions(&logs),
-            render_decisions(&replay_decisions(&logs, 1_000_000)),
+            render_decisions(&logs[0]),
+            render_decisions(&replay_decisions(&logs[0], 1_000_000)),
             "decision stream must be byte-identical to the replay"
         );
     }
 
     #[test]
+    fn rendered_decisions_parse_back_and_nothing_else_does() {
+        let log: Vec<Decision> = [
+            DedupOutcome::New,
+            DedupOutcome::Duplicate,
+            DedupOutcome::Late,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, outcome)| Decision {
+            dev: 0x2601_0000 + i as u32,
+            fcnt: 7 * i as u16,
+            gw: 3,
+            t_us: 1_000_000_000 + i as u64,
+            outcome,
+        })
+        .collect();
+        let text = String::from_utf8(render_decisions(&log)).expect("ASCII");
+        assert_eq!(text.lines().next(), Some("26010000,0,3,1000000000,0"));
+        assert_eq!(parse_decisions(&text), Some(log));
+        assert_eq!(parse_decisions(""), Some(Vec::new()));
+        // A leading shard column, an unknown outcome, a short line.
+        for bad in [
+            "0,26010000,0,3,1000000000,0",
+            "26010000,0,3,1000000000,3",
+            "26010000,0,3",
+        ] {
+            assert_eq!(parse_decisions(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
     fn duplicate_and_late_outcomes_are_logged() {
         let sink = Arc::new(Mutex::new(obs::VecSink::new()));
-        let mut d = Decider::new(1, 1_000_000, 10_000, Some(sink.clone()));
+        let mut d = Decider::new(1_000_000, 10_000, Some(sink.clone()));
         let mut registry = Registry::new();
         let mut decide = |pkts: &[PacketIn]| d.decide(pkts, Instant::now()).publish(&mut registry);
         decide(&[pkt(1, 0, 0, 1_000), pkt(1, 0, 1, 2_000)]);
@@ -407,7 +437,7 @@ mod tests {
         // copy of an expired frame.
         decide(&[pkt(2, 0, 0, 3_000_000)]);
         decide(&[pkt(1, 0, 2, 1_500)]);
-        let logs = d.logs().decisions();
+        let logs = [d.logs().decisions()];
         let outcomes: Vec<DedupOutcome> = logs[0].iter().map(|d| d.outcome).collect();
         assert_eq!(
             outcomes,
@@ -441,13 +471,13 @@ mod tests {
 
     #[test]
     fn log_cap_keeps_a_replayable_prefix() {
-        let mut d = Decider::new(1, 1_000_000, 10, None);
+        let mut d = Decider::new(1_000_000, 10, None);
         let pkts: Vec<PacketIn> = (0..25u16).map(|i| pkt(7, i, 0, i as u64 * 100)).collect();
         // The cap falls inside the third call's decisions.
         for drain in pkts.chunks(4) {
             d.decide(drain, Instant::now());
         }
-        let logs = d.logs().decisions();
+        let logs = [d.logs().decisions()];
         assert_eq!(logs[0].len(), 10, "log stops at the cap");
         assert_eq!(d.logs().dropped(), 15);
         // The prefix is still exactly replayable.
@@ -481,7 +511,7 @@ mod tests {
 
     #[test]
     fn registry_sees_latency_histogram() {
-        let mut d = Decider::new(2, 1_000_000, 1_000, None);
+        let mut d = Decider::new(1_000_000, 1_000, None);
         let mut reg = Registry::new();
         d.decide(&[pkt(5, 0, 0, 10)], Instant::now())
             .publish(&mut reg);
@@ -489,5 +519,16 @@ mod tests {
         let h = reg.histogram("ingest_latency_us").expect("histogram");
         assert_eq!(h.total(), 1);
         assert_eq!(reg.counter("dedup_new_total"), 1);
+    }
+
+    #[test]
+    fn quantiles_snapshot() {
+        let mut h = Histogram::new(&[10, 100]);
+        for v in [1u64, 2, 3, 50] {
+            h.observe(v);
+        }
+        let q = LatencyQuantiles::of(&h);
+        assert_eq!(q.p50, 10);
+        assert_eq!(q.p99, 50);
     }
 }

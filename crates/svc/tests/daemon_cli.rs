@@ -1,7 +1,7 @@
 //! The daemon executables' command lines — and `loadgen`'s: the flags
 //! they take, the ones they refuse, the `ingest=`/`plan=`
 //! announcement launch scripts read their ephemeral ports from, and
-//! the service report `loadgen` prints on stdout.
+//! the `key=value` line `loadgen` prints on stdout.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -73,7 +73,7 @@ fn netserverd_refuses_unknown_flags() {
 #[test]
 fn netserverd_refuses_missing_and_bad_values() {
     for (args, says) in [
-        (&["--shards"][..], "--shards needs a value"),
+        (&["--window-us"][..], "--window-us needs a value"),
         (&["--log-cap", "many"], "bad value \"many\""),
         (&["--bind", "not-an-addr"], "bad value \"not-an-addr\""),
         (&["--window-us", "-1"], "bad value \"-1\""),
@@ -93,8 +93,6 @@ fn netserverd_announces_its_ports_and_serves_them() {
             "127.0.0.1:0",
             "--metrics",
             "127.0.0.1:0",
-            "--shards",
-            "3",
             "--window-us",
             "1000",
             "--log-cap",
@@ -172,16 +170,39 @@ fn masterd_announces_its_ports_and_serves_them() {
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, ["plan", "metrics"]);
     assert_eq!(http_get(fields[1].1, "/healthz").unwrap(), "ok\n");
-    assert!(http_get(fields[1].1, "/bench")
-        .unwrap()
-        .ends_with("\"requests\": 0}\n"));
 }
 
 #[test]
-fn loadgen_stdout_is_the_service_report() {
-    // The CI service-smoke run, as launch scripts drive it: both
-    // daemons on ephemeral ports, loadgen through a lossy proxy, its
-    // stdout read as one JSON document.
+fn loadgen_refuses_the_flags_that_timed_or_labelled_a_run() {
+    for args in [
+        &["--target-pps", "1000"][..],
+        &["--inflight", "16"],
+        &["--mode", "ci-smoke"],
+    ] {
+        let mut args = args.to_vec();
+        args.extend(["--server", "127.0.0.1:9"]);
+        let out = run(env!("CARGO_BIN_EXE_loadgen"), &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains(&format!("unknown flag {}", args[0])),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+/// The value of counter or gauge `name` in a Prometheus scrape.
+fn sample(metrics: &str, name: &str) -> Option<u64> {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+#[test]
+fn loadgen_through_a_lossy_proxy_verifies_a_live_daemon() {
+    // Both daemons on ephemeral ports, as launch scripts drive them,
+    // loadgen through a lossy proxy, its stdout read as one line of
+    // `key=value` fields.
     let (_netserverd, ns) = launch(
         env!("CARGO_BIN_EXE_netserverd"),
         &["--bind", "127.0.0.1:0", "--metrics", "127.0.0.1:0"],
@@ -190,11 +211,7 @@ fn loadgen_stdout_is_the_service_report() {
         env!("CARGO_BIN_EXE_masterd"),
         &["--bind", "127.0.0.1:0", "--metrics", "127.0.0.1:0"],
     );
-    let (server, metrics, plan) = (
-        ns[0].1.to_string(),
-        ns[1].1.to_string(),
-        md[0].1.to_string(),
-    );
+    let (server, metrics, plan) = (ns[0].1.to_string(), ns[1].1, md[0].1.to_string());
     let out = run(
         env!("CARGO_BIN_EXE_loadgen"),
         &[
@@ -203,7 +220,7 @@ fn loadgen_stdout_is_the_service_report() {
             "--master",
             &plan,
             "--metrics",
-            &metrics,
+            &metrics.to_string(),
             "--devices",
             "48",
             "--gateways",
@@ -214,29 +231,47 @@ fn loadgen_stdout_is_the_service_report() {
             "6",
             "--chaos-loss",
             "0.1",
-            "--mode",
-            "ci-smoke",
         ],
     );
     assert!(out.status.success(), "{:?}: {}", out.status, stderr(&out));
     let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
-    let doc: serde::Value = serde_json::from_str(&stdout).expect("stdout is one JSON document");
-    let report = doc.as_object().expect("a JSON object");
-    let num = |obj: &[(String, serde::Value)], key: &str| match serde::field(obj, key) {
-        serde::Value::U64(n) => *n,
-        other => panic!("{key}: {other:?} in {stdout}"),
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+    let field = |key: &str| -> u64 {
+        stdout
+            .split_whitespace()
+            .find_map(|f| f.strip_prefix(key)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("no {key}= in {stdout}"))
+            .parse()
+            .unwrap_or_else(|e| panic!("{key}: {e} in {stdout}"))
     };
-    assert_eq!(num(report, "schema_version"), 1);
-    assert!(matches!(serde::field(report, "mode"), serde::Value::Str(m) if m == "ci-smoke"));
-    assert_eq!(num(report, "decision_divergence"), 0, "{stdout}");
-    let (sent, ingested) = (num(report, "sent_pkts"), num(report, "ingested_pkts"));
+    assert_eq!(field("divergence"), 0, "{stdout}");
+    let (sent, ingested) = (field("sent_pkts"), field("ingested_pkts"));
     assert!(sent > 0 && ingested > 0, "{stdout}");
     assert!(
         ingested < sent,
         "10 % chaos loss, yet all arrived: {stdout}"
     );
-    let dedup = serde::field(report, "dedup")
-        .as_object()
-        .expect("dedup object");
-    assert!(num(dedup, "new") > 0, "{stdout}");
+    assert!(field("dedup_new") > 0, "{stdout}");
+
+    // What the daemon serves after the run (a drain ACKed before
+    // loadgen scraped `/decisions` may have been decided since).
+    let scrape = http_get(metrics, "/metrics").unwrap();
+    assert!(
+        sample(&scrape, "svc_pkts_total") >= Some(ingested),
+        "{scrape}"
+    );
+    // One sample per receive drain: its sum is the datagrams.
+    assert!(
+        sample(&scrape, "svc_drain_datagrams_sum") > Some(0),
+        "{scrape}"
+    );
+    // The daemon reads its own memory, and its ingest socket's row in
+    // /proc/net/udp, on every scrape.
+    if obs::proc_mem().is_some() {
+        assert!(sample(&scrape, "process_rss_bytes") > Some(0), "{scrape}");
+    }
+    if std::path::Path::new("/proc/net/udp").exists() {
+        assert!(sample(&scrape, "svc_socket_drops").is_some(), "{scrape}");
+    }
+    assert_eq!(http_get(metrics, "/healthz").unwrap(), "ok\n");
 }

@@ -63,11 +63,10 @@ fn loadgen_to_netserverd_with_master_plans() {
     assert_eq!(daemon.counter("svc_datagrams_total"), report.sent_datagrams);
     assert_eq!(daemon.counter("svc_malformed_total"), 0);
 
-    // Dedup decisions: every packet decided, the shard-merged stream
-    // byte-identical to an in-process replay.
+    // Dedup decisions: every packet decided, the stream byte-identical
+    // to an in-process replay.
     let logs = daemon.decisions();
-    let decided: usize = logs.iter().map(|l| l.len()).sum();
-    assert_eq!(decided as u64, report.sent_pkts);
+    assert_eq!(logs.concat().len() as u64, report.sent_pkts);
     assert_eq!(replay_divergence(&logs, daemon.window_us()), 0);
     let stats = daemon.dedup_stats();
     assert!(stats.new > 0);

@@ -1,7 +1,7 @@
 //! Loopback soak: drive `netserverd` unpaced from the load generator
 //! and hold the service-plane contract under volume — every packet
-//! ingested, the shard-merged dedup decision stream byte-identical to
-//! an in-process replay, daemon memory bounded.
+//! ingested, the dedup decision stream byte-identical to an in-process
+//! replay, daemon memory bounded.
 //!
 //! Debug builds run a small fleet and check the invariants only; the
 //! throughput floor is asserted in release builds, where the soak sends
@@ -25,26 +25,25 @@ const SOAK_MIN_PPS: f64 = 500_000.0;
 
 #[test]
 fn loopback_soak_holds_rate_and_equivalence() {
-    let cfg = NetServerConfig {
-        shards: 2,
-        decision_log_cap: (TARGET_PKTS as usize) + 1024,
-        ..NetServerConfig::default()
-    };
-    let daemon = NetServerDaemon::start(cfg, None).unwrap();
-
     let mut load = LoadgenConfig {
-        server: daemon.addr(),
         devices: 64,
         gateways: 4,
         replicas: 8,
         batch: 64,
-        target_pps: None, // unpaced: as fast as the loopback takes them
         ..LoadgenConfig::default()
     };
-    let fleet = svc::loadgen::build_fleet(&load, daemon.window_us()).unwrap();
+    let window_us = NetServerConfig::default().dedup_window_us;
+    let fleet = svc::loadgen::build_fleet(&load, window_us).unwrap();
     let per_epoch = fleet.pkts_per_epoch();
     assert!(per_epoch > 0);
     load.epochs = (TARGET_PKTS.div_ceil(per_epoch) as usize).min(fleet.max_epochs());
+    // Room in the one decision log for every packet sent.
+    let cfg = NetServerConfig {
+        decision_log_cap: (per_epoch * load.epochs as u64) as usize,
+        ..NetServerConfig::default()
+    };
+    let daemon = NetServerDaemon::start(cfg, None).unwrap();
+    load.server = daemon.addr();
     let report = svc::loadgen::run_stream(&load, fleet).unwrap();
     assert!(
         report.sent_pkts >= TARGET_PKTS.min(per_epoch * report.epochs_run as u64),
@@ -78,14 +77,14 @@ fn loopback_soak_holds_rate_and_equivalence() {
         "dedup map grew unboundedly: {tracked} records"
     );
 
-    // Shard-merged decisions replay byte-identically in-process.
+    // The decisions replay byte-identically in-process.
     let logs = daemon.decisions();
-    let decided: u64 = logs.iter().map(|l| l.len() as u64).sum();
-    assert_eq!(decided, report.sent_pkts);
+    assert_eq!(logs.len(), 1, "one decision log");
+    assert_eq!(logs[0].len() as u64, report.sent_pkts);
     assert_eq!(replay_divergence(&logs, daemon.window_us()), 0);
     assert_eq!(
-        render_decisions(&replay_decisions(&logs, daemon.window_us())),
-        render_decisions(&logs),
+        render_decisions(&replay_decisions(&logs[0], daemon.window_us())),
+        render_decisions(&logs[0]),
         "replayed decision stream must be byte-identical"
     );
 

@@ -32,8 +32,10 @@
 //! A sixth keeps `benchmark/` the one perf system: the retired perf
 //! stack's names occur in no source, doc, manifest or CI workflow, and
 //! no non-test source outside `benchmark/` writes a `BENCH_*.json`.
+//! A seventh holds docs/OBSERVABILITY.md's endpoint table to the paths
+//! each daemon's `http_handler` matches, row for path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -862,7 +864,7 @@ fn only_the_benchmark_writes_bench_artifacts() {
 fn bench_artifact_names_are_found_in_string_literals() {
     let code = "let a = \"results/out/BENCH_svc.json\";\n\
                 let b = format!(\"BENCH_{name}.json\", name = n);\n\
-                let c = BENCH_SERVICE_SCHEMA_VERSION; let q = '\"';\n\
+                let c = BENCH_SCHEMA_VERSION; let q = '\"';\n\
                 let d = \"BENCH_ notes\"; let e = \"x.json\";\n";
     assert_eq!(
         bench_artifacts(code),
@@ -1075,4 +1077,112 @@ fn link_scan_keeps_only_relative_targets() {
                [site](https://example.org/x.md), [top](#top), [mail](mailto:a@b), \
                an array[i](j) call, [spaced](a b), and [empty]().\n";
     assert_eq!(relative_links(doc), ["DESIGN.md", "docs/SCALING.md", "j"]);
+}
+
+/// The daemons that serve HTTP, as their module names under
+/// `crates/svc/src`.
+const DAEMONS: [&str; 2] = ["masterd", "netserverd"];
+
+/// The string literals that open the match arms of the item starting
+/// at the first `fn http_handler` in `code` (comments already
+/// stripped): the paths the handler serves.
+fn handler_paths(code: &str) -> BTreeSet<String> {
+    let c: Vec<char> = code.chars().collect();
+    let Some(start) = code.find("fn http_handler") else {
+        return BTreeSet::new();
+    };
+    let start = code[..start].chars().count();
+    let end = item_end(&c, start);
+    let mut paths = BTreeSet::new();
+    let mut i = start;
+    while i < end {
+        let Some(after) = literal_end(&c, i) else {
+            i += 1;
+            continue;
+        };
+        let rest: String = c[after..end.min(after + 8)].iter().collect();
+        if c[i] == '"' && rest.trim_start().starts_with("=>") {
+            paths.insert(c[i + 1..after - 1].iter().collect());
+        }
+        i = after;
+    }
+    paths
+}
+
+/// Per daemon, the paths an endpoint table (`| Path | Serves |`) in
+/// `doc` lists for it: a row's path is its first cell's first code
+/// span, and the row is every daemon's unless its second cell opens
+/// with "(`<daemon>` only)".
+fn documented_paths(doc: &str) -> BTreeMap<String, BTreeSet<String>> {
+    let mut served: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let rows = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("| Path | Serves |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'));
+    for row in rows {
+        let mut cells = row.split('|').skip(1);
+        let (Some(path), Some(serves)) = (cells.next(), cells.next()) else {
+            continue;
+        };
+        let Some(path) = path.split('`').nth(1) else {
+            continue;
+        };
+        let only = serves
+            .trim_start()
+            .strip_prefix("(`")
+            .and_then(|r| r.split_once("` only)"))
+            .map(|(daemon, _)| daemon);
+        for daemon in DAEMONS.into_iter().filter(|d| only.is_none_or(|o| o == *d)) {
+            served
+                .entry(daemon.to_string())
+                .or_default()
+                .insert(path.to_string());
+        }
+    }
+    served
+}
+
+#[test]
+fn the_endpoint_table_lists_exactly_the_paths_the_daemons_serve() {
+    let table = documented_paths(&read(Path::new("docs/OBSERVABILITY.md")));
+    for daemon in DAEMONS {
+        let code = strip_comments(&read(Path::new(&format!("crates/svc/src/{daemon}.rs"))));
+        let served = handler_paths(&without_test_items(&code));
+        assert!(
+            served.contains("/healthz"),
+            "{daemon}: the handler scan found only {served:?}"
+        );
+        assert_eq!(
+            table.get(daemon),
+            Some(&served),
+            "docs/OBSERVABILITY.md's endpoint table against {daemon}'s `http_handler`"
+        );
+    }
+}
+
+#[test]
+fn endpoint_scans_read_match_arms_and_table_rows() {
+    let code = "fn other() { match p { \"/not\" => 1 } }\n\
+                fn http_handler(x: u8) -> H {\n\
+                    Arc::new(move |path| match path {\n\
+                        \"/metrics\" => Some((\"text/plain\", body(\"/x\"))),\n\
+                        \"/healthz\" => None,\n\
+                        _ => None,\n\
+                    })\n\
+                }\n\
+                fn after() { match p { \"/late\" => 1 } }\n";
+    assert_eq!(
+        handler_paths(code).into_iter().collect::<Vec<_>>(),
+        ["/healthz", "/metrics"]
+    );
+    let doc = "| Path | Serves |\n|---|---|\n\
+               | `/metrics` | the registry |\n\
+               | `/decisions` | (`netserverd` only) the log |\n\
+               | `/metrics`: `extra` | (`netserverd` only) a gauge |\n\
+               \n| `/after` | not in the table |\n";
+    let table = documented_paths(doc);
+    let paths = |d: &str| table[d].iter().map(String::as_str).collect::<Vec<_>>();
+    assert_eq!(paths("masterd"), ["/metrics"]);
+    assert_eq!(paths("netserverd"), ["/decisions", "/metrics"]);
 }

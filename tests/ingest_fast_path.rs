@@ -14,7 +14,8 @@
 //! drain's packets decided in the same thread), so the same holds for
 //! bursts: what a burst of every kind of datagram is ACKed, decided and
 //! counted as must be what the datagrams give one by one, over IPv4 and
-//! IPv6, with 1, 2 and 4 dedup shards, and under a flood the daemon
+//! IPv6; delivery reordered by more than the dedup window must be
+//! decided as one deduplicator decides it; and under a flood the daemon
 //! cannot keep up with no ACKed packet may go undecided.
 
 use alphawan_system::gateway::forwarder::b64;
@@ -22,7 +23,7 @@ use alphawan_system::gateway::forwarder::codec::{Datagram, GatewayEui, RxPacket,
 use alphawan_system::gateway::forwarder::fast::{parse_push_data, FastRx};
 use alphawan_system::lora_mac::device::DevAddr;
 use alphawan_system::lora_mac::frame::PhyPayload;
-use alphawan_system::netserver::dedup::{shard_of, Deduplicator, UplinkCopy};
+use alphawan_system::netserver::dedup::{DedupOutcome, Deduplicator, UplinkCopy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::{Ipv4Addr, UdpSocket};
@@ -198,16 +199,12 @@ fn wait_until(what: &str, done: &dyn Fn() -> bool) {
     }
 }
 
-/// The decisions a daemon of `shards` shards must log for `wires`
-/// received in order, by the reference decoder and an in-process
-/// deduplicator per shard; and how many wires the reference rejects.
-fn reference_decisions(
-    wires: &[Vec<u8>],
-    shards: usize,
-    window_us: u64,
-) -> (Vec<Vec<Decision>>, u64) {
-    let mut dedups: Vec<Deduplicator> = (0..shards).map(|_| Deduplicator::new(window_us)).collect();
-    let mut logs: Vec<Vec<Decision>> = vec![Vec::new(); shards];
+/// The decisions a daemon must log for `wires` received in order, by
+/// the reference decoder and one in-process deduplicator; and how many
+/// wires the reference rejects.
+fn reference_decisions(wires: &[Vec<u8>], window_us: u64) -> (Vec<Decision>, u64) {
+    let mut dedup = Deduplicator::new(window_us);
+    let mut log = Vec::new();
     let mut gateways: Vec<u64> = Vec::new();
     let mut rejected = 0u64;
     for wire in wires {
@@ -224,8 +221,7 @@ fn reference_decisions(
             let (Some(dev), Some(fcnt)) = (rx.dev_addr, rx.fcnt) else {
                 continue;
             };
-            let shard = shard_of(DevAddr(dev), shards);
-            let outcome = dedups[shard].offer(UplinkCopy {
+            let outcome = dedup.offer(UplinkCopy {
                 dev_addr: DevAddr(dev),
                 fcnt,
                 gw_id: gw,
@@ -233,7 +229,7 @@ fn reference_decisions(
                 received_us: rx.tmst,
                 trace: rx.trce,
             });
-            logs[shard].push(Decision {
+            log.push(Decision {
                 dev,
                 fcnt,
                 gw: gw as u16,
@@ -242,7 +238,24 @@ fn reference_decisions(
             });
         }
     }
-    (logs, rejected)
+    (log, rejected)
+}
+
+/// Send `wires` to `daemon` sixteen at a time, so its socket buffer
+/// never sheds, waiting after each burst until it has counted them.
+fn send_in_order(daemon: &NetServerDaemon, wires: &[Vec<u8>]) {
+    let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+    let mut sent = 0u64;
+    for burst in wires.chunks(16) {
+        for wire in burst {
+            // An empty datagram is legal UDP; the daemon counts it.
+            socket.send_to(wire, daemon.addr()).expect("send");
+        }
+        sent += burst.len() as u64;
+        wait_until("datagrams received", &|| {
+            daemon.counter("svc_datagrams_total") == sent
+        });
+    }
 }
 
 #[test]
@@ -261,39 +274,83 @@ fn a_live_daemon_decides_what_the_reference_decoder_would() {
         wires.extend_from_slice(bursts.next().unwrap_or_default());
     }
 
-    for shards in [1, 2, 4] {
-        let cfg = NetServerConfig {
-            shards,
-            ..NetServerConfig::default()
-        };
-        let daemon = NetServerDaemon::start(cfg, None).expect("daemon starts");
-        let (expected, rejected) = reference_decisions(&wires, shards, daemon.window_us());
-        assert_eq!(rejected as usize, cuts.len());
-        assert!(expected.iter().all(|log| log.len() > 100));
+    let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("daemon starts");
+    let (expected, rejected) = reference_decisions(&wires, daemon.window_us());
+    assert_eq!(rejected as usize, cuts.len());
+    assert!(expected.len() > 300);
 
-        // One ingest thread and one sender: the daemon sees the wires
-        // in order. A few at a time, so its socket buffer never sheds.
-        let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
-        let mut sent = 0u64;
-        for burst in wires.chunks(16) {
-            for wire in burst {
-                // An empty datagram is legal UDP; the daemon counts it.
-                socket.send_to(wire, daemon.addr()).expect("send");
-            }
-            sent += burst.len() as u64;
-            wait_until("datagrams received", &|| {
-                daemon.counter("svc_datagrams_total") == sent
-            });
+    // One ingest thread and one sender: the daemon sees the wires in
+    // order.
+    send_in_order(&daemon, &wires);
+
+    // A drain is counted after it is decided and logged.
+    let logs = daemon.decisions();
+    assert_eq!(logs, [expected]);
+    assert_eq!(replay_divergence(&logs, daemon.window_us()), 0);
+    assert_eq!(daemon.counter("svc_malformed_total"), rejected);
+    assert_eq!(daemon.decisions_dropped(), 0);
+    daemon.shutdown();
+}
+
+#[test]
+fn delivery_reordered_past_the_window_is_decided_as_by_one_deduplicator() {
+    // Sixteen devices whose backhauls lag by 0, ¼, ½, … 3¾ dedup
+    // windows, each frame heard by two gateways, each round's copies in
+    // shuffled order: a copy often arrives more than a window behind
+    // the newest copy of another device. The daemon has one window
+    // anchor, so it must judge every copy against the newest copy of
+    // *any* device, as one deduplicator does.
+    let mut rng = StdRng::seed_from_u64(41);
+    let window = NetServerConfig::default().dedup_window_us;
+    let mut wires = Vec::new();
+    for round in 0..24u64 {
+        let mut copies: Vec<(u32, u64)> = (0..16u32)
+            .flat_map(|dev| [(dev, 0xCC00), (dev, 0xCC01)])
+            .collect();
+        for i in (1..copies.len()).rev() {
+            copies.swap(i, rng.gen_range(0..=i));
         }
-
-        // A drain is counted after it is decided and logged.
-        let logs = daemon.decisions();
-        assert_eq!(logs, expected, "{shards} shards");
-        assert_eq!(replay_divergence(&logs, daemon.window_us()), 0);
-        assert_eq!(daemon.counter("svc_malformed_total"), rejected);
-        assert_eq!(daemon.decisions_dropped(), 0);
-        daemon.shutdown();
+        for (dev, eui) in copies {
+            let mut phy = vec![0x40];
+            phy.extend_from_slice(&(0x2601_0000 + dev).to_le_bytes());
+            phy.push(0);
+            phy.extend_from_slice(&(round as u16).to_le_bytes());
+            phy.extend_from_slice(&[0xA5; 4]);
+            let mut rx = rxpk(&mut rng, 50);
+            rx.tmst = 10 * window + round * window / 2 - u64::from(dev) * window / 4;
+            rx.size = phy.len();
+            rx.data = b64::encode(&phy);
+            wires.push(
+                Datagram::PushData {
+                    token: wires.len() as u16,
+                    eui: GatewayEui(eui),
+                    rxpk: vec![rx],
+                }
+                .encode(),
+            );
+        }
     }
+    let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("daemon starts");
+    let (expected, _) = reference_decisions(&wires, window);
+    let count = |o| expected.iter().filter(|d| d.outcome == o).count() as u64;
+    let (new, duplicate, late) = (
+        count(DedupOutcome::New),
+        count(DedupOutcome::Duplicate),
+        count(DedupOutcome::Late),
+    );
+    assert!(
+        new > 0 && duplicate > 0 && late > 100,
+        "{new}/{duplicate}/{late}"
+    );
+
+    send_in_order(&daemon, &wires);
+    let stats = daemon.dedup_stats();
+    assert_eq!(
+        (stats.new, stats.duplicate, stats.late),
+        (new, duplicate, late)
+    );
+    assert_eq!(daemon.decisions(), [expected]);
+    daemon.shutdown();
 }
 
 /// A well-formed PUSH_DATA of exactly the largest UDP payload, 65 507
@@ -444,10 +501,8 @@ fn a_burst_is_acked_decided_and_counted_as_its_datagrams_one_by_one() {
     assert!(expected.malformed > 130, "{expected:?}");
     assert_eq!(expected.counted(), wires.len() as u64);
 
-    let cfg = NetServerConfig::default();
-    let shards = cfg.shards;
-    let daemon = NetServerDaemon::start(cfg, None).expect("daemon starts");
-    let (decisions, _) = reference_decisions(&wires, shards, daemon.window_us());
+    let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("daemon starts");
+    let (decisions, _) = reference_decisions(&wires, daemon.window_us());
 
     // Back to back and without reading an ACK, in bursts the daemon's
     // socket buffer holds: up to 48 datagrams or 64 KiB, so the small
@@ -475,7 +530,7 @@ fn a_burst_is_acked_decided_and_counted_as_its_datagrams_one_by_one() {
     }
     assert!(longest > 2 * RING, "longest burst: {longest} datagrams");
 
-    assert_eq!(daemon.decisions(), decisions);
+    assert_eq!(daemon.decisions(), [decisions]);
     assert_eq!(daemon.decisions_dropped(), 0);
     assert_eq!(daemon.counter("svc_recv_errors_total"), 0);
     let mut counted = PerDatagram::read_from(&daemon);
@@ -558,11 +613,7 @@ fn every_acked_packet_is_decided_under_a_flood() {
     // Four unpaced senders against one ingest thread: while it decides
     // a drain it is not reading, and the kernel sheds what does not fit
     // the socket buffer meanwhile.
-    let cfg = NetServerConfig {
-        shards: 1,
-        ..NetServerConfig::default()
-    };
-    let daemon = NetServerDaemon::start(cfg, None).expect("daemon starts");
+    let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("daemon starts");
     let mut rng = StdRng::seed_from_u64(17);
     let sending = AtomicBool::new(true);
     let acks_read = AtomicU64::new(0);
