@@ -88,19 +88,22 @@ impl ResilientMasterClient {
     }
 
     fn ensure_session(&mut self, trace: u64) -> io::Result<&mut (MasterClient, usize)> {
-        if self.session.is_none() {
-            let mut null = NullSink;
-            let sink: &mut dyn ObsSink = match self.obs.as_deref_mut() {
-                Some(s) => s,
-                None => &mut null,
-            };
-            let mut client =
-                MasterClient::connect_with_retry_obs(self.addr, &self.policy, trace, sink)?;
-            let operator_id = client.register(&self.operator)?;
-            self.reconnects += 1;
-            self.session = Some((client, operator_id));
-        }
-        Ok(self.session.as_mut().expect("session just ensured"))
+        let session = match self.session.take() {
+            Some(session) => session,
+            None => {
+                let mut null = NullSink;
+                let sink: &mut dyn ObsSink = match self.obs.as_deref_mut() {
+                    Some(s) => s,
+                    None => &mut null,
+                };
+                let mut client =
+                    MasterClient::connect_with_retry_obs(self.addr, &self.policy, trace, sink)?;
+                let operator_id = client.register(&self.operator)?;
+                self.reconnects += 1;
+                (client, operator_id)
+            }
+        };
+        Ok(self.session.insert(session))
     }
 
     /// Emit `ev` to the attached sink, if any.

@@ -5,7 +5,9 @@
 //! `--obs-out`), reconstructs per-packet timelines with
 //! [`obs::TraceAnalyzer`], and prints per-trace summaries plus the
 //! decoder-contention attribution tables (own vs foreign decoder-µs
-//! per gateway, blocker→victim network pairs, top-K blockers).
+//! and peak occupancy per gateway, blocker→victim network pairs, top-K
+//! blockers), after the stream's counts: events by kind, packet
+//! outcomes by loss cause, dedup classifications by outcome.
 //!
 //! ```text
 //! tracectl <events.jsonl> [--top K] [--chrome out.json] [--check]
@@ -22,7 +24,7 @@
 //! file, written by a streamed run with `ALPHAWAN_HEARTBEAT=<path>`;
 //! `--follow` keeps polling the file and prints beats as they land.
 
-use obs::{chrome_trace, Heartbeat, ObsEvent, TraceAnalyzer};
+use obs::{chrome_trace, Heartbeat, ObsEvent, TraceAnalyzer, TraceReport};
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
 
@@ -65,6 +67,32 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         chrome,
         check,
     })
+}
+
+/// The counts block: events by kind, then packet outcomes (`delivered`,
+/// `lost:<cause>`), then dedup classifications (`dedup:<outcome>`), one
+/// aligned `name count` line each.
+fn render_counts(report: &TraceReport) -> String {
+    let mut rows: Vec<(String, u64)> = report
+        .events
+        .iter()
+        .map(|(&kind, &n)| (kind.to_string(), n))
+        .collect();
+    if report.events.contains_key("packet_outcome") {
+        rows.push(("delivered".to_string(), report.delivered));
+    }
+    for (cause, &n) in &report.lost {
+        let cause = cause.map_or("?".to_string(), |c| format!("{c:?}"));
+        rows.push((format!("lost:{cause}"), n));
+    }
+    for (outcome, &n) in &report.dedup {
+        rows.push((format!("dedup:{outcome:?}"), n));
+    }
+    let mut text = String::from("counts:\n");
+    for (name, n) in rows {
+        text.push_str(&format!("  {name:<24} {n:>10}\n"));
+    }
+    text
 }
 
 /// Parse a heartbeat JSONL file; unparseable lines are skipped (the
@@ -203,7 +231,7 @@ fn main() -> ExitCode {
     println!("stream   {}", args.input);
     println!(
         "         {} events, {} unparseable lines, {} gateways, {} packet traces, {} control traces",
-        report.events_seen,
+        report.events.values().sum::<u64>(),
         schema_errors.len(),
         report.gateways.len(),
         report.timelines.len(),
@@ -214,6 +242,7 @@ fn main() -> ExitCode {
         report.drops.len(),
         report.violations.len()
     );
+    print!("\n{}", render_counts(&report));
 
     // -- Per-trace packet summaries ------------------------------------
     println!("\npacket traces (first {} by trace id):", args.top);
@@ -260,16 +289,17 @@ fn main() -> ExitCode {
     }
 
     // -- Contention attribution ----------------------------------------
-    println!("\ndecoder occupancy by gateway (µs):");
+    println!("\ndecoder occupancy by gateway (µs; peak = most decoders in use / pool):");
     println!(
-        "  {:>4} {:>8} {:>14} {:>14} {:>14}",
-        "gw", "net", "own", "foreign", "unattributed"
+        "  {:>4} {:>8} {:>7} {:>14} {:>14} {:>14}",
+        "gw", "net", "peak", "own", "foreign", "unattributed"
     );
     for g in &contention.per_gateway {
         println!(
-            "  {:>4} {:>8} {:>14} {:>14} {:>14}",
+            "  {:>4} {:>8} {:>7} {:>14} {:>14} {:>14}",
             g.gw,
             g.network.map_or("?".to_string(), |n| n.to_string()),
+            format!("{}/{}", g.peak_in_use, g.capacity),
             g.own_decoder_us,
             g.foreign_decoder_us,
             g.unattributed_us
@@ -373,6 +403,48 @@ mod tests {
             text.push('\n');
         }
         text
+    }
+
+    #[test]
+    fn counts_list_events_then_outcomes_then_dedup() {
+        let mut an = TraceAnalyzer::new();
+        for (delivered, cause) in [
+            (true, None),
+            (false, Some(obs::LossKind::DecoderInter)),
+            (false, Some(obs::LossKind::DecoderInter)),
+        ] {
+            an.observe(&ObsEvent::PacketOutcome {
+                t_us: 1,
+                trace: 0,
+                tx: 0,
+                delivered,
+                cause,
+            });
+        }
+        an.observe(&ObsEvent::Dedup {
+            t_us: 2,
+            trace: 0,
+            dev: 1,
+            fcnt: 0,
+            gw: 0,
+            outcome: obs::DedupKind::Late,
+        });
+        let text = render_counts(&an.into_report());
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ["dedup", "1"],
+                ["packet_outcome", "3"],
+                ["delivered", "1"],
+                ["lost:DecoderInter", "2"],
+                ["dedup:Late", "1"],
+            ]
+        );
     }
 
     #[test]

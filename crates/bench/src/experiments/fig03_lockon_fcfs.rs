@@ -12,7 +12,7 @@ use crate::report::Table;
 use crate::scenario::{NetworkSpec, WorldBuilder, PAYLOAD_LEN};
 use lora_phy::channel::Channel;
 use lora_phy::types::DataRate;
-use sim::traffic::{concurrent_burst, BurstScheme};
+use sim::traffic::{concurrent_burst, BurstScheme, TxPlan};
 use sim::world::SimWorld;
 
 /// Run this experiment: build its scenario, measure, and emit the
@@ -24,7 +24,7 @@ pub fn run() {
     parts_ef();
 }
 
-fn world(n_nodes: usize, networks: usize) -> (WorldBuilder, SimWorld) {
+fn world(n_nodes: usize, networks: usize) -> SimWorld {
     let channels = band_channels(1_600_000);
     let mut b = WorldBuilder::testbed(333);
     // A lab-bench-scale deployment (the paper's §3.1 is a controlled
@@ -39,8 +39,7 @@ fn world(n_nodes: usize, networks: usize) -> (WorldBuilder, SimWorld) {
             gw_channels: vec![channels.clone(); 1],
         });
     }
-    let w = b.clone().build();
-    (b, w)
+    b.build()
 }
 
 /// 20 nodes on distinct (channel, DR) combos, scheduled in node order.
@@ -66,6 +65,16 @@ fn prr_row(recs: &[sim::world::PacketRecord], n: usize) -> Vec<String> {
         .collect()
 }
 
+/// Fig 3a/b's burst under `scheme`. 48-byte payloads keep all 20
+/// packets on air simultaneously, so the two alignment schemes expose
+/// pure lock-on-order admission: under (a) the short-preamble nodes
+/// lock first despite starting last; under (b) exactly nodes 1–16 are
+/// received.
+fn burst_ab(scheme: BurstScheme) -> (SimWorld, Vec<TxPlan>) {
+    let plans = concurrent_burst(&assignments(20), 48, 1_000_000, 2_000, scheme);
+    (world(20, 1), plans)
+}
+
 fn parts_ab() {
     let mut t = Table::new(
         "Fig 3a/3b — per-node PRR, 20 concurrent nodes, one gateway",
@@ -74,17 +83,11 @@ fn parts_ab() {
             "n13", "n14", "n15", "n16", "n17", "n18", "n19", "n20",
         ],
     );
-    // 48-byte payloads keep all 20 packets on air simultaneously, so
-    // the two alignment schemes expose pure lock-on-order admission:
-    // under (a) the short-preamble nodes lock first despite starting
-    // last; under (b) exactly nodes 1–16 are received.
-    let long_payload = 48;
     for (name, scheme) in [
         ("a_lead", BurstScheme::LeadingPreambleOrdered),
         ("b_final", BurstScheme::FinalPreambleOrdered),
     ] {
-        let (_, mut w) = world(20, 1);
-        let plans = concurrent_burst(&assignments(20), long_payload, 1_000_000, 2_000, scheme);
+        let (mut w, plans) = burst_ab(scheme);
         let recs = w.run(&plans);
         let mut row = vec![name.to_string()];
         row.extend(prr_row(&recs, 20));
@@ -95,10 +98,10 @@ fn parts_ab() {
     t.emit("fig03ab_schemes");
 }
 
-fn part_c() {
-    // Scheme (b) with per-node SNR forced between −10 and +20 dB: the
-    // drop decision stays pure lock-on order.
-    let (_, mut w) = world(20, 1);
+/// Fig 3c's burst: scheme (b) with per-node SNR forced between −5 and
+/// +19 dB. The drop decision stays pure lock-on order.
+fn burst_c() -> (SimWorld, Vec<TxPlan>) {
+    let mut w = world(20, 1);
     for i in 0..20 {
         // SNR = 14 − loss + 117; pick loss for SNR in [−5, +20].
         let target_snr = -5.0 + (i as f64 % 5.0) * 6.0;
@@ -111,6 +114,11 @@ fn part_c() {
         2_000,
         BurstScheme::FinalPreambleOrdered,
     );
+    (w, plans)
+}
+
+fn part_c() {
+    let (mut w, plans) = burst_c();
     let recs = w.run(&plans);
     let first16: Vec<bool> = (0..20).map(|n| recs[n].delivered).collect();
     let mut t = Table::new(
@@ -128,11 +136,11 @@ fn part_c() {
     t.emit("fig03c_snr");
 }
 
-fn part_d() {
-    // Crowded channels (1–3 carry 5 nodes each) vs idle channels: the
-    // gateway treats them fairly — only lock-on order matters.
+/// Fig 3d's burst: crowded channels (1–3 carry 5 nodes each) vs idle
+/// channels. The gateway treats them fairly — only lock-on order
+/// matters.
+fn burst_d() -> (SimWorld, Vec<TxPlan>) {
     let channels = band_channels(1_600_000);
-    let (_, mut w) = world(20, 1);
     let assigns: Vec<(usize, Channel, DataRate)> = (0..20)
         .map(|i| {
             let (ch, dr) = if i < 15 {
@@ -150,6 +158,11 @@ fn part_d() {
         2_000,
         BurstScheme::FinalPreambleOrdered,
     );
+    (world(20, 1), plans)
+}
+
+fn part_d() {
+    let (mut w, plans) = burst_d();
     let recs = w.run(&plans);
     let mut t = Table::new(
         "Fig 3d — crowded vs idle channels, FCFS unchanged",
@@ -167,11 +180,11 @@ fn part_d() {
     t.emit("fig03d_crowding");
 }
 
-fn parts_ef() {
-    // Two networks × 10 nodes, interleaved in time, one gateway each on
-    // the same spectrum: each gateway admits all 16 first arrivals
-    // (both networks) and filters the foreign ones after decoding.
-    let (_, mut w) = world(20, 2);
+/// Fig 3e/f's burst: two networks × 10 nodes, interleaved in time, one
+/// gateway each on the same spectrum. Each gateway admits all 16 first
+/// arrivals (both networks) and filters the foreign ones after
+/// decoding.
+fn burst_ef() -> (SimWorld, Vec<TxPlan>) {
     // Interleave: odd slots network 1, even network 2.
     let channels = band_channels(1_600_000);
     let assigns: Vec<(usize, Channel, DataRate)> = (0..20)
@@ -192,6 +205,11 @@ fn parts_ef() {
         2_000,
         BurstScheme::FinalPreambleOrdered,
     );
+    (world(20, 2), plans)
+}
+
+fn parts_ef() {
+    let (mut w, plans) = burst_ef();
     let recs = w.run(&plans);
     let mut t = Table::new(
         "Fig 3e/3f — two coexisting networks, per-node reception",
@@ -214,6 +232,78 @@ fn parts_ef() {
     }
     let filtered: u64 = w.gateways.iter().map(|g| g.stats().foreign_filtered).sum();
     println!("foreign packets that occupied decoders end-to-end: {filtered}");
-    crate::obs_session::note_run_metrics(&sim::metrics::RunMetrics::from_records(&recs, None));
     t.emit("fig03ef_coexistence");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use obs::{LossKind, SharedSink, TraceAnalyzer, VecSink};
+    use sim::metrics::RunMetrics;
+
+    /// The stream `--obs-out` records for this experiment — its five
+    /// bursts, one segment each — and the records of the same runs.
+    fn observed_run() -> (Vec<obs::ObsEvent>, Vec<sim::world::PacketRecord>) {
+        let bursts = [
+            burst_ab(BurstScheme::LeadingPreambleOrdered),
+            burst_ab(BurstScheme::FinalPreambleOrdered),
+            burst_c(),
+            burst_d(),
+            burst_ef(),
+        ];
+        let mut events = Vec::new();
+        let mut records = Vec::new();
+        for (segment, (mut w, plans)) in bursts.into_iter().enumerate() {
+            let buffer = SharedSink::new(VecSink::new());
+            w.set_obs_sink(Box::new(buffer.handle()));
+            records.extend(w.run(&plans));
+            buffer.with(|b| {
+                let segment = segment as u64;
+                events.extend(
+                    b.events()
+                        .iter()
+                        .map(|&ev| crate::obs_session::in_segment(ev, segment)),
+                )
+            });
+        }
+        (events, records)
+    }
+
+    #[test]
+    fn the_stream_counts_every_outcome_the_records_do() {
+        let (events, records) = observed_run();
+        let mut analyzer = TraceAnalyzer::new();
+        analyzer.observe_all(&events);
+        let report = analyzer.into_report();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.timelines.len(), 100, "one trace per transmission");
+
+        let m = RunMetrics::from_records(&records, None);
+        let lost = |kind| report.lost.get(&Some(kind)).copied().unwrap_or(0);
+        assert_eq!(report.delivered, m.delivered);
+        assert_eq!(lost(LossKind::DecoderIntra), m.losses.decoder_intra);
+        assert_eq!(lost(LossKind::DecoderInter), m.losses.decoder_inter);
+        assert_eq!(report.lost.values().sum::<u64>(), m.sent - m.delivered);
+        assert_eq!(
+            (
+                report.delivered,
+                m.losses.decoder_intra,
+                m.losses.decoder_inter
+            ),
+            (80, 16, 4)
+        );
+
+        let count = |kind: &str| report.events.get(kind).copied().unwrap_or(0);
+        assert_eq!(count("packet_lock_on"), 100);
+        assert_eq!(count("decoder_acquired"), 96);
+        assert_eq!(count("pool_full_drop"), 24);
+        assert_eq!(count("steal_refused"), 8);
+        let peaks: Vec<(u32, u32)> = report
+            .contention()
+            .per_gateway
+            .iter()
+            .map(|g| (g.peak_in_use, g.capacity))
+            .collect();
+        assert_eq!(peaks, [(16, 16), (16, 16)]);
+    }
 }

@@ -64,9 +64,6 @@ fn part_a() {
             pct(f[2] + f[3]),
             pct(f[4]),
         ]);
-        // Last (largest) configuration's metrics ride along in the
-        // observability report, when one is being written.
-        crate::obs_session::note_run_metrics(&m);
     }
     t.emit("fig04a_scale");
 }
@@ -121,7 +118,6 @@ fn part_b() {
             pct(f[3]),
             pct(f[4]),
         ]);
-        crate::obs_session::note_run_metrics(&m);
     }
     t.emit("fig04b_networks");
 }

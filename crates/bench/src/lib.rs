@@ -15,9 +15,8 @@
 //! ```text
 //! cargo run --release -p bench --bin all_experiments
 //! ```
-//! Add `--obs-out results/out` to also capture an event
-//! stream and per-experiment [`obs::RunReport`]s (see [`obs_session`]
-//! and `docs/OBSERVABILITY.md`).
+//! Add `--obs-out results/out` to also capture the run's event stream
+//! for `tracectl` (see [`obs_session`] and `docs/OBSERVABILITY.md`).
 
 #![deny(missing_docs)]
 

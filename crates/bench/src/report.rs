@@ -61,16 +61,13 @@ impl Table {
     }
 
     /// Print to stdout and write `results/<csv_name>.csv`, or
-    /// `results/out/<csv_name>.csv` for a `MEASURED` table. When the
-    /// process runs with `--obs-out`, also writes the experiment's
-    /// [`obs::RunReport`] next to the event stream.
+    /// `results/out/<csv_name>.csv` for a `MEASURED` table.
     pub fn emit(&self, csv_name: &str) {
         print!("{}", self.render());
         println!();
         let mut lines = vec![self.headers.join(",")];
         lines.extend(self.rows.iter().map(|r| r.join(",")));
         write_csv(csv_name, &lines.join("\n"));
-        crate::obs_session::write_report(csv_name);
     }
 }
 

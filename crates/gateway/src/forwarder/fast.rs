@@ -163,18 +163,17 @@ pub fn parse_push_data(
 /// The 12-byte binary header: ACK token, gateway EUI, and the JSON
 /// payload that follows it.
 fn push_data_header(datagram: &[u8]) -> Result<(u16, u64, &[u8]), FastError> {
-    if datagram.len() < 12 {
+    let Some((&[version, t0, t1, kind, eui @ ..], body)) = datagram.split_first_chunk::<12>()
+    else {
         return Err(FastError::TooShort);
+    };
+    if version != PROTOCOL_VERSION {
+        return Err(FastError::BadVersion(version));
     }
-    if datagram[0] != PROTOCOL_VERSION {
-        return Err(FastError::BadVersion(datagram[0]));
+    if kind != 0x00 {
+        return Err(FastError::NotPushData(kind));
     }
-    if datagram[3] != 0x00 {
-        return Err(FastError::NotPushData(datagram[3]));
-    }
-    let token = u16::from_be_bytes([datagram[1], datagram[2]]);
-    let eui = u64::from_be_bytes(datagram[4..12].try_into().expect("length checked"));
-    Ok((token, eui, &datagram[12..]))
+    Ok((u16::from_be_bytes([t0, t1]), u64::from_be_bytes(eui), body))
 }
 
 struct Scanner<'a> {

@@ -10,27 +10,28 @@
 //! [`TraceId`](crate::trace::TraceId) minted once per uplink
 //! transmission and threaded as a plain `u64` through every layer the
 //! packet touches. Unlike `tx` (which restarts at 0 every run), a
-//! trace id is unique across all runs recorded into one stream, so a
-//! multi-run JSONL file still reconstructs into unambiguous per-packet
-//! timelines. `trace == 0` means "untraced" (events emitted by call
-//! sites that predate tracing, or streams from older binaries —
-//! deserialization defaults the field to 0).
+//! trace id is unique across all runs of one world, so a multi-run
+//! JSONL file still reconstructs into unambiguous per-packet timelines;
+//! a stream that appends several worlds re-mints them per world (see
+//! [`packet_trace`](crate::trace::packet_trace)). `trace == 0` means
+//! "untraced" (events emitted by call sites that predate tracing, or
+//! streams from older binaries — deserialization defaults the field to
+//! 0).
 //!
 //! Serialization uses serde's external enum tagging, so a JSONL stream
 //! reads as `{"DecoderAcquired":{"t_us":…,"gw":…,…}}` — one
 //! self-describing object per line. The taxonomy is documented for
 //! consumers in `docs/OBSERVABILITY.md`; adding a variant or a
 //! defaulted field is a backwards-compatible schema change (readers
-//! ignore unknown tags, old streams parse with the default), removing
-//! or renaming one requires bumping
-//! [`crate::report::RUN_REPORT_VERSION`].
+//! ignore unknown tags, old streams parse with the default); removing
+//! or renaming one breaks every reader of recorded streams.
 
 use serde::{Deserialize, Serialize};
 
 /// Why a lost packet was lost — the paper's Fig. 4 taxonomy, mirrored
 /// here so `obs` does not depend on `sim` (the dependency points the
 /// other way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum LossKind {
     /// Own-network packets exhausted the decoder pool.
     DecoderIntra,
@@ -48,7 +49,7 @@ pub enum LossKind {
 
 /// Server-side deduplication outcome (mirrors
 /// `netserver::dedup::DedupOutcome`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum DedupKind {
     /// First copy of the frame: processed.
     New,
@@ -378,7 +379,13 @@ impl ObsEvent {
     /// The event's trace id, where one exists and is set (`trace == 0`
     /// means the emitting call site was untraced and reads as `None`).
     pub fn trace(&self) -> Option<u64> {
-        let trace = match *self {
+        let mut ev = *self;
+        ev.trace_mut().map(|t| *t).filter(|&t| t != 0)
+    }
+
+    /// The event's `trace` field, where the variant has one.
+    pub fn trace_mut(&mut self) -> Option<&mut u64> {
+        match self {
             ObsEvent::TxStart { trace, .. }
             | ObsEvent::PacketLockOn { trace, .. }
             | ObsEvent::DecoderAcquired { trace, .. }
@@ -391,16 +398,15 @@ impl ObsEvent {
             | ObsEvent::MasterRpcRetry { trace, .. }
             | ObsEvent::MasterPlanServed { trace, .. }
             | ObsEvent::SolverRun { trace, .. }
-            | ObsEvent::SvcIngest { trace, .. } => trace,
+            | ObsEvent::SvcIngest { trace, .. } => Some(trace),
             ObsEvent::GatewayInfo { .. }
             | ObsEvent::SvcAccept { .. }
-            | ObsEvent::FaultActivated { .. } => 0,
-        };
-        (trace != 0).then_some(trace)
+            | ObsEvent::FaultActivated { .. } => None,
+        }
     }
 
-    /// A stable snake_case name for the variant, used as the counter
-    /// key in [`crate::metrics::MetricsSink`] and in reports.
+    /// A stable snake_case name for the variant: the key of
+    /// [`TraceReport::events`](crate::trace::TraceReport::events).
     pub fn kind_name(&self) -> &'static str {
         match self {
             ObsEvent::GatewayInfo { .. } => "gateway_info",
@@ -553,6 +559,25 @@ mod tests {
             .trace(),
             None
         );
+    }
+
+    #[test]
+    fn trace_mut_writes_what_trace_reads() {
+        let mut ev = ObsEvent::SvcIngest {
+            wall_us: 0,
+            trace: 0,
+            gw: 1,
+            pkts: 2,
+        };
+        assert_eq!(ev.trace(), None);
+        *ev.trace_mut().expect("SvcIngest carries a trace") = 0x5EED;
+        assert_eq!(ev.trace(), Some(0x5EED));
+        let mut info = ObsEvent::GatewayInfo {
+            gw: 0,
+            network: 0,
+            capacity: 16,
+        };
+        assert_eq!(info.trace_mut(), None);
     }
 
     #[test]

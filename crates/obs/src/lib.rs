@@ -15,17 +15,15 @@
 //!   [`NullSink`] (free), [`VecSink`] (in-memory), [`JsonlSink`] (one
 //!   JSON object per line) and [`SharedSink`] (one sink, many owners);
 //! * [`metrics`] — a dependency-free registry of counters, gauges and
-//!   fixed-bucket histograms, plus [`MetricsSink`] which folds the
-//!   event stream into decoder occupancy timelines, per-gateway
-//!   utilization and dispatch-latency histograms;
-//! * [`report`] — the versioned [`RunReport`] JSON document that the
-//!   `bench` harness writes under `results/out/` (see
-//!   `docs/OBSERVABILITY.md` for the schema);
+//!   fixed-bucket histograms, which the service daemons render on
+//!   `/metrics`, and the [`proc_mem`] probe;
 //! * [`trace`] — per-transmission [`trace::TraceId`]s threaded through
 //!   every packet-lifecycle event, the [`TraceAnalyzer`] that joins an
 //!   event stream back into causal per-packet timelines with
 //!   decoder-contention attribution (blocker→victim pairs for every
-//!   pool-full drop), and Chrome trace-event export for Perfetto;
+//!   pool-full drop), event and outcome counts, per-gateway peak
+//!   occupancy, and Chrome trace-event export for Perfetto — the one
+//!   fold of a recorded stream;
 //! * [`heartbeat`] — per-shard [`Heartbeat`]s for streamed runs.
 //!
 //! Events are plain `Copy` data and every sink implementation is
@@ -38,19 +36,12 @@
 pub mod event;
 pub mod heartbeat;
 pub mod metrics;
-pub mod report;
 pub mod sink;
 pub mod trace;
 
 pub use event::{DedupKind, FaultKind, LossKind, ObsEvent, PlanServed, SolverKind, SvcConn};
 pub use heartbeat::{Heartbeat, HeartbeatWriter};
-pub use metrics::{
-    proc_mem, GatewayOccupancy, Histogram, MetricsSink, ProcMem, Registry,
-    DISPATCH_LATENCY_BOUNDS_US, SOLVER_WALL_BOUNDS_US,
-};
-pub use report::{
-    GatewayReport, NamedCount, NamedGauge, NamedHistogram, RunReport, RUN_REPORT_VERSION,
-};
+pub use metrics::{proc_mem, Histogram, ProcMem, Registry};
 pub use sink::{JsonlSink, NullSink, ObsSink, SharedSink, VecSink};
 pub use trace::{
     chrome_trace, control_trace, packet_trace, ChromeTrace, ContentionReport, PacketTimeline,

@@ -1,31 +1,12 @@
-//! A dependency-free metrics registry and the event-stream aggregator.
+//! A dependency-free metrics registry: named counters, gauges and
+//! fixed-bucket histograms, rendered in the Prometheus text format by
+//! the service daemons' `/metrics` endpoints, plus the process-memory
+//! probe they (and the repo benchmark) read.
 //!
-//! [`Registry`] holds named counters, gauges and fixed-bucket
-//! [`Histogram`]s in sorted maps so every snapshot serializes in a
-//! deterministic order. [`MetricsSink`] implements
-//! [`ObsSink`] and folds the raw event stream
-//! into the derived quantities the paper's analysis needs: per-gateway
-//! decoder-occupancy timelines (the quantity behind the decoder
-//! contention losses of Fig. 4), per-gateway utilization, and a
-//! dispatch-latency histogram (how long each decoder was held).
+//! [`Registry`] keeps each kind in a sorted map so every rendering
+//! lists its series in a deterministic order.
 
-use crate::event::ObsEvent;
-use crate::sink::ObsSink;
-use std::collections::{BTreeMap, HashMap};
-
-/// Default bucket upper bounds (µs) for the dispatch-latency histogram:
-/// spans LoRa airtimes from a short SF7 frame (~50 ms) to a max-length
-/// SF12 frame (~3 s).
-pub const DISPATCH_LATENCY_BOUNDS_US: [u64; 8] = [
-    25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000, 2_000_000, 4_000_000,
-];
-
-/// Bucket upper bounds (µs) for the CP-solver wall-time histogram:
-/// spans a sub-millisecond toy instance to a minute-scale
-/// production-size search.
-pub const SOLVER_WALL_BOUNDS_US: [u64; 8] = [
-    1_000, 10_000, 100_000, 500_000, 1_000_000, 5_000_000, 15_000_000, 60_000_000,
-];
+use std::collections::BTreeMap;
 
 /// A fixed-bucket histogram over `u64` samples.
 ///
@@ -93,15 +74,6 @@ impl Histogram {
     /// Sum of all samples (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Mean sample value, or 0 with no samples.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
     }
 
     /// Upper-bound estimate of quantile `q` ∈ [0, 1]: the bound of the
@@ -320,175 +292,9 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// Per-gateway occupancy bookkeeping derived from decoder events.
-#[derive(Debug, Clone, Default)]
-pub struct GatewayOccupancy {
-    /// Pool capacity as reported by acquisition events.
-    pub capacity: u32,
-    /// Step function of pool occupancy: (time µs, decoders in use
-    /// *after* the event). Consecutive events at one instant each get a
-    /// point; plotters draw steps.
-    pub timeline: Vec<(u64, u32)>,
-    /// Highest occupancy observed.
-    pub peak_in_use: u32,
-    /// ∫ in_use dt over the observed span, in decoder-µs.
-    busy_integral: u128,
-    /// Observed span: sum of forward inter-event gaps, in µs. One
-    /// sink may aggregate several runs whose simulation clocks each
-    /// restart at zero; a backwards time jump contributes nothing to
-    /// either integral, so utilization stays a true busy fraction.
-    observed_us: u128,
-    first_t: Option<u64>,
-    last_t: u64,
-    last_in_use: u32,
-}
-
-impl GatewayOccupancy {
-    fn step(&mut self, t_us: u64, in_use: u32) {
-        if self.first_t.is_none() {
-            self.first_t = Some(t_us);
-        } else {
-            let dt = t_us.saturating_sub(self.last_t);
-            self.busy_integral += dt as u128 * self.last_in_use as u128;
-            self.observed_us += dt as u128;
-        }
-        self.last_t = t_us;
-        self.last_in_use = in_use;
-        self.peak_in_use = self.peak_in_use.max(in_use);
-        self.timeline.push((t_us, in_use));
-    }
-
-    /// Mean fraction of the pool busy over the observed span
-    /// (`∫ in_use dt / (capacity · span)`), 0 when nothing was observed.
-    pub fn utilization(&self) -> f64 {
-        if self.observed_us == 0 || self.capacity == 0 {
-            return 0.0;
-        }
-        self.busy_integral as f64 / (self.capacity as f64 * self.observed_us as f64)
-    }
-}
-
-/// An [`ObsSink`] that aggregates the event stream into a [`Registry`]
-/// plus per-gateway occupancy state. Attach it (directly, or behind a
-/// [`SharedSink`](crate::sink::SharedSink)) and read the results back as
-/// a [`RunReport`](crate::report::RunReport) via
-/// [`RunReport::from_metrics`](crate::report::RunReport::from_metrics).
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSink {
-    registry: Registry,
-    gateways: BTreeMap<u32, GatewayOccupancy>,
-    /// Acquisition instant of each decoder currently held, keyed by
-    /// (gateway, transmission) — feeds the dispatch-latency histogram.
-    held: HashMap<(u32, u64), u64>,
-    events: u64,
-}
-
-impl MetricsSink {
-    /// An empty aggregator.
-    pub fn new() -> MetricsSink {
-        MetricsSink::default()
-    }
-
-    /// Events consumed so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// The aggregated registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Per-gateway occupancy state, keyed by gateway index.
-    pub fn gateways(&self) -> &BTreeMap<u32, GatewayOccupancy> {
-        &self.gateways
-    }
-}
-
-impl ObsSink for MetricsSink {
-    fn record(&mut self, ev: &ObsEvent) {
-        self.events += 1;
-        self.registry.inc(ev.kind_name(), 1);
-        match *ev {
-            ObsEvent::GatewayInfo { gw, capacity, .. } => {
-                // Announce the pool size up front so utilization is
-                // well-defined even for a gateway that never admits.
-                self.gateways.entry(gw).or_default().capacity = capacity;
-            }
-            ObsEvent::DecoderAcquired {
-                t_us,
-                gw,
-                tx,
-                in_use,
-                capacity,
-                ..
-            } => {
-                let occ = self.gateways.entry(gw).or_default();
-                occ.capacity = capacity;
-                occ.step(t_us, in_use);
-                self.held.insert((gw, tx), t_us);
-            }
-            ObsEvent::DecoderReleased {
-                t_us,
-                gw,
-                tx,
-                in_use,
-                ..
-            } => {
-                let occ = self.gateways.entry(gw).or_default();
-                occ.step(t_us, in_use);
-                if let Some(t0) = self.held.remove(&(gw, tx)) {
-                    self.registry.observe(
-                        "dispatch_latency_us",
-                        &DISPATCH_LATENCY_BOUNDS_US,
-                        t_us.saturating_sub(t0),
-                    );
-                }
-            }
-            ObsEvent::PacketOutcome {
-                delivered, cause, ..
-            } => {
-                if delivered {
-                    self.registry.inc("delivered", 1);
-                } else {
-                    self.registry.inc("lost", 1);
-                    if let Some(kind) = cause {
-                        self.registry.inc(&format!("loss_{kind:?}"), 1);
-                    }
-                }
-            }
-            ObsEvent::Dedup { outcome, .. } => {
-                self.registry.inc(&format!("dedup_{outcome:?}"), 1);
-            }
-            ObsEvent::MasterPlanServed { source, .. } => {
-                self.registry.inc(&format!("master_plan_{source:?}"), 1);
-            }
-            ObsEvent::SolverRun {
-                solver,
-                evaluations,
-                wall_us,
-                ..
-            } => {
-                self.registry.inc(&format!("solver_{solver:?}_runs"), 1);
-                self.registry.inc("solver_evaluations", evaluations);
-                self.registry
-                    .observe("solver_wall_us", &SOLVER_WALL_BOUNDS_US, wall_us);
-                if wall_us > 0 {
-                    self.registry.set_gauge(
-                        "solver_evals_per_sec",
-                        evaluations as f64 / (wall_us as f64 / 1e6),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DedupKind, LossKind, SolverKind};
 
     #[test]
     fn histogram_bucket_edges_are_upper_inclusive() {
@@ -501,7 +307,6 @@ mod tests {
         assert_eq!(h.counts(), &[2, 2, 1]);
         assert_eq!(h.total(), 5);
         assert_eq!(h.sum(), 62);
-        assert!((h.mean() - 12.4).abs() < 1e-12);
     }
 
     #[test]
@@ -535,97 +340,6 @@ mod tests {
         assert_eq!(r.gauges().collect::<Vec<_>>(), vec![("g", 1.5)]);
         let names: Vec<&str> = r.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a"], "sorted, deterministic iteration");
-    }
-
-    fn acquire(t: u64, gw: u32, tx: u64, in_use: u32) -> ObsEvent {
-        ObsEvent::DecoderAcquired {
-            t_us: t,
-            trace: 0,
-            gw,
-            tx,
-            in_use,
-            capacity: 16,
-        }
-    }
-
-    fn release(t: u64, gw: u32, tx: u64, in_use: u32) -> ObsEvent {
-        ObsEvent::DecoderReleased {
-            t_us: t,
-            trace: 0,
-            gw,
-            tx,
-            in_use,
-        }
-    }
-
-    #[test]
-    fn occupancy_timeline_and_utilization() {
-        let mut m = MetricsSink::new();
-        // One decoder busy from t=0 to t=100, then two from 100..200,
-        // then zero: ∫ in_use dt = 1·100 + 2·100 = 300 decoder-µs over
-        // a 200 µs span of a 16-decoder pool.
-        m.record(&acquire(0, 0, 1, 1));
-        m.record(&acquire(100, 0, 2, 2));
-        m.record(&release(200, 0, 1, 1));
-        m.record(&release(200, 0, 2, 0));
-        let occ = &m.gateways()[&0];
-        assert_eq!(occ.timeline, vec![(0, 1), (100, 2), (200, 1), (200, 0)]);
-        assert_eq!(occ.peak_in_use, 2);
-        assert!((occ.utilization() - 300.0 / (16.0 * 200.0)).abs() < 1e-12);
-        // Dispatch latency: tx 1 held 200 µs, tx 2 held 100 µs.
-        let h = m.registry().histogram("dispatch_latency_us").unwrap();
-        assert_eq!(h.total(), 2);
-        assert_eq!(h.sum(), 300);
-    }
-
-    #[test]
-    fn utilization_survives_clock_restarts() {
-        // One sink fed by two runs whose simulation clocks both start
-        // near zero (the bench harness aggregates a whole process).
-        // The backwards jump between runs must not inflate utilization
-        // past the true busy fraction.
-        let mut m = MetricsSink::new();
-        for _run in 0..2 {
-            m.record(&acquire(1_000, 0, 1, 1));
-            m.record(&release(2_000, 0, 1, 0));
-        }
-        let occ = &m.gateways()[&0];
-        // Each run: 1 decoder busy for 1 000 of 1 000 observed µs.
-        assert!((occ.utilization() - 2_000.0 / (16.0 * 2_000.0)).abs() < 1e-12);
-        assert!(occ.utilization() <= 1.0);
-    }
-
-    #[test]
-    fn outcome_and_dedup_counters() {
-        let mut m = MetricsSink::new();
-        m.record(&ObsEvent::PacketOutcome {
-            t_us: 1,
-            trace: 0,
-            tx: 0,
-            delivered: true,
-            cause: None,
-        });
-        m.record(&ObsEvent::PacketOutcome {
-            t_us: 2,
-            trace: 0,
-            tx: 1,
-            delivered: false,
-            cause: Some(LossKind::DecoderInter),
-        });
-        m.record(&ObsEvent::Dedup {
-            t_us: 3,
-            trace: 0,
-            dev: 1,
-            fcnt: 0,
-            gw: 0,
-            outcome: DedupKind::Late,
-        });
-        assert_eq!(m.registry().counter("delivered"), 1);
-        assert_eq!(m.registry().counter("lost"), 1);
-        assert_eq!(m.registry().counter("loss_DecoderInter"), 1);
-        assert_eq!(m.registry().counter("dedup_Late"), 1);
-        assert_eq!(m.registry().counter("packet_outcome"), 2);
-        assert_eq!(m.events(), 3);
     }
 
     #[test]
@@ -714,18 +428,6 @@ latency_us_count 3
     }
 
     #[test]
-    fn gateway_info_seeds_capacity() {
-        let mut m = MetricsSink::new();
-        m.record(&ObsEvent::GatewayInfo {
-            gw: 3,
-            network: 1,
-            capacity: 8,
-        });
-        assert_eq!(m.gateways()[&3].capacity, 8);
-        assert_eq!(m.registry().counter("gateway_info"), 1);
-    }
-
-    #[test]
     fn registry_gauge_overwrites_and_histogram_keeps_first_bounds() {
         let mut r = Registry::new();
         r.set_gauge("g", 1.0);
@@ -769,65 +471,5 @@ latency_us_count 3
             }
             None => assert_eq!(r.gauges().count(), 0, "no procfs, no gauges"),
         }
-    }
-
-    #[test]
-    fn release_without_acquire_records_no_latency() {
-        let mut m = MetricsSink::new();
-        m.record(&release(500, 2, 9, 0));
-        assert!(m.registry().histogram("dispatch_latency_us").is_none());
-        assert_eq!(m.gateways()[&2].timeline, vec![(500, 0)]);
-        // A release is paired with its own acquisition only.
-        m.record(&acquire(600, 2, 10, 1));
-        m.record(&release(700, 2, 11, 0));
-        assert!(m.registry().histogram("dispatch_latency_us").is_none());
-        m.record(&release(900, 2, 10, 0));
-        assert_eq!(
-            m.registry().histogram("dispatch_latency_us").unwrap().sum(),
-            300
-        );
-    }
-
-    #[test]
-    fn solver_runs_feed_wall_histogram_and_rate_gauge() {
-        let mut m = MetricsSink::new();
-        let run = |solver, evaluations, wall_us| ObsEvent::SolverRun {
-            trace: 0,
-            solver,
-            nodes: 10,
-            gateways: 2,
-            evaluations,
-            generations: 5,
-            workers: 1,
-            wall_us,
-        };
-        m.record(&run(SolverKind::Ga, 1_000, 500_000));
-        m.record(&run(SolverKind::Anneal, 400, 0)); // no rate from a zero wall
-        let r = m.registry();
-        assert_eq!(r.counter("solver_Ga_runs"), 1);
-        assert_eq!(r.counter("solver_Anneal_runs"), 1);
-        assert_eq!(r.counter("solver_evaluations"), 1_400);
-        assert_eq!(r.counter("solver_run"), 2);
-        let h = r.histogram("solver_wall_us").unwrap();
-        assert_eq!(h.bounds(), &SOLVER_WALL_BOUNDS_US);
-        assert_eq!((h.total(), h.sum()), (2, 500_000));
-        let rate = r.gauges().find(|&(n, _)| n == "solver_evals_per_sec");
-        assert_eq!(rate, Some(("solver_evals_per_sec", 2_000.0)));
-    }
-
-    #[test]
-    fn utilization_is_zero_without_an_observed_span() {
-        let mut m = MetricsSink::new();
-        m.record(&ObsEvent::GatewayInfo {
-            gw: 0,
-            network: 1,
-            capacity: 8,
-        });
-        assert_eq!(m.gateways()[&0].utilization(), 0.0);
-        // One event opens the span but covers no time yet.
-        m.record(&acquire(100, 0, 1, 1));
-        assert_eq!(m.gateways()[&0].utilization(), 0.0);
-        m.record(&release(300, 0, 1, 0));
-        assert!((m.gateways()[&0].utilization() - 1.0 / 16.0).abs() < 1e-12);
     }
 }

@@ -23,7 +23,8 @@
 //!
 //! The analyzer also checks stream causality ([`CausalityViolation`]):
 //! a decoder released before (or without) its acquisition, an acquire
-//! for a trace that never locked on, a hold that never ends. A healthy
+//! for a trace that never locked on, a hold that never ends, a trace
+//! that starts over after its verdict. A healthy
 //! full-run stream has none; a truncated stream legitimately reports
 //! boundary violations for spans cut by its edge.
 
@@ -56,10 +57,12 @@ fn mix(mut x: u64) -> u64 {
 
 /// Mint the trace id for transmission `tx` of run `run_epoch`.
 ///
-/// `tx` ids restart at 0 every run, but one JSONL stream may hold many
-/// runs (the bench session appends); hashing the run epoch in keeps
-/// ids unique across the whole stream while staying deterministic for
-/// a fixed (epoch, tx) pair. Never returns 0 and never sets the
+/// `tx` ids restart at 0 every run; hashing the run epoch in keeps ids
+/// unique across the runs of one world while staying deterministic for
+/// a fixed (epoch, tx) pair. Every world starts at epoch 0, so two
+/// worlds mint the same ids: a stream that appends several worlds (the
+/// bench session does) must re-mint them per world, e.g. as
+/// `packet_trace(segment, trace)`. Never returns 0 and never sets the
 /// control tag bit.
 pub fn packet_trace(run_epoch: u64, tx: u64) -> TraceId {
     let id = mix(run_epoch ^ mix(tx)) & !CONTROL_TAG;
@@ -291,6 +294,16 @@ pub enum CausalityViolation {
         /// Second acquisition instant, µs.
         t_us: u64,
     },
+    /// A lifecycle event for a trace whose `PacketOutcome` was already
+    /// seen: two transmissions share one id.
+    TraceReused {
+        /// The reused trace.
+        trace: TraceId,
+        /// Transmission id of the later event.
+        tx: u64,
+        /// Instant of the later event, µs.
+        t_us: u64,
+    },
 }
 
 impl fmt::Display for CausalityViolation {
@@ -332,6 +345,11 @@ impl fmt::Display for CausalityViolation {
                 "double acquire: gw {gw} tx {tx} re-acquired at {t_us} µs \
                  without an intervening release"
             ),
+            CausalityViolation::TraceReused { trace, tx, t_us } => write!(
+                f,
+                "trace reused: trace {trace:#x} seen again for tx {tx} at \
+                 {t_us} µs after its outcome"
+            ),
         }
     }
 }
@@ -356,6 +374,11 @@ struct ActiveHold {
 #[derive(Debug, Default)]
 pub struct TraceAnalyzer {
     gateways: BTreeMap<u32, GatewayIdentity>,
+    occupancy: BTreeMap<u32, Occupancy>,
+    events: BTreeMap<&'static str, u64>,
+    delivered: u64,
+    lost: BTreeMap<Option<LossKind>, u64>,
+    dedup: BTreeMap<DedupKind, u64>,
     timelines: BTreeMap<TraceId, PacketTimeline>,
     control: BTreeMap<TraceId, ControlTimeline>,
     /// Open holds per gateway, keyed by tx (the pool's own key).
@@ -365,7 +388,6 @@ pub struct TraceAnalyzer {
     last_lock_on: BTreeMap<u64, (TraceId, u32)>,
     drops: Vec<DropRecord>,
     violations: Vec<CausalityViolation>,
-    events_seen: u64,
 }
 
 impl TraceAnalyzer {
@@ -385,6 +407,19 @@ impl TraceAnalyzer {
             })
     }
 
+    /// Report `trace` if its verdict is already in: a lifecycle event
+    /// after the outcome means two transmissions share the id.
+    fn check_open(&mut self, trace: TraceId, tx: u64, t_us: u64) {
+        if self
+            .timelines
+            .get(&trace)
+            .is_some_and(|tl| tl.delivered.is_some())
+        {
+            self.violations
+                .push(CausalityViolation::TraceReused { trace, tx, t_us });
+        }
+    }
+
     /// The control timeline for `trace`, creating it on first touch.
     fn control_timeline(&mut self, trace: TraceId) -> &mut ControlTimeline {
         self.control
@@ -398,7 +433,7 @@ impl TraceAnalyzer {
     /// Fold one event into the reconstruction. Events must arrive in
     /// stream order (the order a sink recorded them).
     pub fn observe(&mut self, ev: &ObsEvent) {
-        self.events_seen += 1;
+        *self.events.entry(ev.kind_name()).or_insert(0) += 1;
         match *ev {
             ObsEvent::GatewayInfo {
                 gw,
@@ -407,6 +442,7 @@ impl TraceAnalyzer {
             } => {
                 self.gateways
                     .insert(gw, GatewayIdentity { network, capacity });
+                self.occupancy.entry(gw).or_default().capacity = capacity;
             }
             ObsEvent::TxStart {
                 t_us,
@@ -416,6 +452,7 @@ impl TraceAnalyzer {
                 network,
             } => {
                 if trace != 0 {
+                    self.check_open(trace, tx, t_us);
                     let tl = self.timeline(trace, tx);
                     tl.node = Some(node);
                     tl.network = Some(network);
@@ -431,6 +468,7 @@ impl TraceAnalyzer {
             } => {
                 self.last_lock_on.insert(tx, (trace, network));
                 if trace != 0 {
+                    self.check_open(trace, tx, t_us);
                     let tl = self.timeline(trace, tx);
                     tl.node = Some(node);
                     tl.network = Some(network);
@@ -442,8 +480,12 @@ impl TraceAnalyzer {
                 trace,
                 gw,
                 tx,
-                ..
+                in_use,
+                capacity,
             } => {
+                let occ = self.occupancy.entry(gw).or_default();
+                occ.capacity = capacity;
+                occ.peak_in_use = occ.peak_in_use.max(in_use);
                 // Resolve the holder's identity: the event's own trace,
                 // or (for untraced streams) the latest lock-on for tx.
                 let (trace, network) = if trace != 0 {
@@ -455,6 +497,7 @@ impl TraceAnalyzer {
                     }
                 };
                 if trace != 0 {
+                    self.check_open(trace, tx, t_us);
                     match self.timelines.get(&trace) {
                         Some(tl) if tl.lock_on_us.is_some() => {}
                         _ => self.violations.push(CausalityViolation::OrphanSpan {
@@ -552,6 +595,7 @@ impl TraceAnalyzer {
                     blockers,
                 });
                 if trace != 0 {
+                    self.check_open(trace, tx, t_us);
                     self.timeline(trace, tx).drops.push(GatewayDrop {
                         gw,
                         t_us,
@@ -580,7 +624,13 @@ impl TraceAnalyzer {
                 delivered,
                 cause,
             } => {
+                if delivered {
+                    self.delivered += 1;
+                } else {
+                    *self.lost.entry(cause).or_insert(0) += 1;
+                }
                 if trace != 0 {
+                    self.check_open(trace, tx, t_us);
                     let tl = self.timeline(trace, tx);
                     tl.outcome_us = Some(t_us);
                     tl.delivered = Some(delivered);
@@ -594,6 +644,7 @@ impl TraceAnalyzer {
                 outcome,
                 ..
             } => {
+                *self.dedup.entry(outcome).or_insert(0) += 1;
                 if trace != 0 {
                     if let Some(tl) = self.timelines.get_mut(&trace) {
                         tl.receipts.push(ServerReceipt { gw, t_us, outcome });
@@ -625,14 +676,13 @@ impl TraceAnalyzer {
                     ct.channels = channels;
                 }
             }
-            // Solver runs carry no packet lifecycle; the metrics layer
-            // aggregates them (`solver_*` counters in MetricsSink).
-            ObsEvent::SolverRun { .. } => {}
-            // Service transport events are aggregated by the metrics
-            // layer; the per-copy Dedup events above carry the
-            // packet-lifecycle content.
-            ObsEvent::SvcAccept { .. } | ObsEvent::SvcIngest { .. } => {}
-            ObsEvent::FaultActivated { .. } => {}
+            // Solver runs, service transport and fault activations carry
+            // no packet lifecycle: only their counts above. The per-copy
+            // Dedup events carry the service side of a packet's life.
+            ObsEvent::SolverRun { .. }
+            | ObsEvent::SvcAccept { .. }
+            | ObsEvent::SvcIngest { .. }
+            | ObsEvent::FaultActivated { .. } => {}
         }
     }
 
@@ -658,13 +708,26 @@ impl TraceAnalyzer {
         }
         TraceReport {
             gateways: self.gateways,
+            occupancy: self.occupancy,
+            events: self.events,
+            delivered: self.delivered,
+            lost: self.lost,
+            dedup: self.dedup,
             timelines: self.timelines,
             control: self.control,
             drops: self.drops,
             violations: self.violations,
-            events_seen: self.events_seen,
         }
     }
+}
+
+/// Decoder-pool occupancy of one gateway over the whole stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Occupancy {
+    /// Pool capacity, from `GatewayInfo` or the latest acquisition.
+    pub capacity: u32,
+    /// Most decoders in use at once, from the acquisitions' `in_use`.
+    pub peak_in_use: u32,
 }
 
 /// The assembled output of a [`TraceAnalyzer`] pass.
@@ -672,6 +735,17 @@ impl TraceAnalyzer {
 pub struct TraceReport {
     /// Gateway identities seen in the stream.
     pub gateways: BTreeMap<u32, GatewayIdentity>,
+    /// Per-gateway pool capacity and peak occupancy.
+    pub occupancy: BTreeMap<u32, Occupancy>,
+    /// Events folded in, by [`ObsEvent::kind_name`]; their sum is every
+    /// event folded in.
+    pub events: BTreeMap<&'static str, u64>,
+    /// `PacketOutcome`s that delivered.
+    pub delivered: u64,
+    /// `PacketOutcome`s that lost, by cause.
+    pub lost: BTreeMap<Option<LossKind>, u64>,
+    /// `Dedup` classifications, by outcome.
+    pub dedup: BTreeMap<DedupKind, u64>,
     /// Per-packet timelines, keyed by trace id (sorted, deterministic).
     pub timelines: BTreeMap<TraceId, PacketTimeline>,
     /// Control-plane (Master request) timelines.
@@ -680,8 +754,6 @@ pub struct TraceReport {
     pub drops: Vec<DropRecord>,
     /// Causal inconsistencies found (empty for a healthy full stream).
     pub violations: Vec<CausalityViolation>,
-    /// Total events folded in.
-    pub events_seen: u64,
 }
 
 /// Decoder occupancy at one gateway, split by holder network.
@@ -691,6 +763,10 @@ pub struct GatewayContention {
     pub gw: u32,
     /// The gateway's own network, when known.
     pub network: Option<u32>,
+    /// Decoder pool capacity (0 when the stream never said).
+    pub capacity: u32,
+    /// Most decoders in use at once.
+    pub peak_in_use: u32,
     /// Decoder-µs held by the gateway's own network.
     pub own_decoder_us: u64,
     /// Decoder-µs held by foreign networks — the occupancy AlphaWAN's
@@ -776,8 +852,13 @@ impl TraceReport {
 
         let mut per_gateway = Vec::new();
         let mut foreign_total = 0u64;
-        // Include gateways that announced themselves but saw no holds.
-        for &gw in per_gw.keys().chain(self.gateways.keys()) {
+        // Include gateways that announced themselves or acquired but
+        // closed no holds.
+        for &gw in per_gw
+            .keys()
+            .chain(self.gateways.keys())
+            .chain(self.occupancy.keys())
+        {
             if per_gateway.iter().any(|g: &GatewayContention| g.gw == gw) {
                 continue;
             }
@@ -799,9 +880,12 @@ impl TraceReport {
                 }
             }
             foreign_total += foreign;
+            let occ = self.occupancy.get(&gw).copied().unwrap_or_default();
             per_gateway.push(GatewayContention {
                 gw,
                 network,
+                capacity: occ.capacity,
+                peak_in_use: occ.peak_in_use,
                 own_decoder_us: own,
                 foreign_decoder_us: foreign,
                 by_network,
@@ -1436,5 +1520,100 @@ mod tests {
             .map(|e| e.tid)
             .collect();
         assert_eq!(decoder_tids, vec![0, 0]);
+    }
+
+    #[test]
+    fn a_trace_seen_again_after_its_outcome_is_reused() {
+        // Two worlds that each start at epoch 0 mint the same id for
+        // their tx 0: appended to one stream, the second lifecycle
+        // starts after the first one's verdict.
+        let trace = packet_trace(0, 0);
+        let mut ev = lifecycle(trace, 0, 1, 0, 0, 1_000);
+        ev.extend(lifecycle(trace, 0, 1, 0, 0, 1_000));
+        let mut an = TraceAnalyzer::new();
+        an.observe_all(&ev);
+        let report = an.into_report();
+        assert_eq!(report.timelines.len(), 1, "the two packets merged");
+        // The second TxStart, lock-on, acquire and outcome each report.
+        assert_eq!(report.violations.len(), 4, "{:?}", report.violations);
+        assert_eq!(
+            report.violations[0],
+            CausalityViolation::TraceReused {
+                trace,
+                tx: 0,
+                t_us: 0
+            }
+        );
+        // Distinct ids per world: one clean timeline each.
+        let mut an = TraceAnalyzer::new();
+        an.observe_all(&lifecycle(packet_trace(0, 0), 0, 1, 0, 0, 1_000));
+        an.observe_all(&lifecycle(packet_trace(1, 0), 0, 1, 0, 0, 1_000));
+        let report = an.into_report();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.timelines.len(), 2);
+    }
+
+    #[test]
+    fn counts_events_outcomes_dedup_and_peak_occupancy() {
+        let mut ev = vec![ObsEvent::GatewayInfo {
+            gw: 4,
+            network: 1,
+            capacity: 2,
+        }];
+        let a = lifecycle(packet_trace(0, 0), 0, 1, 4, 0, 1_000);
+        let mut b = lifecycle(packet_trace(0, 1), 1, 1, 4, 50, 2_000);
+        if let ObsEvent::DecoderAcquired { in_use, .. } = &mut b[2] {
+            *in_use = 2;
+        }
+        b[4] = ObsEvent::PacketOutcome {
+            t_us: 2_000,
+            trace: packet_trace(0, 1),
+            tx: 1,
+            delivered: false,
+            cause: Some(LossKind::ChannelIntra),
+        };
+        ev.extend_from_slice(&a[..3]);
+        ev.extend_from_slice(&b[..3]);
+        ev.extend_from_slice(&a[3..]);
+        ev.extend_from_slice(&b[3..]);
+        // Untraced events count too.
+        ev.push(ObsEvent::PacketOutcome {
+            t_us: 3_000,
+            trace: 0,
+            tx: 9,
+            delivered: false,
+            cause: Some(LossKind::ChannelIntra),
+        });
+        for outcome in [DedupKind::New, DedupKind::Duplicate, DedupKind::New] {
+            ev.push(ObsEvent::Dedup {
+                t_us: 3_000,
+                trace: packet_trace(0, 0),
+                dev: 1,
+                fcnt: 0,
+                gw: 4,
+                outcome,
+            });
+        }
+        let mut an = TraceAnalyzer::new();
+        an.observe_all(&ev);
+        let report = an.into_report();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let count = |kind: &str| report.events.get(kind).copied();
+        assert_eq!(count("tx_start"), Some(2));
+        assert_eq!(count("packet_outcome"), Some(3));
+        assert_eq!(count("dedup"), Some(3));
+        assert_eq!(count("pool_full_drop"), None);
+        assert_eq!(report.events.values().sum::<u64>(), ev.len() as u64);
+        assert_eq!(report.delivered, 1);
+        assert_eq!(
+            report.lost.iter().collect::<Vec<_>>(),
+            [(&Some(LossKind::ChannelIntra), &2)]
+        );
+        assert_eq!(
+            report.dedup.iter().collect::<Vec<_>>(),
+            [(&DedupKind::New, &2), (&DedupKind::Duplicate, &1)]
+        );
+        let gw = &report.contention().per_gateway[0];
+        assert_eq!((gw.gw, gw.capacity, gw.peak_in_use), (4, 2, 2));
     }
 }

@@ -106,6 +106,7 @@ impl TracePool {
     }
 
     /// Serialize the pool to JSON.
+    #[cfg(test)]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("trace pool serializes")
     }

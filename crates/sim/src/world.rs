@@ -649,9 +649,9 @@ mod tests {
 
     #[test]
     fn obs_sink_sees_full_event_stream() {
-        use obs::{MetricsSink, SharedSink};
+        use obs::{LossKind, SharedSink, TraceAnalyzer, VecSink};
         // Same 20-user burst as `sixteen_cap_single_gateway`, observed.
-        let shared = SharedSink::new(MetricsSink::new());
+        let shared = SharedSink::new(VecSink::new());
         let mut w = clean_world(20, &[1]);
         w.set_obs_sink(Box::new(shared.handle()));
         let plans = concurrent_burst(
@@ -663,21 +663,27 @@ mod tests {
         );
         let recs = w.run(&plans);
         assert_eq!(recs.iter().filter(|r| r.delivered).count(), 16);
-        shared.with(|m| {
-            let reg = m.registry();
-            assert_eq!(reg.counter("tx_start"), 20);
-            assert_eq!(reg.counter("packet_lock_on"), 20);
-            assert_eq!(reg.counter("decoder_acquired"), 16);
-            assert_eq!(reg.counter("decoder_released"), 16);
-            assert_eq!(reg.counter("pool_full_drop"), 4);
-            assert_eq!(reg.counter("delivered"), 16);
-            assert_eq!(reg.counter("loss_DecoderIntra"), 4);
-            let occ = &m.gateways()[&0];
-            assert_eq!(occ.peak_in_use, 16, "the pool saturated");
-            assert_eq!(occ.capacity, 16);
-            let h = reg.histogram("dispatch_latency_us").unwrap();
-            assert_eq!(h.total(), 16, "one hold-time sample per admission");
-        });
+        let mut analyzer = TraceAnalyzer::new();
+        shared.with(|v| analyzer.observe_all(v.events()));
+        let report = analyzer.into_report();
+        let count = |kind: &str| report.events.get(kind).copied().unwrap_or(0);
+        assert_eq!(count("tx_start"), 20);
+        assert_eq!(count("packet_lock_on"), 20);
+        assert_eq!(count("decoder_acquired"), 16);
+        assert_eq!(count("decoder_released"), 16);
+        assert_eq!(count("pool_full_drop"), 4);
+        assert_eq!(report.delivered, 16);
+        assert_eq!(report.lost.get(&Some(LossKind::DecoderIntra)), Some(&4));
+        let occ = report.occupancy[&0];
+        assert_eq!(occ.peak_in_use, 16, "the pool saturated");
+        assert_eq!(occ.capacity, 16);
+        let closed = report
+            .timelines
+            .values()
+            .flat_map(|tl| &tl.holds)
+            .filter(|h| h.end_us.is_some())
+            .count();
+        assert_eq!(closed, 16, "one closed hold per admission");
         // The sink survives the run and can be detached.
         assert!(w.take_obs_sink().is_some());
         assert!(w.take_obs_sink().is_none());

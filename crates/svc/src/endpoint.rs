@@ -19,6 +19,15 @@ use std::time::{Duration, Instant};
 /// endpoint from everyone else for longer than this.
 const REQUEST_DEADLINE: Duration = Duration::from_millis(500);
 
+/// How long a client has to take a response of `len` bytes, for the
+/// same reason: a client that asks for `/decisions` and never reads
+/// must not hold the endpoint. One second, plus one per 32 MB: a full
+/// 8 M-decision log (≈ 240 MB) gets 8.5 s, and `http_get` reads it over
+/// loopback in 1.0–1.3 s on a 2-core host.
+fn response_deadline(len: usize) -> Duration {
+    Duration::from_secs(1) + Duration::from_secs_f64(len as f64 / 32e6)
+}
+
 /// Resolves a request path to `(content-type, body)`; `None` → 404.
 pub type HttpHandler = Arc<dyn Fn(&str) -> Option<(&'static str, Vec<u8>)> + Send + Sync>;
 
@@ -115,7 +124,25 @@ fn serve_one(mut stream: TcpStream, handler: &HttpHandler) -> io::Result<()> {
             None => http_response(404, "text/plain", b"not found\n"),
         }
     };
-    stream.write_all(&response)?;
+    let deadline = Instant::now() + response_deadline(response.len());
+    write_before(&mut stream, &response, deadline)
+}
+
+/// Write all of `bytes` by `deadline`, or fail with `TimedOut`.
+fn write_before(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
+    while !bytes.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(())
 }
 
@@ -224,6 +251,34 @@ mod tests {
                 "/healthz waited {waited:?}"
             );
         });
+        ep.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_cut_off() {
+        // Past the ≈ 3 MB loopback buffers take in before a write to a
+        // client that does not read blocks.
+        const BIG: usize = 8 << 20;
+        let handler: HttpHandler = Arc::new(|path| match path {
+            "/big" => Some(("text/plain", vec![b'x'; BIG])),
+            "/healthz" => Some(("text/plain", b"ok\n".to_vec())),
+            _ => None,
+        });
+        let ep = HttpEndpoint::start((Ipv4Addr::LOCALHOST, 0).into(), handler).unwrap();
+        let mut idle = TcpStream::connect(ep.addr()).unwrap();
+        idle.write_all(b"GET /big HTTP/1.0\r\n\r\n").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let asked = Instant::now();
+        assert_eq!(http_get(ep.addr(), "/healthz").unwrap(), "ok\n");
+        let waited = asked.elapsed();
+        assert!(
+            waited < response_deadline(BIG) + Duration::from_millis(500),
+            "/healthz waited {waited:?}"
+        );
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut got = Vec::new();
+        let _ = idle.read_to_end(&mut got);
+        assert!(got.len() < BIG, "the idle client got the whole body");
         ep.shutdown();
     }
 

@@ -181,6 +181,64 @@ fn malformed_datagrams_are_counted_not_fatal() {
     daemon.shutdown();
 }
 
+/// A client that asks for a large `/decisions` and never reads is cut
+/// off by the endpoint's response deadline: meanwhile `/healthz` still
+/// answers, and a reader that keeps up still gets the whole log.
+#[test]
+fn a_client_that_never_reads_cannot_hold_the_endpoint() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+    // Loopback takes about 3 MB into the socket buffers before a write
+    // blocks on a client that does not read: log well past that.
+    const MIN_BODY: usize = 8 << 20;
+    let mut load = LoadgenConfig {
+        devices: 64,
+        gateways: 4,
+        replicas: 8,
+        batch: 64,
+        ..LoadgenConfig::default()
+    };
+    let window_us = NetServerConfig::default().dedup_window_us;
+    let fleet = svc::loadgen::build_fleet(&load, window_us).unwrap();
+    let per_epoch = fleet.pkts_per_epoch();
+    load.epochs = (320_000u64.div_ceil(per_epoch) as usize).min(fleet.max_epochs());
+    let daemon = NetServerDaemon::start(NetServerConfig::default(), None).unwrap();
+    load.server = daemon.addr();
+    let report = svc::loadgen::run_stream(&load, fleet).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while daemon.counter("svc_pkts_total") != report.sent_pkts {
+        assert!(Instant::now() < deadline, "ingest never caught up");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let body = render_decisions(&daemon.decisions().concat()).len();
+    assert!(body > MIN_BODY, "only {body} bytes of decisions");
+
+    let metrics = daemon.metrics_addr();
+    let mut idle = std::net::TcpStream::connect(metrics).unwrap();
+    idle.write_all(b"GET /decisions HTTP/1.0\r\n\r\n").unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let asked = Instant::now();
+    assert_eq!(http_get(metrics, "/healthz").unwrap(), "ok\n");
+    let waited = asked.elapsed();
+    assert!(
+        waited < Duration::from_secs(2),
+        "/healthz waited {waited:?}"
+    );
+
+    // The endpoint gave up on the idle client part way through.
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut got = Vec::new();
+    let _ = idle.read_to_end(&mut got);
+    assert!(
+        got.len() < body,
+        "the idle client got all {} bytes",
+        got.len()
+    );
+
+    assert_eq!(http_get(metrics, "/decisions").unwrap().len(), body);
+    daemon.shutdown();
+}
+
 fn wait_for(mut cond: impl FnMut() -> bool) {
     for _ in 0..400 {
         if cond() {

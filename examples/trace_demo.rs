@@ -91,7 +91,7 @@ fn main() {
 
     println!(
         "\n{} events → {} packet timelines, {} pool-full drops",
-        report.events_seen,
+        report.events.values().sum::<u64>(),
         report.timelines.len(),
         report.drops.len()
     );

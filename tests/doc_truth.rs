@@ -33,7 +33,10 @@
 //! stack's names occur in no source, doc, manifest or CI workflow, and
 //! no non-test source outside `benchmark/` writes a `BENCH_*.json`.
 //! A seventh holds docs/OBSERVABILITY.md's endpoint table to the paths
-//! each daemon's `http_handler` matches, row for path.
+//! each daemon's `http_handler` matches, row for path, and its
+//! `/metrics` rows to the metric names the daemons register.
+//! An eighth keeps the code a daemon runs free of `.unwrap()` and
+//! `.expect("…")`: a malformed input must not panic a daemon.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fs;
@@ -733,13 +736,13 @@ const UNCALLED_PUB_FNS: [(&str, &str, &str); 17] = [
     ("lora-mac", "enabled_channels", ACROSS),
     ("lora-mac", "next_fcnt", ACROSS),
     // Driven by chaos/tests, sim/tests, tests/sim_equivalence.rs,
-    // tests/obs_determinism.rs and tests/trace_lifecycle.rs.
+    // tests/obs_determinism.rs and tests/json_reader.rs.
     ("chaos", "arrivals", ACROSS),
+    ("chaos", "to_json", ACROSS),
     ("sim", "collect_chunks", ACROSS),
     ("sim", "statistically_equivalent", ACROSS),
     ("sim", "run_with_faults_reference", ACROSS),
     ("sim", "take_obs_sink", ACROSS),
-    ("obs", "is_control", ACROSS),
 ];
 
 #[test]
@@ -1185,4 +1188,222 @@ fn endpoint_scans_read_match_arms_and_table_rows() {
     let paths = |d: &str| table[d].iter().map(String::as_str).collect::<Vec<_>>();
     assert_eq!(paths("masterd"), ["/metrics"]);
     assert_eq!(paths("netserverd"), ["/decisions", "/metrics"]);
+}
+
+/// `name` with every `open`…`close` span read as the placeholder `<>`.
+fn placeholders(name: &str, open: char, close: char) -> String {
+    let mut out = String::new();
+    let mut rest = name;
+    while let Some(at) = rest.find(open) {
+        out.push_str(&rest[..at]);
+        out.push_str("<>");
+        rest = rest[at..]
+            .find(close)
+            .map_or("", |end| &rest[at + end + 1..]);
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The string literal `s` opens with, if any, with every `{…}` of a
+/// `format!` template read as the placeholder `<>`.
+fn leading_literal(s: &str) -> Option<String> {
+    let body = s.strip_prefix('"')?;
+    Some(placeholders(&body[..body.find('"')?], '{', '}'))
+}
+
+/// The metric names `code` (comments stripped) registers: the string
+/// literal or `format!` template passed first to `inc`, `observe` or
+/// `set_gauge`, each name of the `[("name", …), …]` list a
+/// `for (name, …)` loop feeds to one, and each `# TYPE <name>` line
+/// written by hand.
+fn registered_metrics(code: &str) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for call in [".inc(", ".observe(", ".set_gauge("] {
+        for (at, m) in code.match_indices(call) {
+            let arg = code[at + m.len()..].trim_start();
+            let arg = arg.strip_prefix("&format!(").unwrap_or(arg);
+            if let Some(name) = leading_literal(arg) {
+                names.insert(name);
+                continue;
+            }
+            let binder = format!("for ({},", words(arg).next().unwrap_or(""));
+            let Some(list) = code[..at]
+                .rfind(&binder)
+                .and_then(|b| code[b..at].find(" in [").map(|i| b + i + 5))
+            else {
+                continue;
+            };
+            let end = code[list..].find(']').map_or(list, |e| list + e);
+            for tuple in code[list..end].split('(').skip(1) {
+                names.extend(leading_literal(tuple.trim_start()));
+            }
+        }
+    }
+    for (at, m) in code.match_indices("# TYPE ") {
+        names.extend(words(&code[at + m.len()..]).next().map(str::to_string));
+    }
+    names
+}
+
+/// The metric names `doc`'s endpoint table names in its `/metrics`
+/// rows: the code spans made of lowercase words joined by `_`, a
+/// `<kind>` placeholder read as `<>` and `a_{b,c}_d` as both `a_b_d`
+/// and `a_c_d`.
+fn documented_metrics(doc: &str) -> BTreeSet<String> {
+    let rows = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("| Path | Serves |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .filter(|row| code_spans(row).first().is_some_and(|p| p == "/metrics"));
+    let mut names = BTreeSet::new();
+    for span in rows.flat_map(code_spans) {
+        let metric = span.starts_with(|ch: char| ch.is_ascii_lowercase())
+            && span.contains('_')
+            && span
+                .chars()
+                .all(|ch| ch.is_ascii_lowercase() || ch.is_ascii_digit() || "_<>{},".contains(ch));
+        if !metric {
+            continue;
+        }
+        let name = placeholders(&span, '<', '>');
+        match (name.find('{'), name.find('}')) {
+            (Some(open), Some(close)) if open < close => {
+                for alt in name[open + 1..close].split(',') {
+                    names.insert(format!("{}{alt}{}", &name[..open], &name[close + 1..]));
+                }
+            }
+            _ => {
+                names.insert(name);
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn the_metrics_rows_name_exactly_what_the_daemons_register() {
+    let mut files = Vec::new();
+    rust_files(&root().join("crates/svc/src"), &mut files);
+    let mut registered = BTreeSet::new();
+    for f in &files {
+        let src = fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display()));
+        registered.extend(registered_metrics(&without_test_items(&strip_comments(
+            &src,
+        ))));
+    }
+    let metrics = strip_comments(&read(Path::new("crates/obs/src/metrics.rs")));
+    let start = metrics
+        .find("fn sample_process_memory")
+        .expect("Registry::sample_process_memory");
+    let c: Vec<char> = metrics.chars().collect();
+    let start = metrics[..start].chars().count();
+    let body: String = c[start..item_end(&c, start)].iter().collect();
+    registered.extend(registered_metrics(&body));
+    assert!(
+        registered.contains("svc_pkts_total") && registered.contains("process_rss_bytes"),
+        "the registration scan found only {registered:?}"
+    );
+
+    let documented = documented_metrics(&read(Path::new("docs/OBSERVABILITY.md")));
+    let undocumented: Vec<&String> = registered.difference(&documented).collect();
+    let unregistered: Vec<&String> = documented.difference(&registered).collect();
+    assert!(
+        undocumented.is_empty() && unregistered.is_empty(),
+        "docs/OBSERVABILITY.md's `/metrics` rows against the daemons' registrations: \
+         registered but not documented {undocumented:?}, documented but not registered \
+         {unregistered:?}"
+    );
+}
+
+#[test]
+fn metric_scans_read_calls_loops_templates_and_table_rows() {
+    let code = "fn publish(reg: &mut Registry) {\n\
+                    for (name, by) in [(\"a_total\", 1), (\"b_seen\", x.y)] {\n\
+                        reg.inc(name, by);\n\
+                    }\n\
+                    reg.observe(\n\"lat_us\", &BOUNDS, v);\n\
+                    reg.inc(&format!(\"req_{kind}_total\"), 1);\n\
+                    h.observe(v);\n\
+                    text.push_str(\"# TYPE hand_gauge gauge\\nhand_gauge 1\\n\");\n\
+                }\n";
+    assert_eq!(
+        registered_metrics(code).into_iter().collect::<Vec<_>>(),
+        ["a_total", "b_seen", "hand_gauge", "lat_us", "req_<>_total"]
+    );
+    let doc = "| Path | Serves |\n|---|---|\n\
+               | `/metrics` | counts `a_total` (so `a_total / b_seen` is a share), \
+               `req_<kind>_total`, `x_{one,two}_total` and `lat_us` via \
+               `Registry::render_prometheus` on `netserverd` (`obs::proc_mem()`) |\n\
+               | `/metrics`: `hand_gauge` | (`netserverd` only) read on `/proc/net/udp` |\n\
+               | `/healthz` | `not_a_metric` |\n";
+    assert_eq!(
+        documented_metrics(doc).into_iter().collect::<Vec<_>>(),
+        [
+            "a_total",
+            "hand_gauge",
+            "lat_us",
+            "req_<>_total",
+            "x_one_total",
+            "x_two_total"
+        ]
+    );
+}
+
+/// The module trees a daemon runs: `svc`, `netserver`, the gateway's
+/// forwarder and the Master.
+const DAEMON_CODE: [&str; 4] = [
+    "crates/svc/src",
+    "crates/netserver/src",
+    "crates/gateway/src/forwarder",
+    "crates/alphawan/src/master",
+];
+
+/// The lines of `code` (comments stripped) that call `.unwrap()` or
+/// `.expect("…")` before its first `#[cfg(test)]`.
+fn panic_shortcuts(code: &str) -> Vec<usize> {
+    let code = code.split("#[cfg(test)]").next().unwrap_or("");
+    code.lines()
+        .enumerate()
+        .filter(|(_, line)| line.contains(".unwrap()") || line.contains(".expect(\""))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+#[test]
+fn daemon_code_neither_unwraps_nor_expects() {
+    let mut files = Vec::new();
+    for dir in DAEMON_CODE {
+        rust_files(&root().join(dir), &mut files);
+    }
+    assert!(
+        files.len() >= 15,
+        "only {} daemon sources found",
+        files.len()
+    );
+    let offenders: Vec<String> = files
+        .iter()
+        .flat_map(|f| {
+            let src = fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display()));
+            let rel = f.strip_prefix(root()).unwrap_or(f).display().to_string();
+            panic_shortcuts(&strip_comments(&src))
+                .into_iter()
+                .map(move |line| format!("{rel}:{line}"))
+        })
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "a daemon must not panic on what it is sent: return the error instead ({offenders:?})"
+    );
+}
+
+#[test]
+fn panic_shortcuts_stop_at_the_first_test_item() {
+    let code = "fn a() { self.expect(b'{')?; x.unwrap_or(0); }\n\
+                fn b() { y.unwrap() }\n\
+                fn c() { z.expect(\"set\") }\n\
+                #[cfg(test)]\n\
+                mod tests { fn d() { w.unwrap() } }\n";
+    assert_eq!(panic_shortcuts(code), [2, 3]);
 }

@@ -78,7 +78,7 @@ fn traced_run() -> (Vec<obs::ObsEvent>, TraceReport) {
 fn timelines_are_complete_and_causally_consistent() {
     let (events, report) = traced_run();
     assert!(report.violations.is_empty(), "{:?}", report.violations);
-    assert_eq!(report.events_seen, events.len() as u64);
+    assert_eq!(report.events.values().sum::<u64>(), events.len() as u64);
     assert_eq!(report.gateways.len(), 2);
     assert_eq!(report.timelines.len(), NODES, "one timeline per tx");
     for tl in report.timelines.values() {
