@@ -162,29 +162,6 @@ impl GaSolver {
         (sol, obj, stats)
     }
 
-    /// Solve and report the run to an observability sink as a
-    /// [`obs::ObsEvent::SolverRun`] (`trace` ties it to the Master plan
-    /// request that asked for it; 0 = untraced).
-    pub fn solve_observed(
-        &self,
-        p: &CpProblem,
-        sink: &mut dyn obs::ObsSink,
-        trace: u64,
-    ) -> (CpSolution, f64, SolverStats) {
-        let (sol, obj, stats) = self.solve_stats(p);
-        sink.record(&obs::ObsEvent::SolverRun {
-            trace,
-            solver: obs::SolverKind::Ga,
-            nodes: p.n_nodes() as u32,
-            gateways: p.n_gateways() as u32,
-            evaluations: stats.evaluations,
-            generations: stats.generations,
-            workers: stats.workers,
-            wall_us: stats.wall.as_micros() as u64,
-        });
-        (sol, obj, stats)
-    }
-
     /// Worker-thread count for this run: the configured value, or one
     /// per available CPU core when 0, never more than the population.
     fn resolve_workers(&self) -> usize {
@@ -990,19 +967,11 @@ mod tests {
         let (_, _, stats) = solver.solve_stats(&p);
         assert!(stats.evaluations >= 16, "at least the initial population");
         assert_eq!(stats.workers, 2);
-        let mut sink = obs::VecSink::default();
-        let (_, _, stats2) = solver.solve_observed(&p, &mut sink, 7);
-        assert_eq!(stats2.evaluations, stats.evaluations);
-        let ev = sink.events().iter().find_map(|ev| match *ev {
-            obs::ObsEvent::SolverRun {
-                trace,
-                evaluations,
-                nodes,
-                ..
-            } => Some((trace, evaluations, nodes)),
-            _ => None,
-        });
-        assert_eq!(ev, Some((7, stats.evaluations, 12)));
+        let (_, _, again) = solver.solve_stats(&p);
+        assert_eq!(
+            again.evaluations, stats.evaluations,
+            "a fixed seed counts the same work"
+        );
     }
 
     /// Clustered reach over `gws` gateways of which the last is heard

@@ -36,41 +36,19 @@ impl MasterClient {
     /// Connect, retrying with the policy's jittered exponential backoff
     /// when the Master is unreachable (partition, restart window).
     /// Returns the last connect error once `policy.max_attempts` is
-    /// exhausted. Reports one
-    /// [`obs::ObsEvent::MasterConnectAttempt`] per TCP attempt,
-    /// carrying the control-plane `trace` of the plan request driving
-    /// the sequence ([`obs::control_trace`]; 0 = untraced) and the
-    /// backoff delay scheduled after it (0 on the final attempt).
-    /// Events carry no wall-clock time, so retry histories are
-    /// comparable across runs.
-    pub fn connect_with_retry_obs(
+    /// exhausted.
+    pub fn connect_with_retry(
         addr: SocketAddr,
         policy: &BackoffPolicy,
-        trace: u64,
-        sink: &mut dyn obs::ObsSink,
     ) -> io::Result<MasterClient> {
         let attempts = policy.max_attempts.max(1);
         let mut last_err = io::Error::other("zero connection attempts allowed");
         for attempt in 0..attempts {
-            let result = MasterClient::connect(addr);
-            let retrying = attempt + 1 < attempts && result.is_err();
-            if sink.enabled() {
-                sink.record(&obs::ObsEvent::MasterConnectAttempt {
-                    trace,
-                    attempt,
-                    ok: result.is_ok(),
-                    backoff_us: if retrying {
-                        policy.delay_after(attempt).as_micros() as u64
-                    } else {
-                        0
-                    },
-                });
-            }
-            match result {
+            match MasterClient::connect(addr) {
                 Ok(c) => return Ok(c),
                 Err(e) => last_err = e,
             }
-            if retrying {
+            if attempt + 1 < attempts {
                 std::thread::sleep(policy.delay_after(attempt));
             }
         }
@@ -137,33 +115,11 @@ fn unexpected(resp: Response) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::master::server::MasterServer;
-    use crate::master::RegionSpec;
-    use obs::{ObsEvent, VecSink};
     use std::net::TcpListener;
-
-    /// (attempt, ok, backoff_us) of each connect attempt `sink` saw,
-    /// checking every one carries `trace`.
-    fn attempts(sink: &VecSink, trace: u64) -> Vec<(u32, bool, u64)> {
-        sink.events()
-            .iter()
-            .map(|e| match *e {
-                ObsEvent::MasterConnectAttempt {
-                    trace: t,
-                    attempt,
-                    ok,
-                    backoff_us,
-                } => {
-                    assert_eq!(t, trace);
-                    (attempt, ok, backoff_us)
-                }
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect()
-    }
+    use std::time::Instant;
 
     #[test]
-    fn retry_reports_each_attempt_and_the_backoff_after_it() {
+    fn retry_returns_the_last_error_after_max_attempts() {
         // A port nothing listens on any more.
         let dead = TcpListener::bind(("127.0.0.1", 0))
             .unwrap()
@@ -173,34 +129,28 @@ mod tests {
             max_attempts: 3,
             ..BackoffPolicy::fast_for_tests()
         };
-        let mut sink = VecSink::new();
-        assert!(MasterClient::connect_with_retry_obs(dead, &policy, 77, &mut sink).is_err());
-        let backoff = |a| policy.delay_after(a).as_micros() as u64;
-        assert_eq!(
-            attempts(&sink, 77),
-            [
-                (0, false, backoff(0)),
-                (1, false, backoff(1)),
-                (2, false, 0)
-            ],
-            "the last attempt schedules no backoff"
-        );
+        let started = Instant::now();
+        let err = MasterClient::connect_with_retry(dead, &policy)
+            .err()
+            .expect("nothing listens");
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+        // Three attempts sleep the two backoffs between them, and only
+        // those: the last attempt schedules none.
+        assert!(started.elapsed() >= policy.delay_after(0) + policy.delay_after(1));
     }
 
     #[test]
     fn retry_stops_at_the_first_success() {
-        let server = MasterServer::start(RegionSpec {
-            band_low_hz: 916_800_000,
-            spectrum_hz: 1_600_000,
-            expected_networks: 2,
-        })
-        .unwrap();
-        let mut sink = VecSink::new();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let policy = BackoffPolicy::fast_for_tests();
-        let mut client =
-            MasterClient::connect_with_retry_obs(server.addr(), &policy, 5, &mut sink).unwrap();
-        assert_eq!(attempts(&sink, 5), [(0, true, 0)]);
-        assert!(client.register("op-r").is_ok());
-        server.shutdown();
+        let client = MasterClient::connect_with_retry(listener.local_addr().unwrap(), &policy);
+        assert!(client.is_ok());
+        // Exactly one TCP connection reached the listener.
+        listener.set_nonblocking(true).unwrap();
+        assert!(listener.accept().is_ok());
+        assert_eq!(
+            listener.accept().err().map(|e| e.kind()),
+            Some(io::ErrorKind::WouldBlock)
+        );
     }
 }

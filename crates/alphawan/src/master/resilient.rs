@@ -10,7 +10,6 @@
 use super::backoff::BackoffPolicy;
 use super::client::MasterClient;
 use lora_phy::channel::Channel;
-use obs::{NullSink, ObsEvent, ObsSink};
 use std::io;
 use std::net::SocketAddr;
 
@@ -32,25 +31,6 @@ pub struct ResilientMasterClient {
     session: Option<(MasterClient, usize)>,
     cached_plan: Option<Vec<Channel>>,
     reconnects: u64,
-    /// Plan requests issued so far; each mints one control-plane trace
-    /// ([`obs::control_trace`]) shared by the connect attempts, RPC
-    /// retries and the final plan-served event it causes.
-    request_seq: u64,
-    /// Stable endpoint id for control traces (a hash of the operator
-    /// name — socket addresses are OS-assigned and not deterministic).
-    endpoint: u64,
-    obs: Option<Box<dyn ObsSink>>,
-}
-
-/// FNV-1a over the operator name: a deterministic endpoint id for
-/// [`obs::control_trace`].
-fn endpoint_id(operator: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in operator.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl ResilientMasterClient {
@@ -64,17 +44,7 @@ impl ResilientMasterClient {
             session: None,
             cached_plan: None,
             reconnects: 0,
-            request_seq: 0,
-            endpoint: endpoint_id(operator),
-            obs: None,
         }
-    }
-
-    /// Attach an observability sink: connect attempts, session retries
-    /// and plan servings (fresh vs cache-degraded) are emitted as
-    /// control-plane [`ObsEvent`]s.
-    pub fn set_obs_sink(&mut self, sink: Box<dyn ObsSink>) {
-        self.obs = Some(sink);
     }
 
     /// The last plan the Master assigned, if any.
@@ -87,17 +57,11 @@ impl ResilientMasterClient {
         self.reconnects
     }
 
-    fn ensure_session(&mut self, trace: u64) -> io::Result<&mut (MasterClient, usize)> {
+    fn ensure_session(&mut self) -> io::Result<&mut (MasterClient, usize)> {
         let session = match self.session.take() {
             Some(session) => session,
             None => {
-                let mut null = NullSink;
-                let sink: &mut dyn ObsSink = match self.obs.as_deref_mut() {
-                    Some(s) => s,
-                    None => &mut null,
-                };
-                let mut client =
-                    MasterClient::connect_with_retry_obs(self.addr, &self.policy, trace, sink)?;
+                let mut client = MasterClient::connect_with_retry(self.addr, &self.policy)?;
                 let operator_id = client.register(&self.operator)?;
                 self.reconnects += 1;
                 (client, operator_id)
@@ -106,62 +70,35 @@ impl ResilientMasterClient {
         Ok(self.session.insert(session))
     }
 
-    /// Emit `ev` to the attached sink, if any.
-    fn emit(&mut self, ev: ObsEvent) {
-        if let Some(sink) = self.obs.as_deref_mut() {
-            if sink.enabled() {
-                sink.record(&ev);
-            }
-        }
-    }
-
     /// Fetch the operator's channel plan, reconnecting if needed. On
     /// total control-plane failure, falls back to the cached plan
     /// (marked [`PlanSource::Cached`]); errors only when there is no
     /// cache to degrade to.
     pub fn channel_plan(&mut self) -> io::Result<(Vec<Channel>, PlanSource)> {
-        let trace = obs::control_trace(self.endpoint, self.request_seq);
-        self.request_seq += 1;
-        match self.try_fetch(trace) {
+        match self.try_fetch() {
             Ok(plan) => {
                 self.cached_plan = Some(plan.clone());
-                self.emit(ObsEvent::MasterPlanServed {
-                    trace,
-                    source: obs::PlanServed::Fresh,
-                    channels: plan.len() as u32,
-                });
                 Ok((plan, PlanSource::Fresh))
             }
             Err(e) => match self.cached_plan.clone() {
-                Some(plan) => {
-                    self.emit(ObsEvent::MasterPlanServed {
-                        trace,
-                        source: obs::PlanServed::Cached,
-                        channels: plan.len() as u32,
-                    });
-                    Ok((plan, PlanSource::Cached))
-                }
+                Some(plan) => Ok((plan, PlanSource::Cached)),
                 None => Err(e),
             },
         }
     }
 
-    fn try_fetch(&mut self, trace: u64) -> io::Result<Vec<Channel>> {
+    fn try_fetch(&mut self) -> io::Result<Vec<Channel>> {
         // One session retry: a dead cached session (server restarted,
         // partition healed) gets dropped and re-established once before
         // we give up on this call.
         for _ in 0..2 {
-            let (client, operator_id) = self.ensure_session(trace)?;
+            let (client, operator_id) = self.ensure_session()?;
             let id = *operator_id;
             match client.request_channels(id) {
                 Ok(plan) => return Ok(plan),
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => return Err(e),
-                Err(_) => {
-                    // Transport failure: drop the session and retry.
-                    self.session = None;
-                    let reconnects = self.reconnects;
-                    self.emit(ObsEvent::MasterRpcRetry { trace, reconnects });
-                }
+                // Transport failure: drop the session and retry.
+                Err(_) => self.session = None,
             }
         }
         Err(io::Error::other("Master unreachable after session retry"))
@@ -221,15 +158,13 @@ mod tests {
     }
 
     #[test]
-    fn obs_sink_sees_control_plane_degradation() {
-        use obs::{ObsEvent, PlanServed, SharedSink, VecSink};
+    fn a_dead_rpc_reconnects_once_and_a_dead_master_serves_the_cache() {
         let master = MasterServer::start(region()).unwrap();
         let addr = master.addr();
-        let shared = SharedSink::new(VecSink::new());
         let mut client = ResilientMasterClient::new(addr, "op-o", BackoffPolicy::fast_for_tests());
-        client.set_obs_sink(Box::new(shared.clone()));
         let (plan, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Fresh);
+        assert_eq!(client.reconnects(), 1);
         // Plant a stale session whose peer hung up: the next RPC fails
         // in-flight, which is the session-retry (not connect-retry) path.
         let stale_listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -238,53 +173,15 @@ mod tests {
         drop(stale_listener);
         let id = client.session.take().expect("session established").1;
         client.session = Some((stale, id));
-        let (_, source) = client.channel_plan().unwrap();
+        let (again, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Fresh, "reconnects after a dead RPC");
+        assert_eq!(again, plan);
+        assert_eq!(client.reconnects(), 2, "one new session, not more");
         master.shutdown();
         client.session = None;
-        let (_, source) = client.channel_plan().unwrap();
+        let (cached, source) = client.channel_plan().unwrap();
         assert_eq!(source, PlanSource::Cached);
-        let events = shared.with(|v| v.events().to_vec());
-        let served: Vec<(PlanServed, u32)> = events
-            .iter()
-            .filter_map(|e| match *e {
-                ObsEvent::MasterPlanServed {
-                    source, channels, ..
-                } => Some((source, channels)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            served,
-            vec![
-                (PlanServed::Fresh, plan.len() as u32),
-                (PlanServed::Fresh, plan.len() as u32),
-                (PlanServed::Cached, plan.len() as u32)
-            ]
-        );
-        // The successful first connect shows up as an attempt, and the
-        // dead Master produced at least one RPC retry before degrading.
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, ObsEvent::MasterConnectAttempt { ok: true, .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, ObsEvent::MasterRpcRetry { .. })));
-        // Every control-plane event carries a tagged, minted trace, and
-        // distinct plan requests carry distinct traces.
-        let traces: Vec<u64> = events.iter().filter_map(|e| e.trace()).collect();
-        assert_eq!(traces.len(), events.len(), "no untraced control events");
-        assert!(traces.iter().all(|&t| obs::trace::is_control(t)));
-        let served_traces: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                ObsEvent::MasterPlanServed { trace, .. } => Some(*trace),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(served_traces.len(), 3);
-        assert_ne!(served_traces[0], served_traces[1]);
-        assert_ne!(served_traces[1], served_traces[2]);
+        assert_eq!(cached, plan);
     }
 
     #[test]

@@ -63,22 +63,6 @@ impl CapacityUpgrade {
         operator: &str,
         master: Option<SocketAddr>,
     ) -> std::io::Result<(PlanOutcome, UpgradeLatency)> {
-        self.run_observed(planner, problem, operator, master, &mut obs::NullSink)
-    }
-
-    /// [`CapacityUpgrade::run`] with solver observability: the CP
-    /// search inside the upgrade is reported to `sink` as a
-    /// [`obs::ObsEvent::SolverRun`], so upgrade-latency experiments
-    /// (Fig. 17) surface solver timing and evaluation counts through
-    /// the obs registry.
-    pub fn run_observed(
-        &self,
-        planner: &IntraNetworkPlanner,
-        problem: &CpProblem,
-        operator: &str,
-        master: Option<SocketAddr>,
-        sink: &mut dyn obs::ObsSink,
-    ) -> std::io::Result<(PlanOutcome, UpgradeLatency)> {
         // Phase 0: spectrum sharing (real TCP round-trips).
         let t0 = Instant::now();
         if let Some(addr) = master {
@@ -95,7 +79,7 @@ impl CapacityUpgrade {
 
         // Phase 1: CP solving (measured).
         let t1 = Instant::now();
-        let (solution, objective, _stats) = GaSolver::new(self.ga).solve_observed(problem, sink, 0);
+        let (solution, objective) = GaSolver::new(self.ga).solve(problem);
         let cp_solve = t1.elapsed();
 
         // Phase 2: config distribution — serialize each gateway's new
@@ -163,30 +147,13 @@ mod tests {
     }
 
     #[test]
-    fn an_observed_upgrade_reports_its_solve_and_plans_the_same() {
+    fn an_upgrade_plans_what_the_solver_finds() {
         let (planner, problem) = small_setup();
         let up = CapacityUpgrade { ga: planner.ga };
-        let mut sink = obs::VecSink::new();
-        let (observed, _) = up
-            .run_observed(&planner, &problem, "op", None, &mut sink)
-            .unwrap();
-        let (plain, _) = up.run(&planner, &problem, "op", None).unwrap();
-        assert_eq!(
-            observed.solution, plain.solution,
-            "observing never steers the search"
-        );
-        match sink.events() {
-            [obs::ObsEvent::SolverRun {
-                nodes,
-                gateways,
-                evaluations,
-                ..
-            }] => {
-                assert_eq!((*nodes, *gateways), (12, 3));
-                assert!(*evaluations > 0);
-            }
-            other => panic!("expected one SolverRun, got {other:?}"),
-        }
+        let (outcome, _) = up.run(&planner, &problem, "op", None).unwrap();
+        let (solution, objective) = GaSolver::new(planner.ga).solve(&problem);
+        assert_eq!(outcome.solution, solution);
+        assert_eq!(outcome.objective.to_bits(), objective.to_bits());
     }
 
     #[test]

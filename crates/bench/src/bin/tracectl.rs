@@ -95,6 +95,36 @@ fn render_counts(report: &TraceReport) -> String {
     text
 }
 
+/// An event stream folded by [`TraceAnalyzer`]: the report, the events
+/// themselves when kept, and each unparseable line as (line number,
+/// error).
+type Stream = (TraceReport, Vec<ObsEvent>, Vec<(usize, String)>);
+
+/// Fold the JSONL event stream `input` line by line. The events are
+/// kept only when `keep` is set: the Chrome export is their one reader,
+/// and without it a stream costs only the analyzer's own memory.
+fn read_stream(input: impl BufRead, keep: bool) -> Result<Stream, String> {
+    let mut analyzer = TraceAnalyzer::new();
+    let mut events = Vec::new();
+    let mut schema_errors = Vec::new();
+    for (lineno, line) in input.lines().enumerate() {
+        let line = line.map_err(|e| format!("read error at line {}: {e}", lineno + 1))?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        match serde_json::from_str::<ObsEvent>(&line) {
+            Ok(ev) => {
+                analyzer.observe(&ev);
+                if keep {
+                    events.push(ev);
+                }
+            }
+            Err(e) => schema_errors.push((lineno + 1, format!("{e:?}"))),
+        }
+    }
+    Ok((analyzer.into_report(), events, schema_errors))
+}
+
 /// Parse a heartbeat JSONL file; unparseable lines are skipped (the
 /// writer is rate-limited, not transactional).
 fn parse_heartbeats(text: &str) -> Vec<Heartbeat> {
@@ -202,40 +232,23 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut analyzer = TraceAnalyzer::new();
-    let mut events: Vec<ObsEvent> = Vec::new();
-    let mut schema_errors: Vec<(usize, String)> = Vec::new();
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = match line {
-            Ok(l) => l,
+    let (report, events, schema_errors) =
+        match read_stream(BufReader::new(file), args.chrome.is_some()) {
+            Ok(read) => read,
             Err(e) => {
-                eprintln!("tracectl: read error at line {}: {e}", lineno + 1);
+                eprintln!("tracectl: {e}");
                 return ExitCode::from(2);
             }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<ObsEvent>(&line) {
-            Ok(ev) => {
-                analyzer.observe(&ev);
-                events.push(ev);
-            }
-            Err(e) => schema_errors.push((lineno + 1, format!("{e:?}"))),
-        }
-    }
-
-    let report = analyzer.into_report();
     let contention = report.contention();
 
     println!("stream   {}", args.input);
     println!(
-        "         {} events, {} unparseable lines, {} gateways, {} packet traces, {} control traces",
+        "         {} events, {} unparseable lines, {} gateways, {} packet traces",
         report.events.values().sum::<u64>(),
         schema_errors.len(),
         report.gateways.len(),
         report.timelines.len(),
-        report.control.len(),
     );
     println!(
         "         {} pool-full drops, {} causality violations",
@@ -271,21 +284,6 @@ fn main() -> ExitCode {
     }
     if report.timelines.len() > args.top {
         println!("  … {} more", report.timelines.len() - args.top);
-    }
-
-    if !report.control.is_empty() {
-        println!("\ncontrol traces:");
-        for ct in report.control.values().take(args.top) {
-            println!(
-                "  {:#x}: {} connects ({} failed), {} rpc retries, served {:?} ({} channels)",
-                ct.trace,
-                ct.connect_attempts,
-                ct.connect_failures,
-                ct.rpc_retries,
-                ct.served,
-                ct.channels
-            );
-        }
     }
 
     // -- Contention attribution ----------------------------------------
@@ -403,6 +401,24 @@ mod tests {
             text.push('\n');
         }
         text
+    }
+
+    #[test]
+    fn the_stream_is_folded_and_kept_only_for_the_chrome_export() {
+        let info = ObsEvent::GatewayInfo {
+            gw: 0,
+            network: 1,
+            capacity: 16,
+        };
+        let line = serde_json::to_string(&info).expect("event serializes");
+        let text = format!("{line}\n\n{{\"NoSuchEvent\":{{}}}}\n{line}\n");
+        let (report, events, errors) = read_stream(text.as_bytes(), false).unwrap();
+        assert_eq!(report.gateways.len(), 2, "both events folded");
+        assert!(events.is_empty());
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].0, 3, "line numbers count the blank line");
+        let (_, events, _) = read_stream(text.as_bytes(), true).unwrap();
+        assert_eq!(events, [info, info]);
     }
 
     #[test]

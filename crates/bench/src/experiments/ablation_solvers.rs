@@ -64,20 +64,10 @@ fn solver_comparison() {
     let obj = problem.objective(&sol);
     eval("greedy", sol, obj, 1);
 
-    // Solver runs report their work accounting (evaluations,
-    // generations, wall time) to the obs session when one is active.
-    let mut session = crate::obs_session::world_sink();
-    let mut null = obs::NullSink;
-    let sink: &mut dyn obs::ObsSink = match session.as_deref_mut() {
-        Some(s) => s,
-        None => &mut null,
-    };
-
-    let (sol, obj, stats) =
-        AnnealSolver::new(AnnealConfig::default()).solve_observed(&problem, sink, 0);
+    let (sol, obj, stats) = AnnealSolver::new(AnnealConfig::default()).solve_stats(&problem);
     eval("annealing", sol, obj, stats.evaluations);
 
-    let (sol, obj, stats) = GaSolver::new(planner.ga).solve_observed(&problem, sink, 0);
+    let (sol, obj, stats) = GaSolver::new(planner.ga).solve_stats(&problem);
     eval("ga (paper)", sol, obj, stats.evaluations);
 
     t.emit("ablation_solvers");

@@ -298,12 +298,34 @@ mod tests {
         assert_eq!(count("decoder_acquired"), 96);
         assert_eq!(count("pool_full_drop"), 24);
         assert_eq!(count("steal_refused"), 8);
-        let peaks: Vec<(u32, u32)> = report
+        // Every burst's world announces its own gateways: one row each,
+        // with that world's network, peak and decoder-µs. Only Fig 3e/f's
+        // two gateways see foreign holders, 8 of their 16 each.
+        assert_eq!(count("gateway_info"), 6);
+        let rows: Vec<(u32, Option<u32>, u32, u64, u64)> = report
             .contention()
             .per_gateway
             .iter()
-            .map(|g| (g.peak_in_use, g.capacity))
+            .map(|g| {
+                (
+                    g.gw,
+                    g.network,
+                    g.peak_in_use,
+                    g.own_decoder_us,
+                    g.foreign_decoder_us,
+                )
+            })
             .collect();
-        assert_eq!(peaks, [(16, 16), (16, 16)]);
+        assert_eq!(
+            rows,
+            [
+                (0, Some(1), 16, 17_760_256, 0),
+                (0, Some(1), 16, 23_461_888, 0),
+                (0, Some(1), 16, 13_631_488, 0),
+                (0, Some(1), 16, 6_703_104, 0),
+                (0, Some(1), 16, 6_815_744, 6_815_744),
+                (1, Some(2), 16, 6_815_744, 6_815_744),
+            ]
+        );
     }
 }

@@ -52,19 +52,11 @@ fn part_a() {
             "total",
         ],
     );
-    // The CP search inside each upgrade reports its work accounting to
-    // the obs session (when active) as a `solver_run` event.
-    let mut session = crate::obs_session::world_sink();
-    let mut null = obs::NullSink;
-    let sink: &mut dyn obs::ObsSink = match session.as_deref_mut() {
-        Some(s) => s,
-        None => &mut null,
-    };
     for (users, gws) in [(4_000usize, 4usize), (8_000, 8), (12_000, 12)] {
         let (planner, problem) = setup(users, gws);
         let up = CapacityUpgrade { ga: planner.ga };
         let (_, lat) = up
-            .run_observed(&planner, &problem, "op", None, sink)
+            .run(&planner, &problem, "op", None)
             .expect("upgrade runs");
         t.row(vec![
             users.to_string(),
@@ -95,22 +87,15 @@ fn part_b() {
         let mut cp_max = 0.0f64;
         let mut comm_max = 0.0f64;
         let mut reboot = 0.0f64;
-        let mut session = crate::obs_session::world_sink();
-        let mut null = obs::NullSink;
-        let sink: &mut dyn obs::ObsSink = match session.as_deref_mut() {
-            Some(s) => s,
-            None => &mut null,
-        };
         for net in 0..nets {
             let (planner, problem) = setup(3_000, 3);
             let up = CapacityUpgrade { ga: planner.ga };
             let (_, lat) = up
-                .run_observed(
+                .run(
                     &planner,
                     &problem,
                     &format!("op-{net}"),
                     Some(server.addr()),
-                    sink,
                 )
                 .expect("upgrade with master runs");
             cp_max = cp_max.max(lat.cp_solve.as_secs_f64());

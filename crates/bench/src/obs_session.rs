@@ -11,8 +11,8 @@
 //! sweep batch [`replay_events`] replays. Every world numbers its runs
 //! from epoch 0, so two worlds mint the same packet trace ids; the
 //! session re-mints each packet trace from its segment number, and the
-//! appended stream keeps one timeline per transmission. Control-plane
-//! traces keep their ids.
+//! appended stream keeps one timeline per transmission. Untraced
+//! events keep their `0`.
 //!
 //! Without the flag the session never initializes: `world_sink()`
 //! returns `None`, no sink is attached, and experiments run on the
@@ -83,7 +83,7 @@ pub fn active() -> bool {
 /// is re-minted from the segment and the world's own id.
 pub(crate) fn in_segment(mut ev: ObsEvent, segment: u64) -> ObsEvent {
     if let Some(trace) = ev.trace_mut() {
-        if *trace != 0 && !obs::trace::is_control(*trace) {
+        if *trace != 0 {
             *trace = obs::packet_trace(segment, *trace);
         }
     }
@@ -202,15 +202,14 @@ mod tests {
     }
 
     #[test]
-    fn untraced_and_control_traces_keep_their_ids() {
-        let control = obs::control_trace(7, 0);
-        for trace in [0, control] {
-            let ev = ObsEvent::MasterRpcRetry {
-                trace,
-                reconnects: 1,
-            };
-            assert_eq!(in_segment(ev, 3), ev);
-        }
+    fn untraced_events_keep_their_ids() {
+        let untraced = ObsEvent::SvcIngest {
+            wall_us: 1,
+            trace: 0,
+            gw: 2,
+            pkts: 3,
+        };
+        assert_eq!(in_segment(untraced, 3), untraced);
         let info = ObsEvent::GatewayInfo {
             gw: 0,
             network: 1,

@@ -22,7 +22,7 @@
 //!
 //! | domain        | faults                                     | injects into |
 //! |---------------|--------------------------------------------|--------------|
-//! | gateway       | crash/restart windows, decoder lock-ups, clock drift | `gateway::pool`, `sim::world` |
+//! | gateway       | crash/restart windows, decoder lock-ups    | `gateway::pool`, `sim::world` |
 //! | backhaul      | datagram loss, latency/jitter, duplication, reordering | `netserverd` ↔ `gateway::forwarder` |
 
 #![deny(missing_docs)]

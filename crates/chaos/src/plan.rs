@@ -33,15 +33,6 @@ pub enum FaultSpec {
         /// End of the lockup, µs (exclusive).
         end_us: u64,
     },
-    /// The gateway's timestamp counter drifts by `ppm` parts-per-million
-    /// (positive = fast clock). Perturbs reported `tmst` values, not
-    /// radio reception.
-    ClockDrift {
-        /// Index of the drifting gateway.
-        gateway: usize,
-        /// Drift rate, parts-per-million (positive = fast clock).
-        ppm: f64,
-    },
     /// Backhaul datagrams are independently lost with `probability`.
     BackhaulLoss {
         /// Per-datagram loss probability in `[0, 1]`.
@@ -90,8 +81,8 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
-    /// The fault's active window, where applicable.
-    pub fn window(&self) -> Option<(u64, u64)> {
+    /// The fault's active window, `start_us..end_us`.
+    pub fn window(&self) -> (u64, u64) {
         match *self {
             FaultSpec::GatewayCrash {
                 start_us, end_us, ..
@@ -110,8 +101,7 @@ impl FaultSpec {
             }
             | FaultSpec::BackhaulReorder {
                 start_us, end_us, ..
-            } => Some((start_us, end_us)),
-            FaultSpec::ClockDrift { .. } => None,
+            } => (start_us, end_us),
         }
     }
 
@@ -147,9 +137,6 @@ pub enum PlanError {
         /// The offending window end, µs.
         end_us: u64,
     },
-    /// Clock drift beyond ±100 000 ppm (10%) — almost certainly a
-    /// units mistake.
-    BadDrift(f64),
 }
 
 impl std::fmt::Display for PlanError {
@@ -159,7 +146,6 @@ impl std::fmt::Display for PlanError {
             PlanError::BadWindow { start_us, end_us } => {
                 write!(f, "fault window {start_us}..{end_us} is inverted")
             }
-            PlanError::BadDrift(ppm) => write!(f, "clock drift {ppm} ppm exceeds ±100000"),
         }
     }
 }
@@ -178,59 +164,17 @@ impl FaultPlan {
     /// Check every fault's parameters.
     pub fn validate(&self) -> Result<(), PlanError> {
         for fault in &self.faults {
-            if let Some((start_us, end_us)) = fault.window() {
-                if start_us > end_us {
-                    return Err(PlanError::BadWindow { start_us, end_us });
-                }
+            let (start_us, end_us) = fault.window();
+            if start_us > end_us {
+                return Err(PlanError::BadWindow { start_us, end_us });
             }
             if let Some(p) = fault.probability() {
                 if !(0.0..=1.0).contains(&p) {
                     return Err(PlanError::BadProbability(p));
                 }
             }
-            if let FaultSpec::ClockDrift { ppm, .. } = *fault {
-                if !ppm.is_finite() || ppm.abs() > 100_000.0 {
-                    return Err(PlanError::BadDrift(ppm));
-                }
-            }
         }
         Ok(())
-    }
-
-    /// Announce the plan to an observability sink: one
-    /// [`obs::ObsEvent::FaultActivated`] per fault, in plan order, so
-    /// an event stream records which failures were scheduled against
-    /// the run it describes. Backhaul faults, which have no gateway
-    /// target, carry `gw: -1`; [`FaultSpec::ClockDrift`]
-    /// has no window and reports `0..u64::MAX`.
-    pub fn observe(&self, sink: &mut dyn obs::ObsSink) {
-        if !sink.enabled() {
-            return;
-        }
-        for fault in &self.faults {
-            let kind = match fault {
-                FaultSpec::GatewayCrash { .. } => obs::FaultKind::GatewayCrash,
-                FaultSpec::DecoderLockup { .. } => obs::FaultKind::DecoderLockup,
-                FaultSpec::ClockDrift { .. } => obs::FaultKind::ClockDrift,
-                FaultSpec::BackhaulLoss { .. } => obs::FaultKind::BackhaulLoss,
-                FaultSpec::BackhaulDelay { .. } => obs::FaultKind::BackhaulDelay,
-                FaultSpec::BackhaulDuplicate { .. } => obs::FaultKind::BackhaulDuplicate,
-                FaultSpec::BackhaulReorder { .. } => obs::FaultKind::BackhaulReorder,
-            };
-            let gw = match *fault {
-                FaultSpec::GatewayCrash { gateway, .. }
-                | FaultSpec::DecoderLockup { gateway, .. }
-                | FaultSpec::ClockDrift { gateway, .. } => gateway as i64,
-                _ => -1,
-            };
-            let (start_us, end_us) = fault.window().unwrap_or((0, u64::MAX));
-            sink.record(&obs::ObsEvent::FaultActivated {
-                kind,
-                gw,
-                start_us,
-                end_us,
-            });
-        }
     }
 
     /// Serialize to JSON (for storing plans next to experiment configs).
@@ -262,10 +206,6 @@ mod tests {
                     decoders: 8,
                     start_us: 0,
                     end_us: u64::MAX,
-                },
-                FaultSpec::ClockDrift {
-                    gateway: 2,
-                    ppm: -40.0,
                 },
                 FaultSpec::BackhaulLoss {
                     probability: 0.25,
@@ -341,40 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_absurd_drift() {
-        let plan = FaultPlan {
-            seed: 0,
-            faults: vec![FaultSpec::ClockDrift {
-                gateway: 0,
-                ppm: 1e9,
-            }],
-        };
-        assert!(matches!(plan.validate(), Err(PlanError::BadDrift(_))));
-    }
-
-    #[test]
-    fn drift_must_be_finite() {
-        for ppm in [f64::NAN, f64::INFINITY, -100_000.5] {
-            let plan = FaultPlan {
-                seed: 0,
-                faults: vec![FaultSpec::ClockDrift { gateway: 0, ppm }],
-            };
-            assert!(
-                matches!(plan.validate(), Err(PlanError::BadDrift(_))),
-                "{ppm}"
-            );
-        }
-        let edge = FaultPlan {
-            seed: 0,
-            faults: vec![FaultSpec::ClockDrift {
-                gateway: 0,
-                ppm: -100_000.0,
-            }],
-        };
-        assert_eq!(edge.validate(), Ok(()));
-    }
-
-    #[test]
     fn plan_errors_name_the_offending_value() {
         assert_eq!(
             PlanError::BadProbability(1.5).to_string(),
@@ -388,80 +294,24 @@ mod tests {
             .to_string(),
             "fault window 10..5 is inverted"
         );
-        assert_eq!(
-            PlanError::BadDrift(2e5).to_string(),
-            "clock drift 200000 ppm exceeds ±100000"
-        );
-    }
-
-    #[test]
-    fn observe_emits_one_event_per_fault() {
-        use obs::{FaultKind, ObsEvent, VecSink};
-        let plan = sample_plan();
-        let mut sink = VecSink::new();
-        plan.observe(&mut sink);
-        assert_eq!(sink.events().len(), plan.faults.len());
-        // Spot-check the three target conventions: gateway-scoped,
-        // windowless clock drift, and target-less backhaul faults.
-        assert_eq!(
-            sink.events()[0],
-            ObsEvent::FaultActivated {
-                kind: FaultKind::GatewayCrash,
-                gw: 0,
-                start_us: 1_000,
-                end_us: 5_000,
-            }
-        );
-        assert_eq!(
-            sink.events()[2],
-            ObsEvent::FaultActivated {
-                kind: FaultKind::ClockDrift,
-                gw: 2,
-                start_us: 0,
-                end_us: u64::MAX,
-            }
-        );
-        assert!(matches!(
-            sink.events()[3],
-            ObsEvent::FaultActivated {
-                kind: FaultKind::BackhaulLoss,
-                gw: -1,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn observe_names_every_fault_kind_in_plan_order() {
-        use obs::{FaultKind, ObsEvent, VecSink};
-        let plan = sample_plan();
-        let mut sink = VecSink::new();
-        plan.observe(&mut sink);
-        let kinds: Vec<(FaultKind, i64)> = sink
-            .events()
-            .iter()
-            .map(|e| match *e {
-                ObsEvent::FaultActivated { kind, gw, .. } => (kind, gw),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(
-            kinds,
-            [
-                (FaultKind::GatewayCrash, 0),
-                (FaultKind::DecoderLockup, 1),
-                (FaultKind::ClockDrift, 2),
-                (FaultKind::BackhaulLoss, -1),
-                (FaultKind::BackhaulDelay, -1),
-                (FaultKind::BackhaulDuplicate, -1),
-                (FaultKind::BackhaulReorder, -1),
-            ]
-        );
     }
 
     #[test]
     fn garbage_json_is_an_error() {
         assert!(FaultPlan::from_json("{not json").is_err());
         assert!(FaultPlan::from_json("{\"seed\": 1}").is_err());
+    }
+
+    #[test]
+    fn a_plan_naming_clock_drift_is_refused() {
+        // Nothing applied a drift: the sim and the UDP proxy ignored it.
+        let json = r#"{"seed":1,"faults":[{"ClockDrift":{"gateway":0,"ppm":40.0}}]}"#;
+        assert!(FaultPlan::from_json(json).is_err());
+        let valid =
+            r#"{"seed":1,"faults":[{"GatewayCrash":{"gateway":0,"start_us":0,"end_us":1}}]}"#;
+        assert!(
+            FaultPlan::from_json(valid).is_ok(),
+            "the plan shape is right"
+        );
     }
 }

@@ -25,12 +25,6 @@ struct LockupWindow {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Drift {
-    gateway: usize,
-    ppm: f64,
-}
-
-#[derive(Debug, Clone, Copy)]
 struct LossWindow {
     probability: f64,
     start_us: u64,
@@ -110,7 +104,6 @@ pub struct FaultSchedule {
     seed: u64,
     crashes: Vec<CrashWindow>,
     lockups: Vec<LockupWindow>,
-    drifts: Vec<Drift>,
     losses: Vec<LossWindow>,
     delays: Vec<DelayWindow>,
     dups: Vec<DupWindow>,
@@ -125,7 +118,6 @@ impl FaultSchedule {
             seed: plan.seed,
             crashes: Vec::new(),
             lockups: Vec::new(),
-            drifts: Vec::new(),
             losses: Vec::new(),
             delays: Vec::new(),
             dups: Vec::new(),
@@ -156,9 +148,6 @@ impl FaultSchedule {
                         start_us,
                         end_us,
                     });
-                }
-                FaultSpec::ClockDrift { gateway, ppm } => {
-                    s.drifts.push(Drift { gateway, ppm });
                 }
                 FaultSpec::BackhaulLoss {
                     probability,
@@ -222,10 +211,7 @@ impl FaultSchedule {
 
     /// True if no fault of any domain is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.lockups.is_empty()
-            && self.drifts.is_empty()
-            && !self.has_backhaul_faults()
+        self.crashes.is_empty() && self.lockups.is_empty() && !self.has_backhaul_faults()
     }
 
     /// True if any backhaul fault (loss/delay/dup/reorder) is scheduled.
@@ -260,15 +246,6 @@ impl FaultSchedule {
             .iter()
             .filter(|l| l.gateway == gw && in_window(t_us, l.start_us, l.end_us))
             .map(|l| l.decoders)
-            .sum()
-    }
-
-    /// Accumulated clock skew of `gw` at `t_us` from its drift rate.
-    pub fn clock_skew_at(&self, gw: usize, t_us: u64) -> i64 {
-        self.drifts
-            .iter()
-            .filter(|d| d.gateway == gw)
-            .map(|d| (d.ppm * t_us as f64 / 1e6) as i64)
             .sum()
     }
 
@@ -343,10 +320,6 @@ impl sim::faults::InfraFaults for FaultSchedule {
     fn decoder_lockups_possible(&self, gw: usize) -> bool {
         self.lockups.iter().any(|l| l.gateway == gw)
     }
-
-    fn clock_skew_us(&self, gw: usize, t_us: u64) -> i64 {
-        self.clock_skew_at(gw, t_us)
-    }
 }
 
 #[cfg(test)]
@@ -364,7 +337,6 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.gateway_down_at(0, 0));
         assert_eq!(s.locked_decoders_at(0, 0), 0);
-        assert_eq!(s.clock_skew_at(0, 1_000_000), 0);
         assert_eq!(
             s.datagram_fate(0, 0),
             DatagramFate::Deliver {
@@ -454,18 +426,6 @@ mod tests {
         assert_eq!(s.locked_decoders_at(0, 120), 2);
         assert_eq!(s.locked_decoders_at(0, 150), 0);
         assert_eq!(s.locked_decoders_at(1, 60), 0);
-    }
-
-    #[test]
-    fn clock_skew_grows_linearly() {
-        let s = schedule(vec![FaultSpec::ClockDrift {
-            gateway: 1,
-            ppm: 50.0,
-        }]);
-        assert_eq!(s.clock_skew_at(1, 0), 0);
-        assert_eq!(s.clock_skew_at(1, 1_000_000), 50); // 50 ppm over 1 s
-        assert_eq!(s.clock_skew_at(1, 2_000_000), 100);
-        assert_eq!(s.clock_skew_at(0, 2_000_000), 0);
     }
 
     #[test]
@@ -659,9 +619,11 @@ mod tests {
 
     #[test]
     fn backhaul_faults_are_told_from_gateway_faults() {
-        let gateway_only = schedule(vec![FaultSpec::ClockDrift {
+        let gateway_only = schedule(vec![FaultSpec::DecoderLockup {
             gateway: 0,
-            ppm: 1.0,
+            decoders: 1,
+            start_us: 0,
+            end_us: 1,
         }]);
         assert!(!gateway_only.is_empty());
         assert!(!gateway_only.has_backhaul_faults());
@@ -710,15 +672,10 @@ mod tests {
                 start_us: 0,
                 end_us: 50,
             },
-            FaultSpec::ClockDrift {
-                gateway: 2,
-                ppm: -10.0,
-            },
         ]);
         let f: &dyn InfraFaults = &s;
         assert!(f.gateway_down(0, 150));
         assert!(f.gateway_down_during(0, 50, 300));
         assert_eq!(f.locked_decoders(1, 10), 4);
-        assert_eq!(f.clock_skew_us(2, 1_000_000), -10);
     }
 }

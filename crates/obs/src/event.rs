@@ -59,37 +59,6 @@ pub enum DedupKind {
     Late,
 }
 
-/// Which fault domain a [`ObsEvent::FaultActivated`] window belongs to
-/// (mirrors `chaos::FaultSpec` without depending on it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultKind {
-    /// Gateway down (crash + reboot window).
-    GatewayCrash,
-    /// Part of a gateway's decoder pool stuck.
-    DecoderLockup,
-    /// Gateway timestamp counter drift.
-    ClockDrift,
-    /// Backhaul datagram loss.
-    BackhaulLoss,
-    /// Backhaul datagram delay.
-    BackhaulDelay,
-    /// Backhaul datagram duplication.
-    BackhaulDuplicate,
-    /// Backhaul datagram reordering.
-    BackhaulReorder,
-}
-
-/// Where a Master-assigned channel plan came from (mirrors
-/// `alphawan::master::PlanSource`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlanServed {
-    /// Fetched from the Master on this call.
-    Fresh,
-    /// Served from the local cache while the Master was unreachable —
-    /// the degraded-operation signal.
-    Cached,
-}
-
 /// Which transport surface a service daemon accepted a peer on
 /// (mirrors the `svc` crate's daemons without depending on them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,16 +67,6 @@ pub enum SvcConn {
     Udp,
     /// TCP: an accepted plan-server or metrics connection.
     Tcp,
-}
-
-/// Which CP search algorithm produced a [`ObsEvent::SolverRun`]
-/// (mirrors `alphawan::cp` without depending on it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SolverKind {
-    /// The §4.3.1 evolutionary solver (`GaSolver`).
-    Ga,
-    /// The simulated-annealing ablation solver (`AnnealSolver`).
-    Anneal,
 }
 
 /// One observed moment. See the module docs for identifier, trace and
@@ -252,67 +211,8 @@ pub enum ObsEvent {
         /// Classification.
         outcome: DedupKind,
     },
-    /// One Master TCP connect attempt (inside the retry loop).
-    MasterConnectAttempt {
-        /// Control-plane trace of the plan request driving this
-        /// connect sequence (0 = untraced).
-        #[serde(default)]
-        trace: u64,
-        /// 0-based attempt number within this retry sequence.
-        attempt: u32,
-        /// Whether the TCP connect succeeded.
-        ok: bool,
-        /// Backoff delay scheduled *after* this attempt, µs (0 when no
-        /// further attempt follows).
-        backoff_us: u64,
-    },
-    /// A Master RPC failed on an established session and the session is
-    /// being re-established (the resilient client's transport retry).
-    MasterRpcRetry {
-        /// Control-plane trace of the plan request being retried
-        /// (0 = untraced).
-        #[serde(default)]
-        trace: u64,
-        /// How many sessions this client has established so far.
-        reconnects: u64,
-    },
-    /// The resilient client served a channel plan.
-    MasterPlanServed {
-        /// Control-plane trace of this plan request — shared with the
-        /// connect attempts and RPC retries it caused (0 = untraced).
-        #[serde(default)]
-        trace: u64,
-        /// Fresh from the Master, or degraded to the local cache.
-        source: PlanServed,
-        /// Number of channels in the served plan.
-        channels: u32,
-    },
-    /// One complete CP-solver search finished (a Master plan request,
-    /// a capacity upgrade, or a bench invocation). Control-plane: no
-    /// simulation timestamp; `wall_us` is host wall-clock time.
-    SolverRun {
-        /// Control-plane trace of the plan request that ran the solver
-        /// (0 = untraced, e.g. direct bench invocations).
-        #[serde(default)]
-        trace: u64,
-        /// Which search algorithm ran.
-        solver: SolverKind,
-        /// Problem size: node count.
-        nodes: u32,
-        /// Problem size: gateway count.
-        gateways: u32,
-        /// Objective evaluations performed across the whole search.
-        evaluations: u64,
-        /// Generations (GA) or iterations (annealing) executed.
-        generations: u32,
-        /// Scoring worker threads used (1 = serial).
-        workers: u32,
-        /// Host wall-clock duration of the search, µs.
-        wall_us: u64,
-    },
-    /// A service daemon accepted a new peer. Control-plane: `wall_us`
-    /// is host wall-clock time since daemon start, not simulation
-    /// time.
+    /// A service daemon accepted a new peer. `wall_us` is host
+    /// wall-clock time since daemon start, not simulation time.
     SvcAccept {
         /// Host wall-clock µs since daemon start.
         wall_us: u64,
@@ -322,7 +222,7 @@ pub enum ObsEvent {
         peer: u64,
     },
     /// A service daemon ingested one PUSH_DATA datagram (which may
-    /// carry many rxpk copies). Control-plane timing like
+    /// carry many rxpk copies). Host timing like
     /// [`ObsEvent::SvcAccept`]; the per-copy dedup classifications
     /// follow as [`ObsEvent::Dedup`] events from the same thread.
     SvcIngest {
@@ -336,25 +236,12 @@ pub enum ObsEvent {
         /// rxpk copies carried in the datagram.
         pkts: u32,
     },
-    /// A fault-plan entry is scheduled against this run (one event per
-    /// `FaultSpec`, emitted when the plan is registered with the sink).
-    FaultActivated {
-        /// Fault domain.
-        kind: FaultKind,
-        /// Target gateway index, or −1 for faults without one (the
-        /// backhaul domain).
-        gw: i64,
-        /// Window start, µs.
-        start_us: u64,
-        /// Window end, µs (`u64::MAX` = until the end of the run).
-        end_us: u64,
-    },
 }
 
 impl ObsEvent {
     /// The event's timestamp in simulation microseconds, where one
-    /// exists (control-plane events are ordered by emission, not by
-    /// simulation time).
+    /// exists (config and daemon events are ordered by emission, not
+    /// by simulation time).
     pub fn t_us(&self) -> Option<u64> {
         match *self {
             ObsEvent::TxStart { t_us, .. }
@@ -366,13 +253,8 @@ impl ObsEvent {
             | ObsEvent::PacketOutcome { t_us, .. }
             | ObsEvent::Dedup { t_us, .. } => Some(t_us),
             ObsEvent::GatewayInfo { .. }
-            | ObsEvent::MasterConnectAttempt { .. }
-            | ObsEvent::MasterRpcRetry { .. }
-            | ObsEvent::MasterPlanServed { .. }
-            | ObsEvent::SolverRun { .. }
             | ObsEvent::SvcAccept { .. }
-            | ObsEvent::SvcIngest { .. }
-            | ObsEvent::FaultActivated { .. } => None,
+            | ObsEvent::SvcIngest { .. } => None,
         }
     }
 
@@ -394,14 +276,8 @@ impl ObsEvent {
             | ObsEvent::StealRefused { trace, .. }
             | ObsEvent::PacketOutcome { trace, .. }
             | ObsEvent::Dedup { trace, .. }
-            | ObsEvent::MasterConnectAttempt { trace, .. }
-            | ObsEvent::MasterRpcRetry { trace, .. }
-            | ObsEvent::MasterPlanServed { trace, .. }
-            | ObsEvent::SolverRun { trace, .. }
             | ObsEvent::SvcIngest { trace, .. } => Some(trace),
-            ObsEvent::GatewayInfo { .. }
-            | ObsEvent::SvcAccept { .. }
-            | ObsEvent::FaultActivated { .. } => None,
+            ObsEvent::GatewayInfo { .. } | ObsEvent::SvcAccept { .. } => None,
         }
     }
 
@@ -418,13 +294,8 @@ impl ObsEvent {
             ObsEvent::StealRefused { .. } => "steal_refused",
             ObsEvent::PacketOutcome { .. } => "packet_outcome",
             ObsEvent::Dedup { .. } => "dedup",
-            ObsEvent::MasterConnectAttempt { .. } => "master_connect_attempt",
-            ObsEvent::MasterRpcRetry { .. } => "master_rpc_retry",
-            ObsEvent::MasterPlanServed { .. } => "master_plan_served",
-            ObsEvent::SolverRun { .. } => "solver_run",
             ObsEvent::SvcAccept { .. } => "svc_accept",
             ObsEvent::SvcIngest { .. } => "svc_ingest",
-            ObsEvent::FaultActivated { .. } => "fault_activated",
         }
     }
 }
@@ -463,11 +334,10 @@ mod tests {
                 delivered: false,
                 cause: Some(LossKind::DecoderInter),
             },
-            ObsEvent::FaultActivated {
-                kind: FaultKind::GatewayCrash,
-                gw: 2,
-                start_us: 0,
-                end_us: u64::MAX,
+            ObsEvent::SvcAccept {
+                wall_us: 12,
+                conn: SvcConn::Udp,
+                peer: u64::MAX,
             },
         ];
         for ev in events {
@@ -511,13 +381,14 @@ mod tests {
             Some(5)
         );
         assert_eq!(
-            ObsEvent::MasterRpcRetry {
-                trace: 0,
-                reconnects: 1
+            ObsEvent::SvcAccept {
+                wall_us: 7,
+                conn: SvcConn::Tcp,
+                peer: 0,
             }
             .t_us(),
             None,
-            "control-plane events carry no simulation clock"
+            "daemon events carry no simulation clock"
         );
         assert_eq!(
             ObsEvent::GatewayInfo {
@@ -550,11 +421,10 @@ mod tests {
         };
         assert_eq!(untraced.trace(), None);
         assert_eq!(
-            ObsEvent::FaultActivated {
-                kind: FaultKind::ClockDrift,
-                gw: 0,
-                start_us: 0,
-                end_us: 1,
+            ObsEvent::SvcAccept {
+                wall_us: 0,
+                conn: SvcConn::Udp,
+                peer: 1,
             }
             .trace(),
             None
@@ -591,9 +461,13 @@ mod tests {
                 network: 0,
             }
             .kind_name(),
-            ObsEvent::MasterRpcRetry {
+            ObsEvent::Dedup {
+                t_us: 0,
                 trace: 0,
-                reconnects: 0,
+                dev: 0,
+                fcnt: 0,
+                gw: 0,
+                outcome: DedupKind::New,
             }
             .kind_name(),
             ObsEvent::GatewayInfo {

@@ -4,13 +4,13 @@
 //! (FCFS lock-on dispatch and decoder contention, §3.1), yet aggregate
 //! metrics only say how a run *ended*. This crate records the
 //! load-bearing moments as typed events so a decoder-pool occupancy
-//! timeline, a per-packet dispatch trace, or a Master retry history can
-//! be reconstructed after the fact:
+//! timeline or a per-packet dispatch trace can be reconstructed after
+//! the fact:
 //!
 //! * [`event`] — the event taxonomy: packet lock-on, decoder
 //!   acquire/release, pool-full drops, steal refusals (FCFS never
-//!   preempts), dedup outcomes, Master RPC attempts and cache
-//!   degradation, and fault-plan activations;
+//!   preempts), dedup outcomes, and the service daemons' accepts and
+//!   ingests;
 //! * [`sink`] — the zero-alloc-on-hot-path [`ObsSink`] trait with
 //!   [`NullSink`] (free), [`VecSink`] (in-memory), [`JsonlSink`] (one
 //!   JSON object per line) and [`SharedSink`] (one sink, many owners);
@@ -39,11 +39,11 @@ pub mod metrics;
 pub mod sink;
 pub mod trace;
 
-pub use event::{DedupKind, FaultKind, LossKind, ObsEvent, PlanServed, SolverKind, SvcConn};
+pub use event::{DedupKind, LossKind, ObsEvent, SvcConn};
 pub use heartbeat::{Heartbeat, HeartbeatWriter};
 pub use metrics::{proc_mem, Histogram, ProcMem, Registry};
 pub use sink::{JsonlSink, NullSink, ObsSink, SharedSink, VecSink};
 pub use trace::{
-    chrome_trace, control_trace, packet_trace, ChromeTrace, ContentionReport, PacketTimeline,
-    TraceAnalyzer, TraceId, TraceReport,
+    chrome_trace, packet_trace, ChromeTrace, ContentionReport, PacketTimeline, TraceAnalyzer,
+    TraceId, TraceReport,
 };

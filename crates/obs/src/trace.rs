@@ -28,7 +28,7 @@
 //! full-run stream has none; a truncated stream legitimately reports
 //! boundary violations for spans cut by its edge.
 
-use crate::event::{DedupKind, LossKind, ObsEvent, PlanServed};
+use crate::event::{DedupKind, LossKind, ObsEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -37,13 +37,8 @@ use std::fmt;
 ///
 /// Plain `u64` on the wire and in events; this alias documents intent
 /// at API boundaries. `0` is the reserved "untraced" sentinel (old
-/// streams, call sites that predate tracing), and the top bit
-/// distinguishes control-plane traces from packet traces — see
-/// [`packet_trace`] and [`control_trace`].
+/// streams, call sites that predate tracing); see [`packet_trace`].
 pub type TraceId = u64;
-
-/// Tag bit that marks a control-plane trace (Master plan requests).
-const CONTROL_TAG: u64 = 1 << 63;
 
 /// splitmix64 finalizer: the standard 64-bit avalanche mix. Purely
 /// arithmetic, so ids are identical across runs, platforms and builds —
@@ -63,9 +58,9 @@ fn mix(mut x: u64) -> u64 {
 /// worlds mint the same ids: a stream that appends several worlds (the
 /// bench session does) must re-mint them per world, e.g. as
 /// `packet_trace(segment, trace)`. Never returns 0 and never sets the
-/// control tag bit.
+/// top bit.
 pub fn packet_trace(run_epoch: u64, tx: u64) -> TraceId {
-    let id = mix(run_epoch ^ mix(tx)) & !CONTROL_TAG;
+    let id = mix(run_epoch ^ mix(tx)) & !(1 << 63);
     if id == 0 {
         // One-in-2^63 collision with the sentinel: remap to a fixed
         // non-zero id rather than branch on every caller.
@@ -75,25 +70,22 @@ pub fn packet_trace(run_epoch: u64, tx: u64) -> TraceId {
     }
 }
 
-/// Mint a control-plane trace id for the `seq`-th Master request of
-/// client `endpoint`. Tagged with the top bit so analyzers can
-/// separate control traffic from packet traffic; never returns 0.
-pub fn control_trace(endpoint: u64, seq: u64) -> TraceId {
-    mix(endpoint ^ mix(seq ^ 0xC0FF_EE00)) | CONTROL_TAG
-}
-
-/// Whether `trace` was minted by [`control_trace`].
-pub fn is_control(trace: TraceId) -> bool {
-    trace & CONTROL_TAG != 0
-}
-
-/// A gateway's static identity, learned from [`ObsEvent::GatewayInfo`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatewayIdentity {
-    /// Operator/network that deployed the gateway.
-    pub network: u32,
-    /// Decoder pool hardware capacity.
+/// One announced gateway: its static identity and its pool's peak
+/// occupancy. Every run announces its gateways, so a stream that appends
+/// several worlds (or several runs of one world) announces the same
+/// gateway index more than once: each [`ObsEvent::GatewayInfo`] opens
+/// its own entry, and the packet events that follow it are booked there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GatewayEntry {
+    /// Gateway index.
+    pub gw: u32,
+    /// Operator/network that deployed the gateway; `None` when packet
+    /// events named the gateway before any `GatewayInfo` did.
+    pub network: Option<u32>,
+    /// Pool capacity, from `GatewayInfo` or the latest acquisition.
     pub capacity: u32,
+    /// Most decoders in use at once, from the acquisitions' `in_use`.
+    pub peak_in_use: u32,
 }
 
 /// One decoder occupancy span at one gateway.
@@ -101,6 +93,8 @@ pub struct GatewayIdentity {
 pub struct DecoderHold {
     /// Gateway index.
     pub gw: u32,
+    /// The gateway's entry in [`TraceReport::gateways`].
+    pub entry: usize,
     /// Acquisition instant, µs.
     pub start_us: u64,
     /// Release instant, µs; `None` when the stream ended (or was
@@ -172,24 +166,6 @@ impl PacketTimeline {
             .filter_map(|h| Some(h.end_us?.saturating_sub(h.start_us)))
             .sum()
     }
-}
-
-/// The reconstructed lifecycle of one control-plane (Master) request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ControlTimeline {
-    /// The control trace id.
-    pub trace: TraceId,
-    /// TCP connect attempts observed.
-    pub connect_attempts: u32,
-    /// Failed connect attempts among them.
-    pub connect_failures: u32,
-    /// RPC-level session retries observed.
-    pub rpc_retries: u32,
-    /// How the plan was finally served, when a `MasterPlanServed` was
-    /// seen.
-    pub served: Option<PlanServed>,
-    /// Channels in the served plan.
-    pub channels: u32,
 }
 
 /// One packet that occupied a decoder at the instant a victim was
@@ -373,16 +349,16 @@ struct ActiveHold {
 /// timeline, since `tx` ids collide across runs.
 #[derive(Debug, Default)]
 pub struct TraceAnalyzer {
-    gateways: BTreeMap<u32, GatewayIdentity>,
-    occupancy: BTreeMap<u32, Occupancy>,
+    gateways: Vec<GatewayEntry>,
+    /// Gateway index → its latest entry in `gateways`.
+    entry_of: BTreeMap<u32, usize>,
     events: BTreeMap<&'static str, u64>,
     delivered: u64,
     lost: BTreeMap<Option<LossKind>, u64>,
     dedup: BTreeMap<DedupKind, u64>,
     timelines: BTreeMap<TraceId, PacketTimeline>,
-    control: BTreeMap<TraceId, ControlTimeline>,
-    /// Open holds per gateway, keyed by tx (the pool's own key).
-    active: BTreeMap<u32, BTreeMap<u64, ActiveHold>>,
+    /// Open holds per gateway entry, keyed by tx (the pool's own key).
+    active: BTreeMap<usize, BTreeMap<u64, ActiveHold>>,
     /// Fallback identity for untraced acquires: tx → (trace, network)
     /// of the latest lock-on.
     last_lock_on: BTreeMap<u64, (TraceId, u32)>,
@@ -420,14 +396,17 @@ impl TraceAnalyzer {
         }
     }
 
-    /// The control timeline for `trace`, creating it on first touch.
-    fn control_timeline(&mut self, trace: TraceId) -> &mut ControlTimeline {
-        self.control
-            .entry(trace)
-            .or_insert_with(|| ControlTimeline {
-                trace,
-                ..ControlTimeline::default()
-            })
+    /// The current entry of gateway `gw`, opening one if no
+    /// `GatewayInfo` announced it.
+    fn entry(&mut self, gw: u32) -> usize {
+        let gateways = &mut self.gateways;
+        *self.entry_of.entry(gw).or_insert_with(|| {
+            gateways.push(GatewayEntry {
+                gw,
+                ..GatewayEntry::default()
+            });
+            gateways.len() - 1
+        })
     }
 
     /// Fold one event into the reconstruction. Events must arrive in
@@ -440,9 +419,13 @@ impl TraceAnalyzer {
                 network,
                 capacity,
             } => {
-                self.gateways
-                    .insert(gw, GatewayIdentity { network, capacity });
-                self.occupancy.entry(gw).or_default().capacity = capacity;
+                self.entry_of.insert(gw, self.gateways.len());
+                self.gateways.push(GatewayEntry {
+                    gw,
+                    network: Some(network),
+                    capacity,
+                    peak_in_use: 0,
+                });
             }
             ObsEvent::TxStart {
                 t_us,
@@ -483,9 +466,10 @@ impl TraceAnalyzer {
                 in_use,
                 capacity,
             } => {
-                let occ = self.occupancy.entry(gw).or_default();
-                occ.capacity = capacity;
-                occ.peak_in_use = occ.peak_in_use.max(in_use);
+                let entry = self.entry(gw);
+                let row = &mut self.gateways[entry];
+                row.capacity = capacity;
+                row.peak_in_use = row.peak_in_use.max(in_use);
                 // Resolve the holder's identity: the event's own trace,
                 // or (for untraced streams) the latest lock-on for tx.
                 let (trace, network) = if trace != 0 {
@@ -509,11 +493,12 @@ impl TraceAnalyzer {
                     }
                     self.timeline(trace, tx).holds.push(DecoderHold {
                         gw,
+                        entry,
                         start_us: t_us,
                         end_us: None,
                     });
                 }
-                let open = self.active.entry(gw).or_default().insert(
+                let open = self.active.entry(entry).or_default().insert(
                     tx,
                     ActiveHold {
                         trace,
@@ -527,7 +512,8 @@ impl TraceAnalyzer {
                 }
             }
             ObsEvent::DecoderReleased { t_us, gw, tx, .. } => {
-                match self.active.entry(gw).or_default().remove(&tx) {
+                let entry = self.entry(gw);
+                match self.active.entry(entry).or_default().remove(&tx) {
                     None => self
                         .violations
                         .push(CausalityViolation::ReleaseWithoutAcquire { gw, tx, t_us }),
@@ -547,7 +533,7 @@ impl TraceAnalyzer {
                                     .holds
                                     .iter_mut()
                                     .rev()
-                                    .find(|h| h.gw == gw && h.end_us.is_none())
+                                    .find(|h| h.entry == entry && h.end_us.is_none())
                                 {
                                     h.end_us = Some(t_us);
                                 }
@@ -568,9 +554,10 @@ impl TraceAnalyzer {
                 } else {
                     self.last_lock_on.get(&tx).map(|&(_, net)| net)
                 };
+                let entry = self.entry(gw);
                 let blockers: Vec<Blocker> = self
                     .active
-                    .get(&gw)
+                    .get(&entry)
                     .map(|holds| {
                         let mut b: Vec<Blocker> = holds
                             .iter()
@@ -588,7 +575,7 @@ impl TraceAnalyzer {
                 self.drops.push(DropRecord {
                     t_us,
                     gw,
-                    gw_network: self.gateways.get(&gw).map(|g| g.network),
+                    gw_network: self.gateways[entry].network,
                     victim_trace: trace,
                     victim_tx: tx,
                     victim_network,
@@ -651,38 +638,10 @@ impl TraceAnalyzer {
                     }
                 }
             }
-            ObsEvent::MasterConnectAttempt { trace, ok, .. } => {
-                if trace != 0 {
-                    let ct = self.control_timeline(trace);
-                    ct.connect_attempts += 1;
-                    if !ok {
-                        ct.connect_failures += 1;
-                    }
-                }
-            }
-            ObsEvent::MasterRpcRetry { trace, .. } => {
-                if trace != 0 {
-                    self.control_timeline(trace).rpc_retries += 1;
-                }
-            }
-            ObsEvent::MasterPlanServed {
-                trace,
-                source,
-                channels,
-            } => {
-                if trace != 0 {
-                    let ct = self.control_timeline(trace);
-                    ct.served = Some(source);
-                    ct.channels = channels;
-                }
-            }
-            // Solver runs, service transport and fault activations carry
-            // no packet lifecycle: only their counts above. The per-copy
-            // Dedup events carry the service side of a packet's life.
-            ObsEvent::SolverRun { .. }
-            | ObsEvent::SvcAccept { .. }
-            | ObsEvent::SvcIngest { .. }
-            | ObsEvent::FaultActivated { .. } => {}
+            // Daemon transport carries no packet lifecycle: only its
+            // counts above. The per-copy Dedup events carry the service
+            // side of a packet's life.
+            ObsEvent::SvcAccept { .. } | ObsEvent::SvcIngest { .. } => {}
         }
     }
 
@@ -697,10 +656,10 @@ impl TraceAnalyzer {
     /// [`CausalityViolation::HoldNeverReleased`], and the assembled
     /// report is returned.
     pub fn into_report(mut self) -> TraceReport {
-        for (&gw, holds) in &self.active {
+        for (&entry, holds) in &self.active {
             for (&tx, hold) in holds {
                 self.violations.push(CausalityViolation::HoldNeverReleased {
-                    gw,
+                    gw: self.gateways[entry].gw,
                     tx,
                     acquired_us: hold.start_us,
                 });
@@ -708,35 +667,22 @@ impl TraceAnalyzer {
         }
         TraceReport {
             gateways: self.gateways,
-            occupancy: self.occupancy,
             events: self.events,
             delivered: self.delivered,
             lost: self.lost,
             dedup: self.dedup,
             timelines: self.timelines,
-            control: self.control,
             drops: self.drops,
             violations: self.violations,
         }
     }
 }
 
-/// Decoder-pool occupancy of one gateway over the whole stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Occupancy {
-    /// Pool capacity, from `GatewayInfo` or the latest acquisition.
-    pub capacity: u32,
-    /// Most decoders in use at once, from the acquisitions' `in_use`.
-    pub peak_in_use: u32,
-}
-
 /// The assembled output of a [`TraceAnalyzer`] pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
-    /// Gateway identities seen in the stream.
-    pub gateways: BTreeMap<u32, GatewayIdentity>,
-    /// Per-gateway pool capacity and peak occupancy.
-    pub occupancy: BTreeMap<u32, Occupancy>,
+    /// Gateway entries in announcement order (see [`GatewayEntry`]).
+    pub gateways: Vec<GatewayEntry>,
     /// Events folded in, by [`ObsEvent::kind_name`]; their sum is every
     /// event folded in.
     pub events: BTreeMap<&'static str, u64>,
@@ -748,8 +694,6 @@ pub struct TraceReport {
     pub dedup: BTreeMap<DedupKind, u64>,
     /// Per-packet timelines, keyed by trace id (sorted, deterministic).
     pub timelines: BTreeMap<TraceId, PacketTimeline>,
-    /// Control-plane (Master request) timelines.
-    pub control: BTreeMap<TraceId, ControlTimeline>,
     /// Every pool-full drop with its blocker snapshot, in stream order.
     pub drops: Vec<DropRecord>,
     /// Causal inconsistencies found (empty for a healthy full stream).
@@ -810,7 +754,8 @@ pub struct BlockerShare {
 /// The decoder-contention attribution computed from a [`TraceReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContentionReport {
-    /// Per-gateway occupancy split, sorted by gateway index.
+    /// Per-gateway occupancy split, one row per gateway entry, in
+    /// announcement order.
     pub per_gateway: Vec<GatewayContention>,
     /// Blocker→victim network pairs across all pool-full drops, sorted
     /// by descending incidence.
@@ -828,21 +773,17 @@ impl TraceReport {
     /// decoder-µs split own/foreign, blocker→victim network pairs for
     /// every pool-full drop, and the per-packet top-blocker ranking.
     pub fn contention(&self) -> ContentionReport {
-        // Per-gateway, per-holder-network decoder-µs from the timelines'
-        // completed holds.
-        let mut per_gw: BTreeMap<u32, BTreeMap<Option<u32>, u64>> = BTreeMap::new();
+        // Per-gateway-entry, per-holder-network decoder-µs from the
+        // timelines' completed holds.
+        let mut per_gw: Vec<BTreeMap<Option<u32>, u64>> =
+            vec![BTreeMap::new(); self.gateways.len()];
         let mut per_trace_foreign: BTreeMap<TraceId, u64> = BTreeMap::new();
         for tl in self.timelines.values() {
             for h in &tl.holds {
                 let Some(end) = h.end_us else { continue };
                 let dur = end.saturating_sub(h.start_us);
-                *per_gw
-                    .entry(h.gw)
-                    .or_default()
-                    .entry(tl.network)
-                    .or_insert(0) += dur;
-                let gw_net = self.gateways.get(&h.gw).map(|g| g.network);
-                if let (Some(holder), Some(owner)) = (tl.network, gw_net) {
+                *per_gw[h.entry].entry(tl.network).or_insert(0) += dur;
+                if let (Some(holder), Some(owner)) = (tl.network, self.gateways[h.entry].network) {
                     if holder != owner {
                         *per_trace_foreign.entry(tl.trace).or_insert(0) += dur;
                     }
@@ -850,26 +791,18 @@ impl TraceReport {
             }
         }
 
-        let mut per_gateway = Vec::new();
         let mut foreign_total = 0u64;
-        // Include gateways that announced themselves or acquired but
-        // closed no holds.
-        for &gw in per_gw
-            .keys()
-            .chain(self.gateways.keys())
-            .chain(self.occupancy.keys())
-        {
-            if per_gateway.iter().any(|g: &GatewayContention| g.gw == gw) {
-                continue;
-            }
-            let network = self.gateways.get(&gw).map(|g| g.network);
-            let mut own = 0u64;
-            let mut foreign = 0u64;
-            let mut unattributed = 0u64;
-            let mut by_network = Vec::new();
-            if let Some(nets) = per_gw.get(&gw) {
+        let per_gateway: Vec<GatewayContention> = self
+            .gateways
+            .iter()
+            .zip(&per_gw)
+            .map(|(g, nets)| {
+                let mut own = 0u64;
+                let mut foreign = 0u64;
+                let mut unattributed = 0u64;
+                let mut by_network = Vec::new();
                 for (&holder, &us) in nets {
-                    match (holder, network) {
+                    match (holder, g.network) {
                         (Some(h), Some(n)) if h == n => own += us,
                         (Some(_), Some(_)) => foreign += us,
                         _ => unattributed += us,
@@ -878,21 +811,19 @@ impl TraceReport {
                         by_network.push((h, us));
                     }
                 }
-            }
-            foreign_total += foreign;
-            let occ = self.occupancy.get(&gw).copied().unwrap_or_default();
-            per_gateway.push(GatewayContention {
-                gw,
-                network,
-                capacity: occ.capacity,
-                peak_in_use: occ.peak_in_use,
-                own_decoder_us: own,
-                foreign_decoder_us: foreign,
-                by_network,
-                unattributed_us: unattributed,
-            });
-        }
-        per_gateway.sort_by_key(|g| g.gw);
+                foreign_total += foreign;
+                GatewayContention {
+                    gw: g.gw,
+                    network: g.network,
+                    capacity: g.capacity,
+                    peak_in_use: g.peak_in_use,
+                    own_decoder_us: own,
+                    foreign_decoder_us: foreign,
+                    by_network,
+                    unattributed_us: unattributed,
+                }
+            })
+            .collect();
 
         // Blocker→victim pairs and per-packet blocking counts.
         let mut pair_incidences: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new();
@@ -1029,7 +960,7 @@ const PID_GW0: u32 = 10;
 /// slot row just past its capacity.
 pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
     let mut out = Vec::new();
-    let mut gateways: BTreeMap<u32, GatewayIdentity> = BTreeMap::new();
+    let mut capacity_of: BTreeMap<u32, u32> = BTreeMap::new();
     // Deterministic greedy decoder-slot assignment per gateway.
     let mut free: BTreeMap<u32, std::collections::BTreeSet<u32>> = BTreeMap::new();
     let mut next_slot: BTreeMap<u32, u32> = BTreeMap::new();
@@ -1048,7 +979,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                 network,
                 capacity,
             } => {
-                gateways.insert(gw, GatewayIdentity { network, capacity });
+                capacity_of.insert(gw, capacity);
                 meta.push(process_name(
                     PID_GW0 + gw,
                     &format!("gateway {gw} (network {network})"),
@@ -1137,7 +1068,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                 tx,
                 locked,
             } => {
-                let row = gateways.get(&gw).map(|g| g.capacity).unwrap_or(16);
+                let row = capacity_of.get(&gw).copied().unwrap_or(16);
                 out.push(ChromeEvent {
                     name: format!("drop tx {tx}"),
                     cat: "drop".into(),
@@ -1206,19 +1137,16 @@ mod tests {
         let b = packet_trace(0, 0);
         assert_eq!(a, b);
         assert_ne!(a, 0);
-        assert!(!is_control(a));
+        assert_eq!(a >> 63, 0, "the top bit stays clear");
         assert_ne!(packet_trace(0, 1), a, "distinct tx, distinct id");
         assert_ne!(packet_trace(1, 0), a, "distinct epoch, distinct id");
-        let c = control_trace(7, 0);
-        assert!(is_control(c));
-        assert_ne!(c, 0);
-        assert_ne!(control_trace(7, 1), c);
     }
 
     #[test]
     fn decoder_time_sums_closed_holds_across_gateways() {
         let hold = |gw, start_us, end_us| DecoderHold {
             gw,
+            entry: 0,
             start_us,
             end_us,
         };
@@ -1615,5 +1543,53 @@ mod tests {
         );
         let gw = &report.contention().per_gateway[0];
         assert_eq!((gw.gw, gw.capacity, gw.peak_in_use), (4, 2, 2));
+    }
+
+    #[test]
+    fn each_announcement_of_a_gateway_is_its_own_entry() {
+        // Two worlds appended to one stream, both with a gateway 0: in
+        // the first it belongs to network 1, in the second to network 2.
+        // The same network-1 packet holds a decoder in each world.
+        let mut ev = vec![ObsEvent::GatewayInfo {
+            gw: 0,
+            network: 1,
+            capacity: 2,
+        }];
+        ev.extend(lifecycle(packet_trace(0, 0), 0, 1, 0, 0, 1_000));
+        ev.push(ObsEvent::GatewayInfo {
+            gw: 0,
+            network: 2,
+            capacity: 2,
+        });
+        ev.extend(lifecycle(packet_trace(1, 0), 0, 1, 0, 0, 3_000));
+        let mut an = TraceAnalyzer::new();
+        an.observe_all(&ev);
+        let report = an.into_report();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(
+            report.gateways,
+            [
+                GatewayEntry {
+                    gw: 0,
+                    network: Some(1),
+                    capacity: 2,
+                    peak_in_use: 1
+                },
+                GatewayEntry {
+                    gw: 0,
+                    network: Some(2),
+                    capacity: 2,
+                    peak_in_use: 1
+                },
+            ]
+        );
+        let c = report.contention();
+        let split: Vec<(Option<u32>, u64, u64)> = c
+            .per_gateway
+            .iter()
+            .map(|g| (g.network, g.own_decoder_us, g.foreign_decoder_us))
+            .collect();
+        assert_eq!(split, [(Some(1), 990, 0), (Some(2), 0, 2_990)]);
+        assert_eq!(c.foreign_decoder_us_total, 2_990);
     }
 }

@@ -68,15 +68,6 @@ pub trait InfraFaults: Sync {
         let _ = gw;
         true
     }
-
-    /// Clock skew of gateway `gw` at `t_us` (signed microseconds).
-    /// Does not change medium arbitration — it perturbs the timestamps
-    /// a gateway *reports* (forwarder `tmst`), which is what matters to
-    /// server-side deduplication and downlink scheduling.
-    fn clock_skew_us(&self, gw: usize, t_us: u64) -> i64 {
-        let _ = (gw, t_us);
-        0
-    }
 }
 
 /// The healthy-infrastructure implementation used by plain runs.
@@ -103,7 +94,6 @@ mod tests {
         assert!(!f.gateway_down(0, 0));
         assert!(!f.gateway_down_during(3, 0, u64::MAX));
         assert_eq!(f.locked_decoders(1, 99), 0);
-        assert_eq!(f.clock_skew_us(2, 5), 0);
     }
 
     #[test]

@@ -674,9 +674,11 @@ mod tests {
         assert_eq!(count("pool_full_drop"), 4);
         assert_eq!(report.delivered, 16);
         assert_eq!(report.lost.get(&Some(LossKind::DecoderIntra)), Some(&4));
-        let occ = report.occupancy[&0];
-        assert_eq!(occ.peak_in_use, 16, "the pool saturated");
-        assert_eq!(occ.capacity, 16);
+        let [gw] = report.gateways[..] else {
+            panic!("one gateway, one run: {:?}", report.gateways)
+        };
+        assert_eq!(gw.peak_in_use, 16, "the pool saturated");
+        assert_eq!(gw.capacity, 16);
         let closed = report
             .timelines
             .values()
@@ -919,7 +921,7 @@ mod tests {
     }
 
     #[test]
-    fn run_epoch_advances_on_every_run_observed_or_not() {
+    fn run_epoch_advances_on_every_run_with_or_without_a_sink() {
         let plans = concurrent_burst(
             &orthogonal_assignments(4),
             10,

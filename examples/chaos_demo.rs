@@ -10,8 +10,7 @@
 //! decoder lock-up) is used; pass a path to replay your own plan.
 //!
 //! `--obs-out <DIR>` streams the faulted run's full [`ObsEvent`] trace
-//! to `<DIR>/chaos_demo.events.jsonl` (plan announcement first), ready
-//! for `tracectl`:
+//! to `<DIR>/chaos_demo.events.jsonl`, ready for `tracectl`:
 //!
 //! ```text
 //! cargo run --release --example chaos_demo -- --obs-out out
@@ -125,14 +124,13 @@ fn main() {
     report("healthy", &healthy);
 
     // The faulted run is the interesting one: stream its packet
-    // lifecycles (and the fault-plan announcement) to JSONL under
-    // `--obs-out`, for offline `tracectl` analysis.
+    // lifecycles to JSONL under `--obs-out`, for offline `tracectl`
+    // analysis.
     let mut faulted_world = build_world();
     let obs_path = obs_dir.map(|dir| {
         std::fs::create_dir_all(&dir).expect("--obs-out dir creatable");
         let path = dir.join("chaos_demo.events.jsonl");
-        let mut sink = alphawan_system::obs::JsonlSink::create(&path).expect("events file");
-        plan.observe(&mut sink);
+        let sink = alphawan_system::obs::JsonlSink::create(&path).expect("events file");
         faulted_world.set_obs_sink(Box::new(sink));
         path
     });

@@ -33,8 +33,9 @@
 //! stack's names occur in no source, doc, manifest or CI workflow, and
 //! no non-test source outside `benchmark/` writes a `BENCH_*.json`.
 //! A seventh holds docs/OBSERVABILITY.md's endpoint table to the paths
-//! each daemon's `http_handler` matches, row for path, and its
-//! `/metrics` rows to the metric names the daemons register.
+//! each daemon's `http_handler` matches, row for path, its `/metrics`
+//! rows to the metric names the daemons register, and its event table
+//! to the variants of `obs::ObsEvent`, row for variant.
 //! An eighth keeps the code a daemon runs free of `.unwrap()` and
 //! `.expect("…")`: a malformed input must not panic a daemon.
 
@@ -1188,6 +1189,86 @@ fn endpoint_scans_read_match_arms_and_table_rows() {
     let paths = |d: &str| table[d].iter().map(String::as_str).collect::<Vec<_>>();
     assert_eq!(paths("masterd"), ["/metrics"]);
     assert_eq!(paths("netserverd"), ["/decisions", "/metrics"]);
+}
+
+/// The variants of `pub enum ObsEvent` in `code` (comments already
+/// stripped): the identifiers at the top level of the enum's body,
+/// outside attributes and tuple fields.
+fn obs_event_variants(code: &str) -> BTreeSet<String> {
+    let mut variants = BTreeSet::new();
+    let Some(start) = code.find("pub enum ObsEvent") else {
+        return variants;
+    };
+    let (mut depth, mut nest, mut word) = (0u32, 0u32, String::new());
+    for ch in code[start..].chars() {
+        if ch.is_alphanumeric() || ch == '_' {
+            word.push(ch);
+            continue;
+        }
+        if depth == 1 && nest == 0 && word.starts_with(char::is_uppercase) {
+            variants.insert(word.clone());
+        }
+        word.clear();
+        match ch {
+            '{' => depth += 1,
+            '}' if depth == 1 => break,
+            '}' => depth -= 1,
+            '[' | '(' => nest += 1,
+            ']' | ')' => nest -= 1,
+            _ => {}
+        }
+    }
+    variants
+}
+
+/// The events an event table (`| Event | Emitted by | … |`) in `doc`
+/// lists, in row order: each row's first code span.
+fn documented_events(doc: &str) -> Vec<String> {
+    doc.lines()
+        .skip_while(|l| !l.starts_with("| Event | Emitted by |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|row| Some(row.split('|').nth(1)?.split('`').nth(1)?.to_string()))
+        .collect()
+}
+
+#[test]
+fn the_event_table_lists_exactly_the_obs_event_variants() {
+    let code = strip_comments(&read(Path::new("crates/obs/src/event.rs")));
+    let variants = obs_event_variants(&code);
+    assert!(
+        variants.contains("PacketLockOn"),
+        "the variant scan found only {variants:?}"
+    );
+    let mut rows = documented_events(&read(Path::new("docs/OBSERVABILITY.md")));
+    rows.sort();
+    assert_eq!(
+        rows,
+        variants.into_iter().collect::<Vec<_>>(),
+        "docs/OBSERVABILITY.md's event table against `ObsEvent`"
+    );
+}
+
+#[test]
+fn event_scans_read_enum_variants_and_table_rows() {
+    let code = "pub enum Other { Not }\n\
+                #[derive(Debug)]\n\
+                pub enum ObsEvent {\n\
+                    #[serde(rename = \"Renamed\")]\n\
+                    Alpha { t_us: u64, kind: Kind },\n\
+                    Beta(Inner),\n\
+                    Gamma,\n\
+                }\n\
+                impl ObsEvent { fn After() {} }\n";
+    assert_eq!(
+        obs_event_variants(code).into_iter().collect::<Vec<_>>(),
+        ["Alpha", "Beta", "Gamma"]
+    );
+    let doc = "| Event | Emitted by | Meaning |\n|---|---|---|\n\
+               | `Beta` | `x` | b |\n\
+               | `Alpha` | `y` | a, not `Gamma` |\n\
+               \n| `After` | z | not in the table |\n";
+    assert_eq!(documented_events(doc), ["Beta", "Alpha"]);
 }
 
 /// `name` with every `open`…`close` span read as the placeholder `<>`.

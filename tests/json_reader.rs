@@ -74,9 +74,11 @@ fn plan() -> FaultPlan {
                 start_us: 1_000,
                 end_us: u64::MAX,
             },
-            FaultSpec::ClockDrift {
+            FaultSpec::DecoderLockup {
                 gateway: 0,
-                ppm: -40.5,
+                decoders: 4,
+                start_us: 40,
+                end_us: 500,
             },
             FaultSpec::BackhaulLoss {
                 probability: 0.25,

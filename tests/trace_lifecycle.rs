@@ -83,7 +83,6 @@ fn timelines_are_complete_and_causally_consistent() {
     assert_eq!(report.timelines.len(), NODES, "one timeline per tx");
     for tl in report.timelines.values() {
         assert_ne!(tl.trace, 0, "tx {} untraced", tl.tx);
-        assert!(!obs::trace::is_control(tl.trace));
         assert!(tl.start_us.is_some(), "tx {} missing TxStart", tl.tx);
         assert!(tl.lock_on_us.is_some(), "tx {} missing lock-on", tl.tx);
         assert!(tl.delivered.is_some(), "tx {} missing outcome", tl.tx);
