@@ -24,8 +24,9 @@
 //! file, written by a streamed run with `ALPHAWAN_HEARTBEAT=<path>`;
 //! `--follow` keeps polling the file and prints beats as they land.
 
-use obs::{chrome_trace, Heartbeat, ObsEvent, TraceAnalyzer, TraceReport};
-use std::io::{BufRead, BufReader};
+use obs::{ChromeExport, Heartbeat, ObsEvent, TraceAnalyzer, TraceReport};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter};
 use std::process::ExitCode;
 
 const USAGE: &str =
@@ -95,17 +96,18 @@ fn render_counts(report: &TraceReport) -> String {
     text
 }
 
-/// An event stream folded by [`TraceAnalyzer`]: the report, the events
-/// themselves when kept, and each unparseable line as (line number,
-/// error).
-type Stream = (TraceReport, Vec<ObsEvent>, Vec<(usize, String)>);
+/// An event stream folded by [`TraceAnalyzer`]: the report, and each
+/// unparseable line as (line number, error).
+type Stream = (TraceReport, Vec<(usize, String)>);
 
-/// Fold the JSONL event stream `input` line by line. The events are
-/// kept only when `keep` is set: the Chrome export is their one reader,
-/// and without it a stream costs only the analyzer's own memory.
-fn read_stream(input: impl BufRead, keep: bool) -> Result<Stream, String> {
+/// Fold the JSONL event stream `input` line by line, handing each event
+/// to `each` as well (the Chrome export, which writes as it goes): the
+/// stream costs the analyzer's own memory and nothing more.
+fn read_stream(
+    input: impl BufRead,
+    mut each: impl FnMut(&ObsEvent) -> io::Result<()>,
+) -> Result<Stream, String> {
     let mut analyzer = TraceAnalyzer::new();
-    let mut events = Vec::new();
     let mut schema_errors = Vec::new();
     for (lineno, line) in input.lines().enumerate() {
         let line = line.map_err(|e| format!("read error at line {}: {e}", lineno + 1))?;
@@ -115,14 +117,12 @@ fn read_stream(input: impl BufRead, keep: bool) -> Result<Stream, String> {
         match serde_json::from_str::<ObsEvent>(&line) {
             Ok(ev) => {
                 analyzer.observe(&ev);
-                if keep {
-                    events.push(ev);
-                }
+                each(&ev).map_err(|e| format!("write error at line {}: {e}", lineno + 1))?;
             }
             Err(e) => schema_errors.push((lineno + 1, format!("{e:?}"))),
         }
     }
-    Ok((analyzer.into_report(), events, schema_errors))
+    Ok((analyzer.into_report(), schema_errors))
 }
 
 /// Parse a heartbeat JSONL file; unparseable lines are skipped (the
@@ -232,14 +232,27 @@ fn main() -> ExitCode {
         }
     };
 
-    let (report, events, schema_errors) =
-        match read_stream(BufReader::new(file), args.chrome.is_some()) {
-            Ok(read) => read,
+    let mut chrome = match &args.chrome {
+        Some(path) => match File::create(path).and_then(|f| ChromeExport::new(BufWriter::new(f))) {
+            Ok(export) => Some((path, export)),
             Err(e) => {
-                eprintln!("tracectl: {e}");
+                eprintln!("tracectl: cannot write {path}: {e}");
                 return ExitCode::from(2);
             }
-        };
+        },
+        None => None,
+    };
+    let read = read_stream(BufReader::new(file), |ev| match &mut chrome {
+        Some((_, export)) => export.observe(ev),
+        None => Ok(()),
+    });
+    let (report, schema_errors) = match read {
+        Ok(read) => read,
+        Err(e) => {
+            eprintln!("tracectl: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let contention = report.contention();
 
     println!("stream   {}", args.input);
@@ -348,16 +361,9 @@ fn main() -> ExitCode {
         eprintln!("causality violation: {v}");
     }
 
-    if let Some(path) = &args.chrome {
-        let doc = chrome_trace(&events);
-        match std::fs::write(
-            path,
-            serde_json::to_string(&doc).expect("chrome doc serializes"),
-        ) {
-            Ok(()) => println!(
-                "\nwrote {} chrome trace events to {path}",
-                doc.traceEvents.len()
-            ),
+    if let Some((path, export)) = chrome {
+        match export.finish() {
+            Ok(n) => println!("\nwrote {n} chrome trace events to {path}"),
             Err(e) => {
                 eprintln!("tracectl: cannot write {path}: {e}");
                 return ExitCode::from(2);
@@ -404,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn the_stream_is_folded_and_kept_only_for_the_chrome_export() {
+    fn the_stream_is_folded_and_handed_on_event_by_event() {
         let info = ObsEvent::GatewayInfo {
             gw: 0,
             network: 1,
@@ -412,13 +418,21 @@ mod tests {
         };
         let line = serde_json::to_string(&info).expect("event serializes");
         let text = format!("{line}\n\n{{\"NoSuchEvent\":{{}}}}\n{line}\n");
-        let (report, events, errors) = read_stream(text.as_bytes(), false).unwrap();
+        let mut events = Vec::new();
+        let (report, errors) = read_stream(text.as_bytes(), |ev| {
+            events.push(*ev);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(report.gateways.len(), 2, "both events folded");
-        assert!(events.is_empty());
+        assert_eq!(events, [info, info]);
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].0, 3, "line numbers count the blank line");
-        let (_, events, _) = read_stream(text.as_bytes(), true).unwrap();
-        assert_eq!(events, [info, info]);
+        let failing = read_stream(text.as_bytes(), |_| Err(io::Error::other("disk full")));
+        assert_eq!(
+            failing.err().as_deref(),
+            Some("write error at line 1: disk full")
+        );
     }
 
     #[test]

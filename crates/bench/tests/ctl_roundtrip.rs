@@ -3,7 +3,7 @@
 //! CI's trace gate and a live debugging session use, driven through
 //! the real executable.
 
-use obs::{chrome_trace, ChromeTrace, LossKind, ObsEvent};
+use obs::{ChromeExport, ChromeTrace, LossKind, ObsEvent};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -284,7 +284,17 @@ fn tracectl_writes_a_chrome_trace() {
     assert!(out.status.success(), "{}", text(&out.stderr));
     let written = std::fs::read_to_string(&chrome).unwrap();
     let doc: ChromeTrace = serde_json::from_str(&written).expect("chrome JSON");
-    assert_eq!(doc, chrome_trace(&clean_stream()));
+    let mut in_process = Vec::new();
+    let mut export = ChromeExport::new(&mut in_process).unwrap();
+    for ev in &clean_stream() {
+        export.observe(ev).unwrap();
+    }
+    export.finish().unwrap();
+    assert_eq!(
+        written.as_bytes(),
+        in_process,
+        "the export of the same stream"
+    );
     let n = doc.traceEvents.len();
     assert!(n > 0, "no chrome events");
     assert!(

@@ -44,6 +44,6 @@ pub use heartbeat::{Heartbeat, HeartbeatWriter};
 pub use metrics::{proc_mem, Histogram, ProcMem, Registry};
 pub use sink::{JsonlSink, NullSink, ObsSink, SharedSink, VecSink};
 pub use trace::{
-    chrome_trace, packet_trace, ChromeTrace, ContentionReport, PacketTimeline, TraceAnalyzer,
+    packet_trace, ChromeExport, ChromeTrace, ContentionReport, PacketTimeline, TraceAnalyzer,
     TraceId, TraceReport,
 };

@@ -30,8 +30,9 @@
 
 use crate::event::{DedupKind, LossKind, ObsEvent};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::io::{self, Write};
 
 /// A per-transmission trace identifier.
 ///
@@ -949,7 +950,10 @@ const PID_SERVER: u32 = 2;
 /// First gateway process id; gateway `g` renders as `PID_GW0 + g`.
 const PID_GW0: u32 = 10;
 
-/// Export an event stream as a Chrome trace-event document.
+/// Chrome trace-event export as a fold over an event stream: each
+/// event is written to `out` as soon as it is finished, so what the
+/// export holds is the airtime spans still open and the decoder slots
+/// in use, not the stream.
 ///
 /// Layout: one process per gateway with one thread per decoder slot
 /// (slots are assigned greedily and deterministically in stream
@@ -957,33 +961,65 @@ const PID_GW0: u32 = 10;
 /// (airtime spans from `TxStart` to `PacketOutcome`), and a "network
 /// server" process whose threads are reporting gateways (dedup
 /// instants). Pool-full drops render as instants on the gateway's
-/// slot row just past its capacity.
-pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
-    let mut out = Vec::new();
-    let mut capacity_of: BTreeMap<u32, u32> = BTreeMap::new();
-    // Deterministic greedy decoder-slot assignment per gateway.
-    let mut free: BTreeMap<u32, std::collections::BTreeSet<u32>> = BTreeMap::new();
-    let mut next_slot: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut slot_of: BTreeMap<(u32, u64), (u32, u64, String)> = BTreeMap::new();
-    // Open airtime spans: trace → (ts, node, tx, network).
-    let mut air: BTreeMap<u64, (u64, u64, u64, u32)> = BTreeMap::new();
-    let mut meta: Vec<ChromeEvent> = vec![
-        process_name(PID_MEDIUM, "medium (airtime)"),
-        process_name(PID_SERVER, "network server (dedup)"),
-    ];
+/// slot row just past its capacity. The written document is a
+/// [`ChromeTrace`]; a gateway's `process_name` event lands where its
+/// `GatewayInfo` is in the stream.
+pub struct ChromeExport<W: Write> {
+    out: W,
+    written: u64,
+    capacity_of: BTreeMap<u32, u32>,
+    /// Deterministic greedy decoder-slot assignment per gateway.
+    free: BTreeMap<u32, BTreeSet<u32>>,
+    next_slot: BTreeMap<u32, u32>,
+    /// Decoders in use: (gw, tx) → (slot, since, trace).
+    slot_of: BTreeMap<(u32, u64), (u32, u64, u64)>,
+    /// Open airtime spans: trace → (ts, node, tx, network).
+    air: BTreeMap<u64, (u64, u64, u64, u32)>,
+}
 
-    for ev in events {
+impl<W: Write> ChromeExport<W> {
+    /// Start the document on `out`, with the medium's and the server's
+    /// `process_name` events.
+    pub fn new(out: W) -> io::Result<ChromeExport<W>> {
+        let mut export = ChromeExport {
+            out,
+            written: 0,
+            capacity_of: BTreeMap::new(),
+            free: BTreeMap::new(),
+            next_slot: BTreeMap::new(),
+            slot_of: BTreeMap::new(),
+            air: BTreeMap::new(),
+        };
+        export.out.write_all(b"{\"traceEvents\":[")?;
+        export.write(&process_name(PID_MEDIUM, "medium (airtime)"))?;
+        export.write(&process_name(PID_SERVER, "network server (dedup)"))?;
+        Ok(export)
+    }
+
+    /// Append one Chrome event to the array.
+    fn write(&mut self, ev: &ChromeEvent) -> io::Result<()> {
+        if self.written > 0 {
+            self.out.write_all(b",")?;
+        }
+        let json = serde_json::to_string(ev).map_err(io::Error::other)?;
+        self.out.write_all(json.as_bytes())?;
+        self.written += 1;
+        Ok(())
+    }
+
+    /// Fold one stream event, writing what it finishes.
+    pub fn observe(&mut self, ev: &ObsEvent) -> io::Result<()> {
         match *ev {
             ObsEvent::GatewayInfo {
                 gw,
                 network,
                 capacity,
             } => {
-                capacity_of.insert(gw, capacity);
-                meta.push(process_name(
+                self.capacity_of.insert(gw, capacity);
+                self.write(&process_name(
                     PID_GW0 + gw,
                     &format!("gateway {gw} (network {network})"),
-                ));
+                ))?;
             }
             ObsEvent::TxStart {
                 t_us,
@@ -992,7 +1028,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                 node,
                 network,
             } => {
-                air.insert(
+                self.air.insert(
                     if trace != 0 { trace } else { tx },
                     (t_us, node, tx, network),
                 );
@@ -1005,7 +1041,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                 cause,
             } => {
                 if let Some((start, node, tx, network)) =
-                    air.remove(&(if trace != 0 { trace } else { tx }))
+                    self.air.remove(&(if trace != 0 { trace } else { tx }))
                 {
                     let mut args = vec![
                         ("trace", sval(format!("{trace:#x}"))),
@@ -1014,7 +1050,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                     if let Some(c) = cause {
                         args.push(("cause", sval(format!("{c:?}"))));
                     }
-                    out.push(ChromeEvent {
+                    self.write(&ChromeEvent {
                         name: format!("tx {tx} net {network}"),
                         cat: "air".into(),
                         ph: "X".into(),
@@ -1024,7 +1060,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                         tid: node as u32,
                         s: None,
                         args: Some(oval(args)),
-                    });
+                    })?;
                 }
             }
             ObsEvent::DecoderAcquired {
@@ -1034,21 +1070,21 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                 tx,
                 ..
             } => {
-                let slot = match free.entry(gw).or_default().pop_first() {
+                let slot = match self.free.entry(gw).or_default().pop_first() {
                     Some(s) => s,
                     None => {
-                        let n = next_slot.entry(gw).or_insert(0);
+                        let n = self.next_slot.entry(gw).or_insert(0);
                         let s = *n;
                         *n += 1;
                         s
                     }
                 };
-                slot_of.insert((gw, tx), (slot, t_us, format!("{trace:#x}")));
+                self.slot_of.insert((gw, tx), (slot, t_us, trace));
             }
             ObsEvent::DecoderReleased { t_us, gw, tx, .. } => {
-                if let Some((slot, start, trace)) = slot_of.remove(&(gw, tx)) {
-                    free.entry(gw).or_default().insert(slot);
-                    out.push(ChromeEvent {
+                if let Some((slot, start, trace)) = self.slot_of.remove(&(gw, tx)) {
+                    self.free.entry(gw).or_default().insert(slot);
+                    self.write(&ChromeEvent {
                         name: format!("decode tx {tx}"),
                         cat: "decoder".into(),
                         ph: "X".into(),
@@ -1057,8 +1093,8 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                         pid: PID_GW0 + gw,
                         tid: slot,
                         s: None,
-                        args: Some(oval(vec![("trace", sval(trace))])),
-                    });
+                        args: Some(oval(vec![("trace", sval(format!("{trace:#x}")))])),
+                    })?;
                 }
             }
             ObsEvent::PoolFullDrop {
@@ -1068,8 +1104,8 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                 tx,
                 locked,
             } => {
-                let row = capacity_of.get(&gw).copied().unwrap_or(16);
-                out.push(ChromeEvent {
+                let row = self.capacity_of.get(&gw).copied().unwrap_or(16);
+                self.write(&ChromeEvent {
                     name: format!("drop tx {tx}"),
                     cat: "drop".into(),
                     ph: "i".into(),
@@ -1082,7 +1118,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                         ("trace", sval(format!("{trace:#x}"))),
                         ("locked", serde::Value::U64(locked as u64)),
                     ])),
-                });
+                })?;
             }
             ObsEvent::Dedup {
                 t_us,
@@ -1092,7 +1128,7 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                 gw,
                 outcome,
             } => {
-                out.push(ChromeEvent {
+                self.write(&ChromeEvent {
                     name: format!("dedup {outcome:?} dev {dev:#x} fcnt {fcnt}"),
                     cat: "server".into(),
                     ph: "i".into(),
@@ -1102,14 +1138,20 @@ pub fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
                     tid: gw,
                     s: Some("t".into()),
                     args: Some(oval(vec![("trace", sval(format!("{trace:#x}")))])),
-                });
+                })?;
             }
             _ => {}
         }
+        Ok(())
     }
 
-    meta.extend(out);
-    ChromeTrace { traceEvents: meta }
+    /// Close the document and flush it: the number of Chrome events
+    /// written. Spans still open at the end of the stream are not.
+    pub fn finish(mut self) -> io::Result<u64> {
+        self.out.write_all(b"]}")?;
+        self.out.flush()?;
+        Ok(self.written)
+    }
 }
 
 /// A `process_name` metadata event.
@@ -1130,6 +1172,25 @@ fn process_name(pid: u32, name: &str) -> ChromeEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Chrome export of `events`, as written.
+    fn chrome_json(events: &[ObsEvent]) -> String {
+        let mut out = Vec::new();
+        let mut export = ChromeExport::new(&mut out).unwrap();
+        for ev in events {
+            export.observe(ev).unwrap();
+        }
+        let written = export.finish().unwrap();
+        let json = String::from_utf8(out).unwrap();
+        let doc: ChromeTrace = serde_json::from_str(&json).unwrap();
+        assert_eq!(doc.traceEvents.len() as u64, written);
+        json
+    }
+
+    /// The Chrome export of `events`, parsed back.
+    fn chrome_trace(events: &[ObsEvent]) -> ChromeTrace {
+        serde_json::from_str(&chrome_json(events)).unwrap()
+    }
 
     #[test]
     fn trace_ids_deterministic_nonzero_and_tagged() {
@@ -1428,10 +1489,35 @@ mod tests {
             .collect();
         assert_eq!(decoder_tids, vec![0, 1]);
 
-        let json = serde_json::to_string(&doc).unwrap();
-        assert!(json.contains("\"traceEvents\""));
-        let back: ChromeTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, doc);
+        // Written as the document serializes.
+        assert_eq!(serde_json::to_string(&doc).unwrap(), chrome_json(&ev));
+    }
+
+    #[test]
+    fn the_chrome_export_writes_as_it_goes_and_keeps_only_what_is_open() {
+        let mut out = Vec::new();
+        let mut export = ChromeExport::new(&mut out).unwrap();
+        let a = lifecycle(packet_trace(0, 0), 0, 1, 0, 0, 1_000);
+        // Up to the decoder release: one airtime span and one decoder
+        // held, nothing finished but the two process names.
+        assert!(matches!(a[3], ObsEvent::DecoderReleased { .. }));
+        for ev in &a[..3] {
+            export.observe(ev).unwrap();
+        }
+        assert_eq!(
+            (export.written, export.air.len(), export.slot_of.len()),
+            (2, 1, 1)
+        );
+        for ev in &a[3..] {
+            export.observe(ev).unwrap();
+        }
+        assert_eq!(
+            (export.written, export.air.len(), export.slot_of.len()),
+            (4, 0, 0)
+        );
+        assert_eq!(export.finish().unwrap(), 4);
+        let doc: ChromeTrace = serde_json::from_slice(&out).unwrap();
+        assert_eq!(doc.traceEvents.len(), 4);
     }
 
     #[test]

@@ -25,9 +25,7 @@
 
 use crate::endpoint::{HttpEndpoint, HttpHandler};
 use crate::mmsg::{Ring, RING};
-use crate::runtime::{
-    render_decisions, Decided, Decider, Decision, DecisionLogs, PacketIn, SharedObs,
-};
+use crate::runtime::{Decided, Decider, Decision, DecisionLogs, PacketIn, SharedObs};
 use gateway::forwarder::codec::{Datagram, TxPacket};
 use gateway::forwarder::fast::{parse_push_data, FastRx};
 use netserver::dedup::DedupStats;
@@ -219,7 +217,7 @@ impl NetServerDaemon {
                 Some(("text/plain; version=0.0.4", text.into_bytes()))
             }
             "/healthz" => Some(("text/plain", b"ok\n".to_vec())),
-            "/decisions" => Some(("text/plain", render_decisions(&logs.decisions()))),
+            "/decisions" => Some(("text/plain", logs.render())),
             _ => None,
         })
     }

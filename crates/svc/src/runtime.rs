@@ -103,11 +103,92 @@ fn outcome_code(o: DedupOutcome) -> u8 {
     }
 }
 
+/// The outcome of each [`outcome_code`].
+const OUTCOMES: [DedupOutcome; 3] = [
+    DedupOutcome::New,
+    DedupOutcome::Duplicate,
+    DedupOutcome::Late,
+];
+
 /// A thread-safe observability fan-in the daemons can emit into.
 pub type SharedObs = Arc<Mutex<dyn obs::ObsSink + Send>>;
 
 /// Decisions a [`DecisionLog`] block holds.
 const LOG_BLOCK: usize = 1 << 16;
+
+/// A [`Decision`] as a block keeps it: 12 bytes, with `t_us`'s high
+/// word in the block's runs and the outcome in its code bits.
+#[derive(Clone, Copy)]
+struct Record {
+    dev: u32,
+    fcnt: u16,
+    gw: u16,
+    /// `t_us & 0xffff_ffff`.
+    t_lo: u32,
+}
+
+/// Up to [`LOG_BLOCK`] decisions in 12¼ bytes each: a [`Record`], and
+/// two bits of [`outcome_code`]. A block's `t_us` high words are runs:
+/// a decision's is the word of the last run that starts at or before
+/// it, 0 before the first. Gateway clocks count 32-bit microseconds,
+/// so a block has no run at all unless its timestamps are hostile,
+/// and a high word that changes on every decision costs 8 more bytes
+/// each.
+#[derive(Clone)]
+struct Block {
+    records: Vec<Record>,
+    /// Four decisions' codes a byte, the first in the low bits.
+    codes: Vec<u8>,
+    /// `(first index, t_us >> 32)` where the high word changes.
+    runs: Vec<(u32, u32)>,
+}
+
+impl Block {
+    /// A block whose records and codes never reallocate.
+    fn new() -> Block {
+        Block {
+            records: Vec::with_capacity(LOG_BLOCK),
+            codes: Vec::with_capacity(LOG_BLOCK / 4),
+            runs: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, d: &Decision) {
+        let i = self.records.len();
+        let hi = (d.t_us >> 32) as u32;
+        if self.runs.last().map_or(0, |&(_, h)| h) != hi {
+            self.runs.push((i as u32, hi));
+        }
+        if i.is_multiple_of(4) {
+            self.codes.push(0);
+        }
+        self.codes[i / 4] |= outcome_code(d.outcome) << (2 * (i % 4));
+        self.records.push(Record {
+            dev: d.dev,
+            fcnt: d.fcnt,
+            gw: d.gw,
+            t_lo: d.t_us as u32,
+        });
+    }
+
+    /// The block's decisions, in the order logged.
+    fn decisions(&self) -> impl Iterator<Item = Decision> + '_ {
+        let mut runs = self.runs.iter().peekable();
+        let mut hi = 0u64;
+        self.records.iter().enumerate().map(move |(i, r)| {
+            if let Some(&(_, h)) = runs.next_if(|&&(first, _)| first as usize == i) {
+                hi = (h as u64) << 32;
+            }
+            Decision {
+                dev: r.dev,
+                fcnt: r.fcnt,
+                gw: r.gw,
+                t_us: hi | r.t_lo as u64,
+                outcome: OUTCOMES[((self.codes[i / 4] >> (2 * (i % 4))) & 3) as usize],
+            }
+        })
+    }
+}
 
 /// The decisions made, in blocks each allocated once at full size.
 /// The log grows without moving what it holds, so the memory it takes
@@ -115,29 +196,35 @@ const LOG_BLOCK: usize = 1 << 16;
 /// itself, and where the allocator serves that copy from its heap
 /// instead of remapping, old and new are resident at once, which moved
 /// the daemon's peak RSS by megabytes from run to run.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct DecisionLog {
     /// Full blocks, then the one being filled.
-    blocks: Vec<Vec<Decision>>,
+    blocks: Vec<Block>,
 }
 
 impl DecisionLog {
     fn len(&self) -> usize {
-        self.blocks
-            .last()
-            .map_or(0, |last| (self.blocks.len() - 1) * LOG_BLOCK + last.len())
+        self.blocks.last().map_or(0, |last| {
+            (self.blocks.len() - 1) * LOG_BLOCK + last.records.len()
+        })
     }
 
-    fn extend(&mut self, mut decisions: &[Decision]) {
-        while !decisions.is_empty() {
-            let Some(block) = self.blocks.last_mut().filter(|b| b.len() < LOG_BLOCK) else {
-                self.blocks.push(Vec::with_capacity(LOG_BLOCK));
-                continue;
-            };
-            let (now, later) = decisions.split_at((LOG_BLOCK - block.len()).min(decisions.len()));
-            block.extend_from_slice(now);
-            decisions = later;
+    fn extend(&mut self, decisions: &[Decision]) {
+        for d in decisions {
+            match self.blocks.last_mut() {
+                Some(block) if block.records.len() < LOG_BLOCK => block.push(d),
+                _ => {
+                    let mut block = Block::new();
+                    block.push(d);
+                    self.blocks.push(block);
+                }
+            }
         }
+    }
+
+    /// Every decision, in the order logged.
+    fn decisions(&self) -> impl Iterator<Item = Decision> + '_ {
+        self.blocks.iter().flat_map(Block::decisions)
     }
 }
 
@@ -153,7 +240,18 @@ pub(crate) struct DecisionLogs {
 impl DecisionLogs {
     /// Snapshot of the decision log.
     pub(crate) fn decisions(&self) -> Vec<Decision> {
-        self.log.lock().blocks.concat()
+        let log = self.log.lock();
+        let mut out = Vec::with_capacity(log.len());
+        out.extend(log.decisions());
+        out
+    }
+
+    /// The decision log in [`render_decisions`]' form, rendered from a
+    /// copy of its blocks so that the ingest thread waits only for the
+    /// copy.
+    pub(crate) fn render(&self) -> Vec<u8> {
+        let log = self.log.lock().clone();
+        render(log.decisions())
     }
 
     /// Decisions that were made but not logged because the log hit its
@@ -278,9 +376,13 @@ impl Decider {
 /// decision stream" the acceptance test compares byte-for-byte against
 /// an in-process replay.
 pub fn render_decisions(log: &[Decision]) -> Vec<u8> {
+    render(log.iter().copied())
+}
+
+fn render(decisions: impl Iterator<Item = Decision>) -> Vec<u8> {
     use std::io::Write;
     let mut out = Vec::new();
-    for d in log {
+    for d in decisions {
         let _ = writeln!(
             out,
             "{:08x},{},{},{},{}",
@@ -360,6 +462,7 @@ pub fn replay_divergence(logs: &[Vec<Decision>], window_us: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pkt(dev: u32, fcnt: u16, gw: u16, t_us: u64) -> PacketIn {
         PacketIn {
@@ -484,6 +587,38 @@ mod tests {
         assert_eq!(replay_divergence(&logs, 1_000_000), 0);
     }
 
+    /// Where each block's records and codes live.
+    fn placement(log: &DecisionLog) -> Vec<(*const Record, *const u8)> {
+        (log.blocks.iter())
+            .map(|b| (b.records.as_ptr(), b.codes.as_ptr()))
+            .collect()
+    }
+
+    /// Log `decisions` in parts of the `parts` sizes, taken in turn,
+    /// asserting after each that no block moved and every block was
+    /// allocated at full size.
+    fn log_in_parts(decisions: &[Decision], parts: &[usize]) -> DecisionLog {
+        let mut log = DecisionLog::default();
+        let mut placed = Vec::new();
+        let mut rest = decisions;
+        for &n in parts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (part, later) = rest.split_at(n.min(rest.len()));
+            log.extend(part);
+            rest = later;
+            let now = placement(&log);
+            assert!(now.starts_with(&placed), "a block moved");
+            placed = now;
+            assert!(log
+                .blocks
+                .iter()
+                .all(|b| b.records.capacity() == LOG_BLOCK && b.codes.capacity() == LOG_BLOCK / 4));
+        }
+        log
+    }
+
     #[test]
     fn a_log_fills_block_after_block_and_never_moves_one() {
         let decisions: Vec<Decision> = (0..2 * LOG_BLOCK as u32 + 5)
@@ -495,18 +630,86 @@ mod tests {
                 outcome: DedupOutcome::New,
             })
             .collect();
-        let mut log = DecisionLog::default();
-        let mut placed: Vec<*const Decision> = Vec::new();
-        for part in decisions.chunks(LOG_BLOCK / 3 + 1) {
-            log.extend(part);
-            let now: Vec<*const Decision> = log.blocks.iter().map(|b| b.as_ptr()).collect();
-            assert!(now.starts_with(&placed), "a block moved");
-            placed = now;
-        }
+        let log = log_in_parts(&decisions, &[LOG_BLOCK / 3 + 1]);
         assert_eq!(log.len(), decisions.len());
         assert_eq!(log.blocks.len(), 3);
-        assert!(log.blocks.iter().all(|b| b.capacity() == LOG_BLOCK));
-        assert_eq!(log.blocks.concat(), decisions);
+        assert!(
+            log.blocks.iter().all(|b| b.runs.is_empty()),
+            "32-bit clocks need no run"
+        );
+        assert!(log.decisions().eq(decisions));
+    }
+
+    /// A decision with any `t_us` whose high word is often one of a
+    /// few, so that runs both continue and change, also across block
+    /// boundaries; any `gw` and any outcome.
+    fn any_decision() -> impl Strategy<Value = Decision> {
+        let high = (0u8..4, any::<u32>()).prop_map(|(pick, any)| match pick {
+            0 => 0,
+            1 => 1,
+            2 => u32::MAX,
+            _ => any,
+        });
+        (
+            any::<u32>(),
+            any::<u16>(),
+            any::<u16>(),
+            high,
+            any::<u32>(),
+            0usize..3,
+        )
+            .prop_map(|(dev, fcnt, gw, high, low, outcome)| Decision {
+                dev,
+                fcnt,
+                gw,
+                t_us: (high as u64) << 32 | low as u64,
+                outcome: OUTCOMES[outcome],
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        fn the_log_gives_back_every_decision_it_took(
+            decisions in collection::vec(any_decision(), 2 * LOG_BLOCK + 1..3 * LOG_BLOCK),
+            parts in collection::vec(1usize..LOG_BLOCK, 1..6),
+        ) {
+            let log = log_in_parts(&decisions, &parts);
+            prop_assert_eq!(log.blocks.len(), 3);
+            prop_assert_eq!(log.len(), decisions.len());
+            prop_assert!(log.decisions().eq(decisions.iter().copied()));
+            // A copy decodes alike, and renders as the decisions do.
+            let copy = log.clone();
+            prop_assert_eq!(render(copy.decisions()), render_decisions(&decisions));
+        }
+    }
+
+    #[test]
+    fn a_log_capped_past_a_block_replays_exactly() {
+        // A hostile clock: the high word changes every few packets.
+        let cap = LOG_BLOCK + 10;
+        let mut d = Decider::new(1_000_000, cap, None);
+        let pkts: Vec<PacketIn> = (0..2 * LOG_BLOCK as u64)
+            .map(|i| {
+                pkt(
+                    i as u32 % 97,
+                    (i / 97) as u16,
+                    (i % 3) as u16,
+                    (i / 5) << 32 | i,
+                )
+            })
+            .collect();
+        for drain in pkts.chunks(1_000) {
+            d.decide(drain, Instant::now());
+        }
+        let logs = [d.logs().decisions()];
+        assert_eq!(logs[0].len(), cap);
+        assert_eq!(d.logs().dropped(), (pkts.len() - cap) as u64);
+        let logged: Vec<u64> = logs[0].iter().map(|d| d.t_us).collect();
+        let sent: Vec<u64> = pkts[..cap].iter().map(|p| p.t_us).collect();
+        assert_eq!(logged, sent);
+        assert_eq!(replay_divergence(&logs, 1_000_000), 0);
+        assert_eq!(d.logs().render(), render_decisions(&logs[0]));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use std::net::{Ipv4Addr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use svc::runtime::Decision;
+use svc::runtime::{parse_decisions, Decision};
 use svc::{http_get, replay_divergence, NetServerConfig, NetServerDaemon};
 
 /// One rxpk in the codec's spelling. Payloads cover data frames,
@@ -699,4 +699,67 @@ fn every_acked_packet_is_decided_under_a_flood() {
     assert_eq!(replay_divergence(&logs, daemon.window_us()), 0);
     daemon.shutdown();
     assert!(started.elapsed() < Duration::from_secs(10), "too slow");
+}
+
+#[test]
+fn a_hostile_tmst_comes_back_exact() {
+    // Around the 32-bit wrap, past 2^63, and the largest `tmst` the
+    // fast parser takes; then a duplicate of the last frame and a late
+    // copy of a new one, the window anchor being at `u64::MAX` by then.
+    let tmsts = [
+        (1u32, 0u16, (1u64 << 32) - 1),
+        (2, 0, 1 << 32),
+        (3, 0, (1 << 63) + 5),
+        (4, 0, u64::MAX),
+        (4, 0, u64::MAX),
+        (5, 0, 1 << 32),
+    ];
+    let wire = Datagram::PushData {
+        token: 1,
+        eui: GatewayEui(0xCC01),
+        rxpk: tmsts
+            .iter()
+            .map(|&(dev, fcnt, tmst)| {
+                let mut phy = vec![0x40];
+                phy.extend_from_slice(&(0x2601_0000 + dev).to_le_bytes());
+                phy.push(0);
+                phy.extend_from_slice(&fcnt.to_le_bytes());
+                phy.extend_from_slice(&[0; 4]);
+                let mut rx = keyed_rxpk(&mut StdRng::seed_from_u64(dev as u64));
+                rx.size = phy.len();
+                rx.data = b64::encode(&phy);
+                rx.tmst = tmst;
+                rx
+            })
+            .collect(),
+    }
+    .encode();
+    let mut out = Vec::new();
+    parse_push_data(&wire, &mut out, &mut Vec::new()).expect("parses");
+    let mut past = wire.clone();
+    let at = past
+        .windows(20)
+        .position(|w| w == b"18446744073709551615")
+        .expect("u64::MAX");
+    past[at + 19] = b'6';
+    assert!(
+        parse_push_data(&past, &mut out, &mut Vec::new()).is_err(),
+        "u64::MAX is the largest tmst the fast parser takes"
+    );
+
+    let daemon = NetServerDaemon::start(NetServerConfig::default(), None).expect("daemon starts");
+    let (expected, _) = reference_decisions(std::slice::from_ref(&wire), daemon.window_us());
+    send_in_order(&daemon, &[wire]);
+    let scraped = http_get(daemon.metrics_addr(), "/decisions").expect("scrape");
+    let logged = parse_decisions(&scraped).expect("parseable decision stream");
+    let t_us: Vec<u64> = logged.iter().map(|d| d.t_us).collect();
+    assert_eq!(t_us, tmsts.map(|(_, _, tmst)| tmst));
+    let outcomes: Vec<DedupOutcome> = logged.iter().map(|d| d.outcome).collect();
+    use DedupOutcome::{Duplicate, Late, New};
+    assert_eq!(outcomes, [New, New, New, New, Duplicate, Late]);
+    assert_eq!(logged, expected);
+    let logs = [logged];
+    assert_eq!(daemon.decisions(), logs);
+    assert_eq!(replay_divergence(&logs, daemon.window_us()), 0);
+    daemon.shutdown();
 }
