@@ -224,19 +224,19 @@ impl VerdictScratch {
     }
 
     /// Arbitrate the victim against one detect-class interferer at
-    /// every seen gateway. `rssi_v` / `rssi_o` are the two link-table
-    /// rows (indexed by the gateway ids in `seen`).
+    /// every seen gateway. `rssi_v` / `rssi_o` give the two RSSIs at a
+    /// gateway id of `seen`.
     #[inline]
     pub(crate) fn arbitrate(
         &mut self,
         seen: &[(u32, Seen)],
-        rssi_v: &[f64],
-        rssi_o: &[f64],
+        rssi_v: impl Fn(u32) -> f64,
+        rssi_o: impl Fn(u32) -> f64,
         same_sf: bool,
         network_o: u32,
     ) {
         for (gi, &(g, _)) in seen.iter().enumerate() {
-            let (rssi_v, rssi_o) = (rssi_v[g as usize], rssi_o[g as usize]);
+            let (rssi_v, rssi_o) = (rssi_v(g), rssi_o(g));
             if same_sf {
                 // Same settings: the capture effect decides, and it
                 // does not care which packet locked on first.
@@ -397,6 +397,62 @@ fn positions<'a>(
     })
 }
 
+/// The shard's RSSI table, dBm: one row per slot, one lane per
+/// gateway of the shard's widest channel component. A gateway's lane
+/// is its position in its component, and every read of a row is at a
+/// gateway of the component the slot's channel belongs to (overlapping
+/// channels and the gateways listening to them share one), so rows need
+/// no wider. The shard machine writes a slot's row at ingest, for the
+/// gateways any read here can touch (see [`crate::shard`]).
+#[derive(Default)]
+pub(crate) struct LinkRows {
+    cells: Vec<f64>,
+    /// Per local gateway: its lane.
+    lane: Vec<u32>,
+    /// Lanes per row.
+    width: usize,
+}
+
+impl LinkRows {
+    /// Lay rows out for local gateways at lanes `lane`. Rows already
+    /// held are kept: each tenant rewrites its own.
+    fn lay_out(&mut self, lane: impl Iterator<Item = u32>) {
+        self.lane.clear();
+        self.lane.extend(lane);
+        self.width = self.lane.iter().max().map_or(0, |&l| l as usize + 1);
+    }
+
+    /// Lanes per row.
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Make room for `slot`'s row. Debug builds poison the whole row,
+    /// so a read of a lane its tenant never wrote corrupts the run
+    /// visibly instead of reading a former tenant's RSSI.
+    pub(crate) fn open_row(&mut self, slot: u32) {
+        let row = slot as usize * self.width;
+        if self.cells.len() < row + self.width {
+            self.cells.resize(row + self.width, f64::NAN);
+        } else if cfg!(debug_assertions) {
+            self.cells[row..row + self.width].fill(f64::NAN);
+        }
+    }
+
+    /// `slot`'s RSSI at local gateway `lg`.
+    #[inline]
+    pub(crate) fn at(&self, slot: u32, lg: u32) -> f64 {
+        self.cells[slot as usize * self.width + self.lane[lg as usize] as usize]
+    }
+
+    /// Write `slot`'s RSSI at local gateway `lg`.
+    #[inline]
+    pub(crate) fn set(&mut self, slot: u32, lg: u32, rssi: f64) {
+        self.cells[slot as usize * self.width + self.lane[lg as usize] as usize] = rssi;
+    }
+}
+
 /// Per-channel collider state; see the module docs.
 #[derive(Default)]
 struct Chan {
@@ -475,10 +531,8 @@ struct LeakSnap {
 /// capacity back.
 #[derive(Default)]
 pub(crate) struct AccumState {
-    /// The shard's RSSI table, `link[slot * n_lg + local gateway]`,
-    /// dBm. The shard machine writes a slot's row at ingest, for the
-    /// gateways any read here can touch (see [`crate::shard`]).
-    pub(crate) link: Vec<f64>,
+    /// The shard's RSSI table, one row per slot.
+    pub(crate) link: LinkRows,
     n_lg: usize,
     /// CIC receivers resolve same-SF collisions: both packets survive.
     cic: bool,
@@ -503,13 +557,14 @@ pub(crate) struct AccumState {
 }
 
 impl AccumState {
-    /// Empty the state for a run of a shard with `n_lg` local gateways
-    /// over `ctx`'s channel universe; `cic` is the world's
+    /// Empty the state for a run of a shard whose local gateways sit
+    /// at link-row lanes `lane` (their positions in their channel
+    /// components), over `ctx`'s channel universe; `cic` is the world's
     /// collision-resolving receiver switch. Per-slot buffers (`link`,
     /// `life`, `snaps`, `own`) are rewritten for each tenant, so they
     /// are kept as they are.
-    pub(crate) fn reset(&mut self, ctx: &RunContext, n_lg: usize, cic: bool) {
-        self.reset_with_thresholds(ctx, n_lg, cic, BUILD_AT, DROP_AT);
+    pub(crate) fn reset(&mut self, ctx: &RunContext, lane: impl Iterator<Item = u32>, cic: bool) {
+        self.reset_with_thresholds(ctx, lane, cic, BUILD_AT, DROP_AT);
     }
 
     /// [`Self::reset`] with the representation thresholds spelled out
@@ -517,12 +572,14 @@ impl AccumState {
     fn reset_with_thresholds(
         &mut self,
         ctx: &RunContext,
-        n_lg: usize,
+        lane: impl Iterator<Item = u32>,
         cic: bool,
         build_at: usize,
         drop_at: usize,
     ) {
         let n_ch = ctx.n_channels();
+        self.link.lay_out(lane);
+        let n_lg = self.link.lane.len();
         self.n_lg = n_lg;
         self.cic = cic;
         self.build_at = build_at;
@@ -593,9 +650,8 @@ impl AccumState {
         ch.list.push(key);
         self.stats.updates += 1;
         if let Some(index) = &mut ch.sorted {
-            let row = key.slot as usize * self.n_lg;
             for (k, &lg) in cand.iter().enumerate() {
-                let e = MaxEntry::new(&key, self.link[row + lg as usize]);
+                let e = MaxEntry::new(&key, self.link.at(key.slot, lg));
                 let v = &mut index[key.sf as usize * cand.len() + k];
                 let pos = v.partition_point(|x| x.before(&e));
                 v.insert(pos, e);
@@ -627,10 +683,9 @@ impl AccumState {
             None if n >= self.build_at => {
                 let mut index = vec![Vec::new(); N_SF * cand.len()];
                 for e in &ch.list {
-                    let row = e.slot as usize * self.n_lg;
                     for (k, &lg) in cand.iter().enumerate() {
                         index[e.sf as usize * cand.len() + k]
-                            .push(MaxEntry::new(e, link[row + lg as usize]));
+                            .push(MaxEntry::new(e, link.at(e.slot, lg)));
                     }
                 }
                 // Stable: equal RSSIs stay in list (TxStart) order.
@@ -655,13 +710,12 @@ impl AccumState {
     /// Fold `key`'s leak into victim channel `cv`'s started- or
     /// ended-sums.
     fn fold_leak(&mut self, cv: usize, class: PairClass, key: &TxKey, cand: &[u32], started: bool) {
-        let row = key.slot as usize * self.n_lg;
         let sf_o = key.sf as usize;
         let (gain_same, gain_orth) = (class.leak_gain(false), class.leak_gain(true));
         let mut touched = 0u64;
         for &lg in cand {
+            let rssi_o = self.link.at(key.slot, lg);
             let lg = lg as usize;
-            let rssi_o = self.link[row + lg];
             let i = self.idx(cv, sf_o, lg);
             let j = cv * self.n_lg + lg;
             let sums = if started {
@@ -720,19 +774,15 @@ impl AccumState {
             let co = co as usize;
             let cross_sf = sf != key.sf;
             if let Some(g) = ctx.pair[c * n_ch + co].leak_gain(cross_sf) {
-                let orow = o as usize * n_lg;
                 for (sn, &lg) in snap.iter_mut().zip(&cand_local[c]) {
-                    sn.own_corr = sn
-                        .own_corr
-                        .wrapping_add(leak_fx(self.link[orow + lg as usize], g));
+                    sn.own_corr = sn.own_corr.wrapping_add(leak_fx(self.link.at(o, lg), g));
                 }
             }
             if let Some(g) = ctx.pair[co * n_ch + c].leak_gain(cross_sf) {
-                let row = si * n_lg;
                 for (sn, &lg) in self.snaps[o as usize].iter_mut().zip(&cand_local[co]) {
                     sn.own_corr = sn
                         .own_corr
-                        .wrapping_add(leak_fx(self.link[row + lg as usize], g));
+                        .wrapping_add(leak_fx(self.link.at(key.slot, lg), g));
                 }
             }
             other = next;
@@ -761,7 +811,6 @@ impl AccumState {
         vs.prepare(seen.len());
         let cic = self.cic;
         let n_lg = self.n_lg;
-        let vrow = victim.slot as usize * n_lg;
         let (life, link) = (&self.life, &self.link);
         let ch = &mut self.chans[cv];
         let horizon = ch.horizon();
@@ -769,7 +818,7 @@ impl AccumState {
 
         if let Some(index) = &mut ch.sorted {
             for (gi, (lg, k)) in positions(seen, cand).enumerate() {
-                let rssi_v = link[vrow + lg];
+                let rssi_v = link.at(victim.slot, lg as u32);
                 let mut strongest = |sf: usize| {
                     let v = &mut index[sf * cand.len() + k];
                     strongest_visible(v, life, horizon, victim, &mut evicted)
@@ -803,11 +852,10 @@ impl AccumState {
                 }
                 let same_sf = e.sf == victim.sf;
                 if visible && e.node != victim.node && !(same_sf && cic) {
-                    let orow = e.slot as usize * n_lg;
                     vs.arbitrate(
                         seen,
-                        &link[vrow..vrow + n_lg],
-                        &link[orow..orow + n_lg],
+                        |g| link.at(victim.slot, g),
+                        |g| link.at(e.slot, g),
                         same_sf,
                         e.network,
                     );
@@ -929,6 +977,9 @@ mod tests {
 
     const N_CH: usize = 3;
     const N_LG: usize = 2;
+    /// Link-row lanes of the two gateways, reversed: a read that skips
+    /// the lane table takes the other gateway's RSSI.
+    const LANES: [u32; N_LG] = [1, 0];
     const N_NODES: usize = 4;
 
     /// RSSI rows per node — nodes 0 and 1 tie at gateway 0 on purpose,
@@ -1025,8 +1076,8 @@ mod tests {
                     PairClass::Detect if !cross_sf && cic => {}
                     PairClass::Detect => want.arbitrate(
                         seen,
-                        node_row(vic.key.node),
-                        node_row(o.key.node),
+                        |g| node_row(vic.key.node)[g as usize],
+                        |g| node_row(o.key.node)[g as usize],
                         !cross_sf,
                         o.key.network,
                     ),
@@ -1079,7 +1130,7 @@ mod tests {
     ) -> Result<(u64, u64), TestCaseError> {
         let ctx = test_ctx();
         let cand = cand_local();
-        ac.reset_with_thresholds(&ctx, N_LG, cic, build_at, drop_at);
+        ac.reset_with_thresholds(&ctx, LANES.into_iter(), cic, build_at, drop_at);
 
         let mut txs: Vec<TxRec> = sched
             .iter()
@@ -1115,11 +1166,10 @@ mod tests {
                     n_slots += 1;
                     n_slots - 1
                 });
-                let row = slot as usize * N_LG;
-                if ac.link.len() < row + N_LG {
-                    ac.link.resize(row + N_LG, f64::NAN);
+                ac.link.open_row(slot);
+                for (lg, &rssi) in node_row(txs[i].key.node).iter().enumerate() {
+                    ac.link.set(slot, lg as u32, rssi);
                 }
-                ac.link[row..row + N_LG].copy_from_slice(node_row(txs[i].key.node));
                 txs[i].key.slot = slot;
                 txs[i].key.start_evseq = evseq;
                 ac.register(&ctx, txs[i].ch, txs[i].key, &cand);

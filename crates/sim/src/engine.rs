@@ -124,6 +124,35 @@ const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
 /// `2^(10+8·3)` µs ≈ 4.8 hours, comfortably past every simulated
 /// horizon; overflow exists for correctness, not for the hot path.
 const WHEEL_LEVELS: usize = 3;
+/// Entries per bucket block. A bucket is a chain of blocks, every one
+/// full but the head; 16 entries (400 B a block) keep a sparse bucket
+/// small and a dense one a short walk.
+const BLOCK_ENTRIES: usize = 16;
+
+/// A fixed-size run of one bucket's entries, or a spare on its wheel's
+/// free list.
+#[derive(Debug)]
+struct Block {
+    entries: [WheelEntry; BLOCK_ENTRIES],
+    /// Entries in use, from the front.
+    fill: usize,
+    /// The next block of the same bucket, or of the free list.
+    next: Chain,
+}
+
+/// A bucket (or the free list): its head block, `None` when empty.
+type Chain = Option<Box<Block>>;
+
+impl Drop for Block {
+    /// Unlink the rest of the chain one block at a time: a free list
+    /// thousands of blocks long must not drop recursively.
+    fn drop(&mut self) {
+        let mut next = self.next.take();
+        while let Some(mut b) = next {
+            next = b.next.take();
+        }
+    }
+}
 
 /// A hierarchical timer wheel that reproduces [`EventQueue`]'s exact
 /// pop order — `(t_us, kind priority, tx id)` ascending — under the
@@ -150,11 +179,20 @@ const WHEEL_LEVELS: usize = 3;
 /// Both are debug-asserted. The `wheel_matches_event_queue` proptest
 /// pins the pop order to [`EventQueue`] under adversarial same-instant
 /// schedules.
+///
+/// Buckets hold their entries in fixed-size blocks drawn from one free
+/// list per wheel, and a bucket hands each block back as it empties.
+/// What a wheel keeps between runs is therefore the block count of its
+/// peak of queued entries, whatever the run's length, not the sum of
+/// 768 buckets' high-water marks; a repeat run draws every block it
+/// needs from the free list.
 #[derive(Debug)]
 pub struct TimeWheel {
     /// `levels[l][slot]`: entries with `t >> (BASE + 8l)` equal to the
     /// slot's current rotation tick.
-    levels: Vec<Vec<Vec<WheelEntry>>>,
+    levels: Vec<Vec<Chain>>,
+    /// Blocks no bucket holds, kept for the next bucket that fills one.
+    free: Chain,
     /// `occupied[l]` bit `slot`: whether `levels[l][slot]` holds
     /// anything.
     occupied: [[u64; WHEEL_SLOTS / 64]; WHEEL_LEVELS],
@@ -185,8 +223,9 @@ impl TimeWheel {
     pub fn new() -> TimeWheel {
         TimeWheel {
             levels: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
+                .map(|_| (0..WHEEL_SLOTS).map(|_| None).collect())
                 .collect(),
+            free: None,
             occupied: [[0; WHEEL_SLOTS / 64]; WHEEL_LEVELS],
             overflow: Vec::new(),
             ready: Vec::new(),
@@ -198,10 +237,11 @@ impl TimeWheel {
         }
     }
 
-    /// Rewind a drained wheel to time 0, keeping each bucket's
-    /// capacity: the engine's wheel serves run after run.
+    /// Rewind a drained wheel to time 0, keeping its free blocks: the
+    /// engine's wheel serves run after run.
     pub(crate) fn rewind(&mut self) {
         debug_assert!(self.is_empty() && self.occupied == [[0; WHEEL_SLOTS / 64]; WHEEL_LEVELS]);
+        debug_assert!(self.levels.iter().flatten().all(Option::is_none));
         self.ready.clear();
         self.ready_idx = 0;
         self.cur = 0;
@@ -224,6 +264,20 @@ impl TimeWheel {
         self.cascades
     }
 
+    /// Blocks the wheel holds, in buckets and on the free list.
+    #[cfg(test)]
+    fn blocks(&self) -> usize {
+        let mut n = 0;
+        for chain in self.levels.iter().flatten().chain([&self.free]) {
+            let mut block = chain.as_deref();
+            while let Some(b) = block {
+                n += 1;
+                block = b.next.as_deref();
+            }
+        }
+        n
+    }
+
     /// File `e` into the finest level that can address its timestamp.
     fn place(&mut self, e: WheelEntry) {
         let t = e.0;
@@ -231,12 +285,56 @@ impl TimeWheel {
             let shift = WHEEL_BASE_SHIFT + WHEEL_BITS * l as u32;
             if (t >> shift) - (self.cur >> shift) < WHEEL_SLOTS as u64 {
                 let slot = (t >> shift) as usize & (WHEEL_SLOTS - 1);
-                self.levels[l][slot].push(e);
+                self.file(l, slot, e);
                 self.occupied[l][slot / 64] |= 1 << (slot % 64);
                 return;
             }
         }
         self.overflow.push(e);
+    }
+
+    /// Append `e` to bucket `levels[l][slot]`, opening a block from the
+    /// free list (or a new one) when the head block is full.
+    fn file(&mut self, l: usize, slot: usize, e: WheelEntry) {
+        let bucket = &mut self.levels[l][slot];
+        if let Some(head) = bucket {
+            if head.fill < BLOCK_ENTRIES {
+                head.entries[head.fill] = e;
+                head.fill += 1;
+                return;
+            }
+        }
+        let mut block = match self.free.take() {
+            Some(mut spare) => {
+                self.free = spare.next.take();
+                spare
+            }
+            None => Box::new(Block {
+                entries: [(0, 0, 0, 0); BLOCK_ENTRIES],
+                fill: 0,
+                next: None,
+            }),
+        };
+        block.entries[0] = e;
+        block.fill = 1;
+        block.next = bucket.take();
+        *bucket = Some(block);
+    }
+
+    /// Empty bucket `levels[l][slot]` through `each`, block by block,
+    /// handing every block back to the free list once read. The bucket
+    /// is detached first, so `each` may file into the wheel — this
+    /// bucket included.
+    fn drain_bucket(&mut self, l: usize, slot: usize, mut each: impl FnMut(&mut Self, WheelEntry)) {
+        let mut chain = self.levels[l][slot].take();
+        while let Some(mut block) = chain {
+            chain = block.next.take();
+            for &e in &block.entries[..block.fill] {
+                each(self, e);
+            }
+            block.next = self.free.take();
+            self.free = Some(block);
+        }
     }
 
     /// Schedule an entry. Must not precede any already-drained time.
@@ -266,15 +364,11 @@ impl TimeWheel {
                 self.occupied[l + 1][slot / 64] &= !(1 << (slot % 64));
                 // Everything here shares the cursor's level-(l+1) tick,
                 // so it files at level l or finer, never back into this
-                // bucket — which is emptied in place, keeping its
-                // capacity for its next rotation.
-                let n = self.levels[l + 1][slot].len();
-                self.cascades += n as u64;
-                for i in 0..n {
-                    let e = self.levels[l + 1][slot][i];
-                    self.place(e);
-                }
-                self.levels[l + 1][slot].clear();
+                // bucket, whose blocks go back to the free list.
+                self.drain_bucket(l + 1, slot, |w, e| {
+                    w.cascades += 1;
+                    w.place(e);
+                });
             } else {
                 // Top level rolled a tick: any overflow entry the wheels
                 // can now address moves down.
@@ -333,8 +427,7 @@ impl TimeWheel {
             self.cascade_at_cursor();
             let slot = (self.cur >> WHEEL_BASE_SHIFT) as usize & (WHEEL_SLOTS - 1);
             let bucket_end = ((self.cur >> WHEEL_BASE_SHIFT) + 1) << WHEEL_BASE_SHIFT;
-            let bucket = &mut self.levels[0][slot];
-            if bucket.is_empty() {
+            if self.levels[0][slot].is_none() {
                 // Empty time: jump to where the next entry (or the next
                 // cascade that could produce one) is due. Cascades fire
                 // at the same ticks a bucket-by-bucket walk would reach.
@@ -342,27 +435,26 @@ impl TimeWheel {
                 continue;
             }
             if bucket_end <= frontier {
-                // `append` empties the bucket but keeps its capacity
-                // for the next rotation.
-                self.pending -= bucket.len();
-                self.ready.append(bucket);
+                self.drain_bucket(0, slot, |w, e| {
+                    w.pending -= 1;
+                    w.ready.push(e);
+                });
                 self.cur = bucket_end;
             } else {
                 // The frontier splits this bucket: serve what is due,
-                // keep the rest filed (the cursor stays inside the
+                // file the rest back (the cursor stays inside the
                 // bucket, so the slot remains addressable).
-                let mut i = 0;
-                while i < bucket.len() {
-                    if bucket[i].0 < frontier {
-                        self.ready.push(bucket.swap_remove(i));
-                        self.pending -= 1;
+                self.drain_bucket(0, slot, |w, e| {
+                    if e.0 < frontier {
+                        w.pending -= 1;
+                        w.ready.push(e);
                     } else {
-                        i += 1;
+                        w.file(0, slot, e);
                     }
-                }
+                });
                 self.cur = frontier;
             }
-            if bucket.is_empty() {
+            if self.levels[0][slot].is_none() {
                 self.occupied[0][slot / 64] &= !(1 << (slot % 64));
             }
             if !self.ready.is_empty() {
@@ -467,6 +559,33 @@ mod tests {
         q.push(5, Event::LockOn { tx_id: 7 });
         let ids: Vec<u64> = (0..3).map(|_| q.pop().unwrap().1.tx_id()).collect();
         assert_eq!(ids, vec![3, 7, 9]);
+    }
+
+    #[test]
+    fn wheel_blocks_follow_the_queue_peak() {
+        // One entry queued at a time, over 50 s of buckets and cascades:
+        // one block, handed from bucket to bucket.
+        let mut w = TimeWheel::new();
+        for i in 0..10_000u64 {
+            let t = i * 5_000;
+            w.push((t, 1, i, i as u32));
+            assert_eq!(w.pop_before(t + 1), Some((t, 1, i, i as u32)));
+        }
+        assert_eq!(w.blocks(), 1);
+
+        // A thousand entries in one bucket: ⌈1000 / 16⌉ blocks, all back
+        // on the free list once drained, and enough for the same burst
+        // after a rewind.
+        let mut w = TimeWheel::new();
+        for _ in 0..2 {
+            w.rewind();
+            for i in 0..1_000u64 {
+                w.push((500, 1, i, i as u32));
+            }
+            assert_eq!(w.blocks(), 63);
+            assert_eq!(std::iter::from_fn(|| w.pop_before(u64::MAX)).count(), 1_000);
+            assert_eq!(w.blocks(), 63);
+        }
     }
 
     #[test]

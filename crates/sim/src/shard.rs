@@ -38,11 +38,16 @@
 //!   memory is bounded by the on-air set plus one hand-off — not by the
 //!   run length, and not by the caller's chunk size.
 //! * **Per-slot link rows.** A transmission's RSSIs live in its slot's
-//!   row (stride: the shard's gateway count), written at ingest for the
-//!   gateways a later read can touch (`hear`), so the table is
-//!   `peak_live × gateways × 8 B` — 0.6 MB per shard on a 100k-node,
-//!   64-gateway world, where a row per node ever seen took 12.8 MB. SNR
-//!   is `rssi - noise_floor`, bitwise identical to `Topology::snr_db`.
+//!   row, written at ingest for the gateways a later read can touch
+//!   (`hear`). A row has one lane per gateway of the shard's widest
+//!   channel component: a gateway's lane is its position in its
+//!   component, and a row is only ever read at gateways of its own
+//!   transmission's component. The table is `peak_live × lanes × 8 B`
+//!   — on a 100k-node, 64-gateway world whose 32-gateway shards hold
+//!   four 8-gateway components each, 0.15 MB per shard (0.26 MB
+//!   allocated), where a lane per gateway of the shard took 0.6 MB
+//!   (1.0 MB allocated) and a row per node ever seen 12.8 MB. SNR is
+//!   `rssi - noise_floor`, bitwise identical to `Topology::snr_db`.
 //! * **Buffers outlive the run.** A world keeps its shards' buffers
 //!   (`ShardState`); the next run clears them instead of allocating.
 //! * **One shard runs inline.** When the partition (or a
@@ -205,6 +210,9 @@ struct Partition {
     shard_of_channel: Vec<u32>,
     /// Per shard: global gateway indexes it owns, ascending.
     shard_gws: Vec<Vec<u32>>,
+    /// Per global gateway: its position among its channel component's
+    /// gateways, ascending — its lane in a link row.
+    lane_of_gw: Vec<u32>,
 }
 
 /// Union-find `find` with path halving.
@@ -298,11 +306,16 @@ fn partition(ctx: &RunContext, ceiling: usize) -> Partition {
         .map(|&c| shard_of_comp[c as usize])
         .collect();
     let mut shard_gws: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-    for g in 0..n_gws {
+    let mut lane_of_gw = vec![0u32; n_gws];
+    let mut comp_gws = vec![0u32; n_components];
+    for (g, lane) in lane_of_gw.iter_mut().enumerate() {
         // A gateway's candidate channels are all in one component (the
         // shared-gateway unions above), so its first is representative.
         if let Some(ci) = (0..n_ch).find(|&ci| ctx.is_cand[ci * n_gws + g]) {
             shard_gws[shard_of_channel[ci] as usize].push(g as u32);
+            let comp_gws = &mut comp_gws[comp_of_channel[ci] as usize];
+            *lane = *comp_gws;
+            *comp_gws += 1;
         }
     }
 
@@ -310,6 +323,7 @@ fn partition(ctx: &RunContext, ceiling: usize) -> Partition {
         n_shards,
         shard_of_channel,
         shard_gws,
+        lane_of_gw,
     }
 }
 
@@ -374,7 +388,8 @@ struct Slot {
 pub(crate) struct ShardState {
     /// Hierarchical time-wheel event scheduler: O(1) amortized
     /// insert/pop under the nondecreasing-frontier drain discipline.
-    /// Entries are the global event key plus the slot id payload.
+    /// Entries are the global event key plus the slot id payload; the
+    /// wheel keeps the blocks of its peak of queued entries.
     q: TimeWheel,
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -422,7 +437,7 @@ struct ShardMachine<'e> {
     /// channel overlapping it, ascending — the gateways at which any
     /// later read can want a transmission's RSSI.
     hear: Vec<Vec<u32>>,
-    /// Row stride of the link table (= `gw_global.len()`).
+    /// Gateways this shard owns (= `gw_global.len()`).
     n_lg: usize,
     /// 125 kHz noise floor, dBm (SNR = RSSI − floor).
     floor: f64,
@@ -515,7 +530,8 @@ impl<'e> ShardMachine<'e> {
         debug_assert!(st.slots.iter().all(|sl| sl.seen.is_empty()));
         st.free.clear();
         st.free.extend((0..st.slots.len() as u32).rev());
-        st.accum.reset(ctx, n_lg, env.cic);
+        let lanes = gw_global.iter().map(|&g| part.lane_of_gw[g as usize]);
+        st.accum.reset(ctx, lanes, env.cic);
         let any_down = !env.ever_down_list.is_empty();
         ShardMachine {
             env,
@@ -601,17 +617,13 @@ impl<'e> ShardMachine<'e> {
     /// poison the rest of the row, so a read outside `hear` corrupts
     /// the run visibly instead of reading a former tenant's RSSI.
     fn fill_link_row(&mut self, slot: u32, ch: u32, node: usize) {
-        let row = slot as usize * self.n_lg;
-        if self.st.accum.link.len() < row + self.n_lg {
-            self.st.accum.link.resize(row + self.n_lg, f64::NAN);
-        } else if cfg!(debug_assertions) {
-            self.st.accum.link[row..row + self.n_lg].fill(f64::NAN);
-        }
+        let link = &mut self.st.accum.link;
+        link.open_row(slot);
         let power = self.env.node_power[node].0;
         let loss_row = &self.env.topo.loss_db[node];
         for &lg in &self.hear[ch as usize] {
             let g = self.gw_global[lg as usize] as usize;
-            self.st.accum.link[row + lg as usize] = power - loss_row[g];
+            link.set(slot, lg, power - loss_row[g]);
         }
     }
 
@@ -665,14 +677,13 @@ impl<'e> ShardMachine<'e> {
             });
         }
         let c = self.st.slots[si].ch as usize;
-        let row_base = si * self.n_lg;
         let sf = t.dr.spreading_factor();
         let mut seen = std::mem::take(&mut self.st.slots[si].seen);
         for k in 0..self.cand_local[c].len() {
             let lg = self.cand_local[c][k] as usize;
             self.candidate_visits += 1;
             let g_idx = self.gw_global[lg] as usize;
-            let rssi = self.st.accum.link[row_base + lg];
+            let rssi = self.st.accum.link.at(s, lg as u32);
             let snr = rssi - self.floor;
             if !decodable(snr, sf, 0.0) {
                 // Below the detection floor: an up gateway counts a
@@ -747,7 +758,6 @@ impl<'e> ShardMachine<'e> {
         let si = s as usize;
         let t = self.st.slots[si].tx;
         let seen = std::mem::take(&mut self.st.slots[si].seen);
-        let row_base = si * self.n_lg;
 
         self.st.receiving.clear();
         let mut fold = LossFold::default();
@@ -762,7 +772,7 @@ impl<'e> ShardMachine<'e> {
                         .faults
                         .gateway_down_during(g_idx, t.lock_on_us, t.end_us);
                 let phy_ok = verdict == Verdict::Ok && !crashed_mid_rx;
-                let rssi = self.st.accum.link[row_base + lg as usize];
+                let rssi = self.st.accum.link.at(s, lg);
                 let pkt = t.at_gateway(rssi, rssi - self.floor);
                 if let ReceptionOutcome::Received =
                     self.gateways[lg as usize].on_tx_end_tracked_obs(&pkt, phy_ok, &mut self.sink)
@@ -807,10 +817,10 @@ impl<'e> ShardMachine<'e> {
         let cv = sl.ch as usize;
         st.accum
             .interference(cv, &sl.key, &sl.seen, &self.cand_local[cv], &mut st.vs);
-        let (link, vrow) = (&st.accum.link, s as usize * self.n_lg);
+        let link = &st.accum.link;
         let sf_v = sl.tx.dr.spreading_factor();
         st.vs.resolve(sl.seen.len(), &self.env.ctx, sf_v, |gi| {
-            link[vrow + sl.seen[gi].0 as usize]
+            link.at(s, sl.seen[gi].0)
         });
     }
 
@@ -1325,6 +1335,37 @@ mod tests {
         let s0 = part.shard_gws.iter().position(|g| g.contains(&0)).unwrap();
         let s1 = part.shard_gws.iter().position(|g| g.contains(&1)).unwrap();
         assert_ne!(s0, s1);
+    }
+
+    /// Gateways 0, 2 and 3 on sub-band 0, gateway 1 on sub-band 2: one
+    /// shard holds both components, and its link rows are three lanes
+    /// wide, gateway 1 sharing lane 0 with gateway 0.
+    #[test]
+    fn link_rows_are_as_wide_as_the_widest_component() {
+        let model = PathLossModel {
+            shadowing_sigma_db: 0.0,
+            ..Default::default()
+        };
+        let profile = GatewayProfile::rak7268cv2();
+        let gateways: Vec<Gateway> = [0, 2, 0, 0]
+            .iter()
+            .enumerate()
+            .map(|(g, &sb)| {
+                let plan = StandardChannelPlan::us915_subband(sb).channels;
+                Gateway::new(g, 1, profile, GatewayConfig::new(profile, plan).unwrap())
+            })
+            .collect();
+        let topo = Topology::new((1_000.0, 1_000.0), 24, 4, model, 7);
+        let world = || SimWorld::new(topo.clone(), vec![1; 24], gateways.clone());
+        let plans = duty_cycled(&two_subband_assignments(24), 12, 0.02, 120_000_000, 11);
+
+        let ctx = RunContext::new(SliceChunks::new(&plans, 1).channels(), &gateways);
+        assert_eq!(partition(&ctx, 8).lane_of_gw, [0, 0, 1, 2]);
+        let recs_spec = run_with_faults_reference(&mut world(), &plans, &NoFaults);
+        let mut w = world();
+        assert_eq!(w.run(&plans), recs_spec);
+        assert_eq!(w.engine.len(), 1);
+        assert_eq!(w.engine[0].accum.link.width(), 3);
     }
 
     #[test]

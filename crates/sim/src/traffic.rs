@@ -8,9 +8,9 @@
 //!   experiments (§5.2.1, Fig. 4, Fig. 13, Appendix D);
 //! * [`ChunkSource`] — workloads delivered in start-ordered chunks for
 //!   the sharded engine: [`DutyCycleStream`] draws the duty-cycled
-//!   model straight from a calendar queue of per-node arrival clocks
-//!   (the 1M–10M-node path, never materialized), [`SliceChunks`]
-//!   adapts a plan slice.
+//!   model straight from a calendar queue of arrival clocks, one per
+//!   node that transmits (the 1M–10M-node path, never materialized),
+//!   [`SliceChunks`] adapts a plan slice.
 
 use lora_phy::airtime::PacketParams;
 use lora_phy::channel::Channel;
@@ -263,46 +263,62 @@ fn unit_open(state: &mut u64) -> f64 {
 /// Window buckets in [`DutyCycleStream`]'s calendar ring. A node whose
 /// next arrival lies further ahead than this many chunk windows waits
 /// in the overflow list and is re-filed each time the ring wraps, so
-/// the ring's size trades 24 B per slot against one overflow scan per
-/// `CALENDAR_SLOTS` windows.
+/// the ring's size trades one empty bucket (24 B) per slot against one
+/// overflow scan per `CALENDAR_SLOTS` windows. A drained bucket is
+/// released, so beyond those 24 KiB of bucket headers the ring holds
+/// 4 B per live node, in whichever bucket its next arrival falls.
 const CALENDAR_SLOTS: u64 = 1024;
 
-/// One node's arrival process in [`DutyCycleStream`].
-struct NodeClock {
+/// One live node of [`DutyCycleStream`]: its assignment and its arrival
+/// process. 32 B; a node whose first arrival falls at or past the
+/// horizon never gets one.
+struct LiveNode {
     /// Exact next arrival time (µs, f64 to avoid accumulating rounding
     /// across arrivals).
     next_t: f64,
     /// SplitMix64 state.
     rng: u64,
-    /// Mean inter-arrival gap (airtime / duty).
-    mean_gap: f64,
+    /// Sending node index.
+    node: u32,
+    channel: Channel,
+    dr: DataRate,
 }
 
+const _: () = assert!(std::mem::size_of::<LiveNode>() == 32);
+
 /// Streaming variant of [`duty_cycled`]: the same Poisson-per-node
-/// traffic model, generated chunk by chunk in `O(nodes + chunk)`
-/// memory instead of materializing (and sorting) every plan.
+/// traffic model, generated chunk by chunk instead of materializing
+/// (and sorting) every plan. Its memory is `O(transmitters + chunk)`:
+/// 32 B per node whose first arrival falls before the horizon, 4 B of
+/// calendar queue per such node still transmitting, and the current
+/// window's keys — nothing for a node that never transmits, and no copy
+/// of the assignment list.
 ///
 /// Each node owns an independent SplitMix64 stream seeded from
-/// `(seed, node index)`. Nodes are kept in a **calendar queue** keyed
-/// by the chunk window (`t / chunk_us`) of their next arrival: a ring
-/// of `CALENDAR_SLOTS` (1024) window buckets plus one overflow list for
-/// arrivals further ahead. [`ChunkSource::next_chunk`] drains exactly
-/// one bucket, draws every arrival of those nodes inside the window,
-/// re-files each node under its next window, and sorts the window's
-/// `(t_us, assignment index)` keys once — O(1) queue work per
-/// transmission plus one sort per chunk, at 4 B of queue per node,
-/// where a binary heap of next arrivals pays an `O(log nodes)` pop and
-/// push per transmission.
+/// `(seed, assignment index)`, and a mean gap of airtime / duty looked
+/// up by data rate. A first pass over the assignments counts the nodes
+/// whose first arrival falls before the horizon; the second gives each
+/// of them, in assignment order, a live id and a record carrying its
+/// own `(node, channel, dr)`. Live nodes are kept in a **calendar
+/// queue** keyed by the chunk window (`t / chunk_us`) of their next
+/// arrival: a ring of `CALENDAR_SLOTS` (1024) window buckets plus one
+/// overflow list for arrivals further ahead.
+/// [`ChunkSource::next_chunk`] drains exactly one bucket, draws every
+/// arrival of those nodes inside the window, re-files each node under
+/// its next window, and sorts the window's `(t_us, live id)` keys once
+/// — O(1) queue work per transmission plus one sort per chunk, where a
+/// binary heap of next arrivals pays an `O(log nodes)` pop and push per
+/// transmission.
 ///
-/// Plans come out in global `(start_us, assignment index)` order.
-/// Deterministic for a fixed seed and **independent of chunking** —
-/// only how many plans each `next_chunk` call returns changes, never
-/// their content or order. (Not sample-identical to [`duty_cycled`],
-/// which consumes one shared `StdRng` sequentially per node; this is a
-/// different generator with the same distribution, usable at scales
-/// where the materialized one cannot run.)
+/// Plans come out in global `(start_us, assignment index)` order (live
+/// ids rise with the assignment index). Deterministic for a fixed seed
+/// and **independent of chunking** — only how many plans each
+/// `next_chunk` call returns changes, never their content or order.
+/// (Not sample-identical to [`duty_cycled`], which consumes one shared
+/// `StdRng` sequentially per node; this is a different generator with
+/// the same distribution, usable at scales where the materialized one
+/// cannot run.)
 pub struct DutyCycleStream {
-    assignments: Vec<(usize, Channel, DataRate)>,
     channels: Vec<Channel>,
     payload_len: usize,
     horizon_us: u64,
@@ -310,16 +326,18 @@ pub struct DutyCycleStream {
     /// Index of the next window to emit: arrivals in
     /// `[window · chunk_us, (window + 1) · chunk_us)`.
     window: u64,
-    /// Per assignment: its arrival process.
-    clocks: Vec<NodeClock>,
-    /// `ring[w % CALENDAR_SLOTS]`: assignments whose next arrival falls
-    /// in window `w`, for the `CALENDAR_SLOTS` windows from `window`
-    /// on. Order within a bucket is irrelevant (keys are sorted).
+    /// Mean inter-arrival gap (airtime / duty) per data rate index.
+    mean_gap: [f64; 6],
+    /// Per live id: the node's assignment and arrival process.
+    live: Vec<LiveNode>,
+    /// `ring[w % CALENDAR_SLOTS]`: live ids whose next arrival falls in
+    /// window `w`, for the `CALENDAR_SLOTS` windows from `window` on.
+    /// Order within a bucket is irrelevant (keys are sorted).
     ring: Vec<Vec<u32>>,
-    /// Assignments whose next arrival is past the ring's span.
+    /// Live ids whose next arrival is past the ring's span.
     overflow: Vec<u32>,
-    /// The current window's `(arrival µs, assignment index)` keys;
-    /// arrival ties break by assignment index for determinism.
+    /// The current window's `(arrival µs, live id)` keys; arrival ties
+    /// break by live id, hence by assignment index.
     keys: Vec<(u64, u32)>,
     done: bool,
 }
@@ -343,53 +361,70 @@ impl DutyCycleStream {
                 channels.push(ch);
             }
         }
+        // Mean inter-arrival gap (airtime / duty) per data rate.
+        let mean_gap: [f64; 6] = DataRate::ALL.map(|dr| {
+            PacketParams::lorawan_uplink(dr.spreading_factor(), Bandwidth::Khz125, payload_len)
+                .airtime()
+                .total_us() as f64
+                / duty
+        });
+        // Assignment `i`'s generator state and first arrival: an
+        // independent stream per node (SplitMix64 of `seed ^ mix(i)`
+        // decorrelates nodes) and a random initial phase in (0, gap],
+        // as in `duty_cycled`.
+        let first = |i: usize, dr: DataRate| {
+            let mut rng = seed ^ (i as u64).wrapping_mul(0xA24BAED4963EE407);
+            splitmix64(&mut rng);
+            let next_t = unit_open(&mut rng) * mean_gap[dr.index()];
+            (next_t, rng)
+        };
+        let n_live = (0..assignments.len())
+            .filter(|&i| (first(i, assignments[i].2).0 as u64) < horizon_us)
+            .count();
         let mut stream = DutyCycleStream {
-            assignments: assignments.to_vec(),
             channels,
             payload_len,
             horizon_us,
             chunk_us,
             window: 0,
-            clocks: Vec::with_capacity(assignments.len()),
+            mean_gap,
+            live: Vec::with_capacity(n_live),
             ring: (0..CALENDAR_SLOTS).map(|_| Vec::new()).collect(),
             overflow: Vec::new(),
             keys: Vec::new(),
             done: false,
         };
-        for (i, &(_, _, dr)) in assignments.iter().enumerate() {
-            let airtime =
-                PacketParams::lorawan_uplink(dr.spreading_factor(), Bandwidth::Khz125, payload_len)
-                    .airtime()
-                    .total_us();
-            let mean_gap = airtime as f64 / duty;
-            // Independent stream per node: mix the node index into the
-            // seed (SplitMix64 of `seed ^ mix(i)` decorrelates nodes).
-            let mut rng = seed ^ (i as u64).wrapping_mul(0xA24BAED4963EE407);
-            splitmix64(&mut rng);
-            // Random initial phase in (0, gap], as in `duty_cycled`.
-            let next_t = unit_open(&mut rng) * mean_gap;
-            stream.clocks.push(NodeClock {
+        for (i, &(node, channel, dr)) in assignments.iter().enumerate() {
+            let (next_t, rng) = first(i, dr);
+            if next_t as u64 >= horizon_us {
+                continue;
+            }
+            let id = stream.live.len() as u32;
+            stream.live.push(LiveNode {
                 next_t,
                 rng,
-                mean_gap,
+                node: u32::try_from(node).expect("node index fits in 32 bits"),
+                channel,
+                dr,
             });
-            stream.file(i as u32, next_t as u64);
+            stream.file(id, next_t as u64);
         }
+        debug_assert_eq!(stream.live.len(), n_live);
         stream
     }
 
-    /// File assignment `idx` under the window of its next arrival
-    /// `t_us` (at or past the current window); an arrival at or past
-    /// the horizon retires the node.
-    fn file(&mut self, idx: u32, t_us: u64) {
+    /// File live node `id` under the window of its next arrival `t_us`
+    /// (at or past the current window); an arrival at or past the
+    /// horizon retires the node.
+    fn file(&mut self, id: u32, t_us: u64) {
         if t_us >= self.horizon_us {
             return;
         }
         let w = t_us / self.chunk_us;
         if w - self.window < CALENDAR_SLOTS {
-            self.ring[(w % CALENDAR_SLOTS) as usize].push(idx);
+            self.ring[(w % CALENDAR_SLOTS) as usize].push(id);
         } else {
-            self.overflow.push(idx);
+            self.overflow.push(id);
         }
     }
 }
@@ -410,39 +445,40 @@ impl ChunkSource for DutyCycleStream {
             // can address moves in. An entry is always re-filed before
             // its window comes up, because it was at least a full
             // rotation ahead when it overflowed.
-            for idx in std::mem::take(&mut self.overflow) {
-                self.file(idx, self.clocks[idx as usize].next_t as u64);
+            for id in std::mem::take(&mut self.overflow) {
+                self.file(id, self.live[id as usize].next_t as u64);
             }
         }
         let window_end = (self.window + 1).saturating_mul(self.chunk_us);
         let limit = window_end.min(self.horizon_us);
 
         // Nodes drained here re-file strictly later windows, so the
-        // bucket is not pushed to while it is out.
-        let mut bucket = std::mem::take(&mut self.ring[slot]);
+        // bucket is not pushed to while it is out; once drained it is
+        // released, not kept at its high-water mark for a later window.
+        let bucket = std::mem::take(&mut self.ring[slot]);
         self.keys.clear();
-        for &idx in &bucket {
-            let c = &mut self.clocks[idx as usize];
-            let mut t = c.next_t as u64;
+        for &id in &bucket {
+            let n = &mut self.live[id as usize];
+            let mean_gap = self.mean_gap[n.dr.index()];
+            let mut t = n.next_t as u64;
             while t < limit {
-                self.keys.push((t, idx));
+                self.keys.push((t, id));
                 // Exponential inter-arrival, mean `mean_gap`.
-                c.next_t -= unit_open(&mut c.rng).ln() * c.mean_gap;
-                t = c.next_t as u64;
+                n.next_t -= unit_open(&mut n.rng).ln() * mean_gap;
+                t = n.next_t as u64;
             }
-            self.file(idx, t);
+            self.file(id, t);
         }
-        bucket.clear();
-        self.ring[slot] = bucket;
+        drop(bucket);
 
         self.keys.sort_unstable();
         out.reserve(self.keys.len());
-        for &(t, idx) in &self.keys {
-            let (node, channel, dr) = self.assignments[idx as usize];
+        for &(t, id) in &self.keys {
+            let n = &self.live[id as usize];
             out.push(TxPlan {
-                node,
-                channel,
-                dr,
+                node: n.node as usize,
+                channel: n.channel,
+                dr: n.dr,
                 start_us: t,
                 payload_len: self.payload_len,
             });
@@ -809,6 +845,26 @@ mod tests {
             .all(|w| (w[0].start_us, w[0].node) <= (w[1].start_us, w[1].node)));
         assert_eq!(collect(7_000_000), whole);
         assert_eq!(collect(100_000), whole);
+    }
+
+    #[test]
+    fn stream_keeps_exactly_the_nodes_that_transmit() {
+        // A 2 s horizon against mean gaps of 4–100 s: most nodes never
+        // transmit, and every node with a first arrival transmits.
+        let assigns = stream_assignments(5_000);
+        let mut stream = DutyCycleStream::new(&assigns, 12, 0.01, 2_000_000, 8, 250_000);
+        let n_live = stream.live.len();
+        assert_eq!(stream.live.capacity(), n_live);
+        assert!(n_live > 100 && n_live < 1_000, "{n_live} live nodes");
+        let plans = collect_chunks(&mut stream);
+        let mut senders: Vec<usize> = plans.iter().map(|p| p.node).collect();
+        senders.sort_unstable();
+        senders.dedup();
+        assert_eq!(senders.len(), n_live);
+        // Each plan carries its node's own assignment.
+        assert!(plans
+            .iter()
+            .all(|p| (p.node, p.channel, p.dr) == assigns[p.node]));
     }
 
     mod proptests {

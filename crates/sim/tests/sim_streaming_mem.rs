@@ -1,6 +1,6 @@
 //! Memory audit for the streamed (sharded) simulation path, under a
 //! global allocator that tracks live bytes, their peak, and the number
-//! of allocation calls. Three claims:
+//! of allocation calls. Five claims:
 //!
 //! * a streamed run over ~10k transmissions keeps its transient heap
 //!   growth *below the cost of materializing the event timeline alone*
@@ -10,10 +10,16 @@
 //! * the engine keeps no per-node state: the same run peaks at the same
 //!   heap in a 200-node and a 200 000-node world;
 //! * a world keeps its engine buffers between runs, so a repeat run
-//!   allocates a fixed number of times, whatever its length.
+//!   allocates a fixed number of times, whatever its length;
+//! * the traffic stream holds state for the nodes that transmit, not
+//!   for every assignment;
+//! * what a world keeps between runs follows the run's on-air peak,
+//!   not its length.
 //!
-//! The tests take [`LOCK`] so that no concurrent test perturbs the
-//! counters.
+//! The counters are process-wide, so the audits run one after another
+//! in one `#[test]`: with several tests in the binary, libtest starts
+//! the next test's thread while one is measuring, and its allocations
+//! land in that measurement.
 
 use gateway::config::GatewayConfig;
 use gateway::profile::GatewayProfile;
@@ -23,11 +29,10 @@ use lora_phy::pathloss::PathLossModel;
 use lora_phy::types::DataRate;
 use sim::shard::ShardOpts;
 use sim::topology::Topology;
-use sim::traffic::{collect_chunks, DutyCycleStream, SliceChunks, TxPlan};
+use sim::traffic::{collect_chunks, ChunkSource, DutyCycleStream, SliceChunks, TxPlan};
 use sim::world::SimWorld;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 struct PeakAlloc;
 
@@ -35,12 +40,6 @@ static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 /// Allocation calls (`alloc` and `realloc`).
 static CALLS: AtomicU64 = AtomicU64::new(0);
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn note_alloc(bytes: usize) {
     CALLS.fetch_add(1, Ordering::Relaxed);
@@ -133,9 +132,7 @@ fn peak_delta<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, PEAK.load(Ordering::Relaxed).saturating_sub(before))
 }
 
-#[test]
 fn streamed_run_peak_heap_stays_below_timeline_cost() {
-    let _serial = lock();
     let mut world = world(ACTIVE_NODES);
     let mut stream = stream();
     let (run, peak_delta) = peak_delta(|| world.run_streamed(&mut stream, &TWO_SHARDS));
@@ -175,9 +172,7 @@ fn streamed_run_peak_heap_stays_below_timeline_cost() {
 /// An engine with any state per node ever seen fails this — the one
 /// that kept an RSSI row per node also kept a `nodes × 4 B` row map,
 /// 0.8 MB per shard here.
-#[test]
 fn streamed_peak_is_independent_of_world_node_count() {
-    let _serial = lock();
     let peak_in = |n_nodes: usize| {
         let mut world = world(n_nodes);
         let mut stream = stream();
@@ -205,9 +200,7 @@ const REPEAT_RUN_ALLOCS: u64 = 128;
 /// equally often for 1k transmissions as for 10k, and far less often
 /// than the cold run. One shard, so the producer's hand-off buffer is
 /// reused too (threaded shards add one allocation per hand-off).
-#[test]
 fn repeat_runs_allocate_a_fixed_number_of_times() {
-    let _serial = lock();
     let long: Vec<TxPlan> = collect_chunks(&mut stream());
     let short = &long[..1_000];
     assert!(long.len() > 5_000, "{} plans", long.len());
@@ -242,4 +235,79 @@ fn repeat_runs_allocate_a_fixed_number_of_times() {
         10 * repeat_long < cold,
         "a repeat run allocated {repeat_long} times, the cold run {cold}"
     );
+}
+
+/// A stream over 200 000 assignments on a 20 ms horizon, in which a few
+/// hundred nodes transmit, holds under 8 B of heap per assignment, from
+/// construction to its last chunk. A stream that copies its assignment
+/// list (24 B each) or keeps a clock for every node (24 B) fails it.
+fn stream_heap_follows_its_transmitters() {
+    const N: usize = 200_000;
+    let ch = channels();
+    let assigns: Vec<(usize, Channel, DataRate)> = (0..N)
+        .map(|i| (i, ch[i % 8], DataRate::from_index(i / 8 % 6).unwrap()))
+        .collect();
+    let mut plans = Vec::new();
+    let (txs, peak) = peak_delta(|| {
+        let mut stream = DutyCycleStream::new(&assigns, 23, 0.01, 20_000, 33, 5_000);
+        let mut txs = 0;
+        while stream.next_chunk(&mut plans).is_some() {
+            txs += plans.len();
+        }
+        txs
+    });
+    assert!(
+        (100..1_000).contains(&txs),
+        "{txs} transmissions, not a few hundred"
+    );
+    let bound = 8 * N as u64;
+    assert!(
+        peak < bound,
+        "the stream peaked at {peak} B over {N} assignments (bound {bound} B)"
+    );
+}
+
+/// Two fresh worlds serve a 600 s run and its first 3 000 transmissions,
+/// which already reach the long run's on-air peak, in 16-plan chunks so
+/// that little beyond the on-air set is queued. What each world keeps
+/// afterwards (its shard's buffers) must agree within 4 KiB: a buffer
+/// that keeps the high-water mark of every place it was ever used — a
+/// wheel bucket per 1 ms and per 262 ms of simulated time — grows with
+/// the run's length and fails it (15 KB apart when each bucket kept its
+/// capacity).
+fn retained_heap_follows_the_on_air_peak() {
+    let long: Vec<TxPlan> = collect_chunks(&mut stream());
+    let short = &long[..3_000];
+    let opts = ShardOpts {
+        max_shards: 1,
+        chunk_txs: 16,
+    };
+    let retained = |plans: &[TxPlan]| {
+        let mut world = world(ACTIVE_NODES);
+        let mut source = SliceChunks::new(plans, opts.chunk_txs);
+        let before = CURRENT.load(Ordering::Relaxed);
+        let run = world.run_streamed(&mut source, &opts);
+        let peaks: Vec<u64> = run.shard_stats.iter().map(|s| s.peak_live).collect();
+        drop(run);
+        let kept = CURRENT.load(Ordering::Relaxed) - before;
+        (kept, peaks)
+    };
+    let (long_kept, long_peaks) = retained(&long);
+    let (short_kept, short_peaks) = retained(short);
+    assert_eq!(short_peaks, long_peaks, "the two runs peak differently");
+    assert!(
+        long_kept.abs_diff(short_kept) < 4 * 1024,
+        "a world keeps {long_kept} B after {} txs, {short_kept} B after {}",
+        long.len(),
+        short.len()
+    );
+}
+
+#[test]
+fn streamed_path_heap_audits() {
+    streamed_run_peak_heap_stays_below_timeline_cost();
+    streamed_peak_is_independent_of_world_node_count();
+    repeat_runs_allocate_a_fixed_number_of_times();
+    stream_heap_follows_its_transmitters();
+    retained_heap_follows_the_on_air_peak();
 }
