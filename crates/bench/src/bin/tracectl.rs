@@ -385,6 +385,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn beat(i: u64) -> Heartbeat {
         Heartbeat {
@@ -525,6 +527,148 @@ mod tests {
                     "column ending at {end}: {row}"
                 );
             }
+        }
+    }
+
+    /// A heartbeat with every field drawn at random.
+    fn random_beat(rng: &mut StdRng) -> Heartbeat {
+        let mut big = || rng.gen_range(0..=u64::MAX) >> rng.gen_range(0..64u32);
+        Heartbeat {
+            shard: big() as u32,
+            seq: big(),
+            wall_ms: big(),
+            txs: big(),
+            events: big(),
+            events_per_sec: big() as f64 / 8.0,
+            frontier_us: big(),
+            queue_depth: big(),
+            live_slots: big(),
+        }
+    }
+
+    /// JSON fragments a heartbeat line is made of, and ways to break it.
+    const TOKENS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "\"shard\"",
+        "\"seq\"",
+        "\"wall_ms\"",
+        "\"events_per_sec\"",
+        "\"live_slots\"",
+        "0",
+        "-1",
+        "1e400",
+        "18446744073709551616",
+        "4294967296",
+        "0.5",
+        "null",
+        "true",
+        " ",
+        "\t",
+        "\r",
+        "é",
+        "\u{0}",
+        "\\u0000",
+    ];
+
+    /// A line of random tokens, slices of real heartbeat lines, and
+    /// the odd random character.
+    fn soup_line(rng: &mut StdRng, real: &[String]) -> String {
+        let mut line = String::new();
+        for _ in 0..rng.gen_range(0..24usize) {
+            match rng.gen_range(0..8u8) {
+                0 => line.push(char::from_u32(rng.gen_range(0..0x800u32)).unwrap_or('?')),
+                1 => {
+                    let r = &real[rng.gen_range(0..real.len())];
+                    let a = rng.gen_range(0..=r.len());
+                    let b = rng.gen_range(a..=r.len());
+                    line.push_str(&r[a..b]);
+                }
+                _ => line.push_str(TOKENS[rng.gen_range(0..TOKENS.len())]),
+            }
+        }
+        line
+    }
+
+    /// The head of one real line joined to the tail of another.
+    fn spliced_line(rng: &mut StdRng, real: &[String]) -> String {
+        let a = &real[rng.gen_range(0..real.len())];
+        let b = &real[rng.gen_range(0..real.len())];
+        format!(
+            "{}{}",
+            &a[..rng.gen_range(0..=a.len())],
+            &b[rng.gen_range(0..=b.len())..]
+        )
+    }
+
+    /// Token soup and spliced heartbeats never make the reader panic,
+    /// and whatever it returns is a heartbeat that serializes back to
+    /// one of the lines it was given.
+    #[test]
+    fn parse_heartbeats_survives_token_soup_and_spliced_lines() {
+        let mut rng = StdRng::seed_from_u64(0x4EA7_BEA7);
+        for _ in 0..2_000 {
+            let real: Vec<String> = (0..4)
+                .map(|_| serde_json::to_string(&random_beat(&mut rng)).expect("hb serializes"))
+                .collect();
+            let lines: Vec<String> = (0..rng.gen_range(1..12usize))
+                .map(|_| match rng.gen_range(0..3u8) {
+                    0 => soup_line(&mut rng, &real),
+                    1 => spliced_line(&mut rng, &real),
+                    _ => real[rng.gen_range(0..real.len())].clone(),
+                })
+                .collect();
+            let text = lines.join("\n");
+            for hb in parse_heartbeats(&text) {
+                let back = serde_json::to_string(&hb).expect("hb serializes");
+                assert!(
+                    lines
+                        .iter()
+                        .any(|l| serde_json::from_str::<Heartbeat>(l.trim())
+                            .is_ok_and(|parsed| parsed == hb)),
+                    "{back} read from none of the lines of {text:?}"
+                );
+            }
+        }
+    }
+
+    /// Whole heartbeat lines, padded with blanks, among lines that
+    /// cannot be one (a strict prefix or suffix of a heartbeat, a key
+    /// renamed, soup without an opening brace) read back as exactly
+    /// the whole lines' heartbeats, in order.
+    #[test]
+    fn parse_heartbeats_returns_exactly_the_well_formed_lines() {
+        let mut rng = StdRng::seed_from_u64(0x0B5E_55ED);
+        for _ in 0..2_000 {
+            let mut text = String::new();
+            let mut want = Vec::new();
+            for _ in 0..rng.gen_range(0..12usize) {
+                let hb = random_beat(&mut rng);
+                let line = serde_json::to_string(&hb).expect("hb serializes");
+                let broken = match rng.gen_range(0..6u8) {
+                    0 => Some(line[..rng.gen_range(0..line.len())].to_string()),
+                    1 => Some(line[rng.gen_range(1..=line.len())..].to_string()),
+                    2 => Some(line.replacen("\"seq\"", "\"seq_\"", 1)),
+                    3 => Some(soup_line(&mut rng, std::slice::from_ref(&line)).replace('{', "")),
+                    _ => None,
+                };
+                match broken {
+                    Some(bad) => text.push_str(&bad),
+                    None => {
+                        let pad = [" ", "\t", ""][rng.gen_range(0..3)];
+                        text.push_str(&format!("{pad}{line}{pad}"));
+                        want.push(hb);
+                    }
+                }
+                text.push_str(["\n", "\r\n"][rng.gen_range(0..2)]);
+            }
+            assert_eq!(parse_heartbeats(&text), want, "{text:?}");
         }
     }
 

@@ -6,6 +6,7 @@
 //! the malformation and its byte offset, so an ingest daemon can
 //! count/categorize corrupt datagrams without string-matching.
 
+use super::codec::Text;
 use std::fmt;
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -33,31 +34,44 @@ impl fmt::Display for B64Error {
 
 impl std::error::Error for B64Error {}
 
-/// Encode bytes as padded Base64.
-pub fn encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
+/// Encode bytes as padded Base64: inline in the [`Text`] for a
+/// payload of up to 33 bytes, one heap allocation beyond. (Base64 is
+/// ASCII, so the UTF-8 checks below never fall back.)
+pub fn encode(data: &[u8]) -> Text {
+    let len = data.len().div_ceil(3) * 4;
+    if len <= Text::INLINE {
+        let mut out = [0; Text::INLINE];
+        encode_into(data, &mut out[..len]);
+        Text::from(std::str::from_utf8(&out[..len]).unwrap_or_default())
+    } else {
+        let mut out = vec![0; len];
+        encode_into(data, &mut out);
+        Text::from(String::from_utf8(out).unwrap_or_default())
+    }
+}
+
+/// Write the Base64 of `data` over `out`, which is exactly its length.
+fn encode_into(data: &[u8], out: &mut [u8]) {
+    for (chunk, quad) in data.chunks(3).zip(out.chunks_exact_mut(4)) {
         let b = [
             chunk[0],
             chunk.get(1).copied().unwrap_or(0),
             chunk.get(2).copied().unwrap_or(0),
         ];
         let n = ((b[0] as u32) << 16) | ((b[1] as u32) << 8) | b[2] as u32;
-        let idx = [(n >> 18) & 63, (n >> 12) & 63, (n >> 6) & 63, n & 63];
-        out.push(ALPHABET[idx[0] as usize] as char);
-        out.push(ALPHABET[idx[1] as usize] as char);
-        out.push(if chunk.len() > 1 {
-            ALPHABET[idx[2] as usize] as char
+        quad[0] = ALPHABET[(n >> 18) as usize & 63];
+        quad[1] = ALPHABET[(n >> 12) as usize & 63];
+        quad[2] = if chunk.len() > 1 {
+            ALPHABET[(n >> 6) as usize & 63]
         } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            ALPHABET[idx[3] as usize] as char
+            b'='
+        };
+        quad[3] = if chunk.len() > 2 {
+            ALPHABET[n as usize & 63]
         } else {
-            '='
-        });
+            b'='
+        };
     }
-    out
 }
 
 /// Decode padded Base64; returns `None` on any malformed input. Thin

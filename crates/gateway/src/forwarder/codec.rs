@@ -10,12 +10,20 @@
 //! workloads, which find `"tmst":` by its bytes. The golden test
 //! `wire_layout_is_pinned` fails on any change to it. Decoding goes
 //! through `serde_json`.
+//!
+//! The text fields of both packets are a [`Text`]: up to
+//! [`Text::INLINE`] bytes live inside the value, longer text on the
+//! heap. That covers `"LORA"`, `"4/5"`, every `SF7..12 × BW125/250/500`
+//! rate and the Base64 of a PHY payload of up to 33 bytes, so building
+//! or cloning the rxpk of an ordinary uplink allocates nothing.
 
 use super::b64;
 use lora_phy::channel::Channel;
 use lora_phy::types::{Bandwidth, SpreadingFactor};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::fmt;
 use std::io::Write as _;
+use std::ops::Deref;
 
 /// Protocol version byte (v2 is what SX130x reference forwarders send).
 pub const PROTOCOL_VERSION: u8 = 2;
@@ -23,6 +31,136 @@ pub const PROTOCOL_VERSION: u8 = 2;
 /// A gateway's 64-bit EUI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GatewayEui(pub u64);
+
+/// Text of an rxpk or txpk field: any `str`, held inline when it is at
+/// most [`Text::INLINE`] bytes long and in one heap allocation
+/// otherwise. Which of the two holds it is invisible: it derefs to
+/// `str`, compares, prints and (de)serializes as the text itself, so a
+/// decoder accepts exactly the strings it accepted as `String`.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the text.
+    Inline {
+        len: u8,
+        bytes: [u8; Text::INLINE],
+    },
+    Heap(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<Text>() == 48);
+
+impl Text {
+    /// Longest text kept inline: 46 bytes, the size that fills 48 with
+    /// the tag and the length byte.
+    pub const INLINE: usize = 46;
+
+    /// The text as bytes, without re-checking that they are UTF-8.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Heap(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match &self.0 {
+            // Inline bytes are copied whole from a `str`, so the
+            // fallback never runs.
+            Repr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..*len as usize]).unwrap_or_default()
+            }
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Text {
+        if s.len() <= Text::INLINE {
+            let mut bytes = [0; Text::INLINE];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            Text(Repr::Inline {
+                len: s.len() as u8,
+                bytes,
+            })
+        } else {
+            Text(Repr::Heap(s.into()))
+        }
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Text {
+        if s.len() <= Text::INLINE {
+            Text::from(s.as_str())
+        } else {
+            Text(Repr::Heap(s.into_boxed_str()))
+        }
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Text) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<&str> for Text {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<String> for Text {
+    fn eq(&self, other: &String) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl Serialize for Text {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+impl Deserialize for Text {
+    fn from_value(v: &Value) -> Result<Text, DeError> {
+        match v {
+            Value::Str(s) => Ok(Text::from(s.as_str())),
+            other => Err(DeError::msg(format!("expected string, got {other:?}"))),
+        }
+    }
+}
+
+/// The `datr` of a LoRa rate, e.g. `"SF7BW125"`.
+pub fn datr(sf: SpreadingFactor, bw: Bandwidth) -> Text {
+    let mut bytes = [0; 16];
+    let mut rest = &mut bytes[..];
+    // At most `SF12BW500`: nine ASCII bytes fit the sixteen, so neither
+    // the write nor the UTF-8 check can fail.
+    let _ = write!(rest, "SF{}BW{}", sf.value(), bw.hz() / 1000);
+    let len = 16 - rest.len();
+    Text::from(std::str::from_utf8(&bytes[..len]).unwrap_or_default())
+}
 
 /// One received packet, as reported in a `PUSH_DATA` `rxpk` array.
 /// Field names follow the Semtech protocol document verbatim.
@@ -39,11 +177,11 @@ pub struct RxPacket {
     /// CRC status: 1 = OK, -1 = fail, 0 = no CRC.
     pub stat: i8,
     /// Modulation, `"LORA"`.
-    pub modu: String,
+    pub modu: Text,
     /// Datarate, e.g. `"SF7BW125"`.
-    pub datr: String,
+    pub datr: Text,
     /// Coding rate, e.g. `"4/5"`.
-    pub codr: String,
+    pub codr: Text,
     /// RSSI, dBm (integer per protocol).
     pub rssi: i32,
     /// SNR, dB.
@@ -51,7 +189,7 @@ pub struct RxPacket {
     /// PHY payload size, bytes.
     pub size: usize,
     /// Base64 PHY payload.
-    pub data: String,
+    pub data: Text,
     /// Packet-lifecycle trace id, threaded end-to-end for the obs
     /// layer. Not part of the Semtech protocol: legacy datagrams omit
     /// it and parse as `0` (untraced).
@@ -75,9 +213,9 @@ impl RxPacket {
             chan: 0,
             rfch: 0,
             stat: 1,
-            modu: "LORA".to_string(),
-            datr: format!("SF{}BW{}", sf.value(), channel.bw.hz() / 1000),
-            codr: "4/5".to_string(),
+            modu: Text::from("LORA"),
+            datr: datr(sf, channel.bw),
+            codr: Text::from("4/5"),
             rssi: rssi_dbm.round() as i32,
             lsnr: (snr_db * 10.0).round() / 10.0,
             size: phy_payload.len(),
@@ -127,13 +265,13 @@ pub struct TxPacket {
     /// Center frequency, MHz (protocol convention).
     pub freq: f64,
     /// Data rate identifier, e.g. `"SF7BW125"`.
-    pub datr: String,
+    pub datr: Text,
     /// Tx power, dBm.
     pub powe: i32,
     /// Payload size, bytes.
     pub size: usize,
     /// Base64-encoded PHY payload.
-    pub data: String,
+    pub data: Text,
 }
 
 #[derive(Debug, Clone, PartialEq, Deserialize)]
@@ -306,11 +444,11 @@ fn write_rxpk(out: &mut Vec<u8>, p: &RxPacket) {
     out.extend_from_slice(br#","stat":"#);
     put_i64(out, p.stat.into());
     out.extend_from_slice(br#","modu":"#);
-    put_str(out, &p.modu);
+    put_str(out, p.modu.as_bytes());
     out.extend_from_slice(br#","datr":"#);
-    put_str(out, &p.datr);
+    put_str(out, p.datr.as_bytes());
     out.extend_from_slice(br#","codr":"#);
-    put_str(out, &p.codr);
+    put_str(out, p.codr.as_bytes());
     out.extend_from_slice(br#","rssi":"#);
     put_i64(out, p.rssi.into());
     out.extend_from_slice(br#","lsnr":"#);
@@ -318,7 +456,7 @@ fn write_rxpk(out: &mut Vec<u8>, p: &RxPacket) {
     out.extend_from_slice(br#","size":"#);
     put_u64(out, p.size as u64);
     out.extend_from_slice(br#","data":"#);
-    put_str(out, &p.data);
+    put_str(out, p.data.as_bytes());
     out.extend_from_slice(br#","trce":"#);
     put_u64(out, p.trce);
     out.push(b'}');
@@ -331,13 +469,13 @@ fn write_pull_resp_json(out: &mut Vec<u8>, t: &TxPacket) {
     out.extend_from_slice(br#","freq":"#);
     put_f64(out, t.freq);
     out.extend_from_slice(br#","datr":"#);
-    put_str(out, &t.datr);
+    put_str(out, t.datr.as_bytes());
     out.extend_from_slice(br#","powe":"#);
     put_i64(out, t.powe.into());
     out.extend_from_slice(br#","size":"#);
     put_u64(out, t.size as u64);
     out.extend_from_slice(br#","data":"#);
-    put_str(out, &t.data);
+    put_str(out, t.data.as_bytes());
     out.extend_from_slice(b"}}");
 }
 
@@ -376,9 +514,8 @@ fn put_f64(out: &mut Vec<u8>, x: f64) {
 /// A JSON string: `"` and `\` backslashed, `\n` `\r` `\t` by name, other
 /// control characters as `\u00xx` (lower-case hex), everything else
 /// verbatim. Runs between escapes are copied whole.
-fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_str(out: &mut Vec<u8>, bytes: &[u8]) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bytes = s.as_bytes();
     out.push(b'"');
     let mut run = 0;
     for (i, &b) in bytes.iter().enumerate() {
@@ -699,13 +836,13 @@ mod proptests {
                     chan,
                     rfch,
                     stat,
-                    modu,
-                    datr,
-                    codr,
+                    modu: modu.into(),
+                    datr: datr.into(),
+                    codr: codr.into(),
                     rssi,
                     lsnr,
                     size,
-                    data,
+                    data: data.into(),
                     trce,
                 },
             )
@@ -753,7 +890,7 @@ mod proptests {
             let push = Datagram::PushData { token, eui: GatewayEui(eui), rxpk };
             let pull = Datagram::PullResp {
                 token,
-                txpk: TxPacket { tmst, freq, datr, powe, size, data },
+                txpk: TxPacket { tmst, freq, datr: datr.into(), powe, size, data: data.into() },
             };
             for d in [push, pull] {
                 let (ours, oracle) = (d.encode(), serde_encode(&d));

@@ -1156,9 +1156,9 @@ mod differential {
             chan: rng.gen_range(0..64),
             rfch: rng.gen_range(0..2),
             stat: 1,
-            modu: "LORA".to_string(),
-            datr: "SF7BW125".to_string(),
-            codr: "4/5".to_string(),
+            modu: "LORA".into(),
+            datr: "SF7BW125".into(),
+            codr: "4/5".into(),
             rssi: rng.gen_range(-140..0),
             lsnr: rng.gen_range(-300..=150i64) as f64 / 10.0,
             size: len,
@@ -1442,9 +1442,9 @@ mod proptests {
                 chan: 0,
                 rfch: 0,
                 stat: 1,
-                modu: "LORA".to_string(),
-                datr: "SF7BW125".to_string(),
-                codr: "4/5".to_string(),
+                modu: "LORA".into(),
+                datr: "SF7BW125".into(),
+                codr: "4/5".into(),
                 rssi,
                 lsnr: lsnr_tenths as f64 / 10.0,
                 size: payload.len(),

@@ -5,9 +5,17 @@
 //! CTR-style construction. The inverse cipher serves only the OTAA
 //! JoinAccept, which this crate does not model, so it is not here.
 //!
-//! This is a straightforward table-free implementation (S-box lookup plus
-//! explicit MixColumns arithmetic); it favors auditability over raw
-//! speed, which is ample for network-server workloads.
+//! The cipher works on the state as four big-endian column words.
+//! Key expansion runs word by word (FIPS-197 §5.2). Each of the nine
+//! full rounds is sixteen lookups into four 1 KiB tables, built at
+//! compile time from the S-box, that fold SubBytes, ShiftRows and
+//! MixColumns into one step (the "T-table" form of §5.1); the last
+//! round indexes the S-box itself. Table indices are state bytes, so
+//! which cache lines are touched depends on the key and data, as it
+//! did when the S-box alone was indexed byte by byte: this cipher makes
+//! no constant-time claim, which is fine for a simulator and a network
+//! server whose keys are derived for the experiment. The byte-wise
+//! FIPS-197 cipher it replaced stays as the test oracle `oracle`.
 
 /// AES S-box (FIPS-197 Fig. 7).
 const SBOX: [u8; 256] = [
@@ -32,21 +40,177 @@ const SBOX: [u8; 256] = [
 /// Round constants for key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
+/// Multiply by x (i.e. {02}) in GF(2^8) with the AES polynomial.
+#[inline]
+const fn xtime(a: u8) -> u8 {
+    (a << 1) ^ (if a & 0x80 != 0 { 0x1b } else { 0 })
+}
+
+/// `TE[r][x]`: the column word one state byte `x` in row `r`
+/// contributes to a full round, SubBytes and MixColumns applied:
+/// `TE[0][x]` is `(2·S[x], S[x], S[x], 3·S[x])` from the most
+/// significant byte down, and `TE[r]` is `TE[0]` rotated right by `8r`
+/// bits.
+const TE: [[u32; 256]; 4] = {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let w = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        te[0][x] = w;
+        te[1][x] = w.rotate_right(8);
+        te[2][x] = w.rotate_right(16);
+        te[3][x] = w.rotate_right(24);
+        x += 1;
+    }
+    te
+};
+
+/// SubWord: the S-box applied to each byte of a word.
+#[inline]
+fn sub_word(w: u32) -> u32 {
+    let [a, b, c, d] = w.to_be_bytes();
+    u32::from_be_bytes([
+        SBOX[a as usize],
+        SBOX[b as usize],
+        SBOX[c as usize],
+        SBOX[d as usize],
+    ])
+}
+
+/// Round key `r + 1` from round key `r`, as column words. Word `i` of
+/// the schedule is word `i - 1` XOR word `i - 4`, with RotWord,
+/// SubWord and Rcon applied to word `i - 1` when `i` is a multiple of
+/// four; unrolled over a round key, its word `j` is `t` XOR the first
+/// `j + 1` words of the one before, prefixes that need not wait for
+/// `t`.
+#[inline]
+fn next_round_key(w: [u32; 4], rcon: u8) -> [u32; 4] {
+    let t = sub_word(w[3].rotate_left(8)) ^ ((rcon as u32) << 24);
+    let p1 = w[0] ^ w[1];
+    let p2 = p1 ^ w[2];
+    [w[0] ^ t, p1 ^ t, p2 ^ t, p2 ^ w[3] ^ t]
+}
+
+/// One of the nine full rounds: output column `c` takes row `r` from
+/// input column `c + r` (ShiftRows), each row through its table
+/// (SubBytes and MixColumns), then the round key.
+#[inline]
+fn full_round(s: [u32; 4], k: [u32; 4]) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        TE[0][(s[c] >> 24) as usize]
+            ^ TE[1][(s[(c + 1) % 4] >> 16) as usize & 0xff]
+            ^ TE[2][(s[(c + 2) % 4] >> 8) as usize & 0xff]
+            ^ TE[3][s[(c + 3) % 4] as usize & 0xff]
+            ^ k[c]
+    })
+}
+
+/// The last round, which has no MixColumns, as the output block.
+#[inline]
+fn last_round(s: [u32; 4], k: [u32; 4]) -> [u8; 16] {
+    column_bytes(std::array::from_fn(|c| {
+        u32::from_be_bytes([
+            SBOX[(s[c] >> 24) as usize],
+            SBOX[(s[(c + 1) % 4] >> 16) as usize & 0xff],
+            SBOX[(s[(c + 2) % 4] >> 8) as usize & 0xff],
+            SBOX[s[(c + 3) % 4] as usize & 0xff],
+        ]) ^ k[c]
+    }))
+}
+
 /// An expanded AES-128 key (11 round keys).
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; 11],
 }
 
-/// Multiply by x (i.e. {02}) in GF(2^8) with the AES polynomial.
-#[inline]
-fn xtime(a: u8) -> u8 {
-    (a << 1) ^ (if a & 0x80 != 0 { 0x1b } else { 0 })
+impl Aes128 {
+    /// Expand a 16-byte key, one round key of four words at a time.
+    pub fn new(key: &[u8; 16]) -> Aes128 {
+        let mut w = column_words(key);
+        let mut round_keys = [*key; 11];
+        for (rk, rcon) in round_keys[1..].iter_mut().zip(RCON) {
+            w = next_round_key(w, rcon);
+            *rk = column_bytes(w);
+        }
+        Aes128 { round_keys }
+    }
+
+    /// Expand `key` and encrypt `block` in place under it, in one
+    /// pass: each round of the block runs beside the schedule step
+    /// that makes its key, not after the whole schedule. For a key
+    /// that encrypts one block, or whose first block is fixed (CMAC's
+    /// `L`), that halves the critical path of the two.
+    pub fn with_first_block(key: &[u8; 16], block: &mut [u8; 16]) -> Aes128 {
+        let mut w = column_words(key);
+        let b = column_words(block);
+        let mut s: [u32; 4] = std::array::from_fn(|c| b[c] ^ w[c]);
+        let mut round_keys = [*key; 11];
+        for (rk, rcon) in round_keys[1..10].iter_mut().zip(RCON) {
+            w = next_round_key(w, rcon);
+            *rk = column_bytes(w);
+            s = full_round(s, w);
+        }
+        w = next_round_key(w, RCON[9]);
+        round_keys[10] = column_bytes(w);
+        *block = last_round(s, w);
+        Aes128 { round_keys }
+    }
+
+    /// Round key `round` as four big-endian column words.
+    #[inline]
+    fn key_words(&self, round: usize) -> [u32; 4] {
+        column_words(&self.round_keys[round])
+    }
+
+    /// Encrypt one 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        let b = column_words(block);
+        let k = self.key_words(0);
+        let mut s: [u32; 4] = std::array::from_fn(|c| b[c] ^ k[c]);
+        for round in 1..10 {
+            s = full_round(s, self.key_words(round));
+        }
+        *block = last_round(s, self.key_words(10));
+    }
+
+    /// Encrypt a copy of the block.
+    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
+        let mut out = *block;
+        self.encrypt_block(&mut out);
+        out
+    }
 }
 
-impl Aes128 {
-    /// Expand a 16-byte key.
-    pub fn new(key: &[u8; 16]) -> Aes128 {
+/// The four columns of a 16-byte block as big-endian words.
+#[inline]
+fn column_words(block: &[u8; 16]) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        u32::from_be_bytes([
+            block[4 * c],
+            block[4 * c + 1],
+            block[4 * c + 2],
+            block[4 * c + 3],
+        ])
+    })
+}
+
+/// Four big-endian column words as a 16-byte block.
+#[inline]
+fn column_bytes(w: [u32; 4]) -> [u8; 16] {
+    std::array::from_fn(|i| w[i / 4].to_be_bytes()[i % 4])
+}
+
+/// The byte-wise FIPS-197 cipher (S-box lookup plus explicit
+/// MixColumns arithmetic) that [`Aes128`] replaced, kept verbatim as
+/// the oracle the word-oriented one is tested against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{xtime, RCON, SBOX};
+
+    /// Expand a 16-byte key into 11 round keys, byte by byte.
+    pub(crate) fn expand(key: &[u8; 16]) -> [[u8; 16]; 11] {
         let mut rk = [[0u8; 16]; 11];
         rk[0] = *key;
         for round in 1..11 {
@@ -65,75 +229,66 @@ impl Aes128 {
                 rk[round][i] = prev[i] ^ rk[round][i - 4];
             }
         }
-        Aes128 { round_keys: rk }
+        rk
     }
 
-    /// Encrypt one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+    /// Encrypt one block under expanded round keys.
+    pub(crate) fn encrypt(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
+        let mut state = *block;
+        add_round_key(&mut state, &round_keys[0]);
+        for rk in &round_keys[1..10] {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            add_round_key(&mut state, rk);
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &round_keys[10]);
+        state
     }
 
-    /// Encrypt a copy of the block.
-    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.encrypt_block(&mut out);
-        out
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for i in 0..16 {
+            state[i] ^= rk[i];
+        }
     }
-}
 
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
     }
-}
 
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
+    /// State is column-major: byte `r + 4c` is row r, column c.
+    fn shift_rows(state: &mut [u8; 16]) {
+        // Row 1: shift left by 1.
+        let t = state[1];
+        state[1] = state[5];
+        state[5] = state[9];
+        state[9] = state[13];
+        state[13] = t;
+        // Row 2: shift left by 2.
+        state.swap(2, 10);
+        state.swap(6, 14);
+        // Row 3: shift left by 3 (= right by 1).
+        let t = state[15];
+        state[15] = state[11];
+        state[11] = state[7];
+        state[7] = state[3];
+        state[3] = t;
     }
-}
 
-/// State is column-major: byte `r + 4c` is row r, column c.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    // Row 1: shift left by 1.
-    let t = state[1];
-    state[1] = state[5];
-    state[5] = state[9];
-    state[9] = state[13];
-    state[13] = t;
-    // Row 2: shift left by 2.
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift left by 3 (= right by 1).
-    let t = state[15];
-    state[15] = state[11];
-    state[11] = state[7];
-    state[7] = state[3];
-    state[3] = t;
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let i = 4 * c;
-        let (a0, a1, a2, a3) = (state[i], state[i + 1], state[i + 2], state[i + 3]);
-        let all = a0 ^ a1 ^ a2 ^ a3;
-        state[i] = a0 ^ all ^ xtime(a0 ^ a1);
-        state[i + 1] = a1 ^ all ^ xtime(a1 ^ a2);
-        state[i + 2] = a2 ^ all ^ xtime(a2 ^ a3);
-        state[i + 3] = a3 ^ all ^ xtime(a3 ^ a0);
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let i = 4 * c;
+            let (a0, a1, a2, a3) = (state[i], state[i + 1], state[i + 2], state[i + 3]);
+            let all = a0 ^ a1 ^ a2 ^ a3;
+            state[i] = a0 ^ all ^ xtime(a0 ^ a1);
+            state[i + 1] = a1 ^ all ^ xtime(a1 ^ a2);
+            state[i + 2] = a2 ^ all ^ xtime(a2 ^ a3);
+            state[i + 3] = a3 ^ all ^ xtime(a3 ^ a0);
+        }
     }
 }
 
@@ -220,5 +375,34 @@ mod tests {
                 0x2b, 0x2e,
             ]
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn block() -> impl Strategy<Value = [u8; 16]> {
+        proptest::collection::vec(any::<u8>(), 16..17)
+            .prop_map(|v| v.try_into().expect("a 16-byte vector"))
+    }
+
+    proptest! {
+        /// The word-oriented key expansion and cipher, apart and in
+        /// one pass, equal the byte-wise FIPS-197 oracle on arbitrary
+        /// keys and blocks.
+        #[test]
+        fn word_cipher_matches_the_byte_wise_oracle(key in block(), plain in block()) {
+            let aes = Aes128::new(&key);
+            let round_keys = oracle::expand(&key);
+            let want = oracle::encrypt(&round_keys, &plain);
+            prop_assert_eq!(aes.round_keys, round_keys);
+            prop_assert_eq!(aes.encrypt(&plain), want);
+            let mut block = plain;
+            let aes = Aes128::with_first_block(&key, &mut block);
+            prop_assert_eq!(block, want);
+            prop_assert_eq!(aes.round_keys, round_keys);
+        }
     }
 }

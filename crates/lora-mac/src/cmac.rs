@@ -2,74 +2,75 @@
 
 use crate::aes::Aes128;
 
-/// Left-shift a 16-byte big-endian value by one bit.
-fn shl1(input: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    let mut carry = 0u8;
-    for i in (0..16).rev() {
-        out[i] = (input[i] << 1) | carry;
-        carry = input[i] >> 7;
-    }
-    out
+/// The CMAC subkeys K1, K2 from `L = AES(K, 0)` (RFC 4493 §2.3): each
+/// is the one before doubled in GF(2^128), a one-bit left shift of the
+/// big-endian value with `Rb = 0x87` folded in when the top bit falls
+/// off.
+fn subkeys_of(l: &[u8; 16]) -> ([u8; 16], [u8; 16]) {
+    const RB: u128 = 0x87;
+    let double = |v: u128| (v << 1) ^ ((v >> 127) * RB);
+    let k1 = double(u128::from_be_bytes(*l));
+    (k1.to_be_bytes(), double(k1).to_be_bytes())
 }
 
 /// Generate the CMAC subkeys K1, K2 (RFC 4493 §2.3).
+#[cfg(test)]
 fn subkeys(aes: &Aes128) -> ([u8; 16], [u8; 16]) {
-    const RB: u8 = 0x87;
-    let l = aes.encrypt(&[0u8; 16]);
-    let mut k1 = shl1(&l);
-    if l[0] & 0x80 != 0 {
-        k1[15] ^= RB;
-    }
-    let mut k2 = shl1(&k1);
-    if k1[0] & 0x80 != 0 {
-        k2[15] ^= RB;
-    }
-    (k1, k2)
+    subkeys_of(&aes.encrypt(&[0u8; 16]))
 }
 
-/// Compute the full 16-byte AES-CMAC of `msg` under `key`.
-pub fn aes_cmac(key: &[u8; 16], msg: &[u8]) -> [u8; 16] {
-    let aes = Aes128::new(key);
-    let (k1, k2) = subkeys(&aes);
-
-    let n_blocks = msg.len().div_ceil(16).max(1);
-    let complete_last = !msg.is_empty() && msg.len().is_multiple_of(16);
-
+/// The AES-CMAC of the concatenation of `parts` under `key`, fed part
+/// by part: no part is copied into a joined message. `L` is encrypted
+/// in the pass that expands the key.
+fn cmac(key: &[u8; 16], parts: &[&[u8]]) -> [u8; 16] {
+    let mut l = [0u8; 16];
+    let aes = Aes128::with_first_block(key, &mut l);
+    let (k1, k2) = subkeys_of(&l);
+    // `x` is the CBC chain with the first `fill` bytes of the current
+    // block XOR-ed in; a full block is encrypted only once a further
+    // byte shows it is not the last.
     let mut x = [0u8; 16];
-    // All blocks but the last.
-    for block in 0..n_blocks - 1 {
-        let chunk = &msg[block * 16..block * 16 + 16];
-        for i in 0..16 {
-            x[i] ^= chunk[i];
+    let mut fill = 0;
+    for part in parts {
+        let mut rest = *part;
+        while !rest.is_empty() {
+            if fill == 16 {
+                aes.encrypt_block(&mut x);
+                fill = 0;
+            }
+            let n = rest.len().min(16 - fill);
+            for (a, b) in x[fill..fill + n].iter_mut().zip(&rest[..n]) {
+                *a ^= b;
+            }
+            fill += n;
+            rest = &rest[n..];
         }
-        aes.encrypt_block(&mut x);
     }
-    // Last block: XOR with K1 (complete) or padded + K2 (incomplete).
-    let mut last = [0u8; 16];
-    let tail = &msg[(n_blocks - 1) * 16..];
-    if complete_last {
-        last[..16].copy_from_slice(tail);
-        for i in 0..16 {
-            last[i] ^= k1[i];
-        }
+    // Last block: XOR with K1 (complete) or padded + K2 (incomplete,
+    // the empty message included).
+    let mask = if fill == 16 {
+        k1
     } else {
-        last[..tail.len()].copy_from_slice(tail);
-        last[tail.len()] = 0x80;
-        for i in 0..16 {
-            last[i] ^= k2[i];
-        }
-    }
-    for i in 0..16 {
-        x[i] ^= last[i];
+        x[fill] ^= 0x80;
+        k2
+    };
+    for (a, b) in x.iter_mut().zip(mask) {
+        *a ^= b;
     }
     aes.encrypt_block(&mut x);
     x
 }
 
-/// The LoRaWAN MIC: the first four bytes of the CMAC.
-pub fn mic(key: &[u8; 16], msg: &[u8]) -> [u8; 4] {
-    let full = aes_cmac(key, msg);
+/// The full 16-byte AES-CMAC of `msg` under `key`.
+#[cfg(test)]
+fn aes_cmac(key: &[u8; 16], msg: &[u8]) -> [u8; 16] {
+    cmac(key, &[msg])
+}
+
+/// The LoRaWAN MIC: the first four bytes of the CMAC of the
+/// concatenation of `parts`.
+pub fn mic(key: &[u8; 16], parts: &[&[u8]]) -> [u8; 4] {
+    let full = cmac(key, parts);
     [full[0], full[1], full[2], full[3]]
 }
 
@@ -142,7 +143,7 @@ mod tests {
     fn mic_is_cmac_prefix() {
         let msg = b"lorawan frame bytes";
         let full = aes_cmac(&KEY, msg);
-        assert_eq!(mic(&KEY, msg), full[..4]);
+        assert_eq!(mic(&KEY, &[&msg[..7], &msg[7..]]), full[..4]);
     }
 
     #[test]
@@ -196,5 +197,78 @@ mod tests {
         }
         aes.encrypt_block(&mut x);
         assert_eq!(aes_cmac(&KEY, &msg), x);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::aes::oracle;
+    use proptest::prelude::*;
+
+    /// Left-shift a 16-byte big-endian value by one bit.
+    fn shl1(input: &[u8; 16]) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        let mut carry = 0u8;
+        for i in (0..16).rev() {
+            out[i] = (input[i] << 1) | carry;
+            carry = input[i] >> 7;
+        }
+        out
+    }
+
+    /// RFC 4493 §2.4 over the byte-wise oracle cipher: the message
+    /// joined into one buffer, padded, and CBC-MAC-ed block by block.
+    fn oracle_cmac(key: &[u8; 16], msg: &[u8]) -> [u8; 16] {
+        let rk = oracle::expand(key);
+        let l = oracle::encrypt(&rk, &[0; 16]);
+        let mut k1 = shl1(&l);
+        if l[0] & 0x80 != 0 {
+            k1[15] ^= 0x87;
+        }
+        let mut k2 = shl1(&k1);
+        if k1[0] & 0x80 != 0 {
+            k2[15] ^= 0x87;
+        }
+        let n = msg.len().div_ceil(16).max(1);
+        let complete = !msg.is_empty() && msg.len().is_multiple_of(16);
+        let mut last = [0u8; 16];
+        let tail = &msg[(n - 1) * 16..];
+        last[..tail.len()].copy_from_slice(tail);
+        let mask = if complete {
+            k1
+        } else {
+            last[tail.len()] = 0x80;
+            k2
+        };
+        let mut x = [0u8; 16];
+        for block in msg.chunks(16).take(n - 1) {
+            for i in 0..16 {
+                x[i] ^= block[i];
+            }
+            x = oracle::encrypt(&rk, &x);
+        }
+        for i in 0..16 {
+            x[i] ^= last[i] ^ mask[i];
+        }
+        oracle::encrypt(&rk, &x)
+    }
+
+    proptest! {
+        /// `aes_cmac` over 0–64 bytes, and the MIC fed the same bytes
+        /// in two parts split anywhere, equal a CMAC built on the
+        /// byte-wise oracle cipher.
+        #[test]
+        fn cmac_matches_one_built_on_the_oracle(
+            key in proptest::collection::vec(any::<u8>(), 16..17),
+            msg in proptest::collection::vec(any::<u8>(), 0..65),
+            cut in any::<usize>(),
+        ) {
+            let key: [u8; 16] = key.try_into().expect("a 16-byte vector");
+            let want = oracle_cmac(&key, &msg);
+            prop_assert_eq!(aes_cmac(&key, &msg), want);
+            let (head, tail) = msg.split_at(cut % (msg.len() + 1));
+            prop_assert_eq!(mic(&key, &[head, tail]), [want[0], want[1], want[2], want[3]]);
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::cmac;
 use crate::device::{DevAddr, SessionKeys};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 
 /// LoRaWAN message type (MHDR.MType).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,33 +128,34 @@ impl PhyPayload {
         1 + 7 + self.fopts.len() + port_payload + 4
     }
 
-    /// Encode, encrypt the FRMPayload and append the MIC.
+    /// Encode, encrypt the FRMPayload and append the MIC, into one
+    /// buffer of the final length.
     pub fn encode(&self, keys: &SessionKeys) -> Result<Vec<u8>, FrameCodecError> {
         if self.fopts.len() > 15 {
             return Err(FrameCodecError::FOptsTooLong(self.fopts.len()));
         }
         let dir = if self.mtype.is_uplink() { 0u8 } else { 1u8 };
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u8(self.mtype.to_bits() << 5);
-        buf.put_u32_le(self.dev_addr.0);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        out.push(self.mtype.to_bits() << 5);
+        out.extend_from_slice(&self.dev_addr.0.to_le_bytes());
         let fctrl = ((self.adr as u8) << 7) | ((self.ack as u8) << 5) | (self.fopts.len() as u8);
-        buf.put_u8(fctrl);
-        buf.put_u16_le(self.fcnt);
-        buf.put_slice(&self.fopts);
+        out.push(fctrl);
+        out.extend_from_slice(&self.fcnt.to_le_bytes());
+        out.extend_from_slice(&self.fopts);
         if let Some(port) = self.fport {
-            buf.put_u8(port);
+            out.push(port);
             let key = if port == 0 {
                 &keys.nwk_s_key
             } else {
                 &keys.app_s_key
             };
-            let ct =
-                crypt_frm_payload(key, self.dev_addr, self.fcnt as u32, dir, &self.frm_payload);
-            buf.put_slice(&ct);
+            let at = out.len();
+            out.extend_from_slice(&self.frm_payload);
+            crypt_frm_payload(key, self.dev_addr, self.fcnt as u32, dir, &mut out[at..]);
         }
-        let mic = compute_mic(&keys.nwk_s_key, self.dev_addr, self.fcnt as u32, dir, &buf);
-        buf.put_slice(&mic);
-        Ok(buf.to_vec())
+        let mic = compute_mic(&keys.nwk_s_key, self.dev_addr, self.fcnt as u32, dir, &out);
+        out.extend_from_slice(&mic);
+        Ok(out)
     }
 
     /// Read the DevAddr of a data frame *without* any key — the only
@@ -220,7 +221,8 @@ impl PhyPayload {
             } else {
                 &keys.app_s_key
             };
-            let pt = crypt_frm_payload(key, dev_addr, fcnt as u32, dir, buf);
+            let mut pt = buf.to_vec();
+            crypt_frm_payload(key, dev_addr, fcnt as u32, dir, &mut pt);
             (Some(port), pt)
         } else {
             (None, Vec::new())
@@ -239,36 +241,40 @@ impl PhyPayload {
     }
 }
 
-/// LoRaWAN frame MIC: `CMAC(NwkSKey, B0 | MHDR..FRMPayload)[0..4]`.
+/// LoRaWAN frame MIC: `CMAC(NwkSKey, B0 | MHDR..FRMPayload)[0..4]`,
+/// with `B0` and the frame fed to CMAC one after the other.
 fn compute_mic(nwk_s_key: &[u8; 16], addr: DevAddr, fcnt: u32, dir: u8, msg: &[u8]) -> [u8; 4] {
-    let mut b0 = Vec::with_capacity(16 + msg.len());
-    b0.push(0x49);
-    b0.extend_from_slice(&[0, 0, 0, 0]);
-    b0.push(dir);
-    b0.extend_from_slice(&addr.0.to_le_bytes());
-    b0.extend_from_slice(&fcnt.to_le_bytes());
-    b0.push(0);
-    b0.push(msg.len() as u8);
-    b0.extend_from_slice(msg);
-    cmac::mic(nwk_s_key, &b0)
+    let mut b0 = [0u8; 16];
+    b0[0] = 0x49;
+    b0[5] = dir;
+    b0[6..10].copy_from_slice(&addr.0.to_le_bytes());
+    b0[10..14].copy_from_slice(&fcnt.to_le_bytes());
+    b0[15] = msg.len() as u8;
+    cmac::mic(nwk_s_key, &[&b0, msg])
 }
 
-/// Symmetric FRMPayload (de)cryption with the LoRaWAN `A`-block keystream.
-fn crypt_frm_payload(key: &[u8; 16], addr: DevAddr, fcnt: u32, dir: u8, data: &[u8]) -> Vec<u8> {
+/// Symmetric FRMPayload (de)cryption in place with the LoRaWAN
+/// `A`-block keystream.
+fn crypt_frm_payload(key: &[u8; 16], addr: DevAddr, fcnt: u32, dir: u8, data: &mut [u8]) {
     use crate::aes::Aes128;
-    let aes = Aes128::new(key);
-    let mut out = Vec::with_capacity(data.len());
-    for (block_idx, chunk) in data.chunks(16).enumerate() {
-        let mut a = [0u8; 16];
-        a[0] = 0x01;
-        a[5] = dir;
-        a[6..10].copy_from_slice(&addr.0.to_le_bytes());
-        a[10..14].copy_from_slice(&fcnt.to_le_bytes());
+    let mut a = [0u8; 16];
+    a[0] = 0x01;
+    a[5] = dir;
+    a[6..10].copy_from_slice(&addr.0.to_le_bytes());
+    a[10..14].copy_from_slice(&fcnt.to_le_bytes());
+    let mut aes: Option<Aes128> = None;
+    for (block_idx, chunk) in data.chunks_mut(16).enumerate() {
         a[15] = (block_idx + 1) as u8;
-        let s = aes.encrypt(&a);
-        out.extend(chunk.iter().zip(s.iter()).map(|(d, k)| d ^ k));
+        let mut s = a;
+        match &aes {
+            // The first keystream block is encrypted as the key expands.
+            None => aes = Some(Aes128::with_first_block(key, &mut s)),
+            Some(aes) => aes.encrypt_block(&mut s),
+        }
+        for (d, k) in chunk.iter_mut().zip(s) {
+            *d ^= k;
+        }
     }
-    out
 }
 
 #[cfg(test)]

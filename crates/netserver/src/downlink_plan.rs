@@ -9,7 +9,7 @@
 
 use crate::logparser::LinkProfile;
 use gateway::forwarder::b64;
-use gateway::forwarder::codec::TxPacket;
+use gateway::forwarder::codec::{datr, TxPacket};
 use lora_mac::class_a::{catches_window, rx_windows, ClassAParams, RxWindow};
 use lora_phy::channel::Channel;
 use lora_phy::types::DataRate;
@@ -51,11 +51,7 @@ pub fn plan_downlink(
     let txpk = TxPacket {
         tmst: window.open_us,
         freq: window.channel.center_hz as f64 / 1e6,
-        datr: format!(
-            "SF{}BW{}",
-            window.dr.spreading_factor().value(),
-            window.channel.bw.hz() / 1000
-        ),
+        datr: datr(window.dr.spreading_factor(), window.channel.bw),
         powe: 14,
         size: phy_payload.len(),
         data: b64::encode(phy_payload),

@@ -290,9 +290,9 @@ const _: () = assert!(std::mem::size_of::<LiveNode>() == 32);
 /// traffic model, generated chunk by chunk instead of materializing
 /// (and sorting) every plan. Its memory is `O(transmitters + chunk)`:
 /// 32 B per node whose first arrival falls before the horizon, 4 B of
-/// calendar queue per such node still transmitting, and the current
-/// window's keys — nothing for a node that never transmits, and no copy
-/// of the assignment list.
+/// calendar queue per such node still transmitting, and 8 B of sort
+/// key per plan of the current window — nothing for a node that never
+/// transmits, and no copy of the assignment list.
 ///
 /// Each node owns an independent SplitMix64 stream seeded from
 /// `(seed, assignment index)`, and a mean gap of airtime / duty looked
@@ -305,8 +305,9 @@ const _: () = assert!(std::mem::size_of::<LiveNode>() == 32);
 /// overflow list for arrivals further ahead.
 /// [`ChunkSource::next_chunk`] drains exactly one bucket, draws every
 /// arrival of those nodes inside the window, re-files each node under
-/// its next window, and sorts the window's `(t_us, live id)` keys once
-/// — O(1) queue work per transmission plus one sort per chunk, where a
+/// its next window, and sorts the window's `(t_us, live id)` keys,
+/// each packed into one `u64`, once — O(1) queue work per
+/// transmission plus one sort per chunk, where a
 /// binary heap of next arrivals pays an `O(log nodes)` pop and push per
 /// transmission.
 ///
@@ -336,9 +337,12 @@ pub struct DutyCycleStream {
     ring: Vec<Vec<u32>>,
     /// Live ids whose next arrival is past the ring's span.
     overflow: Vec<u32>,
-    /// The current window's `(arrival µs, live id)` keys; arrival ties
-    /// break by live id, hence by assignment index.
-    keys: Vec<(u64, u32)>,
+    /// The current window's keys, each an arrival's offset into the
+    /// window above its live id's `id_bits` bits: sorted, they order
+    /// arrivals by time, ties by live id, hence by assignment index.
+    keys: Vec<u64>,
+    /// Bits of a packed key that hold the live id.
+    id_bits: u32,
     done: bool,
 }
 
@@ -381,6 +385,12 @@ impl DutyCycleStream {
         let n_live = (0..assignments.len())
             .filter(|&i| (first(i, assignments[i].2).0 as u64) < horizon_us)
             .count();
+        // A key packs an offset below `chunk_us` above the live id; a
+        // window too wide for the bits the ids leave is cut to the
+        // widest that fits, which changes only how the plans are
+        // chunked.
+        let id_bits = u64::BITS - (n_live.saturating_sub(1) as u64).leading_zeros();
+        let chunk_us = chunk_us.min((u64::MAX >> id_bits).saturating_add(1));
         let mut stream = DutyCycleStream {
             channels,
             payload_len,
@@ -392,6 +402,7 @@ impl DutyCycleStream {
             ring: (0..CALENDAR_SLOTS).map(|_| Vec::new()).collect(),
             overflow: Vec::new(),
             keys: Vec::new(),
+            id_bits,
             done: false,
         };
         for (i, &(node, channel, dr)) in assignments.iter().enumerate() {
@@ -449,6 +460,7 @@ impl ChunkSource for DutyCycleStream {
                 self.file(id, self.live[id as usize].next_t as u64);
             }
         }
+        let window_start = self.window * self.chunk_us;
         let window_end = (self.window + 1).saturating_mul(self.chunk_us);
         let limit = window_end.min(self.horizon_us);
 
@@ -462,7 +474,9 @@ impl ChunkSource for DutyCycleStream {
             let mean_gap = self.mean_gap[n.dr.index()];
             let mut t = n.next_t as u64;
             while t < limit {
-                self.keys.push((t, id));
+                debug_assert!(t >= window_start, "a filed arrival lies in its window");
+                self.keys
+                    .push((t - window_start) << self.id_bits | id as u64);
                 // Exponential inter-arrival, mean `mean_gap`.
                 n.next_t -= unit_open(&mut n.rng).ln() * mean_gap;
                 t = n.next_t as u64;
@@ -473,13 +487,14 @@ impl ChunkSource for DutyCycleStream {
 
         self.keys.sort_unstable();
         out.reserve(self.keys.len());
-        for &(t, id) in &self.keys {
-            let n = &self.live[id as usize];
+        let id_mask = (1u64 << self.id_bits) - 1;
+        for &key in &self.keys {
+            let n = &self.live[(key & id_mask) as usize];
             out.push(TxPlan {
                 node: n.node as usize,
                 channel: n.channel,
                 dr: n.dr,
-                start_us: t,
+                start_us: window_start + (key >> self.id_bits),
                 payload_len: self.payload_len,
             });
         }

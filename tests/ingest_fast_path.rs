@@ -58,9 +58,9 @@ fn rxpk(rng: &mut StdRng, lsnr_tenths: i32) -> RxPacket {
         chan: rng.gen_range(0..8),
         rfch: rng.gen_range(0..2),
         stat: 1,
-        modu: "LORA".to_string(),
-        datr: "SF7BW125".to_string(),
-        codr: "4/5".to_string(),
+        modu: "LORA".into(),
+        datr: "SF7BW125".into(),
+        codr: "4/5".into(),
         rssi: rng.gen_range(-140..-20),
         lsnr: lsnr_tenths as f64 / 10.0,
         size: payload.len(),

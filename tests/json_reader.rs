@@ -168,7 +168,7 @@ fn a_256_kib_data_string_decodes_in_linear_time() {
         rssi: -97,
         lsnr: 8.5,
         size: 192 * 1024,
-        data,
+        data: data.into(),
         trce: 3,
     };
     let sent = Datagram::PushData {
