@@ -2,30 +2,22 @@
 
 use crate::aes::Aes128;
 
-/// The CMAC subkeys K1, K2 from `L = AES(K, 0)` (RFC 4493 §2.3): each
-/// is the one before doubled in GF(2^128), a one-bit left shift of the
-/// big-endian value with `Rb = 0x87` folded in when the top bit falls
-/// off.
-fn subkeys_of(l: &[u8; 16]) -> ([u8; 16], [u8; 16]) {
+/// Generate the CMAC subkeys K1, K2 from `L = AES(K, 0)` (RFC 4493
+/// §2.3): each is the one before doubled in GF(2^128), a one-bit left
+/// shift of the big-endian value with `Rb = 0x87` folded in when the
+/// top bit falls off.
+fn subkeys(aes: &Aes128) -> ([u8; 16], [u8; 16]) {
     const RB: u128 = 0x87;
     let double = |v: u128| (v << 1) ^ ((v >> 127) * RB);
-    let k1 = double(u128::from_be_bytes(*l));
+    let k1 = double(u128::from_be_bytes(aes.encrypt(&[0u8; 16])));
     (k1.to_be_bytes(), double(k1).to_be_bytes())
 }
 
-/// Generate the CMAC subkeys K1, K2 (RFC 4493 §2.3).
-#[cfg(test)]
-fn subkeys(aes: &Aes128) -> ([u8; 16], [u8; 16]) {
-    subkeys_of(&aes.encrypt(&[0u8; 16]))
-}
-
 /// The AES-CMAC of the concatenation of `parts` under `key`, fed part
-/// by part: no part is copied into a joined message. `L` is encrypted
-/// in the pass that expands the key.
+/// by part: no part is copied into a joined message.
 fn cmac(key: &[u8; 16], parts: &[&[u8]]) -> [u8; 16] {
-    let mut l = [0u8; 16];
-    let aes = Aes128::with_first_block(key, &mut l);
-    let (k1, k2) = subkeys_of(&l);
+    let aes = Aes128::new(key);
+    let (k1, k2) = subkeys(&aes);
     // `x` is the CBC chain with the first `fill` bytes of the current
     // block XOR-ed in; a full block is encrypted only once a further
     // byte shows it is not the last.

@@ -40,13 +40,13 @@ impl SessionKeys {
     /// so traces are reproducible).
     pub fn derive(network_key: &[u8; 16], addr: DevAddr) -> SessionKeys {
         use crate::aes::Aes128;
-        let mut nwk = [0u8; 16];
-        nwk[0] = 0x01;
-        nwk[1..5].copy_from_slice(&addr.0.to_le_bytes());
-        let mut app = nwk;
-        app[0] = 0x02;
-        let aes = Aes128::with_first_block(network_key, &mut nwk);
-        aes.encrypt_block(&mut app);
+        let aes = Aes128::new(network_key);
+        let mut block = [0u8; 16];
+        block[0] = 0x01;
+        block[1..5].copy_from_slice(&addr.0.to_le_bytes());
+        let nwk = aes.encrypt(&block);
+        block[0] = 0x02;
+        let app = aes.encrypt(&block);
         SessionKeys {
             nwk_s_key: nwk,
             app_s_key: app,

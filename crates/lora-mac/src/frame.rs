@@ -257,20 +257,15 @@ fn compute_mic(nwk_s_key: &[u8; 16], addr: DevAddr, fcnt: u32, dir: u8, msg: &[u
 /// `A`-block keystream.
 fn crypt_frm_payload(key: &[u8; 16], addr: DevAddr, fcnt: u32, dir: u8, data: &mut [u8]) {
     use crate::aes::Aes128;
+    let aes = Aes128::new(key);
     let mut a = [0u8; 16];
     a[0] = 0x01;
     a[5] = dir;
     a[6..10].copy_from_slice(&addr.0.to_le_bytes());
     a[10..14].copy_from_slice(&fcnt.to_le_bytes());
-    let mut aes: Option<Aes128> = None;
     for (block_idx, chunk) in data.chunks_mut(16).enumerate() {
         a[15] = (block_idx + 1) as u8;
-        let mut s = a;
-        match &aes {
-            // The first keystream block is encrypted as the key expands.
-            None => aes = Some(Aes128::with_first_block(key, &mut s)),
-            Some(aes) => aes.encrypt_block(&mut s),
-        }
+        let s = aes.encrypt(&a);
         for (d, k) in chunk.iter_mut().zip(s) {
             *d ^= k;
         }

@@ -385,12 +385,16 @@ impl DutyCycleStream {
         let n_live = (0..assignments.len())
             .filter(|&i| (first(i, assignments[i].2).0 as u64) < horizon_us)
             .count();
-        // A key packs an offset below `chunk_us` above the live id; a
-        // window too wide for the bits the ids leave is cut to the
-        // widest that fits, which changes only how the plans are
-        // chunked.
+        // A key packs an arrival's offset into its window above the
+        // live id. The offset is below both `chunk_us` and the horizon,
+        // so a window wider than the horizon (one chunk for the whole
+        // run) needs no more bits than the horizon does.
         let id_bits = u64::BITS - (n_live.saturating_sub(1) as u64).leading_zeros();
-        let chunk_us = chunk_us.min((u64::MAX >> id_bits).saturating_add(1));
+        assert!(
+            chunk_us.min(horizon_us).saturating_sub(1) <= u64::MAX >> id_bits,
+            "a window offset of up to {} µs and {n_live} live ids do not fit one u64 key",
+            chunk_us.min(horizon_us)
+        );
         let mut stream = DutyCycleStream {
             channels,
             payload_len,
@@ -838,6 +842,13 @@ mod tests {
     fn calendar_matches_heap_without_assignments() {
         assert_eq!(assert_matches_heap(0, 0.01, 1_000_000, 1, 300_000), (4, 0));
         assert_eq!(assert_matches_heap(0, 0.01, 0, 1, 300_000), (1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit one u64 key")]
+    fn a_window_too_wide_for_the_packed_key_is_refused() {
+        // 80 live ids take 7 bits; a 2^60 µs window needs 60 more.
+        DutyCycleStream::new(&stream_assignments(80), 12, 1.0, 1 << 60, 1, u64::MAX);
     }
 
     #[test]
